@@ -50,7 +50,6 @@ pub(crate) const BLOCKING_CRITICAL: &[&str] = &[
     "crates/runtime/src/service.rs",
     "crates/runtime/src/exec.rs",
     "crates/runtime/src/pipelined.rs",
-    "crates/runtime/src/continuous.rs",
 ];
 
 pub(crate) fn is_blocking_critical(rel: &str) -> bool {

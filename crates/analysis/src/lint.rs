@@ -63,7 +63,6 @@ pub const UNWRAP_BANLIST: &[&str] = &[
     "crates/runtime/src/store.rs",
     "crates/runtime/src/exec.rs",
     "crates/runtime/src/pool.rs",
-    "crates/runtime/src/continuous.rs",
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/pipelined.rs",
     // A panicking service lane would take its clients' reports down
@@ -427,7 +426,7 @@ mod tests {
                        let _r = recover(shared.cv.wait_timeout(st, d));\n\
                    }\n";
         assert_eq!(
-            rules_of(&lint_source("crates/runtime/src/continuous.rs", src)),
+            rules_of(&lint_source("crates/runtime/src/pipelined.rs", src)),
             vec!["bare-condvar-wait"]
         );
     }

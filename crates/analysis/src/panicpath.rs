@@ -35,7 +35,6 @@ const ROUND_CRITICAL: &[&str] = &[
     "crates/runtime/src/store.rs",
     "crates/runtime/src/exec.rs",
     "crates/runtime/src/pool.rs",
-    "crates/runtime/src/continuous.rs",
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/pipelined.rs",
     // Service lanes hold client report channels; a reachable panic
@@ -54,7 +53,6 @@ const INDEX_AUDITED: &[&str] = &[
     "crates/runtime/src/store.rs",
     "crates/runtime/src/exec.rs",
     "crates/runtime/src/pool.rs",
-    "crates/runtime/src/continuous.rs",
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/arena.rs",
     "crates/runtime/src/stats.rs",

@@ -1,14 +1,11 @@
 //! **BENCH-RT** — round-throughput microbenchmark for the persistent
 //! worker pool and the asynchronous pipelined executor.
 //!
-//! Sweeps `workers × {pooled, scoped, pipelined} × {delaunay, boruvka,
-//! sssp}` at a small fixed allocation (`m = 32`, the regime where
-//! per-round overhead dominates) and reports rounds/s, tasks/s, and
-//! commit throughput. `pooled` is [`Executor::run_round`] (persistent
-//! parked threads, chunked claiming, epoch-bump barrier); `scoped` is
-//! [`Executor::run_round_scoped`], the previous
-//! spawn-threads-every-round implementation retained as the baseline;
-//! `pipelined` is [`Executor::run_pipelined`] (barrier-free sliding
+//! Sweeps `workers × {pooled, pipelined} × {delaunay, boruvka, sssp}`
+//! at a small fixed allocation (`m = 32`, the regime where per-round
+//! overhead dominates) and reports rounds/s, tasks/s, and commit
+//! throughput. `pooled` is [`Executor::run_round`] (persistent parked
+//! threads, chunked claiming, epoch-bump barrier); `pipelined` is [`Executor::run_pipelined`] (barrier-free sliding
 //! epoch window, `m` reinterpreted as an in-flight budget — for it,
 //! "rounds" counts window flushes). Every drain also carries a
 //! [`PhaseClock`], so each row reports how its thread time splits
@@ -57,8 +54,6 @@ use std::time::Instant;
 enum Mode {
     /// Persistent pool: `run_round`.
     Pooled,
-    /// Per-round `std::thread::scope` baseline: `run_round_scoped`.
-    Scoped,
     /// Barrier-free sliding epoch window: `run_pipelined`.
     Pipelined,
 }
@@ -67,13 +62,12 @@ impl Mode {
     fn name(self) -> &'static str {
         match self {
             Mode::Pooled => "pooled",
-            Mode::Scoped => "scoped",
             Mode::Pipelined => "pipelined",
         }
     }
 }
 
-const MODES: [Mode; 3] = [Mode::Pooled, Mode::Scoped, Mode::Pipelined];
+const MODES: [Mode; 2] = [Mode::Pooled, Mode::Pipelined];
 
 /// One measured configuration.
 struct Row {
@@ -169,12 +163,9 @@ where
                 launched = run.total_launched();
                 committed = run.total_committed();
             }
-            _ => {
+            Mode::Pooled => {
                 while !ws.is_empty() && rounds < MAX_ROUNDS {
-                    let rs = match mode {
-                        Mode::Pooled => ex.run_round(&mut ws, M, &mut rng),
-                        _ => ex.run_round_scoped(&mut ws, M, &mut rng),
-                    };
+                    let rs = ex.run_round(&mut ws, M, &mut rng);
                     rounds += 1;
                     launched += rs.launched;
                     committed += rs.committed;
@@ -356,7 +347,6 @@ where
 fn to_json(
     smoke: bool,
     rows: &[Row],
-    speedups: &[(String, f64)],
     pipe_scaling: &[(String, f64)],
     smart_ab: &[SmartAb],
     obs_ab: &[ObsAb],
@@ -397,12 +387,6 @@ fn to_json(
         s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"pooled_vs_scoped_rounds_per_s\": {\n");
-    for (i, (key, v)) in speedups.iter().enumerate() {
-        let _ = write!(s, "    \"{key}\": {v:.2}");
-        s.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  },\n");
     s.push_str("  \"pipelined_scaling_vs_w1_commits_per_s\": {\n");
     for (i, (key, v)) in pipe_scaling.iter().enumerate() {
         let _ = write!(s, "    \"{key}\": {v:.2}");
@@ -578,28 +562,10 @@ fn main() {
         ]);
     }
     println!(
-        "BENCH-RT: pooled vs scoped vs pipelined, m = {M}{}",
+        "BENCH-RT: pooled vs pipelined, m = {M}{}",
         if smoke { " (smoke)" } else { "" }
     );
-    table.print("throughput: barrier rounds (pooled/scoped) vs sliding-window pipelined");
-
-    // Pooled-over-scoped speedup in rounds/s, per (app, workers).
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-    for pooled in rows.iter().filter(|r| r.mode == Mode::Pooled) {
-        if let Some(scoped) = rows
-            .iter()
-            .find(|r| r.mode == Mode::Scoped && r.app == pooled.app && r.workers == pooled.workers)
-        {
-            speedups.push((
-                format!("{}/w{}", pooled.app, pooled.workers),
-                pooled.rounds_per_s() / scoped.rounds_per_s(),
-            ));
-        }
-    }
-    println!("\npooled/scoped rounds-per-second ratio:");
-    for (key, v) in &speedups {
-        println!("  {key:<16} {v:>6.2}x");
-    }
+    table.print("throughput: barrier rounds (pooled) vs sliding-window pipelined");
 
     // Pipelined multi-worker scaling: commits/s at each worker count
     // over the same app's single-worker pipelined drain. > 1.0 means
@@ -802,7 +768,7 @@ fn main() {
         }
     }
 
-    let json = to_json(smoke, &rows, &speedups, &pipe_scaling, &smart_ab, &obs_ab);
+    let json = to_json(smoke, &rows, &pipe_scaling, &smart_ab, &obs_ab);
     std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");
     println!("\nwrote BENCH_runtime.json ({} configs)", rows.len());
 }

@@ -36,8 +36,9 @@
 //!
 //! The runtime owns one [`AuditSink`] per `LockSpace`. The sink is
 //! *armed* at the start of a round-synchronous round and *drained* at
-//! the barrier; continuous (barrier-free) execution leaves it disarmed,
-//! so trace pushes are dropped without growing state. By default a
+//! the barrier; the pipelined (barrier-free) executor keeps it armed
+//! for the whole run and drains it at every controller window. While
+//! disarmed, trace pushes are dropped without growing state. By default a
 //! non-empty audit panics with the full report text (fail fast in
 //! tests); [`CheckerMode::Collect`] stores reports for inspection
 //! instead, which is how the deliberately-seeded race tests assert on

@@ -4,11 +4,9 @@
 //! One [`AuditSink`] lives inside each `LockSpace` in checker builds.
 //! The round-synchronous executor *arms* it before launching a round
 //! and *drains* it at the barrier, which runs the lockset analysis
-//! (always) and the sequential commit-set oracle (inline rounds). The
-//! continuous executor never arms it, so its per-completion trace
-//! pushes are dropped in O(1) — the round analyses do not apply to
-//! barrier-free execution. The *pipelined* executor arms it once per
-//! run and calls [`AuditSink::drain_window`] at every controller
+//! (always) and the sequential commit-set oracle (inline rounds). A
+//! disarmed sink drops trace pushes in O(1). The *pipelined* executor
+//! arms it once per run and calls [`AuditSink::drain_window`] at every controller
 //! window: traces are grouped by lane tag back into batches and each
 //! batch gets the batch-scoped analysis, with the sink staying armed
 //! across windows until [`AuditSink::disarm`].

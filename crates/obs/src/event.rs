@@ -57,7 +57,7 @@ pub enum EventKind {
     },
     /// A task began executing in `slot` under `epoch`.
     TaskLaunch {
-        /// Batch slot (round mode) or worker index (continuous mode).
+        /// Batch slot (round mode) or strided worker slot (pipelined mode).
         slot: u32,
         /// Lock-space epoch at launch.
         epoch: u64,

@@ -6,7 +6,7 @@
 //! ([`Recorder::ring`]) — the hot path never sees the mutex. All
 //! mutex-taking methods run at points that are already serialized in
 //! the runtime: the round barrier (round mode) or the window flusher
-//! (continuous/pipelined mode). Like every lock the runtime can
+//! (pipelined mode). Like every lock the runtime can
 //! reach, the log mutex recovers from poisoning — the log is a plain
 //! append buffer, valid at every intermediate state.
 //!

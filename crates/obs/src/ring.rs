@@ -3,7 +3,7 @@
 //! One ring per worker. The producer is the worker thread executing
 //! tasks; the consumer is whoever holds the drain point — the round
 //! barrier in round mode, the window flusher (serialized by the
-//! window mutex) in continuous mode. Under that usage the ring is a
+//! window mutex) in pipelined mode. Under that usage the ring is a
 //! classic SPSC queue: the producer owns `head` and `tick`, the
 //! consumer owns `tail`, and the only cross-thread edges are the
 //! producer's `Release` publish of `head` (paired with the consumer's
@@ -143,7 +143,7 @@ impl EventRing {
     /// `record` or `drain_into`, and the caller's synchronization
     /// must order this call after every producer write and before
     /// the producer's next `record` (the round barrier provides
-    /// exactly this; continuous mode never rewinds because its
+    /// exactly this; pipelined mode never rewinds because its
     /// window flush overlaps the producers).
     // SAFETY: contract on the caller, stated in the doc above — a
     // fully drained, quiescent ring with external ordering around

@@ -30,9 +30,16 @@
 //! [`LockSpace::advance_epoch`] bump: committed tasks' locks simply
 //! expire with the epoch instead of being walked and released.
 //!
-//! [`Executor::run_round_scoped`] preserves the old
-//! spawn-threads-every-round implementation as a baseline for
-//! benchmarks and differential tests.
+//! ## The speculation core
+//!
+//! Every execution mode runs a task through the same two functions:
+//! `speculate` (build the `TaskCtx`, call the operator under panic
+//! containment, commit or roll back) and `settle` (book the outcome:
+//! spawns in, `retries + 1` re-queue, or dead-letter). Rounds call
+//! them from `run_round` / `merge_round`; the pipelined worker loop
+//! ([`crate::pipelined`]) calls them per batch and adds only what is
+//! different about it — the permit gate, the sharded draw, the
+//! lane-bump retire, and the window flush.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{state, ConflictPolicy, LockSpace};
@@ -40,7 +47,7 @@ use crate::phase::{self, Phase};
 use crate::pool::WorkerPool;
 use crate::probe::{obs_emit, Probe};
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Operator, TaskCtx};
+use crate::task::{Abort, Operator, TaskCtx};
 use optpar_core::control::Controller;
 use rand::Rng;
 use std::cell::UnsafeCell;
@@ -332,10 +339,10 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
     }
 }
 
-/// Outcome of one task within a round. Committed tasks' locks are not
+/// Outcome of one speculated task. Committed tasks' locks are not
 /// carried here: they stay stamped in the lock space until the round's
-/// epoch bump expires them wholesale.
-enum TaskResult<T> {
+/// epoch bump (or the batch's lane bump) expires them wholesale.
+pub(crate) enum TaskResult<T> {
     Committed {
         spawned: Vec<T>,
         acquires: usize,
@@ -351,6 +358,31 @@ enum TaskResult<T> {
         fault: Box<TaskFault>,
         acquires: usize,
     },
+}
+
+/// Where [`Executor::settle`] sends a finished task: the caller owns
+/// the queues (one [`WorkSet`] in round mode, per-worker shards in
+/// pipelined mode), `settle` owns the decision.
+pub(crate) enum Settled<T> {
+    /// Committed: these spawned tasks enter the work-set.
+    Committed(Vec<T>),
+    /// Aborted or faulted under budget: re-queue this entry (its
+    /// retry count is already bumped).
+    Requeue(Entry<T>),
+    /// Faulted past the dead-letter budget: the task left the system.
+    Retired,
+}
+
+/// The zero-commit watchdog's override: once `stalled` consecutive
+/// commit-free rounds (or windows) reach `threshold`, halve `m` per
+/// further stalled round down to 1, where Prop. 1 (`r̄(1) = 0`)
+/// guarantees progress. `threshold == u32::MAX` disables it.
+pub(crate) fn watchdog_clamp(m: usize, stalled: u32, threshold: u32) -> usize {
+    if threshold == u32::MAX || stalled < threshold {
+        return m;
+    }
+    let excess = (stalled - threshold).saturating_add(1).min(63);
+    (m >> excess).max(1)
 }
 
 /// One pre-indexed result cell. Each cell is written by exactly one
@@ -462,14 +494,8 @@ impl<'a, O: Operator> Executor<'a, O> {
     }
 
     /// Record one contained fault.
-    pub(crate) fn log_fault(&self, fault: TaskFault) {
+    fn log_fault(&self, fault: TaskFault) {
         crate::faults::recover(self.faults.lock()).push(fault);
-    }
-
-    /// Retire one task to the dead-letter list (shared by the round
-    /// and pipelined executors).
-    pub(crate) fn push_dead_letter(&self, letter: crate::faults::DeadLetter) {
-        crate::faults::recover(self.dead_letters.lock()).push(letter);
     }
 
     /// Worker threads still alive in the pool (`None` for inline
@@ -490,20 +516,9 @@ impl<'a, O: Operator> Executor<'a, O> {
         self.space
     }
 
-    /// The operator being executed.
-    pub(crate) fn op(&self) -> &'a O {
-        self.op
-    }
-
     /// The persistent worker pool (`None` when `workers == 1`).
     pub(crate) fn pool(&self) -> Option<&WorkerPool> {
         self.pool.get()
-    }
-
-    /// The installed fault-injection plan, if any.
-    #[cfg(feature = "faults")]
-    pub(crate) fn fault_plan(&self) -> Option<&'a crate::faults::FaultPlan> {
-        self.fault_plan
     }
 
     /// Attach a phase clock: subsequent runs charge their draw /
@@ -660,126 +675,17 @@ impl<'a, O: Operator> Executor<'a, O> {
             Some(pool) if self.cfg.workers > 1 => self.run_parallel(pool, &batch, states),
             _ => {
                 let t_exec = phase::maybe_start(self.phases);
+                let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
                 let out = batch
                     .iter()
                     .enumerate()
-                    .map(|(slot, e)| self.run_task(slot, &e.task, states, self.probe_for(0)))
+                    .map(|(slot, e)| self.speculate(slot, 0, epoch, &e.task, states, probe))
                     .collect();
                 phase::maybe_add(self.phases, Phase::Execute, t_exec);
                 out
             }
         };
         drop(scratch);
-
-        self.merge_round(ws, m, batch, results)
-    }
-
-    /// Baseline round implementation that spawns fresh scoped threads
-    /// every round (per-task work claiming, post-round sort). Kept as
-    /// the comparison point for the `throughput` benchmark and for
-    /// differential tests against the pooled path; semantics are
-    /// identical to [`Self::run_round`].
-    pub fn run_round_scoped<R: Rng + ?Sized>(
-        &self,
-        ws: &mut WorkSet<O::Task>,
-        m: usize,
-        rng: &mut R,
-    ) -> RoundStats {
-        let t_draw = phase::maybe_start(self.phases);
-        let batch = ws.sample_drain_aged(m, rng, self.cfg.retry_budget);
-        phase::maybe_add(self.phases, Phase::Draw, t_draw);
-        let launched = batch.len();
-        #[cfg(feature = "obs")]
-        self.obs_round_begin(m, &batch);
-        if launched == 0 {
-            #[cfg(feature = "obs")]
-            if let Some(rec) = self.recorder.as_ref() {
-                rec.round_end(
-                    self.space.epoch(),
-                    m as u64,
-                    optpar_obs::RoundTotals::default(),
-                    0,
-                );
-            }
-            return RoundStats {
-                m,
-                ..RoundStats::default()
-            };
-        }
-        assert!(launched < u32::MAX as usize, "round too large");
-        let states: Vec<AtomicU8> = (0..launched)
-            .map(|_| AtomicU8::new(state::ACQUIRING))
-            .collect();
-
-        #[cfg(feature = "checker")]
-        self.space.audit().arm(self.cfg.workers == 1);
-
-        let results: Vec<TaskResult<O::Task>> = if self.cfg.workers == 1 {
-            let t_exec = phase::maybe_start(self.phases);
-            let out = batch
-                .iter()
-                .enumerate()
-                .map(|(slot, e)| self.run_task(slot, &e.task, &states, self.probe_for(0)))
-                .collect();
-            phase::maybe_add(self.phases, Phase::Execute, t_exec);
-            out
-        } else {
-            let next = AtomicUsize::new(0);
-            let workers = self.cfg.workers.min(launched);
-            let batch_ref = &batch;
-            let states = &states;
-            let pc = self.phases;
-            let exec_before = pc.map(|c| c.snapshot().execute_ns);
-            let t_wall = phase::maybe_start(pc);
-            let mut filled: Vec<Option<TaskResult<O::Task>>> = Vec::new();
-            filled.resize_with(launched, || None);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let next = &next;
-                        let probe = self.probe_for(w);
-                        s.spawn(move || {
-                            let t_busy = phase::maybe_start(pc);
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::AcqRel);
-                                if i >= batch_ref.len() {
-                                    break;
-                                }
-                                local
-                                    .push((i, self.run_task(i, &batch_ref[i].task, states, probe)));
-                            }
-                            phase::maybe_add(pc, Phase::Execute, t_busy);
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // Operator panics are contained inside run_task, so
-                    // a join error means the runtime itself panicked on
-                    // that worker. Swallow the loss; the worker's
-                    // claimed slots fault below instead of tearing the
-                    // round down.
-                    if let Ok(local) = h.join() {
-                        for (i, r) in local {
-                            filled[i] = Some(r);
-                        }
-                    }
-                }
-            });
-            // Wait = worker-seconds the dispatch held that nobody
-            // spent executing (stragglers at the implicit join).
-            if let (Some(c), Some(before)) = (pc, exec_before) {
-                let wall = t_wall.map_or(0, phase::span_ns);
-                let busy = c.snapshot().execute_ns.saturating_sub(before);
-                c.add_ns(Phase::Wait, (workers as u64 * wall).saturating_sub(busy));
-            }
-            filled
-                .into_iter()
-                .enumerate()
-                .map(|(slot, r)| r.unwrap_or_else(|| self.missing_result(slot)))
-                .collect()
-        };
 
         self.merge_round(ws, m, batch, results)
     }
@@ -801,49 +707,10 @@ impl<'a, O: Operator> Executor<'a, O> {
             ..RoundStats::default()
         };
         for (entry, result) in batch.into_iter().zip(results) {
-            match result {
-                TaskResult::Committed { spawned, acquires } => {
-                    stats.committed += 1;
-                    stats.spawned += spawned.len();
-                    stats.lock_acquires += acquires;
-                    ws.extend(spawned);
-                }
-                TaskResult::Aborted { acquires } => {
-                    stats.aborted += 1;
-                    stats.lock_acquires += acquires;
-                    // Retry in a later round, one step closer to the
-                    // aging threshold.
-                    ws.push_entry(Entry {
-                        retries: entry.retries.saturating_add(1),
-                        ..entry
-                    });
-                }
-                TaskResult::Faulted { fault, acquires } => {
-                    stats.faulted += 1;
-                    stats.lock_acquires += acquires;
-                    if entry.retries >= self.cfg.dead_letter_budget {
-                        // Faulting again at retries ≥ K: retire the
-                        // task instead of re-queuing it forever. An
-                        // always-faulting task therefore launches at
-                        // most K + 1 times.
-                        stats.dead_lettered += 1;
-                        crate::faults::recover(self.dead_letters.lock()).push(
-                            crate::faults::DeadLetter {
-                                epoch: fault.epoch,
-                                slot: fault.slot,
-                                retries: entry.retries,
-                                cause: fault.cause.clone(),
-                                detail: fault.detail.clone(),
-                            },
-                        );
-                    } else {
-                        ws.push_entry(Entry {
-                            retries: entry.retries.saturating_add(1),
-                            ..entry
-                        });
-                    }
-                    self.log_fault(*fault);
-                }
+            match self.settle(entry, result, &mut stats) {
+                Settled::Committed(spawned) => ws.extend(spawned),
+                Settled::Requeue(entry) => ws.push_entry(entry),
+                Settled::Retired => {}
             }
         }
         // Audit the finished round's traces before the epoch bump (the
@@ -917,34 +784,109 @@ impl<'a, O: Operator> Executor<'a, O> {
             if ws.is_empty() {
                 break;
             }
-            let mut m = ctl.current_m();
-            if stalled >= self.cfg.watchdog_stall {
-                let excess = (stalled - self.cfg.watchdog_stall)
-                    .saturating_add(1)
-                    .min(63);
-                m = (m >> excess).max(1);
-            }
-            let rs = self.run_round(ws, m, rng);
-            stalled = if rs.launched > 0 && rs.committed == 0 {
-                stalled.saturating_add(1)
-            } else {
-                0
-            };
-            ctl.observe(rs.pressure_ratio(), rs.launched);
-            #[cfg(feature = "obs")]
-            if let Some(rec) = self.recorder.as_ref() {
-                rec.controller(
-                    ctl.current_m() as u64,
-                    rs.pressure_ratio(),
-                    ctl.target_rho(),
-                );
-            }
-            run.rounds.push(rs);
+            run.rounds
+                .push(self.step_round(ws, ctl, &mut stalled, usize::MAX, rng));
         }
         run
     }
 
-    /// Run one task to completion under panic containment.
+    /// One controller step, shared by [`Executor::run_with_controller`]
+    /// and the job service's `JobCx::drive`: take the controller's
+    /// `m` (watchdog-clamped after `stalled` zero-commit rounds, capped
+    /// at `cap`, floor 1), run the round, update the stall count, and
+    /// feed the round's pressure back to the controller.
+    pub(crate) fn step_round<C: Controller, R: Rng + ?Sized>(
+        &self,
+        ws: &mut WorkSet<O::Task>,
+        ctl: &mut C,
+        stalled: &mut u32,
+        cap: usize,
+        rng: &mut R,
+    ) -> RoundStats {
+        let m = watchdog_clamp(ctl.current_m(), *stalled, self.cfg.watchdog_stall)
+            .min(cap)
+            .max(1);
+        let rs = self.run_round(ws, m, rng);
+        *stalled = if rs.launched > 0 && rs.committed == 0 {
+            stalled.saturating_add(1)
+        } else {
+            0
+        };
+        ctl.observe(rs.pressure_ratio(), rs.launched);
+        #[cfg(feature = "obs")]
+        if let Some(rec) = self.recorder.as_ref() {
+            rec.controller(
+                ctl.current_m() as u64,
+                rs.pressure_ratio(),
+                ctl.target_rho(),
+            );
+        }
+        rs
+    }
+
+    /// Book one finished task: count it in `stats`, log a fault, and
+    /// decide where the task goes next. Aborts and under-budget faults
+    /// re-queue one step closer to the aging threshold; a task that
+    /// faults again at `retries ≥ K` is retired to the dead-letter
+    /// list, so an always-faulting task launches at most `K + 1`
+    /// times in every mode.
+    pub(crate) fn settle(
+        &self,
+        entry: Entry<O::Task>,
+        result: TaskResult<O::Task>,
+        stats: &mut RoundStats,
+    ) -> Settled<O::Task> {
+        let retry = |entry: Entry<O::Task>| {
+            Settled::Requeue(Entry {
+                retries: entry.retries.saturating_add(1),
+                ..entry
+            })
+        };
+        match result {
+            TaskResult::Committed { spawned, acquires } => {
+                stats.committed += 1;
+                stats.spawned += spawned.len();
+                stats.lock_acquires += acquires;
+                Settled::Committed(spawned)
+            }
+            TaskResult::Aborted { acquires } => {
+                stats.aborted += 1;
+                stats.lock_acquires += acquires;
+                retry(entry)
+            }
+            TaskResult::Faulted { fault, acquires } => {
+                stats.faulted += 1;
+                stats.lock_acquires += acquires;
+                let settled = if entry.retries >= self.cfg.dead_letter_budget {
+                    stats.dead_lettered += 1;
+                    crate::faults::recover(self.dead_letters.lock()).push(
+                        crate::faults::DeadLetter {
+                            epoch: fault.epoch,
+                            slot: fault.slot,
+                            retries: entry.retries,
+                            cause: fault.cause.clone(),
+                            detail: fault.detail.clone(),
+                        },
+                    );
+                    Settled::Retired
+                } else {
+                    retry(entry)
+                };
+                self.log_fault(*fault);
+                settled
+            }
+        }
+    }
+
+    /// Speculate one task to completion under panic containment —
+    /// the single place the runtime calls [`Operator::execute`].
+    ///
+    /// `lane` selects the lock lane the task stamps (0 = the round
+    /// epoch, `w + 1` = pipelined worker `w`'s batch tag) and
+    /// `fault_key` is the coordinate fault injection and fault records
+    /// key on: the epoch in round mode, the batch tag in pipelined
+    /// mode (where the epoch never moves, so a retried task must
+    /// re-roll under a fresh tag).
     ///
     /// The operator call is wrapped in `catch_unwind`: a panicking
     /// operator (or a fired injected panic) is converted into a
@@ -954,9 +896,11 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// because `TaskCtx` snapshots a slot *before* handing out the
     /// `&mut`, so the undo log is complete at every possible unwind
     /// point.
-    fn run_task(
+    pub(crate) fn speculate(
         &self,
         slot: usize,
+        lane: usize,
+        fault_key: u64,
         task: &O::Task,
         states: &[AtomicU8],
         probe: Probe<'_>,
@@ -968,109 +912,90 @@ impl<'a, O: Operator> Executor<'a, O> {
                 epoch: self.space.epoch(),
             }
         );
-        let mut cx = TaskCtx::new(slot, self.space, states, self.cfg.policy);
+        let mut cx =
+            TaskCtx::new_in_lane(slot, self.space, states, self.cfg.policy, lane, fault_key);
         #[cfg(feature = "checker")]
         cx.note_seed(self.op.conflict_seed(task));
         cx.attach_probe(probe);
         #[cfg(feature = "faults")]
         if let Some(plan) = self.fault_plan {
-            cx.arm_fault(plan, self.space.epoch());
+            cx.arm_fault(plan, fault_key);
         }
-        match catch_unwind(AssertUnwindSafe(|| self.op.execute(task, &mut cx))) {
-            Ok(Ok(spawned)) => {
-                let acquires = cx.acquires;
-                match cx.finish_commit() {
-                    // The committed lockset stays stamped in the lock
-                    // space; the round's epoch bump will expire it.
-                    Some(_lockset) => {
-                        obs_emit!(
-                            probe,
-                            optpar_obs::EventKind::TaskCommit {
-                                slot: slot as u32,
-                                acquires: acquires as u32,
-                                spawned: spawned.len() as u32,
-                            }
-                        );
-                        TaskResult::Committed { spawned, acquires }
-                    }
-                    None => {
-                        obs_emit!(
-                            probe,
-                            optpar_obs::EventKind::TaskAbort {
-                                slot: slot as u32,
-                                acquires: acquires as u32,
-                            }
-                        );
-                        TaskResult::Aborted { acquires }
-                    }
-                }
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.op.execute(task, &mut cx)));
+        let acquires = cx.acquires;
+        let result = match outcome {
+            Ok(Ok(spawned)) => match cx.finish_commit() {
+                // The committed lockset stays stamped in the lock
+                // space; the epoch (or lane) bump will expire it.
+                Some(_lockset) => TaskResult::Committed { spawned, acquires },
+                // Doomed: `finish_commit` already rolled back.
+                None => TaskResult::Aborted { acquires },
+            },
+            Ok(Err(Abort::Fault)) => {
+                let detail = "injected spurious abort".to_string();
+                Self::faulted(cx, fault_key, FaultCause::Injected, detail)
             }
+            #[cfg_attr(not(feature = "checker"), allow(unused_variables))]
             Ok(Err(abort)) => {
+                // The commit-set oracle must not expect an
+                // operator-requested abort to commit.
                 #[cfg(feature = "checker")]
-                {
-                    if matches!(abort, crate::task::Abort::Requested) {
-                        cx.note_requested_abort();
-                    }
-                    if matches!(abort, crate::task::Abort::Fault) {
-                        cx.note_fault();
-                    }
+                if matches!(abort, Abort::Requested) {
+                    cx.note_requested_abort();
                 }
-                let acquires = cx.acquires;
-                let faulted = matches!(abort, crate::task::Abort::Fault);
                 cx.finish_abort();
-                if faulted {
-                    obs_emit!(
-                        probe,
-                        optpar_obs::EventKind::TaskFault {
-                            slot: slot as u32,
-                            cause: FaultCause::Injected.code(),
-                        }
-                    );
-                    TaskResult::Faulted {
-                        fault: Box::new(TaskFault {
-                            epoch: self.space.epoch(),
-                            slot: Some(slot),
-                            cause: FaultCause::Injected,
-                            detail: "injected spurious abort".to_string(),
-                        }),
-                        acquires,
-                    }
-                } else {
-                    obs_emit!(
-                        probe,
-                        optpar_obs::EventKind::TaskAbort {
-                            slot: slot as u32,
-                            acquires: acquires as u32,
-                        }
-                    );
-                    TaskResult::Aborted { acquires }
-                }
+                TaskResult::Aborted { acquires }
             }
+            // The operator panicked (or an injected panic fired).
+            // Contain it: roll back, release locks, keep the worker.
             Err(payload) => {
-                // The operator panicked (or an injected panic fired).
-                // Contain it: roll back, release locks, keep the worker.
-                #[cfg(feature = "checker")]
-                cx.note_fault();
-                let acquires = cx.acquires;
-                cx.finish_abort();
                 let (cause, detail) = crate::faults::classify_panic(payload.as_ref());
-                obs_emit!(
-                    probe,
-                    optpar_obs::EventKind::TaskFault {
-                        slot: slot as u32,
-                        cause: cause.code(),
-                    }
-                );
-                TaskResult::Faulted {
-                    fault: Box::new(TaskFault {
-                        epoch: self.space.epoch(),
-                        slot: Some(slot),
-                        cause,
-                        detail,
-                    }),
-                    acquires,
-                }
+                Self::faulted(cx, fault_key, cause, detail)
             }
+        };
+        obs_emit!(
+            probe,
+            match &result {
+                TaskResult::Committed { spawned, acquires } => optpar_obs::EventKind::TaskCommit {
+                    slot: slot as u32,
+                    acquires: *acquires as u32,
+                    spawned: spawned.len() as u32,
+                },
+                TaskResult::Aborted { acquires } => optpar_obs::EventKind::TaskAbort {
+                    slot: slot as u32,
+                    acquires: *acquires as u32,
+                },
+                TaskResult::Faulted { fault, .. } => optpar_obs::EventKind::TaskFault {
+                    slot: slot as u32,
+                    cause: fault.cause.code(),
+                },
+            }
+        );
+        result
+    }
+
+    /// The fault arm of [`Executor::speculate`]: excuse the task with
+    /// the commit-set oracle, roll it back like an abort, and build
+    /// its record.
+    #[cfg_attr(not(feature = "checker"), allow(unused_mut))]
+    fn faulted(
+        mut cx: TaskCtx<'_>,
+        fault_key: u64,
+        cause: FaultCause,
+        detail: String,
+    ) -> TaskResult<O::Task> {
+        let (slot, acquires) = (cx.slot(), cx.acquires);
+        #[cfg(feature = "checker")]
+        cx.note_fault();
+        cx.finish_abort();
+        TaskResult::Faulted {
+            fault: Box::new(TaskFault {
+                epoch: fault_key,
+                slot: Some(slot),
+                cause,
+                detail,
+            }),
+            acquires,
         }
     }
 
@@ -1110,6 +1035,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         let slots: Vec<ResultSlot<O::Task>> =
             (0..n).map(|_| ResultSlot(UnsafeCell::new(None))).collect();
         let pc = self.phases;
+        let epoch = self.space.epoch();
         let job = |w: usize| {
             let t_busy = phase::maybe_start(pc);
             let probe = self.probe_for(w);
@@ -1120,7 +1046,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 }
                 let end = (start + chunk).min(n);
                 for i in start..end {
-                    let r = self.run_task(i, &batch[i].task, states, probe);
+                    let r = self.speculate(i, 0, epoch, &batch[i].task, states, probe);
                     // SAFETY: index `i` belongs to exactly one claimed
                     // chunk, so this cell has a single writer; readers
                     // wait for the rendezvous below.
@@ -1165,7 +1091,6 @@ impl<'a, O: Operator> Executor<'a, O> {
 mod tests {
     use super::*;
     use crate::store::SpecStore;
-    use crate::task::Abort;
     use optpar_core::control::FixedController;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1348,34 +1273,6 @@ mod tests {
         while !ws.is_empty() {
             let rs = ex.run_round(&mut ws, 32, &mut rng);
             committed += rs.committed;
-        }
-        assert_eq!(committed, n);
-        let mut store = store;
-        assert_eq!(store.snapshot().iter().sum::<i64>(), 0);
-    }
-
-    #[test]
-    fn scoped_baseline_matches_semantics() {
-        // The retained scoped-thread baseline must drain the same
-        // workload to the same final state.
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 64;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
-        let op = RingOp { store: &store, n };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-        let mut committed = 0;
-        while !ws.is_empty() {
-            committed += ex.run_round_scoped(&mut ws, 16, &mut rng).committed;
         }
         assert_eq!(committed, n);
         let mut store = store;
@@ -1750,6 +1647,16 @@ mod tests {
         // Once at 1 the override holds while the stall persists.
         assert_eq!(*ms.last().expect("rounds ran"), 1);
         assert_eq!(run.total_committed(), 0);
+    }
+
+    #[test]
+    fn watchdog_clamp_halves_past_the_threshold_and_floors_at_one() {
+        assert_eq!(watchdog_clamp(64, 3, 4), 64, "quiet below the threshold");
+        assert_eq!(watchdog_clamp(64, 4, 4), 32);
+        assert_eq!(watchdog_clamp(64, 6, 4), 8);
+        assert_eq!(watchdog_clamp(64, 40, 4), 1, "floor");
+        assert_eq!(watchdog_clamp(64, u32::MAX - 1, 0), 1, "shift is capped");
+        assert_eq!(watchdog_clamp(64, u32::MAX, u32::MAX), 64, "disabled");
     }
 
     #[test]

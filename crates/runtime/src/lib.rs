@@ -27,7 +27,10 @@
 //!   (the paper's model §2), runs them speculatively on a worker pool,
 //!   rolls back losers, re-queues them, and reports the realized
 //!   conflict ratio to a processor-allocation
-//!   [`Controller`](optpar_core::control::Controller).
+//!   [`Controller`](optpar_core::control::Controller). It also owns
+//!   the one speculation core — `speculate` (run a task under panic
+//!   containment) and `settle` (book its outcome) — that every mode
+//!   executes tasks through.
 //! * [`faults`] — fault tolerance: operator panics are contained per
 //!   task (`catch_unwind` → structured [`faults::TaskFault`], rollback,
 //!   re-queue — the worker thread survives), with a deterministic
@@ -41,6 +44,8 @@
 //!   in-flight speculation window, with per-worker lock *lanes* in the
 //!   [`lock::LockSpace`] so batch release stays O(1) without a global
 //!   epoch bump and one slow task no longer stalls the world.
+//!   Continuous (one-task-at-a-time) execution is this mode at
+//!   [`pipelined::PipelinedConfig::batch`]` = 1`.
 //!
 //! ## Execution model
 //!
@@ -64,7 +69,6 @@
 //! sequential model in `optpar-core`.
 
 pub mod arena;
-pub mod continuous;
 pub mod exec;
 pub mod faults;
 pub mod lock;

@@ -476,8 +476,7 @@ pub enum AcquireError {
 }
 
 /// Attempt to acquire lock `l` for task `slot` under `policy`,
-/// stamping lane 0's current tag (the round-synchronous and
-/// continuous modes).
+/// stamping lane 0's current tag (round mode).
 ///
 /// `states` is the per-round task-state array. Returns `Ok(true)` if
 /// newly acquired, `Ok(false)` if already held (reentrant).
@@ -592,17 +591,18 @@ pub(crate) fn acquire_tagged(
 }
 
 /// Release every lock in `lockset` held by `slot` under lane 0's
-/// current epoch, skipping stolen entries. Used by aborting tasks
-/// (which must free their words within the round) and by unit tests;
-/// committed tasks rely on [`LockSpace::advance_epoch`] instead.
+/// current epoch, skipping stolen entries — a unit-test shorthand for
+/// [`release_all_tagged`], which is what aborting tasks go through.
+#[cfg(test)]
 pub(crate) fn release_all(space: &LockSpace, slot: usize, lockset: &[usize]) {
     release_all_tagged(space, slot, space.epoch_tag(), lockset)
 }
 
 /// Release every lock in `lockset` held by `slot` under `tag` (the
 /// caller's cached lane tag), skipping stolen entries. Aborting
-/// pipelined tasks must free their words within their batch;
-/// committed ones rely on [`LockSpace::advance_lane`] instead.
+/// tasks must free their words within their round or batch;
+/// committed ones rely on [`LockSpace::advance_epoch`] /
+/// [`LockSpace::advance_lane`] instead.
 pub(crate) fn release_all_tagged(space: &LockSpace, slot: usize, tag: u64, lockset: &[usize]) {
     let owners = space.owners();
     let me = (tag << EPOCH_SHIFT) | (slot as u64 + 1);

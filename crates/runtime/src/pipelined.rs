@@ -26,14 +26,22 @@
 //!   where a lone in-flight task cannot conflict and Prop. 1 gives
 //!   forward progress.
 //!
+//! Each task runs through the executor's one speculation core —
+//! `Executor::speculate` (operator call under panic containment,
+//! commit or roll back) and `Executor::settle` (count, re-queue at
+//! `retries + 1`, or dead-letter) — exactly as a round's tasks do; this
+//! module holds only what is different about pipelined execution: the
+//! permit gate, the sharded draw, the lane-bump retire, and the window
+//! flush.
+//!
 //! Aborted tasks release their own (tag-scoped) locks immediately and
 //! re-queue with a bumped retry count — on the worker's home shard by
 //! default, or on the task's affine shard when the run has a
 //! [`Placement`]; spawned tasks are distributed round-robin (or by the
 //! placement) across the shards. A task that *faults* again while
 //! already at `retries ≥` [`ExecutorConfig::dead_letter_budget`] is
-//! retired to the dead-letter list exactly as in round mode, so the
-//! K + 1 launch bound holds in both modes.
+//! retired to the dead-letter list by the same `settle` round mode
+//! uses, so the K + 1 launch bound holds in both modes.
 //!
 //! [`ExecutorConfig::dead_letter_budget`]: crate::exec::ExecutorConfig::dead_letter_budget
 //!
@@ -56,17 +64,16 @@
 //! [`LockSpace`]: crate::lock::LockSpace
 //! [`LockSpace::advance_lane`]: crate::lock::LockSpace::advance_lane
 
-use crate::exec::{Entry, Executor, WorkSet};
-use crate::faults::{recover, TaskFault};
+use crate::exec::{watchdog_clamp, Entry, Executor, Settled, WorkSet};
+use crate::faults::recover;
 use crate::lock::{state, ConflictPolicy, MAX_LANES};
 use crate::phase::{self, Phase};
 use crate::probe::obs_emit;
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Abort, Operator, TaskCtx};
+use crate::task::Operator;
 use optpar_core::control::Controller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -107,6 +114,17 @@ struct Counters {
     /// Tasks retired past the dead-letter budget (subset of
     /// `faulted`, mirroring round mode's accounting).
     dead_lettered: AtomicUsize,
+}
+
+impl Counters {
+    /// Fold one retired batch's tally in.
+    fn add(&self, batch: &RoundStats) {
+        self.committed.fetch_add(batch.committed, Ordering::AcqRel);
+        self.aborted.fetch_add(batch.aborted, Ordering::AcqRel);
+        self.faulted.fetch_add(batch.faulted, Ordering::AcqRel);
+        self.dead_lettered
+            .fetch_add(batch.dead_lettered, Ordering::AcqRel);
+    }
 }
 
 /// A task-placement policy for pipelined mode: maps a task to the
@@ -184,21 +202,19 @@ impl<T> ShardedWorkSet<T> {
         Vec::new()
     }
 
-    /// Re-queue an aborted or faulted entry, retry count bumped
-    /// (feeding the aging prefix on redraw). With a placement the
-    /// entry returns to its *affine* shard — not the worker that
-    /// happened to steal-execute it — so retries stay shard-local;
-    /// without one it homes on the executing worker's shard.
+    /// Re-queue an aborted or faulted entry (its retry count already
+    /// bumped by `settle`, feeding the aging prefix on redraw). With a
+    /// placement the entry returns to its *affine* shard — not the
+    /// worker that happened to steal-execute it — so retries stay
+    /// shard-local; without one it homes on the executing worker's
+    /// shard.
     fn requeue(&self, home: usize, e: Entry<T>, place: Option<Placement<'_, T>>) {
         let at = match place {
             Some(p) => p(&e.task),
             None => home,
         };
         if let Some(shard) = self.shard(at) {
-            recover(shard.lock()).push_entry(Entry {
-                retries: e.retries + 1,
-                ..e
-            });
+            recover(shard.lock()).push_entry(e);
         }
     }
 
@@ -282,7 +298,6 @@ impl<O: Operator> Executor<'_, O> {
             MAX_LANES - 1
         );
         let retry_budget = self.config().retry_budget;
-        let dead_budget = self.config().dead_letter_budget;
         let watchdog = self.config().watchdog_stall;
         let pc = self.phases();
         // Strided slot pool: worker w owns slots
@@ -355,16 +370,12 @@ impl<O: Operator> Executor<'_, O> {
             // so after `watchdog` consecutive commit-free windows the
             // budget is halved per further stalled window, down to 1,
             // where a lone in-flight task cannot conflict.
-            if dc == 0 {
-                st.stalled += 1;
+            st.stalled = if dc == 0 {
+                st.stalled.saturating_add(1)
             } else {
-                st.stalled = 0;
-            }
-            let mut next = st.ctl.current_m().max(1);
-            if watchdog != u32::MAX && st.stalled >= watchdog {
-                let shift = (st.stalled - watchdog + 1).min(63);
-                next = (next >> shift).max(1);
-            }
+                0
+            };
+            let next = watchdog_clamp(st.ctl.current_m().max(1), st.stalled, watchdog);
             target.store(next, Ordering::Release);
             // Traces deposited by retired batches form complete tag
             // groups by now; the sliding-window audit runs here. (At
@@ -449,6 +460,7 @@ impl<O: Operator> Executor<'_, O> {
                 // under a fresh tag).
                 let tag = self.space().lane_tag(lane);
                 let mut any_aborted = false;
+                let mut tally = RoundStats::default();
                 let t1 = phase::maybe_start(pc);
                 for (i, entry) in batch.into_iter().enumerate() {
                     let slot = w * stride + i;
@@ -461,168 +473,31 @@ impl<O: Operator> Executor<'_, O> {
                         continue;
                     };
                     slot_state.store(state::ACQUIRING, Ordering::Release);
-                    let mut cx = TaskCtx::new_in_lane(
-                        slot,
-                        self.space(),
-                        &states,
-                        ConflictPolicy::FirstWins,
-                        lane,
-                    );
-                    #[cfg(feature = "checker")]
-                    cx.note_seed(self.op().conflict_seed(&entry.task));
-                    cx.attach_probe(probe);
-                    obs_emit!(
-                        probe,
-                        optpar_obs::EventKind::TaskLaunch {
-                            slot: slot as u32,
-                            epoch: self.space().epoch(),
+                    let result = self.speculate(slot, lane, tag, &entry.task, &states, probe);
+                    match self.settle(entry, result, &mut tally) {
+                        Settled::Committed(spawned) => {
+                            if !spawned.is_empty() {
+                                live.fetch_add(spawned.len(), Ordering::AcqRel);
+                                shards.spawn(spawned, place);
+                            }
+                            // The committed task leaves the system
+                            // only after its spawns were counted, so
+                            // `live` never transiently reads zero
+                            // while work exists.
+                            live.fetch_sub(1, Ordering::AcqRel);
                         }
-                    );
-                    #[cfg(feature = "faults")]
-                    if let Some(plan) = self.fault_plan() {
-                        cx.arm_fault(plan, tag);
-                    }
-                    // Contain operator panics exactly like the round
-                    // executor: roll back, release, re-queue, keep
-                    // the worker.
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| self.op().execute(&entry.task, &mut cx)));
-                    #[cfg(feature = "obs")]
-                    let acquires = cx.acquires;
-                    match outcome {
-                        Ok(Ok(spawned)) => match cx.finish_commit() {
-                            Some(_lockset) => {
-                                // No per-lock release: the whole
-                                // batch's locks expire in O(1) at the
-                                // retire bump below.
-                                counters.committed.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskCommit {
-                                        slot: slot as u32,
-                                        acquires: acquires as u32,
-                                        spawned: spawned.len() as u32,
-                                    }
-                                );
-                                let spawned_n = spawned.len();
-                                if spawned_n > 0 {
-                                    live.fetch_add(spawned_n, Ordering::AcqRel);
-                                    shards.spawn(spawned, place);
-                                }
-                                // The committed task leaves the
-                                // system only after its spawns were
-                                // counted, so `live` never
-                                // transiently reads zero while work
-                                // exists.
-                                live.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            None => {
-                                // First-wins tasks cannot be doomed,
-                                // so this is unreachable — book it as
-                                // an abort rather than crashing the
-                                // worker.
-                                counters.aborted.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskAbort {
-                                        slot: slot as u32,
-                                        acquires: acquires as u32,
-                                    }
-                                );
-                                shards.requeue(w, entry, place);
-                                any_aborted = true;
-                            }
-                        },
-                        Ok(Err(abort)) => {
-                            #[cfg(feature = "checker")]
-                            if matches!(abort, Abort::Fault) {
-                                cx.note_fault();
-                            }
-                            cx.finish_abort();
-                            if matches!(abort, Abort::Fault) {
-                                counters.faulted.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskFault {
-                                        slot: slot as u32,
-                                        cause: crate::faults::FaultCause::Injected.code(),
-                                    }
-                                );
-                                self.log_fault(TaskFault {
-                                    epoch: tag,
-                                    slot: Some(slot),
-                                    cause: crate::faults::FaultCause::Injected,
-                                    detail: "injected spurious abort".to_string(),
-                                });
-                                if entry.retries >= dead_budget {
-                                    // Faulting again at retries ≥ K:
-                                    // retire instead of re-queuing, so
-                                    // an always-faulting task launches
-                                    // at most K + 1 times in this mode
-                                    // too. Leaving `live` is what lets
-                                    // the drain terminate.
-                                    counters.dead_lettered.fetch_add(1, Ordering::AcqRel);
-                                    self.push_dead_letter(crate::faults::DeadLetter {
-                                        epoch: tag,
-                                        slot: Some(slot),
-                                        retries: entry.retries,
-                                        cause: crate::faults::FaultCause::Injected,
-                                        detail: "injected spurious abort".to_string(),
-                                    });
-                                    live.fetch_sub(1, Ordering::AcqRel);
-                                } else {
-                                    shards.requeue(w, entry, place);
-                                    any_aborted = true;
-                                }
-                            } else {
-                                counters.aborted.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskAbort {
-                                        slot: slot as u32,
-                                        acquires: acquires as u32,
-                                    }
-                                );
-                                shards.requeue(w, entry, place);
-                                any_aborted = true;
-                            }
+                        Settled::Requeue(entry) => {
+                            shards.requeue(w, entry, place);
+                            any_aborted = true;
                         }
-                        Err(payload) => {
-                            #[cfg(feature = "checker")]
-                            cx.note_fault();
-                            cx.finish_abort();
-                            counters.faulted.fetch_add(1, Ordering::AcqRel);
-                            let (cause, detail) = crate::faults::classify_panic(payload.as_ref());
-                            obs_emit!(
-                                probe,
-                                optpar_obs::EventKind::TaskFault {
-                                    slot: slot as u32,
-                                    cause: cause.code(),
-                                }
-                            );
-                            self.log_fault(TaskFault {
-                                epoch: tag,
-                                slot: Some(slot),
-                                cause: cause.clone(),
-                                detail: detail.clone(),
-                            });
-                            if entry.retries >= dead_budget {
-                                counters.dead_lettered.fetch_add(1, Ordering::AcqRel);
-                                self.push_dead_letter(crate::faults::DeadLetter {
-                                    epoch: tag,
-                                    slot: Some(slot),
-                                    retries: entry.retries,
-                                    cause,
-                                    detail,
-                                });
-                                live.fetch_sub(1, Ordering::AcqRel);
-                            } else {
-                                shards.requeue(w, entry, place);
-                                any_aborted = true;
-                            }
+                        // Dead-lettered: leaving `live` is what lets
+                        // the drain terminate.
+                        Settled::Retired => {
+                            live.fetch_sub(1, Ordering::AcqRel);
                         }
                     }
                 }
+                counters.add(&tally);
                 phase::maybe_add(pc, Phase::Execute, t1);
                 // Retire: one lane bump frees every committed lock
                 // the batch stamped; no other worker waits for it.
@@ -697,6 +572,7 @@ mod tests {
     use crate::exec::ExecutorConfig;
     use crate::lock::LockSpace;
     use crate::store::SpecStore;
+    use crate::task::{Abort, TaskCtx};
     use optpar_core::control::{FixedController, HybridController};
 
     /// Ring operator: task i touches slots i and i+1.
@@ -1270,6 +1146,7 @@ mod stress_tests {
     use crate::exec::ExecutorConfig;
     use crate::lock::LockSpace;
     use crate::store::SpecStore;
+    use crate::task::{Abort, TaskCtx};
     use optpar_core::control::FixedController;
 
     /// High-contention operator: every task touches slot 0.

@@ -545,8 +545,12 @@ mod tests {
                     };
                     pool_ref.run(&job).expect("live pool");
                 });
-                // Wait for the publish, then race the teardown.
-                while recover(pool_ref.shared.state.lock()).job.is_none() {
+                // Wait for the publish, then race the teardown. (If
+                // this thread was descheduled across the whole job,
+                // the publish is gone again: stop waiting for it.)
+                while recover(pool_ref.shared.state.lock()).job.is_none()
+                    && !submit.is_finished()
+                {
                     std::thread::yield_now();
                 }
                 let wedged = pool_ref.shutdown(Duration::from_secs(5));

@@ -904,14 +904,6 @@ impl JobCx<'_> {
             if self.deadline_expired() {
                 break Err(JobError::DeadlineExceeded);
             }
-            let mut m = ctl.current_m();
-            if stalled >= self.shared.cfg.watchdog_stall {
-                let excess = (stalled - self.shared.cfg.watchdog_stall)
-                    .saturating_add(1)
-                    .min(63);
-                m = (m >> excess).max(1);
-            }
-            m = m.min(self.budget_slice()).max(1);
             let pool = { recover(self.shared.pool.lock()).clone() };
             let cfg = &self.shared.cfg;
             let ecfg = ExecutorConfig {
@@ -928,7 +920,10 @@ impl JobCx<'_> {
             if let Some(p) = plan.as_ref() {
                 ex.set_fault_plan(p);
             }
-            let rs = ex.run_round(ws, m, rng);
+            // The shared round stepper owns the watchdog clamp and the
+            // controller feedback; this job's priority share of the
+            // global budget caps the round.
+            let rs = ex.step_round(ws, ctl, &mut stalled, self.budget_slice(), rng);
             rounds_this_drive += 1;
             self.acc.rounds += 1;
             self.acc.committed += rs.committed;
@@ -941,12 +936,6 @@ impl JobCx<'_> {
             for dl in ex.take_dead_letters() {
                 self.acc.dead_letters.push((drive, dl));
             }
-            stalled = if rs.launched > 0 && rs.committed == 0 {
-                stalled.saturating_add(1)
-            } else {
-                0
-            };
-            ctl.observe(rs.pressure_ratio(), rs.launched);
             if rs.launched > 0 {
                 self.shared.observe_pressure(rs.pressure_ratio());
             }

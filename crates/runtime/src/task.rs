@@ -93,7 +93,7 @@ pub struct TaskCtx<'rt> {
     states: &'rt [AtomicU8],
     policy: ConflictPolicy,
     /// The lane tag stamped onto every lock word this task acquires:
-    /// lane 0's current epoch for round/continuous tasks, the owning
+    /// lane 0's current epoch for round tasks, the owning
     /// worker's lane tag for pipelined tasks. Cached at construction —
     /// a task's lane epoch cannot advance while the task runs.
     tag: u64,
@@ -141,46 +141,33 @@ impl std::fmt::Debug for TaskCtx<'_> {
 }
 
 impl<'rt> TaskCtx<'rt> {
+    /// A lane-0 (round-mode) context, for unit tests; the executor
+    /// builds every context through [`TaskCtx::new_in_lane`].
+    #[cfg(test)]
     pub(crate) fn new(
         slot: usize,
         space: &'rt LockSpace,
         states: &'rt [AtomicU8],
         policy: ConflictPolicy,
     ) -> Self {
-        Self::with_tag(
-            slot,
-            space,
-            states,
-            policy,
-            space.lane_tag(0),
-            space.epoch(),
-        )
+        Self::new_in_lane(slot, space, states, policy, 0, space.epoch())
     }
 
-    /// A context for a pipelined task running in worker lane `lane`:
-    /// lock words are stamped with the lane's current tag, and the
-    /// audit trace carries that tag as its epoch so the checker groups
-    /// traces per batch (the unit within which committed-exclusivity
-    /// must hold).
+    /// A context for a task running in lock lane `lane` (0 = the round
+    /// epoch, `w + 1` = pipelined worker `w`): lock words are stamped
+    /// with the lane's current tag, and the audit trace carries
+    /// `trace_epoch` — the round epoch, or the batch tag so the
+    /// checker groups pipelined traces per batch (the unit within
+    /// which committed-exclusivity must hold).
     pub(crate) fn new_in_lane(
         slot: usize,
         space: &'rt LockSpace,
         states: &'rt [AtomicU8],
         policy: ConflictPolicy,
         lane: usize,
-    ) -> Self {
-        let tag = space.lane_tag(lane);
-        Self::with_tag(slot, space, states, policy, tag, tag)
-    }
-
-    fn with_tag(
-        slot: usize,
-        space: &'rt LockSpace,
-        states: &'rt [AtomicU8],
-        policy: ConflictPolicy,
-        tag: u64,
         trace_epoch: u64,
     ) -> Self {
+        let tag = space.lane_tag(lane);
         // Without the checker the trace-epoch argument is unused.
         let _ = trace_epoch;
         TaskCtx {
@@ -484,8 +471,8 @@ impl<'rt> TaskCtx<'rt> {
     /// them, exactly as in the paper's model (a node aborts iff a
     /// neighbour *committed* in the same round). The round-based
     /// executor expires these locks wholesale with its end-of-round
-    /// epoch bump ([`LockSpace::advance_epoch`]); the continuous
-    /// executor releases them explicitly. Returns `None` (after
+    /// epoch bump ([`LockSpace::advance_epoch`]), the pipelined one
+    /// with its per-batch lane bump. Returns `None` (after
     /// rolling back) if the task was doomed.
     pub(crate) fn finish_commit(mut self) -> Option<Vec<usize>> {
         let committed = self.states[self.slot]

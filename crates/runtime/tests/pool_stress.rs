@@ -3,9 +3,6 @@
 //! The pooled round path must be observationally identical to the
 //! inline (workers == 1, deterministic) path: same total commits, same
 //! final store state, across worker counts and both conflict policies.
-//! The scoped-thread baseline (`run_round_scoped`) is held to the same
-//! standard, which is what licenses using it as the benchmark
-//! comparison point.
 
 use optpar_runtime::{
     Abort, ConflictPolicy, Executor, ExecutorConfig, LockSpace, Operator, Region, SpecStore,
@@ -110,38 +107,6 @@ fn inline_path_is_deterministic_per_seed() {
         let b = drain_pooled(64, 16, 1, policy, 7);
         assert_eq!(a, b, "workers == 1 must be deterministic ({policy:?})");
     }
-}
-
-#[test]
-fn scoped_baseline_matches_pooled_totals() {
-    // Same workload through run_round_scoped: totals and final state
-    // must agree with the pooled path's reference.
-    let n = 96;
-    let m = 24;
-    let seed = 0x5C0F_F01D;
-    let (ref_commits, ref_state, _) = drain_pooled(n, m, 1, ConflictPolicy::FirstWins, seed);
-
-    let (space, r) = setup(n);
-    let store = SpecStore::filled(r, n, 0i64);
-    let op = WeightedRing { store: &store, n };
-    let ex = Executor::new(
-        &op,
-        &space,
-        ExecutorConfig {
-            workers: 4,
-            policy: ConflictPolicy::FirstWins,
-            ..ExecutorConfig::default()
-        },
-    );
-    let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut commits = 0;
-    while !ws.is_empty() {
-        commits += ex.run_round_scoped(&mut ws, m, &mut rng).committed;
-    }
-    let mut store = store;
-    assert_eq!(commits, ref_commits);
-    assert_eq!(store.snapshot(), ref_state);
 }
 
 #[test]

@@ -16,11 +16,16 @@ use optpar::apps::delaunay::{bad_count, DelaunayOp, RefineConfig};
 use optpar::apps::geometry::Point;
 use optpar::apps::sssp::{SsspInput, SsspOp};
 use optpar::apps::triangulation::Mesh;
-use optpar::core::control::{HybridController, HybridParams};
+use optpar::core::control::{FixedController, HybridController, HybridParams};
 use optpar::graph::gen;
-use optpar::runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+use optpar::runtime::checker::CheckerMode;
+use optpar::runtime::{
+    Abort, ConflictPolicy, Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig,
+    SpecStore, TaskCtx, WorkSet,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn controller() -> HybridController {
     HybridController::new(HybridParams {
@@ -133,4 +138,65 @@ fn delaunay_clean_audit_sequential_with_oracle() {
 #[test]
 fn delaunay_clean_audit_parallel() {
     delaunay_audited(4, 32);
+}
+
+/// Eight disjoint writers; task 3 asks for an abort the first time it
+/// runs and commits on the retry.
+struct AbortOnceOp<'s> {
+    store: &'s SpecStore<u32>,
+    armed: AtomicBool,
+}
+
+impl Operator for AbortOnceOp<'_> {
+    type Task = usize;
+
+    fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+        *cx.write(self.store, i)? += 1;
+        if i == 3 && self.armed.swap(false, Ordering::AcqRel) {
+            cx.abort_requested()?;
+        }
+        Ok(vec![])
+    }
+}
+
+/// Regression: an operator-requested abort must reach the commit-set
+/// oracle as `AbortRequested` in *every* mode. The pipelined loop used
+/// to carry its own copy of the task-outcome match that dropped the
+/// note, so a one-worker pipelined drain reported a false
+/// `OracleDivergence { missing: [3] }`.
+#[test]
+fn requested_abort_is_excused_in_round_and_pipelined_modes() {
+    for pipelined in [false, true] {
+        let mut b = LockSpace::builder();
+        let r = b.region(8);
+        let space = b.build();
+        space.audit().set_mode(CheckerMode::Collect);
+        let store = SpecStore::filled(r, 8, 0u32);
+        let op = AbortOnceOp {
+            store: &store,
+            armed: AtomicBool::new(true),
+        };
+        let ex = Executor::new(&op, &space, config(1));
+        let mut ws = WorkSet::from_vec((0..8usize).collect::<Vec<_>>());
+        let mut ctl = FixedController::new(4);
+        let mut rng = StdRng::seed_from_u64(41);
+        let run = if pipelined {
+            let cfg = PipelinedConfig {
+                window: 4,
+                batch: 4,
+                max_completions: usize::MAX,
+            };
+            ex.run_pipelined(&mut ws, &mut ctl, cfg, &mut rng)
+        } else {
+            ex.run_with_controller(&mut ws, &mut ctl, 1_000, &mut rng)
+        };
+        assert!(ws.is_empty());
+        assert_eq!(run.total_committed(), 8);
+        assert_eq!(run.total_aborted(), 1, "task 3 aborted exactly once");
+        let reports = space.audit().take_reports();
+        assert!(
+            reports.is_empty(),
+            "pipelined = {pipelined}: requested abort flagged: {reports:?}"
+        );
+    }
 }

@@ -20,7 +20,7 @@ use optpar::core::control::{Controller, HybridController, HybridParams};
 use optpar::graph::gen;
 use optpar::runtime::obs::{export, validate, EventKind, EventLog, ObsConfig, RoundCheck};
 use optpar::runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, Operator, TaskCtx, WorkSet,
+    Abort, ConflictPolicy, Executor, ExecutorConfig, Operator, PipelinedConfig, TaskCtx, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,8 +192,8 @@ fn single_worker_trace_is_byte_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite 3: continuous-mode controller convergence, read from the
-// trace's controller track
+// Continuous-mode (pipelined at batch = 1) controller convergence,
+// read from the trace's controller track
 // ---------------------------------------------------------------------
 
 /// Boruvka with artificially long merges. Continuous-mode conflicts
@@ -202,7 +202,10 @@ fn single_worker_trace_is_byte_deterministic() {
 /// an almost conflict-free trace no matter what budget the controller
 /// picks. Spinning after the real work stretches every task's lock
 /// hold long enough that unthrottled concurrency genuinely collides —
-/// the adversarial workload the controller is supposed to tame.
+/// the adversarial workload the controller is supposed to tame. The
+/// graph is dense (degree 16) and the spin long on purpose: the
+/// unthrottled conflict ratio has to clear ρ for there to be anything
+/// to steer, and at degree 8 / 4000 spins it only sometimes does.
 struct SlowBoruvka {
     inner: BoruvkaOp,
     spins: u32,
@@ -223,11 +226,14 @@ impl Operator for SlowBoruvka {
 /// shows convergence to the ρ band, Err(diagnostic) otherwise.
 fn convergence_attempt(rho: f64, seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let g = gen::random_with_avg_degree(256, 8.0, &mut rng);
+    let g = gen::random_with_avg_degree(256, 16.0, &mut rng);
     let wg = WeightedGraph::random(g, &mut rng);
     let (space, inner) = BoruvkaOp::new(&wg);
     let tasks = inner.initial_tasks();
-    let op = SlowBoruvka { inner, spins: 4000 };
+    let op = SlowBoruvka {
+        inner,
+        spins: 16_000,
+    };
     let mut ex = Executor::new(&op, &space, config(8));
     ex.enable_obs(ObsConfig::default());
     let mut ws = WorkSet::from_vec(tasks);
@@ -236,7 +242,13 @@ fn convergence_attempt(rho: f64, seed: u64) -> Result<(), String> {
         m_max: 64,
         ..HybridParams::default()
     });
-    let _ = ex.run_continuous(&mut ws, &mut ctl, 16, 1_000_000, &mut rng);
+    // Continuous execution is the pipelined executor at batch = 1.
+    let cfg = PipelinedConfig {
+        window: 16,
+        batch: 1,
+        max_completions: 1_000_000,
+    };
+    let _ = ex.run_pipelined(&mut ws, &mut ctl, cfg, &mut rng);
     assert!(ws.is_empty(), "continuous run did not drain");
 
     let log = ex.recorder().expect("recorder enabled").snapshot();

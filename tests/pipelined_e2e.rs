@@ -5,7 +5,9 @@
 //! (Dijkstra distances, Kruskal forest weight, fully refined valid
 //! mesh) — the sliding epoch window, per-worker lock lanes, and
 //! in-flight budget may reorder and retry work but must never change
-//! the result.
+//! the result. Each drain runs at `batch = 8` and at `batch = 1` — the
+//! continuous configuration: one task per lane bump, no batching at
+//! all.
 //!
 //! The same tests double as the speculation-safety gate: built with
 //! `--features checker`, `run_pipelined` keeps the audit sink armed
@@ -45,16 +47,20 @@ fn config(workers: usize) -> ExecutorConfig {
     }
 }
 
-fn pipe_cfg() -> PipelinedConfig {
+/// Batch sizes every drain is checked at: 1 is continuous execution
+/// (each task retires on its own lane bump), 8 amortizes the bump.
+const BATCHES: [usize; 2] = [1, 8];
+
+fn pipe_cfg(batch: usize) -> PipelinedConfig {
     PipelinedConfig {
         window: 64,
-        batch: 8,
+        batch,
         max_completions: usize::MAX,
     }
 }
 
 /// SSSP against Dijkstra.
-fn sssp_pipelined(workers: usize, seed: u64) {
+fn sssp_pipelined(workers: usize, batch: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_with_avg_degree(800, 6.0, &mut rng);
     let input = SsspInput::random(g, 0, 100, &mut rng);
@@ -63,7 +69,7 @@ fn sssp_pipelined(workers: usize, seed: u64) {
     let ex = Executor::new(&op, &space, config(workers));
     let mut ws = WorkSet::from_vec(op.initial_tasks());
     let mut ctl = controller();
-    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(), &mut rng);
+    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
     assert!(ws.is_empty());
     assert!(run.total_committed() > 0);
     assert_eq!(ex.worker_panics(), 0);
@@ -76,22 +82,28 @@ fn sssp_pipelined(workers: usize, seed: u64) {
 
 #[test]
 fn sssp_pipelined_matches_dijkstra_w1() {
-    sssp_pipelined(1, 101);
+    for batch in BATCHES {
+        sssp_pipelined(1, batch, 101);
+    }
 }
 
 #[test]
 fn sssp_pipelined_matches_dijkstra_w4() {
-    sssp_pipelined(4, 102);
+    for batch in BATCHES {
+        sssp_pipelined(4, batch, 102);
+    }
 }
 
 #[test]
 fn sssp_pipelined_matches_dijkstra_w8() {
-    sssp_pipelined(8, 103);
+    for batch in BATCHES {
+        sssp_pipelined(8, batch, 103);
+    }
 }
 
 /// Boruvka against Kruskal: components merge under speculation, the
 /// hardest case for lane-scoped lock retirement.
-fn boruvka_pipelined(workers: usize, seed: u64) {
+fn boruvka_pipelined(workers: usize, batch: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_with_avg_degree(600, 6.0, &mut rng);
     let wg = WeightedGraph::random(g, &mut rng);
@@ -100,7 +112,7 @@ fn boruvka_pipelined(workers: usize, seed: u64) {
     let ex = Executor::new(&op, &space, config(workers));
     let mut ws = WorkSet::from_vec(op.initial_tasks());
     let mut ctl = controller();
-    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(), &mut rng);
+    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
     assert!(ws.is_empty());
     assert!(run.total_committed() > 0);
     assert_eq!(ex.worker_panics(), 0);
@@ -113,22 +125,28 @@ fn boruvka_pipelined(workers: usize, seed: u64) {
 
 #[test]
 fn boruvka_pipelined_matches_kruskal_w1() {
-    boruvka_pipelined(1, 111);
+    for batch in BATCHES {
+        boruvka_pipelined(1, batch, 111);
+    }
 }
 
 #[test]
 fn boruvka_pipelined_matches_kruskal_w4() {
-    boruvka_pipelined(4, 112);
+    for batch in BATCHES {
+        boruvka_pipelined(4, batch, 112);
+    }
 }
 
 #[test]
 fn boruvka_pipelined_matches_kruskal_w8() {
-    boruvka_pipelined(8, 113);
+    for batch in BATCHES {
+        boruvka_pipelined(8, batch, 113);
+    }
 }
 
 /// Delaunay refinement: the mesh must end fully refined and valid
 /// regardless of how batches interleaved.
-fn delaunay_pipelined(workers: usize, seed: u64) {
+fn delaunay_pipelined(workers: usize, batch: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pts = vec![
         Point::new(0.0, 0.0),
@@ -145,7 +163,7 @@ fn delaunay_pipelined(workers: usize, seed: u64) {
     let ex = Executor::new(&op, &space, config(workers));
     let mut ws = WorkSet::from_vec(tasks);
     let mut ctl = controller();
-    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(), &mut rng);
+    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
     assert!(ws.is_empty());
     assert!(run.total_committed() > 0);
     assert_eq!(ex.worker_panics(), 0);
@@ -160,17 +178,23 @@ fn delaunay_pipelined(workers: usize, seed: u64) {
 
 #[test]
 fn delaunay_pipelined_refines_fully_w1() {
-    delaunay_pipelined(1, 121);
+    for batch in BATCHES {
+        delaunay_pipelined(1, batch, 121);
+    }
 }
 
 #[test]
 fn delaunay_pipelined_refines_fully_w4() {
-    delaunay_pipelined(4, 122);
+    for batch in BATCHES {
+        delaunay_pipelined(4, batch, 122);
+    }
 }
 
 #[test]
 fn delaunay_pipelined_refines_fully_w8() {
-    delaunay_pipelined(8, 123);
+    for batch in BATCHES {
+        delaunay_pipelined(8, batch, 123);
+    }
 }
 
 /// Fault-injection matrix: same equivalence contract under a seeded
@@ -212,7 +236,7 @@ mod injected {
         assert_eq!(fired, logged, "fault ledger and fault log disagree");
     }
 
-    fn sssp_faulted(workers: usize, seed: u64, plan_seed: u64) {
+    fn sssp_faulted(workers: usize, batch: usize, seed: u64, plan_seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gen::random_with_avg_degree(800, 6.0, &mut rng);
         let input = SsspInput::random(g, 0, 100, &mut rng);
@@ -223,7 +247,7 @@ mod injected {
         ex.set_fault_plan(&plan);
         let mut ws = WorkSet::from_vec(op.initial_tasks());
         let mut ctl = controller();
-        let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(), &mut rng);
+        let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
         assert!(ws.is_empty());
         audit_faults(&ex, &plan, workers);
         drop(ex);
@@ -233,69 +257,79 @@ mod injected {
 
     #[test]
     fn sssp_pipelined_with_injected_panics_w1() {
-        sssp_faulted(1, 131, 2001);
+        for batch in BATCHES {
+            sssp_faulted(1, batch, 131, 2001);
+        }
     }
 
     #[test]
     fn sssp_pipelined_with_injected_panics_w4() {
-        sssp_faulted(4, 132, 2002);
+        for batch in BATCHES {
+            sssp_faulted(4, batch, 132, 2002);
+        }
     }
 
     #[test]
     fn sssp_pipelined_with_injected_panics_w8() {
-        sssp_faulted(8, 133, 2003);
+        for batch in BATCHES {
+            sssp_faulted(8, batch, 133, 2003);
+        }
     }
 
     #[test]
     fn boruvka_pipelined_with_mixed_faults() {
-        let mut rng = StdRng::seed_from_u64(141);
-        let g = gen::random_with_avg_degree(600, 6.0, &mut rng);
-        let wg = WeightedGraph::random(g, &mut rng);
-        let reference = wg.kruskal();
-        let (space, op) = BoruvkaOp::new(&wg);
-        // Panics exercise unwinding rollback inside a lane batch,
-        // spurious aborts the structured lane-scoped release.
-        let plan = FaultPlan::seeded(2004)
-            .with_panic_rate(0.07)
-            .with_spurious_abort_rate(0.05);
-        let mut ex = Executor::new(&op, &space, config(4));
-        ex.set_fault_plan(&plan);
-        let mut ws = WorkSet::from_vec(op.initial_tasks());
-        let mut ctl = controller();
-        let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(), &mut rng);
-        assert!(ws.is_empty());
-        audit_faults(&ex, &plan, 4);
-        drop(ex);
-        let mut op = op;
-        assert_eq!(op.msf(), reference);
+        for batch in BATCHES {
+            let mut rng = StdRng::seed_from_u64(141);
+            let g = gen::random_with_avg_degree(600, 6.0, &mut rng);
+            let wg = WeightedGraph::random(g, &mut rng);
+            let reference = wg.kruskal();
+            let (space, op) = BoruvkaOp::new(&wg);
+            // Panics exercise unwinding rollback inside a lane batch,
+            // spurious aborts the structured lane-scoped release.
+            let plan = FaultPlan::seeded(2004)
+                .with_panic_rate(0.07)
+                .with_spurious_abort_rate(0.05);
+            let mut ex = Executor::new(&op, &space, config(4));
+            ex.set_fault_plan(&plan);
+            let mut ws = WorkSet::from_vec(op.initial_tasks());
+            let mut ctl = controller();
+            let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
+            assert!(ws.is_empty());
+            audit_faults(&ex, &plan, 4);
+            drop(ex);
+            let mut op = op;
+            assert_eq!(op.msf(), reference);
+        }
     }
 
     #[test]
     fn delaunay_pipelined_with_injected_panics() {
-        let mut rng = StdRng::seed_from_u64(151);
-        let mut pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(0.0, 1.0),
-        ];
-        pts.extend((0..40).map(|_| Point::new(rng.random::<f64>(), rng.random::<f64>())));
-        let mesh = Mesh::delaunay(&pts);
-        let cfg = RefineConfig::area_only(2e-3);
-        let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, cfg);
-        let tasks = op.initial_tasks();
-        let plan = FaultPlan::seeded(2005).with_panic_rate(0.10);
-        let mut ex = Executor::new(&op, &space, config(4));
-        ex.set_fault_plan(&plan);
-        let mut ws = WorkSet::from_vec(tasks);
-        let mut ctl = controller();
-        let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(), &mut rng);
-        assert!(ws.is_empty());
-        audit_faults(&ex, &plan, 4);
-        drop(ex);
-        let refined = op.into_mesh();
-        refined.check_valid().unwrap();
-        assert_eq!(bad_count(&refined, cfg), 0);
-        assert!((refined.total_area() - 1.0).abs() < 1e-6);
+        for batch in BATCHES {
+            let mut rng = StdRng::seed_from_u64(151);
+            let mut pts = vec![
+                Point::new(0.0, 0.0),
+                Point::new(1.0, 0.0),
+                Point::new(1.0, 1.0),
+                Point::new(0.0, 1.0),
+            ];
+            pts.extend((0..40).map(|_| Point::new(rng.random::<f64>(), rng.random::<f64>())));
+            let mesh = Mesh::delaunay(&pts);
+            let cfg = RefineConfig::area_only(2e-3);
+            let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, cfg);
+            let tasks = op.initial_tasks();
+            let plan = FaultPlan::seeded(2005).with_panic_rate(0.10);
+            let mut ex = Executor::new(&op, &space, config(4));
+            ex.set_fault_plan(&plan);
+            let mut ws = WorkSet::from_vec(tasks);
+            let mut ctl = controller();
+            let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
+            assert!(ws.is_empty());
+            audit_faults(&ex, &plan, 4);
+            drop(ex);
+            let refined = op.into_mesh();
+            refined.check_valid().unwrap();
+            assert_eq!(bad_count(&refined, cfg), 0);
+            assert!((refined.total_area() - 1.0).abs() < 1e-6);
+        }
     }
 }
