@@ -133,7 +133,7 @@ mod tests {
     use super::*;
     use optpar_core::estimate;
     use optpar_graph::gen;
-    use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+    use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -155,7 +155,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 1,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -187,7 +186,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 1,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -228,7 +226,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 4,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );

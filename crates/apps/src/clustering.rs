@@ -269,7 +269,7 @@ pub fn blobs<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+    use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -287,7 +287,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );

@@ -110,7 +110,7 @@ pub fn sequential_coloring(graph: &CsrGraph, order: &[NodeId]) -> Vec<u32> {
 mod tests {
     use super::*;
     use optpar_graph::gen;
-    use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+    use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -121,7 +121,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );

@@ -366,7 +366,7 @@ impl Operator for DelaunayOp {
 mod tests {
     use super::*;
     use optpar_core::control::HybridController;
-    use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+    use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -409,7 +409,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );

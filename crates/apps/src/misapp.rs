@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use optpar_core::control::HybridController;
     use optpar_graph::gen;
-    use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+    use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -137,7 +137,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );

@@ -205,7 +205,7 @@ mod tests {
     use super::*;
     use optpar_core::control::HybridController;
     use optpar_graph::gen;
-    use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+    use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -216,7 +216,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -315,7 +314,6 @@ mod tests {
                 &space,
                 ExecutorConfig {
                     workers,
-                    policy: ConflictPolicy::FirstWins,
                     ..ExecutorConfig::default()
                 },
             );

@@ -10,7 +10,7 @@ use optpar_apps::preflow::{FlowNetwork, PreflowOp};
 use optpar_apps::sssp::{SsspInput, SsspOp};
 use optpar_apps::triangulation::Mesh;
 use optpar_graph::{CsrGraph, NodeId};
-use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,7 +100,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
 
         let (space, op) = MisOp::new(g.clone());
-        let ex = Executor::new(&op, &space, ExecutorConfig { workers, policy: ConflictPolicy::FirstWins, ..ExecutorConfig::default() });
+        let ex = Executor::new(&op, &space, ExecutorConfig { workers, ..ExecutorConfig::default() });
         let mut ws = WorkSet::from_vec(op.initial_tasks());
         let mut guard = 0;
         while !ws.is_empty() {
@@ -112,7 +112,7 @@ proptest! {
         MisOp::validate(&g, &op.decisions()).unwrap();
 
         let (space, op) = ColoringOp::new(g.clone());
-        let ex = Executor::new(&op, &space, ExecutorConfig { workers, policy: ConflictPolicy::FirstWins, ..ExecutorConfig::default() });
+        let ex = Executor::new(&op, &space, ExecutorConfig { workers, ..ExecutorConfig::default() });
         let mut ws = WorkSet::from_vec(op.initial_tasks());
         while !ws.is_empty() {
             ex.run_round(&mut ws, m, &mut rng);
@@ -133,7 +133,6 @@ proptest! {
         let (space, op) = BoruvkaOp::new(&wg);
         let ex = Executor::new(&op, &space, ExecutorConfig {
             workers: 2,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         });
         let mut ws = WorkSet::from_vec(op.initial_tasks());
@@ -158,7 +157,6 @@ proptest! {
         let (space, op) = SsspOp::new(input);
         let ex = Executor::new(&op, &space, ExecutorConfig {
             workers: 2,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         });
         let mut ws = WorkSet::from_vec(op.initial_tasks());
@@ -184,7 +182,6 @@ proptest! {
         let (space, op, active) = PreflowOp::new(net);
         let ex = Executor::new(&op, &space, ExecutorConfig {
             workers: 2,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         });
         let mut ws = WorkSet::from_vec(active);
@@ -208,7 +205,6 @@ proptest! {
         let (space, op) = MatchingOp::new(g.clone());
         let ex = Executor::new(&op, &space, ExecutorConfig {
             workers,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         });
         let mut ws = WorkSet::from_vec(op.initial_tasks());

@@ -1,53 +1,15 @@
 //! Ablation benches for the design choices called out in DESIGN.md §6:
 //!
-//! * `conflict_policy` — first-wins vs priority-wins arbitration under
-//!   contention (priority-wins salvages the higher-priority task at
-//!   the cost of dooming work already done).
 //! * `small_m_split` — Algorithm 1 with and without the separate
 //!   small-`m` tuning: rounds to convergence on a noisy plant.
 //! * `window_length` — the averaging window `T` of Algorithm 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use optpar_apps::ccmirror::CcMirror;
 use optpar_core::control::{HybridController, HybridParams, SmallMParams};
 use optpar_core::sim::{run_loop, StaticGraphPlant};
 use optpar_graph::gen;
-use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, LockSpace, WorkSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn bench_conflict_policy(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(11);
-    let g = gen::random_with_avg_degree(4000, 16.0, &mut rng);
-    let mut b = LockSpace::builder();
-    let layout = CcMirror::layout(&g, &mut b);
-    let space = b.build();
-    let op = layout.finish(&space);
-
-    let mut group = c.benchmark_group("ablation_conflict_policy_round_m512_w4");
-    for (name, policy) in [
-        ("first_wins", ConflictPolicy::FirstWins),
-        ("priority_wins", ConflictPolicy::PriorityWins),
-    ] {
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                policy,
-                ..ExecutorConfig::default()
-            },
-        );
-        group.bench_function(name, |b| {
-            let mut rng = StdRng::seed_from_u64(12);
-            b.iter(|| {
-                let mut ws = WorkSet::from_vec((0..4000u32).collect::<Vec<_>>());
-                ex.run_round(&mut ws, 512, &mut rng)
-            })
-        });
-    }
-    group.finish();
-}
 
 fn rounds_to_drain(params: HybridParams, seed: u64) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -110,5 +72,5 @@ fn bench_controller_ablations(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_conflict_policy, bench_controller_ablations);
+criterion_group!(benches, bench_controller_ablations);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optpar_apps::ccmirror::CcMirror;
 use optpar_graph::gen;
-use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, LockSpace, WorkSet};
+use optpar_runtime::{Executor, ExecutorConfig, LockSpace, WorkSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +30,6 @@ fn bench_round(c: &mut Criterion) {
                 &space,
                 ExecutorConfig {
                     workers,
-                    policy: ConflictPolicy::FirstWins,
                     ..ExecutorConfig::default()
                 },
             );

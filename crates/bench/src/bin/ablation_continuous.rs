@@ -24,9 +24,7 @@ use optpar_apps::ccmirror::CcMirror;
 use optpar_bench::{f, pct, Table, SEED};
 use optpar_core::control::{Controller, FixedController, HybridController};
 use optpar_graph::gen;
-use optpar_runtime::{
-    ConflictPolicy, Executor, ExecutorConfig, LockSpace, PipelinedConfig, RunStats, WorkSet,
-};
+use optpar_runtime::{Executor, ExecutorConfig, LockSpace, PipelinedConfig, RunStats, WorkSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,7 +50,6 @@ fn drain<C: Controller + Send>(continuous: bool, ctl: &mut C, seed: u64) -> RunS
         &space,
         ExecutorConfig {
             workers: WORKERS,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );

@@ -14,7 +14,7 @@ use optpar_apps::delaunay::{DelaunayOp, RefineConfig};
 use optpar_apps::geometry::Point;
 use optpar_apps::triangulation::Mesh;
 use optpar_bench::{downsample, sparkline, Table, SEED};
-use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +41,6 @@ fn main() {
         &space,
         ExecutorConfig {
             workers: 1, // oracle measurement wants the model's exact rule
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );

@@ -40,9 +40,7 @@ use optpar_bench::{f, pct, Table, SEED};
 use optpar_core::control::FixedController;
 use optpar_core::partition::{bfs_partition, round_robin, Partition};
 use optpar_graph::{gen, ConflictGraph, CsrGraph};
-use optpar_runtime::{
-    ConflictPolicy, Executor, ExecutorConfig, LockSpace, PipelinedConfig, ShardMap, WorkSet,
-};
+use optpar_runtime::{Executor, ExecutorConfig, LockSpace, PipelinedConfig, ShardMap, WorkSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -169,7 +167,6 @@ fn run_sssp(
         &space,
         ExecutorConfig {
             workers,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );
@@ -220,7 +217,6 @@ fn run_cc(
         &space,
         ExecutorConfig {
             workers,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );

@@ -28,8 +28,8 @@
 //!   wraparound sweeps, stale-owner CAS overwrites) live here too.
 //! * [`oracle`] — the commit-set oracle: from the same traces, the
 //!   drawn prefix's greedy MIS is recomputed sequentially and diffed
-//!   against the runtime's committed set, so FirstWins/PriorityWins
-//!   arbitration bugs surface as [`report::Report::OracleDivergence`]
+//!   against the runtime's committed set, so first-wins arbitration
+//!   bugs surface as [`report::Report::OracleDivergence`]
 //!   with the offending permutation — not as skewed `r̄(m)` curves.
 //!   [`oracle::diff_commit_set`] additionally diffs against an explicit
 //!   CC graph when the application has one (MIS, coloring).

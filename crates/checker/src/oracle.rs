@@ -8,8 +8,8 @@
 //! process, so the oracle can recompute it independently from the
 //! round's traces — each task's acquired lockset is the conflict
 //! neighbourhood — and diff the reconstruction against what the
-//! runtime actually did. FirstWins/PriorityWins arbitration bugs (a
-//! lost release, a stale-epoch alias, a broken doom CAS) then surface
+//! runtime actually did. First-wins arbitration bugs (a lost
+//! release, a stale-epoch alias, a held word overwritten) then surface
 //! as [`Report::OracleDivergence`] carrying the offending permutation,
 //! instead of silently skewing the measured conflict ratio `r̄(m)`.
 //!

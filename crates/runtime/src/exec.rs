@@ -25,10 +25,9 @@
 //! from a shared counter — one `fetch_add` per chunk instead of per
 //! task — and write each outcome into a pre-indexed result slot, so
 //! results come back in priority order with no post-round sort. The
-//! per-task state array is a pool-owned scratch buffer reused across
-//! rounds, and the round barrier itself is a single
-//! [`LockSpace::advance_epoch`] bump: committed tasks' locks simply
-//! expire with the epoch instead of being walked and released.
+//! round barrier itself is a single [`LockSpace::advance_epoch`] bump:
+//! committed tasks' locks simply expire with the epoch instead of
+//! being walked and released.
 //!
 //! ## The speculation core
 //!
@@ -42,7 +41,7 @@
 //! lane-bump retire, and the window flush.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
-use crate::lock::{state, ConflictPolicy, LockSpace};
+use crate::lock::{ConflictPolicy, LockSpace};
 use crate::phase::{self, Phase};
 use crate::pool::WorkerPool;
 use crate::probe::{obs_emit, Probe};
@@ -52,7 +51,7 @@ use optpar_core::control::Controller;
 use rand::Rng;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One pending task plus its retry bookkeeping.
@@ -136,11 +135,6 @@ impl<T> WorkSet<T> {
     /// Is the work-set drained?
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// The largest retry count among pending tasks (0 when empty).
-    pub fn max_retries(&self) -> u32 {
-        self.tasks.iter().map(|e| e.retries).max().unwrap_or(0)
     }
 
     /// Core of the sampler: remove `min(m, len)` entries drawn
@@ -236,7 +230,11 @@ impl<T> WorkSet<T> {
 pub struct ExecutorConfig {
     /// Worker threads. 1 = deterministic inline execution.
     pub workers: usize,
-    /// Conflict arbitration policy.
+    /// Benchmark-pinned shim: nothing reads this field (first-wins is
+    /// the only arbitration rule). It exists only because the frozen
+    /// `benchmark/src/drain.rs` sets it; the next PR that may edit
+    /// `benchmark/` drops it (ROADMAP item 3).
+    #[doc(hidden)]
     pub policy: ConflictPolicy,
     /// Abort-retry budget `K`: a task aborted/faulted at least this
     /// many times is aged to the front of the next drawn prefix,
@@ -307,12 +305,8 @@ pub struct Executor<'a, O: Operator> {
     /// Persistent parked threads; inline when `workers == 1`, owned or
     /// borrowed otherwise.
     pool: PoolHandle<'a>,
-    /// Per-task speculation states, reused across rounds (grown on
-    /// demand, reset per round). Behind a mutex so `run_round` can
-    /// take `&self`; rounds on one executor are serialized anyway.
-    scratch: Mutex<Vec<AtomicU8>>,
     /// Structured record of every contained fault (operator panics,
-    /// injected faults, poisoned mutexes, lost result slots).
+    /// injected faults, lost result slots).
     faults: Mutex<FaultLog>,
     /// Tasks retired past [`ExecutorConfig::dead_letter_budget`],
     /// awaiting [`Executor::take_dead_letters`].
@@ -333,7 +327,6 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("workers", &self.cfg.workers)
-            .field("policy", &self.cfg.policy)
             .field("pooled", &self.pool.get().is_some())
             .finish_non_exhaustive()
     }
@@ -434,7 +427,6 @@ impl<'a, O: Operator> Executor<'a, O> {
             space,
             cfg,
             pool,
-            scratch: Mutex::new(Vec::new()),
             faults: Mutex::new(FaultLog::default()),
             dead_letters: Mutex::new(Vec::new()),
             #[cfg(feature = "faults")]
@@ -451,8 +443,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     }
 
     /// Install a deterministic fault-injection plan: every subsequent
-    /// round consults it per launched task (and per round, for
-    /// scratch poisoning).
+    /// round consults it per launched task.
     #[cfg(feature = "faults")]
     pub fn set_fault_plan(&mut self, plan: &'a crate::faults::FaultPlan) {
         self.fault_plan = Some(plan);
@@ -592,20 +583,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         m: usize,
         rng: &mut R,
     ) -> RoundStats {
-        #[cfg(feature = "faults")]
-        if let Some(plan) = self.fault_plan {
-            if plan.take_scratch_poison(self.space.epoch()) {
-                // Poison the scratch mutex by panicking while holding
-                // its guard; the catch keeps the unwind out of this
-                // round, which must then recover below.
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let _guard = self.scratch.lock();
-                    std::panic::panic_any(crate::faults::InjectedPanic(
-                        "injected scratch-mutex poison".to_string(),
-                    ));
-                }));
-            }
-        }
         let t_draw = phase::maybe_start(self.phases);
         let batch = ws.sample_drain_aged(m, rng, self.cfg.retry_budget);
         phase::maybe_add(self.phases, Phase::Draw, t_draw);
@@ -631,61 +608,25 @@ impl<'a, O: Operator> Executor<'a, O> {
         }
         // Slot indices must fit the 32-bit owner field of a lock word.
         assert!(launched < u32::MAX as usize, "round too large");
-        let mut scratch = match self.scratch.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                // Poisoned: a panic escaped while the guard was held.
-                // The buffer is rewritten below before any use, so the
-                // data is consistent; log the fault, clear the flag so
-                // later rounds lock cleanly, and continue.
-                self.scratch.clear_poison();
-                self.log_fault(TaskFault {
-                    epoch: self.space.epoch(),
-                    slot: None,
-                    cause: FaultCause::PoisonedScratch,
-                    detail: "scratch mutex poisoned; recovered and reset".to_string(),
-                });
-                poisoned.into_inner()
-            }
-        };
-        if scratch.len() < launched {
-            scratch.resize_with(launched, || AtomicU8::new(state::ACQUIRING));
-        }
-        // The pool rendezvous (mutex + condvar) already orders these
-        // resets before any worker's first load; Release keeps the
-        // file inside the workspace's audited-ordering discipline
-        // (Relaxed is reserved for lock.rs/pool.rs) at no measurable
-        // cost on a store that runs once per task per round.
-        for s in &scratch[..launched] {
-            s.store(state::ACQUIRING, Ordering::Release);
-        }
-        let states = &scratch[..launched];
-
         // Inline rounds realize the paper's greedy commit rule exactly,
         // so the commit-set oracle applies on top of the race analysis.
         #[cfg(feature = "checker")]
         self.space.audit().arm(self.cfg.workers == 1);
 
         let results: Vec<TaskResult<O::Task>> = match self.pool.get() {
-            // BLOCKING-OK: `scratch` is the per-slot state-machine arena the
-            // workers themselves spin on; holding it across the pool
-            // rendezvous is the design (workers access the cells lock-free
-            // via the `states` borrow), and no other thread ever takes
-            // `scratch` while a round is in flight.
-            Some(pool) if self.cfg.workers > 1 => self.run_parallel(pool, &batch, states),
+            Some(pool) if self.cfg.workers > 1 => self.run_parallel(pool, &batch),
             _ => {
                 let t_exec = phase::maybe_start(self.phases);
                 let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
                 let out = batch
                     .iter()
                     .enumerate()
-                    .map(|(slot, e)| self.speculate(slot, 0, epoch, &e.task, states, probe))
+                    .map(|(slot, e)| self.speculate(slot, 0, epoch, &e.task, probe))
                     .collect();
                 phase::maybe_add(self.phases, Phase::Execute, t_exec);
                 out
             }
         };
-        drop(scratch);
 
         self.merge_round(ws, m, batch, results)
     }
@@ -902,7 +843,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         lane: usize,
         fault_key: u64,
         task: &O::Task,
-        states: &[AtomicU8],
         probe: Probe<'_>,
     ) -> TaskResult<O::Task> {
         obs_emit!(
@@ -912,8 +852,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 epoch: self.space.epoch(),
             }
         );
-        let mut cx =
-            TaskCtx::new_in_lane(slot, self.space, states, self.cfg.policy, lane, fault_key);
+        let mut cx = TaskCtx::new_in_lane(slot, self.space, lane, fault_key);
         #[cfg(feature = "checker")]
         cx.note_seed(self.op.conflict_seed(task));
         cx.attach_probe(probe);
@@ -924,13 +863,12 @@ impl<'a, O: Operator> Executor<'a, O> {
         let outcome = catch_unwind(AssertUnwindSafe(|| self.op.execute(task, &mut cx)));
         let acquires = cx.acquires;
         let result = match outcome {
-            Ok(Ok(spawned)) => match cx.finish_commit() {
+            Ok(Ok(spawned)) => {
                 // The committed lockset stays stamped in the lock
                 // space; the epoch (or lane) bump will expire it.
-                Some(_lockset) => TaskResult::Committed { spawned, acquires },
-                // Doomed: `finish_commit` already rolled back.
-                None => TaskResult::Aborted { acquires },
-            },
+                let _lockset = cx.finish_commit();
+                TaskResult::Committed { spawned, acquires }
+            }
             Ok(Err(Abort::Fault)) => {
                 let detail = "injected spurious abort".to_string();
                 Self::faulted(cx, fault_key, FaultCause::Injected, detail)
@@ -1024,7 +962,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         &self,
         pool: &WorkerPool,
         batch: &[Entry<O::Task>],
-        states: &[AtomicU8],
     ) -> Vec<TaskResult<O::Task>> {
         let n = batch.len();
         // Chunked claiming: ~8 chunks per worker balances the tail
@@ -1046,7 +983,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 }
                 let end = (start + chunk).min(n);
                 for i in start..end {
-                    let r = self.speculate(i, 0, epoch, &batch[i].task, states, probe);
+                    let r = self.speculate(i, 0, epoch, &batch[i].task, probe);
                     // SAFETY: index `i` belongs to exactly one claimed
                     // chunk, so this cell has a single writer; readers
                     // wait for the rendezvous below.
@@ -1169,7 +1106,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 2,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -1202,7 +1138,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 1,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -1235,7 +1170,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 8,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -1246,33 +1180,6 @@ mod tests {
             let rs = ex.run_round(&mut ws, 32, &mut rng);
             committed += rs.committed;
             rounds += 1;
-        }
-        assert_eq!(committed, n);
-        let mut store = store;
-        assert_eq!(store.snapshot().iter().sum::<i64>(), 0);
-    }
-
-    #[test]
-    fn parallel_priority_policy_also_serializable() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let n = 64;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
-        let op = RingOp { store: &store, n };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 8,
-                policy: ConflictPolicy::PriorityWins,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-        let mut committed = 0;
-        while !ws.is_empty() {
-            let rs = ex.run_round(&mut ws, 32, &mut rng);
-            committed += rs.committed;
         }
         assert_eq!(committed, n);
         let mut store = store;
@@ -1491,7 +1398,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 1,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -1538,7 +1444,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 4,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );
@@ -1586,7 +1491,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 1,
-                policy: ConflictPolicy::FirstWins,
                 retry_budget: budget,
                 ..ExecutorConfig::default()
             },
@@ -1628,7 +1532,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 1,
-                policy: ConflictPolicy::FirstWins,
                 watchdog_stall: 2,
                 ..ExecutorConfig::default()
             },
@@ -1676,7 +1579,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 1,
-                policy: ConflictPolicy::FirstWins,
                 watchdog_stall: u32::MAX,
                 ..ExecutorConfig::default()
             },

@@ -49,22 +49,18 @@ pub enum FaultCause {
     /// was lost outside the contained operator path). The task is
     /// re-queued; its locks expire with the round's epoch bump.
     MissingResult,
-    /// The executor's scratch mutex was found poisoned and recovered
-    /// (the state buffer is rewritten every round, so recovery is
-    /// sound).
-    PoisonedScratch,
 }
 
 impl FaultCause {
     /// Stable numeric code for trace events (`0` is reserved for
     /// "unknown"). The mapping is part of the trace format: changing
-    /// it invalidates recorded traces.
+    /// it invalidates recorded traces. Code `4` belonged to the retired
+    /// scratch-mutex-poison cause and stays reserved — never reuse it.
     pub fn code(&self) -> u8 {
         match self {
             FaultCause::OperatorPanic => 1,
             FaultCause::Injected => 2,
             FaultCause::MissingResult => 3,
-            FaultCause::PoisonedScratch => 4,
         }
     }
 }
@@ -75,7 +71,6 @@ impl std::fmt::Display for FaultCause {
             FaultCause::OperatorPanic => write!(f, "operator panic"),
             FaultCause::Injected => write!(f, "injected fault"),
             FaultCause::MissingResult => write!(f, "missing result slot"),
-            FaultCause::PoisonedScratch => write!(f, "poisoned scratch mutex"),
         }
     }
 }
@@ -86,8 +81,8 @@ impl std::fmt::Display for FaultCause {
 pub struct TaskFault {
     /// Epoch of the round in which the fault occurred.
     pub epoch: u64,
-    /// Round slot of the faulting task (`None` for faults not tied to
-    /// a task, e.g. a poisoned scratch mutex).
+    /// Round slot of the faulting task (`None` for a fault not tied to
+    /// one task; the executor itself records none today).
     pub slot: Option<usize>,
     /// What happened.
     pub cause: FaultCause,
@@ -225,10 +220,9 @@ impl FaultLog {
 
 /// Recover a possibly-poisoned lock acquisition: a poisoned mutex
 /// means some thread panicked while holding the guard, and every
-/// structure the runtime protects this way is either rewritten before
-/// reuse (scratch state buffers) or valid at every intermediate step
-/// (work-set vectors, counters), so the data is still consistent and
-/// the guard can be used as-is.
+/// structure the runtime protects this way is valid at every
+/// intermediate step (work-set vectors, fault logs, counters), so the
+/// data is still consistent and the guard can be used as-is.
 pub(crate) fn recover<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
@@ -291,10 +285,6 @@ pub enum FaultKind {
     /// conflict window in parallel rounds; exercises straggler
     /// handling).
     Delay,
-    /// Poison the executor's scratch mutex at the start of a round
-    /// (exercises mutex-poison recovery). Only fired via
-    /// [`FaultPlan::poison_scratch_at`], never from rates.
-    PoisonScratch,
 }
 
 /// One fault that actually fired, for accounting.
@@ -303,8 +293,7 @@ pub enum FaultKind {
 pub struct FaultRecord {
     /// Epoch at firing time.
     pub epoch: u64,
-    /// Round slot of the targeted task (`usize::MAX` for
-    /// [`FaultKind::PoisonScratch`], which targets the round itself).
+    /// Round slot of the targeted task.
     pub slot: usize,
     /// What fired.
     pub kind: FaultKind,
@@ -332,7 +321,6 @@ pub struct FaultPlan {
     delay_w: u32,
     delay_spins: u32,
     targeted: std::collections::HashMap<(u64, usize), FaultKind>,
-    poison_epochs: Mutex<std::collections::HashSet<u64>>,
     fired: Mutex<Vec<FaultRecord>>,
 }
 
@@ -372,21 +360,9 @@ impl FaultPlan {
     }
 
     /// Pin a fault of `kind` to the task at `(epoch, slot)`,
-    /// overriding the rates for that coordinate. `PoisonScratch` must
-    /// use [`FaultPlan::poison_scratch_at`] instead.
+    /// overriding the rates for that coordinate.
     pub fn at(mut self, epoch: u64, slot: usize, kind: FaultKind) -> Self {
-        assert!(
-            kind != FaultKind::PoisonScratch,
-            "use poison_scratch_at for scratch poisoning"
-        );
         self.targeted.insert((epoch, slot), kind);
-        self
-    }
-
-    /// Poison the executor's scratch mutex at the start of the round
-    /// running under `epoch` (fires at most once per epoch).
-    pub fn poison_scratch_at(self, epoch: u64) -> Self {
-        recover(self.poison_epochs.lock()).insert(epoch);
         self
     }
 
@@ -415,20 +391,6 @@ impl FaultPlan {
         } else {
             None
         }
-    }
-
-    /// Should the scratch mutex be poisoned for `epoch`? Consumes the
-    /// coordinate so it fires once, and records the firing.
-    pub(crate) fn take_scratch_poison(&self, epoch: u64) -> bool {
-        let hit = recover(self.poison_epochs.lock()).remove(&epoch);
-        if hit {
-            self.record(FaultRecord {
-                epoch,
-                slot: usize::MAX,
-                kind: FaultKind::PoisonScratch,
-            });
-        }
-        hit
     }
 
     /// Ledger one fired fault.
@@ -481,9 +443,6 @@ impl ArmedFault<'_> {
                 }
                 Ok(())
             }
-            // Scratch poisoning is executor-level; it is never armed
-            // on a task context.
-            FaultKind::PoisonScratch => Ok(()),
         }
     }
 }
@@ -520,8 +479,8 @@ mod tests {
         log.push(TaskFault {
             epoch: 3,
             slot: None,
-            cause: FaultCause::PoisonedScratch,
-            detail: "poisoned".into(),
+            cause: FaultCause::MissingResult,
+            detail: "lost".into(),
         });
         assert_eq!(log.len(), 2);
         assert_eq!(log.total(), 2);
@@ -530,7 +489,7 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.total(), 2, "total is monotone across drains");
         assert_eq!(drained[0].cause, FaultCause::OperatorPanic);
-        assert!(drained[1].to_string().contains("poisoned scratch"));
+        assert!(drained[1].to_string().contains("missing result slot"));
     }
 
     #[test]
@@ -637,18 +596,6 @@ mod tests {
             let (kind, _) = plan.draw(4, 2).expect("targeted fault must fire");
             assert_eq!(kind, FaultKind::SpuriousAbort);
             assert_eq!(plan.draw(4, 3), None);
-        }
-
-        #[test]
-        fn scratch_poison_fires_once_and_is_ledgered() {
-            let plan = FaultPlan::seeded(9).poison_scratch_at(6);
-            assert!(!plan.take_scratch_poison(5));
-            assert!(plan.take_scratch_poison(6));
-            assert!(!plan.take_scratch_poison(6), "consumed after firing");
-            let fired = plan.fired();
-            assert_eq!(fired.len(), 1);
-            assert_eq!(fired[0].kind, FaultKind::PoisonScratch);
-            assert_eq!(fired[0].epoch, 6);
         }
 
         #[test]

@@ -10,18 +10,18 @@
 //!
 //! * [`lock`] — **abstract locks**: one epoch-stamped atomic owner
 //!   word per shared datum. A task must hold the lock on every datum
-//!   it touches; conflicting acquisition triggers speculation-abort
-//!   according to a [`lock::ConflictPolicy`] (first-wins, or
-//!   priority-wins with a write-phase guard that makes lock stealing
-//!   sound). The round barrier is a single epoch bump.
+//!   it touches; a task that requests an already-held lock aborts
+//!   itself (first-wins, the runtime's one arbitration rule). The
+//!   round barrier is a single epoch bump.
 //! * [`pool`] — [`pool::WorkerPool`], persistent worker threads
 //!   created once per executor and parked between rounds.
 //! * [`store`] — [`store::SpecStore`], a speculation-aware shared
 //!   array: reads and writes go through a [`task::TaskCtx`], which
 //!   enforces lock ownership and records copy-on-write undo snapshots.
-//! * [`task`] — per-task speculation state machine
-//!   (`Acquiring → Writing → Committed / Doomed → Aborted`) and the
-//!   task-side API ([`task::TaskCtx`]).
+//! * [`task`] — the task-side API ([`task::TaskCtx`]): a task runs
+//!   holding the locks it has acquired so far, then either commits or
+//!   rolls back (`Running → Committed / Aborted`); only the task
+//!   itself moves between those states.
 //! * [`exec`] — the round-based parallel [`exec::Executor`]: each round
 //!   draws `m` tasks uniformly at random from the [`exec::WorkSet`]
 //!   (the paper's model §2), runs them speculatively on a worker pool,

@@ -19,21 +19,15 @@
 //! release them — and a bump on one lane never stalls or frees work
 //! on another.
 //!
-//! Acquisition is a CAS loop; a collision is a *speculative conflict*,
-//! resolved by the round's [`ConflictPolicy`]:
-//!
-//! * [`ConflictPolicy::FirstWins`] — the requester aborts (Galois's
-//!   default arbitration). Simple and always sound.
-//! * [`ConflictPolicy::PriorityWins`] — the earlier task (lower slot)
-//!   may *steal* the lock, but only from a victim that has not yet
-//!   touched any data (state `Acquiring`): the thief first CASes the
-//!   victim's state to `Doomed`, which the victim observes before its
-//!   next data access. A victim that has entered its access phase
-//!   (`Accessing`) can no longer be doomed, so its reads and writes
-//!   are never invalidated mid-flight — this write-phase guard is what
-//!   makes stealing sound. Matches the paper's commit rule (the
-//!   earlier element of the permutation wins) for cautious operators,
-//!   which acquire all locks before touching data.
+//! Acquisition is a CAS loop; a collision is a *speculative conflict*
+//! and there is one rule for it: **first wins** — the task that
+//! requests an already-held lock aborts itself (Galois's default
+//! arbitration). A held word is never overwritten by anyone but its
+//! owner, so a task that acquired a lock keeps it until it commits or
+//! rolls back, and needs no per-access ownership re-check. On the
+//! inline `workers == 1` round, where tasks run in draw order, this
+//! *is* the paper's commit rule: a task commits iff no earlier
+//! committed neighbour holds its data.
 //!
 //! Locks are held until the owning task commits or rolls back — never
 //! across epochs — so there is no waiting and hence no deadlock.
@@ -41,7 +35,7 @@
 //! words are reusable within the round; only the commit-time release
 //! traversal is subsumed by the epoch bump.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Low 32 bits of a lock word: the owner mark (`slot + 1`, 0 = free).
 const OWNER_MASK: u64 = 0xFFFF_FFFF;
@@ -75,29 +69,17 @@ pub const LINE_WORDS: usize = 8;
 #[repr(C, align(64))]
 struct OwnerLine([AtomicU64; LINE_WORDS]);
 
-/// How a lock collision between two speculative tasks is resolved.
+/// Benchmark-pinned shim, not an option: first-wins is the runtime's
+/// one collision rule and nothing reads this type. It exists only
+/// because `benchmark/src/drain.rs` — frozen by `BENCHMARK.json`'s
+/// `paths` for ordinary PRs — names it in an `ExecutorConfig` literal;
+/// the next PR that may edit `benchmark/` drops it (ROADMAP item 3).
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ConflictPolicy {
     /// The task that requests an already-held lock aborts itself.
     #[default]
     FirstWins,
-    /// The earlier-priority task wins if the victim has not started
-    /// accessing data; otherwise the requester aborts.
-    PriorityWins,
-}
-
-/// Task speculation states (stored in per-round `AtomicU8`s).
-pub mod state {
-    /// Acquiring locks; no data touched yet. May be doomed by a thief.
-    pub const ACQUIRING: u8 = 0;
-    /// Accessing data (reads/writes). Locks can no longer be stolen.
-    pub const ACCESSING: u8 = 1;
-    /// Doomed by a higher-priority thief; must abort.
-    pub const DOOMED: u8 = 2;
-    /// Finished and committed.
-    pub const COMMITTED: u8 = 3;
-    /// Finished and aborted (self-detected or doomed).
-    pub const ABORTED: u8 = 4;
 }
 
 /// A contiguous range of lock indices owned by one data structure.
@@ -181,10 +163,6 @@ impl LockSpaceBuilder {
             #[cfg(feature = "checker")]
             audit: optpar_checker::AuditSink::new(),
             #[cfg(feature = "obs")]
-            contended: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
-            cas_retries: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
             shard_acquires: AtomicU64::new(0),
             #[cfg(feature = "obs")]
             shard_crossings: AtomicU64::new(0),
@@ -212,14 +190,6 @@ pub struct LockSpace {
     /// the round barrier runs the lockset/oracle analyses over them.
     #[cfg(feature = "checker")]
     audit: optpar_checker::AuditSink,
-    /// Total acquisitions lost to a conflict (feature `obs`; a
-    /// statistic, so `Relaxed` suffices).
-    #[cfg(feature = "obs")]
-    contended: AtomicU64,
-    /// Total CAS retries inside [`acquire`] — benign races where the
-    /// owner word changed underfoot (feature `obs`).
-    #[cfg(feature = "obs")]
-    cas_retries: AtomicU64,
     /// Total acquisitions by tasks that declared a home shard on a
     /// sharded store (feature `obs`; statistic, `Relaxed` suffices).
     #[cfg(feature = "obs")]
@@ -386,30 +356,6 @@ impl LockSpace {
         &self.audit
     }
 
-    /// Lifetime lock-contention statistics:
-    /// `(conflict_losses, cas_retries)`.
-    #[cfg(feature = "obs")]
-    pub fn contention_counts(&self) -> (u64, u64) {
-        (
-            self.contended.load(Ordering::Relaxed),
-            self.cas_retries.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Count one lost acquisition (no-op without `obs`).
-    #[inline]
-    fn note_contention(&self) {
-        #[cfg(feature = "obs")]
-        self.contended.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one benign CAS retry (no-op without `obs`).
-    #[inline]
-    fn note_cas_retry(&self) {
-        #[cfg(feature = "obs")]
-        self.cas_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Lifetime shard-locality statistics:
     /// `(shard_homed_acquires, cross_shard_acquires)`. Only tasks
     /// whose first acquisition hit a sharded store contribute.
@@ -464,35 +410,28 @@ impl LockSpace {
 /// Why a lock acquisition failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AcquireError {
-    /// Lost the collision to another task (per the policy).
+    /// Lost the collision: the lock is held by another live task.
     Conflict {
         /// The contested lock index.
         lock: usize,
         /// The slot currently holding it.
         holder: usize,
     },
-    /// This task was doomed by a higher-priority thief.
-    Doomed,
 }
 
-/// Attempt to acquire lock `l` for task `slot` under `policy`,
-/// stamping lane 0's current tag (round mode).
-///
-/// `states` is the per-round task-state array. Returns `Ok(true)` if
-/// newly acquired, `Ok(false)` if already held (reentrant).
-#[cfg_attr(not(test), allow(dead_code))] // production paths go through TaskCtx's cached tag
-pub(crate) fn acquire(
-    space: &LockSpace,
-    states: &[AtomicU8],
-    policy: ConflictPolicy,
-    slot: usize,
-    l: usize,
-) -> Result<bool, AcquireError> {
-    acquire_tagged(space, states, policy, slot, space.epoch_tag(), l)
+/// Attempt to acquire lock `l` for task `slot`, stamping lane 0's
+/// current tag (round mode) — a unit-test shorthand for
+/// [`acquire_tagged`], which production paths reach through
+/// `TaskCtx`'s cached tag.
+#[cfg(test)]
+pub(crate) fn acquire(space: &LockSpace, slot: usize, l: usize) -> Result<bool, AcquireError> {
+    acquire_tagged(space, slot, space.epoch_tag(), l)
 }
 
-/// Attempt to acquire lock `l` for task `slot` under `policy`,
-/// stamping `tag` (the caller's lane tag, cached for the batch).
+/// Attempt to acquire lock `l` for task `slot`, stamping `tag` (the
+/// caller's lane tag, cached for the batch). Returns `Ok(true)` if
+/// newly acquired, `Ok(false)` if already held (reentrant), and
+/// `Err(Conflict)` if another live task holds it (first wins).
 ///
 /// A word is *held* iff its owner bits are set and its tag is live:
 /// either it equals ours (our lane's current epoch — we only run
@@ -501,10 +440,11 @@ pub(crate) fn acquire(
 /// epoch is retired-batch residue and therefore free; this keeps the
 /// lane-0 fast path identical to the classic single-epoch check (no
 /// extra loads on stale words).
+///
+/// `slot + 1` must fit the 32-bit owner field; both executors assert
+/// that on the slot range they mint before any task runs.
 pub(crate) fn acquire_tagged(
     space: &LockSpace,
-    states: &[AtomicU8],
-    policy: ConflictPolicy,
     slot: usize,
     tag: u64,
     l: usize,
@@ -512,10 +452,6 @@ pub(crate) fn acquire_tagged(
     let owners = space.owners();
     let me = (tag << EPOCH_SHIFT) | (slot as u64 + 1);
     loop {
-        // A doomed task must stop acquiring.
-        if states[slot].load(Ordering::Acquire) == state::DOOMED {
-            return Err(AcquireError::Doomed);
-        }
         let cur = owners[l].load(Ordering::Acquire);
         let cur_tag = cur >> EPOCH_SHIFT;
         let held = cur & OWNER_MASK != 0
@@ -529,77 +465,31 @@ pub(crate) fn acquire_tagged(
             {
                 return Ok(true);
             }
-            space.note_cas_retry();
             continue; // someone raced us; re-evaluate
         }
         if cur == me {
             return Ok(false); // reentrant
         }
-        let other = (cur & OWNER_MASK) as usize - 1;
-        match policy {
-            ConflictPolicy::FirstWins => {
-                space.note_contention();
-                return Err(AcquireError::Conflict {
-                    lock: l,
-                    holder: other,
-                });
-            }
-            ConflictPolicy::PriorityWins => {
-                if slot >= other {
-                    // The holder has higher priority; we lose.
-                    space.note_contention();
-                    return Err(AcquireError::Conflict {
-                        lock: l,
-                        holder: other,
-                    });
-                }
-                // Try to doom the victim while it is still in its
-                // acquire phase; success (or an already-doomed victim)
-                // licenses the steal because the victim has not touched
-                // data and will observe DOOMED before it does.
-                let doomed = states[other]
-                    .compare_exchange(
-                        state::ACQUIRING,
-                        state::DOOMED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                    || states[other].load(Ordering::Acquire) == state::DOOMED;
-                if doomed {
-                    // Steal: the owner word may have changed under us
-                    // (e.g. the victim rolled back and released); CAS
-                    // and re-evaluate on failure.
-                    if owners[l]
-                        .compare_exchange(cur, me, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return Ok(true);
-                    }
-                    space.note_cas_retry();
-                    continue;
-                }
-                // Victim already accessing/committed: we lose.
-                space.note_contention();
-                return Err(AcquireError::Conflict {
-                    lock: l,
-                    holder: other,
-                });
-            }
-        }
+        return Err(AcquireError::Conflict {
+            lock: l,
+            holder: (cur & OWNER_MASK) as usize - 1,
+        });
     }
 }
 
 /// Release every lock in `lockset` held by `slot` under lane 0's
-/// current epoch, skipping stolen entries — a unit-test shorthand for
-/// [`release_all_tagged`], which is what aborting tasks go through.
+/// current epoch — a unit-test shorthand for [`release_all_tagged`],
+/// which is what aborting tasks go through.
 #[cfg(test)]
 pub(crate) fn release_all(space: &LockSpace, slot: usize, lockset: &[usize]) {
     release_all_tagged(space, slot, space.epoch_tag(), lockset)
 }
 
 /// Release every lock in `lockset` held by `slot` under `tag` (the
-/// caller's cached lane tag), skipping stolen entries. Aborting
+/// caller's cached lane tag). The release is a CAS from this task's
+/// exact mark, so a word that no longer carries it — retired-batch
+/// residue, or a word another lane has since recycled — is left
+/// alone. Aborting
 /// tasks must free their words within their round or batch;
 /// committed ones rely on [`LockSpace::advance_epoch`] /
 /// [`LockSpace::advance_lane`] instead.
@@ -608,11 +498,9 @@ pub(crate) fn release_all_tagged(space: &LockSpace, slot: usize, tag: u64, locks
     let me = (tag << EPOCH_SHIFT) | (slot as u64 + 1);
     let free = tag << EPOCH_SHIFT;
     for &l in lockset {
-        // A stolen lock no longer carries our mark; leave it alone.
         let _ = owners[l].compare_exchange(me, free, Ordering::AcqRel, Ordering::Acquire);
         // Stale-owner assertion: whatever the CAS outcome, the word
-        // must no longer carry this slot's current-epoch mark (either
-        // we freed it or a thief overwrote it).
+        // must no longer carry this slot's current-epoch mark.
         #[cfg(feature = "checker")]
         if owners[l].load(Ordering::Acquire) == me {
             space
@@ -628,10 +516,6 @@ pub(crate) fn release_all_tagged(space: &LockSpace, slot: usize, tag: u64, locks
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn states(n: usize) -> Vec<AtomicU8> {
-        (0..n).map(|_| AtomicU8::new(state::ACQUIRING)).collect()
-    }
 
     #[test]
     fn regions_are_disjoint_and_ordered() {
@@ -687,97 +571,24 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(4);
         let space = b.build();
-        let st = states(2);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 2),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 2), Ok(true));
         assert_eq!(space.owner_of(2), Some(0));
         // Reentrant.
+        assert_eq!(acquire(&space, 0, 2), Ok(false));
+        // Contender loses under first-wins — whichever slot is earlier.
         assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 2),
-            Ok(false)
-        );
-        // Contender loses under first-wins.
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 1, 2),
+            acquire(&space, 1, 2),
             Err(AcquireError::Conflict { lock: 2, holder: 0 })
         );
+        assert_eq!(acquire(&space, 1, 3), Ok(true));
+        assert_eq!(
+            acquire(&space, 0, 3),
+            Err(AcquireError::Conflict { lock: 3, holder: 1 })
+        );
+        release_all(&space, 1, &[3]);
         release_all(&space, 0, &[2]);
         assert_eq!(space.owner_of(2), None);
         assert!(space.check_all_free().is_ok());
-    }
-
-    #[test]
-    fn priority_steal_from_acquiring_victim() {
-        let mut b = LockSpace::builder();
-        let _ = b.region(1);
-        let space = b.build();
-        let st = states(2);
-        // Slot 1 (lower priority) takes the lock first.
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::PriorityWins, 1, 0),
-            Ok(true)
-        );
-        // Slot 0 steals it and dooms slot 1.
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::PriorityWins, 0, 0),
-            Ok(true)
-        );
-        assert_eq!(space.owner_of(0), Some(0));
-        assert_eq!(st[1].load(Ordering::Acquire), state::DOOMED);
-        // The victim's release must not clobber the thief's ownership.
-        release_all(&space, 1, &[0]);
-        assert_eq!(space.owner_of(0), Some(0));
-    }
-
-    #[test]
-    fn priority_cannot_steal_from_accessing_victim() {
-        let mut b = LockSpace::builder();
-        let _ = b.region(1);
-        let space = b.build();
-        let st = states(2);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::PriorityWins, 1, 0),
-            Ok(true)
-        );
-        // Victim enters its access phase.
-        st[1].store(state::ACCESSING, Ordering::Release);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::PriorityWins, 0, 0),
-            Err(AcquireError::Conflict { lock: 0, holder: 1 })
-        );
-        assert_eq!(space.owner_of(0), Some(1));
-    }
-
-    #[test]
-    fn lower_priority_never_steals() {
-        let mut b = LockSpace::builder();
-        let _ = b.region(1);
-        let space = b.build();
-        let st = states(2);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::PriorityWins, 0, 0),
-            Ok(true)
-        );
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::PriorityWins, 1, 0),
-            Err(AcquireError::Conflict { lock: 0, holder: 0 })
-        );
-        assert_eq!(st[0].load(Ordering::Acquire), state::ACQUIRING);
-    }
-
-    #[test]
-    fn doomed_task_cannot_acquire() {
-        let mut b = LockSpace::builder();
-        let _ = b.region(2);
-        let space = b.build();
-        let st = states(1);
-        st[0].store(state::DOOMED, Ordering::Release);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 1),
-            Err(AcquireError::Doomed)
-        );
     }
 
     #[test]
@@ -785,12 +596,8 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(8);
         let space = b.build();
-        let st = states(3);
         for l in 0..8 {
-            assert_eq!(
-                acquire(&space, &st, ConflictPolicy::FirstWins, l % 3, l),
-                Ok(true)
-            );
+            assert_eq!(acquire(&space, l % 3, l), Ok(true));
         }
         assert!(space.check_all_free().is_err(), "words are held");
         let e0 = space.epoch();
@@ -802,11 +609,7 @@ mod tests {
             assert_eq!(space.owner_of(l), None, "stale word {l} must read free");
         }
         // The words are re-acquirable under the new epoch.
-        let st2 = states(1);
-        assert_eq!(
-            acquire(&space, &st2, ConflictPolicy::FirstWins, 0, 3),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 3), Ok(true));
         assert_eq!(space.owner_of(3), Some(0));
     }
 
@@ -818,11 +621,7 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(2);
         let space = b.build();
-        let st = states(2);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::PriorityWins, 1, 0),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 1, 0), Ok(true));
         for step in 1..=100u64 {
             space.advance_epoch();
             assert_eq!(space.owner_of(0), None, "stale at +{step}");
@@ -830,9 +629,8 @@ mod tests {
         }
         // First-wins acquire by a *different* slot must not conflict
         // with the 100-epochs-stale residue.
-        let st2 = states(1);
         assert_eq!(
-            acquire(&space, &st2, ConflictPolicy::FirstWins, 0, 0),
+            acquire(&space, 0, 0),
             Ok(true),
             "stale word must be treated as free by acquire"
         );
@@ -846,22 +644,14 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(1);
         let space = b.build();
-        let st = states(1);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 0),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 0), Ok(true));
         space.advance_epoch();
         // Stale-scoped release: the CAS expects an epoch-current mark,
         // so the stale word is left alone (and still reads free).
         release_all(&space, 0, &[0]);
         assert_eq!(space.owner_of(0), None);
         // Fresh acquire + release round-trips under the new epoch.
-        let st2 = states(1);
-        assert_eq!(
-            acquire(&space, &st2, ConflictPolicy::FirstWins, 0, 0),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 0), Ok(true));
         release_all(&space, 0, &[0]);
         assert_eq!(space.owner_of(0), None);
         assert!(space.check_all_free().is_ok());
@@ -875,49 +665,19 @@ mod tests {
         let _ = b.region(1);
         let space = b.build();
         let n = 8;
-        let st: Vec<AtomicU8> = states(n);
         let wins = Counter::new(0);
         std::thread::scope(|s| {
             for slot in 0..n {
                 let space = &space;
-                let st = &st;
                 let wins = &wins;
                 s.spawn(move || {
-                    if acquire(space, st, ConflictPolicy::FirstWins, slot, 0).is_ok() {
+                    if acquire(space, slot, 0).is_ok() {
                         wins.fetch_add(1, Ordering::Relaxed);
                     }
                 });
             }
         });
         assert_eq!(wins.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn concurrent_priority_steals_converge_to_highest_priority() {
-        // All tasks contend for one lock with stealing: the final owner
-        // must be the highest-priority (lowest slot) task that asked,
-        // because everyone else either lost or was doomed pre-access.
-        let mut b = LockSpace::builder();
-        let _ = b.region(1);
-        let space = b.build();
-        let n = 8;
-        let st = states(n);
-        std::thread::scope(|s| {
-            for slot in 0..n {
-                let space = &space;
-                let st = &st;
-                s.spawn(move || {
-                    let _ = acquire(space, st, ConflictPolicy::PriorityWins, slot, 0);
-                });
-            }
-        });
-        let owner = space.owner_of(0).expect("someone must own the lock");
-        // Every task with priority higher (slot lower) than the owner
-        // must have failed *before* the owner acquired, which can only
-        // happen if it never requested after the owner took it. The
-        // strongest cheap invariant: the owner is not doomed and holds
-        // the lock exclusively.
-        assert_ne!(st[owner].load(Ordering::Acquire), state::DOOMED);
     }
 
     /// Drive the epoch across the 24-bit lane-0 tag wraparound: words
@@ -938,15 +698,8 @@ mod tests {
         assert_eq!(space.epoch_tag(), LANE_EPOCH_MASK);
 
         // Stamp locks 0 and 2 under the maximal tag (lock 1 stays 0).
-        let st = states(2);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 0),
-            Ok(true)
-        );
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 1, 2),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 0), Ok(true));
+        assert_eq!(acquire(&space, 1, 2), Ok(true));
         assert_eq!(space.owner_of(0), Some(0));
         assert_eq!(space.owner_of(2), Some(1));
 
@@ -971,11 +724,7 @@ mod tests {
         assert!(space.check_all_free().is_ok());
 
         // The space is immediately reusable under the fresh tag.
-        let st = states(1);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 0),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 0), Ok(true));
         assert_eq!(space.owner_of(0), Some(0));
         release_all(&space, 0, &[0]);
         assert_eq!(space.owner_of(0), None);
@@ -989,11 +738,7 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(1);
         let space = b.build();
-        let st = states(1);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 0),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 0), Ok(true));
         let stamped = space.owners()[0].load(Ordering::Acquire);
         assert_ne!(stamped, 0);
 
@@ -1003,11 +748,7 @@ mod tests {
         assert_eq!(space.owners()[0].load(Ordering::Acquire), stamped);
         assert_eq!(space.owner_of(0), None);
         assert!(space.check_all_free().is_ok());
-        let st = states(1);
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 0, 0),
-            Ok(true)
-        );
+        assert_eq!(acquire(&space, 0, 0), Ok(true));
     }
 
     /// Acquire every word under one lane tag, then retire the batch
@@ -1019,13 +760,9 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(8);
         let space = b.build();
-        let st = states(3);
         let tag = space.lane_tag(1);
         for l in 0..8 {
-            assert_eq!(
-                acquire_tagged(&space, &st, ConflictPolicy::FirstWins, l % 3, tag, l),
-                Ok(true)
-            );
+            assert_eq!(acquire_tagged(&space, l % 3, tag, l), Ok(true));
         }
         assert!(space.check_all_free().is_err(), "words are held");
         space.advance_lane(1);
@@ -1039,10 +776,7 @@ mod tests {
         // Immediately reusable under the lane's next epoch.
         let tag2 = space.lane_tag(1);
         assert_ne!(tag, tag2);
-        assert_eq!(
-            acquire_tagged(&space, &st, ConflictPolicy::FirstWins, 0, tag2, 3),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 0, tag2, 3), Ok(true));
         assert_eq!(space.owner_of(3), Some(0));
     }
 
@@ -1055,34 +789,10 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(3);
         let space = b.build();
-        let st = states(3);
         // Lock 0 under lane 1, lock 1 under lane 2, lock 2 under lane 0.
-        assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                0,
-                space.lane_tag(1),
-                0
-            ),
-            Ok(true)
-        );
-        assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                1,
-                space.lane_tag(2),
-                1
-            ),
-            Ok(true)
-        );
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 2, 2),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(1), 0), Ok(true));
+        assert_eq!(acquire_tagged(&space, 1, space.lane_tag(2), 1), Ok(true));
+        assert_eq!(acquire(&space, 2, 2), Ok(true));
         // Retire lane 2's batch only.
         space.advance_lane(2);
         assert_eq!(space.owner_of(0), Some(0), "lane 1 hold survives");
@@ -1102,45 +812,20 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(1);
         let space = b.build();
-        let st = states(4);
-        assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                0,
-                space.lane_tag(1),
-                0
-            ),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(1), 0), Ok(true));
         // Live cross-lane conflict, from another lane and from lane 0.
         assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                1,
-                space.lane_tag(2),
-                0
-            ),
+            acquire_tagged(&space, 1, space.lane_tag(2), 0),
             Err(AcquireError::Conflict { lock: 0, holder: 0 })
         );
         assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 2, 0),
+            acquire(&space, 2, 0),
             Err(AcquireError::Conflict { lock: 0, holder: 0 })
         );
         // After the holding lane retires, both may take it.
         space.advance_lane(1);
         assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                3,
-                space.lane_tag(2),
-                0
-            ),
+            acquire_tagged(&space, 3, space.lane_tag(2), 0),
             Ok(true),
             "stale cross-lane residue must be treated as free"
         );
@@ -1155,31 +840,14 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(3);
         let space = b.build();
-        let st = states(3);
         // Park lane 3 one step before its epoch wraps.
         space.lanes[3].store(LANE_EPOCH_MASK, Ordering::Release);
         let tag3 = space.lane_tag(3);
         assert_eq!(tag3, (3 << LANE_SHIFT) | LANE_EPOCH_MASK);
-        assert_eq!(
-            acquire_tagged(&space, &st, ConflictPolicy::FirstWins, 0, tag3, 0),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 0, tag3, 0), Ok(true));
         // Live holds in lane 4 and lane 0 that must survive the sweep.
-        assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                1,
-                space.lane_tag(4),
-                1
-            ),
-            Ok(true)
-        );
-        assert_eq!(
-            acquire(&space, &st, ConflictPolicy::FirstWins, 2, 2),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 1, space.lane_tag(4), 1), Ok(true));
+        assert_eq!(acquire(&space, 2, 2), Ok(true));
 
         space.advance_lane(3);
 
@@ -1192,17 +860,7 @@ mod tests {
         assert_eq!(space.owner_of(1), Some(1));
         assert_eq!(space.owner_of(2), Some(2));
         // Lane 3 is immediately reusable under its fresh zero epoch.
-        assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                0,
-                space.lane_tag(3),
-                0
-            ),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(3), 0), Ok(true));
         assert_eq!(space.owner_of(0), Some(0));
     }
 
@@ -1214,30 +872,13 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(2);
         let space = b.build();
-        let st = states(2);
         let tag = space.lane_tag(1);
-        assert_eq!(
-            acquire_tagged(&space, &st, ConflictPolicy::FirstWins, 0, tag, 0),
-            Ok(true)
-        );
-        assert_eq!(
-            acquire_tagged(&space, &st, ConflictPolicy::FirstWins, 0, tag, 1),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 0, tag, 0), Ok(true));
+        assert_eq!(acquire_tagged(&space, 0, tag, 1), Ok(true));
         // Lock 1's batch retires; lock 0 is then re-taken by lane 2
         // under the same slot number.
         space.advance_lane(1);
-        assert_eq!(
-            acquire_tagged(
-                &space,
-                &st,
-                ConflictPolicy::FirstWins,
-                0,
-                space.lane_tag(2),
-                0
-            ),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(2), 0), Ok(true));
         // A release under the *old* lane-1 tag can only clear words
         // still physically carrying that exact dead stamp (harmless:
         // they already read free); it must never clobber lane 2's
@@ -1246,10 +887,7 @@ mod tests {
         assert_eq!(space.owner_of(0), Some(0), "lane 2's hold survives");
         // A release under the current lane tag frees a live abort.
         let tag1b = space.lane_tag(1);
-        assert_eq!(
-            acquire_tagged(&space, &st, ConflictPolicy::FirstWins, 1, tag1b, 1),
-            Ok(true)
-        );
+        assert_eq!(acquire_tagged(&space, 1, tag1b, 1), Ok(true));
         release_all_tagged(&space, 1, tag1b, &[1]);
         assert_eq!(space.owner_of(1), None);
     }

@@ -58,15 +58,15 @@
 //! exclusivity is enforced dynamically by the lane-tagged lock words
 //! and verified end-to-end against sequential references.
 //!
-//! Only [`ConflictPolicy::FirstWins`] is supported: slots are
-//! recycled batch positions and carry no priority meaning.
+//! Slots are recycled batch positions (`w * batch + i`): they only
+//! name a lock's holder and carry no priority meaning.
 //!
 //! [`LockSpace`]: crate::lock::LockSpace
 //! [`LockSpace::advance_lane`]: crate::lock::LockSpace::advance_lane
 
 use crate::exec::{watchdog_clamp, Entry, Executor, Settled, WorkSet};
 use crate::faults::recover;
-use crate::lock::{state, ConflictPolicy, MAX_LANES};
+use crate::lock::MAX_LANES;
 use crate::phase::{self, Phase};
 use crate::probe::obs_emit;
 use crate::stats::{RoundStats, RunStats};
@@ -74,7 +74,7 @@ use crate::task::Operator;
 use optpar_core::control::Controller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Tuning knobs for [`Executor::run_pipelined`].
@@ -253,8 +253,10 @@ impl<O: Operator> Executor<'_, O> {
     /// flushed window.
     ///
     /// # Panics
-    /// Panics if configured with [`ConflictPolicy::PriorityWins`], a
-    /// zero window or batch, or more than [`MAX_LANES`]` - 1` workers.
+    /// Panics on a zero window or batch, on more than
+    /// [`MAX_LANES`]` - 1` workers, or if `workers * cfg.batch` — the
+    /// slot range the run mints — does not fit the 32-bit owner field
+    /// of a lock word (it must stay below `u32::MAX`).
     pub fn run_pipelined<C: Controller + Send, R: Rng + ?Sized>(
         &self,
         ws: &mut WorkSet<O::Task>,
@@ -286,11 +288,6 @@ impl<O: Operator> Executor<'_, O> {
     ) -> RunStats {
         assert!(cfg.window >= 1, "window must be positive");
         assert!(cfg.batch >= 1, "batch must be positive");
-        assert_eq!(
-            self.config().policy,
-            ConflictPolicy::FirstWins,
-            "pipelined mode supports only first-wins arbitration"
-        );
         let workers = self.config().workers;
         assert!(
             workers < MAX_LANES,
@@ -303,10 +300,16 @@ impl<O: Operator> Executor<'_, O> {
         // Strided slot pool: worker w owns slots
         // [w * batch, (w + 1) * batch), one per batch position, so
         // slot indices are globally unique while batches overlap.
+        // They must fit the 32-bit owner field of a lock word (the
+        // twin of round mode's `launched < u32::MAX`): a larger slot
+        // would bleed into the word's tag bits.
         let stride = cfg.batch;
-        let states: Vec<AtomicU8> = (0..workers * stride)
-            .map(|_| AtomicU8::new(state::ACQUIRING))
-            .collect();
+        assert!(
+            workers
+                .checked_mul(stride)
+                .is_some_and(|slots| slots < u32::MAX as usize),
+            "workers * batch = {workers} * {stride} slots overflow the 32-bit lock owner field"
+        );
 
         // Tasks alive anywhere: pending in a shard or drawn and not
         // yet committed. Termination tests this single counter — an
@@ -464,16 +467,7 @@ impl<O: Operator> Executor<'_, O> {
                 let t1 = phase::maybe_start(pc);
                 for (i, entry) in batch.into_iter().enumerate() {
                     let slot = w * stride + i;
-                    // `slot < workers * stride` by construction; the
-                    // requeue arm keeps `live` honest rather than
-                    // panicking past containment or leaking the task.
-                    let Some(slot_state) = states.get(slot) else {
-                        shards.requeue(w, entry, place);
-                        any_aborted = true;
-                        continue;
-                    };
-                    slot_state.store(state::ACQUIRING, Ordering::Release);
-                    let result = self.speculate(slot, lane, tag, &entry.task, &states, probe);
+                    let result = self.speculate(slot, lane, tag, &entry.task, probe);
                     match self.settle(entry, result, &mut tally) {
                         Settled::Committed(spawned) => {
                             if !spawned.is_empty() {
@@ -594,7 +588,6 @@ mod tests {
     fn exec_cfg(workers: usize) -> ExecutorConfig {
         ExecutorConfig {
             workers,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         }
     }
@@ -654,9 +647,11 @@ mod tests {
         assert!(run.round_count() >= 1);
     }
 
+    /// A slot range past the lock word's 32-bit owner field must be
+    /// refused up front, not silently packed into the tag bits.
     #[test]
-    #[should_panic(expected = "first-wins")]
-    fn pipelined_rejects_priority_policy() {
+    #[should_panic(expected = "overflow the 32-bit lock owner field")]
+    fn pipelined_rejects_slot_range_past_owner_field() {
         let mut b = LockSpace::builder();
         let r = b.region(1);
         let space = b.build();
@@ -665,19 +660,15 @@ mod tests {
             store: &store,
             n: 1,
         };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 2,
-                policy: ConflictPolicy::PriorityWins,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(2));
         let mut ws = WorkSet::from_vec(vec![0usize]);
         let mut ctl = FixedController::new(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let _ = ex.run_pipelined(&mut ws, &mut ctl, PipelinedConfig::default(), &mut rng);
+        let cfg = PipelinedConfig {
+            batch: u32::MAX as usize / 2 + 1,
+            ..PipelinedConfig::default()
+        };
+        let _ = ex.run_pipelined(&mut ws, &mut ctl, cfg, &mut rng);
     }
 
     #[test]
@@ -970,7 +961,6 @@ mod tests {
             &space,
             ExecutorConfig {
                 workers: 2,
-                policy: ConflictPolicy::FirstWins,
                 dead_letter_budget: k_budget,
                 ..ExecutorConfig::default()
             },
@@ -1173,7 +1163,6 @@ mod stress_tests {
             &space,
             ExecutorConfig {
                 workers: 4,
-                policy: ConflictPolicy::FirstWins,
                 ..ExecutorConfig::default()
             },
         );

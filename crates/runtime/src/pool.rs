@@ -32,8 +32,6 @@
 
 use crate::faults::recover;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-#[cfg(feature = "obs")]
-use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -96,11 +94,6 @@ struct Shared {
     /// signal that joining its handle is bounded (the thread function
     /// has returned or is in its final instructions).
     exited: Box<[AtomicBool]>,
-    /// `parks[w]` counts how many times worker `w` parked on
-    /// [`Shared::work_cv`] (feature `obs`; a statistic, so `Relaxed`
-    /// suffices).
-    #[cfg(feature = "obs")]
-    parks: Box<[AtomicU64]>,
 }
 
 /// A fixed-size pool of parked worker threads (see module docs).
@@ -138,8 +131,6 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             exited: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            #[cfg(feature = "obs")]
-            parks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -180,17 +171,6 @@ impl WorkerPool {
     /// count here means the *runtime* panicked inside a job.
     pub fn job_panics(&self) -> u64 {
         recover(self.shared.state.lock()).job_panics
-    }
-
-    /// Per-worker park counts: how many times each worker waited on
-    /// the job condvar since the pool was built.
-    #[cfg(feature = "obs")]
-    pub fn park_counts(&self) -> Vec<u64> {
-        self.shared
-            .parks
-            .iter()
-            .map(|p| p.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Run `job(w)` once on every worker `w ∈ 0..workers`, blocking
@@ -361,8 +341,6 @@ fn worker_loop(shared: &Shared, w: usize) {
                     shared.done_cv.notify_all();
                     return;
                 }
-                #[cfg(feature = "obs")]
-                shared.parks[w].fetch_add(1, Ordering::Relaxed);
                 st = recover(shared.work_cv.wait(st));
             }
         };

@@ -51,7 +51,7 @@
 
 use crate::exec::{Executor, ExecutorConfig, WorkSet};
 use crate::faults::{panic_detail, recover, DeadLetter, TaskFault};
-use crate::lock::{ConflictPolicy, LockSpace};
+use crate::lock::LockSpace;
 use crate::phase::{Deadline, Stopwatch};
 use crate::pool::WorkerPool;
 use crate::task::Operator;
@@ -136,8 +136,6 @@ pub struct ServiceConfig {
     /// Zero-commit stall threshold forwarded to the per-job watchdog
     /// (mirrors [`ExecutorConfig::watchdog_stall`]).
     pub watchdog_stall: u32,
-    /// Conflict arbitration policy for every job's rounds.
-    pub policy: ConflictPolicy,
     /// Hard cap on rounds per drive; exceeding it fails the job with
     /// [`JobError::RoundsExhausted`] instead of looping forever.
     pub max_rounds: usize,
@@ -176,7 +174,6 @@ impl Default for ServiceConfig {
             dead_letter_budget: 16,
             retry_budget: 8,
             watchdog_stall: 4,
-            policy: ConflictPolicy::FirstWins,
             max_rounds: 100_000,
             wedge_grace: Duration::from_secs(2),
             wedge_poll: Duration::from_millis(20),
@@ -908,7 +905,8 @@ impl JobCx<'_> {
             let cfg = &self.shared.cfg;
             let ecfg = ExecutorConfig {
                 workers: pool.workers(),
-                policy: cfg.policy,
+                // Unread benchmark-pinned shim field (see its docs).
+                policy: Default::default(),
                 retry_budget: cfg.retry_budget,
                 watchdog_stall: cfg.watchdog_stall,
                 dead_letter_budget: cfg.dead_letter_budget,

@@ -6,9 +6,9 @@
 //!
 //! * [`TaskCtx::lock`] acquires the abstract lock of an arbitrary slot.
 //! * [`TaskCtx::read`] / [`TaskCtx::write`] acquire the slot's lock
-//!   implicitly, verify ownership, transition the task into its access
-//!   phase (freezing it against lock theft), and — for writes — record
-//!   a copy-on-write undo snapshot.
+//!   implicitly and — for writes — record a copy-on-write undo
+//!   snapshot. A held lock is never taken away (first-wins
+//!   arbitration), so holding it *is* the access right.
 //! * [`TaskCtx::alloc`] allocates a fresh slot and immediately locks
 //!   it.
 //!
@@ -16,12 +16,14 @@
 //! (the `?` operator does). The executor then rolls the task back:
 //! undo snapshots are replayed in reverse — sound because the task
 //! still holds the abstract lock of every slot it wrote — and all
-//! locks are released.
+//! locks are released. A task is therefore in exactly one of three
+//! states — running (holding the locks it has acquired so far),
+//! committed, or aborted — and only the task itself moves between
+//! them, so no shared per-task state word exists.
 
-use crate::lock::{self, state, AcquireError, ConflictPolicy, LockSpace};
+use crate::lock::{self, AcquireError, LockSpace};
 use crate::probe::{obs_emit, Probe};
 use crate::store::SpecStore;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Why a task must abort. Propagate it out of
 /// [`Operator::execute`]; the executor handles rollback and retry.
@@ -32,23 +34,12 @@ pub enum Abort {
         /// The contested lock index.
         lock: usize,
     },
-    /// Doomed by a higher-priority task (priority-wins policy).
-    Doomed,
     /// The operator itself requested an abort-and-retry.
     Requested,
     /// An injected fault fired on this task (spurious-abort kind,
     /// feature `faults`). The executor books it as a fault, not a
     /// conflict, and re-queues the task with its retry count bumped.
     Fault,
-}
-
-impl From<AcquireError> for Abort {
-    fn from(e: AcquireError) -> Self {
-        match e {
-            AcquireError::Conflict { lock, .. } => Abort::Conflict { lock },
-            AcquireError::Doomed => Abort::Doomed,
-        }
-    }
 }
 
 /// A speculative operator: the application logic run for each task.
@@ -90,8 +81,6 @@ struct UndoEntry {
 pub struct TaskCtx<'rt> {
     slot: usize,
     space: &'rt LockSpace,
-    states: &'rt [AtomicU8],
-    policy: ConflictPolicy,
     /// The lane tag stamped onto every lock word this task acquires:
     /// lane 0's current epoch for round tasks, the owning
     /// worker's lane tag for pipelined tasks. Cached at construction —
@@ -99,7 +88,6 @@ pub struct TaskCtx<'rt> {
     tag: u64,
     lockset: Vec<usize>,
     undo: Vec<UndoEntry>,
-    accessed: bool,
     /// Locks acquired (for stats).
     pub acquires: usize,
     /// Audit trail of every lock transition and data access, deposited
@@ -132,10 +120,8 @@ impl std::fmt::Debug for TaskCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskCtx")
             .field("slot", &self.slot)
-            .field("policy", &self.policy)
             .field("locks_held", &self.lockset.len())
             .field("undo_entries", &self.undo.len())
-            .field("accessed", &self.accessed)
             .finish_non_exhaustive()
     }
 }
@@ -144,13 +130,8 @@ impl<'rt> TaskCtx<'rt> {
     /// A lane-0 (round-mode) context, for unit tests; the executor
     /// builds every context through [`TaskCtx::new_in_lane`].
     #[cfg(test)]
-    pub(crate) fn new(
-        slot: usize,
-        space: &'rt LockSpace,
-        states: &'rt [AtomicU8],
-        policy: ConflictPolicy,
-    ) -> Self {
-        Self::new_in_lane(slot, space, states, policy, 0, space.epoch())
+    pub(crate) fn new(slot: usize, space: &'rt LockSpace) -> Self {
+        Self::new_in_lane(slot, space, 0, space.epoch())
     }
 
     /// A context for a task running in lock lane `lane` (0 = the round
@@ -162,8 +143,6 @@ impl<'rt> TaskCtx<'rt> {
     pub(crate) fn new_in_lane(
         slot: usize,
         space: &'rt LockSpace,
-        states: &'rt [AtomicU8],
-        policy: ConflictPolicy,
         lane: usize,
         trace_epoch: u64,
     ) -> Self {
@@ -173,12 +152,9 @@ impl<'rt> TaskCtx<'rt> {
         TaskCtx {
             slot,
             space,
-            states,
-            policy,
             tag,
             lockset: Vec::with_capacity(8),
             undo: Vec::new(),
-            accessed: false,
             acquires: 0,
             #[cfg(feature = "checker")]
             trace: optpar_checker::TaskTrace::new(slot, trace_epoch),
@@ -241,8 +217,9 @@ impl<'rt> TaskCtx<'rt> {
         }
     }
 
-    /// This task's round slot (= commit priority; lower commits first
-    /// under the priority-wins policy).
+    /// This task's round slot (= its position in the drawn prefix; on
+    /// the inline `workers == 1` round, lower slots run — and so win
+    /// their locks — first).
     pub fn slot(&self) -> usize {
         self.slot
     }
@@ -286,7 +263,7 @@ impl<'rt> TaskCtx<'rt> {
         // where an armed injected fault ticks toward firing.
         #[cfg(feature = "faults")]
         self.tick_fault()?;
-        match lock::acquire_tagged(self.space, self.states, self.policy, self.slot, self.tag, l) {
+        match lock::acquire_tagged(self.space, self.slot, self.tag, l) {
             Ok(true) => {
                 self.lockset.push(l);
                 self.acquires += 1;
@@ -305,60 +282,32 @@ impl<'rt> TaskCtx<'rt> {
                 Ok(())
             }
             Ok(false) => Ok(()),
-            Err(e) => {
+            #[cfg_attr(
+                not(any(feature = "checker", feature = "obs")),
+                allow(unused_variables)
+            )]
+            Err(AcquireError::Conflict { lock, holder }) => {
                 #[cfg(feature = "checker")]
-                if let AcquireError::Conflict { lock, holder } = e {
-                    self.trace
-                        .events
-                        .push(optpar_checker::TraceEvent::Conflicted { lock, holder });
-                }
-                #[cfg(feature = "obs")]
-                if let (Some(ring), AcquireError::Conflict { lock, holder }) = (self.probe, e) {
-                    ring.record(optpar_obs::EventKind::LockContend {
+                self.trace
+                    .events
+                    .push(optpar_checker::TraceEvent::Conflicted { lock, holder });
+                obs_emit!(
+                    self.probe,
+                    optpar_obs::EventKind::LockContend {
                         lock: lock as u64,
                         slot: self.slot as u32,
                         holder: holder as u32,
-                    });
-                }
-                Err(e.into())
+                    }
+                );
+                Err(Abort::Conflict { lock })
             }
-        }
-    }
-
-    /// Transition into the access phase (idempotent). After this, the
-    /// task's locks can no longer be stolen.
-    fn enter_access(&mut self) -> Result<(), Abort> {
-        if self.accessed {
-            return Ok(());
-        }
-        match self.states[self.slot].compare_exchange(
-            state::ACQUIRING,
-            state::ACCESSING,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {
-                self.accessed = true;
-                Ok(())
-            }
-            Err(_) => Err(Abort::Doomed),
-        }
-    }
-
-    /// Verify we still own lock `l` (it may have been stolen while we
-    /// were still in the acquire phase).
-    fn verify_owned(&self, l: usize) -> Result<(), Abort> {
-        if self.space.owner_of(l) == Some(self.slot) {
-            Ok(())
-        } else {
-            Err(Abort::Doomed)
         }
     }
 
     /// Record a data access that is about to happen. Coverage is
-    /// re-derived from the lock word itself (not from `verify_owned`'s
-    /// verdict, which aborts the access), so a protocol bug that lets
-    /// an access through uncovered shows up in the trace.
+    /// re-derived from the lock word itself (not assumed from the
+    /// successful `lock_raw`), so a protocol bug that lets an access
+    /// through uncovered shows up in the trace.
     #[cfg(feature = "checker")]
     fn trace_access(&mut self, l: usize, kind: optpar_checker::AccessKind) {
         let covered = self.space.owner_of(l) == Some(self.slot) && self.lockset.contains(&l);
@@ -381,15 +330,14 @@ impl<'rt> TaskCtx<'rt> {
         self.lock_raw(l)?;
         #[cfg(feature = "obs")]
         self.note_shard(store.shard_of(i), before);
-        self.enter_access()?;
-        self.verify_owned(l)?;
         #[cfg(feature = "checker")]
         self.trace_access(l, optpar_checker::AccessKind::Read);
-        // SAFETY: we hold the abstract lock of slot `i` (verified above)
-        // and, having entered the access phase, it cannot be stolen;
-        // the lock grants exclusive access, and the returned shared
-        // borrow is tied to `&mut self`, so no mutation can occur
-        // through this context while it lives.
+        // SAFETY: `lock_raw` succeeded, so this task holds the abstract
+        // lock of slot `i`, and under first-wins arbitration nobody
+        // but the holder ever rewrites a live lock word, so it is
+        // still held; the lock grants exclusive access, and the
+        // returned shared borrow is tied to `&mut self`, so no mutation
+        // can occur through this context while it lives.
         unsafe { Ok(&*store.slot_ptr(i)) }
     }
 
@@ -416,8 +364,6 @@ impl<'rt> TaskCtx<'rt> {
         self.lock_raw(l)?;
         #[cfg(feature = "obs")]
         self.note_shard(store.shard_of(i), before);
-        self.enter_access()?;
-        self.verify_owned(l)?;
         #[cfg(feature = "checker")]
         self.trace_access(l, optpar_checker::AccessKind::Write);
         let ptr = store.slot_ptr(i);
@@ -430,9 +376,9 @@ impl<'rt> TaskCtx<'rt> {
                 lock: l,
                 // SAFETY: deferred to call time — the restore closure
                 // runs during rollback, while this task still holds the
-                // lock of slot `i` (writes only happen under held,
-                // unstealable locks), so the store slot is exclusively
-                // ours; the store outlives the round.
+                // lock of slot `i` (writes only happen under held locks,
+                // and a held lock is never taken away), so the store
+                // slot is exclusively ours; the store outlives the round.
                 restore: Box::new(move || unsafe {
                     *raw.0 = old;
                 }),
@@ -463,58 +409,35 @@ impl<'rt> TaskCtx<'rt> {
         self.undo.len()
     }
 
-    /// Attempt to commit: transition to `COMMITTED` unless doomed.
+    /// Commit: discard the undo log and return the still-held lockset.
     ///
-    /// On success the undo log is discarded and the still-held lockset
-    /// is returned: **committed tasks keep their locks until the round
-    /// barrier** so that later tasks of the same round conflict with
-    /// them, exactly as in the paper's model (a node aborts iff a
-    /// neighbour *committed* in the same round). The round-based
-    /// executor expires these locks wholesale with its end-of-round
-    /// epoch bump ([`LockSpace::advance_epoch`]), the pipelined one
-    /// with its per-batch lane bump. Returns `None` (after
-    /// rolling back) if the task was doomed.
-    pub(crate) fn finish_commit(mut self) -> Option<Vec<usize>> {
-        let committed = self.states[self.slot]
-            .compare_exchange(
-                if self.accessed {
-                    state::ACCESSING
-                } else {
-                    state::ACQUIRING
-                },
-                state::COMMITTED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok();
-        if committed {
-            self.undo.clear();
-            #[cfg(feature = "checker")]
-            {
-                self.trace.outcome = optpar_checker::Outcome::Committed;
-                self.space.audit().push_trace(std::mem::replace(
-                    &mut self.trace,
-                    optpar_checker::TaskTrace::new(self.slot, 0),
-                ));
-            }
-            Some(std::mem::take(&mut self.lockset))
-        } else {
-            // Doomed between our last access and commit: this can only
-            // happen while still in ACQUIRING (nothing written), but
-            // roll back uniformly for robustness.
-            self.finish_abort();
-            None
+    /// **Committed tasks keep their locks until the round barrier** so
+    /// that later tasks of the same round conflict with them, exactly
+    /// as in the paper's model (a node aborts iff a neighbour
+    /// *committed* in the same round). The round-based executor
+    /// expires these locks wholesale with its end-of-round epoch bump
+    /// ([`LockSpace::advance_epoch`]), the pipelined one with its
+    /// per-batch lane bump. Infallible: a task that reached the end of
+    /// its operator holds every lock it acquired.
+    pub(crate) fn finish_commit(mut self) -> Vec<usize> {
+        self.undo.clear();
+        #[cfg(feature = "checker")]
+        {
+            self.trace.outcome = optpar_checker::Outcome::Committed;
+            self.space.audit().push_trace(std::mem::replace(
+                &mut self.trace,
+                optpar_checker::TaskTrace::new(self.slot, 0),
+            ));
         }
+        std::mem::take(&mut self.lockset)
     }
 
-    /// Roll back: replay undo entries in reverse, release locks, mark
-    /// `ABORTED`.
+    /// Roll back: replay undo entries in reverse, then release locks.
     pub(crate) fn finish_abort(mut self) {
         for entry in self.undo.drain(..).rev() {
             (entry.restore)();
         }
         lock::release_all_tagged(self.space, self.slot, self.tag, &self.lockset);
-        self.states[self.slot].store(state::ABORTED, Ordering::Release);
         #[cfg(feature = "checker")]
         {
             self.trace.outcome = optpar_checker::Outcome::Aborted;
@@ -562,35 +485,26 @@ mod tests {
 
     /// Commit and immediately release (round-barrier stand-in for unit
     /// tests; the executor does this at the end of each round).
-    fn commit_release(cx: TaskCtx<'_>, space: &LockSpace) -> bool {
+    fn commit_release(cx: TaskCtx<'_>, space: &LockSpace) {
         let slot = cx.slot();
-        match cx.finish_commit() {
-            Some(lockset) => {
-                crate::lock::release_all(space, slot, &lockset);
-                true
-            }
-            None => false,
-        }
+        let lockset = cx.finish_commit();
+        crate::lock::release_all(space, slot, &lockset);
     }
 
-    fn setup(cap: usize, tasks: usize) -> (LockSpace, Vec<AtomicU8>, crate::lock::Region) {
+    fn setup(cap: usize) -> (LockSpace, crate::lock::Region) {
         let mut b = LockSpace::builder();
         let r = b.region(cap);
-        let space = b.build();
-        let states = (0..tasks)
-            .map(|_| AtomicU8::new(state::ACQUIRING))
-            .collect();
-        (space, states, r)
+        (b.build(), r)
     }
 
     #[test]
     fn write_and_commit() {
-        let (space, states, r) = setup(4, 1);
+        let (space, r) = setup(4);
         let store = SpecStore::filled(r, 4, 0u32);
-        let mut cx = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx = TaskCtx::new(0, &space);
         *cx.write(&store, 2).unwrap() = 99;
         assert_eq!(cx.undo_len(), 1);
-        assert!(commit_release(cx, &space));
+        commit_release(cx, &space);
         assert!(space.check_all_free().is_ok());
         let mut store = store;
         assert_eq!(*store.get_mut(2), 99);
@@ -598,9 +512,9 @@ mod tests {
 
     #[test]
     fn write_and_rollback_restores() {
-        let (space, states, r) = setup(4, 1);
+        let (space, r) = setup(4);
         let store = SpecStore::from_vec(r, vec![10, 20, 30, 40], 0);
-        let mut cx = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx = TaskCtx::new(0, &space);
         *cx.write(&store, 1).unwrap() = 999;
         *cx.write(&store, 3).unwrap() = 888;
         *cx.write(&store, 1).unwrap() = 777; // second write, same slot
@@ -613,98 +527,48 @@ mod tests {
 
     #[test]
     fn conflict_aborts_second_task() {
-        let (space, states, r) = setup(2, 2);
+        let (space, r) = setup(2);
         let store = SpecStore::filled(r, 2, 0u8);
-        let mut cx0 = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
-        let mut cx1 = TaskCtx::new(1, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx0 = TaskCtx::new(0, &space);
+        let mut cx1 = TaskCtx::new(1, &space);
         cx0.lock(&store, 0).unwrap();
         let err = cx1.write(&store, 0).unwrap_err();
         assert_eq!(err, Abort::Conflict { lock: 0 });
         cx1.finish_abort();
-        assert!(commit_release(cx0, &space));
-        assert!(space.check_all_free().is_ok());
-    }
-
-    #[test]
-    fn priority_steal_dooms_victim_writes() {
-        let (space, states, r) = setup(2, 2);
-        let store = SpecStore::filled(r, 2, 0u8);
-        // Victim (slot 1) locks but does not access.
-        let mut cx1 = TaskCtx::new(1, &space, &states, ConflictPolicy::PriorityWins);
-        cx1.lock(&store, 0).unwrap();
-        // Thief (slot 0) steals.
-        let mut cx0 = TaskCtx::new(0, &space, &states, ConflictPolicy::PriorityWins);
-        *cx0.write(&store, 0).unwrap() = 7;
-        // Victim now tries to write through the stolen lock: doomed.
-        assert_eq!(cx1.write(&store, 0).unwrap_err(), Abort::Doomed);
-        cx1.finish_abort();
-        assert!(commit_release(cx0, &space));
-        let mut store = store;
-        assert_eq!(*store.get_mut(0), 7);
-    }
-
-    #[test]
-    fn accessing_task_survives_steal_attempt() {
-        let (space, states, r) = setup(2, 2);
-        let store = SpecStore::filled(r, 2, 0u8);
-        let mut cx1 = TaskCtx::new(1, &space, &states, ConflictPolicy::PriorityWins);
-        *cx1.write(&store, 0).unwrap() = 5; // enters access phase
-        let mut cx0 = TaskCtx::new(0, &space, &states, ConflictPolicy::PriorityWins);
-        assert!(matches!(
-            cx0.write(&store, 0).unwrap_err(),
-            Abort::Conflict { .. }
-        ));
-        cx0.finish_abort();
-        assert!(commit_release(cx1, &space));
-        let mut store = store;
-        assert_eq!(*store.get_mut(0), 5);
-    }
-
-    #[test]
-    fn commit_fails_if_doomed_before_access() {
-        let (space, states, r) = setup(1, 2);
-        let store = SpecStore::filled(r, 1, 0u8);
-        let mut cx1 = TaskCtx::new(1, &space, &states, ConflictPolicy::PriorityWins);
-        cx1.lock(&store, 0).unwrap();
-        // Thief dooms and steals.
-        let mut cx0 = TaskCtx::new(0, &space, &states, ConflictPolicy::PriorityWins);
-        cx0.lock(&store, 0).unwrap();
-        // Victim finished "successfully" but must fail to commit.
-        assert!(!commit_release(cx1, &space));
-        assert!(commit_release(cx0, &space));
+        commit_release(cx0, &space);
         assert!(space.check_all_free().is_ok());
     }
 
     #[test]
     fn read_then_write_same_slot() {
-        let (space, states, r) = setup(1, 1);
+        let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 41u32);
-        let mut cx = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx = TaskCtx::new(0, &space);
         let v = *cx.read(&store, 0).unwrap();
         *cx.write(&store, 0).unwrap() = v + 1;
-        assert!(commit_release(cx, &space));
+        commit_release(cx, &space);
         let mut store = store;
         assert_eq!(*store.get_mut(0), 42);
     }
 
     #[test]
     fn alloc_locks_fresh_slot() {
-        let (space, states, r) = setup(4, 1);
+        let (space, r) = setup(4);
         let store = SpecStore::filled(r, 1, 0u32);
-        let mut cx = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx = TaskCtx::new(0, &space);
         let i = cx.alloc(&store).unwrap();
         assert_eq!(i, 1);
         assert_eq!(space.owner_of(r.lock_of(1)), Some(0));
         *cx.write(&store, i).unwrap() = 5;
-        assert!(commit_release(cx, &space));
+        commit_release(cx, &space);
         assert!(space.check_all_free().is_ok());
     }
 
     #[test]
     fn requested_abort() {
-        let (space, states, r) = setup(1, 1);
+        let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 1u8);
-        let mut cx = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx = TaskCtx::new(0, &space);
         *cx.write(&store, 0).unwrap() = 2;
         let e: Result<(), Abort> = cx.abort_requested();
         assert_eq!(e.unwrap_err(), Abort::Requested);
@@ -721,20 +585,20 @@ mod tests {
     #[test]
     fn seeded_lost_release_race_is_detected() {
         use optpar_checker::{CheckerMode, Report};
-        let (space, states, r) = setup(1, 2);
+        let (space, r) = setup(1);
         space.audit().set_mode(CheckerMode::Collect);
         space.audit().arm(false);
         let store = SpecStore::filled(r, 1, 0u8);
         let epoch = space.epoch();
-        let mut cx0 = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx0 = TaskCtx::new(0, &space);
         *cx0.write(&store, 0).unwrap() = 1;
         // The seeded bug: the held lock leaks out before commit.
         cx0.buggy_release_lock(r.lock_of(0));
-        assert!(cx0.finish_commit().is_some());
+        let _ = cx0.finish_commit();
         // Task 1 sneaks in on the leaked lock and also commits.
-        let mut cx1 = TaskCtx::new(1, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx1 = TaskCtx::new(1, &space);
         *cx1.write(&store, 0).unwrap() = 2;
-        assert!(cx1.finish_commit().is_some());
+        let _ = cx1.finish_commit();
         space.audit().drain_round();
         let reports = space.audit().take_reports();
         assert!(
@@ -759,9 +623,8 @@ mod tests {
         let mut b = LockSpace::builder();
         let r = b.region_aligned(map.padded_len());
         let space = b.build();
-        let states: Vec<AtomicU8> = vec![AtomicU8::new(state::ACQUIRING)];
         let store = SpecStore::new_sharded(r, vec![0u32; 4], 0, map);
-        let mut cx = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx = TaskCtx::new(0, &space);
         cx.lock(&store, 1).unwrap(); // home shard = 0
         cx.lock(&store, 0).unwrap(); // same shard
         *cx.write(&store, 2).unwrap() = 1; // cross into shard 1
@@ -773,13 +636,13 @@ mod tests {
 
     #[test]
     fn reentrant_locks_release_once() {
-        let (space, states, r) = setup(1, 1);
+        let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 0u8);
-        let mut cx = TaskCtx::new(0, &space, &states, ConflictPolicy::FirstWins);
+        let mut cx = TaskCtx::new(0, &space);
         cx.lock(&store, 0).unwrap();
         cx.lock(&store, 0).unwrap();
         assert_eq!(cx.acquires, 1);
-        assert!(commit_release(cx, &space));
+        commit_release(cx, &space);
         assert!(space.check_all_free().is_ok());
     }
 }

@@ -5,8 +5,7 @@
 //! the dead-letter list exactly once with its full retry history.
 
 use optpar_runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, FaultCause, LockSpace, Operator, TaskCtx,
-    WorkSet,
+    Abort, Executor, ExecutorConfig, FaultCause, LockSpace, Operator, TaskCtx, WorkSet,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -43,7 +42,6 @@ proptest! {
         let op = AlwaysPanic;
         let ex = Executor::new(&op, &space, ExecutorConfig {
             workers: 1,
-            policy: ConflictPolicy::FirstWins,
             dead_letter_budget: budget,
             ..ExecutorConfig::default()
         });

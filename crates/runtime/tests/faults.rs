@@ -8,8 +8,8 @@
 #![cfg(feature = "faults")]
 
 use optpar_runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, FaultCause, FaultKind, FaultPlan, LockSpace,
-    Operator, SpecStore, TaskCtx, TaskFault, WorkSet,
+    Abort, Executor, ExecutorConfig, FaultCause, FaultKind, FaultPlan, LockSpace, Operator,
+    SpecStore, TaskCtx, TaskFault, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,7 +75,6 @@ fn drain_with_plan(
         &h.space,
         ExecutorConfig {
             workers,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );
@@ -183,27 +182,6 @@ fn targeted_fault_fires_at_exact_coordinates() {
     assert_eq!(log[0].cause, FaultCause::Injected);
     let mut store = h.store;
     assert_eq!(store.snapshot(), expected(4));
-}
-
-#[test]
-fn scratch_poison_is_recovered_and_accounted() {
-    let h = Harness::new();
-    let e0 = h.space.epoch();
-    let plan = FaultPlan::seeded(3).poison_scratch_at(e0);
-    let log = drain_with_plan(&h, &plan, 16, 8, 1, 505);
-    let fired = plan.fired();
-    assert_eq!(fired.len(), 1, "{fired:?}");
-    assert_eq!(fired[0].kind, FaultKind::PoisonScratch);
-    assert_eq!(fired[0].epoch, e0);
-    let poisoned: Vec<_> = log
-        .iter()
-        .filter(|f| f.cause == FaultCause::PoisonedScratch)
-        .collect();
-    assert_eq!(poisoned.len(), 1, "{log:?}");
-    assert_eq!(poisoned[0].epoch, e0);
-    assert_eq!(poisoned[0].slot, None);
-    let mut store = h.store;
-    assert_eq!(store.snapshot(), expected(16));
 }
 
 #[test]

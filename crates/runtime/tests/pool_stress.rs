@@ -2,11 +2,10 @@
 //!
 //! The pooled round path must be observationally identical to the
 //! inline (workers == 1, deterministic) path: same total commits, same
-//! final store state, across worker counts and both conflict policies.
+//! final store state, across worker counts.
 
 use optpar_runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, LockSpace, Operator, Region, SpecStore,
-    TaskCtx, WorkSet,
+    Abort, Executor, ExecutorConfig, LockSpace, Operator, Region, SpecStore, TaskCtx, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +42,6 @@ fn drain_pooled(
     n: usize,
     m: usize,
     workers: usize,
-    policy: ConflictPolicy,
     seed: u64,
 ) -> (usize, Vec<i64>, Vec<(usize, usize)>) {
     let (space, r) = setup(n);
@@ -54,7 +52,6 @@ fn drain_pooled(
         &space,
         ExecutorConfig {
             workers,
-            policy,
             ..ExecutorConfig::default()
         },
     );
@@ -77,24 +74,22 @@ fn drain_pooled(
 }
 
 #[test]
-fn pooled_commits_match_inline_across_workers_and_policies() {
+fn pooled_commits_match_inline_across_workers() {
     let n = 96;
     let m = 24;
     let seed = 0xD1FF_5EED;
-    for policy in [ConflictPolicy::FirstWins, ConflictPolicy::PriorityWins] {
-        let (ref_commits, ref_state, _) = drain_pooled(n, m, 1, policy, seed);
-        assert_eq!(ref_commits, n, "inline path must drain everything");
-        for workers in [2, 8] {
-            let (commits, state, _) = drain_pooled(n, m, workers, policy, seed);
-            assert_eq!(
-                commits, ref_commits,
-                "{policy:?} with {workers} workers diverged from inline commits"
-            );
-            assert_eq!(
-                state, ref_state,
-                "{policy:?} with {workers} workers diverged from inline state"
-            );
-        }
+    let (ref_commits, ref_state, _) = drain_pooled(n, m, 1, seed);
+    assert_eq!(ref_commits, n, "inline path must drain everything");
+    for workers in [2, 8] {
+        let (commits, state, _) = drain_pooled(n, m, workers, seed);
+        assert_eq!(
+            commits, ref_commits,
+            "{workers} workers diverged from inline commits"
+        );
+        assert_eq!(
+            state, ref_state,
+            "{workers} workers diverged from inline state"
+        );
     }
 }
 
@@ -102,11 +97,9 @@ fn pooled_commits_match_inline_across_workers_and_policies() {
 fn inline_path_is_deterministic_per_seed() {
     // Two runs with the same seed and workers == 1 must agree on the
     // entire per-round trace, not just totals.
-    for policy in [ConflictPolicy::FirstWins, ConflictPolicy::PriorityWins] {
-        let a = drain_pooled(64, 16, 1, policy, 7);
-        let b = drain_pooled(64, 16, 1, policy, 7);
-        assert_eq!(a, b, "workers == 1 must be deterministic ({policy:?})");
-    }
+    let a = drain_pooled(64, 16, 1, 7);
+    let b = drain_pooled(64, 16, 1, 7);
+    assert_eq!(a, b, "workers == 1 must be deterministic");
 }
 
 #[test]
@@ -141,7 +134,6 @@ fn pool_reuse_across_many_small_rounds() {
         &space,
         ExecutorConfig {
             workers: 4,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );

@@ -19,8 +19,7 @@
 
 use optpar_runtime::checker::CheckerMode;
 use optpar_runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, LockSpace, Operator, SpecStore, TaskCtx,
-    WorkSet,
+    Abort, Executor, ExecutorConfig, LockSpace, Operator, SpecStore, TaskCtx, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +72,6 @@ fn dynamic_checker_is_blind_to_undeclared_footprint_writes() {
         &space,
         ExecutorConfig {
             workers: 4,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );

@@ -76,7 +76,6 @@ pub mod prelude {
     pub use optpar_core::{estimate, theory};
     pub use optpar_graph::{gen, ConflictGraph, CsrGraph};
     pub use optpar_runtime::{
-        Abort, ConflictPolicy, Executor, ExecutorConfig, LockSpace, Operator, SpecStore, TaskCtx,
-        WorkSet,
+        Abort, Executor, ExecutorConfig, LockSpace, Operator, SpecStore, TaskCtx, WorkSet,
     };
 }

@@ -20,8 +20,8 @@ use optpar::core::control::{FixedController, HybridController, HybridParams};
 use optpar::graph::gen;
 use optpar::runtime::checker::CheckerMode;
 use optpar::runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig,
-    SpecStore, TaskCtx, WorkSet,
+    Abort, Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig, SpecStore, TaskCtx,
+    WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +38,6 @@ fn controller() -> HybridController {
 fn config(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
         workers,
-        policy: ConflictPolicy::FirstWins,
         ..ExecutorConfig::default()
     }
 }

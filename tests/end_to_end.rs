@@ -11,7 +11,7 @@ use optpar::apps::misapp::MisOp;
 use optpar::apps::triangulation::Mesh;
 use optpar::core::control::{HybridController, HybridParams};
 use optpar::graph::gen;
-use optpar::runtime::{ConflictPolicy, Executor, ExecutorConfig, WorkSet};
+use optpar::runtime::{Executor, ExecutorConfig, WorkSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,7 +26,6 @@ fn controller() -> HybridController {
 fn config(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
         workers,
-        policy: ConflictPolicy::FirstWins,
         ..ExecutorConfig::default()
     }
 }

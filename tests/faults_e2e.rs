@@ -15,8 +15,7 @@ use optpar::apps::triangulation::Mesh;
 use optpar::core::control::{HybridController, HybridParams};
 use optpar::graph::gen;
 use optpar::runtime::{
-    ConflictPolicy, Executor, ExecutorConfig, FaultCause, FaultKind, FaultPlan, Operator,
-    TaskFault, WorkSet,
+    Executor, ExecutorConfig, FaultCause, FaultKind, FaultPlan, Operator, TaskFault, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +33,6 @@ fn controller() -> HybridController {
 fn config() -> ExecutorConfig {
     ExecutorConfig {
         workers: WORKERS,
-        policy: ConflictPolicy::FirstWins,
         ..ExecutorConfig::default()
     }
 }

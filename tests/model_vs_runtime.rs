@@ -8,7 +8,7 @@ use optpar::apps::ccmirror::CcMirror;
 use optpar::core::control::{Controller, HybridController, HybridParams};
 use optpar::core::estimate;
 use optpar::graph::gen;
-use optpar::runtime::{ConflictPolicy, Executor, ExecutorConfig, LockSpace, WorkSet};
+use optpar::runtime::{Executor, ExecutorConfig, LockSpace, WorkSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +30,6 @@ fn runtime_conflict_curve_matches_model() {
         &space,
         ExecutorConfig {
             workers: 1,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );
@@ -66,7 +65,6 @@ fn controller_finds_same_mu_through_runtime_and_model() {
         &space,
         ExecutorConfig {
             workers: 2,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );
@@ -101,26 +99,23 @@ fn complete_graph_commits_at_most_one_per_round() {
     // it is impossible.)
     let mut rng = StdRng::seed_from_u64(3);
     let g = gen::complete(50);
-    for policy in [ConflictPolicy::FirstWins, ConflictPolicy::PriorityWins] {
-        let (space, op) = mirror(&g);
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                policy,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut total = 0;
-        for _ in 0..30 {
-            let mut ws = WorkSet::from_vec((0..50u32).collect::<Vec<_>>());
-            let rs = ex.run_round(&mut ws, 50, &mut rng);
-            assert!(rs.committed <= 1, "K_50 admits at most one commit");
-            total += rs.committed;
-        }
-        assert!(total >= 20, "commits should be common: {total}/30");
+    let (space, op) = mirror(&g);
+    let ex = Executor::new(
+        &op,
+        &space,
+        ExecutorConfig {
+            workers: 4,
+            ..ExecutorConfig::default()
+        },
+    );
+    let mut total = 0;
+    for _ in 0..30 {
+        let mut ws = WorkSet::from_vec((0..50u32).collect::<Vec<_>>());
+        let rs = ex.run_round(&mut ws, 50, &mut rng);
+        assert!(rs.committed <= 1, "K_50 admits at most one commit");
+        total += rs.committed;
     }
+    assert!(total >= 20, "commits should be common: {total}/30");
 
     // Sequential arbitration commits *exactly* one every round.
     let (space, op) = mirror(&g);
@@ -129,7 +124,6 @@ fn complete_graph_commits_at_most_one_per_round() {
         &space,
         ExecutorConfig {
             workers: 1,
-            policy: ConflictPolicy::FirstWins,
             ..ExecutorConfig::default()
         },
     );

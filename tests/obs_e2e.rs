@@ -20,7 +20,7 @@ use optpar::core::control::{Controller, HybridController, HybridParams};
 use optpar::graph::gen;
 use optpar::runtime::obs::{export, validate, EventKind, EventLog, ObsConfig, RoundCheck};
 use optpar::runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, Operator, PipelinedConfig, TaskCtx, WorkSet,
+    Abort, Executor, ExecutorConfig, Operator, PipelinedConfig, TaskCtx, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +36,6 @@ fn controller() -> HybridController {
 fn config(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
         workers,
-        policy: ConflictPolicy::FirstWins,
         ..ExecutorConfig::default()
     }
 }

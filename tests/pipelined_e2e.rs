@@ -27,7 +27,7 @@ use optpar::apps::sssp::{SsspInput, SsspOp};
 use optpar::apps::triangulation::Mesh;
 use optpar::core::control::{HybridController, HybridParams};
 use optpar::graph::gen;
-use optpar::runtime::{ConflictPolicy, Executor, ExecutorConfig, PipelinedConfig, WorkSet};
+use optpar::runtime::{Executor, ExecutorConfig, PipelinedConfig, WorkSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,7 +42,6 @@ fn controller() -> HybridController {
 fn config(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
         workers,
-        policy: ConflictPolicy::FirstWins,
         ..ExecutorConfig::default()
     }
 }

@@ -28,8 +28,7 @@ use optpar::core::partition::bfs_partition;
 use optpar::graph::gen;
 use optpar::graph::{ConflictGraph, CsrGraph};
 use optpar::runtime::{
-    ConflictPolicy, Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig, ShardMap,
-    WorkSet,
+    Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig, ShardMap, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +40,6 @@ const K: usize = 8;
 fn cfg(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
         workers,
-        policy: ConflictPolicy::FirstWins,
         ..ExecutorConfig::default()
     }
 }
@@ -257,7 +255,6 @@ fn shard_affine_requeue_preserves_dead_letter_bound() {
         &space,
         ExecutorConfig {
             workers: 4,
-            policy: ConflictPolicy::FirstWins,
             dead_letter_budget: k_budget,
             ..ExecutorConfig::default()
         },
