@@ -29,10 +29,7 @@ const SPAWN_ALLOWLIST: &[&str] = &["crates/runtime/src/pool.rs"];
 /// index is a *physical* position, so "obvious" logical indexing is
 /// silently wrong. All other code goes through `TaskCtx`
 /// read/write/lock (or `lock_of` for lock addressing).
-const SLOT_PTR_ALLOWLIST: &[&str] = &[
-    "crates/runtime/src/store.rs",
-    "crates/runtime/src/task.rs",
-];
+const SLOT_PTR_ALLOWLIST: &[&str] = &["crates/runtime/src/store.rs", "crates/runtime/src/task.rs"];
 
 /// Round-critical files in which `Instant::now` is banned.
 ///

@@ -52,26 +52,34 @@ impl SsspInput {
         }
     }
 
-    /// Dense (per-node-sorted) weight lookup table: for each node, the
-    /// weights aligned with its neighbour slice.
-    fn weight_table(&self) -> Vec<Vec<u64>> {
-        use std::collections::HashMap;
-        let mut wmap: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-        for ((u, v), &w) in self.graph.edge_list().into_iter().zip(&self.weights) {
-            wmap.insert((u, v), w);
+    /// Arc weights aligned with every node's neighbour slice, built in
+    /// one pass over the CSR: edge-list order is canonical `u < v` in
+    /// neighbour order, so edge `k`'s forward arc is met in sequence
+    /// and its reverse arc is a binary search in `v`'s sorted slice.
+    fn weight_table(&self) -> ArcWeights {
+        let g = &self.graph;
+        let n = g.node_count();
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0usize);
+        for u in 0..n {
+            off.push(off[u] + g.degree(u as NodeId));
         }
-        (0..self.graph.node_count() as NodeId)
-            .map(|u| {
-                self.graph
-                    .neighbors_slice(u)
-                    .iter()
-                    .map(|&v| {
-                        let key = if u < v { (u, v) } else { (v, u) };
-                        wmap[&key]
-                    })
-                    .collect()
-            })
-            .collect()
+        let mut w = vec![0u64; off[n]];
+        let mut edge_weights = self.weights.iter();
+        for u in 0..n as NodeId {
+            for (i, &v) in g.neighbors_slice(u).iter().enumerate() {
+                if u < v {
+                    let &wk = edge_weights.next().expect("one weight per edge");
+                    let back = g
+                        .neighbors_slice(v)
+                        .binary_search(&u)
+                        .expect("CSR adjacency is symmetric and sorted");
+                    w[off[u as usize] + i] = wk;
+                    w[off[v as usize] + back] = wk;
+                }
+            }
+        }
+        ArcWeights { off, w }
     }
 
     /// Sequential Dijkstra reference.
@@ -87,8 +95,8 @@ impl SsspInput {
             if d > dist[u as usize] {
                 continue; // stale entry
             }
-            for (i, &v) in self.graph.neighbors_slice(u).iter().enumerate() {
-                let nd = d + wt[u as usize][i];
+            for (&v, &w) in self.graph.neighbors_slice(u).iter().zip(wt.of(u)) {
+                let nd = d + w;
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
                     heap.push(std::cmp::Reverse((nd, v)));
@@ -99,6 +107,19 @@ impl SsspInput {
     }
 }
 
+/// Per-arc weights in one flat array: node `u`'s slice lines up with
+/// `graph.neighbors_slice(u)`.
+struct ArcWeights {
+    off: Vec<usize>,
+    w: Vec<u64>,
+}
+
+impl ArcWeights {
+    fn of(&self, u: NodeId) -> &[u64] {
+        &self.w[self.off[u as usize]..self.off[u as usize + 1]]
+    }
+}
+
 /// The speculative SSSP operator.
 pub struct SsspOp {
     /// The input instance.
@@ -106,7 +127,7 @@ pub struct SsspOp {
     /// Tentative distances.
     pub dist: SpecStore<u64>,
     /// Per-node weight table (immutable).
-    weights: Vec<Vec<u64>>,
+    weights: ArcWeights,
 }
 
 impl SsspOp {
@@ -180,8 +201,9 @@ impl Operator for SsspOp {
             return Ok(vec![]); // stale task: our improvement was undone? impossible — just unreached duplicates
         }
         let mut spawn = Vec::new();
+        let weights = self.weights.of(u);
         for (i, &v) in self.input.graph.neighbors_slice(u).iter().enumerate() {
-            let nd = du + self.weights[ui][i];
+            let nd = du + weights[i];
             let slot = v as usize;
             cx.lock(&self.dist, slot)?;
             if nd < *cx.read(&self.dist, slot)? {

@@ -4,8 +4,7 @@
 //! average — expected-MIS size wildly over-predicts exploitable
 //! parallelism.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin ex1_clique_trap
-//! [trials] [--csv]`
+//! Usage: `repro ex1 [trials] [--csv]`
 
 use optpar_bench::{f, Table, SEED};
 use optpar_core::estimate;
@@ -13,11 +12,8 @@ use optpar_graph::{gen, mis, ConflictGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4000);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let trials: usize = arg.unwrap_or(4000);
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut table = Table::new([
         "n",
@@ -44,7 +40,7 @@ fn main() {
         ]);
     }
     println!("EX1: the clique trap K_{{n²}} ∪ D_n, {trials} trials/row");
-    table.print("Example 1 — maximal IS size vs expected commits");
+    table.print("Example 1 — maximal IS size vs expected commits", csv);
     println!(
         "\nPaper's claim: E[commits] → 2 as n grows, despite max IS = n+1.\n\
          (Expected independent survivors among m = n+1 uniform draws: ≈ 1 from\n\

@@ -10,8 +10,7 @@
 //! (Prop. 2); the random graph's curve keeps rising toward 1, the
 //! clique union saturates lower, and the bound dominates both.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin fig2_conflict_ratio
-//! [trials] [--csv]`
+//! Usage: `repro fig2 [trials] [--csv]`
 
 use optpar_bench::{f, pct, Table, SEED};
 use optpar_core::{estimate, theory};
@@ -19,11 +18,8 @@ use optpar_graph::{gen, ConflictGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2000);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let trials: usize = arg.unwrap_or(2000);
     let (n, d) = (2000usize, 16usize);
     let mut rng = StdRng::seed_from_u64(SEED);
 
@@ -65,7 +61,7 @@ fn main() {
         random.average_degree(),
         union.average_degree()
     );
-    table.print("Fig. 2 — conflict ratio curves");
+    table.print("Fig. 2 — conflict ratio curves", csv);
 
     // Prop. 2 cross-check: initial slope of every curve.
     let slope = theory::initial_slope(n, d as f64);

@@ -7,8 +7,7 @@
 //! within ~15 rounds and stays stable; A-only creeps up over many more
 //! rounds. Both settle near the same `μ`.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin fig3_controller
-//! [rounds] [--csv]`
+//! Usage: `repro fig3 [rounds] [--csv]`
 
 use optpar_bench::{downsample, f, sparkline, Table, SEED};
 use optpar_core::control::{HybridController, HybridParams, RecurrenceA, RecurrenceParams};
@@ -18,11 +17,8 @@ use optpar_graph::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let rounds: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(120);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let rounds: usize = arg.unwrap_or(120);
     let n = 2000;
     let rho = 0.20;
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -59,7 +55,7 @@ fn main() {
                 f(tr_a.steps[t].r, 3),
             ]);
         }
-        table.print(&format!("Fig. 3 — {label}, ρ = 20%, μ ≈ {mu}"));
+        table.print(&format!("Fig. 3 — {label}, ρ = 20%, μ ≈ {mu}"), csv);
 
         let conv = |tr: &SimTrace| {
             tr.convergence_round(mu, 0.25, 4)

@@ -6,8 +6,7 @@
 //! which is what licenses initializing the controller at
 //! `m₀ = n/(2(d+1))`.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin cor3_alpha_bound
-//! [trials] [--csv]`
+//! Usage: `repro tab-c3 [trials] [--csv]`
 
 use optpar_bench::{f, pct, Table, SEED};
 use optpar_core::{estimate, theory};
@@ -15,11 +14,8 @@ use optpar_graph::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(20_000);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let trials: usize = arg.unwrap_or(20_000);
     let mut rng = StdRng::seed_from_u64(SEED);
     let (n, d) = (1020usize, 16usize);
     let worst = gen::clique_union(n, d);
@@ -54,7 +50,7 @@ fn main() {
         ]);
     }
     println!("TAB-C3: Cor. 3 α-parametric bound, n = {n}, d = {d}, s = {s}, {trials} trials/point");
-    table.print("Cor. 3 — r̄(αs) vs bound");
+    table.print("Cor. 3 — r̄(αs) vs bound", csv);
     println!(
         "\nSmart start: bound at α = ½ is {} (paper: ≤ 21.3%), so m₀ = n/(2(d+1)) = {} is safe.",
         pct(theory::rbar_alpha_limit(0.5)),

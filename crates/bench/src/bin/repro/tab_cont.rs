@@ -17,8 +17,7 @@
 //! the controller opens the budget wide — read the continuous rows as
 //! a lower bound that grows with real core counts.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin
-//! ablation_continuous [--csv]`
+//! Usage: `repro tab-cont [--csv]`
 
 use optpar_apps::ccmirror::CcMirror;
 use optpar_bench::{f, pct, Table, SEED};
@@ -67,7 +66,7 @@ fn drain<C: Controller + Send>(continuous: bool, ctl: &mut C, seed: u64) -> RunS
     }
 }
 
-fn main() {
+pub fn run(csv: bool) {
     let mut table = Table::new(["mode", "allocation", "steady/overall r", "committed"]);
     let mode = |continuous: bool| if continuous { "continuous" } else { "round" };
 
@@ -100,5 +99,5 @@ fn main() {
     println!(
         "TAB-CONT: round vs continuous execution, CC-mirror on n = {N}, d = 12, {WORKERS} workers"
     );
-    table.print("ablation — what round co-residency costs");
+    table.print("ablation — what round co-residency costs", csv);
 }

@@ -8,8 +8,7 @@
 //! Expected shape: hybrid ≈ B ≪ A; bisection in between; smart start
 //! cuts the remaining gap.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin convergence_table
-//! [reps] [--csv]`
+//! Usage: `repro tab-conv [reps] [--csv]`
 
 use optpar_bench::{f, Table, SEED};
 use optpar_core::control::{
@@ -48,11 +47,8 @@ fn fmt(x: &[Option<usize>]) -> String {
     }
 }
 
-fn main() {
-    let reps: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(10);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let reps: usize = arg.unwrap_or(10);
     let mut rng = StdRng::seed_from_u64(SEED);
 
     let mut table = Table::new([
@@ -109,5 +105,5 @@ fn main() {
         }
     }
     println!("TAB-CONV: mean rounds to converge (|m−μ|/μ ≤ 25% held 4 rounds), {reps} reps");
-    table.print("§4.1 — controller convergence comparison");
+    table.print("§4.1 — controller convergence comparison", csv);
 }

@@ -3,8 +3,7 @@
 //! (which this repo's ordered scheduler achieves exactly), plus the
 //! hybrid controller steering an ordered PDES workload.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin ordered_window
-//! [trials] [--csv]`
+//! Usage: `repro tab-ord [trials] [--csv]`
 
 use optpar_bench::{f, pct, Table, SEED};
 use optpar_core::control::{Controller, HybridController, HybridParams};
@@ -14,11 +13,8 @@ use optpar_graph::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4000);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let trials: usize = arg.unwrap_or(4000);
     let mut rng = StdRng::seed_from_u64(SEED);
     let (n, d) = (2000usize, 16.0);
     let g = gen::random_with_avg_degree(n, d, &mut rng);
@@ -36,7 +32,7 @@ fn main() {
         ]);
     }
     println!("TAB-ORD: ordered vs unordered parallelism, n = {n}, d = {d}");
-    table.print("§5 extension — what commit ordering costs");
+    table.print("§5 extension — what commit ordering costs", csv);
 
     // Part 2: controller on an ordered PDES workload.
     let wl = PdesWorkload {
@@ -90,5 +86,5 @@ fn main() {
             pct(sched.total_aborted as f64 / sched.total_launched.max(1) as f64),
         ]);
     }
-    table.print("§5 extension — adaptive window on ordered PDES");
+    table.print("§5 extension — adaptive window on ordered PDES", csv);
 }

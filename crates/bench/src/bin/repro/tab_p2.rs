@@ -5,8 +5,7 @@
 //! `Δr̄(1) = r̄(2) − r̄(1) = r̄(2)` is estimated by Monte-Carlo at
 //! `m = 2` across structurally different families with matched (n, d).
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin prop2_initial_slope
-//! [trials] [--csv]`
+//! Usage: `repro tab-p2 [trials] [--csv]`
 
 use optpar_bench::{f, Table, SEED};
 use optpar_core::{estimate, theory};
@@ -14,11 +13,8 @@ use optpar_graph::{gen, ConflictGraph, CsrGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2_000_000);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let trials: usize = arg.unwrap_or(2_000_000);
     let mut rng = StdRng::seed_from_u64(SEED);
     let n = 600;
     let d = 12usize;
@@ -71,5 +67,5 @@ fn main() {
         ]);
     }
     println!("TAB-P2: Prop. 2 initial-slope validation, {trials} trials/row");
-    table.print("Prop. 2 — Δr̄(1) = d / (2(n−1)) across families");
+    table.print("Prop. 2 — Δr̄(1) = d / (2(n−1)) across families", csv);
 }

@@ -7,8 +7,7 @@
 //! (maximum speculation) and counting commits — the per-step count of
 //! cavities an oracle could refine conflict-free.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin profile_delaunay
-//! [points] [--csv]`
+//! Usage: `repro tab-prof [points] [--csv]`
 
 use optpar_apps::delaunay::{DelaunayOp, RefineConfig};
 use optpar_apps::geometry::Point;
@@ -18,11 +17,8 @@ use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    let npts: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(150);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let npts: usize = arg.unwrap_or(150);
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut pts = vec![
         Point::new(0.0, 0.0),
@@ -62,7 +58,10 @@ fn main() {
         "TAB-PROF: Delaunay refinement oracle parallelism, {} initial points, max_area = {}",
         npts, cfg.max_area
     );
-    table.print("§4.1 — available-parallelism profile of mesh refinement");
+    table.print(
+        "§4.1 — available-parallelism profile of mesh refinement",
+        csv,
+    );
 
     let as_f64: Vec<f64> = profile.iter().map(|&x| x as f64).collect();
     let peak = profile.iter().copied().max().unwrap_or(0);

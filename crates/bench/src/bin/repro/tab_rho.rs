@@ -6,8 +6,7 @@
 //! lower efficiency; the paper recommends ρ ∈ [20%, 30%], and ρ → 0
 //! collapses the allocation toward m_min (why ρ = 0 is ruled out).
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin rho_sweep
-//! [rounds] [--csv]`
+//! Usage: `repro tab-rho [rounds] [--csv]`
 
 use optpar_bench::{f, pct, Table, SEED};
 use optpar_core::control::{HybridController, HybridParams};
@@ -17,11 +16,8 @@ use optpar_graph::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let rounds: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(600);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let rounds: usize = arg.unwrap_or(600);
     let mut rng = StdRng::seed_from_u64(SEED);
     let (n, d) = (2000usize, 16.0);
     let g = gen::random_with_avg_degree(n, d, &mut rng);
@@ -59,5 +55,5 @@ fn main() {
         ]);
     }
     println!("TAB-RHO: target sweep on n = {n}, d = {d}, {rounds} rounds each");
-    table.print("Remark 1 — choosing ρ: parallelism vs efficiency");
+    table.print("Remark 1 — choosing ρ: parallelism vs efficiency", csv);
 }

@@ -10,8 +10,7 @@
 //! the best fixed point *without knowing it in advance*, pinning the
 //! abort ratio near ρ.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin runtime_endtoend
-//! [--csv]`
+//! Usage: `repro tab-rt [--csv]`
 
 use optpar_apps::boruvka::{BoruvkaOp, WeightedGraph};
 use optpar_apps::clustering::{blobs, ClusteringOp};
@@ -54,7 +53,7 @@ fn report(table: &mut Table, app: &str, policy: &str, run: &RunStats) {
     ]);
 }
 
-fn main() {
+pub fn run(csv: bool) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut table = Table::new([
         "app",
@@ -268,5 +267,8 @@ fn main() {
     }
 
     println!("TAB-RT: end-to-end runtime comparison, ρ = 25%, workers = default");
-    table.print("§5 — adaptive allocation inside the real speculative runtime");
+    table.print(
+        "§5 — adaptive allocation inside the real speculative runtime",
+        csv,
+    );
 }

@@ -4,8 +4,7 @@
 //! bound vs Monte-Carlo simulation, converging to the Freedman–Shepp
 //! density limit `(1 − e⁻²)/2 ≈ 0.4323`.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin seating_table
-//! [trials] [--csv]`
+//! Usage: `repro tab-seat [trials] [--csv]`
 
 use optpar_bench::{f, Table, SEED};
 use optpar_core::seating;
@@ -14,11 +13,8 @@ use optpar_graph::{mis, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4000);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let trials: usize = arg.unwrap_or(4000);
     let mut rng = StdRng::seed_from_u64(SEED);
 
     let mut table = Table::new([
@@ -51,7 +47,7 @@ fn main() {
         ]);
     }
     println!("TAB-SEAT: unfriendly seating exact DP vs simulation, {trials} trials/row");
-    table.print("§3 connection — unfriendly seating on paths/cycles");
+    table.print("§3 connection — unfriendly seating on paths/cycles", csv);
     println!(
         "\nDensity limit (1 − e⁻²)/2 = {:.5}; exact path density converges to it\n\
          from above, and always exceeds the Turán bound 1/3.",

@@ -5,8 +5,7 @@
 //! Also verifies Thm. 2's direction on a random graph with matched
 //! (n, d): `EM_m(G) ≥ EM_m(K_d^n)`.
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin thm3_worst_case
-//! [trials] [--csv]`
+//! Usage: `repro tab-t3 [trials] [--csv]`
 
 use optpar_bench::{f, Table, SEED};
 use optpar_core::{estimate, theory};
@@ -14,11 +13,8 @@ use optpar_graph::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let trials: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(20_000);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let trials: usize = arg.unwrap_or(20_000);
     let mut rng = StdRng::seed_from_u64(SEED);
     let (n, d) = (1020usize, 16usize); // 17 | 1020: s = 60 cliques
     let worst = gen::clique_union(n, d);
@@ -50,5 +46,8 @@ fn main() {
         ]);
     }
     println!("TAB-T3: worst-case closed forms, n = {n}, d = {d}, {trials} trials/point");
-    table.print("Thm. 3 / Cor. 2 — EM_m(K_d^n) exact vs simulated, Thm. 2 direction");
+    table.print(
+        "Thm. 3 / Cor. 2 — EM_m(K_d^n) exact vs simulated, Thm. 2 direction",
+        csv,
+    );
 }

@@ -13,8 +13,7 @@
 //! of the phase (tracking error) and the response lag (rounds until
 //! within 25% of the new μ after each phase switch).
 //!
-//! Usage: `cargo run --release -p optpar-bench --bin tracking_dynamic
-//! [rounds_per_phase] [--csv]`
+//! Usage: `repro tab-track [rounds_per_phase] [--csv]`
 
 use optpar_bench::{pct, Table, SEED};
 use optpar_core::control::{
@@ -61,11 +60,8 @@ fn evaluate<C: Controller>(
     }
 }
 
-fn main() {
-    let rpp: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(80);
+pub fn run(arg: Option<usize>, csv: bool) {
+    let rpp: usize = arg.unwrap_or(80);
     let rho = 0.20;
     let mut rng = StdRng::seed_from_u64(SEED);
 
@@ -160,5 +156,5 @@ fn main() {
     );
 
     println!("TAB-TRACK: dynamic tracking, ρ = 20%, {rpp} rounds/phase");
-    table.print("§4.1 — tracking abrupt parallelism changes");
+    table.print("§4.1 — tracking abrupt parallelism changes", csv);
 }

@@ -1,9 +1,8 @@
-//! Shared harness utilities for the experiment binaries and Criterion
-//! benches.
+//! Shared table/series helpers for the `repro` binary.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! DESIGN.md §4 and EXPERIMENTS.md) and prints aligned text tables plus
-//! optional CSV (`--csv` flag) so the series can be re-plotted.
+//! Each `repro` experiment regenerates one table or figure of the
+//! paper (see DESIGN.md §4 and EXPERIMENTS.md) and prints aligned text
+//! tables plus optional CSV (`--csv`) so the series can be re-plotted.
 
 use std::fmt::Write as _;
 
@@ -103,11 +102,11 @@ impl Table {
         out
     }
 
-    /// Print the table (and CSV too when `--csv` was passed).
-    pub fn print(&self, title: &str) {
+    /// Print the table, and its CSV too when `csv` is set.
+    pub fn print(&self, title: &str, csv: bool) {
         println!("\n== {title} ==");
         print!("{}", self.render());
-        if std::env::args().any(|a| a == "--csv") {
+        if csv {
             println!("\n--- csv ---\n{}", self.to_csv());
         }
     }

@@ -586,99 +586,6 @@ impl Controller for BisectionController {
     }
 }
 
-// ---------------------------------------------------------------------
-// PID baseline
-// ---------------------------------------------------------------------
-
-/// Gains for [`PidController`].
-#[derive(Clone, Copy, Debug)]
-pub struct PidGains {
-    /// Proportional gain on the normalized error `(ρ − r)/ρ`.
-    pub kp: f64,
-    /// Integral gain (with anti-windup clamping of the accumulator).
-    pub ki: f64,
-    /// Derivative gain on the error difference.
-    pub kd: f64,
-}
-
-impl Default for PidGains {
-    fn default() -> Self {
-        PidGains {
-            kp: 0.6,
-            ki: 0.15,
-            kd: 0.0,
-        }
-    }
-}
-
-/// A textbook discrete PI(D) controller, included as a
-/// control-theoretic baseline the paper's hybrid can be compared
-/// against (the hybrid is effectively a gain-scheduled nonlinear
-/// controller; PID is the "what a control engineer would try first"
-/// strawman).
-///
-/// The update is multiplicative — `m ← ⌈m·(1 + u)⌉` with
-/// `u = Kp·e + Ki·Σe + Kd·Δe`, `e = (ρ − r̄_window)/ρ` — because the
-/// plant gain of `r̄(m)` is itself roughly proportional to `m` in the
-/// operating region (the Fig. 2 initial linearity).
-#[derive(Clone, Debug)]
-pub struct PidController {
-    p: RecurrenceParams,
-    g: PidGains,
-    m: usize,
-    win: Window,
-    integral: f64,
-    prev_err: Option<f64>,
-}
-
-impl PidController {
-    /// Build with the given bounds/window parameters and gains.
-    pub fn new(p: RecurrenceParams, g: PidGains) -> Self {
-        p.validate();
-        PidController {
-            m: p.m0,
-            win: Window::new(p.window),
-            integral: 0.0,
-            prev_err: None,
-            p,
-            g,
-        }
-    }
-}
-
-impl Controller for PidController {
-    fn current_m(&self) -> usize {
-        self.m
-    }
-
-    fn observe(&mut self, r: f64, launched: usize) {
-        if launched == 0 {
-            return;
-        }
-        let Some(avg) = self.win.push(r) else {
-            return;
-        };
-        let e = (self.p.rho - avg) / self.p.rho;
-        self.integral = (self.integral + e).clamp(-10.0, 10.0);
-        let de = self.prev_err.map_or(0.0, |p| e - p);
-        self.prev_err = Some(e);
-        let u = self.g.kp * e + self.g.ki * self.integral + self.g.kd * de;
-        // Bound the multiplicative step to keep the loop stable even
-        // with aggressive gains.
-        let factor = (1.0 + u).clamp(0.25, 4.0);
-        let next = (self.m as f64 * factor).ceil() as usize;
-        self.m = clamp_m(next, self.p.m_min, self.p.m_max);
-    }
-
-    fn target_rho(&self) -> Option<f64> {
-        Some(self.p.rho)
-    }
-
-    fn name(&self) -> &'static str {
-        "pid"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,51 +839,6 @@ mod tests {
             (m as f64 - 200.0).abs() / 200.0 <= 0.15,
             "bisection settled at {m}"
         );
-    }
-
-    #[test]
-    fn pid_converges_on_synthetic_plant() {
-        let plant = |m: usize| (m as f64 / 1000.0).min(0.9);
-        let mut c = PidController::new(
-            RecurrenceParams {
-                rho: 0.2,
-                ..RecurrenceParams::default()
-            },
-            PidGains::default(),
-        );
-        let mut last = 0;
-        for _ in 0..400 {
-            let m = c.current_m();
-            c.observe(plant(m), m);
-            last = c.current_m();
-        }
-        assert!(
-            (last as f64 - 200.0).abs() / 200.0 <= 0.15,
-            "PID settled at {last}"
-        );
-    }
-
-    #[test]
-    fn pid_respects_clamps_and_antiwindup() {
-        let mut c = PidController::new(
-            RecurrenceParams {
-                rho: 0.2,
-                ..RecurrenceParams::default()
-            },
-            PidGains {
-                kp: 5.0,
-                ki: 5.0,
-                kd: 1.0,
-            },
-        );
-        // Saturate low: constant r = 1 forever.
-        feed(&mut c, 1.0, 200);
-        assert_eq!(c.current_m(), 2);
-        // Then recover: the clamped integral must not freeze the loop.
-        feed(&mut c, 0.0, 200);
-        assert!(c.current_m() > 100, "anti-windup failed: {}", c.current_m());
-        assert_eq!(c.name(), "pid");
-        assert_eq!(c.target_rho(), Some(0.2));
     }
 
     #[test]

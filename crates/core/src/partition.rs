@@ -152,11 +152,7 @@ pub fn bfs_partition(g: &CsrGraph, k: usize, imbalance: f64) -> Partition {
         let fits = (0..k)
             .filter(|&b| loads[b] + size <= cap)
             .min_by_key(|&b| (loads[b], b));
-        let bin = fits.unwrap_or_else(|| {
-            (0..k)
-                .min_by_key(|&b| (loads[b], b))
-                .expect("k >= 1")
-        });
+        let bin = fits.unwrap_or_else(|| (0..k).min_by_key(|&b| (loads[b], b)).expect("k >= 1"));
         loads[bin] += size;
         part_of_piece[p as usize] = bin as u32;
     }
@@ -164,14 +160,6 @@ pub fn bfs_partition(g: &CsrGraph, k: usize, imbalance: f64) -> Partition {
         .iter()
         .map(|&p| part_of_piece[p as usize])
         .collect();
-    Partition::from_parts(g, parts, k)
-}
-
-/// The status-quo baseline: node `v` on part `v mod k` — the same
-/// placement the pipelined executor's round-robin spawn induces.
-pub fn round_robin(g: &CsrGraph, k: usize) -> Partition {
-    assert!(k >= 1, "k must be at least 1");
-    let parts: Vec<u32> = (0..g.node_count() as u32).map(|v| v % k as u32).collect();
     Partition::from_parts(g, parts, k)
 }
 
@@ -188,18 +176,6 @@ mod tests {
         assert_eq!(p.sizes.iter().sum::<usize>(), 1600);
         let cap = ((1600f64 / 8.0).ceil() * 1.25).ceil() as usize;
         assert!(p.sizes.iter().all(|&s| s <= cap), "sizes {:?}", p.sizes);
-    }
-
-    #[test]
-    fn grid_cut_far_below_round_robin() {
-        let g = gen::grid2d_diag(64, 64);
-        let bfs = bfs_partition(&g, 8, 1.25);
-        let rr = round_robin(&g, 8);
-        assert!(bfs.cut_fraction() < 0.2, "bfs cut {}", bfs.cut_fraction());
-        // k = 8 divides the row stride, so vertical edges stay uncut
-        // even under round-robin — the fraction is ~0.75, not ~1.
-        assert!(rr.cut_fraction() > 0.7, "rr cut {}", rr.cut_fraction());
-        assert!(rr.cut_fraction() > 3.0 * bfs.cut_fraction());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! cap in its guaranteed regime, an independent brute-force cut
 //! oracle, and the no-small-component-split guarantee.
 
-use optpar_core::partition::{bfs_partition, round_robin, Partition};
+use optpar_core::partition::{bfs_partition, Partition};
 use optpar_graph::{gen, ConflictGraph, CsrGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,6 +15,13 @@ fn brute_cut(g: &CsrGraph, parts: &[u32]) -> usize {
         .iter()
         .filter(|&&(u, v)| parts[u as usize] != parts[v as usize])
         .count()
+}
+
+/// The status-quo baseline: node `v` on part `v mod k` — the same
+/// placement the pipelined executor's round-robin spawn induces.
+fn round_robin(g: &CsrGraph, k: usize) -> Partition {
+    let parts: Vec<u32> = (0..g.node_count() as u32).map(|v| v % k as u32).collect();
+    Partition::from_parts(g, parts, k)
 }
 
 fn check_coverage(p: &Partition, n: usize, k: usize) -> Result<(), TestCaseError> {
@@ -116,4 +123,16 @@ fn cut_oracle_at_ten_thousand_nodes() {
             assert!(bfs.cut_edges <= rr.cut_edges, "k={k}: bfs worse than rr");
         }
     }
+}
+
+#[test]
+fn grid_cut_far_below_round_robin() {
+    let g = gen::grid2d_diag(64, 64);
+    let bfs = bfs_partition(&g, 8, 1.25);
+    let rr = round_robin(&g, 8);
+    assert!(bfs.cut_fraction() < 0.2, "bfs cut {}", bfs.cut_fraction());
+    // k = 8 divides the row stride, so vertical edges stay uncut
+    // even under round-robin — the fraction is ~0.75, not ~1.
+    assert!(rr.cut_fraction() > 0.7, "rr cut {}", rr.cut_fraction());
+    assert!(rr.cut_fraction() > 3.0 * bfs.cut_fraction());
 }

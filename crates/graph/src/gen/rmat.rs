@@ -116,10 +116,7 @@ mod tests {
         let g = rmat(12, 8, 1);
         let avg = g.average_degree();
         let max = g.max_degree() as f64;
-        assert!(
-            max >= 6.0 * avg,
-            "expected skew: max {max} vs avg {avg}"
-        );
+        assert!(max >= 6.0 * avg, "expected skew: max {max} vs avg {avg}");
     }
 
     #[test]

@@ -66,7 +66,11 @@ fn geometric_build_allocation_count_is_flat() {
     // Warm-up build outside the measurement window (lazy runtime
     // structures, first-touch effects).
     let warm = geometric_from_points(&pts, radius);
-    assert!(warm.edge_count() > n, "degree-8 target produced {} edges", warm.edge_count());
+    assert!(
+        warm.edge_count() > n,
+        "degree-8 target produced {} edges",
+        warm.edge_count()
+    );
 
     let before = ALLOCS.load(Ordering::Acquire);
     let g = geometric_from_points(&pts, radius);

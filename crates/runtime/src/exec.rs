@@ -99,19 +99,23 @@ impl<T> WorkSet<T> {
 
     /// Add one task.
     pub fn push(&mut self, t: T) {
-        self.push_with_retries(t, 0);
-    }
-
-    /// Add one task with a pre-set retry count (test/benchmark hook
-    /// for exercising the aging path without replaying the aborts).
-    pub fn push_with_retries(&mut self, t: T, retries: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.tasks.push(Entry {
             task: t,
-            retries,
+            retries: 0,
             seq,
         });
+    }
+
+    /// Add one task with a pre-set retry count, to exercise the aging
+    /// path without replaying the aborts.
+    #[cfg(test)]
+    fn push_with_retries(&mut self, t: T, retries: u32) {
+        self.push(t);
+        if let Some(e) = self.tasks.last_mut() {
+            e.retries = retries;
+        }
     }
 
     /// Re-queue an entry, preserving its retry count and enqueue

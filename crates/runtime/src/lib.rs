@@ -100,7 +100,7 @@ pub use faults::{silence_injected_panics, FaultKind, FaultPlan, FaultRecord};
 pub use faults::{DeadLetter, FaultCause, FaultLog, TaskFault, DEFAULT_FAULT_LOG_CAP};
 pub use lock::{ConflictPolicy, LockSpace, Region};
 pub use phase::{Deadline, Phase, PhaseBreakdown, PhaseClock, Stopwatch};
-pub use pipelined::{Placement, PipelinedConfig};
+pub use pipelined::{PipelinedConfig, Placement};
 pub use pool::WorkerPool;
 #[cfg(feature = "faults")]
 pub use service::ChaosConfig;

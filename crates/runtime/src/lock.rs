@@ -162,10 +162,6 @@ impl LockSpaceBuilder {
             regions: self.regions,
             #[cfg(feature = "checker")]
             audit: optpar_checker::AuditSink::new(),
-            #[cfg(feature = "obs")]
-            shard_acquires: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
-            shard_crossings: AtomicU64::new(0),
         }
     }
 }
@@ -190,15 +186,6 @@ pub struct LockSpace {
     /// the round barrier runs the lockset/oracle analyses over them.
     #[cfg(feature = "checker")]
     audit: optpar_checker::AuditSink,
-    /// Total acquisitions by tasks that declared a home shard on a
-    /// sharded store (feature `obs`; statistic, `Relaxed` suffices).
-    #[cfg(feature = "obs")]
-    shard_acquires: AtomicU64,
-    /// The subset of `shard_acquires` that landed in a different shard
-    /// than the acquiring task's home — the cross-shard traffic the
-    /// partitioner exists to minimize (feature `obs`).
-    #[cfg(feature = "obs")]
-    shard_crossings: AtomicU64,
 }
 
 impl LockSpace {
@@ -230,9 +217,7 @@ impl LockSpace {
         // the boxed lines form one contiguous array of
         // `lines.len() · LINE_WORDS ≥ words` words; the first `words`
         // of them are the live lock words.
-        unsafe {
-            std::slice::from_raw_parts(self.lines.as_ptr().cast::<AtomicU64>(), self.words)
-        }
+        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<AtomicU64>(), self.words) }
     }
 
     /// The current epoch counter (monotonic; one step per round).
@@ -354,29 +339,6 @@ impl LockSpace {
     #[cfg(feature = "checker")]
     pub fn audit(&self) -> &optpar_checker::AuditSink {
         &self.audit
-    }
-
-    /// Lifetime shard-locality statistics:
-    /// `(shard_homed_acquires, cross_shard_acquires)`. Only tasks
-    /// whose first acquisition hit a sharded store contribute.
-    #[cfg(feature = "obs")]
-    pub fn shard_counts(&self) -> (u64, u64) {
-        (
-            self.shard_acquires.load(Ordering::Relaxed),
-            self.shard_crossings.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Count one shard-homed acquisition, `cross` if it left the
-    /// acquiring task's home shard (`obs` builds only; the caller is
-    /// compiled out otherwise).
-    #[cfg(feature = "obs")]
-    #[inline]
-    pub(crate) fn note_shard_acquire(&self, cross: bool) {
-        self.shard_acquires.fetch_add(1, Ordering::Relaxed);
-        if cross {
-            self.shard_crossings.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Current owner of lock `l`: `None` if free (including words

@@ -1,6 +1,6 @@
 //! Opt-in per-phase wall-clock accounting for the executors.
 //!
-//! The throughput bench attaches a [`PhaseClock`] to an [`Executor`]
+//! The benchmark (`benchmark/`) attaches a [`PhaseClock`] to an [`Executor`]
 //! (via [`Executor::set_phase_clock`]) to split a run's wall-clock
 //! into `draw / execute / commit / wait`, where *wait* is barrier
 //! rendezvous time in round mode and budget-starved or empty-draw

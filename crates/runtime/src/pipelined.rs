@@ -114,6 +114,10 @@ struct Counters {
     /// Tasks retired past the dead-letter budget (subset of
     /// `faulted`, mirroring round mode's accounting).
     dead_lettered: AtomicUsize,
+    /// Tasks spawned by commits and locks taken, mirroring
+    /// [`RoundStats::spawned`] / [`RoundStats::lock_acquires`].
+    spawned: AtomicUsize,
+    lock_acquires: AtomicUsize,
 }
 
 impl Counters {
@@ -124,6 +128,9 @@ impl Counters {
         self.faulted.fetch_add(batch.faulted, Ordering::AcqRel);
         self.dead_lettered
             .fetch_add(batch.dead_lettered, Ordering::AcqRel);
+        self.spawned.fetch_add(batch.spawned, Ordering::AcqRel);
+        self.lock_acquires
+            .fetch_add(batch.lock_acquires, Ordering::AcqRel);
     }
 }
 
@@ -336,6 +343,8 @@ impl<O: Operator> Executor<'_, O> {
             last_aborted: usize,
             last_faulted: usize,
             last_dead_lettered: usize,
+            last_spawned: usize,
+            last_lock_acquires: usize,
             /// Consecutive commit-free windows (watchdog input).
             stalled: u32,
             rounds: Vec<RoundStats>,
@@ -346,6 +355,8 @@ impl<O: Operator> Executor<'_, O> {
             last_aborted: 0,
             last_faulted: 0,
             last_dead_lettered: 0,
+            last_spawned: 0,
+            last_lock_acquires: 0,
             stalled: 0,
             rounds: Vec::new(),
         });
@@ -354,10 +365,14 @@ impl<O: Operator> Executor<'_, O> {
             let a = counters.aborted.load(Ordering::Acquire);
             let f = counters.faulted.load(Ordering::Acquire);
             let dl = counters.dead_lettered.load(Ordering::Acquire);
+            let sp = counters.spawned.load(Ordering::Acquire);
+            let la = counters.lock_acquires.load(Ordering::Acquire);
             let dc = c - st.last_committed;
             let da = a - st.last_aborted;
             let df = f - st.last_faulted;
             let ddl = dl - st.last_dead_lettered;
+            let dsp = sp - st.last_spawned;
+            let dla = la - st.last_lock_acquires;
             let launched = dc + da + df;
             if launched == 0 {
                 return;
@@ -366,6 +381,8 @@ impl<O: Operator> Executor<'_, O> {
             st.last_aborted = a;
             st.last_faulted = f;
             st.last_dead_lettered = dl;
+            st.last_spawned = sp;
+            st.last_lock_acquires = la;
             let m = target.load(Ordering::Acquire);
             let r = (da + df) as f64 / launched as f64;
             st.ctl.observe(r, launched);
@@ -403,8 +420,8 @@ impl<O: Operator> Executor<'_, O> {
                 committed: dc,
                 aborted: da,
                 faulted: df,
-                spawned: 0,
-                lock_acquires: 0,
+                spawned: dsp,
+                lock_acquires: dla,
                 dead_lettered: ddl,
             });
         };
@@ -765,6 +782,34 @@ mod tests {
         assert_eq!(run.total_committed(), n, "the whole chain committed");
         let mut store = store;
         assert!(store.snapshot().iter().all(|&v| v == 1));
+    }
+
+    /// Window stats carry the same `spawned` / `lock_acquires` totals
+    /// round mode reports: a conflict-free chain of `n` one-lock tasks
+    /// spawns `n - 1` successors and takes `n` locks.
+    #[test]
+    fn pipelined_windows_report_spawned_and_lock_acquires() {
+        let n = 10;
+        let mut b = LockSpace::builder();
+        let r = b.region(n);
+        let space = b.build();
+        let store = SpecStore::filled(r, n, 0i64);
+        let op = SpawnChain { store: &store };
+        let ex = Executor::new(&op, &space, exec_cfg(1));
+        let mut ws = WorkSet::from_vec(vec![n - 1]);
+        let run = ex.run_pipelined(
+            &mut ws,
+            &mut FixedController::new(4),
+            PipelinedConfig {
+                window: 4,
+                ..PipelinedConfig::default()
+            },
+            &mut StdRng::seed_from_u64(6),
+        );
+        assert_eq!(run.total_committed(), n);
+        let total = |f: fn(&RoundStats) -> usize| run.rounds.iter().map(f).sum::<usize>();
+        assert_eq!(total(|r| r.spawned), n - 1);
+        assert_eq!(total(|r| r.lock_acquires), n);
     }
 
     /// Conflict-free operator with one "wedged" task that spins until

@@ -526,9 +526,7 @@ mod tests {
                 // Wait for the publish, then race the teardown. (If
                 // this thread was descheduled across the whole job,
                 // the publish is gone again: stop waiting for it.)
-                while recover(pool_ref.shared.state.lock()).job.is_none()
-                    && !submit.is_finished()
-                {
+                while recover(pool_ref.shared.state.lock()).job.is_none() && !submit.is_finished() {
                     std::thread::yield_now();
                 }
                 let wedged = pool_ref.shutdown(Duration::from_secs(5));

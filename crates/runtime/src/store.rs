@@ -167,16 +167,6 @@ impl<T> SpecStore<T> {
         self.region.lock_of(self.phys(i))
     }
 
-    /// Shard of logical slot `i` (`0` when unsharded: the whole store
-    /// is one shard).
-    #[inline]
-    pub fn shard_of(&self, i: usize) -> usize {
-        match &self.shard {
-            Some(m) => m.part_of(i),
-            None => 0,
-        }
-    }
-
     /// Capacity (total slots ever available).
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -368,9 +358,11 @@ mod tests {
         // Lock routing follows the permutation: same-shard neighbours
         // map to adjacent physical locks, cross-shard ones do not.
         assert_eq!(s.lock_of(2), s.lock_of(0) + 1);
-        assert_eq!(s.shard_of(0), 0);
-        assert_eq!(s.shard_of(1), 1);
-        assert_ne!(s.lock_of(0) / 64, s.lock_of(1) / 64, "shard slabs share a line");
+        assert_ne!(
+            s.lock_of(0) / 64,
+            s.lock_of(1) / 64,
+            "shard slabs share a line"
+        );
     }
 
     #[test]

@@ -99,12 +99,6 @@ pub struct TaskCtx<'rt> {
     /// every context operation).
     #[cfg(feature = "faults")]
     inject: Option<crate::faults::ArmedFault<'rt>>,
-    /// Home shard of this task: the shard of the first lock it
-    /// acquired through a store. Fresh acquisitions in any *other*
-    /// shard are booked as cross-shard crossings on the
-    /// [`LockSpace`] — the scale harness's locality metric.
-    #[cfg(feature = "obs")]
-    home_shard: Option<usize>,
     /// This worker's event-ring probe (feature `obs`): lock
     /// acquisitions and contentions are recorded through it.
     #[cfg(feature = "obs")]
@@ -160,8 +154,6 @@ impl<'rt> TaskCtx<'rt> {
             trace: optpar_checker::TaskTrace::new(slot, trace_epoch),
             #[cfg(feature = "faults")]
             inject: None,
-            #[cfg(feature = "obs")]
-            home_shard: None,
             #[cfg(feature = "obs")]
             probe: None,
             #[cfg(feature = "obs")]
@@ -236,25 +228,7 @@ impl<'rt> TaskCtx<'rt> {
     /// the data (useful for cautious operators that lock their whole
     /// neighbourhood up front).
     pub fn lock<T>(&mut self, store: &SpecStore<T>, i: usize) -> Result<(), Abort> {
-        let l = store.lock_of(i);
-        #[cfg(feature = "obs")]
-        let before = self.acquires;
-        self.lock_raw(l)?;
-        #[cfg(feature = "obs")]
-        self.note_shard(store.shard_of(i), before);
-        Ok(())
-    }
-
-    /// Book a fresh store acquisition against this task's home shard
-    /// (the shard of its first acquisition — a placement-independent
-    /// definition that works identically in round and pipelined
-    /// modes). Re-acquisitions (`acquires` unchanged) don't count.
-    #[cfg(feature = "obs")]
-    fn note_shard(&mut self, shard: usize, acquires_before: usize) {
-        if self.acquires > acquires_before {
-            let home = *self.home_shard.get_or_insert(shard);
-            self.space.note_shard_acquire(shard != home);
-        }
+        self.lock_raw(store.lock_of(i))
     }
 
     /// Acquire a raw lock index.
@@ -325,11 +299,7 @@ impl<'rt> TaskCtx<'rt> {
     /// lock transitions.
     pub fn read<'c, T: Send>(&'c mut self, store: &SpecStore<T>, i: usize) -> Result<&'c T, Abort> {
         let l = store.lock_of(i);
-        #[cfg(feature = "obs")]
-        let before = self.acquires;
         self.lock_raw(l)?;
-        #[cfg(feature = "obs")]
-        self.note_shard(store.shard_of(i), before);
         #[cfg(feature = "checker")]
         self.trace_access(l, optpar_checker::AccessKind::Read);
         // SAFETY: `lock_raw` succeeded, so this task holds the abstract
@@ -359,11 +329,7 @@ impl<'rt> TaskCtx<'rt> {
         i: usize,
     ) -> Result<&'c mut T, Abort> {
         let l = store.lock_of(i);
-        #[cfg(feature = "obs")]
-        let before = self.acquires;
         self.lock_raw(l)?;
-        #[cfg(feature = "obs")]
-        self.note_shard(store.shard_of(i), before);
         #[cfg(feature = "checker")]
         self.trace_access(l, optpar_checker::AccessKind::Write);
         let ptr = store.slot_ptr(i);
@@ -609,29 +575,6 @@ mod tests {
             )),
             "expected a race on lock 0 naming tasks 0 and 1: {reports:?}"
         );
-    }
-
-    /// Home shard = shard of the first acquisition; later fresh
-    /// acquisitions in other shards are crossings, re-acquisitions
-    /// count nothing.
-    #[cfg(feature = "obs")]
-    #[test]
-    fn cross_shard_acquires_are_counted() {
-        use crate::shard::ShardMap;
-        use std::sync::Arc;
-        let map = Arc::new(ShardMap::from_parts(&[0u32, 0, 1, 1], 2));
-        let mut b = LockSpace::builder();
-        let r = b.region_aligned(map.padded_len());
-        let space = b.build();
-        let store = SpecStore::new_sharded(r, vec![0u32; 4], 0, map);
-        let mut cx = TaskCtx::new(0, &space);
-        cx.lock(&store, 1).unwrap(); // home shard = 0
-        cx.lock(&store, 0).unwrap(); // same shard
-        *cx.write(&store, 2).unwrap() = 1; // cross into shard 1
-        cx.lock(&store, 2).unwrap(); // re-acquire: no count
-        assert_eq!(space.shard_counts(), (3, 1));
-        cx.finish_abort();
-        assert!(space.check_all_free().is_ok());
     }
 
     #[test]

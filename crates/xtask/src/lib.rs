@@ -150,8 +150,8 @@ mod tests {
         // The same source under a non-banlisted path only reports
         // rules that apply everywhere (none here).
         assert!(
-            lint_file("crates/bench/src/bin/service.rs", SERVICE_FIXTURE).is_empty(),
-            "the bench driver is not on the round-critical banlists"
+            lint_file("crates/bench/src/bin/repro/tab_rt.rs", SERVICE_FIXTURE).is_empty(),
+            "the repro driver is not on the round-critical banlists"
         );
     }
 
@@ -164,7 +164,7 @@ mod tests {
         const SLOT_FIXTURE: &str = include_str!("../fixtures/bad_slot_ptr.rs");
         for rel in [
             "crates/apps/src/sssp.rs",
-            "crates/bench/src/bin/scale.rs",
+            "crates/bench/src/bin/repro/tab_rt.rs",
             "crates/runtime/src/exec.rs",
         ] {
             let vs = lint_file(rel, SLOT_FIXTURE);

@@ -1,0 +1,127 @@
+//! Golden single-worker drains: `workers == 1` is bit-identical per
+//! seed, across commits.
+//!
+//! One worker runs every round inline, so a drain is a pure function
+//! of (input, seed, allocation): the work-set draw order, the
+//! first-wins commit set and the requeue order are all deterministic.
+//! These six `(rounds, launched, committed)` triples pin that function
+//! on three full-size workloads under both engines — barrier rounds
+//! (`run_round`) and pipelined windows (`run_pipelined`; "rounds"
+//! counts window flushes). A change that moves any of them has changed
+//! what the single-worker engine *does* (draw order, arbitration,
+//! retry policy, window accounting), not merely how fast it does it,
+//! and must say so.
+
+use optpar::apps::boruvka::{BoruvkaOp, WeightedGraph};
+use optpar::apps::delaunay::{DelaunayOp, RefineConfig};
+use optpar::apps::geometry::Point;
+use optpar::apps::sssp::{SsspInput, SsspOp};
+use optpar::apps::triangulation::Mesh;
+use optpar::core::control::FixedController;
+use optpar::graph::gen;
+use optpar::runtime::{Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig, WorkSet};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Seed of the one input stream all three workloads are generated
+/// from, in order: delaunay points, boruvka graph + weights, sssp
+/// graph + weights.
+const SEED: u64 = 0x5eed_0971;
+
+/// Per-round allocation (pooled) / in-flight budget (pipelined).
+const M: usize = 32;
+
+/// `(rounds, launched, committed)` of one drain to completion.
+type Triple = (usize, usize, usize);
+
+fn drain<O: Operator>(
+    space: &LockSpace,
+    op: &O,
+    tasks: Vec<O::Task>,
+    pipelined: bool,
+    seed: u64,
+) -> Triple {
+    let ex = Executor::new(
+        op,
+        space,
+        ExecutorConfig {
+            workers: 1,
+            ..ExecutorConfig::default()
+        },
+    );
+    let mut ws = WorkSet::from_vec(tasks);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let triple = if pipelined {
+        let run = ex.run_pipelined(
+            &mut ws,
+            &mut FixedController::new(M),
+            PipelinedConfig {
+                window: 128,
+                batch: 4,
+                max_completions: usize::MAX,
+            },
+            &mut rng,
+        );
+        (
+            run.round_count(),
+            run.total_launched(),
+            run.total_committed(),
+        )
+    } else {
+        let mut t = (0, 0, 0);
+        while !ws.is_empty() {
+            let rs = ex.run_round(&mut ws, M, &mut rng);
+            t = (t.0 + 1, t.1 + rs.launched, t.2 + rs.committed);
+        }
+        t
+    };
+    assert!(ws.is_empty(), "drain did not finish");
+    triple
+}
+
+#[test]
+fn w1_drains_are_bit_identical_per_seed() {
+    let mut rng = StdRng::seed_from_u64(SEED);
+
+    // Delaunay refinement: 250 random points in the unit square,
+    // max triangle area 2e-4.
+    let mut pts = vec![
+        Point::new(0.0, 0.0),
+        Point::new(1.0, 0.0),
+        Point::new(1.0, 1.0),
+        Point::new(0.0, 1.0),
+    ];
+    pts.extend((0..250).map(|_| Point::new(rng.random::<f64>(), rng.random::<f64>())));
+    let mesh = Mesh::delaunay(&pts);
+    let delaunay = |pipelined| {
+        let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, RefineConfig::area_only(2e-4));
+        let tasks = op.initial_tasks();
+        drain(&space, &op, tasks, pipelined, 4)
+    };
+    assert_eq!(delaunay(false), (327, 10379, 9929), "delaunay pooled");
+    assert_eq!(delaunay(true), (79, 9990, 9965), "delaunay pipelined");
+
+    // Boruvka MST: n = 3000, average degree 8.
+    let wg = WeightedGraph::random(gen::random_with_avg_degree(3000, 8.0, &mut rng), &mut rng);
+    let boruvka = |pipelined| {
+        let (space, op) = BoruvkaOp::new(&wg);
+        drain(&space, &op, op.initial_tasks(), pipelined, 3)
+    };
+    assert_eq!(boruvka(false), (480, 14864, 5999), "boruvka pooled");
+    assert_eq!(boruvka(true), (50, 6362, 5999), "boruvka pipelined");
+
+    // SSSP (chaotic relaxation): n = 10 000, average degree 8,
+    // weights in 1..=1000, source 0.
+    let input = SsspInput::random(
+        gen::random_with_avg_degree(10_000, 8.0, &mut rng),
+        0,
+        1000,
+        &mut rng,
+    );
+    let sssp = |pipelined| {
+        let (space, op) = SsspOp::new(input.clone());
+        drain(&space, &op, op.initial_tasks(), pipelined, 5)
+    };
+    assert_eq!(sssp(false), (2186, 69724, 62110), "sssp pooled");
+    assert_eq!(sssp(true), (527, 67334, 66554), "sssp pipelined");
+}

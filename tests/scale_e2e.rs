@@ -102,8 +102,7 @@ fn sssp_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
             let mut rng = StdRng::seed_from_u64(seed ^ (8 + workers as u64));
             let parts = &part.parts;
             let place = move |t: &u32| parts[*t as usize] as usize;
-            let _ =
-                ex.run_pipelined_placed(&mut ws, &mut ctl, pipe_cfg(), &mut rng, Some(&place));
+            let _ = ex.run_pipelined_placed(&mut ws, &mut ctl, pipe_cfg(), &mut rng, Some(&place));
             assert!(ws.is_empty());
             assert!(space.check_all_free().is_ok());
             let mut op = op;
@@ -299,7 +298,11 @@ fn sharded_sssp_clean_audit() {
         let ex = Executor::new(&op, &space, cfg(workers));
         let mut ws = WorkSet::from_vec(op.initial_tasks());
         drain_pooled(&ex, &mut ws, 32, 56 + workers as u64);
-        assert_eq!(space.audit().report_count(), 0, "audit findings at w{workers}");
+        assert_eq!(
+            space.audit().report_count(),
+            0,
+            "audit findings at w{workers}"
+        );
         assert!(op.dist.raw_access_count() > 0, "audited accesses recorded");
         let mut op = op;
         assert_eq!(op.distances(), reference);
