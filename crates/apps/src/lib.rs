@@ -17,8 +17,8 @@
 //! * [`misapp`] — maximal independent set.
 //! * [`coloring`] — greedy graph colouring.
 //! * [`matching`] — maximal matching (tasks on the line graph).
-//! * [`sssp`] — single-source shortest paths by chaotic relaxation
-//!   (validated against Dijkstra).
+//! * [`sssp`] — single-source shortest paths by speculative
+//!   delta-stepping with lazy deletion (validated against Dijkstra).
 //! * [`preflow`] — Goldberg–Tarjan preflow-push maximum flow
 //!   (validated against Edmonds–Karp).
 //! * [`survey`] — survey propagation for random 3-SAT (validated

@@ -2,19 +2,29 @@
 //! a LonStar-suite workload (the benchmark suite the paper uses for
 //! its parallelism profiles).
 //!
-//! One task per node whose tentative distance recently improved: relax
-//! all outgoing edges; any neighbour whose distance drops is re-spawned
-//! (chaotic Bellman–Ford, the unordered formulation of delta-stepping
-//! with an infinite delta). A task's conflict neighbourhood is its node
-//! plus its neighbours' distance slots, so conflicts mirror the input
-//! graph — and the *work profile* starts serial (one source), balloons
-//! as the frontier expands, then collapses: the inverse-spike shape
-//! that stresses the controller in both directions.
+//! Speculative delta-stepping with lazy deletion. A task is a
+//! `(node, dist)` pair, spawned whenever a relaxation lowers `node` to
+//! `dist`, and ranked by its bucket `⌊dist / Δ⌋`: the runtime's
+//! work-set drains buckets in ascending order, so near nodes settle
+//! before the far frontier is relaxed from distances that will not
+//! survive. A task that finds its node already at another distance is
+//! stale — some later relaxation superseded it — and commits after its
+//! one own-node lock without touching a neighbour, so exactly one
+//! execution per distance value a node ever holds relaxes edges (the
+//! heap-Dijkstra "skip stale entry" rule). Order within a bucket and
+//! across workers stays speculative; any order converges to the same
+//! distances, the bucketing only decides how much work it takes.
+//!
+//! A task's conflict neighbourhood is its node plus its neighbours'
+//! distance slots, so conflicts mirror the input graph — and the *work
+//! profile* starts serial (one source), balloons as the frontier
+//! expands, then collapses: the inverse-spike shape that stresses the
+//! controller in both directions.
 //!
 //! Validated against sequential Dijkstra.
 
 use optpar_graph::{ConflictGraph, CsrGraph, NodeId};
-use optpar_runtime::{Abort, LockSpace, Operator, ShardMap, SpecStore, TaskCtx};
+use optpar_runtime::{Abort, LockSpace, Operator, Ranked, ShardMap, SpecStore, TaskCtx};
 use rand::Rng;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -120,6 +130,24 @@ impl ArcWeights {
     }
 }
 
+/// One pending relaxation: `node` was lowered to `dist`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SsspTask {
+    /// The node whose edges to relax.
+    pub node: NodeId,
+    /// `⌊dist / Δ⌋` (saturating) — the task's rank in the work-set.
+    pub bucket: u32,
+    /// The tentative distance that spawned this task; the task is
+    /// stale once `node` holds any other value.
+    pub dist: u64,
+}
+
+impl Ranked for SsspTask {
+    fn rank(&self) -> u64 {
+        u64::from(self.bucket)
+    }
+}
+
 /// The speculative SSSP operator.
 pub struct SsspOp {
     /// The input instance.
@@ -128,27 +156,17 @@ pub struct SsspOp {
     pub dist: SpecStore<u64>,
     /// Per-node weight table (immutable).
     weights: ArcWeights,
+    /// Bucket width Δ: the heaviest edge over the average degree, so
+    /// one bucket spans about one relaxation "hop" — narrow enough
+    /// that few tasks run from distances a nearer bucket will lower,
+    /// wide enough that a bucket holds a batch worth of parallel work.
+    delta: u64,
 }
 
 impl SsspOp {
     /// Build stores and locks; the initial work-set is just the source.
     pub fn new(input: SsspInput) -> (LockSpace, SsspOp) {
-        let n = input.graph.node_count();
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let mut init = vec![UNREACHED; n];
-        init[input.source as usize] = 0;
-        let dist = SpecStore::new(r, init, n);
-        let weights = input.weight_table();
-        (
-            space,
-            SsspOp {
-                input,
-                dist,
-                weights,
-            },
-        )
+        Self::build(input, None)
     }
 
     /// As [`SsspOp::new`], but with the distance store laid out by a
@@ -160,28 +178,52 @@ impl SsspOp {
     /// # Panics
     /// Panics unless `map.len()` equals the node count.
     pub fn new_sharded(input: SsspInput, map: Arc<ShardMap>) -> (LockSpace, SsspOp) {
+        Self::build(input, Some(map))
+    }
+
+    /// The one constructor: the two public ones differ only in how the
+    /// distance store is laid out.
+    fn build(input: SsspInput, map: Option<Arc<ShardMap>>) -> (LockSpace, SsspOp) {
         let n = input.graph.node_count();
-        assert_eq!(map.len(), n, "one part per node");
-        let mut b = LockSpace::builder();
-        let r = b.region_aligned(map.padded_len());
-        let space = b.build();
         let mut init = vec![UNREACHED; n];
         init[input.source as usize] = 0;
-        let dist = SpecStore::new_sharded(r, init, UNREACHED, map);
+        let mut b = LockSpace::builder();
+        let dist = match map {
+            None => SpecStore::new(b.region(n), init, n),
+            Some(map) => {
+                assert_eq!(map.len(), n, "one part per node");
+                let r = b.region_aligned(map.padded_len());
+                SpecStore::new_sharded(r, init, UNREACHED, map)
+            }
+        };
+        let space = b.build();
         let weights = input.weight_table();
+        let max_w = input.weights.iter().copied().max().unwrap_or(1);
+        let avg_degree = (2 * input.graph.edge_count() / n.max(1)).max(1) as u64;
+        let delta = (max_w / avg_degree).max(1);
         (
             space,
             SsspOp {
                 input,
                 dist,
                 weights,
+                delta,
             },
         )
     }
 
-    /// The initial work-set: the source node.
-    pub fn initial_tasks(&self) -> Vec<NodeId> {
-        vec![self.input.source]
+    /// The task for `node` just lowered to `dist`.
+    fn task(&self, node: NodeId, dist: u64) -> SsspTask {
+        SsspTask {
+            node,
+            bucket: u32::try_from(dist / self.delta).unwrap_or(u32::MAX),
+            dist,
+        }
+    }
+
+    /// The initial work-set: the source node at distance 0.
+    pub fn initial_tasks(&self) -> Vec<SsspTask> {
+        vec![self.task(self.input.source, 0)]
     }
 
     /// Final distances (quiesced).
@@ -191,14 +233,17 @@ impl SsspOp {
 }
 
 impl Operator for SsspOp {
-    type Task = NodeId;
+    type Task = SsspTask;
 
-    fn execute(&self, &u: &NodeId, cx: &mut TaskCtx<'_>) -> Result<Vec<NodeId>, Abort> {
+    fn execute(&self, t: &SsspTask, cx: &mut TaskCtx<'_>) -> Result<Vec<SsspTask>, Abort> {
+        let u = t.node;
         let ui = u as usize;
         cx.lock(&self.dist, ui)?;
         let du = *cx.read(&self.dist, ui)?;
-        if du == UNREACHED {
-            return Ok(vec![]); // stale task: our improvement was undone? impossible — just unreached duplicates
+        if du != t.dist {
+            // Stale: a later relaxation lowered `u` again and spawned
+            // the task that will do this work from the better value.
+            return Ok(vec![]);
         }
         let mut spawn = Vec::new();
         let weights = self.weights.of(u);
@@ -208,7 +253,7 @@ impl Operator for SsspOp {
             cx.lock(&self.dist, slot)?;
             if nd < *cx.read(&self.dist, slot)? {
                 *cx.write(&self.dist, slot)? = nd;
-                spawn.push(v);
+                spawn.push(self.task(v, nd));
             }
         }
         Ok(spawn)
@@ -217,8 +262,8 @@ impl Operator for SsspOp {
     /// Seed = the node's own distance slot: the operator's footprint is
     /// the radius-1 ball around it (`FOOTPRINT.toml`), which the
     /// checker cross-validates against every acquired lock.
-    fn conflict_seed(&self, &u: &NodeId) -> Option<u64> {
-        Some(self.dist.lock_of(u as usize) as u64)
+    fn conflict_seed(&self, t: &SsspTask) -> Option<u64> {
+        Some(self.dist.lock_of(t.node as usize) as u64)
     }
 }
 

@@ -144,7 +144,7 @@ pub fn run(csv: bool) {
         assert_eq!(op.msf(), (kw, kc), "MSF must match Kruskal");
     }
 
-    // --- SSSP (chaotic relaxation) --------------------------------------
+    // --- SSSP (delta-stepping tasks, lazy deletion) ---------------------
     {
         let g = gen::random_with_avg_degree(20_000, 8.0, &mut rng);
         let input = SsspInput::random(g, 0, 1000, &mut rng);

@@ -2,8 +2,10 @@
 //!
 //! Each round mirrors one temporal step of the paper's model:
 //!
-//! 1. Draw `m` tasks uniformly at random from the [`WorkSet`] (their
-//!    draw order is the commit priority).
+//! 1. Draw `m` tasks from the [`WorkSet`] — lowest rank first,
+//!    uniformly at random within a rank (so uniformly over the whole
+//!    set when tasks are unranked, the paper's model); their draw
+//!    order is the commit priority.
 //! 2. Run them speculatively across `workers` OS threads; conflicts are
 //!    detected by the abstract locks, losers roll back.
 //! 3. Committed tasks leave the system and may spawn new tasks; aborted
@@ -46,10 +48,11 @@ use crate::phase::{self, Phase};
 use crate::pool::WorkerPool;
 use crate::probe::{obs_emit, Probe};
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Abort, Operator, TaskCtx};
+use crate::task::{Abort, Operator, Ranked, TaskCtx};
 use optpar_core::control::Controller;
 use rand::Rng;
 use std::cell::UnsafeCell;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -68,28 +71,101 @@ pub(crate) struct Entry<T> {
     pub(crate) seq: u64,
 }
 
-/// The pending-task multiset (the paper's work-set).
+/// The pending-task multiset (the paper's work-set), bucketed by
+/// [`Ranked::rank`].
 ///
-/// Uniform random sampling without replacement is O(m) via partial
-/// Fisher-Yates over the tail of the backing vector. Each task also
-/// carries a retry counter (bumped by the executor on abort/fault)
-/// feeding the starvation-avoidance aging in
-/// [`Executor::run_round`].
-#[derive(Clone, Debug, Default)]
+/// A draw empties buckets in ascending rank: uniform random sampling
+/// without replacement *within* a bucket — O(m) via partial
+/// Fisher-Yates over the tail of the bucket's vector — with the next
+/// bucket filling a draw the lowest one cannot, so `min(m, len)` tasks
+/// always launch and a lower rank means a higher commit priority in
+/// the batch. With every task at rank 0 (the default) this is the
+/// paper's unordered work-set: one bucket, one uniform draw. Each task
+/// also carries a retry counter (bumped by the executor on
+/// abort/fault) feeding the starvation-avoidance aging in
+/// [`Executor::run_round`]; a re-queued task keeps its rank, so aging
+/// is indifferent to the bucketing.
+///
+/// The lowest bucket lives outside the map, so a single-rank work-set
+/// never touches the map on a push and at most once per draw.
+#[derive(Clone, Debug)]
 pub struct WorkSet<T> {
-    tasks: Vec<Entry<T>>,
+    /// The lowest-rank bucket; empty only when the whole set is.
+    low: Vec<Entry<T>>,
+    /// Rank of `low` (stale while the set is empty).
+    low_rank: u64,
+    /// Every other bucket, by rank: all keys above `low_rank`, no
+    /// bucket empty — a spent bucket is removed, so the next-lowest
+    /// lookup never scans dead keys.
+    higher: BTreeMap<u64, Vec<Entry<T>>>,
+    /// Entries over all buckets.
+    len: usize,
     next_seq: u64,
+}
+
+impl<T> Default for WorkSet<T> {
+    fn default() -> Self {
+        WorkSet::new()
+    }
 }
 
 impl<T> WorkSet<T> {
     /// An empty work-set.
     pub fn new() -> Self {
         WorkSet {
-            tasks: Vec::new(),
+            low: Vec::new(),
+            low_rank: 0,
+            higher: BTreeMap::new(),
+            len: 0,
             next_seq: 0,
         }
     }
 
+    /// Pending task count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is the work-set drained?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// Move `m ≤ bucket.len()` entries drawn uniformly at random from
+/// `bucket` onto `out`, in draw (= commit-priority) order.
+///
+/// O(m) regardless of the bucket's size: the i-th draw swaps a uniform
+/// pick from the surviving prefix into position `n-1-i`, then the
+/// sampled tail is moved off — no front-drain shifting the entire
+/// remainder.
+fn draw_from<T, R: Rng + ?Sized>(
+    bucket: &mut Vec<Entry<T>>,
+    m: usize,
+    rng: &mut R,
+    out: &mut Vec<Entry<T>>,
+) {
+    let n = bucket.len();
+    for i in 0..m {
+        let left = n - i;
+        if left == 1 {
+            // Final draw of a full drain: one survivor remains, so
+            // the pick is forced (`swap(0, 0)`) — don't burn an RNG
+            // word on it. Uniformity over all n! orders is
+            // unchanged (see the chi-squared tests below).
+            break;
+        }
+        let j = rng.random_range(0..left);
+        bucket.swap(j, n - 1 - i);
+    }
+    // The tail holds draws in reverse draw order; restore priority
+    // order (first draw = highest priority).
+    let at = out.len();
+    out.extend(bucket.drain(n - m..));
+    out[at..].reverse();
+}
+
+impl<T: Ranked> WorkSet<T> {
     /// Wrap an existing task list.
     pub fn from_vec(tasks: Vec<T>) -> Self {
         let mut ws = WorkSet::new();
@@ -101,7 +177,7 @@ impl<T> WorkSet<T> {
     pub fn push(&mut self, t: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.tasks.push(Entry {
+        self.push_entry(Entry {
             task: t,
             retries: 0,
             seq,
@@ -112,16 +188,30 @@ impl<T> WorkSet<T> {
     /// path without replaying the aborts.
     #[cfg(test)]
     fn push_with_retries(&mut self, t: T, retries: u32) {
-        self.push(t);
-        if let Some(e) = self.tasks.last_mut() {
-            e.retries = retries;
-        }
+        let seq = self.next_seq;
+        self.absorb_entries(vec![Entry {
+            task: t,
+            retries,
+            seq,
+        }]);
     }
 
-    /// Re-queue an entry, preserving its retry count and enqueue
-    /// stamp.
+    /// Queue an entry in its rank's bucket, preserving its retry count
+    /// and enqueue stamp (the re-queue path).
     pub(crate) fn push_entry(&mut self, e: Entry<T>) {
-        self.tasks.push(e);
+        let rank = e.task.rank();
+        if self.len == 0 || rank == self.low_rank {
+            self.low_rank = rank;
+            self.low.push(e);
+        } else if rank > self.low_rank {
+            self.higher.entry(rank).or_default().push(e);
+        } else {
+            // A new lowest rank: the old lowest bucket joins the map.
+            let demoted = std::mem::replace(&mut self.low, vec![e]);
+            self.higher
+                .insert(std::mem::replace(&mut self.low_rank, rank), demoted);
+        }
+        self.len += 1;
     }
 
     /// Add many tasks.
@@ -131,50 +221,35 @@ impl<T> WorkSet<T> {
         }
     }
 
-    /// Pending task count.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Is the work-set drained?
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Core of the sampler: remove `min(m, len)` entries drawn
-    /// uniformly at random, in draw (= commit-priority) order.
-    ///
-    /// O(m) regardless of the work-set size: the i-th draw swaps a
-    /// uniform pick from the surviving prefix into position `n-1-i`,
-    /// then the sampled tail is split off — no front-drain shifting
-    /// the entire remainder.
+    /// Core of the sampler: remove `min(m, len)` entries, lowest
+    /// bucket first and uniformly at random within a bucket, in draw
+    /// (= commit-priority) order.
     fn draw_entries<R: Rng + ?Sized>(&mut self, m: usize, rng: &mut R) -> Vec<Entry<T>> {
-        let n = self.tasks.len();
-        let m = m.min(n);
-        for i in 0..m {
-            let left = n - i;
-            if left == 1 {
-                // Final draw of a full drain: one survivor remains, so
-                // the pick is forced (`swap(0, 0)`) — don't burn an RNG
-                // word on it. Uniformity over all n! orders is
-                // unchanged (see the chi-squared tests below).
-                break;
+        let m = m.min(self.len);
+        self.len -= m;
+        let mut batch = Vec::with_capacity(m);
+        loop {
+            let take = (m - batch.len()).min(self.low.len());
+            draw_from(&mut self.low, take, rng, &mut batch);
+            if !self.low.is_empty() {
+                return batch;
             }
-            let j = rng.random_range(0..left);
-            self.tasks.swap(j, n - 1 - i);
+            // The lowest bucket is spent: the next one takes its place
+            // and fills what is left of the draw.
+            let Some((rank, bucket)) = self.higher.pop_first() else {
+                return batch;
+            };
+            self.low_rank = rank;
+            self.low = bucket;
         }
-        let mut batch = self.tasks.split_off(n - m);
-        // The tail holds draws in reverse draw order; restore priority
-        // order (first draw = highest priority).
-        batch.reverse();
-        batch
     }
 
-    /// Remove and return `min(m, len)` tasks drawn uniformly at random;
-    /// the returned order is the commit-priority order. This public
-    /// sampler is pure-uniform (no retry aging): the executor applies
-    /// aging via [`WorkSet::sample_drain_aged`] so the distributional
-    /// contract here — pinned by the chi-squared tests — never shifts.
+    /// Remove and return `min(m, len)` tasks, lowest rank first and
+    /// uniformly at random within a rank; the returned order is the
+    /// commit-priority order. This public sampler applies no retry
+    /// aging: the executor does that via
+    /// [`WorkSet::sample_drain_aged`], so the distributional contract
+    /// here — pinned by the chi-squared tests — never shifts.
     pub fn sample_drain<R: Rng + ?Sized>(&mut self, m: usize, rng: &mut R) -> Vec<T> {
         self.draw_entries(m, rng)
             .into_iter()
@@ -184,13 +259,13 @@ impl<T> WorkSet<T> {
 
     /// Draw like [`WorkSet::sample_drain`], then apply starvation
     /// avoidance: every drawn task with `retries >= budget` is moved
-    /// (stably) to the front of the prefix, most-retried first, ties
-    /// broken oldest-enqueue-first. The front of a round's prefix is
-    /// greedy-MIS-winning by construction — under sequential
-    /// execution it *always* commits — so an aged task commits within
-    /// one drawn round. When no drawn task has crossed the budget the
-    /// batch is bit-identical to the uniform draw (same RNG words,
-    /// same order).
+    /// (stably) to the front of the prefix — whatever its rank —
+    /// most-retried first, ties broken oldest-enqueue-first. The front
+    /// of a round's prefix is greedy-MIS-winning by construction —
+    /// under sequential execution it *always* commits — so an aged
+    /// task commits within one drawn round. When no drawn task has
+    /// crossed the budget the batch is bit-identical to the plain draw
+    /// (same RNG words, same order).
     pub(crate) fn sample_drain_aged<R: Rng + ?Sized>(
         &mut self,
         m: usize,
@@ -215,7 +290,12 @@ impl<T> WorkSet<T> {
     /// Move every pending entry out, retry/seq bookkeeping intact
     /// (the pipelined executor shards them across per-worker queues).
     pub(crate) fn take_entries(&mut self) -> Vec<Entry<T>> {
-        std::mem::take(&mut self.tasks)
+        self.len = 0;
+        let mut out = std::mem::take(&mut self.low);
+        for mut bucket in std::mem::take(&mut self.higher).into_values() {
+            out.append(&mut bucket);
+        }
+        out
     }
 
     /// Absorb entries coming back from the pipelined shards, bumping
@@ -224,7 +304,7 @@ impl<T> WorkSet<T> {
     pub(crate) fn absorb_entries(&mut self, entries: Vec<Entry<T>>) {
         for e in entries {
             self.next_seq = self.next_seq.max(e.seq + 1);
-            self.tasks.push(e);
+            self.push_entry(e);
         }
     }
 }
@@ -1362,6 +1442,160 @@ mod tests {
         assert!(rng.words >= 4);
         perm.sort_unstable();
         assert_eq!(perm, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// Ranked test task: `(rank, id)`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct Rk(u64, usize);
+
+    impl Ranked for Rk {
+        fn rank(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Ranks still pending, ascending, straight from the buckets —
+    /// which also checks the bucket invariants a draw relies on.
+    fn pending_ranks(ws: &WorkSet<Rk>) -> Vec<u64> {
+        assert!(ws.higher.values().all(|b| !b.is_empty()), "dead bucket");
+        assert!(ws.higher.keys().all(|&r| r > ws.low_rank));
+        assert!(!ws.low.is_empty() || ws.higher.is_empty());
+        let low = ws.low.iter().map(|e| (ws.low_rank, e));
+        let higher = ws
+            .higher
+            .iter()
+            .flat_map(|(&r, b)| b.iter().map(move |e| (r, e)));
+        let ranks: Vec<u64> = low
+            .chain(higher)
+            .inspect(|(r, e)| assert_eq!(*r, e.task.rank(), "entry in the wrong bucket"))
+            .map(|(r, _)| r)
+            .collect();
+        assert_eq!(ranks.len(), ws.len(), "len() counts every bucket");
+        ranks
+    }
+
+    /// Every draw takes the lowest ranks there are, in rank order,
+    /// whatever mix of pushes (including below the current lowest
+    /// bucket) and short draws came before.
+    #[test]
+    fn ranked_draw_takes_lowest_ranks_in_order() {
+        let mut rng = StdRng::seed_from_u64(0xA11);
+        let mut ws = WorkSet::new();
+        let mut id = 0;
+        for step in 0..400 {
+            for _ in 0..rng.random_range(0..12usize) {
+                ws.push(Rk(rng.random_range(0..6u64), id));
+                id += 1;
+            }
+            let before = ws.len();
+            let m = rng.random_range(0..10usize);
+            let batch = ws.sample_drain(m, &mut rng);
+            assert_eq!(batch.len(), m.min(before), "step {step}");
+            assert_eq!(ws.len(), before - batch.len());
+            assert!(
+                batch.windows(2).all(|w| w[0].0 <= w[1].0),
+                "batch out of rank order: {batch:?}"
+            );
+            let drawn_max = batch.last().map_or(0, |t| t.0);
+            assert!(
+                pending_ranks(&ws).iter().all(|&r| r >= drawn_max),
+                "step {step}: drew rank {drawn_max} past a lower pending one"
+            );
+        }
+        assert!(id > 1000 && ws.len() > 100, "the walk kept buckets busy");
+    }
+
+    /// The draw within the lowest bucket is still uniform over ordered
+    /// prefixes when a higher bucket is present (and untouched by it).
+    #[test]
+    fn partial_drain_of_a_bucket_is_uniform_below_a_higher_bucket() {
+        const N: usize = 6;
+        const CELLS: usize = 30; // 6 * 5 ordered pairs
+        const TRIALS: u64 = 30_000;
+        let mut counts = [0u64; CELLS];
+        let mut rng = StdRng::seed_from_u64(0xBEEF);
+        for _ in 0..TRIALS {
+            let mut ws = WorkSet::from_vec((0..N + 3).map(|i| Rk((i / N) as u64, i)).collect());
+            let batch = ws.sample_drain(2, &mut rng);
+            let (a, b) = (batch[0].1, batch[1].1);
+            assert!(a < N && b < N && a != b, "drew past the lowest bucket");
+            assert_eq!(pending_ranks(&ws), vec![0, 0, 0, 0, 1, 1, 1]);
+            counts[a * (N - 1) + if b > a { b - 1 } else { b }] += 1;
+        }
+        let chi2 = chi_squared(&counts, TRIALS);
+        // 29 dof; 99.9th percentile ≈ 58.3 (fixed seed — deterministic).
+        assert!(chi2 < 58.3, "chi-squared {chi2:.1} over 30 cells (29 dof)");
+    }
+
+    /// Aging outranks rank: an over-budget entry drawn from a higher
+    /// bucket still leads the prefix, and re-queuing it puts it back
+    /// in its own bucket with its bookkeeping intact.
+    #[test]
+    fn aged_entry_leads_from_a_higher_bucket_and_requeues_at_its_rank() {
+        let mut rng = StdRng::seed_from_u64(0xA6E);
+        let budget = 3;
+        let mut ws = WorkSet::from_vec(vec![Rk(0, 0), Rk(0, 1), Rk(0, 2)]);
+        ws.push_with_retries(Rk(1, 3), budget);
+        ws.extend([Rk(1, 4), Rk(2, 5)]);
+        let mut batch = ws.sample_drain_aged(5, &mut rng, budget);
+        assert_eq!(batch[0].task, Rk(1, 3), "the aged entry leads");
+        assert!(batch[1..4].iter().all(|e| e.task.0 == 0));
+        assert_eq!(batch[4].task, Rk(1, 4));
+        assert_eq!(pending_ranks(&ws), vec![2]);
+
+        // Re-queue it the way `settle` does (below the now-lowest
+        // bucket), then let rank-0 work in.
+        let aged = batch.swap_remove(0);
+        let seq = aged.seq;
+        ws.push_entry(Entry {
+            retries: aged.retries + 1,
+            ..aged
+        });
+        ws.push(Rk(0, 6));
+        assert_eq!(pending_ranks(&ws), vec![0, 1, 2]);
+        assert_eq!(ws.sample_drain(1, &mut rng), vec![Rk(0, 6)]);
+        let next = ws.sample_drain_aged(1, &mut rng, budget);
+        assert_eq!(next[0].task, Rk(1, 3));
+        assert_eq!((next[0].retries, next[0].seq), (budget + 1, seq));
+    }
+
+    /// The pipelined executor's shard hand-off: `take_entries` →
+    /// `absorb_entries` preserves every entry, its bucket, and the
+    /// stamp counter.
+    #[test]
+    fn take_and_absorb_round_trip_the_buckets() {
+        let mut ws = WorkSet::new();
+        for i in 0..40usize {
+            ws.push_with_retries(Rk((i * 7 % 5) as u64, i), (i % 3) as u32);
+        }
+        let key = |e: &Entry<Rk>| (e.task, e.retries, e.seq);
+        let entries = ws.take_entries();
+        assert!(ws.is_empty());
+        assert!(pending_ranks(&ws).is_empty());
+        let mut want: Vec<_> = entries.iter().map(key).collect();
+        want.sort_unstable();
+
+        // A fresh set, as when shards flow back into the caller's.
+        let mut back = WorkSet::new();
+        back.absorb_entries(entries);
+        assert_eq!(back.len(), 40);
+        let mut ranks: Vec<u64> = want.iter().map(|(t, ..)| t.0).collect();
+        ranks.sort_unstable();
+        assert_eq!(pending_ranks(&back), ranks);
+        back.push(Rk(0, 40));
+        let mut got: Vec<_> = back.take_entries().iter().map(key).collect();
+        got.sort_unstable();
+        let late = got.iter().position(|k| k.0 == Rk(0, 40)).expect("pushed");
+        assert_eq!(got.remove(late).2, 40, "next_seq moved past every stamp");
+        assert_eq!(got, want);
+    }
+
+    /// `WorkSet<T>: Default` asks nothing of `T`.
+    #[test]
+    fn default_workset_needs_no_default_task() {
+        struct Opaque;
+        let ws: WorkSet<Opaque> = WorkSet::default();
+        assert!(ws.is_empty());
     }
 
     /// Operator that panics exactly once (on task `13`, first sight),

@@ -23,8 +23,10 @@
 //!   rolls back (`Running → Committed / Aborted`); only the task
 //!   itself moves between those states.
 //! * [`exec`] — the round-based parallel [`exec::Executor`]: each round
-//!   draws `m` tasks uniformly at random from the [`exec::WorkSet`]
-//!   (the paper's model §2), runs them speculatively on a worker pool,
+//!   draws `m` tasks from the [`exec::WorkSet`] — uniformly at random
+//!   (the paper's model §2) among the tasks of the lowest
+//!   [`task::Ranked::rank`], which is all of them unless the task type
+//!   says otherwise — runs them speculatively on a worker pool,
 //!   rolls back losers, re-queues them, and reports the realized
 //!   conflict ratio to a processor-allocation
 //!   [`Controller`](optpar_core::control::Controller). It also owns
@@ -111,4 +113,4 @@ pub use service::{
 pub use shard::{ShardMap, SHARD_ALIGN};
 pub use stats::{RoundStats, RunStats};
 pub use store::SpecStore;
-pub use task::{Abort, Operator, TaskCtx};
+pub use task::{Abort, Operator, Ranked, TaskCtx};

@@ -13,9 +13,10 @@
 //!   waits for anybody;
 //! * the work-set is **sharded** per worker: a worker drains its own
 //!   shard and steals from the others only when it runs dry, keeping
-//!   the draw path contention-free in the common case. Aged-retry
-//!   prefix semantics are preserved per draw (each shard draw applies
-//!   the same aging rule as round mode);
+//!   the draw path contention-free in the common case. Each shard is
+//!   a [`WorkSet`], so rank order and aged-retry prefix semantics hold
+//!   per draw exactly as in round mode (shards are not ordered against
+//!   each other — rank is a work-efficiency hint, not a commit order);
 //! * the controller's `m(t)` is reinterpreted as an **in-flight
 //!   speculation budget**: a counting gate admits at most `m` tasks
 //!   into flight; every `window` completions the crossing worker
@@ -70,7 +71,7 @@ use crate::lock::MAX_LANES;
 use crate::phase::{self, Phase};
 use crate::probe::obs_emit;
 use crate::stats::{RoundStats, RunStats};
-use crate::task::Operator;
+use crate::task::{Operator, Ranked};
 use optpar_core::control::Controller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -157,7 +158,7 @@ struct ShardedWorkSet<T> {
     place: AtomicUsize,
 }
 
-impl<T> ShardedWorkSet<T> {
+impl<T: Ranked> ShardedWorkSet<T> {
     /// Shard `ws`'s entries across `n` per-worker queues — by `place`
     /// when given, round-robin otherwise (retry counts and enqueue
     /// stamps ride along).
@@ -187,8 +188,8 @@ impl<T> ShardedWorkSet<T> {
 
     /// Draw up to `max` entries, scanning shards from `home`. The
     /// first non-empty shard supplies the whole batch via the same
-    /// aged-uniform sampler round mode uses, so starvation avoidance
-    /// carries over per shard.
+    /// rank-bucketed, aged sampler round mode uses, so draw order and
+    /// starvation avoidance carry over per shard.
     fn draw<R: Rng + ?Sized>(
         &self,
         home: usize,

@@ -42,6 +42,29 @@ pub enum Abort {
     Fault,
 }
 
+/// The scheduling rank a task value carries: the work-set drains
+/// lower ranks first (uniformly at random *within* a rank), so an
+/// operator whose tasks have a natural processing order — SSSP's
+/// `⌊dist / Δ⌋` — encodes it here and every engine honours it.
+///
+/// The rank is read from the value alone, so it survives re-queues,
+/// shard moves and operator wrappers unchanged. The default is rank 0
+/// for every task, which is the paper's unordered work-set. A
+/// hand-written task type opts in with `impl Ranked for MyTask {}`
+/// (or overrides [`Ranked::rank`]).
+pub trait Ranked {
+    /// This task's rank; lower is drawn (and so committed) first.
+    fn rank(&self) -> u64 {
+        0
+    }
+}
+
+macro_rules! unranked {
+    ($($t:ty),*) => {$( impl Ranked for $t {} )*};
+}
+unranked!((), u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl<A, B> Ranked for (A, B) {}
+
 /// A speculative operator: the application logic run for each task.
 ///
 /// Implementations must route **all** shared-state access through the
@@ -49,8 +72,9 @@ pub enum Abort {
 /// retried after aborts).
 pub trait Operator: Sync {
     /// The unit of work (a node of the paper's CC graph). `Sync` is
-    /// required because workers execute tasks through shared slices.
-    type Task: Send + Sync;
+    /// required because workers execute tasks through shared slices;
+    /// [`Ranked`] is where the work-set reads its draw order from.
+    type Task: Send + Sync + Ranked;
 
     /// Execute `task` speculatively. On success, return the tasks
     /// spawned by this commit (amorphous data-parallelism); they are

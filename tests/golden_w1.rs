@@ -110,8 +110,9 @@ fn w1_drains_are_bit_identical_per_seed() {
     assert_eq!(boruvka(false), (480, 14864, 5999), "boruvka pooled");
     assert_eq!(boruvka(true), (50, 6362, 5999), "boruvka pipelined");
 
-    // SSSP (chaotic relaxation): n = 10 000, average degree 8,
-    // weights in 1..=1000, source 0.
+    // SSSP (delta-stepping tasks with lazy deletion, so Δ = 1000 / 8
+    // = 125 here): n = 10 000, average degree 8, weights in 1..=1000,
+    // source 0.
     let input = SsspInput::random(
         gen::random_with_avg_degree(10_000, 8.0, &mut rng),
         0,
@@ -122,6 +123,6 @@ fn w1_drains_are_bit_identical_per_seed() {
         let (space, op) = SsspOp::new(input.clone());
         drain(&space, &op, op.initial_tasks(), pipelined, 5)
     };
-    assert_eq!(sssp(false), (2186, 69724, 62110), "sssp pooled");
-    assert_eq!(sssp(true), (527, 67334, 66554), "sssp pipelined");
+    assert_eq!(sssp(false), (612, 19499, 18269), "sssp pooled");
+    assert_eq!(sssp(true), (145, 18456, 18326), "sssp pipelined");
 }

@@ -22,7 +22,7 @@
 //! retries.
 
 use optpar::apps::ccmirror::CcMirror;
-use optpar::apps::sssp::{SsspInput, SsspOp};
+use optpar::apps::sssp::{SsspInput, SsspOp, SsspTask};
 use optpar::core::control::FixedController;
 use optpar::core::partition::bfs_partition;
 use optpar::graph::gen;
@@ -101,7 +101,7 @@ fn sssp_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
             let mut ctl = FixedController::new(256);
             let mut rng = StdRng::seed_from_u64(seed ^ (8 + workers as u64));
             let parts = &part.parts;
-            let place = move |t: &u32| parts[*t as usize] as usize;
+            let place = move |t: &SsspTask| parts[t.node as usize] as usize;
             let _ = ex.run_pipelined_placed(&mut ws, &mut ctl, pipe_cfg(), &mut rng, Some(&place));
             assert!(ws.is_empty());
             assert!(space.check_all_free().is_ok());

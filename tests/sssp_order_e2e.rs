@@ -1,0 +1,120 @@
+//! SSSP's rank-ordered, lazy-deletion tasks, end to end at one worker
+//! (where a drain is deterministic per seed, so counts are exact):
+//! the work stays within a small factor of Dijkstra's one pop per
+//! node, and the order rides on the *task value* — not on the operator
+//! — so wrapping the operator cannot change the schedule.
+
+use optpar::apps::sssp::{SsspInput, SsspOp, SsspTask};
+use optpar::core::control::FixedController;
+use optpar::graph::gen;
+use optpar::runtime::{
+    Abort, Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig, TaskCtx, WorkSet,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Per-round allocation (rounds) / in-flight budget (pipelined).
+const M: usize = 32;
+
+/// The three engine configurations: barrier rounds, and pipelined
+/// windows at batch 1 (continuous) and 8.
+const ENGINES: [Option<usize>; 3] = [None, Some(1), Some(8)];
+
+/// `(rounds, launched, committed)` of a one-worker drain to
+/// completion, by barrier rounds (`batch == None`) or pipelined.
+fn drain<O: Operator>(
+    space: &LockSpace,
+    op: &O,
+    tasks: Vec<O::Task>,
+    batch: Option<usize>,
+) -> (usize, usize, usize) {
+    let cfg = ExecutorConfig {
+        workers: 1,
+        ..ExecutorConfig::default()
+    };
+    let ex = Executor::new(op, space, cfg);
+    let mut ws = WorkSet::from_vec(tasks);
+    let mut ctl = FixedController::new(M);
+    let mut rng = StdRng::seed_from_u64(9);
+    let run = match batch {
+        None => ex.run_with_controller(&mut ws, &mut ctl, usize::MAX, &mut rng),
+        Some(batch) => {
+            let cfg = PipelinedConfig {
+                window: 128,
+                batch,
+                max_completions: usize::MAX,
+            };
+            ex.run_pipelined(&mut ws, &mut ctl, cfg, &mut rng)
+        }
+    };
+    assert!(ws.is_empty(), "drain did not finish");
+    assert!(space.check_all_free().is_ok());
+    (
+        run.round_count(),
+        run.total_launched(),
+        run.total_committed(),
+    )
+}
+
+fn grid_input() -> SsspInput {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0017);
+    SsspInput::random(gen::grid2d_diag(64, 64), 0, 100, &mut rng)
+}
+
+/// Work efficiency: on a high-diameter grid every engine settles the
+/// graph in at most 3 commits per node (measured: 1.85–1.87).
+/// Unordered chaotic relaxation — the operator before its tasks
+/// carried a rank and a stale test — took 17.8–21.7 per node on this
+/// input; Dijkstra takes 1.
+#[test]
+fn sssp_commits_stay_within_three_per_node() {
+    let input = grid_input();
+    let reference = input.dijkstra();
+    let n = reference.len();
+    for batch in ENGINES {
+        let (space, op) = SsspOp::new(input.clone());
+        let (_, _, committed) = drain(&space, &op, op.initial_tasks(), batch);
+        let mut op = op;
+        assert_eq!(op.distances(), reference, "batch {batch:?}");
+        assert!(
+            committed <= 3 * n,
+            "batch {batch:?}: {committed} commits for {n} nodes"
+        );
+    }
+}
+
+/// An operator wrapper that forwards only what a wrapper must —
+/// `execute` and `conflict_seed` — as a timing or tracing shim does.
+struct Forward<'a, O>(&'a O);
+
+impl<O: Operator> Operator for Forward<'_, O> {
+    type Task = O::Task;
+
+    fn execute(&self, task: &O::Task, cx: &mut TaskCtx<'_>) -> Result<Vec<O::Task>, Abort> {
+        self.0.execute(task, cx)
+    }
+
+    fn conflict_seed(&self, task: &O::Task) -> Option<u64> {
+        self.0.conflict_seed(task)
+    }
+}
+
+/// Wrapper transparency: the wrapped operator is scheduled exactly
+/// like the bare one, in every engine — the work-set reads the rank
+/// off the task, so there is nothing for a wrapper to forget.
+#[test]
+fn wrapped_operator_drains_identically() {
+    let input = grid_input();
+    let reference = input.dijkstra();
+    for batch in ENGINES {
+        let (space, op) = SsspOp::new(input.clone());
+        let bare = drain(&space, &op, op.initial_tasks(), batch);
+
+        let (space, op) = SsspOp::new(input.clone());
+        let tasks: Vec<SsspTask> = op.initial_tasks();
+        let wrapped = drain(&space, &Forward(&op), tasks, batch);
+        let mut op = op;
+        assert_eq!(op.distances(), reference, "batch {batch:?}");
+        assert_eq!(wrapped, bare, "batch {batch:?}");
+    }
+}
