@@ -23,8 +23,10 @@ pub struct CcMirror {
     pub node_data: SpecStore<u64>,
     /// One slot per undirected edge.
     pub edge_data: SpecStore<u8>,
-    /// For each node, the indices (into `edge_data`) of incident edges.
-    incident: Vec<Vec<u32>>,
+    /// Node `v`'s incident edges are `ids[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    /// Incident edge indices (into `edge_data`), grouped by node.
+    ids: Vec<u32>,
 }
 
 impl CcMirror {
@@ -32,12 +34,12 @@ impl CcMirror {
     ///
     /// Call before `b.build()`; pass the built space to the executor.
     pub fn layout(g: &CsrGraph, b: &mut optpar_runtime::lock::LockSpaceBuilder) -> CcMirrorLayout {
-        let n = g.node_count();
-        let m = g.edge_count();
+        let (offsets, ids) = incidence(g);
         CcMirrorLayout {
-            node_region: b.region(n),
-            edge_region: b.region(m),
-            graph: g.clone(),
+            node_region: b.region(g.node_count()),
+            edge_region: b.region(g.edge_count()),
+            offsets,
+            ids,
             maps: None,
         }
     }
@@ -65,12 +67,21 @@ impl CcMirror {
             .map(|&(u, _)| parts[u as usize])
             .collect();
         let edge_map = Arc::new(ShardMap::from_parts(&edge_parts, k));
+        let (offsets, ids) = incidence(g);
         CcMirrorLayout {
             node_region: b.region_aligned(node_map.padded_len()),
             edge_region: b.region_aligned(edge_map.padded_len()),
-            graph: g.clone(),
+            offsets,
+            ids,
             maps: Some((node_map, edge_map)),
         }
+    }
+
+    /// Indices (into `edge_data`) of `v`'s incident edges: one
+    /// structural hop from `v`, whatever the table layout (the radius
+    /// analyzer knows this accessor by name).
+    fn incident_edges(&self, v: NodeId) -> &[u32] {
+        &self.ids[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
 }
 
@@ -78,7 +89,8 @@ impl CcMirror {
 pub struct CcMirrorLayout {
     node_region: Region,
     edge_region: Region,
-    graph: CsrGraph,
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
     /// Shard layouts for the node and edge stores (sharded builds).
     maps: Option<(Arc<ShardMap>, Arc<ShardMap>)>,
 }
@@ -86,15 +98,8 @@ pub struct CcMirrorLayout {
 impl CcMirrorLayout {
     /// Finish construction once the [`LockSpace`] exists.
     pub fn finish(self, _space: &LockSpace) -> CcMirror {
-        let g = &self.graph;
-        let n = g.node_count();
-        // Assign edge ids in canonical order.
-        let mut incident = vec![Vec::new(); n];
-        for (eid, (u, v)) in g.edge_list().into_iter().enumerate() {
-            incident[u as usize].push(eid as u32);
-            incident[v as usize].push(eid as u32);
-        }
-        let m = g.edge_count();
+        let n = self.offsets.len() - 1;
+        let m = self.ids.len() / 2;
         let (node_data, edge_data) = match self.maps {
             Some((nmap, emap)) => (
                 SpecStore::new_sharded(self.node_region, vec![0; n], 0, nmap),
@@ -108,9 +113,44 @@ impl CcMirrorLayout {
         CcMirror {
             node_data,
             edge_data,
-            incident,
+            offsets: self.offsets,
+            ids: self.ids,
         }
     }
+}
+
+/// The incidence table of `g` as `(offsets, ids)`: node `v`'s incident
+/// edge ids are `ids[offsets[v]..offsets[v + 1]]` in ascending order,
+/// an edge's id being its index in [`CsrGraph::edge_list`] (canonical
+/// `u < w` pairs in CSR order). One counting pass and one fill pass
+/// over the adjacency, allocating the two vectors it returns and
+/// nothing else: a caller that rebuilds per drain frees whatever a
+/// build allocates on the side a moment later, and on a 400,000-node
+/// graph that decides whether its heap stays one size (DESIGN.md §7
+/// item 7).
+fn incidence(g: &CsrGraph) -> (Vec<u32>, Vec<u32>) {
+    let n = g.node_count();
+    // While filling, `offsets[v + 1]` is `v`'s write cursor: it starts
+    // at `v`'s first position and ends one past its last, which is
+    // where `v + 1` starts.
+    let mut offsets = vec![0u32; n + 1];
+    for v in 1..n {
+        offsets[v + 1] = offsets[v] + g.degree(v as NodeId - 1) as u32;
+    }
+    let mut ids = vec![0u32; 2 * g.edge_count()];
+    let mut eid = 0u32;
+    for u in 0..n as NodeId {
+        for &w in g.neighbors_slice(u) {
+            if u < w {
+                for x in [u as usize, w as usize] {
+                    ids[offsets[x + 1] as usize] = eid;
+                    offsets[x + 1] += 1;
+                }
+                eid += 1;
+            }
+        }
+    }
+    (offsets, ids)
 }
 
 impl Operator for CcMirror {
@@ -120,7 +160,7 @@ impl Operator for CcMirror {
         // Lock own node, then every incident edge (the conflict
         // surface), then do a token write so the undo log is exercised.
         cx.lock(&self.node_data, v as usize)?;
-        for &e in &self.incident[v as usize] {
+        for &e in self.incident_edges(v) {
             cx.lock(&self.edge_data, e as usize)?;
         }
         *cx.write(&self.node_data, v as usize)? += 1;
@@ -143,6 +183,30 @@ mod tests {
         let space = b.build();
         let mirror = layout.finish(&space);
         (space, mirror)
+    }
+
+    #[test]
+    fn incidence_lists_each_edge_id_at_both_endpoints_in_order() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for g in [
+            CsrGraph::edgeless(0),
+            CsrGraph::edgeless(3),
+            gen::random_with_avg_degree(60, 5.0, &mut rng),
+            gen::grid2d_diag(5, 7),
+        ] {
+            let mut expect = vec![Vec::new(); g.node_count()];
+            for (eid, (u, w)) in g.edge_list().into_iter().enumerate() {
+                expect[u as usize].push(eid as u32);
+                expect[w as usize].push(eid as u32);
+            }
+            let (offsets, ids) = incidence(&g);
+            assert_eq!(offsets.len(), g.node_count() + 1);
+            assert_eq!(ids.len(), 2 * g.edge_count());
+            for (v, want) in expect.iter().enumerate() {
+                let got = &ids[offsets[v] as usize..offsets[v + 1] as usize];
+                assert_eq!(got, want, "node {v}");
+            }
+        }
     }
 
     #[test]

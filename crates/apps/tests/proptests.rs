@@ -1,7 +1,7 @@
 //! Property-based tests for the applications and their geometric
 //! substrate.
 
-use optpar_apps::boruvka::{BoruvkaOp, WeightedGraph};
+use optpar_apps::boruvka::{BoruvkaOp, EdgeRuns, WeightedGraph};
 use optpar_apps::coloring::{sequential_coloring, ColoringOp};
 use optpar_apps::geometry::{self, Point};
 use optpar_apps::matching::{sequential_matching, MatchingOp};
@@ -144,6 +144,69 @@ proptest! {
         }
         let mut op = op;
         prop_assert_eq!(op.msf(), reference);
+    }
+
+    /// Edge-run compaction under arbitrary merge orders (with pops in
+    /// between, as stale edges are consumed): no edge is lost or
+    /// duplicated, every run stays sorted, the queue yields the model's
+    /// minimum, and right after a merge the run count is within
+    /// ⌊log₂ m⌋ + 1 of the m edges left.
+    #[test]
+    fn edge_runs_compaction_keeps_edges_order_and_run_bound(
+        sizes in prop::collection::vec(0usize..24, 2..14),
+        ops in prop::collection::vec((any::<u16>(), any::<u16>(), 0usize..5), 1..40),
+    ) {
+        // Distinct weights, dealt round-robin so the runs interleave.
+        let k = sizes.len();
+        let mut model: Vec<Vec<u64>> = (0..k)
+            .map(|q| (0..sizes[q]).map(|i| (i * k + q) as u64).collect())
+            .collect();
+        let mut queues: Vec<EdgeRuns> = model
+            .iter()
+            .map(|ws| {
+                let sorted: Vec<_> = ws.iter().map(|&w| (w as u32, 0, w)).collect();
+                EdgeRuns::from_sorted(&sorted)
+            })
+            .collect();
+        for (a, b, pops) in ops {
+            if queues.len() < 2 {
+                break;
+            }
+            let into = a as usize % queues.len();
+            for _ in 0..pops {
+                prop_assert_eq!(queues[into].peek().map(|e| e.2), model[into].first().copied());
+                queues[into].pop();
+                if !model[into].is_empty() {
+                    model[into].remove(0);
+                }
+            }
+            let mut from = b as usize % queues.len();
+            if from == into {
+                from = (from + 1) % queues.len();
+            }
+            let (taken, taken_model) = (std::mem::take(&mut queues[from]), std::mem::take(&mut model[from]));
+            queues[into].absorb(taken);
+            model[into].extend(taken_model);
+            model[into].sort_unstable();
+
+            let q = &queues[into];
+            let mut left: Vec<u64> = q.runs().flatten().map(|e| e.2).collect();
+            left.sort_unstable();
+            prop_assert_eq!(&left, &model[into]);
+            for run in q.runs() {
+                prop_assert!(!run.is_empty());
+                prop_assert!(run.windows(2).all(|p| p[0].2 <= p[1].2));
+                prop_assert!(run.iter().all(|e| u64::from(e.0) == e.2), "payload rides with its weight");
+            }
+            if let Some(log2) = left.len().checked_ilog2() {
+                prop_assert!(q.runs().count() <= log2 as usize + 1,
+                    "{} runs over {} edges", q.runs().count(), left.len());
+            } else {
+                prop_assert_eq!(q.runs().count(), 0);
+            }
+            queues.swap_remove(from);
+            model.swap_remove(from);
+        }
     }
 
     /// Speculative SSSP equals Dijkstra on arbitrary weighted graphs.

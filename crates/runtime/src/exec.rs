@@ -48,7 +48,7 @@ use crate::phase::{self, Phase};
 use crate::pool::WorkerPool;
 use crate::probe::{obs_emit, Probe};
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Abort, Operator, Ranked, TaskCtx};
+use crate::task::{Abort, Operator, Ranked, TaskCtx, TaskScratch};
 use optpar_core::control::Controller;
 use rand::Rng;
 use std::cell::UnsafeCell;
@@ -169,6 +169,9 @@ impl<T: Ranked> WorkSet<T> {
     /// Wrap an existing task list.
     pub fn from_vec(tasks: Vec<T>) -> Self {
         let mut ws = WorkSet::new();
+        // One exact allocation for the common single-rank list, not
+        // log₂(n) doublings ending up to 2× over capacity.
+        ws.low.reserve_exact(tasks.len());
         ws.extend(tasks);
         ws
     }
@@ -702,10 +705,11 @@ impl<'a, O: Operator> Executor<'a, O> {
             _ => {
                 let t_exec = phase::maybe_start(self.phases);
                 let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
+                let mut scratch = TaskScratch::default();
                 let out = batch
                     .iter()
                     .enumerate()
-                    .map(|(slot, e)| self.speculate(slot, 0, epoch, &e.task, probe))
+                    .map(|(slot, e)| self.speculate(&mut scratch, slot, 0, epoch, &e.task, probe))
                     .collect();
                 phase::maybe_add(self.phases, Phase::Execute, t_exec);
                 out
@@ -911,7 +915,9 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// `fault_key` is the coordinate fault injection and fault records
     /// key on: the epoch in round mode, the batch tag in pipelined
     /// mode (where the epoch never moves, so a retried task must
-    /// re-roll under a fresh tag).
+    /// re-roll under a fresh tag). `scratch` is the calling loop's
+    /// lockset/undo buffers, lent to this task's context and returned
+    /// empty.
     ///
     /// The operator call is wrapped in `catch_unwind`: a panicking
     /// operator (or a fired injected panic) is converted into a
@@ -923,6 +929,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// point.
     pub(crate) fn speculate(
         &self,
+        scratch: &mut TaskScratch,
         slot: usize,
         lane: usize,
         fault_key: u64,
@@ -936,7 +943,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 epoch: self.space.epoch(),
             }
         );
-        let mut cx = TaskCtx::new_in_lane(slot, self.space, lane, fault_key);
+        let mut cx = TaskCtx::new_in_lane(slot, self.space, lane, fault_key, scratch);
         #[cfg(feature = "checker")]
         cx.note_seed(self.op.conflict_seed(task));
         cx.attach_probe(probe);
@@ -950,7 +957,7 @@ impl<'a, O: Operator> Executor<'a, O> {
             Ok(Ok(spawned)) => {
                 // The committed lockset stays stamped in the lock
                 // space; the epoch (or lane) bump will expire it.
-                let _lockset = cx.finish_commit();
+                cx.finish_commit();
                 TaskResult::Committed { spawned, acquires }
             }
             Ok(Err(Abort::Fault)) => {
@@ -1060,6 +1067,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         let job = |w: usize| {
             let t_busy = phase::maybe_start(pc);
             let probe = self.probe_for(w);
+            let mut scratch = TaskScratch::default();
             loop {
                 let start = next.fetch_add(chunk, Ordering::AcqRel);
                 if start >= n {
@@ -1067,7 +1075,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 }
                 let end = (start + chunk).min(n);
                 for i in start..end {
-                    let r = self.speculate(i, 0, epoch, &batch[i].task, probe);
+                    let r = self.speculate(&mut scratch, i, 0, epoch, &batch[i].task, probe);
                     // SAFETY: index `i` belongs to exactly one claimed
                     // chunk, so this cell has a single writer; readers
                     // wait for the rendezvous below.

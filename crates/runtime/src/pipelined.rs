@@ -71,7 +71,7 @@ use crate::lock::MAX_LANES;
 use crate::phase::{self, Phase};
 use crate::probe::obs_emit;
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Operator, Ranked};
+use crate::task::{Operator, Ranked, TaskScratch};
 use optpar_core::control::Controller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -431,6 +431,7 @@ impl<O: Operator> Executor<'_, O> {
             let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
             let probe = self.probe_for(w);
             let lane = w + 1;
+            let mut scratch = TaskScratch::default();
             loop {
                 if done.load(Ordering::Acquire) {
                     break;
@@ -485,7 +486,7 @@ impl<O: Operator> Executor<'_, O> {
                 let t1 = phase::maybe_start(pc);
                 for (i, entry) in batch.into_iter().enumerate() {
                     let slot = w * stride + i;
-                    let result = self.speculate(slot, lane, tag, &entry.task, probe);
+                    let result = self.speculate(&mut scratch, slot, lane, tag, &entry.task, probe);
                     match self.settle(entry, result, &mut tally) {
                         Settled::Committed(spawned) => {
                             if !spawned.is_empty() {

@@ -114,9 +114,15 @@ impl RunStats {
         }
     }
 
-    /// Work efficiency (committed / launched).
+    /// Work efficiency (committed / launched): a faulted launch is as
+    /// wasted as an aborted one. 1.0 for a run that launched nothing.
     pub fn efficiency(&self) -> f64 {
-        1.0 - self.overall_conflict_ratio()
+        let l = self.total_launched();
+        if l == 0 {
+            1.0
+        } else {
+            self.total_committed() as f64 / l as f64
+        }
     }
 
     /// Throughput proxy: commits per round.
@@ -199,10 +205,25 @@ mod tests {
     }
 
     #[test]
+    fn efficiency_counts_faulted_launches_as_waste() {
+        // 30 launched: 5 + 1 aborted, 4 faulted, 20 committed.
+        let mut faulty = round(20, 20, 19, 0);
+        faulty.committed -= 4;
+        faulty.faulted += 4;
+        let run = RunStats {
+            rounds: vec![round(10, 10, 5, 0), faulty],
+        };
+        assert_eq!(run.total_launched(), 30);
+        assert!((run.overall_conflict_ratio() - 0.2).abs() < 1e-12);
+        assert!((run.efficiency() - 20.0 / 30.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn empty_run() {
         let run = RunStats::default();
         assert_eq!(run.overall_conflict_ratio(), 0.0);
         assert_eq!(run.commits_per_round(), 0.0);
+        assert_eq!(run.efficiency(), 1.0);
     }
 
     /// Pin the `launched == 0` behavior of every ratio accessor: an

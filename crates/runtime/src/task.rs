@@ -24,6 +24,7 @@
 use crate::lock::{self, AcquireError, LockSpace};
 use crate::probe::{obs_emit, Probe};
 use crate::store::SpecStore;
+use std::mem::{align_of, size_of, MaybeUninit};
 
 /// Why a task must abort. Propagate it out of
 /// [`Operator::execute`]; the executor handles rollback and retry.
@@ -93,12 +94,111 @@ pub trait Operator: Sync {
     }
 }
 
-/// An undo-log entry: restores one slot's pre-write value.
+/// Inline snapshot storage of an [`UndoEntry`]: three words. That
+/// holds every scalar slot the apps keep (`u32` parents, `u64`
+/// distances, small tuples) and the 24-byte header of a `Vec` or
+/// `String`, so only large payload structs take the boxed fallback.
+type Saved = MaybeUninit<[u64; 3]>;
+
+/// Whether a `T` snapshot lives in the entry itself (else in a `Box`
+/// whose pointer does).
+const fn saved_inline<T>() -> bool {
+    size_of::<T>() <= size_of::<Saved>() && align_of::<T>() <= align_of::<Saved>()
+}
+
+/// An undo-log entry: one slot's pre-write value, type-erased so the
+/// log is a plain reusable `Vec` with no allocation per entry.
+///
+/// An entry owns its snapshot but has no `Drop`: it must be consumed
+/// by [`UndoEntry::finish`], which [`TaskCtx`]'s own `Drop` guarantees
+/// for every entry a task logged.
 struct UndoEntry {
-    /// Replayed exactly once, in reverse log order, by `rollback`.
-    restore: Box<dyn FnOnce()>,
     /// Lock index of the slot (for write-dedup).
     lock: usize,
+    /// The written store slot (a `*mut T`).
+    slot: *mut (),
+    /// `finish_as::<T>` for the slot's `T`.
+    // SAFETY: only ever called by `UndoEntry::finish`, on this entry's
+    // own `slot` and `saved`.
+    finish: unsafe fn(*mut (), &mut Saved, bool),
+    /// The snapshot: a `T` if `saved_inline::<T>()`, else a `Box<T>`.
+    saved: Saved,
+}
+
+impl UndoEntry {
+    fn new<T>(lock: usize, slot: *mut T, old: T) -> Self {
+        let mut saved = Saved::uninit();
+        if saved_inline::<T>() {
+            // SAFETY: `saved_inline` checked that a `T` fits `Saved`'s
+            // size and alignment; `write` does not read the
+            // uninitialised destination.
+            unsafe { saved.as_mut_ptr().cast::<T>().write(old) };
+        } else {
+            // SAFETY: a `Box<T>` of a sized `T` is one pointer, which
+            // fits `Saved`'s three words and shares their alignment.
+            unsafe { saved.as_mut_ptr().cast::<Box<T>>().write(Box::new(old)) };
+        }
+        UndoEntry {
+            lock,
+            slot: slot.cast(),
+            finish: finish_as::<T>,
+            saved,
+        }
+    }
+
+    /// Consume the entry: move the snapshot back into its slot
+    /// (`restore`, on rollback) or drop it (on commit).
+    ///
+    /// # Safety
+    /// With `restore`, the caller has exclusive access to the slot the
+    /// entry was logged for, and the store it lives in is still alive.
+    // SAFETY: contract above; both callers are `TaskCtx`'s rollback
+    // and its `Drop`.
+    unsafe fn finish(mut self, restore: bool) {
+        // SAFETY: `new::<T>` paired `finish_as::<T>` with a `*mut T`
+        // slot and a live `T` snapshot in `saved`; taking `self` by
+        // value means the snapshot is moved out exactly once. Slot
+        // access is the caller's obligation above.
+        unsafe { (self.finish)(self.slot, &mut self.saved, restore) }
+    }
+}
+
+/// Move the `T` snapshot out of `saved`, then either assign it to
+/// `*slot` (dropping the speculative value there) or drop it.
+///
+/// # Safety
+/// `saved` holds the snapshot [`UndoEntry::new::<T>`] stored and is not
+/// read again afterwards; with `restore`, `slot` is a valid `*mut T`
+/// the caller has exclusive access to.
+// SAFETY: contract above; reachable only through the fn pointer
+// `UndoEntry::new::<T>` stores next to exactly such a pair.
+unsafe fn finish_as<T>(slot: *mut (), saved: &mut Saved, restore: bool) {
+    let p = saved.as_mut_ptr();
+    let old: T = if saved_inline::<T>() {
+        // SAFETY: `new::<T>` wrote a `T` here (same `saved_inline`
+        // answer), and the caller reads it once.
+        unsafe { p.cast::<T>().read() }
+    } else {
+        // SAFETY: as above, for the `Box<T>` of the fallback.
+        *unsafe { p.cast::<Box<T>>().read() }
+    };
+    if restore {
+        // SAFETY: the caller guarantees `slot` is a live `T` nobody
+        // else can reach.
+        unsafe { *slot.cast::<T>() = old };
+    }
+}
+
+/// The buffers a running task fills — its lockset and undo log —
+/// owned by whichever loop calls `Executor::speculate` (the inline
+/// round, a pool job, a pipelined worker) and lent to one [`TaskCtx`]
+/// at a time, which leaves them empty: cleared, not freed, so a task
+/// allocates nothing once the buffers have grown to the loop's
+/// largest footprint.
+#[derive(Default)]
+pub(crate) struct TaskScratch {
+    lockset: Vec<usize>,
+    undo: Vec<UndoEntry>,
 }
 
 /// Per-task speculation context (one per launched task per round).
@@ -110,8 +210,8 @@ pub struct TaskCtx<'rt> {
     /// worker's lane tag for pipelined tasks. Cached at construction —
     /// a task's lane epoch cannot advance while the task runs.
     tag: u64,
-    lockset: Vec<usize>,
-    undo: Vec<UndoEntry>,
+    /// The calling loop's buffers; empty between tasks.
+    scratch: &'rt mut TaskScratch,
     /// Locks acquired (for stats).
     pub acquires: usize,
     /// Audit trail of every lock transition and data access, deposited
@@ -138,8 +238,8 @@ impl std::fmt::Debug for TaskCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskCtx")
             .field("slot", &self.slot)
-            .field("locks_held", &self.lockset.len())
-            .field("undo_entries", &self.undo.len())
+            .field("locks_held", &self.scratch.lockset.len())
+            .field("undo_entries", &self.scratch.undo.len())
             .finish_non_exhaustive()
     }
 }
@@ -148,8 +248,8 @@ impl<'rt> TaskCtx<'rt> {
     /// A lane-0 (round-mode) context, for unit tests; the executor
     /// builds every context through [`TaskCtx::new_in_lane`].
     #[cfg(test)]
-    pub(crate) fn new(slot: usize, space: &'rt LockSpace) -> Self {
-        Self::new_in_lane(slot, space, 0, space.epoch())
+    pub(crate) fn new(slot: usize, space: &'rt LockSpace, scratch: &'rt mut TaskScratch) -> Self {
+        Self::new_in_lane(slot, space, 0, space.epoch(), scratch)
     }
 
     /// A context for a task running in lock lane `lane` (0 = the round
@@ -157,22 +257,24 @@ impl<'rt> TaskCtx<'rt> {
     /// with the lane's current tag, and the audit trace carries
     /// `trace_epoch` — the round epoch, or the batch tag so the
     /// checker groups pipelined traces per batch (the unit within
-    /// which committed-exclusivity must hold).
+    /// which committed-exclusivity must hold). The task logs into
+    /// `scratch`, which the previous context left empty.
     pub(crate) fn new_in_lane(
         slot: usize,
         space: &'rt LockSpace,
         lane: usize,
         trace_epoch: u64,
+        scratch: &'rt mut TaskScratch,
     ) -> Self {
         let tag = space.lane_tag(lane);
         // Without the checker the trace-epoch argument is unused.
         let _ = trace_epoch;
+        debug_assert!(scratch.lockset.is_empty() && scratch.undo.is_empty());
         TaskCtx {
             slot,
             space,
             tag,
-            lockset: Vec::with_capacity(8),
-            undo: Vec::new(),
+            scratch,
             acquires: 0,
             #[cfg(feature = "checker")]
             trace: optpar_checker::TaskTrace::new(slot, trace_epoch),
@@ -263,7 +365,7 @@ impl<'rt> TaskCtx<'rt> {
         self.tick_fault()?;
         match lock::acquire_tagged(self.space, self.slot, self.tag, l) {
             Ok(true) => {
-                self.lockset.push(l);
+                self.scratch.lockset.push(l);
                 self.acquires += 1;
                 #[cfg(feature = "checker")]
                 self.trace
@@ -308,7 +410,8 @@ impl<'rt> TaskCtx<'rt> {
     /// through uncovered shows up in the trace.
     #[cfg(feature = "checker")]
     fn trace_access(&mut self, l: usize, kind: optpar_checker::AccessKind) {
-        let covered = self.space.owner_of(l) == Some(self.slot) && self.lockset.contains(&l);
+        let covered =
+            self.space.owner_of(l) == Some(self.slot) && self.scratch.lockset.contains(&l);
         self.trace.events.push(optpar_checker::TraceEvent::Access {
             lock: l,
             kind,
@@ -357,22 +460,11 @@ impl<'rt> TaskCtx<'rt> {
         #[cfg(feature = "checker")]
         self.trace_access(l, optpar_checker::AccessKind::Write);
         let ptr = store.slot_ptr(i);
-        if !self.undo.iter().any(|u| u.lock == l) {
+        if !self.scratch.undo.iter().any(|u| u.lock == l) {
             // SAFETY: exclusive access as in `read`; we clone the
             // current value out while no other reference exists.
             let old = unsafe { (*ptr).clone() };
-            let raw = SendPtr(ptr);
-            self.undo.push(UndoEntry {
-                lock: l,
-                // SAFETY: deferred to call time — the restore closure
-                // runs during rollback, while this task still holds the
-                // lock of slot `i` (writes only happen under held locks,
-                // and a held lock is never taken away), so the store
-                // slot is exclusively ours; the store outlives the round.
-                restore: Box::new(move || unsafe {
-                    *raw.0 = old;
-                }),
-            });
+            self.scratch.undo.push(UndoEntry::new(l, ptr, old));
         }
         // SAFETY: exclusive access as in `read`; `&mut self` ensures no
         // other outstanding reference from this context.
@@ -396,10 +488,12 @@ impl<'rt> TaskCtx<'rt> {
 
     /// Number of undo entries recorded (distinct slots written).
     pub fn undo_len(&self) -> usize {
-        self.undo.len()
+        self.scratch.undo.len()
     }
 
-    /// Commit: discard the undo log and return the still-held lockset.
+    /// Commit: the undo log is discarded — each snapshot dropped, by
+    /// this context's `Drop` — and the lockset stays stamped in the
+    /// lock space.
     ///
     /// **Committed tasks keep their locks until the round barrier** so
     /// that later tasks of the same round conflict with them, exactly
@@ -409,31 +503,35 @@ impl<'rt> TaskCtx<'rt> {
     /// ([`LockSpace::advance_epoch`]), the pipelined one with its
     /// per-batch lane bump. Infallible: a task that reached the end of
     /// its operator holds every lock it acquired.
-    pub(crate) fn finish_commit(mut self) -> Vec<usize> {
-        self.undo.clear();
+    pub(crate) fn finish_commit(self) {
         #[cfg(feature = "checker")]
         {
-            self.trace.outcome = optpar_checker::Outcome::Committed;
-            self.space.audit().push_trace(std::mem::replace(
-                &mut self.trace,
-                optpar_checker::TaskTrace::new(self.slot, 0),
+            let mut cx = self;
+            cx.trace.outcome = optpar_checker::Outcome::Committed;
+            cx.space.audit().push_trace(std::mem::replace(
+                &mut cx.trace,
+                optpar_checker::TaskTrace::new(cx.slot, 0),
             ));
         }
-        std::mem::take(&mut self.lockset)
     }
 
     /// Roll back: replay undo entries in reverse, then release locks.
-    pub(crate) fn finish_abort(mut self) {
-        for entry in self.undo.drain(..).rev() {
-            (entry.restore)();
+    pub(crate) fn finish_abort(self) {
+        for entry in self.scratch.undo.drain(..).rev() {
+            // SAFETY: the task still holds the lock of every slot it
+            // wrote (writes only happen under held locks, and a held
+            // lock is never taken away), so each logged slot is
+            // exclusively ours; the store outlives the round.
+            unsafe { entry.finish(true) };
         }
-        lock::release_all_tagged(self.space, self.slot, self.tag, &self.lockset);
+        lock::release_all_tagged(self.space, self.slot, self.tag, &self.scratch.lockset);
         #[cfg(feature = "checker")]
         {
-            self.trace.outcome = optpar_checker::Outcome::Aborted;
-            self.space.audit().push_trace(std::mem::replace(
-                &mut self.trace,
-                optpar_checker::TaskTrace::new(self.slot, 0),
+            let mut cx = self;
+            cx.trace.outcome = optpar_checker::Outcome::Aborted;
+            cx.space.audit().push_trace(std::mem::replace(
+                &mut cx.trace,
+                optpar_checker::TaskTrace::new(cx.slot, 0),
             ));
         }
     }
@@ -464,21 +562,30 @@ impl<'rt> TaskCtx<'rt> {
     }
 }
 
-/// Raw pointer wrapper so undo closures can be stored in the (single
-/// threaded) context without borrow-checker entanglement.
-struct SendPtr<T>(*mut T);
+impl Drop for TaskCtx<'_> {
+    /// Hand the scratch back empty however the task ended. Whatever
+    /// rollback did not replay — a committed task's whole log — is
+    /// dropped here, snapshot by snapshot: the entries are type-erased,
+    /// so clearing the `Vec` instead would leak every one of them.
+    fn drop(&mut self) {
+        for entry in self.scratch.undo.drain(..) {
+            // SAFETY: `restore` is false, so the slot is not touched.
+            unsafe { entry.finish(false) };
+        }
+        self.scratch.lockset.clear();
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lock::LockSpace;
 
-    /// Commit and immediately release (round-barrier stand-in for unit
-    /// tests; the executor does this at the end of each round).
+    /// Commit and pass the round barrier, as the executor does at the
+    /// end of each round: the epoch bump expires the committed locks.
     fn commit_release(cx: TaskCtx<'_>, space: &LockSpace) {
-        let slot = cx.slot();
-        let lockset = cx.finish_commit();
-        crate::lock::release_all(space, slot, &lockset);
+        cx.finish_commit();
+        space.advance_epoch();
     }
 
     fn setup(cap: usize) -> (LockSpace, crate::lock::Region) {
@@ -491,7 +598,8 @@ mod tests {
     fn write_and_commit() {
         let (space, r) = setup(4);
         let store = SpecStore::filled(r, 4, 0u32);
-        let mut cx = TaskCtx::new(0, &space);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
         *cx.write(&store, 2).unwrap() = 99;
         assert_eq!(cx.undo_len(), 1);
         commit_release(cx, &space);
@@ -504,7 +612,8 @@ mod tests {
     fn write_and_rollback_restores() {
         let (space, r) = setup(4);
         let store = SpecStore::from_vec(r, vec![10, 20, 30, 40], 0);
-        let mut cx = TaskCtx::new(0, &space);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
         *cx.write(&store, 1).unwrap() = 999;
         *cx.write(&store, 3).unwrap() = 888;
         *cx.write(&store, 1).unwrap() = 777; // second write, same slot
@@ -519,8 +628,10 @@ mod tests {
     fn conflict_aborts_second_task() {
         let (space, r) = setup(2);
         let store = SpecStore::filled(r, 2, 0u8);
-        let mut cx0 = TaskCtx::new(0, &space);
-        let mut cx1 = TaskCtx::new(1, &space);
+        let mut scratch0 = TaskScratch::default();
+        let mut cx0 = TaskCtx::new(0, &space, &mut scratch0);
+        let mut scratch1 = TaskScratch::default();
+        let mut cx1 = TaskCtx::new(1, &space, &mut scratch1);
         cx0.lock(&store, 0).unwrap();
         let err = cx1.write(&store, 0).unwrap_err();
         assert_eq!(err, Abort::Conflict { lock: 0 });
@@ -533,7 +644,8 @@ mod tests {
     fn read_then_write_same_slot() {
         let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 41u32);
-        let mut cx = TaskCtx::new(0, &space);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
         let v = *cx.read(&store, 0).unwrap();
         *cx.write(&store, 0).unwrap() = v + 1;
         commit_release(cx, &space);
@@ -545,7 +657,8 @@ mod tests {
     fn alloc_locks_fresh_slot() {
         let (space, r) = setup(4);
         let store = SpecStore::filled(r, 1, 0u32);
-        let mut cx = TaskCtx::new(0, &space);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
         let i = cx.alloc(&store).unwrap();
         assert_eq!(i, 1);
         assert_eq!(space.owner_of(r.lock_of(1)), Some(0));
@@ -558,7 +671,8 @@ mod tests {
     fn requested_abort() {
         let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 1u8);
-        let mut cx = TaskCtx::new(0, &space);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
         *cx.write(&store, 0).unwrap() = 2;
         let e: Result<(), Abort> = cx.abort_requested();
         assert_eq!(e.unwrap_err(), Abort::Requested);
@@ -580,15 +694,17 @@ mod tests {
         space.audit().arm(false);
         let store = SpecStore::filled(r, 1, 0u8);
         let epoch = space.epoch();
-        let mut cx0 = TaskCtx::new(0, &space);
+        let mut scratch0 = TaskScratch::default();
+        let mut cx0 = TaskCtx::new(0, &space, &mut scratch0);
         *cx0.write(&store, 0).unwrap() = 1;
         // The seeded bug: the held lock leaks out before commit.
         cx0.buggy_release_lock(r.lock_of(0));
-        let _ = cx0.finish_commit();
+        cx0.finish_commit();
         // Task 1 sneaks in on the leaked lock and also commits.
-        let mut cx1 = TaskCtx::new(1, &space);
+        let mut scratch1 = TaskScratch::default();
+        let mut cx1 = TaskCtx::new(1, &space, &mut scratch1);
         *cx1.write(&store, 0).unwrap() = 2;
-        let _ = cx1.finish_commit();
+        cx1.finish_commit();
         space.audit().drain_round();
         let reports = space.audit().take_reports();
         assert!(
@@ -601,11 +717,159 @@ mod tests {
         );
     }
 
+    /// Overwrite a one-slot store's `old` with `new` (twice: the second
+    /// write must not log again), then commit or roll back; returns
+    /// what the slot holds afterwards.
+    fn write_then<T: Send + Clone + 'static>(old: T, new: T, commit: bool) -> T {
+        let (space, r) = setup(1);
+        let mut store = SpecStore::new(r, vec![old], 1);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
+        *cx.write(&store, 0).unwrap() = new.clone();
+        *cx.write(&store, 0).unwrap() = new;
+        assert_eq!(cx.undo_len(), 1);
+        if commit {
+            commit_release(cx, &space);
+        } else {
+            cx.finish_abort();
+        }
+        assert!(space.check_all_free().is_ok());
+        assert!(scratch.undo.is_empty() && scratch.lockset.is_empty());
+        store.get_mut(0).clone()
+    }
+
+    /// Rollback restores `old`, commit leaves `new`.
+    fn round_trips<T: Send + Clone + PartialEq + std::fmt::Debug + 'static>(old: T, new: T) {
+        assert_eq!(write_then(old.clone(), new.clone(), false), old);
+        assert_eq!(write_then(old, new.clone(), true), new);
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    #[repr(align(64))]
+    struct Aligned(u64);
+
+    #[test]
+    fn undo_snapshot_is_inline_up_to_three_words() {
+        assert!(saved_inline::<(u32, u32, u64)>());
+        assert!(saved_inline::<[u64; 3]>());
+        assert!(saved_inline::<Vec<u32>>());
+        round_trips((1u32, 2u32, 3u64), (4, 5, 6));
+        round_trips([1u64, 2, 3], [7, 8, 9]);
+    }
+
+    #[test]
+    fn undo_snapshot_of_a_large_or_overaligned_value_is_boxed() {
+        assert!(!saved_inline::<[u64; 4]>());
+        assert!(!saved_inline::<Aligned>());
+        round_trips([1u64, 2, 3, 4], [5, 6, 7, 8]);
+        round_trips(Aligned(1), Aligned(2));
+    }
+
+    #[test]
+    fn undo_snapshot_of_a_heap_owning_value() {
+        round_trips(vec![1u32, 2, 3], vec![9; 100]);
+        round_trips(String::from("before"), String::from("after"));
+        // Heap-owning *and* boxed.
+        round_trips((vec![1u8], [0u64; 4]), (vec![2u8; 50], [1u64; 4]));
+    }
+
+    /// Counts its live instances (clones included); `PAD` words of
+    /// ballast push it over the inline limit.
+    struct Counted<const PAD: usize> {
+        live: std::sync::Arc<std::sync::atomic::AtomicIsize>,
+        _pad: [u64; PAD],
+    }
+
+    impl<const PAD: usize> Counted<PAD> {
+        fn new(live: &std::sync::Arc<std::sync::atomic::AtomicIsize>) -> Self {
+            live.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Counted {
+                live: live.clone(),
+                _pad: [0; PAD],
+            }
+        }
+    }
+
+    impl<const PAD: usize> Clone for Counted<PAD> {
+        fn clone(&self) -> Self {
+            Counted::new(&self.live)
+        }
+    }
+
+    impl<const PAD: usize> Drop for Counted<PAD> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// Every snapshot is dropped exactly once, on commit and on abort:
+    /// a leak leaves the live count high, a double drop takes it low.
+    fn snapshot_dropped_once<const PAD: usize>() {
+        use std::sync::atomic::Ordering::SeqCst;
+        for commit in [true, false] {
+            let live = std::sync::Arc::new(std::sync::atomic::AtomicIsize::new(0));
+            let (space, r) = setup(1);
+            let store = SpecStore::new(r, vec![Counted::<PAD>::new(&live)], 1);
+            let mut scratch = TaskScratch::default();
+            let mut cx = TaskCtx::new(0, &space, &mut scratch);
+            *cx.write(&store, 0).unwrap() = Counted::new(&live);
+            assert_eq!(live.load(SeqCst), 2, "slot value + one snapshot");
+            *cx.write(&store, 0).unwrap() = Counted::new(&live);
+            assert_eq!(live.load(SeqCst), 2, "a second write logs nothing");
+            assert_eq!(cx.undo_len(), 1);
+            if commit {
+                commit_release(cx, &space);
+            } else {
+                cx.finish_abort();
+            }
+            assert_eq!(live.load(SeqCst), 1, "commit = {commit}: only the slot");
+            drop(store);
+            assert_eq!(live.load(SeqCst), 0, "commit = {commit}");
+        }
+    }
+
+    #[test]
+    fn undo_snapshots_are_dropped_exactly_once() {
+        assert!(saved_inline::<Counted<0>>() && !saved_inline::<Counted<4>>());
+        snapshot_dropped_once::<0>();
+        snapshot_dropped_once::<4>();
+    }
+
+    /// A panic injected into the context operation after a write
+    /// unwinds past the operator's `&mut`; the snapshot taken before
+    /// that `&mut` was handed out still restores the heap-owning value.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn injected_panic_after_a_write_rolls_back() {
+        use crate::faults::{ArmedFault, FaultKind, FaultPlan};
+        let (space, r) = setup(2);
+        let mut store = SpecStore::filled(r, 2, vec![1u32, 2, 3]);
+        let plan = FaultPlan::seeded(1);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
+        cx.inject = Some(ArmedFault {
+            plan: &plan,
+            epoch: space.epoch(),
+            kind: FaultKind::Panic,
+            countdown: 1,
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cx.write(&store, 0)?.extend([4, 5, 6, 7, 8, 9]);
+            cx.lock(&store, 1)
+        }));
+        assert!(unwound.is_err(), "the second operation fires the panic");
+        assert_eq!(plan.fired_count(), 1);
+        cx.finish_abort();
+        assert!(space.check_all_free().is_ok());
+        assert_eq!(*store.get_mut(0), vec![1, 2, 3]);
+    }
+
     #[test]
     fn reentrant_locks_release_once() {
         let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 0u8);
-        let mut cx = TaskCtx::new(0, &space);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new(0, &space, &mut scratch);
         cx.lock(&store, 0).unwrap();
         cx.lock(&store, 0).unwrap();
         assert_eq!(cx.acquires, 1);
