@@ -320,7 +320,7 @@ pub struct ExecutorConfig {
     /// Benchmark-pinned shim: nothing reads this field (first-wins is
     /// the only arbitration rule). It exists only because the frozen
     /// `benchmark/src/drain.rs` sets it; the next PR that may edit
-    /// `benchmark/` drops it (ROADMAP item 3).
+    /// `benchmark/` drops it (ROADMAP item 2).
     #[doc(hidden)]
     pub policy: ConflictPolicy,
     /// Abort-retry budget `K`: a task aborted/faulted at least this
@@ -359,39 +359,14 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// How an executor reaches its worker threads: none (inline), an
-/// owned pool (the classic standalone construction), or a borrowed
-/// pool shared with other executors (the job-service construction,
-/// where one persistent pool outlives many short-lived executors).
-enum PoolHandle<'a> {
-    /// `workers == 1`: inline execution, no threads at all.
-    Inline,
-    /// Pool created by and torn down with this executor.
-    Owned(WorkerPool),
-    /// Pool borrowed from a longer-lived owner (e.g. `JobService`);
-    /// dropping the executor leaves it running.
-    Shared(&'a WorkerPool),
-}
-
-impl PoolHandle<'_> {
-    fn get(&self) -> Option<&WorkerPool> {
-        match self {
-            PoolHandle::Inline => None,
-            PoolHandle::Owned(p) => Some(p),
-            PoolHandle::Shared(p) => Some(p),
-        }
-    }
-}
-
 /// The speculative executor: pairs an [`Operator`] with a
 /// [`LockSpace`].
 pub struct Executor<'a, O: Operator> {
     op: &'a O,
     space: &'a LockSpace,
     cfg: ExecutorConfig,
-    /// Persistent parked threads; inline when `workers == 1`, owned or
-    /// borrowed otherwise.
-    pool: PoolHandle<'a>,
+    /// Persistent parked threads; `None` when `workers == 1` (inline).
+    pool: Option<WorkerPool>,
     /// Structured record of every contained fault (operator panics,
     /// injected faults, lost result slots).
     faults: Mutex<FaultLog>,
@@ -414,7 +389,7 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("workers", &self.cfg.workers)
-            .field("pooled", &self.pool.get().is_some())
+            .field("pooled", &self.pool.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -480,40 +455,11 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// Spawns the persistent worker pool when `workers > 1`.
     pub fn new(op: &'a O, space: &'a LockSpace, cfg: ExecutorConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
-        let pool = if cfg.workers > 1 {
-            PoolHandle::Owned(WorkerPool::new(cfg.workers))
-        } else {
-            PoolHandle::Inline
-        };
-        Self::with_handle(op, space, cfg, pool)
-    }
-
-    /// Pair an operator with its lock space, executing on a *borrowed*
-    /// pool instead of spawning one. `cfg.workers` is overridden by
-    /// the pool's thread count; dropping the executor leaves the pool
-    /// running, so many short-lived executors (one per job, per
-    /// round) can time-slice one persistent pool.
-    pub fn with_pool(
-        op: &'a O,
-        space: &'a LockSpace,
-        mut cfg: ExecutorConfig,
-        pool: &'a WorkerPool,
-    ) -> Self {
-        cfg.workers = pool.workers();
-        Self::with_handle(op, space, cfg, PoolHandle::Shared(pool))
-    }
-
-    fn with_handle(
-        op: &'a O,
-        space: &'a LockSpace,
-        cfg: ExecutorConfig,
-        pool: PoolHandle<'a>,
-    ) -> Self {
         Executor {
             op,
             space,
             cfg,
-            pool,
+            pool: (cfg.workers > 1).then(|| WorkerPool::new(cfg.workers)),
             faults: Mutex::new(FaultLog::default()),
             dead_letters: Mutex::new(Vec::new()),
             #[cfg(feature = "faults")]
@@ -580,13 +526,13 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// execution, which has no threads). Panic containment keeps this
     /// at `workers` even under injected panics.
     pub fn live_workers(&self) -> Option<usize> {
-        self.pool.get().map(WorkerPool::live_workers)
+        self.pool.as_ref().map(WorkerPool::live_workers)
     }
 
     /// Worker-level job panics that escaped the per-task containment
     /// (should stay 0: operator panics are caught inside the round).
     pub fn worker_panics(&self) -> u64 {
-        self.pool.get().map_or(0, WorkerPool::job_panics)
+        self.pool.as_ref().map_or(0, WorkerPool::job_panics)
     }
 
     /// The lock space this executor arbitrates over.
@@ -596,7 +542,7 @@ impl<'a, O: Operator> Executor<'a, O> {
 
     /// The persistent worker pool (`None` when `workers == 1`).
     pub(crate) fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.get()
+        self.pool.as_ref()
     }
 
     /// Attach a phase clock: subsequent runs charge their draw /
@@ -700,9 +646,9 @@ impl<'a, O: Operator> Executor<'a, O> {
         #[cfg(feature = "checker")]
         self.space.audit().arm(self.cfg.workers == 1);
 
-        let results: Vec<TaskResult<O::Task>> = match self.pool.get() {
-            Some(pool) if self.cfg.workers > 1 => self.run_parallel(pool, &batch),
-            _ => {
+        let results: Vec<TaskResult<O::Task>> = match &self.pool {
+            Some(pool) => self.run_parallel(pool, &batch),
+            None => {
                 let t_exec = phase::maybe_start(self.phases);
                 let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
                 let mut scratch = TaskScratch::default();
@@ -1087,12 +1033,9 @@ impl<'a, O: Operator> Executor<'a, O> {
         let exec_before = pc.map(|c| c.snapshot().execute_ns);
         let t_wall = phase::maybe_start(pc);
         if pool.run(&job).is_err() {
-            // The pool was retired under us (the service supervisor
-            // swaps pools when detaching a wedged job, and a round can
-            // hold the old Arc across that swap). Nothing ran on the
-            // pool, so drain the whole batch inline through the same
-            // chunk-claiming closure; the caller picks up the
-            // replacement pool on its next round.
+            // `run` refuses only a pool that is shutting down, and
+            // nothing ran on it then: the same chunk-claiming closure
+            // drains the batch inline.
             job(0);
         }
         // Wait = worker-seconds the rendezvous held that nobody spent

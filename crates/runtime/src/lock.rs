@@ -73,7 +73,7 @@ struct OwnerLine([AtomicU64; LINE_WORDS]);
 /// one collision rule and nothing reads this type. It exists only
 /// because `benchmark/src/drain.rs` — frozen by `BENCHMARK.json`'s
 /// `paths` for ordinary PRs — names it in an `ExecutorConfig` literal;
-/// the next PR that may edit `benchmark/` drops it (ROADMAP item 3).
+/// the next PR that may edit `benchmark/` drops it (ROADMAP item 2).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ConflictPolicy {

@@ -546,9 +546,10 @@ impl<O: Operator> Executor<'_, O> {
             }
         };
         // Dispatch on the executor's persistent pool; workers == 1
-        // runs inline on the calling thread. A retired pool (shut down
-        // under us) degrades to the same inline path: the claim loop
-        // drains every shard to completion either way.
+        // runs inline on the calling thread. A pool that refuses the
+        // job (`run` does only while shutting down) degrades to the
+        // same inline path: the claim loop drains every shard to
+        // completion either way.
         match self.pool() {
             Some(pool) => {
                 if pool.run(&worker).is_err() {

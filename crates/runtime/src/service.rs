@@ -1,15 +1,17 @@
-//! A resilient multi-tenant job service over one persistent
-//! [`WorkerPool`].
+//! A resilient multi-tenant job service whose lanes own their workers.
 //!
 //! The paper's controller adapts speculation *within* one computation;
 //! this module supplies the production framing around it: a
 //! [`JobService`] accepts a stream of concurrent jobs (each a closure
 //! that builds its own operator, lock space, and work-set and drives
-//! rounds through [`JobCx::drive`]), time-slicing one shared pool at
-//! round granularity. Each job gets its own adaptive controller; its
-//! per-round `m(t)` is clamped to its priority share of the global
-//! in-flight budget, so a conflict-heavy tenant cannot starve the
-//! others.
+//! rounds through [`JobCx::drive`]) and runs up to
+//! [`ServiceConfig::lanes`] of them at once. A lane executes its job
+//! itself, on an [`Executor`] the drive owns: tenants share no thread,
+//! so they run concurrently and never wait on each other's rounds.
+//! What they do share is the global in-flight budget: each job gets
+//! its own adaptive controller, and its per-round `m(t)` is clamped to
+//! its priority share of that budget, so a conflict-heavy tenant
+//! cannot starve the others.
 //!
 //! Robustness is the point, not throughput:
 //!
@@ -33,10 +35,9 @@
 //!   [`JobReport::dead_letters`] instead of re-queuing forever.
 //! * **Wedge watchdog** — a supervisor thread watches each lane's round
 //!   heartbeat; a job that stops beating past
-//!   [`ServiceConfig::wedge_grace`] is detached: its client gets
-//!   [`JobError::Wedged`], the stuck pool is retired via the bounded
-//!   [`WorkerPool::shutdown`], and a fresh pool is swapped in so the
-//!   service keeps serving.
+//!   [`ServiceConfig::wedge_grace`] is detached: it is cancelled and
+//!   its client gets [`JobError::Wedged`]. Nobody else's rounds ran on
+//!   its threads, so the other lanes never notice.
 //! * **Chaos** (feature `faults`) — [`ServiceConfig::chaos`] arms a
 //!   deterministic per-drive [`FaultPlan`](crate::faults::FaultPlan)
 //!   (seeded from the job id and drive number), and every fired fault
@@ -47,13 +48,12 @@
 //! (a panicking lane loses its client's report), no raw `Instant`
 //! (deadlines and latency go through [`Deadline`]/[`Stopwatch`] in the
 //! phase module), no slice indexing, and all OS threads are scoped or
-//! come from the pool.
+//! come from a drive's executor.
 
 use crate::exec::{Executor, ExecutorConfig, WorkSet};
 use crate::faults::{panic_detail, recover, DeadLetter, TaskFault};
 use crate::lock::LockSpace;
 use crate::phase::{Deadline, Stopwatch};
-use crate::pool::WorkerPool;
 use crate::task::Operator;
 use optpar_core::control::Controller;
 use rand::Rng;
@@ -102,7 +102,9 @@ impl ChaosConfig {
 /// override fields; every knob is documented with its failure mode.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads in the shared pool (≥ 1; 1 = inline rounds).
+    /// Worker threads across all lanes (≥ 1); a lane drives with
+    /// `max(1, workers / lanes)`, and at 1 its rounds run inline on
+    /// the lane thread.
     pub workers: usize,
     /// Concurrent job lanes (≥ 1): jobs running at once.
     pub lanes: usize,
@@ -144,9 +146,6 @@ pub struct ServiceConfig {
     pub wedge_grace: Duration,
     /// Supervisor polling period.
     pub wedge_poll: Duration,
-    /// Timeout handed to [`WorkerPool::shutdown`] when retiring a
-    /// wedged pool (and at final teardown).
-    pub detach_timeout: Duration,
     /// Undrained-entry bound for each round executor's fault log.
     pub fault_log_cap: usize,
     /// Service-level chaos injection (feature `faults`); `None` runs
@@ -177,7 +176,6 @@ impl Default for ServiceConfig {
             max_rounds: 100_000,
             wedge_grace: Duration::from_secs(2),
             wedge_poll: Duration::from_millis(20),
-            detach_timeout: Duration::from_millis(250),
             fault_log_cap: crate::faults::DEFAULT_FAULT_LOG_CAP,
             #[cfg(feature = "faults")]
             chaos: None,
@@ -348,6 +346,7 @@ pub struct JobTicket {
     id: u64,
     rx: mpsc::Receiver<JobReport>,
     cancel: Arc<AtomicBool>,
+    queued_at: Stopwatch,
 }
 
 impl JobTicket {
@@ -369,7 +368,12 @@ impl JobTicket {
     pub fn wait(self) -> JobReport {
         match self.rx.recv() {
             Ok(report) => report,
-            Err(_) => JobReport::synthetic(self.id, String::new(), Err(JobError::ServiceClosed)),
+            Err(_) => JobReport::synthetic(
+                self.id,
+                String::new(),
+                Err(JobError::ServiceClosed),
+                self.queued_at,
+            ),
         }
     }
 
@@ -415,8 +419,13 @@ pub struct JobReport {
 
 impl JobReport {
     /// A report with zeroed accounting (queue-side rejections, wedge
-    /// detaches, teardown).
-    fn synthetic(id: u64, name: String, result: Result<JobOutput, JobError>) -> Self {
+    /// detaches, teardown) for a job admitted at `queued_at`.
+    fn synthetic(
+        id: u64,
+        name: String,
+        result: Result<JobOutput, JobError>,
+        queued_at: Stopwatch,
+    ) -> Self {
         JobReport {
             id,
             name,
@@ -430,7 +439,7 @@ impl JobReport {
             faults: Vec::new(),
             #[cfg(feature = "faults")]
             injected: Vec::new(),
-            latency: Duration::ZERO,
+            latency: queued_at.elapsed(),
         }
     }
 }
@@ -459,18 +468,11 @@ pub struct ServiceStats {
     pub job_retries: u64,
     /// Jobs wedge-detached by the supervisor.
     pub wedges: u64,
-    /// Pool replacements performed by the supervisor.
-    pub pool_swaps: u64,
-    /// Workers detached (not joined) across wedge retirements.
-    pub detached_workers: u64,
-    /// Worker-level job panics across every pool the service owned
-    /// (0 = per-task containment held everywhere).
+    /// Worker-level job panics summed over every drive's executor
+    /// (0 = per-task containment held everywhere). An inline lane has
+    /// no worker loop to catch one: there a runtime-level panic ends
+    /// the job with [`JobError::App`].
     pub worker_panics: u64,
-    /// Workers alive in the final pool just before teardown (equals
-    /// the configured count when no worker died).
-    pub live_workers: usize,
-    /// Workers the *final* teardown had to detach (0 = clean exit).
-    pub final_detached: usize,
     /// Final service-wide pressure EWMA.
     pub pressure: f64,
     /// The service-level obs event log, when [`ServiceConfig::obs`]
@@ -501,6 +503,7 @@ struct CurrentJob {
     priority: u64,
     cancel: Arc<AtomicBool>,
     tx: mpsc::Sender<JobReport>,
+    queued_at: Stopwatch,
 }
 
 /// Per-lane execution state.
@@ -523,10 +526,6 @@ impl LaneState {
 /// Shared service state: one per [`serve`] call.
 struct Shared {
     cfg: ServiceConfig,
-    /// The current worker pool. Swapped wholesale by the supervisor
-    /// when a wedged job must be retired; jobs clone the `Arc` per
-    /// round, so a swap takes effect at every job's next round.
-    pool: Mutex<Arc<WorkerPool>>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
@@ -547,10 +546,8 @@ struct Shared {
     deadline_misses: AtomicU64,
     job_retries: AtomicU64,
     wedges: AtomicU64,
-    pool_swaps: AtomicU64,
-    detached_workers: AtomicU64,
-    /// `job_panics` accumulated from pools retired by wedge swaps.
-    retired_panics: AtomicU64,
+    /// `Executor::worker_panics` summed over finished drives.
+    worker_panics: AtomicU64,
     #[cfg(feature = "obs")]
     recorder: Option<optpar_obs::Recorder>,
 }
@@ -562,7 +559,6 @@ impl Shared {
             .obs
             .then(|| optpar_obs::Recorder::new(1, optpar_obs::ObsConfig::default()));
         Shared {
-            pool: Mutex::new(Arc::new(WorkerPool::new(cfg.workers))),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -580,9 +576,7 @@ impl Shared {
             deadline_misses: AtomicU64::new(0),
             job_retries: AtomicU64::new(0),
             wedges: AtomicU64::new(0),
-            pool_swaps: AtomicU64::new(0),
-            detached_workers: AtomicU64::new(0),
-            retired_panics: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
             #[cfg(feature = "obs")]
             recorder,
             cfg,
@@ -682,12 +676,7 @@ impl Shared {
         let _ = id;
     }
 
-    fn stats(
-        &self,
-        live_workers: usize,
-        worker_panics: u64,
-        final_detached: usize,
-    ) -> ServiceStats {
+    fn stats(&self) -> ServiceStats {
         ServiceStats {
             admitted: self.admitted.load(Ordering::Acquire),
             rejected_backpressure: self.rejected_backpressure.load(Ordering::Acquire),
@@ -699,11 +688,7 @@ impl Shared {
             deadline_misses: self.deadline_misses.load(Ordering::Acquire),
             job_retries: self.job_retries.load(Ordering::Acquire),
             wedges: self.wedges.load(Ordering::Acquire),
-            pool_swaps: self.pool_swaps.load(Ordering::Acquire),
-            detached_workers: self.detached_workers.load(Ordering::Acquire),
-            worker_panics,
-            live_workers,
-            final_detached,
+            worker_panics: self.worker_panics.load(Ordering::Acquire),
             pressure: self.pressure(),
             #[cfg(feature = "obs")]
             obs_log: self.recorder.as_ref().map(|rec| rec.take_log()),
@@ -745,6 +730,7 @@ impl JobService<'_> {
         }
         let cancel = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel();
+        let queued_at = Stopwatch::started();
         {
             let mut queue = recover(shared.queue.lock());
             if queue.len() >= shared.cfg.queue_cap {
@@ -760,12 +746,17 @@ impl JobService<'_> {
                 cancel: Arc::clone(&cancel),
                 tx,
                 job: spec.job,
-                queued_at: Stopwatch::started(),
+                queued_at,
             });
         }
         shared.note_admit(id, spec.priority);
         shared.queue_cv.notify_one();
-        Ok(JobTicket { id, rx, cancel })
+        Ok(JobTicket {
+            id,
+            rx,
+            cancel,
+            queued_at,
+        })
     }
 
     /// The current service-wide pressure EWMA (what admission checks
@@ -797,7 +788,7 @@ struct JobAccum {
 
 /// Execution context handed to the job closure: cancellation and
 /// deadline visibility, the heartbeat, and [`JobCx::drive`] — the
-/// only way a job reaches the shared pool.
+/// only way a job reaches its lane's workers.
 pub struct JobCx<'s> {
     shared: &'s Shared,
     lane_beat: &'s AtomicU64,
@@ -848,20 +839,15 @@ impl JobCx<'_> {
         self.lane_beat.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Drain `ws` through round-based speculative execution on the
-    /// service's shared pool, one controller-allocated round at a
-    /// time, until the work-set empties or a structured stop
-    /// (cancellation, deadline, dead letters, round cap) ends the
-    /// drive.
+    /// Drain `ws` through round-based speculative execution on this
+    /// lane's own workers, one controller-allocated round at a time,
+    /// until the work-set empties or a structured stop (cancellation,
+    /// deadline, dead letters, round cap) ends the drive.
     ///
-    /// Each round builds a short-lived [`Executor`] borrowing the
-    /// *current* pool, so a supervisor pool swap is picked up at the
-    /// next round. A round that loses that race — publishing to a
-    /// pool the supervisor retired right after the clone — is not
-    /// lost and cannot hang: [`WorkerPool::run`] refuses retired
-    /// pools, the executor drains the batch inline, and the next
-    /// round rebinds to the replacement pool. The round's `m` is the
-    /// controller's allocation
+    /// The drive owns one [`Executor`] of `max(1, workers / lanes)`
+    /// workers: at 1 every round runs inline on the lane thread,
+    /// wider lanes get the executor's ordinary pool for the length of
+    /// the drive. A round's `m` is the controller's allocation
     /// clamped to this job's priority share of
     /// [`ServiceConfig::global_budget`]. Stops happen only at round
     /// boundaries, where no locks or tasks are in flight — the
@@ -876,13 +862,30 @@ impl JobCx<'_> {
     ) -> Result<(), JobError> {
         self.acc.drives = self.acc.drives.saturating_add(1);
         let drive = self.acc.drives;
+        let cfg = &self.shared.cfg;
         #[cfg(feature = "faults")]
-        let plan = self.shared.cfg.chaos.map(|c| {
+        let plan = cfg.chaos.map(|c| {
             crate::faults::FaultPlan::seeded(chaos_seed(c.seed, self.job_id, u64::from(drive)))
                 .with_panic_rate(c.panic_rate)
                 .with_spurious_abort_rate(c.spurious_rate)
                 .with_delay_rate(c.delay_rate, c.delay_spins)
         });
+        let ecfg = ExecutorConfig {
+            workers: (cfg.workers / cfg.lanes).max(1),
+            // Unread benchmark-pinned shim field (see its docs).
+            policy: Default::default(),
+            retry_budget: cfg.retry_budget,
+            watchdog_stall: cfg.watchdog_stall,
+            dead_letter_budget: cfg.dead_letter_budget,
+        };
+        #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
+        let mut ex = Executor::new(op, space, ecfg);
+        let _ = ex.set_fault_log_capacity(cfg.fault_log_cap);
+        #[cfg(feature = "faults")]
+        if let Some(p) = plan.as_ref() {
+            ex.set_fault_plan(p);
+        }
+        let _tally = PanicTally(&ex, &self.shared.worker_panics);
         let mut stalled: u32 = 0;
         let mut rounds_this_drive: usize = 0;
         let mut dead_this_drive: usize = 0;
@@ -890,7 +893,7 @@ impl JobCx<'_> {
             if ws.is_empty() {
                 break Ok(());
             }
-            if rounds_this_drive >= self.shared.cfg.max_rounds {
+            if rounds_this_drive >= cfg.max_rounds {
                 break Err(JobError::RoundsExhausted {
                     remaining: ws.len(),
                 });
@@ -900,23 +903,6 @@ impl JobCx<'_> {
             }
             if self.deadline_expired() {
                 break Err(JobError::DeadlineExceeded);
-            }
-            let pool = { recover(self.shared.pool.lock()).clone() };
-            let cfg = &self.shared.cfg;
-            let ecfg = ExecutorConfig {
-                workers: pool.workers(),
-                // Unread benchmark-pinned shim field (see its docs).
-                policy: Default::default(),
-                retry_budget: cfg.retry_budget,
-                watchdog_stall: cfg.watchdog_stall,
-                dead_letter_budget: cfg.dead_letter_budget,
-            };
-            #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-            let mut ex = Executor::with_pool(op, space, ecfg, &pool);
-            let _ = ex.set_fault_log_capacity(cfg.fault_log_cap);
-            #[cfg(feature = "faults")]
-            if let Some(p) = plan.as_ref() {
-                ex.set_fault_plan(p);
             }
             // The shared round stepper owns the watchdog clamp and the
             // controller feedback; this job's priority share of the
@@ -965,6 +951,18 @@ impl JobCx<'_> {
     }
 }
 
+/// Books a drive executor's escaped worker panics into the service
+/// total when the drive ends — on drop, because the panic
+/// `WorkerPool::run` re-raises on the lane thread for one unwinds
+/// through [`JobCx::drive`].
+struct PanicTally<'x, 'a, O: Operator>(&'x Executor<'a, O>, &'x AtomicU64);
+
+impl<O: Operator> Drop for PanicTally<'_, '_, O> {
+    fn drop(&mut self) {
+        self.1.fetch_add(self.0.worker_panics(), Ordering::AcqRel);
+    }
+}
+
 /// Mix the chaos seed with the job id and drive number (splitmix-style
 /// avalanche) so every drive replays its own deterministic schedule.
 #[cfg(feature = "faults")]
@@ -980,9 +978,9 @@ fn chaos_seed(seed: u64, job: u64, drive: u64) -> u64 {
 /// everything down when the body returns (accepted jobs finish
 /// first). Returns the body's value and the final [`ServiceStats`].
 ///
-/// A job wedged in a *non-terminating* pool task blocks teardown until
-/// its task yields (scoped threads must join); the supervisor will
-/// have detached it and reported [`JobError::Wedged`] long before.
+/// A job wedged in a *non-terminating* task blocks teardown until its
+/// task yields (lane threads are scoped and must join); the supervisor
+/// will have detached it and reported [`JobError::Wedged`] long before.
 pub fn serve<T>(cfg: ServiceConfig, body: impl FnOnce(&JobService<'_>) -> T) -> (T, ServiceStats) {
     assert!(cfg.workers >= 1, "service needs at least one worker");
     assert!(cfg.lanes >= 1, "service needs at least one lane");
@@ -1030,14 +1028,10 @@ pub fn serve<T>(cfg: ServiceConfig, body: impl FnOnce(&JobService<'_>) -> T) -> 
             q.id,
             q.name,
             Err(JobError::ServiceClosed),
+            q.queued_at,
         ));
     }
-    let pool = { recover(shared.pool.lock()).clone() };
-    let live_workers = pool.live_workers();
-    let worker_panics = shared.retired_panics.load(Ordering::Acquire) + pool.job_panics();
-    let final_detached = pool.shutdown(shared.cfg.detach_timeout).len();
-    let stats = shared.stats(live_workers, worker_panics, final_detached);
-    (out, stats)
+    (out, shared.stats())
 }
 
 /// Lane thread: pop, execute, report, repeat. Exits only when the
@@ -1090,9 +1084,7 @@ fn execute_job(shared: &Shared, lane: &LaneState, q: QueuedJob) {
     };
     if let Some(err) = pre_start {
         shared.note_finish(id, &Err(err.clone()));
-        let mut report = JobReport::synthetic(id, name, Err(err));
-        report.latency = queued_at.elapsed();
-        let _ = tx.send(report);
+        let _ = tx.send(JobReport::synthetic(id, name, Err(err), queued_at));
         shared.busy.fetch_sub(1, Ordering::AcqRel);
         return;
     }
@@ -1103,6 +1095,7 @@ fn execute_job(shared: &Shared, lane: &LaneState, q: QueuedJob) {
         priority,
         cancel: Arc::clone(&cancel),
         tx,
+        queued_at,
     });
     lane.beat.fetch_add(1, Ordering::AcqRel);
 
@@ -1176,10 +1169,9 @@ struct WedgeTracker {
     since: Option<Stopwatch>,
 }
 
-/// Supervisor thread: polls lane heartbeats, detaches wedged jobs,
-/// and swaps in a fresh pool so the service outlives any one stuck
-/// task. Exits once the service is shutting down with nothing queued
-/// or busy.
+/// Supervisor thread: polls lane heartbeats and detaches wedged jobs,
+/// so a client is never left waiting on a stuck task. Exits once the
+/// service is shutting down with nothing queued or busy.
 fn supervisor_loop(shared: &Shared, lanes: &[LaneState]) {
     let mut trackers: Vec<WedgeTracker> = lanes
         .iter()
@@ -1232,28 +1224,23 @@ fn supervisor_loop(shared: &Shared, lanes: &[LaneState]) {
     }
 }
 
-/// Detach one wedged lane's job: cancel it, report [`JobError::Wedged`]
-/// to its client, retire the (possibly stuck) pool via the bounded
-/// shutdown, and swap in a fresh pool for everyone else.
+/// Detach one wedged lane's job: cancel it and report
+/// [`JobError::Wedged`] to its client. Its workers are its own, so
+/// there is nothing to take back from it for the other lanes.
 fn detach_wedged(shared: &Shared, lane: &LaneState) {
     let Some(cur) = recover(lane.current.lock()).take() else {
         return;
     };
     cur.cancel.store(true, Ordering::Release);
-    let fresh = Arc::new(WorkerPool::new(shared.cfg.workers));
-    let old = std::mem::replace(&mut *recover(shared.pool.lock()), fresh);
-    let detached = old.shutdown(shared.cfg.detach_timeout);
-    shared
-        .detached_workers
-        .fetch_add(detached.len() as u64, Ordering::AcqRel);
-    shared
-        .retired_panics
-        .fetch_add(old.job_panics(), Ordering::AcqRel);
     shared.wedges.fetch_add(1, Ordering::AcqRel);
-    shared.pool_swaps.fetch_add(1, Ordering::AcqRel);
     let result = Err(JobError::Wedged);
     shared.note_finish(cur.id, &result);
-    let _ = cur.tx.send(JobReport::synthetic(cur.id, cur.name, result));
+    let _ = cur.tx.send(JobReport::synthetic(
+        cur.id,
+        cur.name,
+        result,
+        cur.queued_at,
+    ));
     shared.active_prio.fetch_sub(cur.priority, Ordering::AcqRel);
     shared.busy.fetch_sub(1, Ordering::AcqRel);
     // The lane itself is still blocked inside the stuck task; when it
@@ -1286,16 +1273,38 @@ mod tests {
         }
     }
 
+    /// [`RingOp`] behind a per-launch hook, for tests that observe
+    /// *where* and *when* tasks run.
+    struct Hooked<'s, F> {
+        ring: RingOp<'s>,
+        hook: F,
+    }
+
+    impl<F: Fn() -> Result<(), Abort> + Sync> Operator for Hooked<'_, F> {
+        type Task = usize;
+        fn execute(&self, t: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            (self.hook)()?;
+            self.ring.execute(t, cx)
+        }
+    }
+
     /// A complete ring job: builds everything inside the closure so it
     /// is `'static`, drives, and verifies the invariant (sum == 0 and
-    /// all n tasks committed) against the sequential reference.
-    fn ring_job(n: usize, seed: u64) -> JobFn {
+    /// all n tasks committed) against the sequential reference. `hook`
+    /// runs at the top of every launch.
+    fn hooked_ring_job<F>(n: usize, seed: u64, hook: F) -> JobFn
+    where
+        F: Fn() -> Result<(), Abort> + Send + Sync + 'static,
+    {
         Box::new(move |cx: &mut JobCx<'_>| {
             let mut b = LockSpace::builder();
             let r = b.region(n);
             let space = b.build();
             let store = SpecStore::filled(r, n, 0i64);
-            let op = RingOp { store: &store, n };
+            let op = Hooked {
+                ring: RingOp { store: &store, n },
+                hook: &hook,
+            };
             let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
             let mut ctl = FixedController::new(8);
             let mut rng = StdRng::seed_from_u64(seed ^ u64::from(cx.attempt()));
@@ -1308,6 +1317,10 @@ mod tests {
                 detail: format!("ring n={n}"),
             })
         })
+    }
+
+    fn ring_job(n: usize, seed: u64) -> JobFn {
+        hooked_ring_job(n, seed, || Ok(()))
     }
 
     fn quick_cfg() -> ServiceConfig {
@@ -1335,8 +1348,6 @@ mod tests {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.worker_panics, 0);
-        assert_eq!(stats.live_workers, 2);
-        assert_eq!(stats.final_detached, 0);
     }
 
     #[test]
@@ -1576,14 +1587,14 @@ mod tests {
         assert_eq!(stats.job_retries, 2);
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.worker_panics, 0, "panics stayed contained");
-        assert_eq!(stats.live_workers, 2);
     }
 
     #[test]
     fn wedged_job_is_detached_and_service_keeps_serving() {
+        let wedge_grace = Duration::from_millis(40);
         let cfg = ServiceConfig {
             lanes: 2,
-            wedge_grace: Duration::from_millis(40),
+            wedge_grace,
             wedge_poll: Duration::from_millis(5),
             ..quick_cfg()
         };
@@ -1601,96 +1612,123 @@ mod tests {
                 .expect("admitted");
             let report = wedge.wait();
             assert_eq!(report.result, Err(JobError::Wedged));
-            // Recovery proven, not assumed: a clean job completes on
-            // the swapped-in pool.
+            assert!(
+                report.latency >= wedge_grace,
+                "latency runs from admission: {:?}",
+                report.latency
+            );
+            // Recovery proven, not assumed: a clean job completes
+            // while the wedged lane is still stuck.
             let clean = svc
                 .submit(JobSpec::new("after", ring_job(32, 9)))
                 .expect("admitted after wedge");
             assert!(clean.wait().result.expect("success").verified);
         });
         assert_eq!(stats.wedges, 1);
-        assert_eq!(stats.pool_swaps, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.worker_panics, 0);
-        assert_eq!(stats.live_workers, 2, "the fresh pool is intact");
     }
 
     #[test]
-    fn healthy_job_survives_a_pool_swap_mid_drive() {
-        // Drive rounds continuously across the wedge-detach window: a
-        // lane that cloned the old pool Arc just before the supervisor
-        // swapped it must drain that round (inline, via the
-        // PoolRetired fallback) and rebind to the fresh pool — not
-        // block forever in a rendezvous against exited workers.
+    fn tenants_on_separate_lanes_run_at_the_same_time() {
+        // Each job's tasks raise the job's own flag, then wait for the
+        // other job's: neither can finish a round unless both are
+        // inside one at once. A lane that had to queue for the other
+        // lane's round would leave both beats still until the
+        // watchdog (grace well under the give-up bound) detaches one.
         let cfg = ServiceConfig {
-            lanes: 2,
-            wedge_grace: Duration::from_millis(30),
-            wedge_poll: Duration::from_millis(5),
-            detach_timeout: Duration::from_millis(50),
+            wedge_grace: Duration::from_millis(500),
             ..quick_cfg()
         };
-        let stop = Arc::new(AtomicBool::new(false));
-        let job_stop = Arc::clone(&stop);
-        let ((), stats) = serve(cfg, move |svc| {
-            let wedge = svc
-                .submit(JobSpec::new("wedge", |cx: &mut JobCx<'_>| {
-                    while !cx.cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
+        let flags = [
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        ];
+        let handshake = |mine: usize| {
+            let (mine, theirs) = (Arc::clone(&flags[mine]), Arc::clone(&flags[1 - mine]));
+            move || {
+                mine.store(true, Ordering::Release);
+                let waited = Stopwatch::started();
+                while !theirs.load(Ordering::Acquire) {
+                    if waited.elapsed() > Duration::from_secs(5) {
+                        return Err(Abort::Requested);
                     }
-                    Err(JobError::Cancelled)
-                }))
-                .expect("admitted");
-            let healthy = svc
-                .submit(JobSpec::new("healthy", move |cx: &mut JobCx<'_>| {
-                    let mut laps = 0usize;
-                    loop {
-                        let n = 32usize;
-                        let mut b = LockSpace::builder();
-                        let r = b.region(n);
-                        let space = b.build();
-                        let store = SpecStore::filled(r, n, 0i64);
-                        let op = RingOp { store: &store, n };
-                        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-                        let mut ctl = FixedController::new(4);
-                        let mut rng = StdRng::seed_from_u64(laps as u64);
-                        cx.drive(&op, &space, &mut ws, &mut ctl, &mut rng)?;
-                        let mut store = store;
-                        let sum: i64 = store.snapshot().iter().sum();
-                        if sum != 0 {
-                            return Ok(JobOutput {
-                                verified: false,
-                                committed: 0,
-                                detail: format!("lap {laps} sum {sum}"),
-                            });
-                        }
-                        laps += 1;
-                        if job_stop.load(Ordering::Acquire) {
-                            return Ok(JobOutput {
-                                verified: true,
-                                committed: laps,
-                                detail: String::new(),
-                            });
-                        }
-                    }
-                }))
-                .expect("admitted");
-            assert_eq!(wedge.wait().result, Err(JobError::Wedged));
-            // Keep the healthy job lapping on the fresh pool for a
-            // while after the swap before releasing it.
-            std::thread::sleep(Duration::from_millis(30));
-            stop.store(true, Ordering::Release);
-            let out = healthy
-                .wait()
-                .result
-                .expect("healthy job survives the swap");
-            assert!(out.verified, "every lap matched its reference");
-            assert!(out.committed > 0);
+                    std::thread::yield_now();
+                }
+                Ok(())
+            }
+        };
+        let ((), stats) = serve(cfg, |svc| {
+            let tickets: Vec<JobTicket> = (0..2)
+                .map(|i| {
+                    let job = hooked_ring_job(16, 40 + i as u64, handshake(i));
+                    svc.submit(JobSpec::new(format!("tenant-{i}"), job))
+                        .expect("admitted")
+                })
+                .collect();
+            for t in tickets {
+                let report = t.wait();
+                let out = report.result.expect("neither tenant waits on the other");
+                assert!(out.verified);
+            }
         });
-        assert_eq!(stats.wedges, 1);
-        assert_eq!(stats.pool_swaps, 1);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.wedges, 0);
+    }
+
+    /// Run four 64-task ring jobs under `cfg` and count the launches
+    /// that ran on an executor's pool thread and on any other thread
+    /// (the lane's): `(on, off)`.
+    fn launches_on_and_off_pool(cfg: ServiceConfig) -> (u64, u64) {
+        let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let ((), stats) = serve(cfg, |svc| {
+            let tickets: Vec<JobTicket> = (0..4u64)
+                .map(|i| {
+                    let counts = Arc::clone(&counts);
+                    let job = hooked_ring_job(64, 70 + i, move || {
+                        let pooled = std::thread::current()
+                            .name()
+                            .is_some_and(|name| name.starts_with("optpar-worker-"));
+                        counts[usize::from(pooled)].fetch_add(1, Ordering::AcqRel);
+                        Ok(())
+                    });
+                    svc.submit(JobSpec::new(format!("ring-{i}"), job))
+                        .expect("admitted")
+                })
+                .collect();
+            for t in tickets {
+                let report = t.wait();
+                assert!(report.result.expect("success").verified);
+                assert_eq!(report.committed, 64);
+            }
+        });
+        assert_eq!(stats.completed, 4);
+        assert_eq!(stats.worker_panics, 0);
+        let [off, on] = counts.each_ref().map(|c| c.load(Ordering::Acquire));
+        (on, off)
+    }
+
+    #[test]
+    fn wide_lanes_drive_on_their_own_worker_threads() {
+        // workers / lanes = 2: every drive owns a 2-worker executor,
+        // so every launch runs on one of its pool threads.
+        let (on_pool, off_pool) = launches_on_and_off_pool(ServiceConfig {
+            workers: 4,
+            lanes: 2,
+            ..quick_cfg()
+        });
+        assert!(on_pool >= 4 * 64);
+        assert_eq!(off_pool, 0);
+    }
+
+    #[test]
+    fn one_worker_lanes_run_their_rounds_inline() {
+        // workers / lanes = 1: no pool exists anywhere in the service;
+        // every launch runs on its lane's own thread.
+        let (on_pool, off_pool) = launches_on_and_off_pool(quick_cfg());
+        assert_eq!(on_pool, 0);
+        assert!(off_pool >= 4 * 64);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   reconciles entry-for-entry against its containment-side fault
 //!   log ([`JobReport::faults`]) at the same `(drive, epoch, slot)`
 //!   coordinate;
-//! * zero worker-thread deaths across the whole burst; and
-//! * the same pool accepts and completes a fresh job afterwards.
+//! * no panic escapes per-task containment on any lane's worker
+//!   threads across the whole burst; and
+//! * the same service accepts and completes a fresh job afterwards.
 
 #![cfg(feature = "faults")]
 
@@ -31,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 use std::time::Duration;
 
-const WORKERS: usize = 2;
+const LANES: usize = 3;
 const CLIENTS: usize = 8;
 const JOBS_PER_CLIENT: usize = 2;
 
@@ -45,8 +46,10 @@ fn controller() -> HybridController {
 
 fn config(chaos_seed: u64) -> ServiceConfig {
     ServiceConfig {
-        workers: WORKERS,
-        lanes: 3,
+        // Two workers per lane: every drive runs pooled rounds, so the
+        // chaos schedule fires on worker threads, not the lane thread.
+        workers: 2 * LANES,
+        lanes: LANES,
         queue_cap: CLIENTS * JOBS_PER_CLIENT,
         // Panics and spurious aborts at 5% each: ~10% of launched
         // tasks are hit, replayable from the fixed seed.
@@ -60,7 +63,7 @@ fn config(chaos_seed: u64) -> ServiceConfig {
 
 /// Job builders mirror `tests/faults_e2e.rs`: build the input and the
 /// sequential reference inside the closure (re-run from scratch on a
-/// retry), drive speculatively on the service pool, compare.
+/// retry), drive speculatively on the lane's workers, compare.
 fn sssp_job(n: usize, seed: u64) -> JobSpec {
     JobSpec::new(format!("sssp-{seed:x}"), move |cx: &mut JobCx<'_>| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -200,8 +203,8 @@ fn chaos_service_multi_tenant_jobs_verify_and_reconcile() {
                 });
             }
         });
-        // Recovery: the same pool, after the whole chaos burst, must
-        // accept and complete a fresh job.
+        // Recovery: the same service, after the whole chaos burst,
+        // must accept and complete a fresh job.
         let ticket = svc
             .submit(sssp_job(400, 0x00AF_7E12))
             .expect("probe admitted");
@@ -240,8 +243,8 @@ fn chaos_service_multi_tenant_jobs_verify_and_reconcile() {
         "no fault ever fired; the chaos schedule is vacuous"
     );
 
-    // The probe ran on the same pool the burst hammered (chaos
-    // included) and still verified: recovery demonstrated.
+    // The probe ran on a lane the burst hammered (chaos included)
+    // and still verified: recovery demonstrated.
     assert!(
         matches!(&probe.result, Ok(out) if out.verified),
         "post-burst probe failed: {:?}",
@@ -249,12 +252,10 @@ fn chaos_service_multi_tenant_jobs_verify_and_reconcile() {
     );
     reconcile(&probe);
 
-    // Zero worker deaths: every injected panic was contained per-task
-    // and the final pool is intact.
+    // Every injected panic was contained per-task: none reached a
+    // lane's worker loop.
     assert_eq!(stats.worker_panics, 0, "a panic escaped containment");
-    assert_eq!(stats.live_workers, WORKERS, "a worker thread died");
     assert_eq!(stats.wedges, 0, "supervisor misfired on a live job");
-    assert_eq!(stats.pool_swaps, 0);
     assert_eq!(
         stats.completed + stats.failed,
         (CLIENTS * JOBS_PER_CLIENT + 1) as u64
