@@ -18,7 +18,6 @@
 use crate::geometry::{self, Orientation, Point};
 use crate::triangulation::{Mesh, Tri, NO_TRI};
 use optpar_runtime::{Abort, AppendArena, LockSpace, Operator, SpecStore, TaskCtx};
-use std::collections::HashSet;
 
 /// Refinement parameters.
 #[derive(Clone, Copy, Debug)]
@@ -211,103 +210,131 @@ impl DelaunayOp {
         ]
     }
 
-    /// BFS the Bowyer–Watson cavity of `p` seeded at live triangle
-    /// `seed`, locking every triangle visited.
-    fn cavity_spec(&self, cx: &mut TaskCtx<'_>, seed: u32, p: Point) -> Result<Vec<u32>, Abort> {
-        let mut cavity = vec![seed];
-        let mut seen: HashSet<u32> = HashSet::from([seed]);
-        let mut stack = vec![seed];
-        while let Some(t) = stack.pop() {
-            let tri = *cx.read(&self.tris, t as usize)?;
-            for i in 0..3 {
-                let n = tri.nbr[i];
-                if n == NO_TRI || seen.contains(&n) {
-                    continue;
-                }
-                cx.lock(&self.tris, n as usize)?;
-                let ntri = *cx.read(&self.tris, n as usize)?;
-                debug_assert!(ntri.alive, "live triangle adjacent to dead one");
-                let [a, b, c] = self.corners_of(&ntri);
-                if geometry::in_circle(a, b, c, p) {
-                    seen.insert(n);
-                    cavity.push(n);
-                    stack.push(n);
-                }
-            }
-        }
-        Ok(cavity)
-    }
-
-    /// Collect the directed boundary edges of a cavity, locking outer
-    /// neighbours (whose adjacency will be patched).
-    fn boundary_of(
+    /// Grow the Bowyer–Watson cavity of `p` from live triangle `seed`
+    /// (whose value is `seed_tri`) with a DFS stack, locking every
+    /// triangle tested, and collect its boundary on the way: a tested
+    /// neighbour outside the cavity *is* a boundary edge, and one such
+    /// test per edge decides it — the neighbour's circumcircle does not
+    /// change while this task holds its lock. Membership is a scan of
+    /// the cavity, which is a handful of triangles.
+    ///
+    /// Both lists come back in [`Mesh::cavity`] /
+    /// [`Mesh::retriangulate`]'s order — cavity in push order, edges
+    /// by cavity triangle, then by local edge — so one insertion at a
+    /// time numbers the mesh exactly as the sequential code does.
+    fn cavity_spec(
         &self,
         cx: &mut TaskCtx<'_>,
-        cavity: &[u32],
-    ) -> Result<Vec<(u32, u32, u32)>, Abort> {
-        let in_cavity: HashSet<u32> = cavity.iter().copied().collect();
-        let mut boundary = Vec::new();
-        for &t in cavity {
-            let tri = *cx.read(&self.tris, t as usize)?;
+        seed: u32,
+        seed_tri: Tri,
+        p: Point,
+    ) -> Result<(Vec<u32>, Vec<BoundaryEdge>), Abort> {
+        let mut cavity = Vec::with_capacity(8);
+        let mut boundary = Vec::with_capacity(12);
+        // (cavity position, value) of cavity triangles not yet walked.
+        let mut stack = Vec::with_capacity(8);
+        cavity.push(seed);
+        stack.push((0u32, seed_tri));
+        while let Some((from, tri)) = stack.pop() {
             for i in 0..3 {
                 let n = tri.nbr[i];
-                if n != NO_TRI && in_cavity.contains(&n) {
-                    continue;
-                }
                 if n != NO_TRI {
-                    cx.lock(&self.tris, n as usize)?;
+                    if cavity.contains(&n) {
+                        continue;
+                    }
+                    let ntri = *cx.read(&self.tris, n as usize)?;
+                    debug_assert!(ntri.alive, "live triangle adjacent to dead one");
+                    let [a, b, c] = self.corners_of(&ntri);
+                    if geometry::in_circle(a, b, c, p) {
+                        stack.push((cavity.len() as u32, ntri));
+                        cavity.push(n);
+                        continue;
+                    }
                 }
-                boundary.push((tri.v[(i + 1) % 3], tri.v[(i + 2) % 3], n));
+                boundary.push(BoundaryEdge {
+                    a: tri.v[(i + 1) % 3],
+                    b: tri.v[(i + 2) % 3],
+                    outer: n,
+                    from,
+                    fan: NO_TRI,
+                });
             }
         }
-        Ok(boundary)
+        // The stack walks the cavity out of push order; the sort is
+        // stable, so a triangle's edges stay in local order.
+        boundary.sort_by_key(|e| e.from);
+        Ok((cavity, boundary))
     }
 
-    /// Retriangulate `cavity` around published point `v`; returns the
-    /// new triangle indices. All involved triangles are already locked.
+    /// Replace `cavity` with a fan around published point `v` (at `p`),
+    /// one new triangle per boundary edge; returns the bad ones among
+    /// them. Takes no lock but the fresh slots': every cavity triangle
+    /// and outer neighbour was locked by [`DelaunayOp::cavity_spec`].
     fn retriangulate_spec(
         &self,
         cx: &mut TaskCtx<'_>,
         cavity: &[u32],
-        boundary: &[(u32, u32, u32)],
+        boundary: &mut [BoundaryEdge],
         v: u32,
+        p: Point,
     ) -> Result<Vec<u32>, Abort> {
-        use std::collections::HashMap;
         for &t in cavity {
             cx.write(&self.tris, t as usize)?.alive = false;
         }
-        let mut ids = Vec::with_capacity(boundary.len());
-        for _ in boundary {
-            ids.push(cx.alloc(&self.tris)? as u32);
+        for e in boundary.iter_mut() {
+            e.fan = cx.alloc(&self.tris)? as u32;
         }
-        let mut by_start: HashMap<u32, u32> = HashMap::new();
-        let mut by_end: HashMap<u32, u32> = HashMap::new();
-        for (k, &(a, b, _)) in boundary.iter().enumerate() {
-            by_start.insert(a, ids[k]);
-            by_end.insert(b, ids[k]);
-        }
-        for (k, &(a, b, outer)) in boundary.iter().enumerate() {
-            let t = ids[k];
-            let mut tri = Tri::new(a, b, v);
-            tri.nbr[2] = outer;
-            tri.nbr[0] = *by_start
-                .get(&b)
-                .expect("cavity boundary must be a closed loop");
-            tri.nbr[1] = *by_end
-                .get(&a)
-                .expect("cavity boundary must be a closed loop");
-            *cx.write(&self.tris, t as usize)? = tri;
-            if outer != NO_TRI {
-                let mut o = *cx.read(&self.tris, outer as usize)?;
-                let e = o
-                    .edge_index(a, b)
+        let boundary = &*boundary;
+        let mut spawn = Vec::new();
+        for e in boundary {
+            let mut tri = Tri::new(e.a, e.b, v);
+            // Edge (a, b) is opposite v; (b, v) is shared with the fan
+            // triangle whose edge starts at b, (v, a) with the one
+            // whose edge ends at a.
+            tri.nbr[2] = e.outer;
+            tri.nbr[0] = fan_where(boundary, |o| o.a == e.b);
+            tri.nbr[1] = fan_where(boundary, |o| o.b == e.a);
+            *cx.write(&self.tris, e.fan as usize)? = tri;
+            if e.outer != NO_TRI {
+                let o = cx.write(&self.tris, e.outer as usize)?;
+                let back = o
+                    .edge_index(e.a, e.b)
                     .expect("outer neighbour shares the boundary edge");
-                o.nbr[e] = t;
-                *cx.write(&self.tris, outer as usize)? = o;
+                o.nbr[back] = e.fan;
+            }
+            let (a, b) = (self.points.get(e.a as usize), self.points.get(e.b as usize));
+            if self.cfg.is_bad(*a, *b, p) {
+                spawn.push(e.fan);
             }
         }
-        Ok(ids)
+        Ok(spawn)
     }
+}
+
+/// A directed edge `a → b` (CCW in its cavity triangle) of a cavity's
+/// boundary.
+#[derive(Clone, Copy, Debug)]
+struct BoundaryEdge {
+    a: u32,
+    b: u32,
+    /// The triangle across the edge, outside the cavity ([`NO_TRI`] on
+    /// the hull).
+    outer: u32,
+    /// Position in the cavity of the triangle the edge belongs to.
+    from: u32,
+    /// The fan triangle that replaces that one along this edge
+    /// ([`NO_TRI`] until [`DelaunayOp::retriangulate_spec`] allocates
+    /// it).
+    fan: u32,
+}
+
+/// The fan triangle on the boundary edge `pick` selects. The boundary
+/// is a closed loop of a handful of edges, so a scan finds an edge's
+/// successor or predecessor — from the back, as the hash maps this
+/// replaces resolved a vertex the loop passes twice.
+fn fan_where(boundary: &[BoundaryEdge], pick: impl Fn(&BoundaryEdge) -> bool) -> u32 {
+    let at = boundary.iter().rposition(pick);
+    boundary[at.expect("cavity boundary must be a closed loop")].fan
 }
 
 impl Operator for DelaunayOp {
@@ -330,15 +357,14 @@ impl Operator for DelaunayOp {
             Some(geometry::centroid(a, b, c)),
         ];
         for cand in candidates.into_iter().flatten() {
-            let cavity = self.cavity_spec(cx, t, cand)?;
-            let boundary = self.boundary_of(cx, &cavity)?;
+            let (cavity, mut boundary) = self.cavity_spec(cx, t, tri, cand)?;
             // Hull guard: every fan triangle must be CCW; otherwise the
             // point is outside the cavity region (possible only for the
             // circumcenter) and we retry with the centroid.
-            let ok = boundary.iter().all(|&(ea, eb, _)| {
+            let ok = boundary.iter().all(|e| {
                 geometry::orient2d(
-                    *self.points.get(ea as usize),
-                    *self.points.get(eb as usize),
+                    *self.points.get(e.a as usize),
+                    *self.points.get(e.b as usize),
                     cand,
                 ) == Orientation::Ccw
             });
@@ -346,17 +372,8 @@ impl Operator for DelaunayOp {
                 continue;
             }
             let v = self.points.push(cand) as u32;
-            let created = self.retriangulate_spec(cx, &cavity, &boundary, v)?;
-            // Spawn tasks for new bad triangles.
-            let mut spawn = Vec::new();
-            for &nt in &created {
-                let ntri = *cx.read(&self.tris, nt as usize)?;
-                let [x, y, z] = self.corners_of(&ntri);
-                if self.cfg.is_bad(x, y, z) {
-                    spawn.push(nt);
-                }
-            }
-            return Ok(spawn);
+            // The new triangles that are bad in turn are the spawn.
+            return self.retriangulate_spec(cx, &cavity, &mut boundary, v, cand);
         }
         unreachable!("centroid retriangulation is always valid");
     }
@@ -421,6 +438,245 @@ mod tests {
             assert!(rounds < 1_000_000, "refinement did not terminate");
         }
         op.into_mesh()
+    }
+
+    /// Inserts given points into `op`'s mesh, one task each, through
+    /// the speculative kernel — no badness test, no candidate retry —
+    /// recording what each task's walk found.
+    struct InsertOp<'a> {
+        op: &'a DelaunayOp,
+        /// Per task: the seed triangle, the point, and a triangle to
+        /// lock after the insertion (to collide on).
+        inserts: Vec<(u32, Point, Option<u32>)>,
+        /// The walks, in execution order.
+        walked: std::sync::Mutex<Vec<Walk>>,
+    }
+
+    /// `(task, cavity, boundary)` of one insertion.
+    type Walk = (u32, Vec<u32>, Vec<BoundaryEdge>);
+
+    impl Operator for InsertOp<'_> {
+        type Task = u32;
+
+        fn execute(&self, &k: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {
+            let (seed, p, then_lock) = self.inserts[k as usize];
+            let tri = *cx.read(&self.op.tris, seed as usize)?;
+            let (cavity, mut boundary) = self.op.cavity_spec(cx, seed, tri, p)?;
+            let v = self.op.points.push(p) as u32;
+            self.op
+                .retriangulate_spec(cx, &cavity, &mut boundary, v, p)?;
+            self.walked.lock().unwrap().push((k, cavity, boundary));
+            if let Some(t) = then_lock {
+                cx.lock(&self.op.tris, t as usize)?;
+            }
+            Ok(vec![])
+        }
+    }
+
+    /// Run `inserts` as one inline round; returns `(committed,
+    /// aborted)` and the walks in execution order.
+    fn insert_round(
+        space: &LockSpace,
+        op: &DelaunayOp,
+        inserts: Vec<(u32, Point, Option<u32>)>,
+    ) -> ((usize, usize), Vec<Walk>) {
+        let n = inserts.len();
+        let ins = InsertOp {
+            op,
+            inserts,
+            walked: Default::default(),
+        };
+        let cfg = ExecutorConfig {
+            workers: 1,
+            ..ExecutorConfig::default()
+        };
+        let mut ws = WorkSet::from_vec((0..n as u32).collect());
+        let rs =
+            Executor::new(&ins, space, cfg).run_round(&mut ws, n, &mut StdRng::seed_from_u64(1));
+        assert_eq!(rs.launched, n);
+        ((rs.committed, rs.aborted), ins.walked.into_inner().unwrap())
+    }
+
+    /// The directed boundary of `cavity` as [`Mesh::retriangulate`]
+    /// derives it: `(a, b, outer)` by cavity triangle, then local edge.
+    fn boundary_of(mesh: &Mesh, cavity: &[u32]) -> Vec<(u32, u32, u32)> {
+        let mut out = Vec::new();
+        for &t in cavity {
+            let tri = mesh.tris[t as usize];
+            for i in 0..3 {
+                if tri.nbr[i] == NO_TRI || !cavity.contains(&tri.nbr[i]) {
+                    out.push((tri.v[(i + 1) % 3], tri.v[(i + 2) % 3], tri.nbr[i]));
+                }
+            }
+        }
+        out
+    }
+
+    fn edges_of(boundary: &[BoundaryEdge]) -> Vec<(u32, u32, u32)> {
+        boundary.iter().map(|e| (e.a, e.b, e.outer)).collect()
+    }
+
+    /// Is `boundary` one closed loop through all its edges?
+    fn is_closed_loop(boundary: &[(u32, u32, u32)]) -> bool {
+        let (start, mut at) = (boundary[0].0, boundary[0].1);
+        let mut steps = 1;
+        while at != start && steps <= boundary.len() {
+            let next = boundary.iter().filter(|e| e.0 == at).collect::<Vec<_>>();
+            if next.len() != 1 {
+                return false;
+            }
+            at = next[0].1;
+            steps += 1;
+        }
+        at == start && steps == boundary.len()
+    }
+
+    fn interior_point(rng: &mut StdRng) -> Point {
+        Point::new(
+            0.05 + 0.9 * rng.random::<f64>(),
+            0.05 + 0.9 * rng.random::<f64>(),
+        )
+    }
+
+    /// The one-pass walk against the sequential two-pass code: same
+    /// cavity, same boundary loop, and — insertion by insertion — the
+    /// same mesh, triangle numbering included.
+    #[test]
+    fn one_pass_cavity_matches_the_sequential_mesh() {
+        for seed in 0..6 {
+            let mut mirror = square_mesh(25, seed);
+            let cfg = RefineConfig::area_only(1.0);
+            let (space, mut op) = DelaunayOp::new(&mirror, cfg, 4096, 512);
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            for _ in 0..40 {
+                let q = interior_point(&mut rng);
+                let containing = mirror.locate(q, 0).expect("inside the unit square");
+                let cavity = mirror.cavity(q, containing);
+                let boundary = boundary_of(&mirror, &cavity);
+                assert!(is_closed_loop(&boundary));
+
+                let (outcome, walked) = insert_round(&space, &op, vec![(containing, q, None)]);
+                assert_eq!(outcome, (1, 0));
+                let (_, spec_cavity, spec_boundary) = &walked[0];
+                assert_eq!(*spec_cavity, cavity, "seed {seed}: cavity, in push order");
+                assert_eq!(edges_of(spec_boundary), boundary, "seed {seed}: boundary");
+
+                let v = mirror.points.len() as u32;
+                mirror.points.push(q);
+                let created = mirror.insert_into(v, containing);
+                let fans: Vec<u32> = spec_boundary.iter().map(|e| e.fan).collect();
+                assert_eq!(fans, created, "seed {seed}: new triangle ids");
+                assert_eq!(op.tris.snapshot(), mirror.tris, "seed {seed}: mesh");
+                mirror.check_valid().unwrap();
+                mirror.check_delaunay().unwrap();
+            }
+            assert_eq!(op.into_mesh().points, mirror.points);
+        }
+    }
+
+    /// Four corners and 48 near-cocircular points around the centre.
+    fn ring_mesh() -> Mesh {
+        let mut pts = vec![
+            Point::new(0.0, 0.0),
+            Point::new(1.0, 0.0),
+            Point::new(1.0, 1.0),
+            Point::new(0.0, 1.0),
+        ];
+        pts.extend((0..48).map(|k| {
+            let r = 0.3 * (1.0 + 1e-4 * ((k * 7) % 5) as f64);
+            let phi = std::f64::consts::TAU * k as f64 / 48.0;
+            Point::new(0.5 + r * phi.cos(), 0.5 + r * phi.sin())
+        }));
+        Mesh::delaunay(&pts)
+    }
+
+    /// A cavity far past any inline bound: the centre of a ring lies in
+    /// the circumcircle of every triangle the ring encloses.
+    #[test]
+    fn a_forty_triangle_cavity_refines() {
+        let m0 = ring_mesh();
+        m0.check_delaunay().unwrap();
+        let centre = Point::new(0.5, 0.5);
+        let containing = m0.locate(centre, 0).unwrap();
+        let cfg = RefineConfig::area_only(1.0);
+        let (space, op) = DelaunayOp::new(&m0, cfg, 1024, 128);
+        let (outcome, walked) = insert_round(&space, &op, vec![(containing, centre, None)]);
+        assert_eq!(outcome, (1, 0));
+        let (_, cavity, boundary) = &walked[0];
+        assert!(cavity.len() >= 40, "cavity of {}", cavity.len());
+        assert_eq!(*cavity, m0.cavity(centre, containing));
+        assert_eq!(edges_of(boundary), boundary_of(&m0, cavity));
+        let m = op.into_mesh();
+        m.check_valid().unwrap();
+        m.check_delaunay().unwrap();
+        assert!((m.total_area() - 1.0).abs() < 1e-9);
+
+        // And through the operator proper: the enclosed triangles are
+        // bad, their circumcentres all but coincide with the centre.
+        let cfg = RefineConfig::area_only(2e-3);
+        let m = run_speculative(&m0, cfg, 1, 8, 3);
+        assert_eq!(bad_count(&m, cfg), 0);
+        m.check_valid().unwrap();
+        m.check_delaunay().unwrap();
+        assert!((m.total_area() - 1.0).abs() < 1e-6);
+    }
+
+    /// Two insertions in one round, the later colliding with the
+    /// earlier — mid-cavity, or after its whole retriangulation is
+    /// written: rollback leaves every triangle as the earlier task
+    /// alone would have.
+    #[test]
+    fn an_aborted_refinement_leaves_the_mesh_untouched() {
+        let m0 = square_mesh(40, 21);
+        let cfg = RefineConfig::area_only(1.0);
+        let (p, q) = (Point::new(0.2, 0.2), Point::new(0.8, 0.8));
+        let (tp, tq) = (m0.locate(p, 0).unwrap(), m0.locate(q, 0).unwrap());
+        // Every triangle a walk from `seed` for `at` locks.
+        let locked = |at: Point, seed: u32| {
+            let mut all = m0.cavity(at, seed);
+            let outer = boundary_of(&m0, &all);
+            all.extend(outer.iter().map(|e| e.2));
+            all
+        };
+        let bystander = m0.locate(Point::new(0.8, 0.2), 0).unwrap();
+        assert!(
+            locked(p, tp)
+                .iter()
+                .all(|t| *t != bystander && !locked(q, tq).contains(t)),
+            "far-apart cavities"
+        );
+        assert!(!locked(q, tq).contains(&bystander));
+        // Each task ends by locking the bystander, so whichever runs
+        // second loses with its fan already written.
+        let late = vec![(tp, p, Some(bystander)), (tq, q, Some(bystander))];
+        // Two points in one triangle: the second walk stops at its seed
+        // or a neighbour, nothing written yet.
+        let p2 = Point::new(p.x + 1e-3, p.y + 1e-3);
+        assert_eq!(m0.locate(p2, tp), Some(tp));
+        let early = vec![(tp, p, None), (tp, p2, None)];
+
+        for (inserts, walks) in [(late, 2), (early, 1)] {
+            let (space, mut op) = DelaunayOp::new(&m0, cfg, 1024, 128);
+            let (outcome, walked) = insert_round(&space, &op, inserts.clone());
+            assert_eq!(outcome, (1, 1));
+            assert_eq!(walked.len(), walks, "how far the loser got");
+            assert!(space.check_all_free().is_ok());
+            let (first, ..) = walked[0];
+            let (seed, point, _) = inserts[first as usize];
+            let mut mirror = m0.clone();
+            let v = mirror.points.len() as u32;
+            mirror.points.push(point);
+            mirror.insert_into(v, seed);
+
+            let tris = op.tris.snapshot();
+            let (kept, leaked) = tris.split_at(mirror.tris.len());
+            assert_eq!(kept, mirror.tris, "the winner's mesh, nothing else");
+            // The loser's fresh slots leak, restored to the pad.
+            let fans = walked.get(1).map_or(0, |(_, _, boundary)| boundary.len());
+            assert_eq!(leaked.len(), fans);
+            assert!(leaked.iter().all(|t| !t.alive && t.nbr == [NO_TRI; 3]));
+            mirror.check_valid().unwrap();
+        }
     }
 
     #[test]

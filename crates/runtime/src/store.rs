@@ -11,23 +11,58 @@
 //!
 //! Morphing workloads (Delaunay refinement, Boruvka contraction) create
 //! new data at run time. [`SpecStore::alloc`] hands out fresh slots
-//! from the pre-sized capacity with a single `fetch_add`; allocation is
-//! **not** rolled back on abort — an aborted task's freshly allocated
-//! slots simply leak (they are unreachable from committed state).
-//! Applications size their stores with slack accordingly; running out
-//! of capacity is a panic, not UB.
+//! from the pre-sized capacity; allocation is **not** rolled back on
+//! abort — an aborted task's freshly allocated slots simply leak (they
+//! are unreachable from committed state). Applications size their
+//! stores with slack accordingly; running out of capacity is a panic,
+//! not UB.
+//!
+//! Capacity a growable store ([`SpecStore::from_vec`]) has not handed
+//! out yet is address space, not memory: the slab is allocated
+//! uninitialised and the pad value is cloned into it a chunk of
+//! [`FILL_CHUNK`] slots at a time, by whichever `alloc` first finds the
+//! live prefix at the filled mark (under a mutex nothing else takes).
+//! `alloc` publishes an index — a CAS on the live count — only below
+//! that mark, and every accessor asserts its index below the live
+//! count, so no reachable slot is ever uninitialised and the
+//! read/write path does not know the difference. The slack costs
+//! nothing to build and nothing in resident memory until it is
+//! allocated (`delaunay-refine` reserves 2.0 M triangle slots and
+//! allocates about 250 k: `setup_s` and `peak_rss_mb` in
+//! `results/benchmark_results.json`). Fixed-size stores
+//! ([`SpecStore::new`], [`SpecStore::filled`],
+//! [`SpecStore::new_sharded`]) are filled by their constructor.
 
 use crate::lock::Region;
 use crate::shard::ShardMap;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Slots a growable store initialises per fill (module docs): 112 KB
+/// of mesh triangles, a fill every 4096th `alloc`.
+const FILL_CHUNK: usize = 4096;
+
+/// What a growable store fills its untouched capacity with.
+struct Pad<T> {
+    value: T,
+    /// `T::clone`, captured where `T: Clone` is known so that
+    /// [`SpecStore::alloc`] needs no bound.
+    clone: fn(&T) -> T,
+}
 
 /// A shared, lock-protected array of `T`.
 pub struct SpecStore<T> {
     region: Region,
-    slots: Box<[UnsafeCell<T>]>,
+    /// The slab; slots `0..filled` are initialised.
+    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     live: AtomicUsize,
+    /// `live ≤ filled ≤ capacity`. Grows only under `pad`'s lock; the
+    /// capacity from the start on a fixed-size store.
+    filled: AtomicUsize,
+    /// The fill value of a growable store (`None` = fixed-size).
+    pad: Option<Mutex<Pad<T>>>,
     /// Partition-derived physical layout (`None` = identity). When
     /// present, logical index `i` lives at physical slot
     /// `shard.phys(i)` and is protected by the lock at the same
@@ -44,15 +79,34 @@ pub struct SpecStore<T> {
 
 // SAFETY: slots are only dereferenced through `TaskCtx`, which proves
 // exclusive abstract-lock ownership of the slot before creating a
-// reference, and tasks never hold references across lock release. `T:
-// Send` is required because values move between worker threads across
-// rounds.
+// reference, and tasks never hold references across lock release;
+// slots past `filled` are written by the holder of `pad`'s lock alone
+// and reachable by nobody. `T: Send` is required because values move
+// between worker threads across rounds, and the pad value is cloned on
+// whichever thread fills.
 unsafe impl<T: Send> Sync for SpecStore<T> {}
 // SAFETY: moving the store moves its values; `T: Send` suffices for
 // the transfer (UnsafeCell wrappers impose no thread affinity).
 unsafe impl<T: Send> Send for SpecStore<T> {}
 
 impl<T> SpecStore<T> {
+    /// A fixed-size store over fully initialised `slots`.
+    fn eager(region: Region, slots: Vec<T>, live: usize, shard: Option<Arc<ShardMap>>) -> Self {
+        SpecStore {
+            region,
+            filled: AtomicUsize::new(slots.len()),
+            slots: slots
+                .into_iter()
+                .map(|v| UnsafeCell::new(MaybeUninit::new(v)))
+                .collect(),
+            live: AtomicUsize::new(live),
+            pad: None,
+            shard,
+            #[cfg(feature = "checker")]
+            raw_accesses: AtomicUsize::new(0),
+        }
+    }
+
     /// Create a store over `region`, fully initialized by `init`
     /// (`init.len()` must equal the region length = capacity), with the
     /// first `live` slots considered allocated.
@@ -66,14 +120,7 @@ impl<T> SpecStore<T> {
             "store must be initialized to full capacity"
         );
         assert!(live <= region.len());
-        SpecStore {
-            region,
-            slots: init.into_iter().map(UnsafeCell::new).collect(),
-            live: AtomicUsize::new(live),
-            shard: None,
-            #[cfg(feature = "checker")]
-            raw_accesses: AtomicUsize::new(0),
-        }
+        Self::eager(region, init, live, None)
     }
 
     /// Create a store laid out by `map`: logical element `i` of `init`
@@ -104,14 +151,7 @@ impl<T> SpecStore<T> {
             slots[map.phys(i)] = v;
         }
         let live = map.len();
-        SpecStore {
-            region,
-            slots: slots.into_iter().map(UnsafeCell::new).collect(),
-            live: AtomicUsize::new(live),
-            shard: Some(map),
-            #[cfg(feature = "checker")]
-            raw_accesses: AtomicUsize::new(0),
-        }
+        Self::eager(region, slots, live, Some(map))
     }
 
     /// Create with `live` slots cloned from `value` and the rest of the
@@ -124,19 +164,40 @@ impl<T> SpecStore<T> {
         Self::new(region, vec![value; cap], live)
     }
 
-    /// Create from initial contents, padding capacity with `pad`.
-    pub fn from_vec(region: Region, mut init: Vec<T>, pad: T) -> Self
+    /// Create from initial contents, with the region's remaining
+    /// capacity reserved — not yet initialised — for [`SpecStore::alloc`],
+    /// which fills it with clones of `pad` as the live prefix gets
+    /// there (module docs).
+    pub fn from_vec(region: Region, init: Vec<T>, pad: T) -> Self
     where
         T: Clone,
     {
-        let live = init.len();
+        let (live, cap) = (init.len(), region.len());
         assert!(
-            live <= region.len(),
-            "initial contents ({live}) exceed capacity ({})",
-            region.len()
+            live <= cap,
+            "initial contents ({live}) exceed capacity ({cap})"
         );
-        init.resize(region.len(), pad);
-        Self::new(region, init, live)
+        let mut slots = Vec::with_capacity(cap);
+        slots.extend(
+            init.into_iter()
+                .map(|v| UnsafeCell::new(MaybeUninit::new(v))),
+        );
+        // SAFETY: `cap` slots were reserved above, and a `MaybeUninit`
+        // (in its `repr(transparent)` cell) is valid uninitialised.
+        unsafe { slots.set_len(cap) };
+        SpecStore {
+            region,
+            slots: slots.into_boxed_slice(),
+            live: AtomicUsize::new(live),
+            filled: AtomicUsize::new(live),
+            pad: Some(Mutex::new(Pad {
+                value: pad,
+                clone: T::clone,
+            })),
+            shard: None,
+            #[cfg(feature = "checker")]
+            raw_accesses: AtomicUsize::new(0),
+        }
     }
 
     /// The lock region backing this store.
@@ -192,13 +253,57 @@ impl<T> SpecStore<T> {
             self.shard.is_none(),
             "alloc on a sharded SpecStore: sharded stores are fixed-size"
         );
-        let i = self.live.fetch_add(1, Ordering::AcqRel);
-        assert!(
-            i < self.capacity(),
-            "SpecStore capacity {} exhausted",
-            self.capacity()
-        );
-        i
+        let mut i = self.live.load(Ordering::Acquire);
+        loop {
+            assert!(
+                i < self.capacity(),
+                "SpecStore capacity {} exhausted",
+                self.capacity()
+            );
+            // Acquire pairs with `fill_past`'s Release store, and the
+            // AcqRel publication below passes that on: whoever learns
+            // `i < len()` also sees slot `i` initialised.
+            if i >= self.filled.load(Ordering::Acquire) {
+                self.fill_past(i);
+                assert!(
+                    i < self.filled.load(Ordering::Acquire),
+                    "slot {i} is below the capacity and still not filled"
+                );
+            }
+            match self
+                .live
+                .compare_exchange_weak(i, i + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return i,
+                Err(now) => i = now,
+            }
+        }
+    }
+
+    /// Initialise the next chunk of capacity unless somebody already
+    /// moved the filled mark past slot `i` (`i < capacity`).
+    #[cold]
+    fn fill_past(&self, i: usize) {
+        // A fixed-size store is filled to its capacity.
+        let Some(pad) = &self.pad else { return };
+        // A clone that panicked mid-chunk poisons the lock with the
+        // mark unmoved and the pad untouched: the slots it had written
+        // are still nobody's, and the next fill overwrites them.
+        let pad = crate::faults::recover(pad.lock());
+        let from = self.filled.load(Ordering::Acquire);
+        if from > i {
+            return;
+        }
+        let to = (from + FILL_CHUNK).min(self.capacity());
+        for slot in &self.slots[from..to] {
+            // SAFETY: slots at and past `filled` are reachable by no
+            // accessor (each asserts its index below `live ≤ filled`),
+            // and `filled` moves only under the lock held here, so
+            // this thread is their one writer; `write` does not read
+            // or drop the uninitialised destination.
+            unsafe { (*slot.get()).write((pad.clone)(&pad.value)) };
+        }
+        self.filled.store(to, Ordering::Release);
     }
 
     /// Raw pointer to slot `i` (for `TaskCtx` and undo entries only).
@@ -210,7 +315,7 @@ impl<T> SpecStore<T> {
         assert!(i < self.len(), "slot {i} beyond live prefix {}", self.len());
         #[cfg(feature = "checker")]
         self.raw_accesses.fetch_add(1, Ordering::AcqRel);
-        self.slots[self.phys(i)].get()
+        self.slots[self.phys(i)].get().cast()
     }
 
     /// Total raw slot-pointer handouts so far (checker builds only).
@@ -228,7 +333,9 @@ impl<T> SpecStore<T> {
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         assert!(i < self.len());
         let p = self.phys(i);
-        self.slots[p].get_mut()
+        // SAFETY: a live slot is below the filled mark (on a sharded
+        // store every physical slot is), hence initialised.
+        unsafe { self.slots[p].get_mut().assume_init_mut() }
     }
 
     /// Immutable snapshot of the live prefix outside speculation, in
@@ -237,13 +344,7 @@ impl<T> SpecStore<T> {
     where
         T: Clone,
     {
-        let n = self.len();
-        (0..n)
-            .map(|i| {
-                let p = self.phys(i);
-                self.slots[p].get_mut().clone()
-            })
-            .collect()
+        self.iter_mut().map(|v| v.clone()).collect()
     }
 
     /// Iterate the live prefix outside speculation, in logical order.
@@ -254,9 +355,21 @@ impl<T> SpecStore<T> {
             // SAFETY: `&mut self` grants exclusive access to every
             // slot, and `phys` is injective over `0..n`, so each slot
             // is yielded at most once — the returned `&mut T`s never
-            // alias.
-            unsafe { &mut *ptr }
+            // alias; live slots are initialised as in `get_mut`.
+            unsafe { (*ptr).assume_init_mut() }
         })
+    }
+}
+
+impl<T> Drop for SpecStore<T> {
+    /// Drop what was initialised: the slab's first `filled` slots.
+    fn drop(&mut self) {
+        let filled = *self.filled.get_mut();
+        for slot in &mut self.slots[..filled] {
+            // SAFETY: slots below the filled mark are initialised, and
+            // nothing reads them after this.
+            unsafe { slot.get_mut().assume_init_drop() };
+        }
     }
 }
 
@@ -373,6 +486,107 @@ mod tests {
         let r = region(map.padded_len());
         let s = SpecStore::new_sharded(r, vec![0u8; 4], 0, map);
         let _ = s.alloc();
+    }
+
+    #[test]
+    fn growable_capacity_is_filled_as_the_live_prefix_reaches_it() {
+        let cap = 2 * FILL_CHUNK + 100;
+        let mut s = SpecStore::from_vec(region(cap), vec![1u32, 2, 3], 9);
+        assert_eq!((s.len(), s.capacity()), (3, cap));
+        assert_eq!(*s.filled.get_mut(), 3, "nothing filled at construction");
+        assert_eq!(s.alloc(), 3);
+        assert_eq!(*s.filled.get_mut(), 3 + FILL_CHUNK);
+        assert_eq!(*s.get_mut(3), 9);
+        for i in 4..cap {
+            assert_eq!(s.alloc(), i);
+        }
+        assert_eq!(*s.filled.get_mut(), cap, "the last chunk is short");
+        let snap = s.snapshot();
+        assert_eq!(snap[..3], [1, 2, 3]);
+        assert!(snap[3..].iter().all(|&v| v == 9) && snap.len() == cap);
+    }
+
+    #[test]
+    #[should_panic(expected = "SpecStore capacity 5 exhausted")]
+    fn growable_store_panics_when_exhausted() {
+        let s = SpecStore::from_vec(region(5), vec![0u8; 3], 0);
+        assert_eq!((s.alloc(), s.alloc()), (3, 4));
+        let _ = s.alloc();
+    }
+
+    /// 8 threads × 10,000 allocations cross about twenty fills: every
+    /// index is handed out once, and every slot below `len()` reads
+    /// the pad the moment its index is known.
+    #[test]
+    fn concurrent_alloc_across_fill_chunks() {
+        const THREADS: usize = 8;
+        const EACH: usize = 10_000;
+        let s = SpecStore::from_vec(region(THREADS * EACH + 7), vec![5u64; 7], 5);
+        let start = std::sync::Barrier::new(THREADS);
+        let mut all: Vec<usize> = std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    sc.spawn(|| {
+                        start.wait();
+                        (0..EACH)
+                            .map(|_| {
+                                let i = s.alloc();
+                                // SAFETY: the slot was handed to this
+                                // thread alone a moment ago.
+                                assert_eq!(unsafe { *s.slot_ptr(i) }, 5);
+                                i
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        assert!(all.iter().copied().eq(7..THREADS * EACH + 7));
+        let mut s = s;
+        assert_eq!(s.len(), s.capacity());
+        assert!(s.iter_mut().all(|v| *v == 5));
+    }
+
+    /// A store dropped with a partly filled slab drops what was filled
+    /// — the pad itself and its clones included — and nothing else.
+    #[test]
+    fn drop_covers_exactly_the_filled_slots() {
+        use std::sync::atomic::AtomicIsize;
+        struct Counted(Arc<AtomicIsize>);
+        impl Counted {
+            fn new(live: &Arc<AtomicIsize>) -> Self {
+                live.fetch_add(1, Ordering::SeqCst);
+                Counted(live.clone())
+            }
+        }
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                Counted::new(&self.0)
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let live = Arc::new(AtomicIsize::new(0));
+        let init = vec![Counted::new(&live), Counted::new(&live)];
+        let s = SpecStore::from_vec(region(3 * FILL_CHUNK), init, Counted::new(&live));
+        assert_eq!(live.load(Ordering::SeqCst), 3, "two slots and the pad");
+        s.alloc();
+        s.alloc();
+        assert_eq!(
+            live.load(Ordering::SeqCst) as usize,
+            3 + FILL_CHUNK,
+            "one chunk of clones, whatever the capacity"
+        );
+        drop(s);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "leaked or dropped twice");
     }
 
     #[test]

@@ -94,11 +94,13 @@ pub trait Operator: Sync {
     }
 }
 
-/// Inline snapshot storage of an [`UndoEntry`]: three words. That
+/// Inline snapshot storage of an [`UndoEntry`]: four words. That
 /// holds every scalar slot the apps keep (`u32` parents, `u64`
-/// distances, small tuples) and the 24-byte header of a `Vec` or
-/// `String`, so only large payload structs take the boxed fallback.
-type Saved = MaybeUninit<[u64; 3]>;
+/// distances, small tuples), the 24-byte header of a `Vec` or
+/// `String`, and the 28-byte mesh triangle — the one payload struct
+/// written a dozen times per task (DESIGN.md §7 item 6) — so only
+/// structs past 32 bytes take the boxed fallback.
+type Saved = MaybeUninit<[u64; 4]>;
 
 /// Whether a `T` snapshot lives in the entry itself (else in a `Box`
 /// whose pointer does).
@@ -113,7 +115,8 @@ const fn saved_inline<T>() -> bool {
 /// by [`UndoEntry::finish`], which [`TaskCtx`]'s own `Drop` guarantees
 /// for every entry a task logged.
 struct UndoEntry {
-    /// Lock index of the slot (for write-dedup).
+    /// Lock index of the slot (what [`TaskScratch::first_write`]
+    /// looks for).
     lock: usize,
     /// The written store slot (a `*mut T`).
     slot: *mut (),
@@ -135,7 +138,7 @@ impl UndoEntry {
             unsafe { saved.as_mut_ptr().cast::<T>().write(old) };
         } else {
             // SAFETY: a `Box<T>` of a sized `T` is one pointer, which
-            // fits `Saved`'s three words and shares their alignment.
+            // fits `Saved`'s four words and shares their alignment.
             unsafe { saved.as_mut_ptr().cast::<Box<T>>().write(Box::new(old)) };
         }
         UndoEntry {
@@ -189,6 +192,16 @@ unsafe fn finish_as<T>(slot: *mut (), saved: &mut Saved, restore: bool) {
     }
 }
 
+/// Undo logs up to this long answer "did this task write the slot
+/// already?" by a scan; a longer log is indexed
+/// ([`TaskScratch::first_write`]). Every benchmark operator but the
+/// mesh refinement and an SSSP hub logs one to three entries per task.
+const SCAN_LIMIT: usize = 8;
+
+/// log2 of the index size a log starts with when it outgrows the
+/// scan: the `SCAN_LIMIT + 1` entries it has then fill under half.
+const INDEX_BITS: u32 = (2 * (SCAN_LIMIT + 1)).next_power_of_two().trailing_zeros();
+
 /// The buffers a running task fills — its lockset and undo log —
 /// owned by whichever loop calls `Executor::speculate` (the inline
 /// round, a pool job, a pipelined worker) and lent to one [`TaskCtx`]
@@ -199,6 +212,87 @@ unsafe fn finish_as<T>(slot: *mut (), saved: &mut Saved, restore: bool) {
 pub(crate) struct TaskScratch {
     lockset: Vec<usize>,
     undo: Vec<UndoEntry>,
+    /// The locks of `undo`, hashed, consulted only while the log is
+    /// longer than [`SCAN_LIMIT`]: `(stamp, lock)` cells, open
+    /// addressing with linear probing over the first `1 << bits` of
+    /// them, at most half full. A cell is occupied iff its stamp is
+    /// the current `gen`, so starting a new index is one increment,
+    /// not a sweep of what the last large task left behind.
+    written: Vec<(u64, usize)>,
+    gen: u64,
+    bits: u32,
+    /// Lock-index comparisons made by `first_write` (scan steps and
+    /// index probes), for the cost-per-write unit test.
+    #[cfg(test)]
+    compares: usize,
+}
+
+impl TaskScratch {
+    /// Has the running task not yet logged the slot behind lock `l`?
+    /// When it answers `true` the caller logs the slot's snapshot with
+    /// [`TaskScratch::log`] before anything else touches the scratch.
+    #[inline]
+    fn first_write(&mut self, l: usize) -> bool {
+        if self.undo.len() > SCAN_LIMIT {
+            return self.index_insert(l);
+        }
+        let hit = self.undo.iter().position(|u| u.lock == l);
+        #[cfg(test)]
+        {
+            self.compares += hit.map_or(self.undo.len(), |at| at + 1);
+        }
+        hit.is_none()
+    }
+
+    /// Append a first write's entry, keeping the index — once the log
+    /// is long enough to have one — complete and at most half full.
+    #[inline]
+    fn log(&mut self, entry: UndoEntry) {
+        self.undo.push(entry);
+        let n = self.undo.len();
+        if n == SCAN_LIMIT + 1 {
+            self.reindex(INDEX_BITS);
+        } else if n > SCAN_LIMIT && 2 * n > 1 << self.bits {
+            self.reindex(self.bits + 1);
+        }
+    }
+
+    /// Start a fresh index of `1 << bits` cells over the whole log.
+    fn reindex(&mut self, bits: u32) {
+        self.bits = bits;
+        self.gen += 1;
+        if self.written.len() < 1 << bits {
+            self.written.resize(1 << bits, (0, 0));
+        }
+        for k in 0..self.undo.len() {
+            let l = self.undo[k].lock;
+            self.index_insert(l);
+        }
+    }
+
+    /// Put `l` in the index unless it is there; `true` if it was not.
+    /// Terminates because callers keep the index at most half full.
+    fn index_insert(&mut self, l: usize) -> bool {
+        let mask = (1usize << self.bits) - 1;
+        // Fibonacci hashing: lock indices are runs of small integers,
+        // which the multiply spreads over the high bits.
+        let mut at = ((l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize;
+        loop {
+            #[cfg(test)]
+            {
+                self.compares += 1;
+            }
+            let cell = &mut self.written[at];
+            if cell.0 != self.gen {
+                *cell = (self.gen, l);
+                return true;
+            }
+            if cell.1 == l {
+                return false;
+            }
+            at = (at + 1) & mask;
+        }
+    }
 }
 
 /// Per-task speculation context (one per launched task per round).
@@ -460,11 +554,11 @@ impl<'rt> TaskCtx<'rt> {
         #[cfg(feature = "checker")]
         self.trace_access(l, optpar_checker::AccessKind::Write);
         let ptr = store.slot_ptr(i);
-        if !self.scratch.undo.iter().any(|u| u.lock == l) {
+        if self.scratch.first_write(l) {
             // SAFETY: exclusive access as in `read`; we clone the
             // current value out while no other reference exists.
             let old = unsafe { (*ptr).clone() };
-            self.scratch.undo.push(UndoEntry::new(l, ptr, old));
+            self.scratch.log(UndoEntry::new(l, ptr, old));
         }
         // SAFETY: exclusive access as in `read`; `&mut self` ensures no
         // other outstanding reference from this context.
@@ -749,19 +843,22 @@ mod tests {
     struct Aligned(u64);
 
     #[test]
-    fn undo_snapshot_is_inline_up_to_three_words() {
+    fn undo_snapshot_is_inline_up_to_four_words() {
         assert!(saved_inline::<(u32, u32, u64)>());
-        assert!(saved_inline::<[u64; 3]>());
+        assert!(saved_inline::<[u64; 4]>());
         assert!(saved_inline::<Vec<u32>>());
+        // The mesh triangle's shape: 28 bytes, 4-aligned.
+        assert!(saved_inline::<([u32; 3], [u32; 3], bool)>());
         round_trips((1u32, 2u32, 3u64), (4, 5, 6));
-        round_trips([1u64, 2, 3], [7, 8, 9]);
+        round_trips([1u64, 2, 3, 4], [6, 7, 8, 9]);
+        round_trips(([1u32; 3], [2u32; 3], true), ([3; 3], [4; 3], false));
     }
 
     #[test]
     fn undo_snapshot_of_a_large_or_overaligned_value_is_boxed() {
-        assert!(!saved_inline::<[u64; 4]>());
+        assert!(!saved_inline::<[u64; 5]>());
         assert!(!saved_inline::<Aligned>());
-        round_trips([1u64, 2, 3, 4], [5, 6, 7, 8]);
+        round_trips([1u64, 2, 3, 4, 5], [5, 6, 7, 8, 9]);
         round_trips(Aligned(1), Aligned(2));
     }
 
@@ -771,6 +868,7 @@ mod tests {
         round_trips(String::from("before"), String::from("after"));
         // Heap-owning *and* boxed.
         round_trips((vec![1u8], [0u64; 4]), (vec![2u8; 50], [1u64; 4]));
+        assert!(!saved_inline::<(Vec<u8>, [u64; 4])>());
     }
 
     /// Counts its live instances (clones included); `PAD` words of
@@ -862,6 +960,67 @@ mod tests {
         cx.finish_abort();
         assert!(space.check_all_free().is_ok());
         assert_eq!(*store.get_mut(0), vec![1, 2, 3]);
+    }
+
+    /// One task over a `k`-slot store: write every slot, re-write
+    /// every slot, roll back. Returns the lock-index comparisons the
+    /// first-write test made.
+    fn compares_writing_twice(k: usize, scratch: &mut TaskScratch) -> usize {
+        let (space, r) = setup(k);
+        let mut store = SpecStore::from_vec(r, (0..k as u64).collect(), 0);
+        let before = scratch.compares;
+        let mut cx = TaskCtx::new(0, &space, scratch);
+        for pass in 1..=2u64 {
+            // A stride coprime to `k` visits the slots out of order.
+            for j in 0..k {
+                let i = (j * 7) % k;
+                *cx.write(&store, i).unwrap() += pass * 1000;
+            }
+            assert_eq!(cx.undo_len(), k, "one entry per distinct slot");
+        }
+        cx.finish_abort();
+        assert!(space.check_all_free().is_ok());
+        assert_eq!(store.snapshot(), (0..k as u64).collect::<Vec<_>>());
+        scratch.compares - before
+    }
+
+    /// The first-write test is O(1) amortised: 128× the writes cost
+    /// about 128× the comparisons (the scan it replaced: 16,000×).
+    #[test]
+    fn first_write_test_is_linear_in_the_writes() {
+        let mut scratch = TaskScratch::default();
+        let (small, large) = (
+            compares_writing_twice(64, &mut scratch),
+            compares_writing_twice(8192, &mut scratch),
+        );
+        assert!(
+            large <= 200 * small,
+            "{small} comparisons for 2 × 64 writes, {large} for 2 × 8192"
+        );
+        // A short log after a long one probes a short index again, and
+        // the long one's cells read as vacant.
+        assert_eq!(compares_writing_twice(64, &mut scratch), small);
+        assert!(scratch.written.len() >= 2 * 8192 && scratch.bits == 7);
+    }
+
+    /// Logs at and around the scan limit dedup exactly, whichever side
+    /// of it a re-write lands on.
+    #[test]
+    fn write_dedup_is_exact_across_the_scan_limit() {
+        for k in [
+            1,
+            SCAN_LIMIT,
+            SCAN_LIMIT + 1,
+            SCAN_LIMIT + 2,
+            16,
+            17,
+            33,
+            100,
+        ] {
+            let mut scratch = TaskScratch::default();
+            compares_writing_twice(k, &mut scratch);
+            assert_eq!(scratch.written.is_empty(), k <= SCAN_LIMIT, "k = {k}");
+        }
     }
 
     #[test]
