@@ -16,9 +16,10 @@
 //!
 //! Three cooperating layers:
 //!
-//! * [`trace`] — per-task access traces: every lock acquisition and
-//!   every data read/write is recorded as `(task, epoch, lock,
-//!   lockset-at-access)`, together with the task's final outcome.
+//! * [`trace`] — per-task access traces: every lock acquisition (and,
+//!   in a pipelined lane, the finished holder it took the word over
+//!   from) and every data read/write is recorded as `(task, epoch,
+//!   lock, lockset-at-access)`, together with the task's final outcome.
 //! * [`lockset`] — the Eraser-style dynamic race checker: post-round
 //!   analysis of the traces. Any access not covered by a held,
 //!   current-epoch lock, any pair of committed tasks with intersecting
@@ -26,11 +27,21 @@
 //!   committer produce a structured [`report::Report`] naming the task
 //!   pair and epoch. Epoch-transition assertions (monotonic +1 bumps,
 //!   wraparound sweeps, stale-owner CAS overwrites) live here too.
+//!   Those are a barrier round's rules, where a committed task's
+//!   retention is the commit rule. In a pipelined lane a finished
+//!   holder's lock is free, and the second rule is restated as
+//!   conflict-serializability by [`lockset::LockLedger`]: no lock is
+//!   held by two live tasks — two tasks of a batch share one only
+//!   through a recorded takeover from its last committed holder.
 //! * [`oracle`] — the commit-set oracle: from the same traces, the
 //!   drawn prefix's greedy MIS is recomputed sequentially and diffed
 //!   against the runtime's committed set, so first-wins arbitration
 //!   bugs surface as [`report::Report::OracleDivergence`]
 //!   with the offending permutation — not as skewed `r̄(m)` curves.
+//!   A sequential pipelined batch has the lane form of the rule
+//!   ([`oracle::audit_sequential_batch`]): nothing aborts but by its
+//!   own request or fault, so the committed set is a superset of that
+//!   greedy MIS.
 //!   [`oracle::diff_commit_set`] additionally diffs against an explicit
 //!   CC graph when the application has one (MIS, coloring).
 //!

@@ -4,7 +4,7 @@
 //! a round as the *greedy maximal independent set of the drawn prefix,
 //! built in permutation order*: walk the prefix; a task commits iff no
 //! earlier **committed** task conflicts with it. Under sequential
-//! execution (`workers == 1`) the runtime realizes exactly this
+//! execution (`workers == 1`) a barrier round realizes exactly this
 //! process, so the oracle can recompute it independently from the
 //! round's traces — each task's acquired lockset is the conflict
 //! neighbourhood — and diff the reconstruction against what the
@@ -12,6 +12,9 @@
 //! release, a stale-epoch alias, a held word overwritten) then surface
 //! as [`Report::OracleDivergence`] carrying the offending permutation,
 //! instead of silently skewing the measured conflict ratio `r̄(m)`.
+//! A pipelined lane does not retain — a finished holder's lock is
+//! free — so its sequential batches commit a *superset* of that set;
+//! [`audit_sequential_batch`] is the rule there.
 //!
 //! When the application's conflict structure *is* an explicit CC
 //! graph (MIS, coloring), [`diff_commit_set`] diffs a committed node
@@ -53,7 +56,7 @@ pub fn audit_sequential_round(traces: &[TaskTrace]) -> Option<Report> {
         let mut self_abort = false;
         for e in &t.events {
             match e {
-                TraceEvent::Acquired { lock } => requested.push(*lock),
+                TraceEvent::Acquired { lock, .. } => requested.push(*lock),
                 TraceEvent::Conflicted { lock, .. } => requested.push(*lock),
                 TraceEvent::Access { .. } => {}
                 // Requested aborts are the application's call; faults
@@ -92,6 +95,45 @@ pub fn audit_sequential_round(traces: &[TaskTrace]) -> Option<Report> {
         missing,
         extra,
         permutation: by_slot.iter().map(|t| (t.slot, t.acquired())).collect(),
+    })
+}
+
+/// The commit-set oracle for one sequential (`workers == 1`)
+/// *pipelined* batch.
+///
+/// A lane does not retain: a finished holder's lock is free, so at
+/// one worker — one lane, one task at a time — no acquisition can
+/// fail and **nothing aborts except by its own doing**
+/// ([`TraceEvent::AbortRequested`] / [`TraceEvent::Faulted`]). That is
+/// the whole rule, and it implies the paper's: every task the greedy
+/// prefix-MIS of [`audit_sequential_round`] would commit still
+/// commits, so the batch's committed set is a *superset* of it — the
+/// tasks a round would have aborted against an earlier committed
+/// holder commit too, serialized after that holder by a recorded
+/// takeover ([`crate::lockset::LockLedger`] checks each one).
+///
+/// Returns at most one report, listing every unexcused abort as a
+/// missing commit.
+pub fn audit_sequential_batch(traces: &[TaskTrace]) -> Option<Report> {
+    let epoch = traces.first()?.epoch;
+    let excused = |t: &TaskTrace| {
+        t.events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::AbortRequested | TraceEvent::Faulted))
+    };
+    let missing: Vec<usize> = traces
+        .iter()
+        .filter(|t| t.outcome == Outcome::Aborted && !excused(t))
+        .map(|t| t.slot)
+        .collect();
+    if missing.is_empty() {
+        return None;
+    }
+    Some(Report::OracleDivergence {
+        epoch,
+        missing,
+        extra: Vec::new(),
+        permutation: traces.iter().map(|t| (t.slot, t.acquired())).collect(),
     })
 }
 
@@ -161,7 +203,7 @@ mod tests {
     }
 
     fn acq(lock: usize) -> TraceEvent {
-        TraceEvent::Acquired { lock }
+        TraceEvent::Acquired { lock, from: None }
     }
 
     #[test]
@@ -259,6 +301,44 @@ mod tests {
             trace(1, Outcome::Aborted, vec![acq(4), TraceEvent::Faulted]),
         ];
         assert_eq!(audit_sequential_round(&ts), None);
+    }
+
+    /// The lane oracle: shared locks are fine (takeovers), excused
+    /// aborts are fine, a conflict abort at one worker is not.
+    #[test]
+    fn sequential_batch_commits_everything_it_is_not_excused_from() {
+        let take = |lock, slot| TraceEvent::Acquired {
+            lock,
+            from: Some((11, slot)),
+        };
+        let clean = vec![
+            trace(0, Outcome::Committed, vec![acq(0), acq(1)]),
+            // A round would abort this one against slot 0.
+            trace(1, Outcome::Committed, vec![take(1, 0), acq(2)]),
+            trace(2, Outcome::Aborted, vec![acq(3), TraceEvent::Faulted]),
+            trace(3, Outcome::Aborted, vec![TraceEvent::AbortRequested]),
+        ];
+        assert_eq!(audit_sequential_batch(&clean), None);
+        assert!(
+            audit_sequential_round(&clean).is_some(),
+            "the round oracle forbids the shared lock"
+        );
+
+        let lost = vec![
+            trace(0, Outcome::Committed, vec![acq(0)]),
+            trace(
+                1,
+                Outcome::Aborted,
+                vec![TraceEvent::Conflicted { lock: 0, holder: 0 }],
+            ),
+        ];
+        match audit_sequential_batch(&lost).expect("divergence") {
+            Report::OracleDivergence { missing, extra, .. } => {
+                assert_eq!(missing, vec![1]);
+                assert!(extra.is_empty());
+            }
+            other => panic!("wrong report: {other:?}"),
+        }
     }
 
     #[test]

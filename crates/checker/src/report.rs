@@ -88,6 +88,22 @@ pub enum Report {
         /// The named holder that has no record of the lock.
         holder: usize,
     },
+    /// A pipelined task took a lock word over from a holder that was
+    /// not the lock's last committed holder: the takeover did not
+    /// come from a finished task whose trace was deposited before it.
+    BadTakeover {
+        /// The lock taken over.
+        lock: usize,
+        /// The taking task's batch tag.
+        epoch: u64,
+        /// The taking task's slot.
+        slot: usize,
+        /// The `(tag, slot)` the task recorded taking the word from.
+        from: (u64, usize),
+        /// The `(tag, slot)` of the lock's last committed holder by
+        /// the ledger (`None` = free).
+        last: Option<(u64, usize)>,
+    },
     /// An epoch transition broke an invariant (non-monotonic bump,
     /// missed wraparound sweep, or a stale-owner word observed where a
     /// current one was required).
@@ -158,6 +174,17 @@ impl std::fmt::Display for Report {
                 f,
                 "PHANTOM CONFLICT on lock {lock} in epoch {epoch}: task {slot} aborted \
                  against holder {holder}, which never acquired it"
+            ),
+            Report::BadTakeover {
+                lock,
+                epoch,
+                slot,
+                from,
+                last,
+            } => write!(
+                f,
+                "BAD TAKEOVER of lock {lock} by task {slot} in batch {epoch:#x}: took it from \
+                 {from:x?}, but its last committed holder is {last:x?}"
             ),
             Report::EpochInvariant { epoch, detail } => {
                 write!(f, "EPOCH INVARIANT broken at epoch {epoch}: {detail}")

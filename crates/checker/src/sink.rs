@@ -7,16 +7,18 @@
 //! (always) and the sequential commit-set oracle (inline rounds). A
 //! disarmed sink drops trace pushes in O(1). The *pipelined* executor
 //! arms it once per run and calls [`AuditSink::drain_window`] at every controller
-//! window: traces are grouped by lane tag back into batches and each
-//! batch gets the batch-scoped analysis, with the sink staying armed
-//! across windows until [`AuditSink::disarm`].
+//! window: the window's traces first replay, in deposit order, against
+//! the run's [`LockLedger`] (no lock held by two live tasks; every
+//! takeover from the lock's last committed holder), then are grouped
+//! by lane tag back into batches for the batch-scoped analysis, with
+//! the sink staying armed across windows until [`AuditSink::disarm`].
 //!
 //! Epoch-transition assertions ([`AuditSink::assert_epoch_step`],
 //! [`AuditSink::assert_wrap_swept`], [`AuditSink::report_now`]) bypass
 //! arming: they fire on every `LockSpace` transition regardless of
 //! execution mode.
 
-use crate::lockset;
+use crate::lockset::{self, LockLedger};
 use crate::oracle;
 use crate::report::Report;
 use crate::trace::TaskTrace;
@@ -61,6 +63,8 @@ struct SinkState {
     armed: bool,
     sequential: bool,
     traces: Vec<TaskTrace>,
+    /// The pipelined run's lock stamps, carried across its windows.
+    ledger: LockLedger,
     reports: Vec<Report>,
     mode: CheckerMode,
     radius_policy: Option<RadiusPolicy>,
@@ -113,6 +117,8 @@ impl AuditSink {
         st.armed = true;
         st.sequential = sequential;
         st.traces.clear();
+        // A run starts, like a round, with every lock free.
+        st.ledger = LockLedger::default();
     }
 
     /// Deposit one finished task's trace. Dropped when disarmed.
@@ -154,17 +160,19 @@ impl AuditSink {
         }
     }
 
-    /// Pipelined window drain: audit the collected traces *per batch*
-    /// and leave the sink armed for the next window.
+    /// Pipelined window drain: audit the collected traces and leave
+    /// the sink armed for the next window.
     ///
-    /// Pipelined traces carry their batch's lane tag as `epoch`, so
-    /// grouping by epoch reassembles the batches. Each group gets the
-    /// batch-scoped lockset analysis ([`lockset::audit_batch`] —
-    /// phantom-conflict checking is off, because a conflict may name a
-    /// holder whose batch drains in a different window), plus the
-    /// commit-set oracle when armed sequential: with one worker the
-    /// window flush always falls between batches, so every group is a
-    /// complete batch and greedy commit order is exactly reproducible.
+    /// The traces first replay against the run's [`LockLedger`] in
+    /// deposit order — the conflict-serializability rule: a lock
+    /// changes hands between two tasks of a batch only by a takeover
+    /// from its last committed holder. Then, since pipelined traces
+    /// carry their batch's lane tag as `epoch`, grouping by epoch
+    /// reassembles the batches, and each group gets the batch-scoped
+    /// lockset analysis ([`lockset::audit_batch`]) plus, when armed
+    /// sequential, the lane commit-set oracle
+    /// ([`oracle::audit_sequential_batch`]: at one worker nothing
+    /// aborts but by its own doing).
     ///
     /// # Panics
     /// In [`CheckerMode::Panic`], panics with the joined report text
@@ -176,8 +184,9 @@ impl AuditSink {
                 return;
             }
             let traces = std::mem::take(&mut st.traces);
+            let mut found = st.ledger.audit(&traces);
             // Group by lane tag, preserving deposit order within each
-            // batch (the oracle needs execution order).
+            // batch.
             let mut groups: Vec<Vec<TaskTrace>> = Vec::new();
             for t in traces {
                 match groups
@@ -188,11 +197,10 @@ impl AuditSink {
                     None => groups.push(vec![t]),
                 }
             }
-            let mut found = Vec::new();
             for g in &groups {
                 found.extend(lockset::audit_batch(g));
                 if st.sequential {
-                    found.extend(oracle::audit_sequential_round(g));
+                    found.extend(oracle::audit_sequential_batch(g));
                 }
                 if let Some(p) = &st.radius_policy {
                     found.extend(lockset::audit_radius(p.radius, &*p.dist, g));
@@ -291,7 +299,7 @@ mod tests {
             .map(|slot| TaskTrace {
                 slot,
                 epoch: 1,
-                events: vec![TraceEvent::Acquired { lock }],
+                events: vec![TraceEvent::Acquired { lock, from: None }],
                 outcome: Outcome::Committed,
                 seed: None,
             })
@@ -346,15 +354,14 @@ mod tests {
         sink.arm(false);
         // Two batches interleaved in deposit order: lane tags 0x0100_0007
         // and 0x0200_0003. Within the first, two committers share lock
-        // 1 (a race); the second is clean. Across batches, slots 0 and
-        // 2 share lock 9 — legal cross-batch overlap that must NOT be
-        // flagged by the per-batch analysis.
+        // 1 with no takeover between them (a race); the second is
+        // clean.
         let tag_a = (1u64 << 24) | 7;
         let tag_b = (2u64 << 24) | 3;
         let mk = |slot, epoch, lock| TaskTrace {
             slot,
             epoch,
-            events: vec![TraceEvent::Acquired { lock }],
+            events: vec![TraceEvent::Acquired { lock, from: None }],
             outcome: Outcome::Committed,
             seed: None,
         };
@@ -401,7 +408,7 @@ mod tests {
             epoch: 1,
             events: locks
                 .into_iter()
-                .map(|lock| TraceEvent::Acquired { lock })
+                .map(|lock| TraceEvent::Acquired { lock, from: None })
                 .collect(),
             outcome: Outcome::Committed,
             seed: Some(seed),
@@ -411,7 +418,10 @@ mod tests {
         sink.push_trace(seeded(1, 20, vec![23]));
         // Unseeded trace with a far lock: skipped.
         let mut unseeded = TaskTrace::new(2, 1);
-        unseeded.events.push(TraceEvent::Acquired { lock: 90 });
+        unseeded.events.push(TraceEvent::Acquired {
+            lock: 90,
+            from: None,
+        });
         unseeded.outcome = Outcome::Committed;
         sink.push_trace(unseeded);
         sink.drain_round();

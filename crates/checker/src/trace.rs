@@ -28,10 +28,16 @@ impl std::fmt::Display for AccessKind {
 /// One step of a task's interaction with the lock space.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A successful (or reentrant) acquisition of `lock`.
+    /// A successful acquisition of `lock`.
     Acquired {
         /// The lock index.
         lock: usize,
+        /// `Some((tag, slot))` when the word was *taken over*: it still
+        /// carried the live stamp of that finished holder (pipelined
+        /// lanes only — a lane's committed stamps outlive their tasks
+        /// until the lane bump, and a finished holder's lock is free).
+        /// `None` when the word was free.
+        from: Option<(u64, usize)>,
     },
     /// A failed acquisition: the task lost the collision on `lock` to
     /// `holder` (per the round's conflict policy) and will abort.
@@ -66,7 +72,8 @@ pub enum TraceEvent {
 /// How a task finished its round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
-    /// The task committed; its locks stay stamped until the barrier.
+    /// The task committed; its locks stay stamped until the barrier
+    /// (or, in a pipelined lane, until a later task takes them over).
     Committed,
     /// The task aborted (lost a collision, was doomed, or requested).
     Aborted,
@@ -108,7 +115,7 @@ impl TaskTrace {
     pub fn acquired(&self) -> Vec<usize> {
         let mut out = Vec::new();
         for e in &self.events {
-            if let TraceEvent::Acquired { lock } = e {
+            if let TraceEvent::Acquired { lock, .. } = e {
                 if !out.contains(lock) {
                     out.push(*lock);
                 }
@@ -152,9 +159,18 @@ mod tests {
     #[test]
     fn acquired_dedups_in_order() {
         let mut t = TaskTrace::new(3, 7);
-        t.events.push(TraceEvent::Acquired { lock: 5 });
-        t.events.push(TraceEvent::Acquired { lock: 2 });
-        t.events.push(TraceEvent::Acquired { lock: 5 });
+        t.events.push(TraceEvent::Acquired {
+            lock: 5,
+            from: None,
+        });
+        t.events.push(TraceEvent::Acquired {
+            lock: 2,
+            from: None,
+        });
+        t.events.push(TraceEvent::Acquired {
+            lock: 5,
+            from: None,
+        });
         assert_eq!(t.acquired(), vec![5, 2]);
     }
 
@@ -177,7 +193,10 @@ mod tests {
     #[test]
     fn first_conflict_found() {
         let mut t = TaskTrace::new(1, 0);
-        t.events.push(TraceEvent::Acquired { lock: 0 });
+        t.events.push(TraceEvent::Acquired {
+            lock: 0,
+            from: None,
+        });
         t.events.push(TraceEvent::Conflicted { lock: 4, holder: 9 });
         assert_eq!(t.first_conflict(), Some((4, 9)));
     }

@@ -13,27 +13,47 @@
 //! an earlier round or an already-retired batch. The round barrier is
 //! therefore a single counter increment
 //! ([`LockSpace::advance_epoch`]), and retiring a pipelined batch is
-//! a single lane bump ([`LockSpace::advance_lane`]): committed tasks
-//! keep their locks held until the barrier / batch retirement (the
-//! model's semantics) without anyone walking their locksets to
-//! release them — and a bump on one lane never stalls or frees work
-//! on another.
+//! a single lane bump ([`LockSpace::advance_lane`]): nobody walks a
+//! committed task's lockset to release it, and a bump on one lane
+//! never stalls or frees work on another.
 //!
-//! Acquisition is a CAS loop; a collision is a *speculative conflict*
-//! and there is one rule for it: **first wins** — the task that
-//! requests an already-held lock aborts itself (Galois's default
-//! arbitration). A held word is never overwritten by anyone but its
-//! owner, so a task that acquired a lock keeps it until it commits or
-//! rolls back, and needs no per-access ownership re-check. On the
-//! inline `workers == 1` round, where tasks run in draw order, this
-//! *is* the paper's commit rule: a task commits iff no earlier
-//! committed neighbour holds its data.
+//! Acquisition is a CAS loop; a collision with a task that is *still
+//! running* is a *speculative conflict* and there is one rule for it:
+//! **first wins** — the task that requests a lock a running task
+//! holds aborts itself (Galois's default arbitration). A running
+//! task's word is never overwritten by anyone but its owner, so a task
+//! that acquired a lock keeps it until it commits or rolls back, and
+//! needs no per-access ownership re-check.
+//!
+//! What a *committed* task's stamp means depends on the lane:
+//!
+//! * **Lane 0 — retention is the commit rule.** A committed round
+//!   task keeps its locks until the barrier, so later tasks of the
+//!   round conflict with it. On the inline `workers == 1` round, where
+//!   tasks run in draw order, this *is* the paper's model: a task
+//!   commits iff no earlier committed neighbour holds its data.
+//! * **Lanes ≥ 1 — retention is not conflict.** A pipelined lane
+//!   keeps its committed stamps until the lane bump only because that
+//!   makes the retire O(1); the holder no longer exists, so its word
+//!   is free for the taking. A requester *takes over* a live word
+//!   whose holder has finished — same lane: always (a lane runs one
+//!   task at a time); another lane: when the holder's slot is behind
+//!   the slot that lane has published as running
+//!   ([`LockSpace::publish_running`]) — by the same CAS that takes a
+//!   free word. Only a holder that is mid-task is a conflict.
+//!
+//! Why a finished holder on a lane *committed*: an aborting or
+//! faulting task rolls its writes back and releases its words (a CAS
+//! from its exact mark, [`release_all_tagged`]) before its worker
+//! moves on, so a word still carrying a finished slot's mark was left
+//! by a commit. Taking it over is then indistinguishable from taking
+//! it after the lane bump: the undo log snapshots on first write, so
+//! rolling the new owner back restores the committed value, and the
+//! new owner's release CASes from *its* mark, so the dispossessed
+//! slot can never free or reclaim the word.
 //!
 //! Locks are held until the owning task commits or rolls back — never
 //! across epochs — so there is no waiting and hence no deadlock.
-//! Aborting tasks still release eagerly (same epoch) so that their
-//! words are reusable within the round; only the commit-time release
-//! traversal is subsumed by the epoch bump.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,6 +88,16 @@ pub const LINE_WORDS: usize = 8;
 #[derive(Debug)]
 #[repr(C, align(64))]
 struct OwnerLine([AtomicU64; LINE_WORDS]);
+
+/// One worker lane's state word, alone on its cache line: the high 32
+/// bits count the lane's retired batches (the low 24 of them are the
+/// lane epoch a tag carries), the low 32 bits are the *running mark* —
+/// `slot + 1` of the task the lane's worker is executing, 0 until it
+/// publishes one. The owning worker stores the mark before every task,
+/// so unpadded words would bounce between every pair of workers.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct LaneWord(AtomicU64);
 
 /// Benchmark-pinned shim, not an option: first-wins is the runtime's
 /// one collision rule and nothing reads this type. It exists only
@@ -153,7 +183,7 @@ impl LockSpaceBuilder {
         let lines = (0..self.total.div_ceil(LINE_WORDS))
             .map(|_| OwnerLine(Default::default()))
             .collect();
-        let lanes = (0..MAX_LANES).map(|_| AtomicU64::new(0)).collect();
+        let lanes = (0..MAX_LANES).map(|_| LaneWord::default()).collect();
         LockSpace {
             lines,
             words: self.total,
@@ -177,10 +207,11 @@ pub struct LockSpace {
     words: usize,
     /// Monotonic round counter; its low 24 bits are lane 0's epoch.
     epoch: AtomicU64,
-    /// Per-lane epoch counters for lanes `1..MAX_LANES` (entry 0 is
+    /// Per-lane state words for lanes `1..MAX_LANES` (entry 0 is
     /// unused — lane 0 reads `epoch` instead). A pipelined worker owns
-    /// exactly one lane and bumps it once per retired batch.
-    lanes: Box<[AtomicU64]>,
+    /// exactly one lane: it alone writes the word — the running mark
+    /// before each task, one epoch bump per retired batch.
+    lanes: Box<[LaneWord]>,
     regions: Vec<Region>,
     /// Speculation-safety audit sink: tasks deposit traces here and
     /// the round barrier runs the lockset/oracle analyses over them.
@@ -240,28 +271,68 @@ impl LockSpace {
         if lane == 0 {
             self.epoch_tag()
         } else {
-            ((lane as u64) << LANE_SHIFT)
-                | (self.lanes[lane].load(Ordering::Acquire) & LANE_EPOCH_MASK)
+            let word = self.lanes[lane].0.load(Ordering::Acquire);
+            ((lane as u64) << LANE_SHIFT) | ((word >> EPOCH_SHIFT) & LANE_EPOCH_MASK)
         }
     }
 
-    /// Is `tag` the stamping lane's *current* tag? A lock word whose
-    /// tag is not live is free by definition (lazy expiry), whatever
-    /// its owner bits say.
+    /// Publish `slot` as the task lane `lane`'s worker is about to
+    /// run. Called by the lane's owning worker — the only writer of
+    /// the lane word — before each task of a batch, with slots that
+    /// *rise* through the batch: every slot of the lane's current
+    /// epoch below the published one has then finished, which is the
+    /// test [`acquire_tagged`] applies to another lane's live word.
+    ///
+    /// The store is `Release` and the requester's load of the lane
+    /// word `Acquire`: everything the finished holder wrote under its
+    /// lock — and the commit that left the word stamped — happens
+    /// before the data reads of whoever takes the word over.
+    ///
+    /// # Panics
+    /// Panics if `lane` is 0 (round tasks publish nothing: lane 0
+    /// keeps retention to the barrier) or out of range.
     #[inline]
-    fn tag_is_live(&self, tag: u64) -> bool {
+    pub fn publish_running(&self, lane: usize, slot: usize) {
+        assert!(
+            (1..MAX_LANES).contains(&lane),
+            "lane {lane} is not a worker lane"
+        );
+        let word = &self.lanes[lane].0;
+        // Single writer: the load reads this thread's own last store.
+        let epoch = word.load(Ordering::Relaxed) & !OWNER_MASK;
+        word.store(epoch | (slot as u64 + 1), Ordering::Release);
+    }
+
+    /// What the stamp `(tag, owner)` found on a lock word means right
+    /// now — see [`Holder`]. One `Acquire` load of the stamping lane's
+    /// word answers both questions (is the tag live, has the holder
+    /// finished).
+    #[inline]
+    fn holder(&self, tag: u64, owner: u64) -> Holder {
         let lane = (tag >> LANE_SHIFT) as usize;
         if lane == 0 {
-            tag == self.epoch_tag()
+            // Round tasks keep their locks to the barrier.
+            return if tag == self.epoch_tag() {
+                Holder::Running
+            } else {
+                Holder::Gone
+            };
+        }
+        let word = self.lanes[lane].0.load(Ordering::Acquire);
+        if tag & LANE_EPOCH_MASK != (word >> EPOCH_SHIFT) & LANE_EPOCH_MASK {
+            Holder::Gone
+        } else if owner < word & OWNER_MASK {
+            Holder::Finished
         } else {
-            tag & LANE_EPOCH_MASK == self.lanes[lane].load(Ordering::Acquire) & LANE_EPOCH_MASK
+            Holder::Running
         }
     }
 
-    /// Is the word `w` held by a live owner right now?
+    /// Is the word `w` stamped by an owner whose lane epoch is still
+    /// current — running, or committed and not yet retired?
     #[inline]
     fn word_is_held(&self, w: u64) -> bool {
-        w & OWNER_MASK != 0 && self.tag_is_live(w >> EPOCH_SHIFT)
+        w & OWNER_MASK != 0 && self.holder(w >> EPOCH_SHIFT, w & OWNER_MASK) != Holder::Gone
     }
 
     /// Advance the epoch: the O(1) round barrier. Every word still
@@ -314,8 +385,13 @@ impl LockSpace {
             (1..MAX_LANES).contains(&lane),
             "lane {lane} is not a worker lane"
         );
-        let old = self.lanes[lane].fetch_add(1, Ordering::AcqRel);
-        if old.wrapping_add(1) & LANE_EPOCH_MASK == 0 {
+        // The epoch counter sits above the running mark, which the
+        // bump leaves alone: no word carries the new epoch yet, so a
+        // stale mark has nothing to be compared against.
+        let old = self.lanes[lane]
+            .0
+            .fetch_add(1 << EPOCH_SHIFT, Ordering::AcqRel);
+        if ((old >> EPOCH_SHIFT) + 1) & LANE_EPOCH_MASK == 0 {
             let lane = lane as u64;
             for w in self.owners().iter() {
                 loop {
@@ -341,8 +417,10 @@ impl LockSpace {
         &self.audit
     }
 
-    /// Current owner of lock `l`: `None` if free (including words
-    /// whose stamping lane has moved on), else the owning slot.
+    /// The slot whose stamp lock `l` carries: `None` if free (including
+    /// words whose stamping lane has moved on), else the slot that
+    /// last acquired it under a still-current epoch — running, or
+    /// committed and awaiting its barrier or lane bump.
     pub fn owner_of(&self, l: usize) -> Option<usize> {
         let w = self.owners()[l].load(Ordering::Acquire);
         if self.word_is_held(w) {
@@ -369,6 +447,22 @@ impl LockSpace {
     }
 }
 
+/// What a non-zero owner stamp on a lock word stands for right now.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Holder {
+    /// Nobody: the owner bits are clear, or the stamping lane has
+    /// moved on to another epoch and left residue.
+    Gone,
+    /// Live tag, but the holder's slot is behind the one its lane has
+    /// published as running: it committed (an abort would have
+    /// released the word) and only the pending lane bump keeps its
+    /// stamp here.
+    Finished,
+    /// Live tag and not known to have finished: the holder is (or, on
+    /// lane 0, counts until the barrier as) a running task.
+    Running,
+}
+
 /// Why a lock acquisition failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AcquireError {
@@ -381,61 +475,114 @@ pub enum AcquireError {
     },
 }
 
+/// How a successful [`acquire_tagged`] got the lock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Acquired {
+    /// The word was free (never taken, released by an abort, or
+    /// retired residue) and is now ours.
+    Fresh,
+    /// The word carried a live stamp of a holder that has finished —
+    /// `(tag, slot)` — and was taken over from it.
+    TakenFrom(u64, usize),
+    /// We already held it (reentrant).
+    Held,
+}
+
 /// Attempt to acquire lock `l` for task `slot`, stamping lane 0's
 /// current tag (round mode) — a unit-test shorthand for
 /// [`acquire_tagged`], which production paths reach through
 /// `TaskCtx`'s cached tag.
 #[cfg(test)]
-pub(crate) fn acquire(space: &LockSpace, slot: usize, l: usize) -> Result<bool, AcquireError> {
+pub(crate) fn acquire(space: &LockSpace, slot: usize, l: usize) -> Result<Acquired, AcquireError> {
     acquire_tagged(space, slot, space.epoch_tag(), l)
 }
 
 /// Attempt to acquire lock `l` for task `slot`, stamping `tag` (the
-/// caller's lane tag, cached for the batch). Returns `Ok(true)` if
-/// newly acquired, `Ok(false)` if already held (reentrant), and
-/// `Err(Conflict)` if another live task holds it (first wins).
+/// caller's lane tag, cached for the batch). `Err(Conflict)` means a
+/// task that is still running holds it (first wins); every other word
+/// is taken by a CAS from the value just classified:
 ///
-/// A word is *held* iff its owner bits are set and its tag is live:
-/// either it equals ours (our lane's current epoch — we only run
-/// while that holds), or it belongs to a *different* lane whose
-/// current epoch still matches. A same-lane word with a different
-/// epoch is retired-batch residue and therefore free; this keeps the
-/// lane-0 fast path identical to the classic single-epoch check (no
-/// extra loads on stale words).
+/// * owner bits clear, or a same-lane stamp from another epoch (our
+///   own retired batch — no load needed to know), or another lane's
+///   stamp whose epoch that lane has left: **free**;
+/// * our own live tag with another slot's mark, on a lane ≥ 1: the
+///   holder ran before us on this lane and did not release, so it
+///   committed — **taken over**. On lane 0 the same word is a
+///   conflict: a round's committed tasks hold to the barrier, which
+///   is the model's commit rule;
+/// * another lane's live tag whose slot is behind the slot that lane
+///   has published as running ([`LockSpace::publish_running`]):
+///   likewise finished, **taken over** — the `Acquire` load of the
+///   lane word that told us so orders the holder's writes before our
+///   reads.
+///
+/// A takeover CAS can only lose to another requester of the same
+/// word, never to the finished holder (committed tasks do not release,
+/// and an abort's release CASes from its own mark); the loop then
+/// re-classifies what the winner wrote.
 ///
 /// `slot + 1` must fit the 32-bit owner field; both executors assert
 /// that on the slot range they mint before any task runs.
+///
+/// The free-word test and its CAS come first and return at once, as
+/// they did before there was anything to take over, and the function
+/// is `#[inline]`: this is every lock operation of every barrier
+/// round. With the takeover folded into one classify-then-CAS, or
+/// with the body left over LLVM's inline threshold (a call, the result
+/// through memory), `service-mix` and `delaunay-refine` solve 2–5%
+/// slower.
+#[inline]
 pub(crate) fn acquire_tagged(
     space: &LockSpace,
     slot: usize,
     tag: u64,
     l: usize,
-) -> Result<bool, AcquireError> {
+) -> Result<Acquired, AcquireError> {
     let owners = space.owners();
     let me = (tag << EPOCH_SHIFT) | (slot as u64 + 1);
     loop {
         let cur = owners[l].load(Ordering::Acquire);
         let cur_tag = cur >> EPOCH_SHIFT;
-        let held = cur & OWNER_MASK != 0
-            && (cur_tag == tag
-                || (cur_tag >> LANE_SHIFT != tag >> LANE_SHIFT && space.tag_is_live(cur_tag)));
-        if !held {
-            // Free — either genuinely (owner 0) or by epoch staleness.
+        let owner = cur & OWNER_MASK;
+        // Our own lane's stamps are judged by the tag alone; another
+        // lane's need that lane's word.
+        let foreign = if owner != 0 && cur_tag >> LANE_SHIFT != tag >> LANE_SHIFT {
+            space.holder(cur_tag, owner)
+        } else {
+            Holder::Gone
+        };
+        if owner == 0 || (cur_tag != tag && foreign == Holder::Gone) {
+            // Free — genuinely, or as residue of a retired batch.
             if owners[l]
                 .compare_exchange(cur, me, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return Ok(true);
+                return Ok(Acquired::Fresh);
             }
             continue; // someone raced us; re-evaluate
         }
         if cur == me {
-            return Ok(false); // reentrant
+            return Ok(Acquired::Held);
         }
-        return Err(AcquireError::Conflict {
-            lock: l,
-            holder: (cur & OWNER_MASK) as usize - 1,
-        });
+        // A live stamp of another task: ours to take only if that
+        // task has finished.
+        let finished = if cur_tag == tag {
+            tag >> LANE_SHIFT != 0
+        } else {
+            foreign == Holder::Finished
+        };
+        if !finished {
+            return Err(AcquireError::Conflict {
+                lock: l,
+                holder: owner as usize - 1,
+            });
+        }
+        if owners[l]
+            .compare_exchange(cur, me, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            return Ok(Acquired::TakenFrom(cur_tag, owner as usize - 1));
+        }
     }
 }
 
@@ -450,11 +597,12 @@ pub(crate) fn release_all(space: &LockSpace, slot: usize, lockset: &[usize]) {
 /// Release every lock in `lockset` held by `slot` under `tag` (the
 /// caller's cached lane tag). The release is a CAS from this task's
 /// exact mark, so a word that no longer carries it — retired-batch
-/// residue, or a word another lane has since recycled — is left
-/// alone. Aborting
-/// tasks must free their words within their round or batch;
-/// committed ones rely on [`LockSpace::advance_epoch`] /
-/// [`LockSpace::advance_lane`] instead.
+/// residue, a word another lane has since recycled, or one a later
+/// task took over — is left alone. Aborting tasks must free their
+/// words before their worker moves on (that is what lets a finished
+/// holder's surviving stamp be read as a commit); committed ones rely
+/// on [`LockSpace::advance_epoch`] / [`LockSpace::advance_lane`]
+/// instead.
 pub(crate) fn release_all_tagged(space: &LockSpace, slot: usize, tag: u64, lockset: &[usize]) {
     let owners = space.owners();
     let me = (tag << EPOCH_SHIFT) | (slot as u64 + 1);
@@ -528,21 +676,31 @@ mod tests {
         assert_eq!(space.owner_of(5), None);
     }
 
+    /// Each lane word has a cache line to itself — its worker stores
+    /// to it before every task — and all of them cost a space 16 KB.
+    #[test]
+    fn lane_words_are_padded_to_a_cache_line() {
+        let space = LockSpace::builder().build();
+        assert_eq!(std::mem::size_of::<LaneWord>(), 64);
+        assert_eq!(std::mem::size_of_val(&*space.lanes), 16 << 10);
+        assert_eq!(space.lanes.as_ptr() as usize % 64, 0);
+    }
+
     #[test]
     fn basic_acquire_release() {
         let mut b = LockSpace::builder();
         let _ = b.region(4);
         let space = b.build();
-        assert_eq!(acquire(&space, 0, 2), Ok(true));
+        assert_eq!(acquire(&space, 0, 2), Ok(Acquired::Fresh));
         assert_eq!(space.owner_of(2), Some(0));
         // Reentrant.
-        assert_eq!(acquire(&space, 0, 2), Ok(false));
+        assert_eq!(acquire(&space, 0, 2), Ok(Acquired::Held));
         // Contender loses under first-wins — whichever slot is earlier.
         assert_eq!(
             acquire(&space, 1, 2),
             Err(AcquireError::Conflict { lock: 2, holder: 0 })
         );
-        assert_eq!(acquire(&space, 1, 3), Ok(true));
+        assert_eq!(acquire(&space, 1, 3), Ok(Acquired::Fresh));
         assert_eq!(
             acquire(&space, 0, 3),
             Err(AcquireError::Conflict { lock: 3, holder: 1 })
@@ -559,7 +717,7 @@ mod tests {
         let _ = b.region(8);
         let space = b.build();
         for l in 0..8 {
-            assert_eq!(acquire(&space, l % 3, l), Ok(true));
+            assert_eq!(acquire(&space, l % 3, l), Ok(Acquired::Fresh));
         }
         assert!(space.check_all_free().is_err(), "words are held");
         let e0 = space.epoch();
@@ -571,7 +729,7 @@ mod tests {
             assert_eq!(space.owner_of(l), None, "stale word {l} must read free");
         }
         // The words are re-acquirable under the new epoch.
-        assert_eq!(acquire(&space, 0, 3), Ok(true));
+        assert_eq!(acquire(&space, 0, 3), Ok(Acquired::Fresh));
         assert_eq!(space.owner_of(3), Some(0));
     }
 
@@ -583,7 +741,7 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(2);
         let space = b.build();
-        assert_eq!(acquire(&space, 1, 0), Ok(true));
+        assert_eq!(acquire(&space, 1, 0), Ok(Acquired::Fresh));
         for step in 1..=100u64 {
             space.advance_epoch();
             assert_eq!(space.owner_of(0), None, "stale at +{step}");
@@ -593,7 +751,7 @@ mod tests {
         // with the 100-epochs-stale residue.
         assert_eq!(
             acquire(&space, 0, 0),
-            Ok(true),
+            Ok(Acquired::Fresh),
             "stale word must be treated as free by acquire"
         );
         assert_eq!(space.owner_of(0), Some(0));
@@ -606,14 +764,14 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(1);
         let space = b.build();
-        assert_eq!(acquire(&space, 0, 0), Ok(true));
+        assert_eq!(acquire(&space, 0, 0), Ok(Acquired::Fresh));
         space.advance_epoch();
         // Stale-scoped release: the CAS expects an epoch-current mark,
         // so the stale word is left alone (and still reads free).
         release_all(&space, 0, &[0]);
         assert_eq!(space.owner_of(0), None);
         // Fresh acquire + release round-trips under the new epoch.
-        assert_eq!(acquire(&space, 0, 0), Ok(true));
+        assert_eq!(acquire(&space, 0, 0), Ok(Acquired::Fresh));
         release_all(&space, 0, &[0]);
         assert_eq!(space.owner_of(0), None);
         assert!(space.check_all_free().is_ok());
@@ -660,8 +818,8 @@ mod tests {
         assert_eq!(space.epoch_tag(), LANE_EPOCH_MASK);
 
         // Stamp locks 0 and 2 under the maximal tag (lock 1 stays 0).
-        assert_eq!(acquire(&space, 0, 0), Ok(true));
-        assert_eq!(acquire(&space, 1, 2), Ok(true));
+        assert_eq!(acquire(&space, 0, 0), Ok(Acquired::Fresh));
+        assert_eq!(acquire(&space, 1, 2), Ok(Acquired::Fresh));
         assert_eq!(space.owner_of(0), Some(0));
         assert_eq!(space.owner_of(2), Some(1));
 
@@ -686,7 +844,7 @@ mod tests {
         assert!(space.check_all_free().is_ok());
 
         // The space is immediately reusable under the fresh tag.
-        assert_eq!(acquire(&space, 0, 0), Ok(true));
+        assert_eq!(acquire(&space, 0, 0), Ok(Acquired::Fresh));
         assert_eq!(space.owner_of(0), Some(0));
         release_all(&space, 0, &[0]);
         assert_eq!(space.owner_of(0), None);
@@ -700,7 +858,7 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(1);
         let space = b.build();
-        assert_eq!(acquire(&space, 0, 0), Ok(true));
+        assert_eq!(acquire(&space, 0, 0), Ok(Acquired::Fresh));
         let stamped = space.owners()[0].load(Ordering::Acquire);
         assert_ne!(stamped, 0);
 
@@ -710,7 +868,7 @@ mod tests {
         assert_eq!(space.owners()[0].load(Ordering::Acquire), stamped);
         assert_eq!(space.owner_of(0), None);
         assert!(space.check_all_free().is_ok());
-        assert_eq!(acquire(&space, 0, 0), Ok(true));
+        assert_eq!(acquire(&space, 0, 0), Ok(Acquired::Fresh));
     }
 
     /// Acquire every word under one lane tag, then retire the batch
@@ -724,7 +882,7 @@ mod tests {
         let space = b.build();
         let tag = space.lane_tag(1);
         for l in 0..8 {
-            assert_eq!(acquire_tagged(&space, l % 3, tag, l), Ok(true));
+            assert_eq!(acquire_tagged(&space, l % 3, tag, l), Ok(Acquired::Fresh));
         }
         assert!(space.check_all_free().is_err(), "words are held");
         space.advance_lane(1);
@@ -738,7 +896,7 @@ mod tests {
         // Immediately reusable under the lane's next epoch.
         let tag2 = space.lane_tag(1);
         assert_ne!(tag, tag2);
-        assert_eq!(acquire_tagged(&space, 0, tag2, 3), Ok(true));
+        assert_eq!(acquire_tagged(&space, 0, tag2, 3), Ok(Acquired::Fresh));
         assert_eq!(space.owner_of(3), Some(0));
     }
 
@@ -752,9 +910,15 @@ mod tests {
         let _ = b.region(3);
         let space = b.build();
         // Lock 0 under lane 1, lock 1 under lane 2, lock 2 under lane 0.
-        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(1), 0), Ok(true));
-        assert_eq!(acquire_tagged(&space, 1, space.lane_tag(2), 1), Ok(true));
-        assert_eq!(acquire(&space, 2, 2), Ok(true));
+        assert_eq!(
+            acquire_tagged(&space, 0, space.lane_tag(1), 0),
+            Ok(Acquired::Fresh)
+        );
+        assert_eq!(
+            acquire_tagged(&space, 1, space.lane_tag(2), 1),
+            Ok(Acquired::Fresh)
+        );
+        assert_eq!(acquire(&space, 2, 2), Ok(Acquired::Fresh));
         // Retire lane 2's batch only.
         space.advance_lane(2);
         assert_eq!(space.owner_of(0), Some(0), "lane 1 hold survives");
@@ -774,7 +938,10 @@ mod tests {
         let mut b = LockSpace::builder();
         let _ = b.region(1);
         let space = b.build();
-        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(1), 0), Ok(true));
+        assert_eq!(
+            acquire_tagged(&space, 0, space.lane_tag(1), 0),
+            Ok(Acquired::Fresh)
+        );
         // Live cross-lane conflict, from another lane and from lane 0.
         assert_eq!(
             acquire_tagged(&space, 1, space.lane_tag(2), 0),
@@ -788,7 +955,7 @@ mod tests {
         space.advance_lane(1);
         assert_eq!(
             acquire_tagged(&space, 3, space.lane_tag(2), 0),
-            Ok(true),
+            Ok(Acquired::Fresh),
             "stale cross-lane residue must be treated as free"
         );
         assert_eq!(space.owner_of(0), Some(3));
@@ -803,26 +970,34 @@ mod tests {
         let _ = b.region(3);
         let space = b.build();
         // Park lane 3 one step before its epoch wraps.
-        space.lanes[3].store(LANE_EPOCH_MASK, Ordering::Release);
+        space.lanes[3]
+            .0
+            .store(LANE_EPOCH_MASK << EPOCH_SHIFT, Ordering::Release);
         let tag3 = space.lane_tag(3);
         assert_eq!(tag3, (3 << LANE_SHIFT) | LANE_EPOCH_MASK);
-        assert_eq!(acquire_tagged(&space, 0, tag3, 0), Ok(true));
+        assert_eq!(acquire_tagged(&space, 0, tag3, 0), Ok(Acquired::Fresh));
         // Live holds in lane 4 and lane 0 that must survive the sweep.
-        assert_eq!(acquire_tagged(&space, 1, space.lane_tag(4), 1), Ok(true));
-        assert_eq!(acquire(&space, 2, 2), Ok(true));
+        assert_eq!(
+            acquire_tagged(&space, 1, space.lane_tag(4), 1),
+            Ok(Acquired::Fresh)
+        );
+        assert_eq!(acquire(&space, 2, 2), Ok(Acquired::Fresh));
 
         space.advance_lane(3);
 
         // Lane 3's counter wrapped to a zero epoch and its residue was
         // physically swept (a zero tag is the one value lazy expiry
         // would alias).
-        assert_eq!(space.lanes[3].load(Ordering::Acquire) & LANE_EPOCH_MASK, 0);
+        assert_eq!(space.lane_tag(3), 3 << LANE_SHIFT);
         assert_eq!(space.owners()[0].load(Ordering::Acquire), 0);
         // The other lanes' words are physically untouched and still held.
         assert_eq!(space.owner_of(1), Some(1));
         assert_eq!(space.owner_of(2), Some(2));
         // Lane 3 is immediately reusable under its fresh zero epoch.
-        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(3), 0), Ok(true));
+        assert_eq!(
+            acquire_tagged(&space, 0, space.lane_tag(3), 0),
+            Ok(Acquired::Fresh)
+        );
         assert_eq!(space.owner_of(0), Some(0));
     }
 
@@ -835,12 +1010,15 @@ mod tests {
         let _ = b.region(2);
         let space = b.build();
         let tag = space.lane_tag(1);
-        assert_eq!(acquire_tagged(&space, 0, tag, 0), Ok(true));
-        assert_eq!(acquire_tagged(&space, 0, tag, 1), Ok(true));
+        assert_eq!(acquire_tagged(&space, 0, tag, 0), Ok(Acquired::Fresh));
+        assert_eq!(acquire_tagged(&space, 0, tag, 1), Ok(Acquired::Fresh));
         // Lock 1's batch retires; lock 0 is then re-taken by lane 2
         // under the same slot number.
         space.advance_lane(1);
-        assert_eq!(acquire_tagged(&space, 0, space.lane_tag(2), 0), Ok(true));
+        assert_eq!(
+            acquire_tagged(&space, 0, space.lane_tag(2), 0),
+            Ok(Acquired::Fresh)
+        );
         // A release under the *old* lane-1 tag can only clear words
         // still physically carrying that exact dead stamp (harmless:
         // they already read free); it must never clobber lane 2's
@@ -849,8 +1027,231 @@ mod tests {
         assert_eq!(space.owner_of(0), Some(0), "lane 2's hold survives");
         // A release under the current lane tag frees a live abort.
         let tag1b = space.lane_tag(1);
-        assert_eq!(acquire_tagged(&space, 1, tag1b, 1), Ok(true));
+        assert_eq!(acquire_tagged(&space, 1, tag1b, 1), Ok(Acquired::Fresh));
         release_all_tagged(&space, 1, tag1b, &[1]);
         assert_eq!(space.owner_of(1), None);
+    }
+
+    /// (a) Same lane: on a worker lane a word stamped by another slot
+    /// under our own live tag belongs to a task that ran before us and
+    /// did not release — it committed — so we take it over. Lane 0
+    /// keeps retention to the barrier: the same word is a conflict.
+    #[test]
+    fn same_lane_takeover_on_worker_lanes_only() {
+        let mut b = LockSpace::builder();
+        let _ = b.region(2);
+        let space = b.build();
+        let tag = space.lane_tag(1);
+        assert_eq!(acquire_tagged(&space, 0, tag, 0), Ok(Acquired::Fresh));
+        assert_eq!(
+            acquire_tagged(&space, 1, tag, 0),
+            Ok(Acquired::TakenFrom(tag, 0))
+        );
+        assert_eq!(space.owner_of(0), Some(1));
+        assert_eq!(acquire_tagged(&space, 1, tag, 0), Ok(Acquired::Held));
+        // The chain goes on: slot 2 takes it from slot 1, not slot 0.
+        assert_eq!(
+            acquire_tagged(&space, 2, tag, 0),
+            Ok(Acquired::TakenFrom(tag, 1))
+        );
+        // Lane 0, same shape: first wins until the barrier.
+        assert_eq!(acquire(&space, 0, 1), Ok(Acquired::Fresh));
+        assert_eq!(
+            acquire(&space, 1, 1),
+            Err(AcquireError::Conflict { lock: 1, holder: 0 })
+        );
+        space.advance_epoch();
+        assert_eq!(acquire(&space, 1, 1), Ok(Acquired::Fresh));
+    }
+
+    /// (b) Across lanes: a live word of another lane is taken over iff
+    /// its slot is *behind* the slot that lane has published as
+    /// running; the published slot itself (and anything past it, and
+    /// everything while nothing is published) is a running holder.
+    #[test]
+    fn cross_lane_takeover_needs_a_holder_behind_the_published_slot() {
+        let mut b = LockSpace::builder();
+        let _ = b.region(3);
+        let space = b.build();
+        let (tag1, tag2) = (space.lane_tag(1), space.lane_tag(2));
+        // Lane 1 runs slots 4, 5, 6 of one batch; each takes one word.
+        for (slot, l) in [(4, 0), (5, 1), (6, 2)] {
+            space.publish_running(1, slot);
+            assert_eq!(acquire_tagged(&space, slot, tag1, l), Ok(Acquired::Fresh));
+        }
+        space.publish_running(1, 5);
+        // Behind the published slot: finished, taken.
+        assert_eq!(
+            acquire_tagged(&space, 16, tag2, 0),
+            Ok(Acquired::TakenFrom(tag1, 4))
+        );
+        assert_eq!(space.owner_of(0), Some(16));
+        // At it, and ahead of it: running, conflict.
+        assert_eq!(
+            acquire_tagged(&space, 16, tag2, 1),
+            Err(AcquireError::Conflict { lock: 1, holder: 5 })
+        );
+        assert_eq!(
+            acquire_tagged(&space, 16, tag2, 2),
+            Err(AcquireError::Conflict { lock: 2, holder: 6 })
+        );
+        // A lane-0 requester reads the same published slot...
+        space.publish_running(1, 6);
+        assert_eq!(acquire(&space, 0, 1), Ok(Acquired::TakenFrom(tag1, 5)));
+        // ...but a lane-0 holder is never finished before its barrier,
+        // and neither is a lane that has published nothing.
+        assert_eq!(
+            acquire_tagged(&space, 16, tag2, 1),
+            Err(AcquireError::Conflict { lock: 1, holder: 0 })
+        );
+        assert_eq!(
+            acquire_tagged(&space, 6, tag1, 0),
+            Err(AcquireError::Conflict {
+                lock: 0,
+                holder: 16
+            })
+        );
+        // The lane bump keeps the mark and moves the epoch: the stale
+        // mark is compared against nothing, residue is simply free.
+        space.advance_lane(1);
+        assert_eq!(acquire_tagged(&space, 16, tag2, 2), Ok(Acquired::Fresh));
+    }
+
+    /// The dispossessed slot cannot free or reclaim a word that was
+    /// taken over from it: its release CASes from its own mark, and the
+    /// new owner's release leaves the word free, not handed back.
+    #[test]
+    fn release_by_the_dispossessed_slot_is_a_no_op() {
+        let mut b = LockSpace::builder();
+        let _ = b.region(1);
+        let space = b.build();
+        let tag = space.lane_tag(1);
+        assert_eq!(acquire_tagged(&space, 0, tag, 0), Ok(Acquired::Fresh));
+        assert_eq!(
+            acquire_tagged(&space, 1, tag, 0),
+            Ok(Acquired::TakenFrom(tag, 0))
+        );
+        release_all_tagged(&space, 0, tag, &[0]);
+        assert_eq!(space.owner_of(0), Some(1), "slot 1 still holds it");
+        release_all_tagged(&space, 1, tag, &[0]);
+        assert_eq!(space.owner_of(0), None);
+        assert!(space.check_all_free().is_ok());
+        assert_eq!(acquire_tagged(&space, 2, tag, 0), Ok(Acquired::Fresh));
+    }
+
+    /// A finished holder whose lane then retires — by an ordinary bump
+    /// or by the 24-bit wrap and its sweep — leaves a free word, not a
+    /// takeover: the requester classifies whatever it loads.
+    #[test]
+    fn finished_holder_retired_before_the_takeover_is_just_free() {
+        let mut b = LockSpace::builder();
+        let _ = b.region(2);
+        let space = b.build();
+        space.lanes[1]
+            .0
+            .store((LANE_EPOCH_MASK - 1) << EPOCH_SHIFT, Ordering::Release);
+        let tag2 = space.lane_tag(2);
+        for l in 0..2 {
+            let tag1 = space.lane_tag(1);
+            space.publish_running(1, 0);
+            assert_eq!(acquire_tagged(&space, 0, tag1, l), Ok(Acquired::Fresh));
+            space.publish_running(1, 1);
+            // Finished and takeable now...
+            assert_eq!(space.holder(tag1, 1), Holder::Finished);
+            // ...but the lane retires first (the second time round,
+            // across the wrap: the sweep zeroes the word).
+            space.advance_lane(1);
+            assert_eq!(space.holder(tag1, 1), Holder::Gone);
+            assert_eq!(acquire_tagged(&space, 9, tag2, l), Ok(Acquired::Fresh));
+        }
+        assert_eq!(space.lane_tag(1), 1 << LANE_SHIFT, "lane 1 wrapped");
+    }
+
+    /// Takeover racing the holder lane's bumps, across the 24-bit wrap
+    /// sweep: lane 1's worker runs two-task batches over two words
+    /// while two other lanes hammer the same words. Whoever holds a
+    /// word raises its busy flag for the length of its task; a flag
+    /// found raised is two live owners. Every sixteenth batch lane 1
+    /// stays inside its second task until the other lanes have made
+    /// four more attempts — so on any number of cores they meet it
+    /// mid-task, its first slot finished and that stamp still live:
+    /// one word to take over, one to lose.
+    #[test]
+    fn takeover_racing_lane_bumps_and_the_wrap_sweep_stays_exclusive() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        const BATCHES: usize = 4_000;
+        let mut b = LockSpace::builder();
+        let _ = b.region(2);
+        let space = b.build();
+        // The wrap (and its CAS sweep) falls mid-run.
+        space.lanes[1].0.store(
+            (LANE_EPOCH_MASK - BATCHES as u64 / 2) << EPOCH_SHIFT,
+            Ordering::Release,
+        );
+        let busy = [AtomicBool::new(false), AtomicBool::new(false)];
+        let (overlaps, taken, lost) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
+        let attempts = AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        // One task: take word `l` if it can be had, sit in it, and
+        // either commit (leave the stamp) or abort (release).
+        let task = |lane: usize, slot: usize, tag: u64, l: usize, commit: bool, linger: bool| {
+            space.publish_running(lane, slot);
+            attempts.fetch_add(1, Ordering::AcqRel);
+            let how = match acquire_tagged(&space, slot, tag, l) {
+                Ok(how) => how,
+                Err(_) => {
+                    lost.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+            };
+            if matches!(how, Acquired::TakenFrom(..)) {
+                taken.fetch_add(1, Ordering::Relaxed);
+            }
+            if busy[l].swap(true, Ordering::AcqRel) {
+                overlaps.fetch_add(1, Ordering::Relaxed);
+            }
+            let seen = attempts.load(Ordering::Acquire);
+            while linger && attempts.load(Ordering::Acquire) < seen + 4 {
+                std::thread::yield_now();
+            }
+            busy[l].store(false, Ordering::Release);
+            if !commit {
+                release_all_tagged(&space, slot, tag, &[l]);
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..BATCHES {
+                    let tag = space.lane_tag(1);
+                    task(1, 0, tag, 0, true, false);
+                    task(1, 1, tag, 1, true, i.is_multiple_of(16));
+                    space.advance_lane(1);
+                }
+                done.store(true, Ordering::Release);
+            });
+            for lane in [2usize, 3] {
+                let (task, done, space) = (&task, &done, &space);
+                s.spawn(move || {
+                    let mut i = 0usize;
+                    while !done.load(Ordering::Acquire) {
+                        let tag = space.lane_tag(lane);
+                        task(lane, 8 * lane, tag, i % 2, !i.is_multiple_of(3), false);
+                        task(lane, 8 * lane + 1, tag, (i + 1) % 2, true, false);
+                        space.advance_lane(lane);
+                        i += 1;
+                    }
+                });
+            }
+        });
+        assert_eq!(overlaps.load(Ordering::Relaxed), 0, "two live owners");
+        assert_eq!(space.lane_tag(1) & LANE_EPOCH_MASK, BATCHES as u64 / 2 - 1);
+        assert!(space.check_all_free().is_ok());
+        // While lane 1 lingered in word 1 the others tried both words.
+        assert!(taken.load(Ordering::Relaxed) > 0, "no finished holder met");
+        assert!(lost.load(Ordering::Relaxed) > 0, "no running holder met");
     }
 }

@@ -8,9 +8,17 @@
 //! * each worker owns a private **lock lane** (lane `w + 1` in the
 //!   [`LockSpace`]); it draws a *batch* of tasks, runs them under the
 //!   lane's current tag, and retires the batch with one
-//!   [`LockSpace::advance_lane`] bump — committed locks die wholesale,
+//!   [`LockSpace::advance_lane`] bump — committed stamps die wholesale,
 //!   exactly like the round epoch bump, but per worker, so nobody
 //!   waits for anybody;
+//! * **retention is not conflict**: the stamps a lane's committed
+//!   tasks leave behind until that bump are bookkeeping, not locks.
+//!   The worker publishes the slot it is running before each task
+//!   ([`LockSpace::publish_running`]; slots rise through a batch), and
+//!   a requester that finds a live stamp of a slot that has finished —
+//!   any other slot of its own lane, or a slot behind another lane's
+//!   published one — takes the word over. A task aborts only against
+//!   a holder that is *running*, which at one worker is never;
 //! * the work-set is **sharded** per worker: a worker drains its own
 //!   shard and steals from the others only when it runs dry, keeping
 //!   the draw path contention-free in the common case. Each shard is
@@ -35,8 +43,10 @@
 //! permit gate, the sharded draw, the lane-bump retire, and the window
 //! flush.
 //!
-//! Aborted tasks release their own (tag-scoped) locks immediately and
-//! re-queue with a bumped retry count — on the worker's home shard by
+//! Aborted tasks release their own (tag-scoped) locks immediately —
+//! before their worker publishes the next slot, so a finished slot's
+//! surviving stamp always means a commit — and re-queue with a bumped
+//! retry count — on the worker's home shard by
 //! default, or on the task's affine shard when the run has a
 //! [`Placement`]; spawned tasks are distributed round-robin (or by the
 //! placement) across the shards. A task that *faults* again while
@@ -52,15 +62,34 @@
 //! cannot livelock the drain the way a constant coordinate would.
 //!
 //! With the `checker` feature the audit sink stays armed across the
-//! run and is drained at every window flush; traces group by batch
-//! tag, intra-batch exclusivity is audited exactly, and (at one
-//! worker, where window flushes fall between batches) the sequential
-//! commit-set oracle runs per batch. Cross-batch committed
-//! exclusivity is enforced dynamically by the lane-tagged lock words
-//! and verified end-to-end against sequential references.
+//! run and is drained at every window flush. Each acquisition records
+//! whether it took the word over and from whom, and the window's
+//! traces replay against a run-long lock ledger: no lock is held by
+//! two live tasks — two tasks of a batch share one only through a
+//! takeover from its last committed holder, deposited earlier. Traces
+//! then group by batch tag for the coverage rules, and at one worker
+//! the lane commit-set oracle runs per batch: nothing aborts but by
+//! its own request or fault, so the committed set is a superset of
+//! the round's greedy prefix-MIS. Exclusivity across batches that
+//! *retired* is enforced dynamically by the lane-tagged lock words and
+//! verified end-to-end against sequential references.
 //!
-//! Slots are recycled batch positions (`w * batch + i`): they only
-//! name a lock's holder and carry no priority meaning.
+//! Abort backoff is one `yield_now` after a batch that lost a lock.
+//! An abort names a holder that is mid-task — no longer one whose
+//! whole batch must retire — so on a machine with a core per worker
+//! there is nothing to wait for and the yield returns at once
+//! (`runtime.pool.solve_w2_s` on the sssp rows reads the same with
+//! it, with a bounded `spin_loop`, and with nothing). It stays for
+//! the oversubscribed case: a holder whose thread is off-core cannot
+//! finish, a loser that redraws at once burns its time slice
+//! re-aborting against it, and the abort ratio the controller steers
+//! by then measures the scheduler, not the workload
+//! (`obs_e2e::continuous_controller_converges_to_rho_band`, 8 workers
+//! on 2 cores, fails 4 runs in 5 without the yield and with a spin).
+//!
+//! Slots are recycled batch positions (`w * batch + i`): they name a
+//! lock's holder and, rising through a batch, order it against the
+//! slot its lane has published; they carry no priority meaning.
 //!
 //! [`LockSpace`]: crate::lock::LockSpace
 //! [`LockSpace::advance_lane`]: crate::lock::LockSpace::advance_lane
@@ -481,11 +510,15 @@ impl<O: Operator> Executor<'_, O> {
                 // and key the fault draw (a retried task re-rolls
                 // under a fresh tag).
                 let tag = self.space().lane_tag(lane);
-                let mut any_aborted = false;
                 let mut tally = RoundStats::default();
                 let t1 = phase::maybe_start(pc);
                 for (i, entry) in batch.into_iter().enumerate() {
                     let slot = w * stride + i;
+                    // Slots rise through the batch, so publishing this
+                    // one tells other lanes that every earlier slot of
+                    // the batch has finished: their stamps are free to
+                    // take over, only this task's are a conflict.
+                    self.space().publish_running(lane, slot);
                     let result = self.speculate(&mut scratch, slot, lane, tag, &entry.task, probe);
                     match self.settle(entry, result, &mut tally) {
                         Settled::Committed(spawned) => {
@@ -501,7 +534,6 @@ impl<O: Operator> Executor<'_, O> {
                         }
                         Settled::Requeue(entry) => {
                             shards.requeue(w, entry, place);
-                            any_aborted = true;
                         }
                         // Dead-lettered: leaving `live` is what lets
                         // the drain terminate.
@@ -512,8 +544,8 @@ impl<O: Operator> Executor<'_, O> {
                 }
                 counters.add(&tally);
                 phase::maybe_add(pc, Phase::Execute, t1);
-                // Retire: one lane bump frees every committed lock
-                // the batch stamped; no other worker waits for it.
+                // Retire: one lane bump expires every stamp the batch
+                // left; no other worker waits for it.
                 let t2 = phase::maybe_start(pc);
                 self.space().advance_lane(lane);
                 obs_emit!(
@@ -537,10 +569,13 @@ impl<O: Operator> Executor<'_, O> {
                     done.store(true, Ordering::Release);
                     break;
                 }
-                if any_aborted {
-                    // Abort backoff: let the conflicting holder's
-                    // batch retire before retrying against its live
-                    // locks.
+                if tally.aborted > 0 {
+                    // Abort backoff. An abort names a holder that is
+                    // mid-task, and if its thread is on a core it will
+                    // be done before our redraw is; the yield is for
+                    // the holder that is *not* on a core — workers
+                    // outnumbering cores — which a worker that retries
+                    // at once keeps off it for a whole time slice.
                     std::thread::yield_now();
                 }
             }

@@ -7,7 +7,7 @@
 //! * [`TaskCtx::lock`] acquires the abstract lock of an arbitrary slot.
 //! * [`TaskCtx::read`] / [`TaskCtx::write`] acquire the slot's lock
 //!   implicitly and — for writes — record a copy-on-write undo
-//!   snapshot. A held lock is never taken away (first-wins
+//!   snapshot. A running task's lock is never taken away (first-wins
 //!   arbitration), so holding it *is* the access right.
 //! * [`TaskCtx::alloc`] allocates a fresh slot and immediately locks
 //!   it.
@@ -21,7 +21,7 @@
 //! committed, or aborted — and only the task itself moves between
 //! them, so no shared per-task state word exists.
 
-use crate::lock::{self, AcquireError, LockSpace};
+use crate::lock::{self, AcquireError, Acquired, LockSpace};
 use crate::probe::{obs_emit, Probe};
 use crate::store::SpecStore;
 use std::mem::{align_of, size_of, MaybeUninit};
@@ -458,13 +458,21 @@ impl<'rt> TaskCtx<'rt> {
         #[cfg(feature = "faults")]
         self.tick_fault()?;
         match lock::acquire_tagged(self.space, self.slot, self.tag, l) {
-            Ok(true) => {
+            Ok(Acquired::Held) => Ok(()),
+            #[cfg_attr(not(feature = "checker"), allow(unused_variables))]
+            Ok(how) => {
                 self.scratch.lockset.push(l);
                 self.acquires += 1;
                 #[cfg(feature = "checker")]
                 self.trace
                     .events
-                    .push(optpar_checker::TraceEvent::Acquired { lock: l });
+                    .push(optpar_checker::TraceEvent::Acquired {
+                        lock: l,
+                        from: match how {
+                            Acquired::TakenFrom(tag, slot) => Some((tag, slot)),
+                            _ => None,
+                        },
+                    });
                 obs_emit!(
                     self.probe,
                     optpar_obs::EventKind::LockAcquire {
@@ -475,7 +483,6 @@ impl<'rt> TaskCtx<'rt> {
                 );
                 Ok(())
             }
-            Ok(false) => Ok(()),
             #[cfg_attr(
                 not(any(feature = "checker", feature = "obs")),
                 allow(unused_variables)
@@ -525,8 +532,10 @@ impl<'rt> TaskCtx<'rt> {
         self.trace_access(l, optpar_checker::AccessKind::Read);
         // SAFETY: `lock_raw` succeeded, so this task holds the abstract
         // lock of slot `i`, and under first-wins arbitration nobody
-        // but the holder ever rewrites a live lock word, so it is
-        // still held; the lock grants exclusive access, and the
+        // but the holder rewrites the lock word of a task that is
+        // still running, so it is still held (a word taken over from a
+        // finished holder was handed on with its writes ordered before
+        // our reads, see `lock`); the lock grants exclusive access, and the
         // returned shared borrow is tied to `&mut self`, so no mutation
         // can occur through this context while it lives.
         unsafe { Ok(&*store.slot_ptr(i)) }
@@ -587,16 +596,20 @@ impl<'rt> TaskCtx<'rt> {
 
     /// Commit: the undo log is discarded — each snapshot dropped, by
     /// this context's `Drop` — and the lockset stays stamped in the
-    /// lock space.
+    /// lock space: nobody walks it to release it. The round-based
+    /// executor expires the stamps wholesale with its end-of-round
+    /// epoch bump ([`LockSpace::advance_epoch`]), the pipelined one
+    /// with its per-batch lane bump.
     ///
-    /// **Committed tasks keep their locks until the round barrier** so
-    /// that later tasks of the same round conflict with them, exactly
-    /// as in the paper's model (a node aborts iff a neighbour
-    /// *committed* in the same round). The round-based executor
-    /// expires these locks wholesale with its end-of-round epoch bump
-    /// ([`LockSpace::advance_epoch`]), the pipelined one with its
-    /// per-batch lane bump. Infallible: a task that reached the end of
-    /// its operator holds every lock it acquired.
+    /// What the surviving stamps mean until then is the lane's rule
+    /// (see [`crate::lock`]). **On lane 0 committed tasks keep their
+    /// locks until the round barrier**, so that later tasks of the
+    /// round conflict with them, exactly as in the paper's model (a
+    /// node aborts iff a neighbour *committed* in the same round). On
+    /// a pipelined lane they keep nothing: the task is finished, and a
+    /// later task that wants one of its words takes it over.
+    /// Infallible: a task that reached the end of its operator holds
+    /// every lock it acquired.
     pub(crate) fn finish_commit(self) {
         #[cfg(feature = "checker")]
         {
@@ -610,24 +623,30 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     /// Roll back: replay undo entries in reverse, then release locks.
-    pub(crate) fn finish_abort(self) {
+    /// Both happen before the calling worker moves on to its next task
+    /// — which is what lets a pipelined lane read a finished slot's
+    /// surviving stamp as a commit.
+    #[cfg_attr(not(feature = "checker"), allow(unused_mut))]
+    pub(crate) fn finish_abort(mut self) {
         for entry in self.scratch.undo.drain(..).rev() {
             // SAFETY: the task still holds the lock of every slot it
-            // wrote (writes only happen under held locks, and a held
-            // lock is never taken away), so each logged slot is
+            // wrote (writes only happen under held locks, and a running
+            // task's lock is never taken away), so each logged slot is
             // exclusively ours; the store outlives the round.
             unsafe { entry.finish(true) };
         }
-        lock::release_all_tagged(self.space, self.slot, self.tag, &self.scratch.lockset);
+        // Deposited *before* the release: whoever acquires one of
+        // these words next then deposits after this trace, which is
+        // the order the pipelined lock ledger replays.
         #[cfg(feature = "checker")]
         {
-            let mut cx = self;
-            cx.trace.outcome = optpar_checker::Outcome::Aborted;
-            cx.space.audit().push_trace(std::mem::replace(
-                &mut cx.trace,
-                optpar_checker::TaskTrace::new(cx.slot, 0),
+            self.trace.outcome = optpar_checker::Outcome::Aborted;
+            self.space.audit().push_trace(std::mem::replace(
+                &mut self.trace,
+                optpar_checker::TaskTrace::new(self.slot, 0),
             ));
         }
+        lock::release_all_tagged(self.space, self.slot, self.tag, &self.scratch.lockset);
     }
 
     /// Mark this task's abort as operator-requested in the audit
@@ -652,7 +671,7 @@ impl<'rt> TaskCtx<'rt> {
     /// bug the committed-exclusivity analysis exists to catch.
     #[cfg(all(test, feature = "checker"))]
     pub(crate) fn buggy_release_lock(&self, l: usize) {
-        lock::release_all(self.space, self.slot, &[l]);
+        lock::release_all_tagged(self.space, self.slot, self.tag, &[l]);
     }
 }
 
@@ -734,6 +753,41 @@ mod tests {
         assert!(space.check_all_free().is_ok());
     }
 
+    /// Taking a word over from a committed holder, writing under it and
+    /// rolling back restores the *committed* value — the undo log
+    /// snapshots on first write, whoever held the lock before — and
+    /// leaves the word free, not back with the dispossessed slot.
+    #[test]
+    fn takeover_then_rollback_restores_the_committed_value() {
+        let (space, r) = setup(2);
+        let store = SpecStore::from_vec(r, vec![10u32, 20], 0);
+        let tag = space.lane_tag(1);
+        let mut scratch = TaskScratch::default();
+        let mut cx0 = TaskCtx::new_in_lane(0, &space, 1, tag, &mut scratch);
+        *cx0.write(&store, 0).unwrap() = 11;
+        cx0.finish_commit();
+        assert_eq!(space.owner_of(0), Some(0), "the stamp outlives the task");
+        // Same lane, same batch: slot 1 takes the word over.
+        let mut cx1 = TaskCtx::new_in_lane(1, &space, 1, tag, &mut scratch);
+        assert_eq!(*cx1.read(&store, 0).unwrap(), 11);
+        *cx1.write(&store, 0).unwrap() = 12;
+        *cx1.write(&store, 1).unwrap() = 22;
+        assert_eq!(cx1.acquires, 2);
+        assert_eq!(space.owner_of(0), Some(1));
+        cx1.finish_abort();
+        assert_eq!(space.owner_of(0), None, "released, not handed back");
+        assert!(space.check_all_free().is_ok());
+        // Another lane finds the committed value behind a free word.
+        space.publish_running(2, 8);
+        let mut cx2 = TaskCtx::new_in_lane(8, &space, 2, space.lane_tag(2), &mut scratch);
+        assert_eq!(*cx2.read(&store, 0).unwrap(), 11);
+        cx2.finish_commit();
+        space.advance_lane(1);
+        space.advance_lane(2);
+        let mut store = store;
+        assert_eq!(store.snapshot(), vec![11, 20]);
+    }
+
     #[test]
     fn read_then_write_same_slot() {
         let (space, r) = setup(1);
@@ -808,6 +862,44 @@ mod tests {
                     if *e == epoch && pair.0.slot == 0 && pair.1.slot == 1
             )),
             "expected a race on lock 0 naming tasks 0 and 1: {reports:?}"
+        );
+    }
+
+    /// The same seeded bug in a pipelined lane, where two committed
+    /// tasks of a batch *may* share a lock — by takeover. The leaked
+    /// word reads free, so task 1's acquisition records no takeover,
+    /// and the lock ledger finds slot 0's committed stamp of the same
+    /// batch under it.
+    #[cfg(feature = "checker")]
+    #[test]
+    fn seeded_lost_release_in_a_lane_is_detected() {
+        use optpar_checker::{CheckerMode, Report};
+        let (space, r) = setup(1);
+        space.audit().set_mode(CheckerMode::Collect);
+        space.audit().arm(true);
+        let store = SpecStore::filled(r, 1, 0u8);
+        let tag = space.lane_tag(1);
+        let mut scratch = TaskScratch::default();
+        let mut cx0 = TaskCtx::new_in_lane(0, &space, 1, tag, &mut scratch);
+        *cx0.write(&store, 0).unwrap() = 1;
+        cx0.buggy_release_lock(r.lock_of(0));
+        cx0.finish_commit();
+        let mut cx1 = TaskCtx::new_in_lane(1, &space, 1, tag, &mut scratch);
+        *cx1.write(&store, 0).unwrap() = 2;
+        cx1.finish_commit();
+        // The honest version of the same hand-over is clean.
+        let mut cx2 = TaskCtx::new_in_lane(2, &space, 1, tag, &mut scratch);
+        *cx2.write(&store, 0).unwrap() = 3;
+        cx2.finish_commit();
+        space.audit().drain_window();
+        let reports = space.audit().take_reports();
+        assert!(
+            matches!(
+                reports[..],
+                [Report::Race { lock: 0, epoch, pair }]
+                    if epoch == tag && pair.0.slot == 0 && pair.1.slot == 1
+            ),
+            "expected exactly a race on lock 0 between tasks 0 and 1: {reports:?}"
         );
     }
 

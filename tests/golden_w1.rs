@@ -11,6 +11,16 @@
 //! what the single-worker engine *does* (draw order, arbitration,
 //! retry policy, window accounting), not merely how fast it does it,
 //! and must say so.
+//!
+//! The three pipelined triples last moved for arbitration: a finished
+//! holder's lock is free in a lane. A pipelined lane used to keep its
+//! committed tasks' locks until the lane bump and report them as
+//! conflicts, so a batch-of-4 drain aborted 25 / 363 / 130 launches
+//! against predecessors that no longer existed — (79, 9990, 9965),
+//! (50, 6362, 5999), (145, 18456, 18326). Now a later task takes such
+//! a word over, `launched == committed`, and a one-worker pipelined
+//! drain aborts nothing at all. The round triples did not move: on
+//! lane 0 retention to the barrier is the model's commit rule.
 
 use optpar::apps::boruvka::{BoruvkaOp, WeightedGraph};
 use optpar::apps::delaunay::{DelaunayOp, RefineConfig};
@@ -62,6 +72,7 @@ fn drain<O: Operator>(
             },
             &mut rng,
         );
+        assert_eq!(run.total_aborted(), 0, "one lane has no live holder");
         (
             run.round_count(),
             run.total_launched(),
@@ -99,7 +110,7 @@ fn w1_drains_are_bit_identical_per_seed() {
         drain(&space, &op, tasks, pipelined, 4)
     };
     assert_eq!(delaunay(false), (327, 10379, 9929), "delaunay pooled");
-    assert_eq!(delaunay(true), (79, 9990, 9965), "delaunay pipelined");
+    assert_eq!(delaunay(true), (78, 9963, 9963), "delaunay pipelined");
 
     // Boruvka MST: n = 3000, average degree 8.
     let wg = WeightedGraph::random(gen::random_with_avg_degree(3000, 8.0, &mut rng), &mut rng);
@@ -108,7 +119,7 @@ fn w1_drains_are_bit_identical_per_seed() {
         drain(&space, &op, op.initial_tasks(), pipelined, 3)
     };
     assert_eq!(boruvka(false), (480, 14864, 5999), "boruvka pooled");
-    assert_eq!(boruvka(true), (50, 6362, 5999), "boruvka pipelined");
+    assert_eq!(boruvka(true), (47, 5999, 5999), "boruvka pipelined");
 
     // SSSP (delta-stepping tasks with lazy deletion, so Δ = 1000 / 8
     // = 125 here): n = 10 000, average degree 8, weights in 1..=1000,
@@ -124,5 +135,5 @@ fn w1_drains_are_bit_identical_per_seed() {
         drain(&space, &op, op.initial_tasks(), pipelined, 5)
     };
     assert_eq!(sssp(false), (612, 19499, 18269), "sssp pooled");
-    assert_eq!(sssp(true), (145, 18456, 18326), "sssp pipelined");
+    assert_eq!(sssp(true), (144, 18350, 18350), "sssp pipelined");
 }

@@ -7,27 +7,39 @@
 //! in-flight budget may reorder and retry work but must never change
 //! the result. Each drain runs at `batch = 8` and at `batch = 1` — the
 //! continuous configuration: one task per lane bump, no batching at
-//! all.
+//! all. Four more operators (coloring, MIS, matching, the CC-graph
+//! mirror) run a 1 / 2 / 4 workers × batch 1 / 8 / 64 matrix against
+//! their validity checks: the lane commit rule — a finished holder's
+//! lock is free, whatever its batch still retains — applies to every
+//! operator that runs in a lane, and at one worker leaves nothing to
+//! abort against.
 //!
 //! The same tests double as the speculation-safety gate: built with
 //! `--features checker`, `run_pipelined` keeps the audit sink armed
-//! across the run, drains it at every window flush, and (at one
-//! worker) replays the commit rule through the commit-set oracle — a
-//! single finding panics the drain, and the clean-audit claim is
-//! asserted explicitly afterwards. With `--features faults` the
+//! across the run, drains it at every window flush, replays every
+//! acquisition and takeover against the run's lock ledger and (at one
+//! worker) checks the lane commit-set oracle — a single finding
+//! panics the drain, and the clean-audit claim is asserted explicitly
+//! afterwards. With `--features faults` the
 //! fault-injection module below re-runs the matrix under a seeded
 //! ~10% panic/spurious-abort schedule and reconciles the plan's
 //! ledger with the executor's fault log at matching
 //! `(batch-tag, slot)` coordinates.
 
 use optpar::apps::boruvka::{BoruvkaOp, WeightedGraph};
+use optpar::apps::ccmirror::CcMirror;
+use optpar::apps::coloring::ColoringOp;
 use optpar::apps::delaunay::{bad_count, DelaunayOp, RefineConfig};
 use optpar::apps::geometry::Point;
+use optpar::apps::matching::MatchingOp;
+use optpar::apps::misapp::MisOp;
 use optpar::apps::sssp::{SsspInput, SsspOp};
 use optpar::apps::triangulation::Mesh;
 use optpar::core::control::{HybridController, HybridParams};
-use optpar::graph::gen;
-use optpar::runtime::{Executor, ExecutorConfig, PipelinedConfig, WorkSet};
+use optpar::graph::{gen, ConflictGraph, CsrGraph};
+use optpar::runtime::{
+    Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig, RunStats, WorkSet,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,6 +70,34 @@ fn pipe_cfg(batch: usize) -> PipelinedConfig {
     }
 }
 
+/// Drain `tasks` to completion in pipelined mode and check what every
+/// drain owes whatever its operator: the work-set empties, no worker
+/// dies, no lane leaks a lock, the audit is clean — and one worker,
+/// whose only possible holders have all finished, aborts nothing.
+fn drain_lanes<O: Operator>(
+    space: &LockSpace,
+    op: &O,
+    tasks: Vec<O::Task>,
+    workers: usize,
+    batch: usize,
+    rng: &mut StdRng,
+) -> RunStats {
+    let ex = Executor::new(op, space, config(workers));
+    let mut ws = WorkSet::from_vec(tasks);
+    let mut ctl = controller();
+    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), rng);
+    assert!(ws.is_empty());
+    assert!(run.total_committed() > 0);
+    assert_eq!(ex.worker_panics(), 0);
+    assert!(space.check_all_free().is_ok(), "a lane leaked a lock");
+    #[cfg(feature = "checker")]
+    assert_eq!(space.audit().report_count(), 0);
+    if workers == 1 {
+        assert_eq!(run.total_aborted(), 0, "one lane has no running holder");
+    }
+    run
+}
+
 /// SSSP against Dijkstra.
 fn sssp_pipelined(workers: usize, batch: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -65,16 +105,7 @@ fn sssp_pipelined(workers: usize, batch: usize, seed: u64) {
     let input = SsspInput::random(g, 0, 100, &mut rng);
     let reference = input.dijkstra();
     let (space, op) = SsspOp::new(input);
-    let ex = Executor::new(&op, &space, config(workers));
-    let mut ws = WorkSet::from_vec(op.initial_tasks());
-    let mut ctl = controller();
-    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
-    assert!(ws.is_empty());
-    assert!(run.total_committed() > 0);
-    assert_eq!(ex.worker_panics(), 0);
-    assert!(space.check_all_free().is_ok(), "a lane leaked a lock");
-    #[cfg(feature = "checker")]
-    assert_eq!(space.audit().report_count(), 0);
+    drain_lanes(&space, &op, op.initial_tasks(), workers, batch, &mut rng);
     let mut op = op;
     assert_eq!(op.distances(), reference);
 }
@@ -108,16 +139,7 @@ fn boruvka_pipelined(workers: usize, batch: usize, seed: u64) {
     let wg = WeightedGraph::random(g, &mut rng);
     let reference = wg.kruskal();
     let (space, op) = BoruvkaOp::new(&wg);
-    let ex = Executor::new(&op, &space, config(workers));
-    let mut ws = WorkSet::from_vec(op.initial_tasks());
-    let mut ctl = controller();
-    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
-    assert!(ws.is_empty());
-    assert!(run.total_committed() > 0);
-    assert_eq!(ex.worker_panics(), 0);
-    assert!(space.check_all_free().is_ok(), "a lane leaked a lock");
-    #[cfg(feature = "checker")]
-    assert_eq!(space.audit().report_count(), 0);
+    drain_lanes(&space, &op, op.initial_tasks(), workers, batch, &mut rng);
     let mut op = op;
     assert_eq!(op.msf(), reference);
 }
@@ -159,16 +181,7 @@ fn delaunay_pipelined(workers: usize, batch: usize, seed: u64) {
     let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, cfg);
     let tasks = op.initial_tasks();
     assert!(!tasks.is_empty());
-    let ex = Executor::new(&op, &space, config(workers));
-    let mut ws = WorkSet::from_vec(tasks);
-    let mut ctl = controller();
-    let run = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
-    assert!(ws.is_empty());
-    assert!(run.total_committed() > 0);
-    assert_eq!(ex.worker_panics(), 0);
-    assert!(space.check_all_free().is_ok(), "a lane leaked a lock");
-    #[cfg(feature = "checker")]
-    assert_eq!(space.audit().report_count(), 0);
+    drain_lanes(&space, &op, tasks, workers, batch, &mut rng);
     let refined = op.into_mesh();
     refined.check_valid().unwrap();
     assert_eq!(bad_count(&refined, cfg), 0);
@@ -194,6 +207,85 @@ fn delaunay_pipelined_refines_fully_w8() {
     for batch in BATCHES {
         delaunay_pipelined(8, batch, 123);
     }
+}
+
+/// The matrix the one-task-per-node operators run: 1, 2 and 4 lanes,
+/// each at one task per lane bump, at a batch the drain refills many
+/// times, and at one that holds a whole shard's retained stamps.
+fn lane_matrix(mut drain: impl FnMut(usize, usize, &mut StdRng)) {
+    for (i, workers) in [1, 2, 4].into_iter().enumerate() {
+        for (j, batch) in [1, 8, 64].into_iter().enumerate() {
+            drain(
+                workers,
+                batch,
+                &mut StdRng::seed_from_u64(160 + (3 * i + j) as u64),
+            );
+        }
+    }
+}
+
+fn small_graph(rng: &mut StdRng) -> CsrGraph {
+    gen::random_with_avg_degree(600, 8.0, rng)
+}
+
+/// Greedy coloring: every node colored once, no edge monochrome.
+#[test]
+fn coloring_pipelined_is_proper() {
+    lane_matrix(|workers, batch, rng| {
+        let g = small_graph(rng);
+        let (space, op) = ColoringOp::new(g.clone());
+        let run = drain_lanes(&space, &op, op.initial_tasks(), workers, batch, rng);
+        assert_eq!(run.total_committed(), g.node_count());
+        let mut op = op;
+        ColoringOp::validate(&g, &op.colors()).unwrap();
+    });
+}
+
+/// Maximal independent set: every node decided once, the set
+/// independent and maximal.
+#[test]
+fn mis_pipelined_is_maximal_independent() {
+    lane_matrix(|workers, batch, rng| {
+        let g = small_graph(rng);
+        let (space, op) = MisOp::new(g.clone());
+        let run = drain_lanes(&space, &op, op.initial_tasks(), workers, batch, rng);
+        assert_eq!(run.total_committed(), g.node_count());
+        let mut op = op;
+        MisOp::validate(&g, &op.decisions()).unwrap();
+    });
+}
+
+/// Maximal matching: one task per edge, partners symmetric along real
+/// edges, no edge left with both ends free.
+#[test]
+fn matching_pipelined_is_maximal() {
+    lane_matrix(|workers, batch, rng| {
+        let g = small_graph(rng);
+        let (space, op) = MatchingOp::new(g.clone());
+        let run = drain_lanes(&space, &op, op.initial_tasks(), workers, batch, rng);
+        assert_eq!(run.total_committed(), g.edge_count());
+        let mut op = op;
+        MatchingOp::validate(&g, &op.partners()).unwrap();
+    });
+}
+
+/// The CC-graph mirror: adjacent tasks share exactly their edge's
+/// lock, so this is the lane rule on the paper's own conflict
+/// structure — every node's counter must read exactly one commit.
+#[test]
+fn ccmirror_pipelined_commits_each_node_once() {
+    lane_matrix(|workers, batch, rng| {
+        let g = small_graph(rng);
+        let mut b = LockSpace::builder();
+        let layout = CcMirror::layout(&g, &mut b);
+        let space = b.build();
+        let op = layout.finish(&space);
+        let tasks = (0..g.node_count() as u32).collect();
+        let run = drain_lanes(&space, &op, tasks, workers, batch, rng);
+        assert_eq!(run.total_committed(), g.node_count());
+        let mut op = op;
+        assert!(op.node_data.snapshot().iter().all(|&c| c == 1));
+    });
 }
 
 /// Fault-injection matrix: same equivalence contract under a seeded
