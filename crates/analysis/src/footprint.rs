@@ -24,7 +24,8 @@
 //! What is *not* sound (documented in DESIGN.md §12): mutation via
 //! methods outside the known mutator list on unresolved (non-apps)
 //! callees, `push` on shared receivers (allowed by design — the
-//! append-only publication arenas), and aliases laundered through
+//! append-only publication arenas), `publish_bound` helpers (allowed
+//! by name — the monotone bounds), and aliases laundered through
 //! return values.
 
 use crate::ast::{FileAst, FnDef};
@@ -79,6 +80,14 @@ const MUTATING_METHODS: &[&str] = &[
     "write",
     "alloc",
 ];
+
+/// Helpers, recognised by name, that lower a monotone bound kept
+/// beside a store (`fetch_min` under the element's lock, never rolled
+/// back — DESIGN.md §14.7). Like the publication arenas' `push`, this
+/// is a blessed raw-publication path: calling one on shared state is
+/// not an escape. The radius pass inventories the matching unlocked
+/// reads as `peek` sites.
+const BOUND_PUBLISHERS: &[&str] = &["publish_bound"];
 
 /// Is this file in scope (an apps-crate source file)?
 fn in_scope(rel: &str) -> bool {
@@ -457,7 +466,9 @@ fn scan_fn(
                                  without a TaskCtx acquire"
                             ),
                         ));
-                    } else if callee_mutates(&viable, summaries, 0) {
+                    } else if callee_mutates(&viable, summaries, 0)
+                        && !BOUND_PUBLISHERS.contains(&name.as_str())
+                    {
                         fs.viols.push((
                             off,
                             format!(
@@ -563,6 +574,36 @@ mod tests {
             }}"
         );
         let ws = ws_of(&[("crates/apps/src/bad.rs", &src)]);
+        let vs = analyze(&ws);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].rule, "footprint-escape");
+    }
+
+    #[test]
+    fn bound_publisher_is_blessed_by_name_only() {
+        // The same `fetch_min` helper: an escape under any other name,
+        // the monotone-bound publication path as `publish_bound`.
+        let op = |helper: &str| {
+            format!(
+                "{PRELUDE}
+                impl Operator for BoundOp {{
+                    type Task = u32;
+                    fn execute(&self, &u: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {{
+                        *cx.write(&self.dist, u as usize)? = 1;
+                        self.{helper}(u, 1);
+                        Ok(vec![])
+                    }}
+                }}
+                impl BoundOp {{
+                    fn {helper}(&self, v: u32, d: u64) {{
+                        self.bound[v as usize].fetch_min(d, Ordering::Relaxed);
+                    }}
+                }}"
+            )
+        };
+        let ws = ws_of(&[("crates/apps/src/bound.rs", &op("publish_bound"))]);
+        assert_eq!(analyze(&ws), Vec::new());
+        let ws = ws_of(&[("crates/apps/src/bound.rs", &op("lower"))]);
         let vs = analyze(&ws);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "footprint-escape");

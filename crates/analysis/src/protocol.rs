@@ -1,6 +1,7 @@
 //! Atomic-protocol contract: every atomic operation in the
-//! memory-ordering-critical modules (`lock.rs`, `pool.rs`, and the
-//! observability layer's SPSC event ring `ring.rs`) is extracted —
+//! memory-ordering-critical modules (`lock.rs`, `pool.rs`, the
+//! observability layer's SPSC event ring `ring.rs`, and the SSSP
+//! operator's monotone bound in `sssp.rs`) is extracted —
 //! file, enclosing symbol, operation, `Ordering` arguments — and
 //! diffed against the checked-in `PROTOCOL.toml` at the workspace
 //! root.
@@ -24,6 +25,7 @@ const PROTOCOL_FILES: &[&str] = &[
     "crates/runtime/src/lock.rs",
     "crates/runtime/src/pool.rs",
     "crates/obs/src/ring.rs",
+    "crates/apps/src/sssp.rs",
 ];
 
 /// Atomic operations tracked by the contract.

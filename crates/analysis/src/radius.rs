@@ -19,7 +19,11 @@
 //!   fixpoint.
 //!
 //! Every `TaskCtx::{lock, lock_raw, read, read_copy, write, alloc}`
-//! site is inventoried with its provenance class; the per-operator
+//! site is inventoried with its provenance class, and so is every
+//! unlocked read of a monotone bound (`peek_bound`, recognised by
+//! name): a `peek` site takes no lock, so it neither widens the radius
+//! nor unbounds the footprint, but what it returns is as
+//! data-dependent as a speculative read. The per-operator
 //! contract (radius, boundedness, site inventory, cited
 //! `FOOTPRINT-UNBOUNDED` reason) is blessed into `FOOTPRINT.toml` and
 //! diffed on every `xtask analyze` run — drift fails CI naming the
@@ -53,6 +57,13 @@ const NEIGHBOR_ACCESSORS: &[&str] = &[
 
 /// The `TaskCtx` methods that constitute the speculative footprint.
 const CTX_SITE_METHODS: &[&str] = &["lock", "lock_raw", "read", "read_copy", "write", "alloc"];
+
+/// Accessors that read a monotone bound beside a store without its
+/// lock; their first argument is the element peeked at.
+const PEEK_ACCESSORS: &[&str] = &["peek_bound"];
+
+/// Site class of an unlocked monotone read.
+const PEEK: &str = "peek";
 
 /// The escape-hatch annotation for genuinely data-dependent operators.
 const UNBOUNDED_MARKER: &str = "FOOTPRINT-UNBOUNDED:";
@@ -337,6 +348,8 @@ impl<'w> Scan<'w> {
                             if matches!(name, "read" | "read_copy") {
                                 p.join(&Prov::top());
                             }
+                        } else if is_method && PEEK_ACCESSORS.contains(&name) {
+                            p.join(&Prov::top());
                         } else if NEIGHBOR_ACCESSORS.contains(&name) {
                             let mut q = Prov::default();
                             for a in &argv {
@@ -531,6 +544,14 @@ impl<'w> Scan<'w> {
         }
     }
 
+    /// Site provenance of an element index argument.
+    fn index_prov(&self, ix: Option<&&[Tree]>) -> SiteProv {
+        match ix.map(|a| self.eval(a)) {
+            Some(p) if !p.unbounded && !p.is_bottom() => SiteProv::Parts(p.parts),
+            _ => SiteProv::Unbounded,
+        }
+    }
+
     /// Inventory the function's footprint sites: direct `TaskCtx`
     /// calls plus the substituted sites of every resolved callee.
     fn site_pass(&self, body: &[Tree]) -> (BTreeSet<(String, SiteProv)>, Option<String>) {
@@ -539,27 +560,13 @@ impl<'w> Scan<'w> {
         for_each_call(body, &mut |c| {
             let on_ctx = c.kind == CallKind::Method
                 && c.recv_root.as_deref().is_some_and(|r| self.is_ctx_name(r));
-            if on_ctx && CTX_SITE_METHODS.contains(&c.name.as_str()) {
+            if c.kind == CallKind::Method && PEEK_ACCESSORS.contains(&c.name.as_str()) {
+                sites.insert((PEEK.to_string(), self.index_prov(c.args.first())));
+            } else if on_ctx && CTX_SITE_METHODS.contains(&c.name.as_str()) {
                 let sp = match c.name.as_str() {
                     "alloc" => SiteProv::Fresh,
-                    _ => {
-                        let ix = if c.name == "lock_raw" {
-                            c.args.first()
-                        } else {
-                            c.args.get(1)
-                        };
-                        match ix {
-                            None => SiteProv::Unbounded,
-                            Some(a) => {
-                                let p = self.eval(a);
-                                if p.unbounded || p.is_bottom() {
-                                    SiteProv::Unbounded
-                                } else {
-                                    SiteProv::Parts(p.parts)
-                                }
-                            }
-                        }
-                    }
+                    "lock_raw" => self.index_prov(c.args.first()),
+                    _ => self.index_prov(c.args.get(1)),
                 };
                 if sp == SiteProv::Unbounded && why.is_none() {
                     why = Some(format!(
@@ -598,7 +605,7 @@ impl<'w> Scan<'w> {
                                 }
                             }
                         };
-                        if here == SiteProv::Unbounded && why.is_none() {
+                        if here == SiteProv::Unbounded && method != PEEK && why.is_none() {
                             why = Some(match &s.why {
                                 Some(w) => format!("via `{}`: {}", c.name, w),
                                 None => format!(
@@ -838,10 +845,10 @@ fn infer(ws: &Workspace) -> (Vec<OpInfo>, Vec<Violation>) {
             }
             let id = FnId { file: fi, idx };
             let s = &summaries[&id];
-            let bounded = !s.sites.iter().any(|(_, sp)| *sp == SiteProv::Unbounded);
-            let radius = s
-                .sites
-                .iter()
+            // A peek holds no lock: inventoried, but outside the footprint.
+            let locked = || s.sites.iter().filter(|(m, _)| m != PEEK);
+            let bounded = !locked().any(|(_, sp)| *sp == SiteProv::Unbounded);
+            let radius = locked()
                 .filter_map(|(_, sp)| match sp {
                     SiteProv::Parts(parts) => parts.iter().map(|&(_, d)| d).max(),
                     _ => None,
@@ -1405,6 +1412,58 @@ mod tests {
             vs[0].detail.contains("no FOOTPRINT.toml"),
             "{}",
             vs[0].detail
+        );
+    }
+
+    #[test]
+    fn peek_sites_are_inventoried_outside_the_footprint() {
+        // The sssp pattern: skip a neighbour on its unlocked bound,
+        // lock only what may be lowered. The hop-2 peek shows in the
+        // inventory but the radius is that of the locks.
+        let ws = ws_of(&[(
+            "crates/apps/src/peeked.rs",
+            "impl Operator for PeekedOp {\n\
+             fn execute(&self, &u: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {\n\
+             if self.peek_bound(u) < 1 { return Ok(vec![]); }\n\
+             for &v in self.graph.neighbors_slice(u) {\n\
+             if self.peek_bound(self.twin[v as usize]) < 1 { continue; }\n\
+             cx.lock(&self.dist, v as usize)?;\n\
+             }\n\
+             Ok(vec![])\n\
+             }\n\
+             }\n\
+             impl PeekedOp {\n\
+             fn peek_bound(&self, v: u32) -> u64 { self.bound[v as usize].load(Ordering::Relaxed) }\n\
+             }\n",
+        )]);
+        let es = extract(&ws);
+        assert_eq!(es.len(), 1);
+        assert!(es[0].bounded, "{es:?}");
+        assert_eq!(es[0].radius, 1, "{es:?}");
+        assert_eq!(
+            es[0].sites,
+            ["lock:hop1", "peek:hop0", "peek:hop2"].map(String::from),
+            "{es:?}"
+        );
+    }
+
+    #[test]
+    fn index_read_through_a_peek_is_unbounded() {
+        let ws = ws_of(&[(
+            "crates/apps/src/peekchase.rs",
+            "impl Operator for PeekChaseOp {\n\
+             fn execute(&self, &u: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {\n\
+             let next = self.peek_bound(u);\n\
+             cx.lock(&self.dist, next as usize)?;\n\
+             Ok(vec![])\n\
+             }\n\
+             }\n",
+        )]);
+        let es = extract(&ws);
+        assert!(!es[0].bounded, "{es:?}");
+        assert!(
+            es[0].sites.contains(&"lock:unbounded".to_string()),
+            "{es:?}"
         );
     }
 

@@ -8,18 +8,32 @@
 //! work-set drains buckets in ascending order, so near nodes settle
 //! before the far frontier is relaxed from distances that will not
 //! survive. A task that finds its node already at another distance is
-//! stale — some later relaxation superseded it — and commits after its
-//! one own-node lock without touching a neighbour, so exactly one
-//! execution per distance value a node ever holds relaxes edges (the
-//! heap-Dijkstra "skip stale entry" rule). Order within a bucket and
-//! across workers stays speculative; any order converges to the same
-//! distances, the bucketing only decides how much work it takes.
+//! stale — some later relaxation superseded it — and commits without
+//! touching a neighbour, so exactly one execution per distance value a
+//! node ever holds relaxes edges (the heap-Dijkstra "skip stale entry"
+//! rule). Order within a bucket and across workers stays speculative;
+//! any order converges to the same distances, the bucketing only
+//! decides how much work it takes.
 //!
-//! A task's conflict neighbourhood is its node plus its neighbours'
-//! distance slots, so conflicts mirror the input graph — and the *work
-//! profile* starts serial (one source), balloons as the frontier
-//! expands, then collapses: the inverse-spike shape that stresses the
-//! controller in both directions.
+//! A task locks what it can lower, not what it reads. Beside the
+//! store sits a per-node *bound*: an atomic lowered (`fetch_min`) at
+//! the moment a task writes a distance under the node's lock, never
+//! raised, never rolled back. Every value published there is the
+//! length of a real path, so a neighbour whose bound is already
+//! *strictly* below the candidate cannot be improved by it and is
+//! skipped without its lock, and a task whose own node's bound is
+//! strictly below its distance is stale without any lock at all. The
+//! comparison must be strict: a task that published `h`, aborted and
+//! was rolled back has to get past its own `h` on the retry to write
+//! it again (DESIGN.md §14.7 carries the argument). Everything a task
+//! does touch still goes through the context — lock word, undo log,
+//! audit trace — exactly as before.
+//!
+//! A task's conflict neighbourhood is therefore its node plus the
+//! neighbours it may still lower — a settled hub is nobody's lock —
+//! and the *work profile* starts serial (one source), balloons as the
+//! frontier expands, then collapses: the inverse-spike shape that
+//! stresses the controller in both directions.
 //!
 //! Validated against sequential Dijkstra.
 
@@ -27,6 +41,7 @@ use optpar_graph::{ConflictGraph, CsrGraph, NodeId};
 use optpar_runtime::{Abort, LockSpace, Operator, Ranked, ShardMap, SpecStore, TaskCtx};
 use rand::Rng;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Distance value for "unreached".
@@ -161,6 +176,12 @@ pub struct SsspOp {
     /// that few tasks run from distances a nearer bucket will lower,
     /// wide enough that a bucket holds a batch worth of parallel work.
     delta: u64,
+    /// Per-node monotone upper bound on the final distance, indexed by
+    /// node id and initialised like `dist`: the least value any task,
+    /// committed or not, ever wrote to the node. Outside speculation
+    /// on purpose — no lock, no undo entry — which is sound because
+    /// every value in it is a real path length (module docs).
+    bound: Vec<AtomicU64>,
 }
 
 impl SsspOp {
@@ -187,6 +208,7 @@ impl SsspOp {
         let n = input.graph.node_count();
         let mut init = vec![UNREACHED; n];
         init[input.source as usize] = 0;
+        let bound = init.iter().map(|&d| AtomicU64::new(d)).collect();
         let mut b = LockSpace::builder();
         let dist = match map {
             None => SpecStore::new(b.region(n), init, n),
@@ -208,6 +230,7 @@ impl SsspOp {
                 dist,
                 weights,
                 delta,
+                bound,
             },
         )
     }
@@ -226,9 +249,27 @@ impl SsspOp {
         vec![self.task(self.input.source, 0)]
     }
 
+    /// Unlocked read of `v`'s bound. `Relaxed`: the value orders
+    /// nothing — whatever it lets a task skip is never read — and the
+    /// skip tests need only that it is some value published at `v`.
+    fn peek_bound(&self, v: NodeId) -> u64 {
+        self.bound[v as usize].load(Ordering::Relaxed)
+    }
+
+    /// Lower `v`'s bound to `d`; called holding `v`'s lock, right
+    /// after writing `dist[v] = d`.
+    fn publish_bound(&self, v: NodeId, d: u64) {
+        self.bound[v as usize].fetch_min(d, Ordering::Relaxed);
+    }
+
     /// Final distances (quiesced).
     pub fn distances(&mut self) -> Vec<u64> {
-        self.dist.snapshot()
+        let dist = self.dist.snapshot();
+        debug_assert!(
+            (0..dist.len()).all(|v| self.peek_bound(v as NodeId) == dist[v]),
+            "a drained run leaves every bound at its node's distance"
+        );
+        dist
     }
 }
 
@@ -237,22 +278,26 @@ impl Operator for SsspOp {
 
     fn execute(&self, t: &SsspTask, cx: &mut TaskCtx<'_>) -> Result<Vec<SsspTask>, Abort> {
         let u = t.node;
-        let ui = u as usize;
-        cx.lock(&self.dist, ui)?;
-        let du = *cx.read(&self.dist, ui)?;
-        if du != t.dist {
-            // Stale: a later relaxation lowered `u` again and spawned
-            // the task that will do this work from the better value.
+        // Stale: a later relaxation lowered `u` again and spawned the
+        // task that will do this work from the better value. The bound
+        // says so without a lock; the locked read repeats the test
+        // against the store, for a lowering that lands in between.
+        if self.peek_bound(u) < t.dist || *cx.read(&self.dist, u as usize)? != t.dist {
             return Ok(vec![]);
         }
         let mut spawn = Vec::new();
         let weights = self.weights.of(u);
         for (i, &v) in self.input.graph.neighbors_slice(u).iter().enumerate() {
-            let nd = du + weights[i];
+            let nd = t.dist + weights[i];
+            // Strictly: on a retry this task must get past the bound
+            // it published itself before it was rolled back.
+            if self.peek_bound(v) < nd {
+                continue;
+            }
             let slot = v as usize;
-            cx.lock(&self.dist, slot)?;
             if nd < *cx.read(&self.dist, slot)? {
                 *cx.write(&self.dist, slot)? = nd;
+                self.publish_bound(v, nd);
                 spawn.push(self.task(v, nd));
             }
         }
@@ -275,6 +320,7 @@ mod tests {
     use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicBool;
 
     fn run_sssp(input: &SsspInput, workers: usize, m: usize, seed: u64) -> Vec<u64> {
         let (space, op) = SsspOp::new(input.clone());
@@ -396,6 +442,71 @@ mod tests {
             let mut op = op;
             assert_eq!(op.distances(), reference, "workers={workers}");
         }
+    }
+
+    /// Runs the wrapped operator and then asks for an abort, once.
+    struct AbortFirstRun<'a> {
+        op: &'a SsspOp,
+        armed: AtomicBool,
+    }
+
+    impl Operator for AbortFirstRun<'_> {
+        type Task = SsspTask;
+
+        fn execute(&self, t: &SsspTask, cx: &mut TaskCtx<'_>) -> Result<Vec<SsspTask>, Abort> {
+            let spawn = self.op.execute(t, cx)?;
+            if self.armed.swap(false, Ordering::AcqRel) {
+                return cx.abort_requested();
+            }
+            Ok(spawn)
+        }
+    }
+
+    /// The seeded bug: the skip test must be strict. A task lowers a
+    /// neighbour, publishes the bound and is rolled back; the bound is
+    /// not. On its retry the task meets its own published value — with
+    /// `<=` it skips the neighbour, which then keeps the restored
+    /// distance for good.
+    #[test]
+    fn retried_task_gets_past_the_bound_it_published() {
+        // 0 -5- 1
+        let input = SsspInput {
+            graph: CsrGraph::from_edges(2, &[(0, 1)]),
+            weights: vec![5],
+            source: 0,
+        };
+        let (space, mut op) = SsspOp::new(input);
+        let mut ws = WorkSet::from_vec(op.initial_tasks());
+        let mut rng = StdRng::seed_from_u64(1);
+        let round = |op: &SsspOp, ws: &mut WorkSet<SsspTask>, rng: &mut StdRng, armed| {
+            let wrapped = AbortFirstRun {
+                op,
+                armed: AtomicBool::new(armed),
+            };
+            let cfg = ExecutorConfig {
+                workers: 1,
+                ..ExecutorConfig::default()
+            };
+            Executor::new(&wrapped, &space, cfg).run_round(ws, 1, rng)
+        };
+
+        let first = round(&op, &mut ws, &mut rng, true);
+        assert_eq!((first.launched, first.aborted), (1, 1));
+        assert_eq!(
+            op.dist.snapshot(),
+            vec![0, UNREACHED],
+            "the write was undone"
+        );
+        assert_eq!(op.peek_bound(1), 5, "the published bound was not");
+
+        let retry = round(&op, &mut ws, &mut rng, false);
+        assert_eq!((retry.committed, retry.spawned), (1, 1));
+        assert_eq!(op.dist.snapshot(), vec![0, 5], "lowered again on the retry");
+
+        while !ws.is_empty() {
+            round(&op, &mut ws, &mut rng, false);
+        }
+        assert_eq!(op.distances(), vec![0, 5]);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! repo-wide disciplines that the compiler cannot enforce:
 //!
 //! 1. **Memory orderings** — `Ordering::Relaxed` is only permitted in
-//!    the two files whose protocols have been argued through
-//!    explicitly (`lock.rs`, `pool.rs`); everywhere else the stronger
+//!    the files whose protocols have been argued through explicitly
+//!    (`lock.rs`, `pool.rs`, the obs ring, and `sssp.rs`' monotone
+//!    bound, which orders nothing); everywhere else the stronger
 //!    default orderings must be used so the lock-word happens-before
 //!    edges are never accidentally weakened.
 //! 2. **`unsafe` annotations** — every `unsafe` token must be preceded

@@ -73,6 +73,13 @@ fn sssp_clean_audit_parallel() {
     sssp_audited(4, 12);
 }
 
+/// More workers than cores: a task is preempted between its unlocked
+/// bound peek and the lock it takes next, so lowerings land in between.
+#[test]
+fn sssp_clean_audit_oversubscribed() {
+    sssp_audited(8, 13);
+}
+
 /// Boruvka against Kruskal: a morphing workload (components merge),
 /// the hardest case for the lockset discipline.
 fn boruvka_audited(workers: usize, seed: u64) {

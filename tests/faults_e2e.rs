@@ -30,9 +30,9 @@ fn controller() -> HybridController {
     })
 }
 
-fn config() -> ExecutorConfig {
+fn config(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
-        workers: WORKERS,
+        workers,
         ..ExecutorConfig::default()
     }
 }
@@ -40,9 +40,9 @@ fn config() -> ExecutorConfig {
 /// Post-run fault audit: the pool is intact, something actually
 /// fired, no genuine operator panic slipped in, and the plan's
 /// ledger matches the executor's log entry-for-entry.
-fn audit<O: Operator>(ex: &Executor<'_, O>, plan: &FaultPlan) {
+fn audit<O: Operator>(ex: &Executor<'_, O>, plan: &FaultPlan, workers: usize) {
     assert_eq!(ex.worker_panics(), 0, "a panic escaped containment");
-    assert_eq!(ex.live_workers(), Some(WORKERS), "a worker thread died");
+    assert_eq!(ex.live_workers(), Some(workers), "a worker thread died");
     assert!(
         plan.fired_count() > 0,
         "the plan never fired; test is vacuous"
@@ -67,24 +67,37 @@ fn audit<O: Operator>(ex: &Executor<'_, O>, plan: &FaultPlan) {
     assert_eq!(fired, logged, "fault ledger and fault log disagree");
 }
 
-#[test]
-fn sssp_with_injected_panics_matches_dijkstra() {
-    let mut rng = StdRng::seed_from_u64(41);
+/// A panicking task may already have published bounds for distances
+/// its rollback then undoes; the retry must write them again
+/// (`SsspOp::distances` checks every bound ended at its distance).
+fn sssp_faulted(workers: usize, seed: u64, plan_seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_with_avg_degree(1200, 6.0, &mut rng);
     let input = SsspInput::random(g, 0, 100, &mut rng);
     let reference = input.dijkstra();
     let (space, op) = SsspOp::new(input);
-    let plan = FaultPlan::seeded(1001).with_panic_rate(0.10);
-    let mut ex = Executor::new(&op, &space, config());
+    let plan = FaultPlan::seeded(plan_seed).with_panic_rate(0.10);
+    let mut ex = Executor::new(&op, &space, config(workers));
     ex.set_fault_plan(&plan);
     let mut ws = WorkSet::from_vec(op.initial_tasks());
     let mut ctl = controller();
     let _ = ex.run_with_controller(&mut ws, &mut ctl, 10_000_000, &mut rng);
     assert!(ws.is_empty());
-    audit(&ex, &plan);
+    audit(&ex, &plan, workers);
     drop(ex);
     let mut op = op;
     assert_eq!(op.distances(), reference);
+}
+
+#[test]
+fn sssp_with_injected_panics_matches_dijkstra() {
+    sssp_faulted(WORKERS, 41, 1001);
+}
+
+/// More workers than cores.
+#[test]
+fn sssp_with_injected_panics_oversubscribed() {
+    sssp_faulted(8, 44, 1004);
 }
 
 #[test]
@@ -99,13 +112,13 @@ fn boruvka_with_injected_faults_matches_kruskal() {
     let plan = FaultPlan::seeded(1002)
         .with_panic_rate(0.07)
         .with_spurious_abort_rate(0.05);
-    let mut ex = Executor::new(&op, &space, config());
+    let mut ex = Executor::new(&op, &space, config(WORKERS));
     ex.set_fault_plan(&plan);
     let mut ws = WorkSet::from_vec(op.initial_tasks());
     let mut ctl = controller();
     let _ = ex.run_with_controller(&mut ws, &mut ctl, 10_000_000, &mut rng);
     assert!(ws.is_empty());
-    audit(&ex, &plan);
+    audit(&ex, &plan, WORKERS);
     drop(ex);
     let mut op = op;
     assert_eq!(op.msf(), reference);
@@ -127,13 +140,13 @@ fn delaunay_with_injected_panics_refines_fully() {
     let tasks = op.initial_tasks();
     assert!(!tasks.is_empty());
     let plan = FaultPlan::seeded(1003).with_panic_rate(0.10);
-    let mut ex = Executor::new(&op, &space, config());
+    let mut ex = Executor::new(&op, &space, config(WORKERS));
     ex.set_fault_plan(&plan);
     let mut ws = WorkSet::from_vec(tasks);
     let mut ctl = controller();
     let _ = ex.run_with_controller(&mut ws, &mut ctl, 10_000_000, &mut rng);
     assert!(ws.is_empty());
-    audit(&ex, &plan);
+    audit(&ex, &plan, WORKERS);
     drop(ex);
     let refined = op.into_mesh();
     refined.check_valid().unwrap();

@@ -7,7 +7,10 @@
 //! in-flight budget may reorder and retry work but must never change
 //! the result. Each drain runs at `batch = 8` and at `batch = 1` — the
 //! continuous configuration: one task per lane bump, no batching at
-//! all. Four more operators (coloring, MIS, matching, the CC-graph
+//! all. SSSP, whose tasks skip on an unlocked monotone bound, also
+//! runs at 2 workers and at `batch = 64`, and `SsspOp::distances`
+//! checks after every drain that each bound ended at its node's
+//! distance. Four more operators (coloring, MIS, matching, the CC-graph
 //! mirror) run a 1 / 2 / 4 workers × batch 1 / 8 / 64 matrix against
 //! their validity checks: the lane commit rule — a finished holder's
 //! lock is free, whatever its batch still retains — applies to every
@@ -98,6 +101,11 @@ fn drain_lanes<O: Operator>(
     run
 }
 
+/// The wider batch set SSSP and the lane-matrix operators run: one
+/// task per lane bump, a batch the drain refills many times, and one
+/// that holds a whole window's retained stamps.
+const WIDE_BATCHES: [usize; 3] = [1, 8, 64];
+
 /// SSSP against Dijkstra.
 fn sssp_pipelined(workers: usize, batch: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -112,21 +120,28 @@ fn sssp_pipelined(workers: usize, batch: usize, seed: u64) {
 
 #[test]
 fn sssp_pipelined_matches_dijkstra_w1() {
-    for batch in BATCHES {
+    for batch in WIDE_BATCHES {
         sssp_pipelined(1, batch, 101);
     }
 }
 
 #[test]
+fn sssp_pipelined_matches_dijkstra_w2() {
+    for batch in WIDE_BATCHES {
+        sssp_pipelined(2, batch, 104);
+    }
+}
+
+#[test]
 fn sssp_pipelined_matches_dijkstra_w4() {
-    for batch in BATCHES {
+    for batch in WIDE_BATCHES {
         sssp_pipelined(4, batch, 102);
     }
 }
 
 #[test]
 fn sssp_pipelined_matches_dijkstra_w8() {
-    for batch in BATCHES {
+    for batch in WIDE_BATCHES {
         sssp_pipelined(8, batch, 103);
     }
 }
@@ -210,11 +225,10 @@ fn delaunay_pipelined_refines_fully_w8() {
 }
 
 /// The matrix the one-task-per-node operators run: 1, 2 and 4 lanes,
-/// each at one task per lane bump, at a batch the drain refills many
-/// times, and at one that holds a whole shard's retained stamps.
+/// each at every batch of [`WIDE_BATCHES`].
 fn lane_matrix(mut drain: impl FnMut(usize, usize, &mut StdRng)) {
     for (i, workers) in [1, 2, 4].into_iter().enumerate() {
-        for (j, batch) in [1, 8, 64].into_iter().enumerate() {
+        for (j, batch) in WIDE_BATCHES.into_iter().enumerate() {
             drain(
                 workers,
                 batch,
@@ -348,21 +362,28 @@ mod injected {
 
     #[test]
     fn sssp_pipelined_with_injected_panics_w1() {
-        for batch in BATCHES {
+        for batch in WIDE_BATCHES {
             sssp_faulted(1, batch, 131, 2001);
         }
     }
 
     #[test]
+    fn sssp_pipelined_with_injected_panics_w2() {
+        for batch in WIDE_BATCHES {
+            sssp_faulted(2, batch, 134, 2004);
+        }
+    }
+
+    #[test]
     fn sssp_pipelined_with_injected_panics_w4() {
-        for batch in BATCHES {
+        for batch in WIDE_BATCHES {
             sssp_faulted(4, batch, 132, 2002);
         }
     }
 
     #[test]
     fn sssp_pipelined_with_injected_panics_w8() {
-        for batch in BATCHES {
+        for batch in WIDE_BATCHES {
             sssp_faulted(8, batch, 133, 2003);
         }
     }
