@@ -1,7 +1,7 @@
 //! Footprint-escape analysis over `crates/apps` operators.
 //!
 //! The speculation contract (PAPER.md §2, DESIGN.md §4) is that an
-//! operator touches shared state *only* through its [`TaskCtx`]: the
+//! operator touches shared state *only* through its `TaskCtx`: the
 //! context acquires the abstract lock, records the undo snapshot, and
 //! emits the checker trace. A "raw" mutation — writing an operator
 //! field directly, or smuggling `&self.store` into a helper that

@@ -250,16 +250,16 @@ impl AuditSink {
         }
     }
 
-    /// Assert the wraparound sweep left no non-zero word behind.
-    /// `stale_word` is the first offending `(index, raw word)` found
-    /// by the caller's post-sweep scan, if any.
+    /// Assert no lane-0-tagged word survived lane 0's wraparound
+    /// sweep. `stale_word` is the first offending `(index, raw word)`
+    /// found by the caller's post-sweep scan, if any.
     pub fn assert_wrap_swept(&self, epoch: u64, stale_word: Option<(usize, u64)>) {
         if let Some((idx, raw)) = stale_word {
             self.report_now(Report::EpochInvariant {
                 epoch,
                 detail: format!(
-                    "wraparound sweep left word {idx} = {raw:#x} non-zero; a task \
-                     abandoned 2^24 epochs ago could alias the reused tag"
+                    "lane 0's wraparound sweep left word {idx} = {raw:#x} behind; a \
+                     task abandoned 2^24 epochs ago could alias the reused tag"
                 ),
             });
         }

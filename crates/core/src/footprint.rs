@@ -6,7 +6,7 @@
 //! module is the *consumer* side: it parses the manifest (a tiny
 //! line-oriented reader — core stays dependency-free and must not pull
 //! in the analyzer), converts a radius into a conflict-graph degree
-//! estimate, and feeds [`smart_initial_m`](crate::control::smart_initial_m)
+//! estimate, and feeds [`smart_initial_m`]
 //! via [`smart_m_from_contract`].
 //!
 //! The degree conversion: two tasks conflict iff their footprints

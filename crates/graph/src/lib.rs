@@ -32,7 +32,6 @@ pub mod adj;
 pub mod builder;
 pub mod csr;
 pub mod gen;
-pub mod io;
 pub mod mis;
 pub mod stats;
 

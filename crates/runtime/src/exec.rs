@@ -1,46 +1,42 @@
-//! The round-based speculative executor.
+//! The speculative executor: one batch loop under every engine.
 //!
-//! Each round mirrors one temporal step of the paper's model:
+//! One temporal step of the paper's model — draw `m` tasks, run them,
+//! count the aborts, let the controller pick the next `m` — exists
+//! here once:
 //!
-//! 1. Draw `m` tasks from the [`WorkSet`] — lowest rank first,
+//! 1. **Draw** `m` tasks from the [`WorkSet`] — lowest rank first,
 //!    uniformly at random within a rank (so uniformly over the whole
 //!    set when tasks are unranked, the paper's model); their draw
 //!    order is the commit priority.
-//! 2. Run them speculatively across `workers` OS threads; conflicts are
-//!    detected by the abstract locks, losers roll back.
-//! 3. Committed tasks leave the system and may spawn new tasks; aborted
-//!    tasks return to the work-set for a later round.
-//! 4. Report `(launched, aborted)` to the processor-allocation
-//!    controller, which picks the next round's `m`.
+//! 2. **Run the batch** — `run_batch`, the only place `speculate`
+//!    (build the `TaskCtx`, call the operator under panic containment,
+//!    commit or roll back on a lost abstract lock) is followed by
+//!    `settle` (book the outcome: spawns in, `retries + 1` re-queue,
+//!    or dead-letter).
+//! 3. **Retire** the batch with one lane bump: its committed tasks'
+//!    locks expire instead of being walked and released.
+//! 4. **Control** — `control_step` feeds `(launched, aborted)` to the
+//!    processor-allocation controller, applies the zero-commit
+//!    watchdog, and hands back the next budget.
 //!
-//! With `workers == 1` the executor runs tasks inline in priority
-//! order, which makes it *bitwise deterministic* given the RNG seed —
-//! the differential-testing anchor against the sequential model in
-//! `optpar-core`.
+//! A barrier round ([`Executor::run_round`]) is one batch of `m` on
+//! lock lane 0, retired by the round barrier
+//! ([`LockSpace::advance_epoch`]), its outcomes going straight back
+//! into the caller's [`WorkSet`]; the pipelined engine
+//! ([`crate::pipelined`]) runs the same loop on lane `w + 1` per
+//! worker, behind a permit gate and over a sharded draw, and takes the
+//! control step once per window of completions. With `workers == 1` a
+//! round runs its batch inline in priority order, which makes it
+//! *bitwise deterministic* given the RNG seed — the differential-testing
+//! anchor against the sequential model in `optpar-core`.
 //!
-//! ## Round mechanics (the hot path)
-//!
-//! The executor owns a persistent [`WorkerPool`]: threads are created
-//! once and parked between rounds, so a round costs one
-//! wake/rendezvous, not `workers` thread spawns. Workers claim task
+//! With `workers > 1` a round fans its batch out over a persistent
+//! [`WorkerPool`] instead — threads created once and parked between
+//! rounds, so a round costs one wake/rendezvous. Workers claim task
 //! indices in contiguous chunks of `max(1, launched / (8 · workers))`
-//! from a shared counter — one `fetch_add` per chunk instead of per
-//! task — and write each outcome into a pre-indexed result slot, so
-//! results come back in priority order with no post-round sort. The
-//! round barrier itself is a single [`LockSpace::advance_epoch`] bump:
-//! committed tasks' locks simply expire with the epoch instead of
-//! being walked and released.
-//!
-//! ## The speculation core
-//!
-//! Every execution mode runs a task through the same two functions:
-//! `speculate` (build the `TaskCtx`, call the operator under panic
-//! containment, commit or roll back) and `settle` (book the outcome:
-//! spawns in, `retries + 1` re-queue, or dead-letter). Rounds call
-//! them from `run_round` / `merge_round`; the pipelined worker loop
-//! ([`crate::pipelined`]) calls them per batch and adds only what is
-//! different about it — the permit gate, the sharded draw, the
-//! lane-bump retire, and the window flush.
+//! from a shared counter and write each outcome into a pre-indexed
+//! result slot, so results come back in priority order with no sort
+//! and are settled after the rendezvous.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{ConflictPolicy, LockSpace};
@@ -187,18 +183,6 @@ impl<T: Ranked> WorkSet<T> {
         });
     }
 
-    /// Add one task with a pre-set retry count, to exercise the aging
-    /// path without replaying the aborts.
-    #[cfg(test)]
-    fn push_with_retries(&mut self, t: T, retries: u32) {
-        let seq = self.next_seq;
-        self.absorb_entries(vec![Entry {
-            task: t,
-            retries,
-            seq,
-        }]);
-    }
-
     /// Queue an entry in its rank's bucket, preserving its retry count
     /// and enqueue stamp (the re-queue path).
     pub(crate) fn push_entry(&mut self, e: Entry<T>) {
@@ -221,6 +205,16 @@ impl<T: Ranked> WorkSet<T> {
     pub fn extend<I: IntoIterator<Item = T>>(&mut self, it: I) {
         for t in it {
             self.push(t);
+        }
+    }
+
+    /// Take a settled task's consequences in: a commit's spawns enter,
+    /// an aborted or faulted entry re-queues, a retired one is gone.
+    pub(crate) fn absorb(&mut self, settled: Settled<T>) {
+        match settled {
+            Settled::Committed(spawned) => self.extend(spawned),
+            Settled::Requeue(entry) => self.push_entry(entry),
+            Settled::Retired => {}
         }
     }
 
@@ -251,7 +245,7 @@ impl<T: Ranked> WorkSet<T> {
     /// uniformly at random within a rank; the returned order is the
     /// commit-priority order. This public sampler applies no retry
     /// aging: the executor does that via
-    /// [`WorkSet::sample_drain_aged`], so the distributional contract
+    /// `WorkSet::sample_drain_aged`, so the distributional contract
     /// here — pinned by the chi-squared tests — never shifts.
     pub fn sample_drain<R: Rng + ?Sized>(&mut self, m: usize, rng: &mut R) -> Vec<T> {
         self.draw_entries(m, rng)
@@ -301,10 +295,10 @@ impl<T: Ranked> WorkSet<T> {
         out
     }
 
-    /// Absorb entries coming back from the pipelined shards, bumping
-    /// `next_seq` past every absorbed stamp so later [`WorkSet::push`]
-    /// calls never reuse a live seq.
-    pub(crate) fn absorb_entries(&mut self, entries: Vec<Entry<T>>) {
+    /// Absorb entries on their way into or back from the pipelined
+    /// shards, bumping `next_seq` past every absorbed stamp so later
+    /// [`WorkSet::push`] calls never reuse a live seq.
+    pub(crate) fn absorb_entries(&mut self, entries: impl IntoIterator<Item = Entry<T>>) {
         for e in entries {
             self.next_seq = self.next_seq.max(e.seq + 1);
             self.push_entry(e);
@@ -320,7 +314,7 @@ pub struct ExecutorConfig {
     /// Benchmark-pinned shim: nothing reads this field (first-wins is
     /// the only arbitration rule). It exists only because the frozen
     /// `benchmark/src/drain.rs` sets it; the next PR that may edit
-    /// `benchmark/` drops it (ROADMAP item 2).
+    /// `benchmark/` drops it (ROADMAP item 4(b)).
     #[doc(hidden)]
     pub policy: ConflictPolicy,
     /// Abort-retry budget `K`: a task aborted/faulted at least this
@@ -328,12 +322,11 @@ pub struct ExecutorConfig {
     /// where the greedy commit rule guarantees it wins (starvation
     /// avoidance). `u32::MAX` disables aging.
     pub retry_budget: u32,
-    /// Round watchdog threshold `T`: after this many consecutive
-    /// zero-commit (but non-empty) rounds,
-    /// [`Executor::run_with_controller`] overrides the controller and
-    /// halves `m` each further stalled round, down to `m = 1` where
-    /// Prop. 1 gives `r̄(1) = 0` and forward progress. `u32::MAX`
-    /// disables the watchdog.
+    /// Watchdog threshold `T`: after this many consecutive zero-commit
+    /// (but non-empty) rounds or windows the control step overrides
+    /// the controller and halves `m` each further stalled step, down
+    /// to `m = 1` where Prop. 1 gives `r̄(1) = 0` and forward progress.
+    /// `u32::MAX` disables the watchdog.
     pub watchdog_stall: u32,
     /// Dead-letter budget `K`: a task that *faults* (not merely
     /// aborts) while already at `retries ≥ K` is retired to the
@@ -363,10 +356,10 @@ impl Default for ExecutorConfig {
 /// [`LockSpace`].
 pub struct Executor<'a, O: Operator> {
     op: &'a O,
-    space: &'a LockSpace,
+    pub(crate) space: &'a LockSpace,
     cfg: ExecutorConfig,
     /// Persistent parked threads; `None` when `workers == 1` (inline).
-    pool: Option<WorkerPool>,
+    pub(crate) pool: Option<WorkerPool>,
     /// Structured record of every contained fault (operator panics,
     /// injected faults, lost result slots).
     faults: Mutex<FaultLog>,
@@ -378,7 +371,7 @@ pub struct Executor<'a, O: Operator> {
     fault_plan: Option<&'a crate::faults::FaultPlan>,
     /// Optional per-phase time accounting (draw / execute / commit /
     /// wait), stamped at round or batch granularity — never per task.
-    phases: Option<&'a crate::phase::PhaseClock>,
+    pub(crate) phases: Option<&'a crate::phase::PhaseClock>,
     /// Attached observability recorder (feature `obs`): per-worker
     /// event rings drained at the round barrier.
     #[cfg(feature = "obs")]
@@ -397,7 +390,7 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
 /// Outcome of one speculated task. Committed tasks' locks are not
 /// carried here: they stay stamped in the lock space until the round's
 /// epoch bump (or the batch's lane bump) expires them wholesale.
-pub(crate) enum TaskResult<T> {
+enum TaskResult<T> {
     Committed {
         spawned: Vec<T>,
         acquires: usize,
@@ -428,11 +421,31 @@ pub(crate) enum Settled<T> {
     Retired,
 }
 
+/// What the control loop carries from one step to the next.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ControlState {
+    /// The budget the last step handed back: the next round's `m`,
+    /// the next window's in-flight target.
+    pub(crate) budget: usize,
+    /// Consecutive commit-free rounds or windows (watchdog input).
+    pub(crate) stalled: u32,
+}
+
+impl ControlState {
+    /// Before the first step: the controller's own `m`, nothing stalled.
+    pub(crate) fn new<C: Controller>(ctl: &C) -> Self {
+        ControlState {
+            budget: ctl.current_m().max(1),
+            stalled: 0,
+        }
+    }
+}
+
 /// The zero-commit watchdog's override: once `stalled` consecutive
-/// commit-free rounds (or windows) reach `threshold`, halve `m` per
-/// further stalled round down to 1, where Prop. 1 (`r̄(1) = 0`)
-/// guarantees progress. `threshold == u32::MAX` disables it.
-pub(crate) fn watchdog_clamp(m: usize, stalled: u32, threshold: u32) -> usize {
+/// commit-free steps reach `threshold`, halve `m` per further stalled
+/// step down to 1, where Prop. 1 (`r̄(1) = 0`) guarantees the head
+/// task commits. `threshold == u32::MAX` disables it.
+fn watchdog_clamp(m: usize, stalled: u32, threshold: u32) -> usize {
     if threshold == u32::MAX || stalled < threshold {
         return m;
     }
@@ -517,11 +530,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         std::mem::take(&mut *crate::faults::recover(self.dead_letters.lock()))
     }
 
-    /// Record one contained fault.
-    fn log_fault(&self, fault: TaskFault) {
-        crate::faults::recover(self.faults.lock()).push(fault);
-    }
-
     /// Worker threads still alive in the pool (`None` for inline
     /// execution, which has no threads). Panic containment keeps this
     /// at `workers` even under injected panics.
@@ -535,27 +543,12 @@ impl<'a, O: Operator> Executor<'a, O> {
         self.pool.as_ref().map_or(0, WorkerPool::job_panics)
     }
 
-    /// The lock space this executor arbitrates over.
-    pub(crate) fn space(&self) -> &'a LockSpace {
-        self.space
-    }
-
-    /// The persistent worker pool (`None` when `workers == 1`).
-    pub(crate) fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
-    }
-
     /// Attach a phase clock: subsequent runs charge their draw /
     /// execute / commit / wait time to it. Stamps are taken at round
     /// (or batch) granularity, so the per-task hot path stays
     /// timer-free.
     pub fn set_phase_clock(&mut self, clock: &'a crate::phase::PhaseClock) {
         self.phases = Some(clock);
-    }
-
-    /// The attached phase clock, if any.
-    pub(crate) fn phases(&self) -> Option<&'a crate::phase::PhaseClock> {
-        self.phases
     }
 
     /// Attach an observability recorder sized for this executor's
@@ -604,7 +597,24 @@ impl<'a, O: Operator> Executor<'a, O> {
         }
     }
 
-    /// Run one round launching up to `m` tasks from `ws`.
+    /// Round epilogue on the controller track: the round's totals and
+    /// the audit findings its barrier turned up.
+    #[cfg(feature = "obs")]
+    fn obs_round_end(&self, stats: &RoundStats, findings: u64) {
+        if let Some(rec) = self.recorder.as_ref() {
+            let totals = optpar_obs::RoundTotals {
+                launched: stats.launched as u32,
+                committed: stats.committed as u32,
+                aborted: stats.aborted as u32,
+                faulted: stats.faulted as u32,
+                spawned: stats.spawned as u32,
+            };
+            rec.round_end(self.space.epoch(), stats.m as u64, totals, findings);
+        }
+    }
+
+    /// Run one round launching up to `m` tasks from `ws`: one batch
+    /// on lock lane 0, retired by the round barrier.
     ///
     /// Tasks whose retry count has reached
     /// [`ExecutorConfig::retry_budget`] are aged to the front of the
@@ -619,75 +629,89 @@ impl<'a, O: Operator> Executor<'a, O> {
         let t_draw = phase::maybe_start(self.phases);
         let batch = ws.sample_drain_aged(m, rng, self.cfg.retry_budget);
         phase::maybe_add(self.phases, Phase::Draw, t_draw);
-        let launched = batch.len();
-        #[cfg(feature = "obs")]
-        self.obs_round_begin(m, &batch);
-        if launched == 0 {
-            // Keep the trace's round segments 1:1 with RoundStats even
-            // for the degenerate empty round (which bumps no epoch).
-            #[cfg(feature = "obs")]
-            if let Some(rec) = self.recorder.as_ref() {
-                rec.round_end(
-                    self.space.epoch(),
-                    m as u64,
-                    optpar_obs::RoundTotals::default(),
-                    0,
-                );
-            }
-            return RoundStats {
-                m,
-                ..RoundStats::default()
-            };
-        }
-        // Slot indices must fit the 32-bit owner field of a lock word.
-        assert!(launched < u32::MAX as usize, "round too large");
-        // Inline rounds realize the paper's greedy commit rule exactly,
-        // so the commit-set oracle applies on top of the race analysis.
-        #[cfg(feature = "checker")]
-        self.space.audit().arm(self.cfg.workers == 1);
-
-        let results: Vec<TaskResult<O::Task>> = match &self.pool {
-            Some(pool) => self.run_parallel(pool, &batch),
-            None => {
-                let t_exec = phase::maybe_start(self.phases);
-                let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
-                let mut scratch = TaskScratch::default();
-                let out = batch
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, e)| self.speculate(&mut scratch, slot, 0, epoch, &e.task, probe))
-                    .collect();
-                phase::maybe_add(self.phases, Phase::Execute, t_exec);
-                out
-            }
-        };
-
-        self.merge_round(ws, m, batch, results)
-    }
-
-    /// Fold one round's results back into the work-set and stats, then
-    /// perform the round barrier (one epoch bump — committed tasks'
-    /// locks expire without being traversed).
-    fn merge_round(
-        &self,
-        ws: &mut WorkSet<O::Task>,
-        m: usize,
-        batch: Vec<Entry<O::Task>>,
-        results: Vec<TaskResult<O::Task>>,
-    ) -> RoundStats {
-        let t_commit = phase::maybe_start(self.phases);
         let mut stats = RoundStats {
             m,
             launched: batch.len(),
             ..RoundStats::default()
         };
-        for (entry, result) in batch.into_iter().zip(results) {
-            match self.settle(entry, result, &mut stats) {
-                Settled::Committed(spawned) => ws.extend(spawned),
-                Settled::Requeue(entry) => ws.push_entry(entry),
-                Settled::Retired => {}
+        #[cfg(feature = "obs")]
+        self.obs_round_begin(m, &batch);
+        if batch.is_empty() {
+            // Keep the trace's round segments 1:1 with RoundStats even
+            // for the degenerate empty round (which bumps no epoch).
+            #[cfg(feature = "obs")]
+            self.obs_round_end(&stats, 0);
+            return stats;
+        }
+        // Slot indices must fit the 32-bit owner field of a lock word.
+        assert!(batch.len() < u32::MAX as usize, "round too large");
+        // Inline rounds realize the paper's greedy commit rule exactly,
+        // so the commit-set oracle applies on top of the race analysis.
+        #[cfg(feature = "checker")]
+        self.space.audit().arm(self.cfg.workers == 1);
+
+        match &self.pool {
+            Some(pool) => {
+                let results = self.run_parallel(pool, &batch);
+                let t_commit = phase::maybe_start(self.phases);
+                for (entry, result) in batch.into_iter().zip(results) {
+                    ws.absorb(self.settle(entry, result, &mut stats));
+                }
+                phase::maybe_add(self.phases, Phase::Commit, t_commit);
+            }
+            None => {
+                // Outcomes go back into `ws` in slot order, as a
+                // settle pass over the finished batch would put them.
+                let t_exec = phase::maybe_start(self.phases);
+                let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
+                let mut scratch = TaskScratch::default();
+                self.run_batch(&mut scratch, 0, 0, epoch, batch, probe, &mut stats, |s| {
+                    ws.absorb(s)
+                });
+                phase::maybe_add(self.phases, Phase::Execute, t_exec);
             }
         }
+        self.round_barrier(&stats);
+        stats
+    }
+
+    /// Run one drawn batch to completion on lock lane `lane`, in
+    /// order — the only place `speculate` is followed by `settle`.
+    /// Entry `i` runs as slot `first_slot + i` (worker lanes publish
+    /// it as running first: slots rise through the batch, so every
+    /// earlier one has then finished and its stamps are free to take
+    /// over); its outcome is booked in `tally` and handed to `sink`,
+    /// which owns the queues. `key` is the batch's fault and audit
+    /// coordinate: the round epoch on lane 0, the batch tag on a
+    /// worker lane.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_batch(
+        &self,
+        scratch: &mut TaskScratch,
+        first_slot: usize,
+        lane: usize,
+        key: u64,
+        entries: Vec<Entry<O::Task>>,
+        probe: Probe<'_>,
+        tally: &mut RoundStats,
+        mut sink: impl FnMut(Settled<O::Task>),
+    ) {
+        for (i, entry) in entries.into_iter().enumerate() {
+            let slot = first_slot + i;
+            if lane != 0 {
+                self.space.publish_running(lane, slot);
+            }
+            let result = self.speculate(scratch, slot, lane, key, &entry.task, probe);
+            sink(self.settle(entry, result, tally));
+        }
+    }
+
+    /// The round barrier, after every task of the round has settled:
+    /// audit and trace the finished round, then one epoch bump —
+    /// committed tasks' locks expire without being traversed.
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    fn round_barrier(&self, stats: &RoundStats) {
+        let t_commit = phase::maybe_start(self.phases);
         // Audit the finished round's traces before the epoch bump (the
         // traces carry the pre-bump epoch).
         #[cfg(all(feature = "checker", feature = "obs"))]
@@ -697,55 +721,27 @@ impl<'a, O: Operator> Executor<'a, O> {
         // Round barrier from the trace's point of view: drain every
         // worker ring, stamp audit findings and the round totals, then
         // record the epoch bump the barrier performs.
+        #[cfg(all(feature = "checker", feature = "obs"))]
+        let findings = (self.space.audit().report_count()).saturating_sub(audit_before);
+        #[cfg(all(not(feature = "checker"), feature = "obs"))]
+        let findings = 0;
         #[cfg(feature = "obs")]
         let pre_epoch = self.space.epoch();
         #[cfg(feature = "obs")]
-        if let Some(rec) = self.recorder.as_ref() {
-            #[cfg(feature = "checker")]
-            let findings = (self
-                .space
-                .audit()
-                .report_count()
-                .saturating_sub(audit_before)) as u64;
-            #[cfg(not(feature = "checker"))]
-            let findings = 0u64;
-            rec.round_end(
-                pre_epoch,
-                m as u64,
-                optpar_obs::RoundTotals {
-                    launched: stats.launched as u32,
-                    committed: stats.committed as u32,
-                    aborted: stats.aborted as u32,
-                    faulted: stats.faulted as u32,
-                    spawned: stats.spawned as u32,
-                },
-                findings,
-            );
-        }
+        self.obs_round_end(stats, findings as u64);
         self.space.advance_epoch();
         #[cfg(feature = "obs")]
         if let Some(rec) = self.recorder.as_ref() {
             rec.epoch_bump(pre_epoch, self.space.epoch());
         }
         debug_assert!(self.space.check_all_free().is_ok());
-        // Commit covers the merge plus the barrier's serial
-        // bookkeeping (audit drain, ring drain, epoch bump).
+        // Commit covers the pooled settle pass plus the barrier's
+        // serial bookkeeping (audit drain, ring drain, epoch bump).
         phase::maybe_add(self.phases, Phase::Commit, t_commit);
-        stats
     }
 
     /// Drive the executor with a controller until the work-set drains
-    /// (or `max_rounds` elapse).
-    ///
-    /// The controller observes [`RoundStats::pressure_ratio`] —
-    /// aborts *plus* faults over launched — so a fault storm shrinks
-    /// `m` exactly like a conflict storm (identical to the old
-    /// conflict-ratio feed when nothing faults). Independently, a
-    /// round watchdog counts consecutive zero-commit rounds; past
-    /// [`ExecutorConfig::watchdog_stall`] it overrides the controller
-    /// and halves `m` each further stalled round down to 1, where
-    /// Prop. 1 (`r̄(1) = 0`) guarantees the head task commits and
-    /// progress resumes.
+    /// (or `max_rounds` elapse), one `control_step` per round.
     pub fn run_with_controller<C: Controller, R: Rng + ?Sized>(
         &self,
         ws: &mut WorkSet<O::Task>,
@@ -754,36 +750,51 @@ impl<'a, O: Operator> Executor<'a, O> {
         rng: &mut R,
     ) -> RunStats {
         let mut run = RunStats::default();
-        let mut stalled: u32 = 0;
-        for _ in 0..max_rounds {
-            if ws.is_empty() {
-                break;
-            }
+        let mut state = ControlState::new(ctl);
+        while run.rounds.len() < max_rounds && !ws.is_empty() {
             run.rounds
-                .push(self.step_round(ws, ctl, &mut stalled, usize::MAX, rng));
+                .push(self.step_round(ws, ctl, &mut state, usize::MAX, rng));
         }
         run
     }
 
-    /// One controller step, shared by [`Executor::run_with_controller`]
-    /// and the job service's `JobCx::drive`: take the controller's
-    /// `m` (watchdog-clamped after `stalled` zero-commit rounds, capped
-    /// at `cap`, floor 1), run the round, update the stall count, and
-    /// feed the round's pressure back to the controller.
+    /// One round of the control loop, shared by
+    /// [`Executor::run_with_controller`] and the job service's
+    /// `JobCx::drive`: run a round at the budget the last step handed
+    /// back (capped at `cap`), then take the control step on its
+    /// outcome.
     pub(crate) fn step_round<C: Controller, R: Rng + ?Sized>(
         &self,
         ws: &mut WorkSet<O::Task>,
         ctl: &mut C,
-        stalled: &mut u32,
+        state: &mut ControlState,
         cap: usize,
         rng: &mut R,
     ) -> RoundStats {
-        let m = watchdog_clamp(ctl.current_m(), *stalled, self.cfg.watchdog_stall)
-            .min(cap)
-            .max(1);
-        let rs = self.run_round(ws, m, rng);
-        *stalled = if rs.launched > 0 && rs.committed == 0 {
-            stalled.saturating_add(1)
+        let rs = self.run_round(ws, state.budget.min(cap).max(1), rng);
+        self.control_step(ctl, state, &rs);
+        rs
+    }
+
+    /// The one control step, taken after every round and every
+    /// pipelined window: feed the controller what `rs` measured and
+    /// hand back the next budget (also left in `state`).
+    ///
+    /// The controller observes [`RoundStats::pressure_ratio`] —
+    /// aborts *plus* faults over launched — so a fault storm shrinks
+    /// `m` exactly like a conflict storm. Independently, past
+    /// [`ExecutorConfig::watchdog_stall`] consecutive zero-commit
+    /// steps the watchdog overrides the controller (`watchdog_clamp`).
+    /// The obs `Controller` point carries the controller's own `m`; the
+    /// clamp shows in the next `RoundBegin.m` / `WindowAdvance.target`.
+    pub(crate) fn control_step<C: Controller>(
+        &self,
+        ctl: &mut C,
+        state: &mut ControlState,
+        rs: &RoundStats,
+    ) -> usize {
+        state.stalled = if rs.launched > 0 && rs.committed == 0 {
+            state.stalled.saturating_add(1)
         } else {
             0
         };
@@ -796,7 +807,9 @@ impl<'a, O: Operator> Executor<'a, O> {
                 ctl.target_rho(),
             );
         }
-        rs
+        state.budget =
+            watchdog_clamp(ctl.current_m(), state.stalled, self.cfg.watchdog_stall).max(1);
+        state.budget
     }
 
     /// Book one finished task: count it in `stats`, log a fault, and
@@ -805,7 +818,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// faults again at `retries ≥ K` is retired to the dead-letter
     /// list, so an always-faulting task launches at most `K + 1`
     /// times in every mode.
-    pub(crate) fn settle(
+    fn settle(
         &self,
         entry: Entry<O::Task>,
         result: TaskResult<O::Task>,
@@ -847,7 +860,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 } else {
                     retry(entry)
                 };
-                self.log_fault(*fault);
+                crate::faults::recover(self.faults.lock()).push(*fault);
                 settled
             }
         }
@@ -856,14 +869,10 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// Speculate one task to completion under panic containment —
     /// the single place the runtime calls [`Operator::execute`].
     ///
-    /// `lane` selects the lock lane the task stamps (0 = the round
-    /// epoch, `w + 1` = pipelined worker `w`'s batch tag) and
-    /// `fault_key` is the coordinate fault injection and fault records
-    /// key on: the epoch in round mode, the batch tag in pipelined
-    /// mode (where the epoch never moves, so a retried task must
-    /// re-roll under a fresh tag). `scratch` is the calling loop's
-    /// lockset/undo buffers, lent to this task's context and returned
-    /// empty.
+    /// `lane` selects the lock lane the task stamps and `fault_key` is
+    /// the coordinate fault injection and fault records key on (both
+    /// as in `run_batch`). `scratch` is the calling loop's lockset/undo
+    /// buffers, lent to this task's context and returned empty.
     ///
     /// The operator call is wrapped in `catch_unwind`: a panicking
     /// operator (or a fired injected panic) is converted into a
@@ -873,7 +882,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// because `TaskCtx` snapshots a slot *before* handing out the
     /// `&mut`, so the undo log is complete at every possible unwind
     /// point.
-    pub(crate) fn speculate(
+    fn speculate(
         &self,
         scratch: &mut TaskScratch,
         slot: usize,
@@ -978,9 +987,8 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// worker died between claiming the index and storing the outcome
     /// (a runtime-level panic — operator panics never get this far).
     /// The slot's locks expire at the round's epoch bump, so booking
-    /// it as a fault and re-queuing keeps the round accounting exact
-    /// (`launched = committed + aborted + faulted`) instead of tearing
-    /// the round down.
+    /// it as a fault and re-queuing keeps `launched = committed +
+    /// aborted + faulted` exact instead of tearing the round down.
     fn missing_result(&self, slot: usize) -> TaskResult<O::Task> {
         TaskResult::Faulted {
             fault: Box::new(TaskFault {
@@ -1060,18 +1068,31 @@ impl<'a, O: Operator> Executor<'a, O> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::SpecStore;
     use optpar_core::control::FixedController;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    impl<T: Ranked> WorkSet<T> {
+        /// Add one task with a pre-set retry count, to exercise the
+        /// aging path without replaying the aborts.
+        fn push_with_retries(&mut self, t: T, retries: u32) {
+            let seq = self.next_seq;
+            self.absorb_entries(vec![Entry {
+                task: t,
+                retries,
+                seq,
+            }]);
+        }
+    }
+
     /// Toy operator: task `i` increments counter `i` and decrements its
     /// ring neighbour `i+1` — adjacent tasks conflict.
-    struct RingOp<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
+    pub(crate) struct RingOp<'s> {
+        pub(crate) store: &'s SpecStore<i64>,
+        pub(crate) n: usize,
     }
 
     impl Operator for RingOp<'_> {
@@ -1082,6 +1103,14 @@ mod tests {
             *cx.write(self.store, i)? += 1;
             *cx.write(self.store, j)? -= 1;
             Ok(vec![])
+        }
+    }
+
+    /// Defaults at `workers` worker threads.
+    pub(crate) fn exec_cfg(workers: usize) -> ExecutorConfig {
+        ExecutorConfig {
+            workers,
+            ..ExecutorConfig::default()
         }
     }
 
@@ -1136,14 +1165,7 @@ mod tests {
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let clock = crate::phase::PhaseClock::new();
-        let mut ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 2,
-                ..ExecutorConfig::default()
-            },
-        );
+        let mut ex = Executor::new(&op, &space, exec_cfg(2));
         ex.set_phase_clock(&clock);
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         while !ws.is_empty() {
@@ -1168,14 +1190,7 @@ mod tests {
         let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 1,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(1));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut total_committed = 0;
         while !ws.is_empty() {
@@ -1200,14 +1215,7 @@ mod tests {
         let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 8,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(8));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut committed = 0;
         let mut rounds = 0;
@@ -1551,10 +1559,10 @@ mod tests {
 
     /// Operator that panics exactly once (on task `13`, first sight),
     /// then behaves like [`RingOp`].
-    struct PanicOnceOp<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
-        armed: std::sync::atomic::AtomicBool,
+    pub(crate) struct PanicOnceOp<'s> {
+        pub(crate) store: &'s SpecStore<i64>,
+        pub(crate) n: usize,
+        pub(crate) armed: std::sync::atomic::AtomicBool,
     }
 
     impl Operator for PanicOnceOp<'_> {
@@ -1582,14 +1590,7 @@ mod tests {
             n,
             armed: std::sync::atomic::AtomicBool::new(true),
         };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 1,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(1));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut committed = 0;
         let mut faulted = 0;
@@ -1628,14 +1629,7 @@ mod tests {
             n,
             armed: std::sync::atomic::AtomicBool::new(true),
         };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(4));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut committed = 0;
         while !ws.is_empty() {
@@ -1702,18 +1696,19 @@ mod tests {
         );
     }
 
+    /// An operator that never commits: every execution requests an
+    /// abort, so every round is a zero-commit round.
+    struct NeverOp;
+    impl Operator for NeverOp {
+        type Task = usize;
+        fn execute(&self, _: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            cx.abort_requested()?;
+            Ok(vec![])
+        }
+    }
+
     #[test]
     fn watchdog_shrinks_m_to_one_under_stall() {
-        // An operator that never commits: every execution requests an
-        // abort, so every round is a zero-commit round.
-        struct NeverOp;
-        impl Operator for NeverOp {
-            type Task = usize;
-            fn execute(&self, _: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-                cx.abort_requested()?;
-                Ok(vec![])
-            }
-        }
         let (space, _r) = ring_setup(1);
         let op = NeverOp;
         let ex = Executor::new(
@@ -1753,14 +1748,6 @@ mod tests {
 
     #[test]
     fn disabled_watchdog_never_overrides() {
-        struct NeverOp;
-        impl Operator for NeverOp {
-            type Task = usize;
-            fn execute(&self, _: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-                cx.abort_requested()?;
-                Ok(vec![])
-            }
-        }
         let (space, _r) = ring_setup(1);
         let op = NeverOp;
         let ex = Executor::new(

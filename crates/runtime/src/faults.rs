@@ -16,7 +16,7 @@
 //!   [`TaskFault`] lands in the executor's [`FaultLog`] instead of
 //!   tearing down the pool.
 //! * **Deterministic injection** (feature `faults`) — a seeded
-//!   [`FaultPlan`] decides, as a pure function of `(seed, epoch,
+//!   `FaultPlan` decides, as a pure function of `(seed, epoch,
 //!   slot)`, whether a task panics, delays, or spuriously aborts
 //!   mid-flight, so every recovery path is exercised reproducibly.
 //! * **Retry budgets** — the [`WorkSet`](crate::exec::WorkSet) counts
@@ -42,7 +42,7 @@ pub enum FaultCause {
     /// The operator panicked; the panic was contained and the task
     /// rolled back.
     OperatorPanic,
-    /// An injected fault from a [`FaultPlan`] fired (feature
+    /// An injected fault from a `FaultPlan` fired (feature
     /// `faults`).
     Injected,
     /// A parallel round produced no result for this slot (a worker

@@ -11,8 +11,10 @@
 //! * [`lock`] — **abstract locks**: one epoch-stamped atomic owner
 //!   word per shared datum. A task must hold the lock on every datum
 //!   it touches; a task that requests an already-held lock aborts
-//!   itself (first-wins, the runtime's one arbitration rule). The
-//!   round barrier is a single epoch bump.
+//!   itself (first-wins, the runtime's one arbitration rule). Every
+//!   lock *lane* — lane 0 for barrier rounds, one per pipelined
+//!   worker — keeps its epoch in one lane table, and retiring a batch
+//!   (the round barrier included) is a single bump of its lane.
 //! * [`pool`] — [`pool::WorkerPool`], persistent worker threads
 //!   created once per executor and parked between rounds.
 //! * [`store`] — [`store::SpecStore`], a speculation-aware shared
@@ -22,17 +24,17 @@
 //!   holding the locks it has acquired so far, then either commits or
 //!   rolls back (`Running → Committed / Aborted`); only the task
 //!   itself moves between those states.
-//! * [`exec`] — the round-based parallel [`exec::Executor`]: each round
-//!   draws `m` tasks from the [`exec::WorkSet`] — uniformly at random
-//!   (the paper's model §2) among the tasks of the lowest
-//!   [`task::Ranked::rank`], which is all of them unless the task type
-//!   says otherwise — runs them speculatively on a worker pool,
-//!   rolls back losers, re-queues them, and reports the realized
-//!   conflict ratio to a processor-allocation
-//!   [`Controller`](optpar_core::control::Controller). It also owns
-//!   the one speculation core — `speculate` (run a task under panic
-//!   containment) and `settle` (book its outcome) — that every mode
-//!   executes tasks through.
+//! * [`exec`] — the [`exec::Executor`] and the one copy of the
+//!   paper's temporal step: draw `m` tasks from the [`exec::WorkSet`]
+//!   — uniformly at random (the paper's model §2) among the tasks of
+//!   the lowest [`task::Ranked::rank`], which is all of them unless
+//!   the task type says otherwise — run them as one batch (`run_batch`:
+//!   `speculate` each under panic containment, `settle` its outcome,
+//!   losers rolled back and re-queued), retire the batch with one lane
+//!   bump, and take the control step (`control_step`) that reports the
+//!   realized conflict ratio to a processor-allocation
+//!   [`Controller`](optpar_core::control::Controller) and hands back
+//!   the next budget. A barrier round is that step on lock lane 0.
 //! * [`faults`] — fault tolerance: operator panics are contained per
 //!   task (`catch_unwind` → structured [`faults::TaskFault`], rollback,
 //!   re-queue — the worker thread survives), with a deterministic
@@ -41,11 +43,12 @@
 //!   [`exec::ExecutorConfig::retry_budget`] retries, so no task
 //!   starves; a round watchdog shrinks `m` toward 1 under sustained
 //!   zero-commit stalls.
-//! * [`pipelined`] — the barrier-free **epoch-pipelined** executor:
-//!   workers draw, execute, and commit continuously against a sliding
-//!   in-flight speculation window, with per-worker lock *lanes* in the
-//!   [`lock::LockSpace`] so batch release stays O(1) without a global
-//!   epoch bump and one slow task no longer stalls the world.
+//! * [`pipelined`] — the barrier-free **epoch-pipelined** engine: the
+//!   same batch loop on a lock lane per worker, behind an in-flight
+//!   speculation budget and over a sharded work-set, taking the same
+//!   control step once per window of completions — batch release stays
+//!   O(1) without a global epoch bump and one slow task no longer
+//!   stalls the world.
 //!   Continuous (one-task-at-a-time) execution is this mode at
 //!   [`pipelined::PipelinedConfig::batch`]` = 1`.
 //!

@@ -5,17 +5,16 @@
 //! the epoch *tag* under which the word was last written, the low 32
 //! bits carry `slot + 1` for the owning task (`0` = free). The tag
 //! itself is split into an 8-bit *lane* and a 24-bit lane-local
-//! epoch: lane 0 is the global round lane (its epoch is the low 24
-//! bits of the monotonic round counter), lanes `1..MAX_LANES` are
-//! per-worker lanes used by the pipelined executor. A word whose tag
-//! is not *live* — its lane's current epoch differs from the epoch
-//! stamped in the tag — is *free by definition*: it is residue from
-//! an earlier round or an already-retired batch. The round barrier is
-//! therefore a single counter increment
-//! ([`LockSpace::advance_epoch`]), and retiring a pipelined batch is
-//! a single lane bump ([`LockSpace::advance_lane`]): nobody walks a
-//! committed task's lockset to release it, and a bump on one lane
-//! never stalls or frees work on another.
+//! epoch, and every lane — lane 0, which barrier rounds run on, and
+//! lanes `1..MAX_LANES`, one per pipelined worker — keeps its epoch in
+//! one entry of one lane table. A word whose tag is not *live* — its
+//! lane's current epoch differs from the epoch stamped in the tag — is
+//! *free by definition*: it is residue from an earlier round or an
+//! already-retired batch. Retiring a batch is therefore a single lane
+//! bump — [`LockSpace::advance_epoch`] for a round on lane 0 (the
+//! barrier), [`LockSpace::advance_lane`] for a worker's batch: nobody
+//! walks a committed task's lockset to release it, and a bump on one
+//! lane never stalls or frees work on another.
 //!
 //! Acquisition is a CAS loop; a collision with a task that is *still
 //! running* is a *speculative conflict* and there is one rule for it:
@@ -27,11 +26,13 @@
 //!
 //! What a *committed* task's stamp means depends on the lane:
 //!
-//! * **Lane 0 — retention is the commit rule.** A committed round
-//!   task keeps its locks until the barrier, so later tasks of the
-//!   round conflict with it. On the inline `workers == 1` round, where
-//!   tasks run in draw order, this *is* the paper's model: a task
-//!   commits iff no earlier committed neighbour holds its data.
+//! * **Lane 0 — retention is the commit rule.** Lane 0 never
+//!   publishes a running mark, so no holder on it is ever known to
+//!   have finished: a committed round task keeps its locks until the
+//!   barrier and later tasks of the round conflict with it. On the
+//!   inline `workers == 1` round, where tasks run in draw order, this
+//!   *is* the paper's model: a task commits iff no earlier committed
+//!   neighbour holds its data.
 //! * **Lanes ≥ 1 — retention is not conflict.** A pipelined lane
 //!   keeps its committed stamps until the lane bump only because that
 //!   makes the retire O(1); the holder no longer exists, so its word
@@ -44,7 +45,7 @@
 //!
 //! Why a finished holder on a lane *committed*: an aborting or
 //! faulting task rolls its writes back and releases its words (a CAS
-//! from its exact mark, [`release_all_tagged`]) before its worker
+//! from its exact mark, `release_all_tagged`) before its worker
 //! moves on, so a word still carrying a finished slot's mark was left
 //! by a commit. Taking it over is then indistinguishable from taking
 //! it after the lane bump: the undo log snapshots on first write, so
@@ -69,7 +70,7 @@ const LANE_SHIFT: u32 = 24;
 /// Low 24 bits of a tag: the lane-local epoch.
 const LANE_EPOCH_MASK: u64 = 0x00FF_FFFF;
 
-/// Number of epoch lanes. Lane 0 is the global round lane; lanes
+/// Number of epoch lanes. Lane 0 is the round lane; lanes
 /// `1..MAX_LANES` are claimable by pipelined workers (one per
 /// worker), capping pipelined execution at 255 workers.
 pub const MAX_LANES: usize = 256;
@@ -89,12 +90,13 @@ pub const LINE_WORDS: usize = 8;
 #[repr(C, align(64))]
 struct OwnerLine([AtomicU64; LINE_WORDS]);
 
-/// One worker lane's state word, alone on its cache line: the high 32
-/// bits count the lane's retired batches (the low 24 of them are the
-/// lane epoch a tag carries), the low 32 bits are the *running mark* —
+/// One lane's state word, alone on its cache line: the high 32 bits
+/// count the lane's retired batches (the low 24 of them are the lane
+/// epoch a tag carries), the low 32 bits are the *running mark* —
 /// `slot + 1` of the task the lane's worker is executing, 0 until it
-/// publishes one. The owning worker stores the mark before every task,
-/// so unpadded words would bounce between every pair of workers.
+/// publishes one (lane 0 never does). The owning worker stores the
+/// mark before every task, so unpadded words would bounce between
+/// every pair of workers.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct LaneWord(AtomicU64);
@@ -103,7 +105,7 @@ struct LaneWord(AtomicU64);
 /// one collision rule and nothing reads this type. It exists only
 /// because `benchmark/src/drain.rs` — frozen by `BENCHMARK.json`'s
 /// `paths` for ordinary PRs — names it in an `ExecutorConfig` literal;
-/// the next PR that may edit `benchmark/` drops it (ROADMAP item 2).
+/// the next PR that may edit `benchmark/` drops it (ROADMAP item 4(b)).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ConflictPolicy {
@@ -187,7 +189,6 @@ impl LockSpaceBuilder {
         LockSpace {
             lines,
             words: self.total,
-            epoch: AtomicU64::new(0),
             lanes,
             regions: self.regions,
             #[cfg(feature = "checker")]
@@ -205,12 +206,10 @@ pub struct LockSpace {
     /// Number of live lock words (the tail of the last line is
     /// padding: always zero, never part of any region).
     words: usize,
-    /// Monotonic round counter; its low 24 bits are lane 0's epoch.
-    epoch: AtomicU64,
-    /// Per-lane state words for lanes `1..MAX_LANES` (entry 0 is
-    /// unused — lane 0 reads `epoch` instead). A pipelined worker owns
-    /// exactly one lane: it alone writes the word — the running mark
-    /// before each task, one epoch bump per retired batch.
+    /// The lane table: one state word per lane. Whoever runs a lane —
+    /// the round driver for lane 0, one pipelined worker each for the
+    /// rest — alone writes its word: the running mark before each
+    /// task (worker lanes only), one epoch bump per retired batch.
     lanes: Box<[LaneWord]>,
     regions: Vec<Region>,
     /// Speculation-safety audit sink: tasks deposit traces here and
@@ -251,29 +250,19 @@ impl LockSpace {
         unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<AtomicU64>(), self.words) }
     }
 
-    /// The current epoch counter (monotonic; one step per round).
+    /// The current round epoch: lane 0's batch counter (monotonic;
+    /// one step per round).
     #[inline]
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.lanes[0].0.load(Ordering::Acquire) >> EPOCH_SHIFT
     }
 
-    /// Lane 0's current 32-bit tag (high 8 lane bits zero).
-    #[inline]
-    fn epoch_tag(&self) -> u64 {
-        self.epoch() & LANE_EPOCH_MASK
-    }
-
-    /// The 32-bit tag a task running in `lane` must stamp right now.
-    /// Lane 0 reads the global round counter; other lanes read their
-    /// own batch counter.
+    /// The 32-bit tag a task running in `lane` must stamp right now:
+    /// the lane id over the low 24 bits of the lane's batch counter.
     #[inline]
     pub fn lane_tag(&self, lane: usize) -> u64 {
-        if lane == 0 {
-            self.epoch_tag()
-        } else {
-            let word = self.lanes[lane].0.load(Ordering::Acquire);
-            ((lane as u64) << LANE_SHIFT) | ((word >> EPOCH_SHIFT) & LANE_EPOCH_MASK)
-        }
+        let word = self.lanes[lane].0.load(Ordering::Acquire);
+        ((lane as u64) << LANE_SHIFT) | ((word >> EPOCH_SHIFT) & LANE_EPOCH_MASK)
     }
 
     /// Publish `slot` as the task lane `lane`'s worker is about to
@@ -281,7 +270,7 @@ impl LockSpace {
     /// the lane word — before each task of a batch, with slots that
     /// *rise* through the batch: every slot of the lane's current
     /// epoch below the published one has then finished, which is the
-    /// test [`acquire_tagged`] applies to another lane's live word.
+    /// test `acquire_tagged` applies to another lane's live word.
     ///
     /// The store is `Release` and the requester's load of the lane
     /// word `Acquire`: everything the finished holder wrote under its
@@ -306,18 +295,11 @@ impl LockSpace {
     /// What the stamp `(tag, owner)` found on a lock word means right
     /// now — see [`Holder`]. One `Acquire` load of the stamping lane's
     /// word answers both questions (is the tag live, has the holder
-    /// finished).
+    /// finished); lane 0's mark stays 0, so its live stamps are
+    /// `Running` to the barrier.
     #[inline]
     fn holder(&self, tag: u64, owner: u64) -> Holder {
         let lane = (tag >> LANE_SHIFT) as usize;
-        if lane == 0 {
-            // Round tasks keep their locks to the barrier.
-            return if tag == self.epoch_tag() {
-                Holder::Running
-            } else {
-                Holder::Gone
-            };
-        }
         let word = self.lanes[lane].0.load(Ordering::Acquire);
         if tag & LANE_EPOCH_MASK != (word >> EPOCH_SHIFT) & LANE_EPOCH_MASK {
             Holder::Gone
@@ -335,34 +317,28 @@ impl LockSpace {
         w & OWNER_MASK != 0 && self.holder(w >> EPOCH_SHIFT, w & OWNER_MASK) != Holder::Gone
     }
 
-    /// Advance the epoch: the O(1) round barrier. Every word still
-    /// stamped with the previous epoch — i.e. every lock still held by
-    /// a committed task of the finished round — becomes free without
-    /// being touched.
-    ///
-    /// The 24-bit lane-0 epoch wraps once every 2^24 rounds; on wrap
-    /// the space is swept to zero so a word abandoned 2^24 rounds ago
-    /// cannot alias the reused tag. The sweep runs at a round barrier,
-    /// where no lane is live, so it may clear lane residue too.
-    /// Amortized cost is nil.
+    /// Advance the round epoch: the O(1) round barrier, lane 0's
+    /// [`Self::advance_lane`]. Every word still stamped with the
+    /// previous epoch — i.e. every lock still held by a committed task
+    /// of the finished round — becomes free without being touched.
     pub fn advance_epoch(&self) {
-        let old = self.epoch.fetch_add(1, Ordering::AcqRel);
-        let new = old.wrapping_add(1);
+        #[cfg_attr(not(feature = "checker"), allow(unused_variables))]
+        let old = self.retire(0);
         #[cfg(feature = "checker")]
-        self.audit.assert_epoch_step(old, new);
-        if new & LANE_EPOCH_MASK == 0 {
-            for w in self.owners().iter() {
-                w.store(0, Ordering::Release);
+        {
+            let new = self.epoch();
+            self.audit.assert_epoch_step(old, new);
+            if new & LANE_EPOCH_MASK == 0 {
+                // No lane-0-tagged word survives lane 0's wrap.
+                self.audit.assert_wrap_swept(
+                    new,
+                    self.owners()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, w)| (i, w.load(Ordering::Acquire)))
+                        .find(|&(_, w)| w != 0 && w >> (EPOCH_SHIFT + LANE_SHIFT) == 0),
+                );
             }
-            #[cfg(feature = "checker")]
-            self.audit.assert_wrap_swept(
-                new,
-                self.owners()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| (i, w.load(Ordering::Acquire)))
-                    .find(|&(_, w)| w != 0),
-            );
         }
     }
 
@@ -371,32 +347,39 @@ impl LockSpace {
     /// lock still held by a committed task of the retired batch —
     /// becomes free without being touched, and no other lane notices.
     ///
-    /// The 24-bit lane epoch wraps once every 2^24 batches; on wrap,
-    /// residue carrying this lane's id is swept to zero by CAS so a
-    /// word abandoned 2^24 batches ago cannot alias the reused tag.
-    /// The CAS sweep is safe concurrently with other lanes: it only
-    /// clears words whose stamp belongs to this (single-owner) lane.
-    ///
     /// # Panics
-    /// Panics if `lane` is 0 (the global lane; use
+    /// Panics if `lane` is 0 (the round lane; use
     /// [`Self::advance_epoch`]) or out of range.
     pub fn advance_lane(&self, lane: usize) {
         assert!(
             (1..MAX_LANES).contains(&lane),
             "lane {lane} is not a worker lane"
         );
+        self.retire(lane);
+    }
+
+    /// Bump `lane`'s batch counter and return its old value.
+    ///
+    /// The 24-bit lane epoch wraps once every 2^24 batches; on wrap,
+    /// residue carrying this lane's id is swept to zero by CAS so a
+    /// word abandoned 2^24 batches ago cannot alias the reused tag.
+    /// The CAS sweep is safe concurrently with other lanes: it only
+    /// clears words whose stamp belongs to this (single-owner) lane.
+    /// Amortized cost is nil.
+    fn retire(&self, lane: usize) -> u64 {
         // The epoch counter sits above the running mark, which the
         // bump leaves alone: no word carries the new epoch yet, so a
         // stale mark has nothing to be compared against.
         let old = self.lanes[lane]
             .0
-            .fetch_add(1 << EPOCH_SHIFT, Ordering::AcqRel);
-        if ((old >> EPOCH_SHIFT) + 1) & LANE_EPOCH_MASK == 0 {
+            .fetch_add(1 << EPOCH_SHIFT, Ordering::AcqRel)
+            >> EPOCH_SHIFT;
+        if (old + 1) & LANE_EPOCH_MASK == 0 {
             let lane = lane as u64;
             for w in self.owners().iter() {
                 loop {
                     let cur = w.load(Ordering::Acquire);
-                    if cur >> (EPOCH_SHIFT + LANE_SHIFT) != lane {
+                    if cur == 0 || cur >> (EPOCH_SHIFT + LANE_SHIFT) != lane {
                         break; // not our residue; leave it alone
                     }
                     if w.compare_exchange(cur, 0, Ordering::AcqRel, Ordering::Acquire)
@@ -409,6 +392,7 @@ impl LockSpace {
                 }
             }
         }
+        old
     }
 
     /// The speculation-safety audit sink attached to this space.
@@ -494,7 +478,7 @@ pub(crate) enum Acquired {
 /// `TaskCtx`'s cached tag.
 #[cfg(test)]
 pub(crate) fn acquire(space: &LockSpace, slot: usize, l: usize) -> Result<Acquired, AcquireError> {
-    acquire_tagged(space, slot, space.epoch_tag(), l)
+    acquire_tagged(space, slot, space.lane_tag(0), l)
 }
 
 /// Attempt to acquire lock `l` for task `slot`, stamping `tag` (the
@@ -591,7 +575,7 @@ pub(crate) fn acquire_tagged(
 /// which is what aborting tasks go through.
 #[cfg(test)]
 pub(crate) fn release_all(space: &LockSpace, slot: usize, lockset: &[usize]) {
-    release_all_tagged(space, slot, space.epoch_tag(), lockset)
+    release_all_tagged(space, slot, space.lane_tag(0), lockset)
 }
 
 /// Release every lock in `lockset` held by `slot` under `tag` (the
@@ -814,8 +798,10 @@ mod tests {
         // 0x00FF_FFFF) with some high bits set, as after ~6 * 2^24
         // real rounds.
         let pre_wrap: u64 = (6 << LANE_SHIFT) | LANE_EPOCH_MASK;
-        space.epoch.store(pre_wrap, Ordering::Release);
-        assert_eq!(space.epoch_tag(), LANE_EPOCH_MASK);
+        space.lanes[0]
+            .0
+            .store(pre_wrap << EPOCH_SHIFT, Ordering::Release);
+        assert_eq!(space.lane_tag(0), LANE_EPOCH_MASK);
 
         // Stamp locks 0 and 2 under the maximal tag (lock 1 stays 0).
         assert_eq!(acquire(&space, 0, 0), Ok(Acquired::Fresh));
@@ -831,7 +817,7 @@ mod tests {
 
         // Monotonic counter kept counting; tag wrapped to zero.
         assert_eq!(space.epoch(), pre_wrap + 1);
-        assert_eq!(space.epoch_tag(), 0);
+        assert_eq!(space.lane_tag(0), 0);
 
         // Stale words were physically swept, not merely out-tagged:
         // a zero tag is the one value a lazy (unswept) expiry scheme

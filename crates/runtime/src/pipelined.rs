@@ -1,65 +1,46 @@
-//! Pipelined (epoch-windowed, barrier-free) execution mode.
+//! Pipelined (barrier-free) execution: the batch loop on worker lanes.
 //!
-//! Round mode parks every worker at a global barrier once per round so
-//! a single epoch bump can retire the whole round's locks; one slow
-//! task therefore stalls the world. This module breaks that barrier
-//! while keeping the O(1) retire:
+//! A barrier round parks every worker once per round so one epoch bump
+//! can retire the whole round's locks; one slow task therefore stalls
+//! the world. Here each worker runs the executor's batch loop
+//! (`Executor::run_batch` — the loop a round runs on lane 0) on a lock
+//! lane of its own, and nobody waits for anybody. What this module
+//! adds to that loop:
 //!
-//! * each worker owns a private **lock lane** (lane `w + 1` in the
-//!   [`LockSpace`]); it draws a *batch* of tasks, runs them under the
-//!   lane's current tag, and retires the batch with one
-//!   [`LockSpace::advance_lane`] bump — committed stamps die wholesale,
-//!   exactly like the round epoch bump, but per worker, so nobody
-//!   waits for anybody;
+//! * **a lane per worker**: worker `w` draws a *batch*, runs it under
+//!   the current tag of lane `w + 1` of the [`LockSpace`], and retires
+//!   it with one [`LockSpace::advance_lane`] bump — the round barrier,
+//!   per worker. Slots are recycled batch positions (`w * batch + i`):
+//!   they name a lock's holder and carry no priority meaning;
 //! * **retention is not conflict**: the stamps a lane's committed
 //!   tasks leave behind until that bump are bookkeeping, not locks.
-//!   The worker publishes the slot it is running before each task
+//!   The batch loop publishes the slot it is about to run
 //!   ([`LockSpace::publish_running`]; slots rise through a batch), and
 //!   a requester that finds a live stamp of a slot that has finished —
 //!   any other slot of its own lane, or a slot behind another lane's
 //!   published one — takes the word over. A task aborts only against
-//!   a holder that is *running*, which at one worker is never;
-//! * the work-set is **sharded** per worker: a worker drains its own
-//!   shard and steals from the others only when it runs dry, keeping
-//!   the draw path contention-free in the common case. Each shard is
-//!   a [`WorkSet`], so rank order and aged-retry prefix semantics hold
-//!   per draw exactly as in round mode (shards are not ordered against
-//!   each other — rank is a work-efficiency hint, not a commit order);
-//! * the controller's `m(t)` is reinterpreted as an **in-flight
-//!   speculation budget**: a counting gate admits at most `m` tasks
-//!   into flight; every `window` completions the crossing worker
-//!   flushes the sliding window — observing `r̄ = (aborts + faults) /
-//!   completions` — and the controller adjusts the budget. A
-//!   zero-commit watchdog (mirroring the round executor's) halves the
-//!   budget after `watchdog_stall` commit-free windows, down to 1,
-//!   where a lone in-flight task cannot conflict and Prop. 1 gives
-//!   forward progress.
+//!   a holder that is *running*, which at one worker is never. An
+//!   aborted task releases its words before its worker publishes the
+//!   next slot, so a finished slot's surviving stamp always means a
+//!   commit;
+//! * **a sharded work-set**: a worker drains its own shard and steals
+//!   from the others only when it runs dry. Each shard is a
+//!   [`WorkSet`], so rank order and aged-retry prefix semantics hold
+//!   per draw as in a round (shards are not ordered against each
+//!   other — rank is a work-efficiency hint, not a commit order).
+//!   Re-queues go to the worker's home shard, spawns round-robin, or
+//!   both where the run's [`Placement`] says;
+//! * **a permit gate**: the controller's `m(t)` is an *in-flight
+//!   speculation budget* — at most `m` tasks are in flight — and every
+//!   `window` completions the crossing worker takes the control step a
+//!   round takes (`Executor::control_step`: observe `r̄`, zero-commit
+//!   watchdog, next budget) on what the shared counters gained since
+//!   the last window.
 //!
-//! Each task runs through the executor's one speculation core —
-//! `Executor::speculate` (operator call under panic containment,
-//! commit or roll back) and `Executor::settle` (count, re-queue at
-//! `retries + 1`, or dead-letter) — exactly as a round's tasks do; this
-//! module holds only what is different about pipelined execution: the
-//! permit gate, the sharded draw, the lane-bump retire, and the window
-//! flush.
-//!
-//! Aborted tasks release their own (tag-scoped) locks immediately —
-//! before their worker publishes the next slot, so a finished slot's
-//! surviving stamp always means a commit — and re-queue with a bumped
-//! retry count — on the worker's home shard by
-//! default, or on the task's affine shard when the run has a
-//! [`Placement`]; spawned tasks are distributed round-robin (or by the
-//! placement) across the shards. A task that *faults* again while
-//! already at `retries ≥` [`ExecutorConfig::dead_letter_budget`] is
-//! retired to the dead-letter list by the same `settle` round mode
-//! uses, so the K + 1 launch bound holds in both modes.
-//!
-//! [`ExecutorConfig::dead_letter_budget`]: crate::exec::ExecutorConfig::dead_letter_budget
-//!
-//! Fault injection keys on the **batch tag** instead of the (constant)
-//! global epoch: a re-queued task re-rolls its fault draw under a
+//! The batch tag is the batch's fault and audit key (the round epoch
+//! never moves here): a re-queued task re-rolls its fault draw under a
 //! fresh tag on every retry, so a deterministic per-coordinate plan
-//! cannot livelock the drain the way a constant coordinate would.
+//! cannot livelock the drain.
 //!
 //! With the `checker` feature the audit sink stays armed across the
 //! run and is drained at every window flush. Each acquisition records
@@ -70,31 +51,25 @@
 //! then group by batch tag for the coverage rules, and at one worker
 //! the lane commit-set oracle runs per batch: nothing aborts but by
 //! its own request or fault, so the committed set is a superset of
-//! the round's greedy prefix-MIS. Exclusivity across batches that
-//! *retired* is enforced dynamically by the lane-tagged lock words and
-//! verified end-to-end against sequential references.
+//! the round's greedy prefix-MIS.
 //!
 //! Abort backoff is one `yield_now` after a batch that lost a lock.
-//! An abort names a holder that is mid-task — no longer one whose
-//! whole batch must retire — so on a machine with a core per worker
-//! there is nothing to wait for and the yield returns at once
-//! (`runtime.pool.solve_w2_s` on the sssp rows reads the same with
-//! it, with a bounded `spin_loop`, and with nothing). It stays for
-//! the oversubscribed case: a holder whose thread is off-core cannot
-//! finish, a loser that redraws at once burns its time slice
+//! An abort names a holder that is mid-task, so on a machine with a
+//! core per worker there is nothing to wait for and the yield returns
+//! at once (`runtime.pool.solve_w2_s` on the sssp rows reads the same
+//! with it, with a bounded `spin_loop`, and with nothing). It stays
+//! for the oversubscribed case: a holder whose thread is off-core
+//! cannot finish, a loser that redraws at once burns its time slice
 //! re-aborting against it, and the abort ratio the controller steers
 //! by then measures the scheduler, not the workload
 //! (`obs_e2e::continuous_controller_converges_to_rho_band`, 8 workers
 //! on 2 cores, fails 4 runs in 5 without the yield and with a spin).
 //!
-//! Slots are recycled batch positions (`w * batch + i`): they name a
-//! lock's holder and, rising through a batch, order it against the
-//! slot its lane has published; they carry no priority meaning.
-//!
 //! [`LockSpace`]: crate::lock::LockSpace
 //! [`LockSpace::advance_lane`]: crate::lock::LockSpace::advance_lane
+//! [`LockSpace::publish_running`]: crate::lock::LockSpace::publish_running
 
-use crate::exec::{watchdog_clamp, Entry, Executor, Settled, WorkSet};
+use crate::exec::{ControlState, Entry, Executor, Settled, WorkSet};
 use crate::faults::recover;
 use crate::lock::MAX_LANES;
 use crate::phase::{self, Phase};
@@ -133,19 +108,14 @@ impl Default for PipelinedConfig {
     }
 }
 
-/// Aggregated outcome counters shared between workers.
+/// The run's outcome counters, shared between workers: the counts of
+/// a [`RoundStats`] as running totals every retired batch adds to.
 #[derive(Default)]
 struct Counters {
     committed: AtomicUsize,
     aborted: AtomicUsize,
-    /// Contained operator panics and injected faults (disjoint from
-    /// `aborted`, mirroring [`RoundStats::faulted`]).
     faulted: AtomicUsize,
-    /// Tasks retired past the dead-letter budget (subset of
-    /// `faulted`, mirroring round mode's accounting).
     dead_lettered: AtomicUsize,
-    /// Tasks spawned by commits and locks taken, mirroring
-    /// [`RoundStats::spawned`] / [`RoundStats::lock_acquires`].
     spawned: AtomicUsize,
     lock_acquires: AtomicUsize,
 }
@@ -161,6 +131,23 @@ impl Counters {
         self.spawned.fetch_add(batch.spawned, Ordering::AcqRel);
         self.lock_acquires
             .fetch_add(batch.lock_acquires, Ordering::AcqRel);
+    }
+
+    /// The run's totals so far (`m` left 0: a budget is not a count).
+    fn snapshot(&self) -> RoundStats {
+        let get = |c: &AtomicUsize| c.load(Ordering::Acquire);
+        let (committed, aborted, faulted) =
+            (get(&self.committed), get(&self.aborted), get(&self.faulted));
+        RoundStats {
+            m: 0,
+            launched: committed + aborted + faulted,
+            committed,
+            aborted,
+            faulted,
+            spawned: get(&self.spawned),
+            lock_acquires: get(&self.lock_acquires),
+            dead_lettered: get(&self.dead_lettered),
+        }
     }
 }
 
@@ -178,39 +165,38 @@ pub type Placement<'p, T> = &'p (dyn Fn(&T) -> usize + Sync);
 /// it runs dry; spawned tasks are placed by the run's [`Placement`]
 /// (round-robin when absent) so a spawn-heavy worker does not
 /// monopolize its own future work. Each shard keeps its own `seq`
-/// counter — stamps are only a tie-break within a drawn prefix, so
-/// cross-shard collisions are harmless.
-struct ShardedWorkSet<T> {
+/// counter, started past every stamp it was filled with — stamps are
+/// only a tie-break within a drawn prefix, so cross-shard collisions
+/// are harmless.
+struct ShardedWorkSet<'p, T> {
     shards: Box<[Mutex<WorkSet<T>>]>,
-    /// Round-robin placement cursor for spawned tasks (no-placement
-    /// default).
-    place: AtomicUsize,
+    /// The run's placement, if it has one.
+    place: Option<Placement<'p, T>>,
+    /// Round-robin cursor for spawned tasks (no-placement default).
+    cursor: AtomicUsize,
 }
 
-impl<T: Ranked> ShardedWorkSet<T> {
+impl<'p, T: Ranked> ShardedWorkSet<'p, T> {
     /// Shard `ws`'s entries across `n` per-worker queues — by `place`
     /// when given, round-robin otherwise (retry counts and enqueue
     /// stamps ride along).
-    fn new(ws: &mut WorkSet<T>, n: usize, place: Option<Placement<'_, T>>) -> Self {
+    fn new(ws: &mut WorkSet<T>, n: usize, place: Option<Placement<'p, T>>) -> Self {
         let mut shards: Vec<WorkSet<T>> = (0..n).map(|_| WorkSet::new()).collect();
         for (i, e) in ws.take_entries().into_iter().enumerate() {
-            let at = match place {
-                Some(p) => p(&e.task),
-                None => i,
-            };
+            let at = place.map_or(i, |p| p(&e.task));
             if let Some(shard) = shards.get_mut(at % n.max(1)) {
-                shard.push_entry(e);
+                shard.absorb_entries([e]);
             }
         }
         ShardedWorkSet {
             shards: shards.into_iter().map(Mutex::new).collect(),
-            place: AtomicUsize::new(0),
+            place,
+            cursor: AtomicUsize::new(0),
         }
     }
 
-    /// Shard `i`, wrapped modulo the shard count. `None` only for a
-    /// zero-shard set, which is never constructed: there is one shard
-    /// per worker and `run_pipelined` requires `workers >= 1`.
+    /// Shard `i`, wrapped modulo the shard count (`None` only for a
+    /// zero-shard set, which is never built: one shard per worker).
     fn shard(&self, i: usize) -> Option<&Mutex<WorkSet<T>>> {
         self.shards.get(i % self.shards.len().max(1))
     }
@@ -226,10 +212,8 @@ impl<T: Ranked> ShardedWorkSet<T> {
         rng: &mut R,
         budget: u32,
     ) -> Vec<Entry<T>> {
-        for k in 0..self.shards.len() {
-            let Some(shard) = self.shard(home + k) else {
-                break;
-            };
+        let n = self.shards.len();
+        for shard in self.shards.iter().cycle().skip(home % n.max(1)).take(n) {
             let mut q = recover(shard.lock());
             if q.is_empty() {
                 continue;
@@ -245,23 +229,20 @@ impl<T: Ranked> ShardedWorkSet<T> {
     /// worker that happened to steal-execute it — so retries stay
     /// shard-local; without one it homes on the executing worker's
     /// shard.
-    fn requeue(&self, home: usize, e: Entry<T>, place: Option<Placement<'_, T>>) {
-        let at = match place {
-            Some(p) => p(&e.task),
-            None => home,
-        };
+    fn requeue(&self, home: usize, e: Entry<T>) {
+        let at = self.place.map_or(home, |p| p(&e.task));
         if let Some(shard) = self.shard(at) {
             recover(shard.lock()).push_entry(e);
         }
     }
 
-    /// Distribute spawned tasks across all shards — by `place` when
-    /// given, round-robin otherwise.
-    fn spawn(&self, tasks: Vec<T>, place: Option<Placement<'_, T>>) {
+    /// Distribute spawned tasks across all shards — by the placement
+    /// when there is one, round-robin otherwise.
+    fn spawn(&self, tasks: Vec<T>) {
         for t in tasks {
-            let at = match place {
+            let at = match self.place {
                 Some(p) => p(&t),
-                None => self.place.fetch_add(1, Ordering::AcqRel),
+                None => self.cursor.fetch_add(1, Ordering::AcqRel),
             };
             if let Some(shard) = self.shard(at) {
                 recover(shard.lock()).push(t);
@@ -331,21 +312,18 @@ impl<O: Operator> Executor<'_, O> {
             "pipelined mode supports at most {} workers (one lock lane each)",
             MAX_LANES - 1
         );
-        let retry_budget = self.config().retry_budget;
-        let watchdog = self.config().watchdog_stall;
-        let pc = self.phases();
+        let (space, pc) = (self.space, self.phases);
         // Strided slot pool: worker w owns slots
-        // [w * batch, (w + 1) * batch), one per batch position, so
-        // slot indices are globally unique while batches overlap.
-        // They must fit the 32-bit owner field of a lock word (the
-        // twin of round mode's `launched < u32::MAX`): a larger slot
-        // would bleed into the word's tag bits.
-        let stride = cfg.batch;
+        // [w * batch, (w + 1) * batch), so slot indices are globally
+        // unique while batches overlap. They must fit the 32-bit owner
+        // field of a lock word (as a round's `launched < u32::MAX`): a
+        // larger slot would bleed into the word's tag bits.
         assert!(
             workers
-                .checked_mul(stride)
+                .checked_mul(cfg.batch)
                 .is_some_and(|slots| slots < u32::MAX as usize),
-            "workers * batch = {workers} * {stride} slots overflow the 32-bit lock owner field"
+            "workers * batch = {workers} * {} slots overflow the 32-bit lock owner field",
+            cfg.batch
         );
 
         // Tasks alive anywhere: pending in a shard or drawn and not
@@ -354,7 +332,6 @@ impl<O: Operator> Executor<'_, O> {
         // re-queue an abort).
         let live = AtomicUsize::new(ws.len());
         let shards = ShardedWorkSet::new(ws, workers, place);
-        let target = AtomicUsize::new(ctl.current_m().max(1));
         let done = AtomicBool::new(false);
         let inflight = AtomicUsize::new(0);
         let counters = Counters::default();
@@ -362,109 +339,70 @@ impl<O: Operator> Executor<'_, O> {
         let base_seed: u64 = rng.random();
 
         #[cfg(feature = "checker")]
-        self.space().audit().arm(workers == 1);
+        space.audit().arm(workers == 1);
 
         // Window flushing is done by whichever worker crosses the
         // boundary, so the controller sits behind a mutex together
         // with the window bookkeeping.
         struct WindowState<'c, C: Controller> {
             ctl: &'c mut C,
-            last_committed: usize,
-            last_aborted: usize,
-            last_faulted: usize,
-            last_dead_lettered: usize,
-            last_spawned: usize,
-            last_lock_acquires: usize,
-            /// Consecutive commit-free windows (watchdog input).
-            stalled: u32,
+            state: ControlState,
+            /// The counters as the last flushed window left them.
+            last: RoundStats,
             rounds: Vec<RoundStats>,
         }
+        let state = ControlState::new(ctl);
+        let target = AtomicUsize::new(state.budget);
         let winstate = Mutex::new(WindowState {
             ctl,
-            last_committed: 0,
-            last_aborted: 0,
-            last_faulted: 0,
-            last_dead_lettered: 0,
-            last_spawned: 0,
-            last_lock_acquires: 0,
-            stalled: 0,
+            state,
+            last: RoundStats::default(),
             rounds: Vec::new(),
         });
         let flush = |st: &mut WindowState<'_, C>| {
-            let c = counters.committed.load(Ordering::Acquire);
-            let a = counters.aborted.load(Ordering::Acquire);
-            let f = counters.faulted.load(Ordering::Acquire);
-            let dl = counters.dead_lettered.load(Ordering::Acquire);
-            let sp = counters.spawned.load(Ordering::Acquire);
-            let la = counters.lock_acquires.load(Ordering::Acquire);
-            let dc = c - st.last_committed;
-            let da = a - st.last_aborted;
-            let df = f - st.last_faulted;
-            let ddl = dl - st.last_dead_lettered;
-            let dsp = sp - st.last_spawned;
-            let dla = la - st.last_lock_acquires;
-            let launched = dc + da + df;
-            if launched == 0 {
+            let now = counters.snapshot();
+            let rs = RoundStats {
+                m: st.state.budget,
+                ..now.since(&st.last)
+            };
+            if rs.launched == 0 {
                 return;
             }
-            st.last_committed = c;
-            st.last_aborted = a;
-            st.last_faulted = f;
-            st.last_dead_lettered = dl;
-            st.last_spawned = sp;
-            st.last_lock_acquires = la;
-            let m = target.load(Ordering::Acquire);
-            let r = (da + df) as f64 / launched as f64;
-            st.ctl.observe(r, launched);
-            // Zero-commit watchdog: a fixed controller never shrinks,
-            // so after `watchdog` consecutive commit-free windows the
-            // budget is halved per further stalled window, down to 1,
-            // where a lone in-flight task cannot conflict.
-            st.stalled = if dc == 0 {
-                st.stalled.saturating_add(1)
-            } else {
-                0
-            };
-            let next = watchdog_clamp(st.ctl.current_m().max(1), st.stalled, watchdog);
-            target.store(next, Ordering::Release);
+            st.last = now;
             // Traces deposited by retired batches form complete tag
-            // groups by now; the sliding-window audit runs here. (At
-            // multiple workers a mid-batch group may split across two
-            // flushes — each part is audited soundly on its own, see
-            // the module docs.)
+            // groups by now (at several workers a mid-batch group may
+            // split across two flushes; each part audits on its own).
             #[cfg(feature = "checker")]
-            self.space().audit().drain_window();
+            space.audit().drain_window();
             #[cfg(feature = "obs")]
             if let Some(rec) = self.recorder() {
                 rec.drain_workers();
-                rec.controller(next as u64, r, st.ctl.target_rho());
+            }
+            // The control step a round takes.
+            let next = self.control_step(st.ctl, &mut st.state, &rs);
+            target.store(next, Ordering::Release);
+            #[cfg(feature = "obs")]
+            if let Some(rec) = self.recorder() {
                 rec.window_advance(
                     completions.load(Ordering::Acquire) as u64,
                     inflight.load(Ordering::Acquire) as u64,
                     next as u64,
                 );
             }
-            st.rounds.push(RoundStats {
-                m,
-                launched,
-                committed: dc,
-                aborted: da,
-                faulted: df,
-                spawned: dsp,
-                lock_acquires: dla,
-                dead_lettered: ddl,
-            });
+            st.rounds.push(rs);
         };
 
         let worker = |w: usize| {
             let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
-            let probe = self.probe_for(w);
-            let lane = w + 1;
+            let (probe, lane) = (self.probe_for(w), w + 1);
             let mut scratch = TaskScratch::default();
-            loop {
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
+            // Nothing to claim or draw: let someone else run.
+            let idle = || {
+                let t0 = phase::maybe_start(pc);
+                std::thread::yield_now();
+                phase::maybe_add(pc, Phase::Wait, t0);
+            };
+            while !done.load(Ordering::Acquire) {
                 // Claim up to `batch` in-flight permits against the
                 // budget in one RMW (the closure re-reads the target
                 // on every retry, so a shrinking budget is honored).
@@ -479,13 +417,11 @@ impl<O: Operator> Executor<'_, O> {
                     }
                 });
                 if claimed.is_err() {
-                    let t0 = phase::maybe_start(pc);
-                    std::thread::yield_now();
-                    phase::maybe_add(pc, Phase::Wait, t0);
+                    idle();
                     continue;
                 }
                 let t0 = phase::maybe_start(pc);
-                let batch = shards.draw(w, granted, &mut wrng, retry_budget);
+                let batch = shards.draw(w, granted, &mut wrng, self.config().retry_budget);
                 phase::maybe_add(pc, Phase::Draw, t0);
                 let drawn = batch.len();
                 if drawn < granted {
@@ -500,31 +436,29 @@ impl<O: Operator> Executor<'_, O> {
                         done.store(true, Ordering::Release);
                         break;
                     }
-                    let t0 = phase::maybe_start(pc);
-                    std::thread::yield_now();
-                    phase::maybe_add(pc, Phase::Wait, t0);
+                    idle();
                     continue;
                 }
                 // This batch's lane tag: locks taken below are
                 // stamped with it, die wholesale at the retire bump,
                 // and key the fault draw (a retried task re-rolls
                 // under a fresh tag).
-                let tag = self.space().lane_tag(lane);
+                let tag = space.lane_tag(lane);
                 let mut tally = RoundStats::default();
                 let t1 = phase::maybe_start(pc);
-                for (i, entry) in batch.into_iter().enumerate() {
-                    let slot = w * stride + i;
-                    // Slots rise through the batch, so publishing this
-                    // one tells other lanes that every earlier slot of
-                    // the batch has finished: their stamps are free to
-                    // take over, only this task's are a conflict.
-                    self.space().publish_running(lane, slot);
-                    let result = self.speculate(&mut scratch, slot, lane, tag, &entry.task, probe);
-                    match self.settle(entry, result, &mut tally) {
+                self.run_batch(
+                    &mut scratch,
+                    w * cfg.batch,
+                    lane,
+                    tag,
+                    batch,
+                    probe,
+                    &mut tally,
+                    |settled| match settled {
                         Settled::Committed(spawned) => {
                             if !spawned.is_empty() {
                                 live.fetch_add(spawned.len(), Ordering::AcqRel);
-                                shards.spawn(spawned, place);
+                                shards.spawn(spawned);
                             }
                             // The committed task leaves the system
                             // only after its spawns were counted, so
@@ -532,22 +466,20 @@ impl<O: Operator> Executor<'_, O> {
                             // while work exists.
                             live.fetch_sub(1, Ordering::AcqRel);
                         }
-                        Settled::Requeue(entry) => {
-                            shards.requeue(w, entry, place);
-                        }
+                        Settled::Requeue(entry) => shards.requeue(w, entry),
                         // Dead-lettered: leaving `live` is what lets
                         // the drain terminate.
                         Settled::Retired => {
                             live.fetch_sub(1, Ordering::AcqRel);
                         }
-                    }
-                }
+                    },
+                );
                 counters.add(&tally);
                 phase::maybe_add(pc, Phase::Execute, t1);
                 // Retire: one lane bump expires every stamp the batch
                 // left; no other worker waits for it.
                 let t2 = phase::maybe_start(pc);
-                self.space().advance_lane(lane);
+                space.advance_lane(lane);
                 obs_emit!(
                     probe,
                     optpar_obs::EventKind::BatchRetire {
@@ -570,28 +502,22 @@ impl<O: Operator> Executor<'_, O> {
                     break;
                 }
                 if tally.aborted > 0 {
-                    // Abort backoff. An abort names a holder that is
-                    // mid-task, and if its thread is on a core it will
-                    // be done before our redraw is; the yield is for
-                    // the holder that is *not* on a core — workers
-                    // outnumbering cores — which a worker that retries
-                    // at once keeps off it for a whole time slice.
+                    // Abort backoff, for the holder that is mid-task
+                    // and *not* on a core (see the module docs).
                     std::thread::yield_now();
                 }
             }
         };
-        // Dispatch on the executor's persistent pool; workers == 1
-        // runs inline on the calling thread. A pool that refuses the
-        // job (`run` does only while shutting down) degrades to the
-        // same inline path: the claim loop drains every shard to
+        // Dispatch on the executor's persistent pool; workers == 1, or
+        // a pool that refuses the job (`run` does only while shutting
+        // down), runs the claim loop inline: it drains every shard to
         // completion either way.
-        match self.pool() {
-            Some(pool) => {
-                if pool.run(&worker).is_err() {
-                    worker(0);
-                }
-            }
-            None => worker(0),
+        if self
+            .pool
+            .as_ref()
+            .is_none_or(|pool| pool.run(&worker).is_err())
+        {
+            worker(0);
         }
         // Flush the final partial window.
         let mut st = recover(winstate.into_inner());
@@ -604,12 +530,12 @@ impl<O: Operator> Executor<'_, O> {
         }
         #[cfg(feature = "checker")]
         {
-            let audit = self.space().audit();
+            let audit = space.audit();
             audit.drain_window();
             audit.disarm();
         }
         let run = RunStats { rounds: st.rounds };
-        debug_assert!(self.space().check_all_free().is_ok());
+        debug_assert!(space.check_all_free().is_ok());
         ws.absorb_entries(shards.drain_all());
         run
     }
@@ -618,34 +544,12 @@ impl<O: Operator> Executor<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::{exec_cfg, PanicOnceOp, RingOp};
     use crate::exec::ExecutorConfig;
     use crate::lock::LockSpace;
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
     use optpar_core::control::{FixedController, HybridController};
-
-    /// Ring operator: task i touches slots i and i+1.
-    struct RingOp<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
-    }
-
-    impl Operator for RingOp<'_> {
-        type Task = usize;
-        fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-            let j = (i + 1) % self.n;
-            *cx.write(self.store, i)? += 1;
-            *cx.write(self.store, j)? -= 1;
-            Ok(vec![])
-        }
-    }
-
-    fn exec_cfg(workers: usize) -> ExecutorConfig {
-        ExecutorConfig {
-            workers,
-            ..ExecutorConfig::default()
-        }
-    }
 
     #[test]
     fn pipelined_drains_and_serializes() {
@@ -966,6 +870,105 @@ mod tests {
         );
     }
 
+    /// Sharding keeps the enqueue stamps it is handed and starts each
+    /// shard's counter past them, so a task spawned during the run
+    /// never shares (or sorts ahead of) an older entry's stamp in the
+    /// aged-prefix tie-break.
+    #[test]
+    fn sharding_does_not_reset_enqueue_stamps() {
+        let mut ws = WorkSet::from_vec((0..12usize).collect());
+        let shards = ShardedWorkSet::new(&mut ws, 3, None);
+        shards.spawn(vec![99]); // round-robin: lands on shard 0
+        let shard = recover(shards.shards[0].lock()).take_entries();
+        let spawned = shard.iter().find(|e| e.task == 99).map(|e| e.seq);
+        let mut seqs: Vec<u64> = shard.iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs.len(), shard.len(), "two entries share a stamp");
+        assert_eq!(seqs.last().copied(), spawned, "the spawn is the youngest");
+    }
+
+    /// Commits or requests an abort by launch ordinal alone, so any
+    /// engine that launches the same batch sizes sees the same
+    /// outcomes whatever it drew.
+    struct ByOrdinal {
+        launches: AtomicUsize,
+        aborting: std::ops::Range<usize>,
+    }
+
+    impl Operator for ByOrdinal {
+        type Task = usize;
+        fn execute(&self, _: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            if self
+                .aborting
+                .contains(&self.launches.fetch_add(1, Ordering::AcqRel))
+            {
+                cx.abort_requested()?;
+            }
+            Ok(vec![])
+        }
+    }
+
+    /// One control step under both engines: a round is a window of one
+    /// batch, so a scripted outcome sequence — a commit-free stretch
+    /// far past `watchdog_stall` included — hands both the same next
+    /// budget step for step, and leaves the stall count it implies.
+    #[test]
+    fn control_step_is_the_same_for_rounds_and_windows() {
+        let space = LockSpace::builder().build();
+        let op = ByOrdinal {
+            launches: AtomicUsize::new(0),
+            aborting: 100..420,
+        };
+        let cfg = ExecutorConfig {
+            watchdog_stall: 2,
+            ..exec_cfg(1)
+        };
+        let ex = Executor::new(&op, &space, cfg);
+        fn drive<C: Controller + Send>(
+            ex: &Executor<'_, ByOrdinal>,
+            op: &ByOrdinal,
+            lanes: bool,
+            mut ctl: C,
+        ) -> Vec<RoundStats> {
+            op.launches.store(0, Ordering::Release);
+            let mut ws = WorkSet::from_vec((0..1500usize).collect());
+            let mut rng = StdRng::seed_from_u64(11);
+            let every_batch = PipelinedConfig {
+                window: 1,
+                batch: 1 << 20,
+                max_completions: usize::MAX,
+            };
+            let run = if lanes {
+                ex.run_pipelined(&mut ws, &mut ctl, every_batch, &mut rng)
+            } else {
+                ex.run_with_controller(&mut ws, &mut ctl, usize::MAX, &mut rng)
+            };
+            assert!(ws.is_empty());
+            run.rounds
+        }
+        let hybrid = || HybridController::with_rho(0.25);
+        assert_eq!(
+            drive(&ex, &op, false, hybrid()),
+            drive(&ex, &op, true, hybrid())
+        );
+        // A fixed controller never shrinks: every cut is the watchdog's.
+        let mut ctl = FixedController::new(64);
+        let ledger = drive(&ex, &op, false, ctl);
+        assert_eq!(ledger, drive(&ex, &op, true, ctl));
+        // The ledger replayed through the step itself.
+        let mut state = ControlState::new(&ctl);
+        let mut longest = 0;
+        for pair in ledger.windows(2) {
+            assert_eq!(ex.control_step(&mut ctl, &mut state, &pair[0]), pair[1].m);
+            longest = longest.max(state.stalled);
+        }
+        let commit_free = ledger.iter().filter(|r| r.committed == 0).count();
+        assert_eq!(longest as usize, commit_free, "one unbroken stall");
+        assert!(commit_free > 100 && ledger.iter().any(|r| r.m == 1));
+        assert_eq!(ledger.last().map(|r| r.m), Some(64), "and it lifted");
+    }
+
     /// Partition-affine placement: every task pinned to one worker
     /// still drains, serializes, and (single contended slot per
     /// placement class) commits conflict-free, because one worker
@@ -1146,27 +1149,6 @@ mod tests {
         // lower bound on it.
     }
 
-    /// Ring operator that panics exactly once, on first sight of
-    /// task 7.
-    struct PanicOnceRing<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
-        armed: AtomicBool,
-    }
-
-    impl Operator for PanicOnceRing<'_> {
-        type Task = usize;
-        fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-            if i == 7 && self.armed.swap(false, Ordering::AcqRel) {
-                panic!("pipelined op blew up on task 7");
-            }
-            let j = (i + 1) % self.n;
-            *cx.write(self.store, i)? += 1;
-            *cx.write(self.store, j)? -= 1;
-            Ok(vec![])
-        }
-    }
-
     #[test]
     fn pipelined_contains_operator_panics() {
         let n = 64;
@@ -1174,7 +1156,7 @@ mod tests {
         let r = b.region(n);
         let space = b.build();
         let store = SpecStore::filled(r, n, 0i64);
-        let op = PanicOnceRing {
+        let op = PanicOnceOp {
             store: &store,
             n,
             armed: AtomicBool::new(true),
@@ -1202,7 +1184,7 @@ mod tests {
         assert_eq!(run.total_faulted(), 1);
         assert_eq!(ex.fault_count(), 1);
         let faults = ex.take_faults();
-        assert!(faults[0].detail.contains("pipelined op blew up"));
+        assert!(faults[0].detail.contains("op blew up on task 13"));
         assert_eq!(ex.worker_panics(), 0, "the panic never reached the pool");
         assert!(
             space.check_all_free().is_ok(),
@@ -1216,7 +1198,7 @@ mod tests {
 #[cfg(test)]
 mod stress_tests {
     use super::*;
-    use crate::exec::ExecutorConfig;
+    use crate::exec::tests::exec_cfg;
     use crate::lock::LockSpace;
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
@@ -1241,14 +1223,7 @@ mod stress_tests {
         let space = b.build();
         let store = SpecStore::filled(r, 1, 0i64);
         let op = HotSpot { store: &store };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(4));
         let n = 200;
         let mut ws = WorkSet::from_vec((1..=n).collect::<Vec<_>>());
         let mut ctl = FixedController::new(8);

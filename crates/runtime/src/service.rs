@@ -38,8 +38,8 @@
 //!   [`ServiceConfig::wedge_grace`] is detached: it is cancelled and
 //!   its client gets [`JobError::Wedged`]. Nobody else's rounds ran on
 //!   its threads, so the other lanes never notice.
-//! * **Chaos** (feature `faults`) — [`ServiceConfig::chaos`] arms a
-//!   deterministic per-drive [`FaultPlan`](crate::faults::FaultPlan)
+//! * **Chaos** (feature `faults`) — `ServiceConfig::chaos` arms a
+//!   deterministic per-drive `FaultPlan`
 //!   (seeded from the job id and drive number), and every fired fault
 //!   is carried drive-tagged in the report so tests reconcile the
 //!   injection ledger against the fault log entry-for-entry.
@@ -407,7 +407,7 @@ pub struct JobReport {
     /// Dead-lettered tasks, tagged with the drive that retired them.
     pub dead_letters: Vec<(u32, DeadLetter)>,
     /// Every contained fault, tagged with its drive (reconcile
-    /// against [`JobReport::injected`] in chaos tests).
+    /// against `JobReport::injected` in chaos tests).
     pub faults: Vec<(u32, TaskFault)>,
     /// Injection-side ledger: every fault the chaos plan fired, tagged
     /// with its drive (feature `faults`).
@@ -886,7 +886,7 @@ impl JobCx<'_> {
             ex.set_fault_plan(p);
         }
         let _tally = PanicTally(&ex, &self.shared.worker_panics);
-        let mut stalled: u32 = 0;
+        let mut state = crate::exec::ControlState::new(ctl);
         let mut rounds_this_drive: usize = 0;
         let mut dead_this_drive: usize = 0;
         let result = loop {
@@ -907,7 +907,7 @@ impl JobCx<'_> {
             // The shared round stepper owns the watchdog clamp and the
             // controller feedback; this job's priority share of the
             // global budget caps the round.
-            let rs = ex.step_round(ws, ctl, &mut stalled, self.budget_slice(), rng);
+            let rs = ex.step_round(ws, ctl, &mut state, self.budget_slice(), rng);
             rounds_this_drive += 1;
             self.acc.rounds += 1;
             self.acc.committed += rs.committed;

@@ -54,6 +54,21 @@ impl RoundStats {
         }
     }
 
+    /// The counts accrued since `earlier`, an older snapshot of the
+    /// same running totals (`m` is not a count: left 0).
+    pub(crate) fn since(&self, earlier: &RoundStats) -> RoundStats {
+        RoundStats {
+            m: 0,
+            launched: self.launched - earlier.launched,
+            committed: self.committed - earlier.committed,
+            aborted: self.aborted - earlier.aborted,
+            faulted: self.faulted - earlier.faulted,
+            spawned: self.spawned - earlier.spawned,
+            lock_acquires: self.lock_acquires - earlier.lock_acquires,
+            dead_lettered: self.dead_lettered - earlier.dead_lettered,
+        }
+    }
+
     /// Realized fault ratio `faulted / launched`.
     pub fn fault_ratio(&self) -> f64 {
         if self.launched == 0 {

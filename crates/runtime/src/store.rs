@@ -20,7 +20,7 @@
 //! Capacity a growable store ([`SpecStore::from_vec`]) has not handed
 //! out yet is address space, not memory: the slab is allocated
 //! uninitialised and the pad value is cloned into it a chunk of
-//! [`FILL_CHUNK`] slots at a time, by whichever `alloc` first finds the
+//! `FILL_CHUNK` slots at a time, by whichever `alloc` first finds the
 //! live prefix at the filled mark (under a mutex nothing else takes).
 //! `alloc` publishes an index — a CAS on the live count — only below
 //! that mark, and every accessor asserts its index below the live

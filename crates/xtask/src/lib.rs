@@ -37,7 +37,7 @@
 //!
 //! Run the lexical rules alone with `cargo run -p xtask -- lint`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 pub use optpar_analysis::{find_workspace_root, Violation};
 
@@ -48,52 +48,15 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
     optpar_analysis::lint_source(rel, src)
 }
 
-/// Directories never descended into.
-fn skip_dir(name: &str) -> bool {
-    name == "target" || name == "vendor" || name == "fixtures" || name.starts_with('.')
-}
-
-/// Collect every `.rs` file under `root`, skipping `target/`,
-/// `vendor/`, `fixtures/`, and hidden directories.
-fn collect_rs_files(root: &Path) -> Vec<PathBuf> {
-    let mut stack = vec![root.to_path_buf()];
-    let mut files = Vec::new();
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if path.is_dir() {
-                if !skip_dir(&name) {
-                    stack.push(path);
-                }
-            } else if name.ends_with(".rs") {
-                files.push(path);
-            }
-        }
-    }
-    files.sort();
-    files
-}
-
-/// Lint the whole workspace rooted at `root`. Returns all violations,
-/// sorted by file and line.
+/// Lint the whole workspace rooted at `root` — every file the
+/// analyzer's one walker loads. Returns all violations, sorted by
+/// file and line.
 pub fn lint_workspace(root: &Path) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for path in collect_rs_files(root) {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        out.extend(lint_file(&rel, &src));
-    }
+    let mut out: Vec<Violation> = optpar_analysis::Workspace::load(root)
+        .files
+        .iter()
+        .flat_map(|f| lint_file(&f.rel, &f.src))
+        .collect();
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }

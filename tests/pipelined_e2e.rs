@@ -10,9 +10,10 @@
 //! all. SSSP, whose tasks skip on an unlocked monotone bound, also
 //! runs at 2 workers and at `batch = 64`, and `SsspOp::distances`
 //! checks after every drain that each bound ended at its node's
-//! distance. Four more operators (coloring, MIS, matching, the CC-graph
-//! mirror) run a 1 / 2 / 4 workers × batch 1 / 8 / 64 matrix against
-//! their validity checks: the lane commit rule — a finished holder's
+//! distance. The other seven operators (coloring, MIS, matching, the
+//! CC-graph mirror, preflow-push, clustering, survey propagation) run a
+//! 1 / 2 / 4 workers × batch 1 / 8 / 64 matrix against their validity
+//! checks and references: the lane commit rule — a finished holder's
 //! lock is free, whatever its batch still retains — applies to every
 //! operator that runs in a lane, and at one worker leaves nothing to
 //! abort against.
@@ -31,12 +32,15 @@
 
 use optpar::apps::boruvka::{BoruvkaOp, WeightedGraph};
 use optpar::apps::ccmirror::CcMirror;
+use optpar::apps::clustering::{blobs, ClusteringOp};
 use optpar::apps::coloring::ColoringOp;
 use optpar::apps::delaunay::{bad_count, DelaunayOp, RefineConfig};
 use optpar::apps::geometry::Point;
 use optpar::apps::matching::MatchingOp;
 use optpar::apps::misapp::MisOp;
+use optpar::apps::preflow::{FlowNetwork, PreflowOp};
 use optpar::apps::sssp::{SsspInput, SsspOp};
+use optpar::apps::survey::{sp_sequential, Formula, SurveyOp};
 use optpar::apps::triangulation::Mesh;
 use optpar::core::control::{HybridController, HybridParams};
 use optpar::graph::{gen, ConflictGraph, CsrGraph};
@@ -180,10 +184,9 @@ fn boruvka_pipelined_matches_kruskal_w8() {
     }
 }
 
-/// Delaunay refinement: the mesh must end fully refined and valid
-/// regardless of how batches interleaved.
-fn delaunay_pipelined(workers: usize, batch: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// The unit square over 40 random interior points, to be refined
+/// down to triangles of area ≤ 2e-3.
+fn delaunay_input(rng: &mut StdRng) -> (Mesh, RefineConfig) {
     let mut pts = vec![
         Point::new(0.0, 0.0),
         Point::new(1.0, 0.0),
@@ -191,16 +194,28 @@ fn delaunay_pipelined(workers: usize, batch: usize, seed: u64) {
         Point::new(0.0, 1.0),
     ];
     pts.extend((0..40).map(|_| Point::new(rng.random::<f64>(), rng.random::<f64>())));
-    let mesh = Mesh::delaunay(&pts);
-    let cfg = RefineConfig::area_only(2e-3);
-    let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, cfg);
-    let tasks = op.initial_tasks();
-    assert!(!tasks.is_empty());
-    drain_lanes(&space, &op, tasks, workers, batch, &mut rng);
+    (Mesh::delaunay(&pts), RefineConfig::area_only(2e-3))
+}
+
+/// What a drained refinement owes: a valid mesh of the whole square
+/// with no bad triangle left.
+fn check_refined(op: DelaunayOp, cfg: RefineConfig) {
     let refined = op.into_mesh();
     refined.check_valid().unwrap();
     assert_eq!(bad_count(&refined, cfg), 0);
     assert!((refined.total_area() - 1.0).abs() < 1e-6);
+}
+
+/// Delaunay refinement: the mesh must end fully refined and valid
+/// regardless of how batches interleaved.
+fn delaunay_pipelined(workers: usize, batch: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mesh, cfg) = delaunay_input(&mut rng);
+    let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, cfg);
+    let tasks = op.initial_tasks();
+    assert!(!tasks.is_empty());
+    drain_lanes(&space, &op, tasks, workers, batch, &mut rng);
+    check_refined(op, cfg);
 }
 
 #[test]
@@ -299,6 +314,51 @@ fn ccmirror_pipelined_commits_each_node_once() {
         assert_eq!(run.total_committed(), g.node_count());
         let mut op = op;
         assert!(op.node_data.snapshot().iter().all(|&c| c == 1));
+    });
+}
+
+/// Preflow-push: whatever order the lanes discharged in, the flow is
+/// feasible and its value is Edmonds–Karp's.
+#[test]
+fn preflow_pipelined_matches_edmonds_karp() {
+    lane_matrix(|workers, batch, rng| {
+        let g = gen::random_with_avg_degree(60, 5.0, rng);
+        let net = FlowNetwork::random(g, 1, 58, 15, rng);
+        let reference = net.edmonds_karp();
+        let (space, op, active) = PreflowOp::new(net);
+        drain_lanes(&space, &op, active, workers, batch, rng);
+        let mut op = op;
+        op.validate().unwrap();
+        assert_eq!(op.flow_value(), reference);
+    });
+}
+
+/// Agglomerative clustering: well-separated blobs, merged under any
+/// interleaving, partition the points into exactly those blobs.
+#[test]
+fn clustering_pipelined_resolves_the_blobs() {
+    lane_matrix(|workers, batch, rng| {
+        let (space, op) = ClusteringOp::new(blobs(4, 12, 1000.0, 1.0, rng), 8, 10.0);
+        drain_lanes(&space, &op, op.initial_tasks(), workers, batch, rng);
+        let mut op = op;
+        op.validate().unwrap();
+        assert_eq!(op.final_clusters().len(), 4);
+    });
+}
+
+/// Survey propagation: the asynchronous updates quiesce at the fixed
+/// point the sequential Gauss–Seidel sweep reaches.
+#[test]
+fn survey_pipelined_reaches_the_sequential_fixed_point() {
+    lane_matrix(|workers, batch, rng| {
+        let f = Formula::random_3sat(60, 120, rng); // α = 2
+        let (reference, _) = sp_sequential(&f, 1e-9, 2000, 0.5).unwrap();
+        let (space, op) = SurveyOp::new(f, 1e-9, 0.5);
+        drain_lanes(&space, &op, op.initial_tasks(), workers, batch, rng);
+        let mut op = op;
+        for (a, b) in reference.iter().zip(&op.surveys()) {
+            assert!((0..3).all(|s| (a[s] - b[s]).abs() < 1e-6), "{a:?} vs {b:?}");
+        }
     });
 }
 
@@ -418,15 +478,7 @@ mod injected {
     fn delaunay_pipelined_with_injected_panics() {
         for batch in BATCHES {
             let mut rng = StdRng::seed_from_u64(151);
-            let mut pts = vec![
-                Point::new(0.0, 0.0),
-                Point::new(1.0, 0.0),
-                Point::new(1.0, 1.0),
-                Point::new(0.0, 1.0),
-            ];
-            pts.extend((0..40).map(|_| Point::new(rng.random::<f64>(), rng.random::<f64>())));
-            let mesh = Mesh::delaunay(&pts);
-            let cfg = RefineConfig::area_only(2e-3);
+            let (mesh, cfg) = delaunay_input(&mut rng);
             let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, cfg);
             let tasks = op.initial_tasks();
             let plan = FaultPlan::seeded(2005).with_panic_rate(0.10);
@@ -438,10 +490,7 @@ mod injected {
             assert!(ws.is_empty());
             audit_faults(&ex, &plan, 4);
             drop(ex);
-            let refined = op.into_mesh();
-            refined.check_valid().unwrap();
-            assert_eq!(bad_count(&refined, cfg), 0);
-            assert!((refined.total_area() - 1.0).abs() < 1e-6);
+            check_refined(op, cfg);
         }
     }
 }
