@@ -7,7 +7,8 @@
 //!    acquisition site is extracted per function, held-lock sets are
 //!    propagated interprocedurally through the call graph, and the global
 //!    lock-order graph is checked for cycles. Blocking calls (`Condvar::wait`,
-//!    `wait_timeout`, channel `recv`, `thread::join`, `pool.run`, `sleep`)
+//!    `wait_timeout`, channel `recv`, `thread::join`, `pool.run` /
+//!    `pool.rendezvous`, `sleep`)
 //!    made while holding a second lock are reported.
 //! 2. **Condvar discipline.** Each `Condvar` is paired with its guarded
 //!    mutex and predicate flags (the exit conditions of its wait loops).
@@ -532,7 +533,7 @@ impl<'w> Walker<'w> {
                     self.record_block("thread join", off);
                     return i + 2;
                 }
-                "run" => {
+                "run" | "rendezvous" => {
                     let recv = last_ident_before(trees, i);
                     if recv
                         .as_deref()

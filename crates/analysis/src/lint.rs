@@ -16,7 +16,6 @@ use crate::tree::{build_trees, Tree};
 /// Files allowed to use `Ordering::Relaxed`.
 const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/runtime/src/lock.rs",
-    "crates/runtime/src/pool.rs",
     "crates/obs/src/ring.rs",
     // The monotone distance bound: a value that orders nothing
     // (DESIGN.md §14.7); its two sites are under PROTOCOL.toml.
@@ -131,7 +130,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
                 off,
                 "relaxed-ordering",
                 "Ordering::Relaxed outside the audited allowlist \
-                 (crates/runtime/src/{lock,pool}.rs, crates/obs/src/ring.rs, \
+                 (crates/runtime/src/lock.rs, crates/obs/src/ring.rs, \
                  crates/apps/src/sssp.rs); use Acquire/Release/AcqRel"
                     .to_string(),
                 &mut out,

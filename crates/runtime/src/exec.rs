@@ -8,11 +8,10 @@
 //!    uniformly at random within a rank (so uniformly over the whole
 //!    set when tasks are unranked, the paper's model); their draw
 //!    order is the commit priority.
-//! 2. **Run the batch** — `run_batch`, the only place `speculate`
-//!    (build the `TaskCtx`, call the operator under panic containment,
-//!    commit or roll back on a lost abstract lock) is followed by
-//!    `settle` (book the outcome: spawns in, `retries + 1` re-queue,
-//!    or dead-letter).
+//! 2. **Run the batch** — `run_batch`, the only caller of `speculate`:
+//!    build the `TaskCtx`, call the operator under panic containment,
+//!    commit or roll back on a lost abstract lock, and book the
+//!    outcome (spawns in, `retries + 1` re-queue, or dead-letter).
 //! 3. **Retire** the batch with one lane bump: its committed tasks'
 //!    locks expire instead of being walked and released.
 //! 4. **Control** — `control_step` feeds `(launched, aborted)` to the
@@ -32,11 +31,14 @@
 //!
 //! With `workers > 1` a round fans its batch out over a persistent
 //! [`WorkerPool`] instead — threads created once and parked between
-//! rounds, so a round costs one wake/rendezvous. Workers claim task
-//! indices in contiguous chunks of `max(1, launched / (8 · workers))`
-//! from a shared counter and write each outcome into a pre-indexed
-//! result slot, so results come back in priority order with no sort
-//! and are settled after the rendezvous.
+//! rounds, so a round costs one wake/rendezvous. The drawn batch is
+//! cut into contiguous chunks of `max(1, launched / (8 · workers))`
+//! entries that workers claim from a shared counter. A claim *owns*
+//! its chunk: the worker takes the entries, runs the same batch loop
+//! over them (a task's slot is still its position in the drawn batch)
+//! and leaves the chunk's outcomes and tally behind. After the
+//! rendezvous the round absorbs the chunks in order, so the work-set
+//! receives spawns and re-queues in priority order with no sort.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{ConflictPolicy, LockSpace};
@@ -47,7 +49,6 @@ use crate::stats::{RoundStats, RunStats};
 use crate::task::{Abort, Operator, Ranked, TaskCtx, TaskScratch};
 use optpar_core::control::Controller;
 use rand::Rng;
-use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,6 +66,17 @@ pub(crate) struct Entry<T> {
     /// so aging degenerates to FIFO and no aged task can be overtaken
     /// forever.
     pub(crate) seq: u64,
+}
+
+impl<T> Entry<T> {
+    /// This entry on its way back into the work-set after an abort or
+    /// a fault: one step closer to the aging threshold.
+    fn retried(self) -> Self {
+        Entry {
+            retries: self.retries.saturating_add(1),
+            ..self
+        }
+    }
 }
 
 /// The pending-task multiset (the paper's work-set), bucketed by
@@ -361,7 +373,7 @@ pub struct Executor<'a, O: Operator> {
     /// Persistent parked threads; `None` when `workers == 1` (inline).
     pub(crate) pool: Option<WorkerPool>,
     /// Structured record of every contained fault (operator panics,
-    /// injected faults, lost result slots).
+    /// injected faults).
     faults: Mutex<FaultLog>,
     /// Tasks retired past [`ExecutorConfig::dead_letter_budget`],
     /// awaiting [`Executor::take_dead_letters`].
@@ -387,30 +399,12 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
     }
 }
 
-/// Outcome of one speculated task. Committed tasks' locks are not
-/// carried here: they stay stamped in the lock space until the round's
-/// epoch bump (or the batch's lane bump) expires them wholesale.
-enum TaskResult<T> {
-    Committed {
-        spawned: Vec<T>,
-        acquires: usize,
-    },
-    Aborted {
-        acquires: usize,
-    },
-    /// The task faulted (contained panic, injected fault, or lost
-    /// result slot): rolled back and re-queued like an abort, but
-    /// booked separately and logged. Boxed so the rare fault arm does
-    /// not inflate every result slot on the fault-free path.
-    Faulted {
-        fault: Box<TaskFault>,
-        acquires: usize,
-    },
-}
-
-/// Where [`Executor::settle`] sends a finished task: the caller owns
+/// Where `Executor::speculate` sends a finished task: the caller owns
 /// the queues (one [`WorkSet`] in round mode, per-worker shards in
-/// pipelined mode), `settle` owns the decision.
+/// pipelined mode), `speculate` owns the decision. A committed task's
+/// locks are not carried here: they stay stamped in the lock space
+/// until the round's epoch bump (or the batch's lane bump) expires
+/// them wholesale.
 pub(crate) enum Settled<T> {
     /// Committed: these spawned tasks enter the work-set.
     Committed(Vec<T>),
@@ -453,15 +447,14 @@ fn watchdog_clamp(m: usize, stalled: u32, threshold: u32) -> usize {
     (m >> excess).max(1)
 }
 
-/// One pre-indexed result cell. Each cell is written by exactly one
-/// worker (the one that claimed its index) and read only after the
-/// pool rendezvous, so the unsynchronized interior access is disjoint
-/// in time and space.
-struct ResultSlot<T>(UnsafeCell<Option<TaskResult<T>>>);
-
-// SAFETY: see `ResultSlot` — disjoint single-writer cells, read only
-// after the pool rendezvous (which synchronizes via its mutex).
-unsafe impl<T: Send> Sync for ResultSlot<T> {}
+/// One claimable piece of a pooled round: `entries` until a worker
+/// claims it, `settled` and `tally` once that worker has run it. The
+/// mutex is held only to take the one and to leave the other.
+struct Chunk<T> {
+    entries: Vec<Entry<T>>,
+    settled: Vec<Settled<T>>,
+    tally: RoundStats,
+}
 
 impl<'a, O: Operator> Executor<'a, O> {
     /// Pair an operator with its lock space under the given config.
@@ -651,17 +644,9 @@ impl<'a, O: Operator> Executor<'a, O> {
         self.space.audit().arm(self.cfg.workers == 1);
 
         match &self.pool {
-            Some(pool) => {
-                let results = self.run_parallel(pool, &batch);
-                let t_commit = phase::maybe_start(self.phases);
-                for (entry, result) in batch.into_iter().zip(results) {
-                    ws.absorb(self.settle(entry, result, &mut stats));
-                }
-                phase::maybe_add(self.phases, Phase::Commit, t_commit);
-            }
+            Some(pool) => self.run_parallel(pool, batch, ws, &mut stats),
             None => {
-                // Outcomes go back into `ws` in slot order, as a
-                // settle pass over the finished batch would put them.
+                // Outcomes go straight back into `ws`, in slot order.
                 let t_exec = phase::maybe_start(self.phases);
                 let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
                 let mut scratch = TaskScratch::default();
@@ -676,7 +661,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     }
 
     /// Run one drawn batch to completion on lock lane `lane`, in
-    /// order — the only place `speculate` is followed by `settle`.
+    /// order — the only caller of `speculate`, under every engine.
     /// Entry `i` runs as slot `first_slot + i` (worker lanes publish
     /// it as running first: slots rise through the batch, so every
     /// earlier one has then finished and its stamps are free to take
@@ -701,8 +686,7 @@ impl<'a, O: Operator> Executor<'a, O> {
             if lane != 0 {
                 self.space.publish_running(lane, slot);
             }
-            let result = self.speculate(scratch, slot, lane, key, &entry.task, probe);
-            sink(self.settle(entry, result, tally));
+            sink(self.speculate(scratch, slot, lane, key, entry, probe, tally));
         }
     }
 
@@ -735,7 +719,7 @@ impl<'a, O: Operator> Executor<'a, O> {
             rec.epoch_bump(pre_epoch, self.space.epoch());
         }
         debug_assert!(self.space.check_all_free().is_ok());
-        // Commit covers the pooled settle pass plus the barrier's
+        // Commit covers the pooled absorb pass plus the barrier's
         // serial bookkeeping (audit drain, ring drain, epoch bump).
         phase::maybe_add(self.phases, Phase::Commit, t_commit);
     }
@@ -812,62 +796,9 @@ impl<'a, O: Operator> Executor<'a, O> {
         state.budget
     }
 
-    /// Book one finished task: count it in `stats`, log a fault, and
-    /// decide where the task goes next. Aborts and under-budget faults
-    /// re-queue one step closer to the aging threshold; a task that
-    /// faults again at `retries ≥ K` is retired to the dead-letter
-    /// list, so an always-faulting task launches at most `K + 1`
-    /// times in every mode.
-    fn settle(
-        &self,
-        entry: Entry<O::Task>,
-        result: TaskResult<O::Task>,
-        stats: &mut RoundStats,
-    ) -> Settled<O::Task> {
-        let retry = |entry: Entry<O::Task>| {
-            Settled::Requeue(Entry {
-                retries: entry.retries.saturating_add(1),
-                ..entry
-            })
-        };
-        match result {
-            TaskResult::Committed { spawned, acquires } => {
-                stats.committed += 1;
-                stats.spawned += spawned.len();
-                stats.lock_acquires += acquires;
-                Settled::Committed(spawned)
-            }
-            TaskResult::Aborted { acquires } => {
-                stats.aborted += 1;
-                stats.lock_acquires += acquires;
-                retry(entry)
-            }
-            TaskResult::Faulted { fault, acquires } => {
-                stats.faulted += 1;
-                stats.lock_acquires += acquires;
-                let settled = if entry.retries >= self.cfg.dead_letter_budget {
-                    stats.dead_lettered += 1;
-                    crate::faults::recover(self.dead_letters.lock()).push(
-                        crate::faults::DeadLetter {
-                            epoch: fault.epoch,
-                            slot: fault.slot,
-                            retries: entry.retries,
-                            cause: fault.cause.clone(),
-                            detail: fault.detail.clone(),
-                        },
-                    );
-                    Settled::Retired
-                } else {
-                    retry(entry)
-                };
-                crate::faults::recover(self.faults.lock()).push(*fault);
-                settled
-            }
-        }
-    }
-
-    /// Speculate one task to completion under panic containment —
-    /// the single place the runtime calls [`Operator::execute`].
+    /// Speculate one task to completion under panic containment and
+    /// book its outcome — the single place the runtime calls
+    /// [`Operator::execute`].
     ///
     /// `lane` selects the lock lane the task stamps and `fault_key` is
     /// the coordinate fault injection and fault records key on (both
@@ -875,22 +806,28 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// buffers, lent to this task's context and returned empty.
     ///
     /// The operator call is wrapped in `catch_unwind`: a panicking
-    /// operator (or a fired injected panic) is converted into a
-    /// structured [`TaskResult::Faulted`] — its undo log is replayed
-    /// and its locks released exactly like an abort, the worker thread
-    /// survives, and the round continues. The rollback is always sound
-    /// because `TaskCtx` snapshots a slot *before* handing out the
-    /// `&mut`, so the undo log is complete at every possible unwind
-    /// point.
+    /// operator (or a fired injected panic) becomes a structured
+    /// [`TaskFault`] — its undo log is replayed and its locks released
+    /// exactly like an abort, the worker thread survives, and the
+    /// round continues. The rollback is always sound because `TaskCtx`
+    /// snapshots a slot *before* handing out the `&mut`, so the undo
+    /// log is complete at every possible unwind point.
+    ///
+    /// The outcome is counted in `stats` and decides where the task
+    /// goes next: a commit's spawns enter the work-set, an abort or
+    /// an under-budget fault re-queues one step closer to the aging
+    /// threshold.
+    #[allow(clippy::too_many_arguments)]
     fn speculate(
         &self,
         scratch: &mut TaskScratch,
         slot: usize,
         lane: usize,
         fault_key: u64,
-        task: &O::Task,
+        entry: Entry<O::Task>,
         probe: Probe<'_>,
-    ) -> TaskResult<O::Task> {
+        stats: &mut RoundStats,
+    ) -> Settled<O::Task> {
         obs_emit!(
             probe,
             optpar_obs::EventKind::TaskLaunch {
@@ -900,25 +837,33 @@ impl<'a, O: Operator> Executor<'a, O> {
         );
         let mut cx = TaskCtx::new_in_lane(slot, self.space, lane, fault_key, scratch);
         #[cfg(feature = "checker")]
-        cx.note_seed(self.op.conflict_seed(task));
+        cx.note_seed(self.op.conflict_seed(&entry.task));
         cx.attach_probe(probe);
         #[cfg(feature = "faults")]
         if let Some(plan) = self.fault_plan {
             cx.arm_fault(plan, fault_key);
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.op.execute(task, &mut cx)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.op.execute(&entry.task, &mut cx)));
         let acquires = cx.acquires;
-        let result = match outcome {
+        stats.lock_acquires += acquires;
+        let (cause, detail) = match outcome {
             Ok(Ok(spawned)) => {
                 // The committed lockset stays stamped in the lock
                 // space; the epoch (or lane) bump will expire it.
                 cx.finish_commit();
-                TaskResult::Committed { spawned, acquires }
+                obs_emit!(
+                    probe,
+                    optpar_obs::EventKind::TaskCommit {
+                        slot: slot as u32,
+                        acquires: acquires as u32,
+                        spawned: spawned.len() as u32,
+                    }
+                );
+                stats.committed += 1;
+                stats.spawned += spawned.len();
+                return Settled::Committed(spawned);
             }
-            Ok(Err(Abort::Fault)) => {
-                let detail = "injected spurious abort".to_string();
-                Self::faulted(cx, fault_key, FaultCause::Injected, detail)
-            }
+            Ok(Err(Abort::Fault)) => (FaultCause::Injected, "injected spurious abort".to_string()),
             #[cfg_attr(not(feature = "checker"), allow(unused_variables))]
             Ok(Err(abort)) => {
                 // The commit-set oracle must not expect an
@@ -928,94 +873,90 @@ impl<'a, O: Operator> Executor<'a, O> {
                     cx.note_requested_abort();
                 }
                 cx.finish_abort();
-                TaskResult::Aborted { acquires }
+                obs_emit!(
+                    probe,
+                    optpar_obs::EventKind::TaskAbort {
+                        slot: slot as u32,
+                        acquires: acquires as u32,
+                    }
+                );
+                stats.aborted += 1;
+                return Settled::Requeue(entry.retried());
             }
             // The operator panicked (or an injected panic fired).
             // Contain it: roll back, release locks, keep the worker.
-            Err(payload) => {
-                let (cause, detail) = crate::faults::classify_panic(payload.as_ref());
-                Self::faulted(cx, fault_key, cause, detail)
-            }
+            Err(payload) => crate::faults::classify_panic(payload.as_ref()),
         };
-        obs_emit!(
-            probe,
-            match &result {
-                TaskResult::Committed { spawned, acquires } => optpar_obs::EventKind::TaskCommit {
-                    slot: slot as u32,
-                    acquires: *acquires as u32,
-                    spawned: spawned.len() as u32,
-                },
-                TaskResult::Aborted { acquires } => optpar_obs::EventKind::TaskAbort {
-                    slot: slot as u32,
-                    acquires: *acquires as u32,
-                },
-                TaskResult::Faulted { fault, .. } => optpar_obs::EventKind::TaskFault {
-                    slot: slot as u32,
-                    cause: fault.cause.code(),
-                },
-            }
-        );
-        result
-    }
-
-    /// The fault arm of [`Executor::speculate`]: excuse the task with
-    /// the commit-set oracle, roll it back like an abort, and build
-    /// its record.
-    #[cfg_attr(not(feature = "checker"), allow(unused_mut))]
-    fn faulted(
-        mut cx: TaskCtx<'_>,
-        fault_key: u64,
-        cause: FaultCause,
-        detail: String,
-    ) -> TaskResult<O::Task> {
-        let (slot, acquires) = (cx.slot(), cx.acquires);
+        // A fault: excuse the task with the commit-set oracle, roll it
+        // back like an abort, log it, and re-queue it — unless it
+        // faulted at `retries ≥ K`, when it is retired to the
+        // dead-letter list instead, so an always-faulting task launches
+        // at most `K + 1` times in every mode.
         #[cfg(feature = "checker")]
         cx.note_fault();
         cx.finish_abort();
-        TaskResult::Faulted {
-            fault: Box::new(TaskFault {
+        obs_emit!(
+            probe,
+            optpar_obs::EventKind::TaskFault {
+                slot: slot as u32,
+                cause: cause.code(),
+            }
+        );
+        stats.faulted += 1;
+        let settled = if entry.retries >= self.cfg.dead_letter_budget {
+            stats.dead_lettered += 1;
+            crate::faults::recover(self.dead_letters.lock()).push(crate::faults::DeadLetter {
                 epoch: fault_key,
                 slot: Some(slot),
-                cause,
-                detail,
-            }),
-            acquires,
-        }
+                retries: entry.retries,
+                cause: cause.clone(),
+                detail: detail.clone(),
+            });
+            Settled::Retired
+        } else {
+            Settled::Requeue(entry.retried())
+        };
+        crate::faults::recover(self.faults.lock()).push(TaskFault {
+            epoch: fault_key,
+            slot: Some(slot),
+            cause,
+            detail,
+        });
+        settled
     }
 
-    /// Fault record for a result slot no worker wrote: the claiming
-    /// worker died between claiming the index and storing the outcome
-    /// (a runtime-level panic — operator panics never get this far).
-    /// The slot's locks expire at the round's epoch bump, so booking
-    /// it as a fault and re-queuing keeps `launched = committed +
-    /// aborted + faulted` exact instead of tearing the round down.
-    fn missing_result(&self, slot: usize) -> TaskResult<O::Task> {
-        TaskResult::Faulted {
-            fault: Box::new(TaskFault {
-                epoch: self.space.epoch(),
-                slot: Some(slot),
-                cause: FaultCause::MissingResult,
-                detail: "worker lost before writing its result slot".to_string(),
-            }),
-            acquires: 0,
-        }
-    }
-
-    /// Dispatch one round onto the persistent pool: chunked index
-    /// claiming, results into pre-indexed slots (no sort).
+    /// Run one round's batch on the persistent pool and take its
+    /// outcomes into `ws`: chunks are claimed from one counter, each
+    /// runs as a batch on lane 0 on the worker that claimed it, and the
+    /// chunks are absorbed in order after the rendezvous.
+    ///
+    /// No chunk can come back unrun: the rendezvous ends only once
+    /// every worker has returned from the job, a worker returns only
+    /// once the counter has passed the last chunk, and a worker
+    /// finishes the chunk it claimed before it claims again. (A worker
+    /// that panics instead re-raises here, before anything is read.)
     fn run_parallel(
         &self,
         pool: &WorkerPool,
-        batch: &[Entry<O::Task>],
-    ) -> Vec<TaskResult<O::Task>> {
+        batch: Vec<Entry<O::Task>>,
+        ws: &mut WorkSet<O::Task>,
+        stats: &mut RoundStats,
+    ) {
         let n = batch.len();
-        // Chunked claiming: ~8 chunks per worker balances the tail
-        // (large final chunks straggle) against counter contention
-        // (per-task fetch_add).
-        let chunk = (n / (8 * self.cfg.workers)).max(1);
+        // ~8 chunks per worker balances the tail (large final chunks
+        // straggle) against counter contention (a claim per task).
+        let size = (n / (8 * self.cfg.workers)).max(1);
+        let mut batch = batch.into_iter();
+        let chunks: Vec<Mutex<Chunk<O::Task>>> = (0..n.div_ceil(size))
+            .map(|_| {
+                Mutex::new(Chunk {
+                    entries: batch.by_ref().take(size).collect(),
+                    settled: Vec::new(),
+                    tally: RoundStats::default(),
+                })
+            })
+            .collect();
         let next = AtomicUsize::new(0);
-        let slots: Vec<ResultSlot<O::Task>> =
-            (0..n).map(|_| ResultSlot(UnsafeCell::new(None))).collect();
         let pc = self.phases;
         let epoch = self.space.epoch();
         let job = |w: usize| {
@@ -1023,29 +964,30 @@ impl<'a, O: Operator> Executor<'a, O> {
             let probe = self.probe_for(w);
             let mut scratch = TaskScratch::default();
             loop {
-                let start = next.fetch_add(chunk, Ordering::AcqRel);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for i in start..end {
-                    let r = self.speculate(&mut scratch, i, 0, epoch, &batch[i].task, probe);
-                    // SAFETY: index `i` belongs to exactly one claimed
-                    // chunk, so this cell has a single writer; readers
-                    // wait for the rendezvous below.
-                    unsafe { *slots[i].0.get() = Some(r) };
-                }
+                let c = next.fetch_add(1, Ordering::AcqRel);
+                let Some(chunk) = chunks.get(c) else { break };
+                let entries = std::mem::take(&mut crate::faults::recover(chunk.lock()).entries);
+                let mut settled = Vec::with_capacity(entries.len());
+                let mut tally = RoundStats::default();
+                self.run_batch(
+                    &mut scratch,
+                    c * size,
+                    0,
+                    epoch,
+                    entries,
+                    probe,
+                    &mut tally,
+                    |s| settled.push(s),
+                );
+                let mut done = crate::faults::recover(chunk.lock());
+                done.settled = settled;
+                done.tally = tally;
             }
             phase::maybe_add(pc, Phase::Execute, t_busy);
         };
         let exec_before = pc.map(|c| c.snapshot().execute_ns);
         let t_wall = phase::maybe_start(pc);
-        if pool.run(&job).is_err() {
-            // `run` refuses only a pool that is shutting down, and
-            // nothing ran on it then: the same chunk-claiming closure
-            // drains the batch inline.
-            job(0);
-        }
+        pool.rendezvous(&job);
         // Wait = worker-seconds the rendezvous held that nobody spent
         // executing (the barrier's straggler cost).
         if let (Some(c), Some(before)) = (pc, exec_before) {
@@ -1056,14 +998,17 @@ impl<'a, O: Operator> Executor<'a, O> {
                 (self.cfg.workers as u64 * wall).saturating_sub(busy),
             );
         }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(slot, s)| {
-                s.0.into_inner()
-                    .unwrap_or_else(|| self.missing_result(slot))
-            })
-            .collect()
+        let t_commit = phase::maybe_start(pc);
+        for chunk in chunks {
+            let chunk = crate::faults::recover(chunk.into_inner());
+            stats.add(&chunk.tally);
+            chunk.settled.into_iter().for_each(|s| ws.absorb(s));
+        }
+        debug_assert_eq!(
+            stats.launched,
+            stats.committed + stats.aborted + stats.faulted
+        );
+        phase::maybe_add(pc, Phase::Commit, t_commit);
     }
 }
 
@@ -1298,6 +1243,44 @@ pub(crate) mod tests {
         assert_eq!(store.snapshot(), vec![2, 2, 2, 2]);
     }
 
+    /// The chunk hand-off keeps the inline round's order: chunks are
+    /// absorbed in slot order after the rendezvous, so a pooled round
+    /// leaves the work-set an inline round leaves — same entries, same
+    /// positions, same stamps.
+    #[test]
+    fn pooled_round_leaves_the_inline_rounds_workset() {
+        struct Fork<'s> {
+            store: &'s SpecStore<u32>,
+        }
+        impl Operator for Fork<'_> {
+            type Task = (usize, u32);
+            fn execute(
+                &self,
+                &(i, gen): &(usize, u32),
+                cx: &mut TaskCtx<'_>,
+            ) -> Result<Vec<(usize, u32)>, Abort> {
+                *cx.write(self.store, i)? += 1;
+                Ok(vec![(i, gen + 1)])
+            }
+        }
+        let n = 100;
+        let left_by = |workers: usize| {
+            let (space, r) = ring_setup(n);
+            let store = SpecStore::filled(r, n, 0u32);
+            let op = Fork { store: &store };
+            let ex = Executor::new(&op, &space, exec_cfg(workers));
+            let mut ws = WorkSet::from_vec((0..n).map(|i| (i, 0)).collect());
+            // 70 of 100: 35 two-task chunks at 4 workers, 30 undrawn.
+            let rs = ex.run_round(&mut ws, 70, &mut StdRng::seed_from_u64(8));
+            assert_eq!((rs.launched, rs.committed, rs.spawned), (70, 70, 70));
+            let left = ws.take_entries().into_iter();
+            left.map(|e| (e.task, e.retries, e.seq)).collect::<Vec<_>>()
+        };
+        let inline = left_by(1);
+        assert_eq!(inline.len(), n);
+        assert_eq!(left_by(4), inline);
+    }
+
     /// Pearson chi-squared statistic over equiprobable cells.
     fn chi_squared(counts: &[u64], trials: u64) -> f64 {
         let expected = trials as f64 / counts.len() as f64;
@@ -1502,7 +1485,7 @@ pub(crate) mod tests {
         assert_eq!(batch[4].task, Rk(1, 4));
         assert_eq!(pending_ranks(&ws), vec![2]);
 
-        // Re-queue it the way `settle` does (below the now-lowest
+        // Re-queue it the way `speculate` does (below the now-lowest
         // bucket), then let rank-0 work in.
         let aged = batch.swap_remove(0);
         let seq = aged.seq;

@@ -26,11 +26,12 @@
 //!   stall (Prop. 1: `r̄(1) = 0`, so progress is guaranteed).
 //!
 //! What is *recoverable*: operator panics, injected faults, poisoned
-//! executor-internal mutexes, lost result slots. What stays *fatal*:
-//! panics in the runtime's own lock/undo machinery outside the
-//! contained region (they indicate a broken invariant, not a broken
-//! operator), and misconfiguration asserts (zero workers, oversized
-//! rounds).
+//! executor-internal mutexes. What stays *fatal*: panics in the
+//! runtime's own lock/undo machinery outside the contained region
+//! (they indicate a broken invariant, not a broken operator — a pooled
+//! worker that dies this way is re-raised on the round's thread by the
+//! pool rendezvous, so no task's outcome is ever silently missing),
+//! and misconfiguration asserts (zero workers, oversized rounds).
 
 #[cfg(feature = "faults")]
 use std::sync::Mutex;
@@ -45,22 +46,18 @@ pub enum FaultCause {
     /// An injected fault from a `FaultPlan` fired (feature
     /// `faults`).
     Injected,
-    /// A parallel round produced no result for this slot (a worker
-    /// was lost outside the contained operator path). The task is
-    /// re-queued; its locks expire with the round's epoch bump.
-    MissingResult,
 }
 
 impl FaultCause {
     /// Stable numeric code for trace events (`0` is reserved for
     /// "unknown"). The mapping is part of the trace format: changing
-    /// it invalidates recorded traces. Code `4` belonged to the retired
-    /// scratch-mutex-poison cause and stays reserved — never reuse it.
+    /// it invalidates recorded traces. Codes `3` (a pooled round's
+    /// lost result slot) and `4` (scratch-mutex poison) belonged to
+    /// retired causes and stay reserved — never reuse them.
     pub fn code(&self) -> u8 {
         match self {
             FaultCause::OperatorPanic => 1,
             FaultCause::Injected => 2,
-            FaultCause::MissingResult => 3,
         }
     }
 }
@@ -70,7 +67,6 @@ impl std::fmt::Display for FaultCause {
         match self {
             FaultCause::OperatorPanic => write!(f, "operator panic"),
             FaultCause::Injected => write!(f, "injected fault"),
-            FaultCause::MissingResult => write!(f, "missing result slot"),
         }
     }
 }
@@ -479,7 +475,7 @@ mod tests {
         log.push(TaskFault {
             epoch: 3,
             slot: None,
-            cause: FaultCause::MissingResult,
+            cause: FaultCause::Injected,
             detail: "lost".into(),
         });
         assert_eq!(log.len(), 2);
@@ -489,7 +485,7 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.total(), 2, "total is monotone across drains");
         assert_eq!(drained[0].cause, FaultCause::OperatorPanic);
-        assert!(drained[1].to_string().contains("missing result slot"));
+        assert!(drained[1].to_string().contains("injected fault (lost)"));
     }
 
     #[test]

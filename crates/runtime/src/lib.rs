@@ -29,7 +29,7 @@
 //!   — uniformly at random (the paper's model §2) among the tasks of
 //!   the lowest [`task::Ranked::rank`], which is all of them unless
 //!   the task type says otherwise — run them as one batch (`run_batch`:
-//!   `speculate` each under panic containment, `settle` its outcome,
+//!   `speculate` each under panic containment and book its outcome,
 //!   losers rolled back and re-queued), retire the batch with one lane
 //!   bump, and take the control step (`control_step`) that reports the
 //!   realized conflict ratio to a processor-allocation

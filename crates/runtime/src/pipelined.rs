@@ -224,7 +224,7 @@ impl<'p, T: Ranked> ShardedWorkSet<'p, T> {
     }
 
     /// Re-queue an aborted or faulted entry (its retry count already
-    /// bumped by `settle`, feeding the aging prefix on redraw). With a
+    /// bumped by `speculate`, feeding the aging prefix on redraw). With a
     /// placement the entry returns to its *affine* shard — not the
     /// worker that happened to steal-execute it — so retries stay
     /// shard-local; without one it homes on the executing worker's
@@ -508,16 +508,11 @@ impl<O: Operator> Executor<'_, O> {
                 }
             }
         };
-        // Dispatch on the executor's persistent pool; workers == 1, or
-        // a pool that refuses the job (`run` does only while shutting
-        // down), runs the claim loop inline: it drains every shard to
-        // completion either way.
-        if self
-            .pool
-            .as_ref()
-            .is_none_or(|pool| pool.run(&worker).is_err())
-        {
-            worker(0);
+        // Dispatch on the executor's persistent pool; `workers == 1`
+        // runs the claim loop inline.
+        match &self.pool {
+            Some(pool) => pool.rendezvous(&worker),
+            None => worker(0),
         }
         // Flush the final partial window.
         let mut st = recover(winstate.into_inner());

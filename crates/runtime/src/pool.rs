@@ -9,6 +9,13 @@
 //! has finished the job — a *rendezvous*, not a fire-and-forget
 //! submit.
 //!
+//! That is the pool's whole life: **publish → wake → rendezvous**, any
+//! number of times, then **drop**. There is no way to retire a pool
+//! while it is in use: `Drop` takes `&mut self`, so no `run` is in
+//! flight when the flag goes up, every worker is parked, and the join
+//! is bounded. A pool therefore never refuses a job and a published
+//! job always runs on every worker.
+//!
 //! ## Soundness of the lifetime erasure
 //!
 //! `run` smuggles a `&dyn Fn(usize)` with an arbitrary caller lifetime
@@ -25,37 +32,13 @@
 //! [`WorkerPool::job_panics`], and re-raised on the submitting thread.
 //! The executor's per-task containment means operator panics never
 //! reach this layer; a nonzero count here indicates a panic in the
-//! runtime itself. Teardown is bounded: [`WorkerPool::shutdown`] waits
-//! at most a caller-chosen timeout for workers to reach the shutdown
-//! barrier, then detaches (and names) any worker that missed it
-//! instead of hanging the owner forever.
+//! runtime itself.
 
 use crate::faults::recover;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Default bound on how long [`WorkerPool`]'s `Drop` waits for the
-/// shutdown barrier before detaching wedged workers.
-const DEFAULT_SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The pool has been (or is being) shut down: [`WorkerPool::run`]
-/// refused to publish, or bailed out of a rendezvous no worker can
-/// complete. No part of the job ran on any worker that had already
-/// exited; the caller may rerun the job elsewhere (e.g. inline, or on
-/// a replacement pool).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolRetired;
-
-impl std::fmt::Display for PoolRetired {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker pool retired (shutdown) before the job could run")
-    }
-}
-
-impl std::error::Error for PoolRetired {}
 
 /// Type-erased job pointer shipped to workers. The pointee is only
 /// dereferenced while [`WorkerPool::run`] is blocked, which keeps the
@@ -79,8 +62,9 @@ struct PoolState {
     panicked: bool,
     /// Total job invocations that panicked over the pool's lifetime.
     job_panics: u64,
-    /// Worker threads that have not yet exited their loop.
+    /// Worker threads still in their loop.
     alive: usize,
+    /// Raised by `Drop` only.
     shutdown: bool,
 }
 
@@ -90,26 +74,18 @@ struct Shared {
     work_cv: Condvar,
     /// `run` parks here until the rendezvous completes.
     done_cv: Condvar,
-    /// `exited[w]` flips to true as worker `w` leaves its loop — the
-    /// signal that joining its handle is bounded (the thread function
-    /// has returned or is in its final instructions).
-    exited: Box<[AtomicBool]>,
 }
 
 /// A fixed-size pool of parked worker threads (see module docs).
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    workers: usize,
-    /// `None` once the worker has been joined or detached. Behind a
-    /// mutex so [`WorkerPool::shutdown`] can take `&self` (callable
-    /// while another thread is blocked in [`WorkerPool::run`]).
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
+            .field("workers", &self.workers())
             .finish_non_exhaustive()
     }
 }
@@ -130,7 +106,6 @@ impl WorkerPool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            exited: (0..workers).map(|_| AtomicBool::new(false)).collect(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -139,29 +114,24 @@ impl WorkerPool {
                     .name(format!("optpar-worker-{w}"))
                     .spawn(move || worker_loop(&shared, w));
                 match h {
-                    Ok(h) => Some(h),
+                    Ok(h) => h,
                     // PANIC-OK: spawn failure happens at pool construction,
                     // before any round starts; there is no partial pool to save.
                     Err(e) => panic!("failed to spawn pool worker {w}: {e}"),
                 }
             })
             .collect();
-        WorkerPool {
-            shared,
-            workers,
-            handles: Mutex::new(handles),
-        }
+        WorkerPool { shared, handles }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.handles.len()
     }
 
-    /// Worker threads still running their loop. Stays at
-    /// [`WorkerPool::workers`] for the pool's whole life (job panics
-    /// are contained on the worker); drops to 0 across a clean
-    /// shutdown.
+    /// Worker threads still running their loop: [`WorkerPool::workers`]
+    /// for the pool's whole life (job panics are contained on the
+    /// worker, and only `Drop` lets a worker leave).
     pub fn live_workers(&self) -> usize {
         recover(self.shared.state.lock()).alive
     }
@@ -177,18 +147,23 @@ impl WorkerPool {
     /// until all invocations return (a rendezvous). Concurrent callers
     /// are serialized.
     ///
-    /// # Errors
-    /// Returns [`PoolRetired`] — without running the job on any
-    /// worker — if the pool is shutting down or any worker has already
-    /// exited. A rendezvous published while every worker was alive
-    /// always completes (a published-but-unseen job takes priority
-    /// over the shutdown flag in the worker loop), so a `Ok(())` means
-    /// the job ran on all `workers` threads.
+    /// This is the in-crate `rendezvous` behind the `Result` the frozen
+    /// `benchmark/src/probes.rs` calls `.expect()` on. The error type
+    /// says what is true — a pool cannot refuse a job — and the next
+    /// PR that may edit `benchmark/` drops the wrapper (ROADMAP item
+    /// 4(b)).
     ///
     /// # Panics
     /// Re-raises (as a fresh panic) if any worker's invocation
     /// panicked.
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> Result<(), PoolRetired> {
+    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> Result<(), Infallible> {
+        self.rendezvous(job);
+        Ok(())
+    }
+
+    /// [`WorkerPool::run`] as the runtime calls it: publish the job,
+    /// wake the workers, wait for all of them; nothing to return.
+    pub(crate) fn rendezvous(&self, job: &(dyn Fn(usize) + Sync)) {
         let ptr: *const (dyn Fn(usize) + Sync) = job;
         // SAFETY: lifetime erasure only — same fat-pointer layout. The
         // pointee outlives every dereference because this function
@@ -200,44 +175,19 @@ impl WorkerPool {
             >(ptr)
         });
         let mut st = recover(self.shared.state.lock());
-        // Serialize with any in-flight submission. Bail if shutdown
-        // arrives while queued: the in-flight job may never finish
-        // (that is exactly why a supervisor retires a pool), and
-        // exiting workers only notify `done_cv` — they will never
-        // clear `job`.
+        // Serialize with any in-flight submission.
         while st.job.is_some() {
-            if st.shutdown {
-                return Err(PoolRetired);
-            }
             st = recover(self.shared.done_cv.wait(st));
-        }
-        // Refuse to publish into a retired (or retiring) pool: with
-        // fewer than `workers` threads alive, `remaining` could never
-        // reach 0 and this rendezvous would block forever.
-        if st.shutdown || st.alive < self.workers {
-            return Err(PoolRetired);
         }
         st.job = Some(job);
         st.seq += 1;
-        st.remaining = self.workers;
+        st.remaining = self.workers();
         st.panicked = false;
         drop(st);
         self.shared.work_cv.notify_all();
 
         let mut st = recover(self.shared.state.lock());
         while st.remaining > 0 {
-            // Defensive unhang: every thread has left its loop, so no
-            // one can decrement `remaining` — and, equally, no one can
-            // still be holding the erased job pointer, so returning is
-            // sound. Unreachable given the publish-time alive check
-            // and the job-before-shutdown priority in `worker_loop`,
-            // but a hang here would wedge the whole service.
-            if st.alive == 0 {
-                st.job = None;
-                drop(st);
-                self.shared.done_cv.notify_all();
-                return Err(PoolRetired);
-            }
             st = recover(self.shared.done_cv.wait(st));
         }
         st.job = None;
@@ -250,70 +200,19 @@ impl WorkerPool {
             // a job's own containment; swallowing it would corrupt the round.
             panic!("worker pool job panicked");
         }
-        Ok(())
-    }
-
-    /// Tear the pool down, waiting at most `timeout` for every worker
-    /// to reach the shutdown barrier. Workers that made it are joined;
-    /// any that did not (wedged in a non-terminating job) are named on
-    /// stderr, detached, and returned by index. Idempotent: a second
-    /// call finds no handles left and returns an empty list.
-    pub fn shutdown(&self, timeout: Duration) -> Vec<usize> {
-        {
-            let mut st = recover(self.shared.state.lock());
-            st.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        // Submitters queued in `run`'s serialize wait park on `done_cv`;
-        // wake them so they observe the flag and bail with
-        // [`PoolRetired`] instead of waiting on a job that may never
-        // clear.
-        self.shared.done_cv.notify_all();
-
-        let deadline = Instant::now() + timeout;
-        let mut st = recover(self.shared.state.lock());
-        while st.alive > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (g, _timed_out) = recover(self.shared.done_cv.wait_timeout(st, deadline - now));
-            st = g;
-        }
-        drop(st);
-
-        // Partition the slots under the lock, but join outside it: a join —
-        // even a bounded one — made while holding `handles` would stall any
-        // concurrent `shutdown` (or the pool's `Drop`) behind this thread's
-        // rendezvous with the worker.
-        let mut wedged = Vec::new();
-        let mut to_join = Vec::new();
-        {
-            let mut handles = recover(self.handles.lock());
-            for (w, slot) in handles.iter_mut().enumerate() {
-                let Some(h) = slot.take() else { continue };
-                if self.shared.exited[w].load(Ordering::Acquire) {
-                    // The worker has left its loop; the join is bounded.
-                    to_join.push(h);
-                } else {
-                    eprintln!(
-                        "optpar-worker-{w} missed the shutdown barrier after {timeout:?}; detaching"
-                    );
-                    wedged.push(w);
-                    drop(h); // detach
-                }
-            }
-        }
-        for h in to_join {
-            let _ = h.join();
-        }
-        wedged
     }
 }
 
 impl Drop for WorkerPool {
+    /// Raise the flag, wake everyone, join. `&mut self` means no
+    /// rendezvous is in flight, so every worker is parked (or about to
+    /// park) and sees the flag at its next wake.
     fn drop(&mut self) {
-        let _ = self.shutdown(DEFAULT_SHUTDOWN_TIMEOUT);
+        recover(self.shared.state.lock()).shutdown = true;
+        self.shared.work_cv.notify_all();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
     }
 }
 
@@ -323,11 +222,6 @@ fn worker_loop(shared: &Shared, w: usize) {
         let job = {
             let mut st = recover(shared.state.lock());
             loop {
-                // A published-but-unseen job takes priority over the
-                // shutdown flag: `run` has already counted this worker
-                // into the rendezvous, so exiting here would strand the
-                // submitter forever. Shutdown is honored once no unseen
-                // job is pending.
                 if st.seq != seen {
                     if let Some(job) = st.job {
                         seen = st.seq;
@@ -336,9 +230,6 @@ fn worker_loop(shared: &Shared, w: usize) {
                 }
                 if st.shutdown {
                     st.alive -= 1;
-                    drop(st);
-                    shared.exited[w].store(true, Ordering::Release);
-                    shared.done_cv.notify_all();
                     return;
                 }
                 st = recover(shared.work_cv.wait(st));
@@ -369,11 +260,11 @@ mod tests {
         let pool = WorkerPool::new(4);
         let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
         let job = |w: usize| {
-            hits[w].fetch_add(1, Ordering::Relaxed);
+            hits[w].fetch_add(1, Ordering::AcqRel);
         };
         pool.run(&job).expect("live pool");
         for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1);
+            assert_eq!(h.load(Ordering::Acquire), 1);
         }
     }
 
@@ -383,11 +274,11 @@ mod tests {
         let total = AtomicUsize::new(0);
         for _ in 0..100 {
             let job = |_w: usize| {
-                total.fetch_add(1, Ordering::Relaxed);
+                total.fetch_add(1, Ordering::AcqRel);
             };
             pool.run(&job).expect("live pool");
         }
-        assert_eq!(total.load(Ordering::Relaxed), 300);
+        assert_eq!(total.load(Ordering::Acquire), 300);
     }
 
     #[test]
@@ -397,10 +288,10 @@ mod tests {
         let pool = WorkerPool::new(8);
         let sum = AtomicUsize::new(0);
         let job = |w: usize| {
-            sum.fetch_add(w + 1, Ordering::Relaxed);
+            sum.fetch_add(w + 1, Ordering::AcqRel);
         };
         pool.run(&job).expect("live pool");
-        assert_eq!(sum.load(Ordering::Relaxed), (1..=8).sum::<usize>());
+        assert_eq!(sum.load(Ordering::Acquire), (1..=8).sum::<usize>());
     }
 
     #[test]
@@ -418,10 +309,10 @@ mod tests {
         // The pool must still be usable afterwards.
         let ok = AtomicUsize::new(0);
         let good = |_w: usize| {
-            ok.fetch_add(1, Ordering::Relaxed);
+            ok.fetch_add(1, Ordering::AcqRel);
         };
         pool.run(&good).expect("live pool");
-        assert_eq!(ok.load(Ordering::Relaxed), 2);
+        assert_eq!(ok.load(Ordering::Acquire), 2);
     }
 
     #[test]
@@ -431,257 +322,23 @@ mod tests {
     }
 
     #[test]
-    fn clean_shutdown_joins_everyone() {
+    fn drop_right_after_a_reraised_job_panic_joins_every_worker() {
+        // The rendezvous completes before `run` re-raises, so even on
+        // the unwind path `Drop` finds every worker parked.
         let pool = WorkerPool::new(4);
-        assert_eq!(pool.live_workers(), 4);
-        let wedged = pool.shutdown(Duration::from_secs(5));
-        assert!(wedged.is_empty());
-        assert_eq!(pool.live_workers(), 0);
-        // Idempotent.
-        assert!(pool.shutdown(Duration::from_secs(5)).is_empty());
-    }
-
-    #[test]
-    fn bounded_shutdown_detaches_a_wedged_worker() {
-        let pool = WorkerPool::new(2);
-        let release = Arc::new(AtomicBool::new(false));
-        let wedged_release = Arc::clone(&release);
-        // Worker 0 spins until released — it will miss a short
-        // shutdown deadline; worker 1 finishes immediately and parks.
-        let job = move |w: usize| {
-            if w == 0 {
-                while !wedged_release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }
-        };
-        std::thread::scope(|s| {
-            let pool_ref = &pool;
-            let job_ref = &job;
-            // run() blocks on the wedged worker, so submit from a
-            // helper thread.
-            let submit = s.spawn(move || pool_ref.run(job_ref));
-            // Wait until only the wedged worker is still in the job.
-            loop {
-                if recover(pool_ref.shared.state.lock()).remaining == 1 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            let wedged = pool_ref.shutdown(Duration::from_millis(50));
-            assert_eq!(wedged, vec![0], "the spinning worker is named");
-            assert_eq!(
-                pool_ref.live_workers(),
-                1,
-                "the parked worker exited; the wedged one is detached but alive"
-            );
-            // Release the wedge so the rendezvous (and the detached
-            // worker) can finish and the scope can close.
-            release.store(true, Ordering::Release);
-            let _ = submit.join();
-        });
-        // The detached worker sees the shutdown flag after its job and
-        // exits on its own; wait for it so nothing leaks past the test.
-        while pool.live_workers() > 0 {
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn concurrent_shutdown_calls_are_idempotent() {
-        // Two racing shutdowns: both must return, exactly one joins
-        // each handle, no worker is reported wedged, and a third call
-        // on the drained pool is a no-op.
-        let pool = WorkerPool::new(3);
-        std::thread::scope(|s| {
-            let a = s.spawn(|| pool.shutdown(Duration::from_secs(5)));
-            let b = s.spawn(|| pool.shutdown(Duration::from_secs(5)));
-            let (wa, wb) = (a.join().unwrap(), b.join().unwrap());
-            assert!(wa.is_empty() && wb.is_empty(), "{wa:?} {wb:?}");
-        });
-        assert_eq!(pool.live_workers(), 0);
-        assert!(pool.shutdown(Duration::from_millis(1)).is_empty());
-    }
-
-    #[test]
-    fn shutdown_after_publish_still_runs_the_job() {
-        // The worker loop gives a published-but-unseen job priority
-        // over the shutdown flag: once run() has published, a racing
-        // shutdown must not strand the submitter or skip workers.
-        for _ in 0..20 {
-            let pool = WorkerPool::new(2);
-            let hits = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let pool_ref = &pool;
-                let hits_ref = &hits;
-                let submit = s.spawn(move || {
-                    let job = |_w: usize| {
-                        // Give shutdown a window while workers are
-                        // mid-job.
-                        std::thread::sleep(Duration::from_micros(200));
-                        hits_ref.fetch_add(1, Ordering::Relaxed);
-                    };
-                    pool_ref.run(&job).expect("live pool");
-                });
-                // Wait for the publish, then race the teardown. (If
-                // this thread was descheduled across the whole job,
-                // the publish is gone again: stop waiting for it.)
-                while recover(pool_ref.shared.state.lock()).job.is_none() && !submit.is_finished() {
-                    std::thread::yield_now();
-                }
-                let wedged = pool_ref.shutdown(Duration::from_secs(5));
-                assert!(wedged.is_empty(), "{wedged:?}");
-                submit.join().unwrap();
-            });
-            assert_eq!(
-                hits.load(Ordering::Relaxed),
-                2,
-                "every worker ran the published job before honoring shutdown"
-            );
-            assert_eq!(pool.live_workers(), 0);
-        }
-    }
-
-    #[test]
-    fn replacement_pool_works_after_a_timed_out_detach() {
-        // The service's wedge-recovery path: a timed-out shutdown
-        // detaches a stuck worker, and a fresh pool swapped in its
-        // place must be fully functional while the old one drains.
-        let pool = WorkerPool::new(2);
-        let release = Arc::new(AtomicBool::new(false));
-        let wedged_release = Arc::clone(&release);
-        let job = move |w: usize| {
-            if w == 0 {
-                while !wedged_release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }
-        };
-        std::thread::scope(|s| {
-            let pool_ref = &pool;
-            let job_ref = &job;
-            let submit = s.spawn(move || pool_ref.run(job_ref));
-            loop {
-                if recover(pool_ref.shared.state.lock()).remaining == 1 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            let wedged = pool_ref.shutdown(Duration::from_millis(20));
-            assert_eq!(wedged, vec![0]);
-            // The replacement accepts and completes work immediately,
-            // while the old pool still holds its wedged task.
-            let fresh = WorkerPool::new(2);
-            let done = AtomicUsize::new(0);
-            let ok = |_w: usize| {
-                done.fetch_add(1, Ordering::Relaxed);
-            };
-            fresh.run(&ok).expect("fresh pool is live");
-            assert_eq!(done.load(Ordering::Relaxed), 2);
-            assert_eq!(fresh.live_workers(), 2);
-            assert!(fresh.shutdown(Duration::from_secs(5)).is_empty());
-            // A second timed-out shutdown on the old pool is a no-op:
-            // the wedged handle is already detached, not re-reported.
-            assert!(pool_ref.shutdown(Duration::from_millis(5)).is_empty());
-            release.store(true, Ordering::Release);
-            let _ = submit.join();
-        });
-        while pool.live_workers() > 0 {
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn run_on_a_shut_down_pool_returns_retired_promptly() {
-        // The service pool-swap race: a lane that cloned the pool Arc
-        // just before the supervisor retired it must get a prompt
-        // error, not a forever-blocked rendezvous against exited
-        // workers.
-        let pool = WorkerPool::new(2);
-        assert!(pool.shutdown(Duration::from_secs(5)).is_empty());
-        assert_eq!(pool.live_workers(), 0);
-        let ran = AtomicUsize::new(0);
-        let job = |_w: usize| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        };
-        assert_eq!(pool.run(&job), Err(PoolRetired));
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "the job never started");
-    }
-
-    #[test]
-    fn run_racing_shutdown_either_completes_or_reports_retired() {
-        // Hammer the publish/shutdown race: every submission must
-        // either run on all workers or fail with PoolRetired — never
-        // hang, never run partially.
-        for _ in 0..50 {
-            let pool = WorkerPool::new(2);
-            let hits = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let pool_ref = &pool;
-                let hits_ref = &hits;
-                let submit = s.spawn(move || {
-                    let job = |_w: usize| {
-                        hits_ref.fetch_add(1, Ordering::Relaxed);
-                    };
-                    pool_ref.run(&job)
-                });
-                let wedged = pool_ref.shutdown(Duration::from_secs(5));
-                assert!(wedged.is_empty(), "{wedged:?}");
-                let outcome = submit.join().unwrap();
-                let ran = hits.load(Ordering::Relaxed);
-                match outcome {
-                    Ok(()) => assert_eq!(ran, 2, "accepted jobs run everywhere"),
-                    Err(PoolRetired) => assert_eq!(ran, 0, "rejected jobs run nowhere"),
+        let shared = Arc::clone(&pool.shared);
+        let caught = catch_unwind(AssertUnwindSafe(move || {
+            let _ = pool.run(&|w| {
+                if w % 2 == 1 {
+                    panic!("boom");
                 }
             });
-        }
-    }
-
-    #[test]
-    fn queued_submitter_behind_a_wedged_job_is_released_by_shutdown() {
-        // Lane A's job wedges worker 0; lane B queues behind it in
-        // run()'s serialize wait. Retiring the pool must release B with
-        // PoolRetired (so it can rerun elsewhere) instead of leaving it
-        // parked on a job slot that will never clear.
-        let pool = WorkerPool::new(2);
-        let release = Arc::new(AtomicBool::new(false));
-        let wedged_release = Arc::clone(&release);
-        let wedge = move |w: usize| {
-            if w == 0 {
-                while !wedged_release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }
-        };
-        std::thread::scope(|s| {
-            let pool_ref = &pool;
-            let wedge_ref = &wedge;
-            let lane_a = s.spawn(move || pool_ref.run(wedge_ref));
-            // Wait until only the wedged worker is still in the job, so
-            // lane B is guaranteed to queue behind a held slot.
-            loop {
-                if recover(pool_ref.shared.state.lock()).remaining == 1 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            let lane_b = s.spawn(move || {
-                let noop = |_w: usize| {};
-                pool_ref.run(&noop)
-            });
-            let wedged = pool_ref.shutdown(Duration::from_millis(50));
-            assert_eq!(wedged, vec![0], "the spinning worker is detached");
-            assert_eq!(
-                lane_b.join().unwrap(),
-                Err(PoolRetired),
-                "the queued submitter is released, not stranded"
-            );
-            release.store(true, Ordering::Release);
-            let _ = lane_a.join();
-        });
-        while pool.live_workers() > 0 {
-            std::thread::yield_now();
-        }
+        }));
+        assert!(caught.is_err(), "the pool was dropped by the unwind");
+        let st = recover(shared.state.lock());
+        assert_eq!((st.alive, st.job_panics), (0, 2));
+        drop(st);
+        assert_eq!(Arc::strong_count(&shared), 1, "every worker was joined");
     }
 
     #[test]
@@ -695,13 +352,13 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..25 {
                         let job = |_w: usize| {
-                            count.fetch_add(1, Ordering::Relaxed);
+                            count.fetch_add(1, Ordering::AcqRel);
                         };
                         pool.run(&job).expect("live pool");
                     }
                 });
             }
         });
-        assert_eq!(count.load(Ordering::Relaxed), 4 * 25 * 2);
+        assert_eq!(count.load(Ordering::Acquire), 4 * 25 * 2);
     }
 }

@@ -748,8 +748,11 @@ impl JobService<'_> {
                 job: spec.job,
                 queued_at,
             });
+            // Recorded before the lock drops: once a lane can pop the
+            // job it can also finish it, and `JobAdmit` must come
+            // first in the obs log.
+            shared.note_admit(id, spec.priority);
         }
-        shared.note_admit(id, spec.priority);
         shared.queue_cv.notify_one();
         Ok(JobTicket {
             id,
@@ -1128,7 +1131,19 @@ fn execute_job(shared: &Shared, lane: &LaneState, q: QueuedJob) {
                 if let Some(d) = deadline {
                     pause = pause.min(d.remaining());
                 }
-                std::thread::sleep(pause);
+                // Back off in supervisor-poll slices, beating after
+                // each: one long sleep past `wedge_grace` would read as
+                // a wedge, and would sit out a cancel. (The deadline
+                // already bounds `pause`.)
+                let backoff = Stopwatch::started();
+                while !cancel.load(Ordering::Acquire) {
+                    let left = pause.saturating_sub(backoff.elapsed());
+                    if left.is_zero() {
+                        break;
+                    }
+                    std::thread::sleep(left.min(shared.cfg.wedge_poll));
+                    lane.beat.fetch_add(1, Ordering::AcqRel);
+                }
             }
             Ok(Err(err)) => break Err(err),
             // The closure itself panicked (outside the executor's
@@ -1587,6 +1602,80 @@ mod tests {
         assert_eq!(stats.job_retries, 2);
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.worker_panics, 0, "panics stayed contained");
+    }
+
+    #[test]
+    fn backing_off_between_retries_is_not_a_wedge() {
+        // The backoff outlasts `wedge_grace`: slept in one piece, the
+        // supervisor would detach the healthy job mid-backoff.
+        let cfg = ServiceConfig {
+            job_retries: 1,
+            retry_backoff: Duration::from_millis(150),
+            wedge_grace: Duration::from_millis(100),
+            wedge_poll: Duration::from_millis(10),
+            ..quick_cfg()
+        };
+        let ((), stats) = serve(cfg, |svc| {
+            let ticket = svc
+                .submit(JobSpec::new("flaky", |cx: &mut JobCx<'_>| {
+                    if cx.attempt() == 1 {
+                        return Err(JobError::FaultBudgetExhausted { dead_letters: 1 });
+                    }
+                    Ok(JobOutput {
+                        verified: true,
+                        committed: 0,
+                        detail: String::new(),
+                    })
+                }))
+                .expect("admitted");
+            let report = ticket.wait();
+            assert!(report.result.is_ok(), "{:?}", report.result);
+            assert_eq!(report.attempts, 2);
+            assert!(report.latency >= Duration::from_millis(150));
+        });
+        assert_eq!((stats.wedges, stats.job_retries), (0, 1));
+    }
+
+    /// `JobAdmit` is the first event of every job in the obs log, even
+    /// when a lane sheds the job the moment it is queued.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn admission_is_logged_before_anything_a_lane_does_with_the_job() {
+        use optpar_obs::EventKind;
+        let cfg = ServiceConfig {
+            obs: true,
+            queue_cap: 1024,
+            ..quick_cfg()
+        };
+        let ((), stats) = serve(cfg, |svc| {
+            let tickets: Vec<_> = (0..400)
+                .filter_map(|i| {
+                    let spec = JobSpec::new("blink", ring_job(8, i));
+                    svc.submit(spec.deadline(Duration::from_micros(1))).ok()
+                })
+                .collect();
+            assert!(tickets.len() > 100, "most submissions were admitted");
+            for t in tickets {
+                let _ = t.wait();
+            }
+        });
+        let log = stats.obs_log.expect("obs was on");
+        let mut seen = std::collections::HashSet::new();
+        for ev in &log.events {
+            let (id, admit) = match ev.event.kind {
+                EventKind::JobAdmit { job, .. } => (job, true),
+                EventKind::JobDeadline { job }
+                | EventKind::JobCancel { job }
+                | EventKind::JobRetry { job, .. } => (job, false),
+                _ => continue,
+            };
+            assert!(
+                !seen.insert(id) || admit,
+                "job {id}: {:?} logged before its JobAdmit",
+                ev.event.kind
+            );
+        }
+        assert!(stats.deadline_misses > 0, "some jobs were shed on a lane");
     }
 
     #[test]

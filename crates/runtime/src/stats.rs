@@ -13,7 +13,7 @@ pub struct RoundStats {
     /// Tasks that aborted (and were re-queued).
     pub aborted: usize,
     /// Tasks that faulted — contained operator panics, injected
-    /// faults, lost result slots — and were re-queued. Disjoint from
+    /// faults — and were re-queued. Disjoint from
     /// `aborted`: `launched = committed + aborted + faulted`.
     pub faulted: usize,
     /// New tasks spawned by committed work.
@@ -69,6 +69,18 @@ impl RoundStats {
         }
     }
 
+    /// Fold in the counts of `part`, a tally of some of this round's
+    /// tasks (`m` is not a count: untouched).
+    pub(crate) fn add(&mut self, part: &RoundStats) {
+        self.launched += part.launched;
+        self.committed += part.committed;
+        self.aborted += part.aborted;
+        self.faulted += part.faulted;
+        self.spawned += part.spawned;
+        self.lock_acquires += part.lock_acquires;
+        self.dead_lettered += part.dead_lettered;
+    }
+
     /// Realized fault ratio `faulted / launched`.
     pub fn fault_ratio(&self) -> f64 {
         if self.launched == 0 {
@@ -102,8 +114,7 @@ impl RunStats {
         self.rounds.iter().map(|r| r.aborted).sum()
     }
 
-    /// Total faults over the run (contained panics, injected faults,
-    /// lost result slots).
+    /// Total faults over the run (contained panics, injected faults).
     pub fn total_faulted(&self) -> usize {
         self.rounds.iter().map(|r| r.faulted).sum()
     }

@@ -73,23 +73,30 @@ fn drain_pooled(
     (commits, store.snapshot(), trace)
 }
 
+/// Across worker counts and at every shape the chunk hand-off takes:
+/// a one-task round (one chunk, every other worker claims past the
+/// end), fewer chunks than workers, an ordinary round, one more
+/// single-task chunk than `8 · workers`, and two-task chunks with a
+/// ragged one-task tail.
 #[test]
 fn pooled_commits_match_inline_across_workers() {
-    let n = 96;
-    let m = 24;
+    let n = 160;
     let seed = 0xD1FF_5EED;
-    let (ref_commits, ref_state, _) = drain_pooled(n, m, 1, seed);
-    assert_eq!(ref_commits, n, "inline path must drain everything");
-    for workers in [2, 8] {
-        let (commits, state, _) = drain_pooled(n, m, workers, seed);
-        assert_eq!(
-            commits, ref_commits,
-            "{workers} workers diverged from inline commits"
-        );
-        assert_eq!(
-            state, ref_state,
-            "{workers} workers diverged from inline state"
-        );
+    for workers in [2usize, 8] {
+        for m in [1, workers - 1, 24, 8 * workers + 1, 16 * workers + 1] {
+            let (ref_commits, ref_state, _) = drain_pooled(n, m, 1, seed);
+            assert_eq!(ref_commits, n, "inline path must drain everything");
+            let (commits, state, trace) = drain_pooled(n, m, workers, seed);
+            assert_eq!(trace[0].0, m, "the first round launched a full m");
+            assert_eq!(
+                commits, ref_commits,
+                "{workers} workers, m = {m}: diverged from inline commits"
+            );
+            assert_eq!(
+                state, ref_state,
+                "{workers} workers, m = {m}: diverged from inline state"
+            );
+        }
     }
 }
 
