@@ -1,8 +1,7 @@
-//! Seeded violation: a Condvar wait in a blocking-critical module that
-//! is not wrapped in a predicate loop — a spurious wakeup or a
-//! missed-before-sleep notification silently breaks the rendezvous.
-//! Exactly one finding (the `bare-condvar-wait` lint rule; the deep
-//! pass deliberately leaves non-loop waits to the lint layer).
+//! Seeded violation: a Condvar wait that is not wrapped in a predicate
+//! loop — a spurious wakeup or a missed-before-sleep notification
+//! silently breaks the rendezvous. Exactly one finding (the
+//! `bare-condvar-wait` lint rule).
 
 use crate::recover;
 

@@ -1,11 +1,10 @@
 //! optpar-analysis: the speculation-footprint static analyzer.
 //!
 //! A dependency-free Rust front end (lexer → token trees → AST-lite →
-//! call graph) plus five analyses tuned to this workspace's
-//! speculation contract:
+//! call graph), the lexical [`lint`] rules on its tokens (with
+//! span-based test exemption), and four analyses tuned to this
+//! workspace's speculation contract:
 //!
-//! * **lexical lint** ([`lint`]) — the five historical xtask rules,
-//!   on tokens, with span-based test exemption;
 //! * **footprint-escape** ([`footprint`]) — operators must mutate
 //!   shared state only through their `TaskCtx`, checked
 //!   interprocedurally across apps-crate helpers;
@@ -14,10 +13,8 @@
 //!   `catch_unwind` containment boundary;
 //! * **atomic-protocol** ([`protocol`]) — the atomics of
 //!   `lock.rs`/`pool.rs` must match the checked-in `PROTOCOL.toml`;
-//! * **blocking-protocol** ([`blocking`]) — lock-order cycles,
-//!   blocking calls made while holding locks, condvar
-//!   notify-discipline, and the wait-loop shutdown-liveness contract
-//!   in `BLOCKING.toml`.
+//! * **conflict-radius** ([`radius`]) — each operator's inferred
+//!   footprint radius must match the checked-in `FOOTPRINT.toml`.
 //!
 //! Everything is best-effort syntactic analysis: no type information,
 //! no macro expansion. The analyses are tuned to this codebase's
@@ -26,7 +23,6 @@
 //! Run via `cargo run -p xtask -- analyze`.
 
 pub mod ast;
-pub mod blocking;
 pub mod callgraph;
 pub mod footprint;
 pub mod lexer;
@@ -62,8 +58,6 @@ pub struct Workspace {
     pub protocol: Option<String>,
     /// `FOOTPRINT.toml` text at the root, if present.
     pub footprint: Option<String>,
-    /// `BLOCKING.toml` text at the root, if present.
-    pub blocking: Option<String>,
 }
 
 impl Workspace {
@@ -86,7 +80,6 @@ impl Workspace {
             files,
             protocol: None,
             footprint: None,
-            blocking: None,
         }
     }
 
@@ -109,7 +102,6 @@ impl Workspace {
         let mut ws = Workspace::from_sources(sources);
         ws.protocol = std::fs::read_to_string(root.join("PROTOCOL.toml")).ok();
         ws.footprint = std::fs::read_to_string(root.join("FOOTPRINT.toml")).ok();
-        ws.blocking = std::fs::read_to_string(root.join("BLOCKING.toml")).ok();
         ws
     }
 }
@@ -154,7 +146,6 @@ pub fn analyze_workspace(ws: &Workspace) -> Vec<Violation> {
     out.extend(panicpath::analyze(ws));
     out.extend(protocol::analyze(ws));
     out.extend(radius::analyze(ws));
-    out.extend(blocking::analyze(ws));
     sort_violations(&mut out);
     out
 }
@@ -173,11 +164,6 @@ pub fn protocol_toml(ws: &Workspace) -> String {
 /// The blessed FOOTPRINT.toml text for a workspace's current code.
 pub fn footprint_toml(ws: &Workspace) -> String {
     radius::to_toml(&radius::extract(ws))
-}
-
-/// The blessed BLOCKING.toml text for a workspace's current code.
-pub fn blocking_toml(ws: &Workspace) -> String {
-    blocking::to_toml(&blocking::extract(ws))
 }
 
 /// Locate the workspace root: the nearest ancestor of `start` whose
@@ -264,61 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_cycle_fixture_trips_exactly_the_cycle_rule() {
-        let vs = analyze_tree(&fixture("lock_order_cycle"));
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, "lock-order-cycle");
-        assert!(
-            vs[0].detail.contains("accounts") && vs[0].detail.contains("ledger"),
-            "{}",
-            vs[0].detail
-        );
-    }
-
-    #[test]
     fn wait_outside_loop_fixture_trips_exactly_the_bare_wait_rule() {
         let vs = analyze_tree(&fixture("wait_outside_loop"));
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "bare-condvar-wait");
-    }
-
-    #[test]
-    fn wait_second_lock_fixture_trips_exactly_the_blocking_rule() {
-        let vs = analyze_tree(&fixture("wait_second_lock"));
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, "blocking-while-locked");
-        assert!(vs[0].detail.contains("handles"), "{}", vs[0].detail);
-    }
-
-    #[test]
-    fn unnotified_shutdown_fixture_trips_exactly_the_unnotified_rule() {
-        let vs = analyze_tree(&fixture("unnotified_shutdown"));
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, "condvar-unnotified");
-        assert!(
-            vs[0].detail.contains("swap_pool") && vs[0].detail.contains("done_cv"),
-            "{}",
-            vs[0].detail
-        );
-    }
-
-    #[test]
-    fn blocking_drift_fixture_trips_exactly_the_contract_rule() {
-        let vs = analyze_tree(&fixture("blocking_drift"));
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, "blocking-contract");
-        assert!(
-            vs[0].detail.contains("no longer reads [queue]"),
-            "{}",
-            vs[0].detail
-        );
-    }
-
-    #[test]
-    fn blocking_ok_orphan_fixture_trips_exactly_the_orphan_rule() {
-        let vs = analyze_tree(&fixture("blocking_ok_orphan"));
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, "blocking-ok-orphan");
     }
 
     /// The workspace itself is clean under the full analysis — the

@@ -7,6 +7,17 @@
 //! inline `#[cfg(test)]` module exempts exactly the tokens inside its
 //! braces, not everything below its attribute, so live code after an
 //! inline test module is still linted.
+//!
+//! The seven rules, by the id a finding carries (file lists are the
+//! constants below):
+//!
+//! * `relaxed-ordering` — `Ordering::Relaxed` outside `RELAXED_ALLOWLIST`;
+//! * `unsafe-without-safety` — `unsafe` with no `// SAFETY:` comment;
+//! * `slot-ptr-outside-store` — `.slot_ptr(` outside the store and `TaskCtx`;
+//! * `stray-thread-spawn` — an OS thread created outside `pool.rs`;
+//! * `unwrap-in-round-path` — `.unwrap()` / `.expect(` in `UNWRAP_BANLIST`;
+//! * `bare-condvar-wait` — a guard-taking `wait` outside a predicate loop;
+//! * `instant-in-round-path` — `Instant::now` in `INSTANT_BANLIST`.
 
 use crate::ast::parse_items;
 use crate::lexer::{line_of, line_starts, tokenize, Delim, TokKind, Token};
@@ -114,6 +125,8 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
     let toks = tokenize(src);
     let starts = line_starts(src);
     let lines: Vec<&str> = src.lines().collect();
+    let trees = build_trees(toks.clone());
+    let ast = parse_items(&trees);
     let mut out = Vec::new();
     let push = |off: usize, rule: &'static str, detail: String, out: &mut Vec<Violation>| {
         out.push(Violation {
@@ -191,7 +204,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
     if UNWRAP_BANLIST.contains(&rel) {
         // Span-based test exemption: only tokens inside `#[cfg(test)]`
         // item spans are exempt (not everything below the attribute).
-        let ast = parse_items(&build_trees(toks.clone()));
         for (i, t) in toks.iter().enumerate() {
             if !t.is_punct(".") || ast.in_test_span(t.off) {
                 continue;
@@ -222,28 +234,24 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    if crate::blocking::is_blocking_critical(rel) {
-        // Bare `Condvar::wait` (outside any loop) in a blocking-critical
-        // module: spurious wakeups and missed notifications make a single
-        // un-looped wait a liveness bug. Span-based test exemption, like
-        // the unwrap rule.
-        let ast = parse_items(&build_trees(toks.clone()));
-        let mut waits = Vec::new();
-        find_bare_waits(&build_trees(toks.clone()), false, &mut waits);
-        for off in waits {
-            if ast.in_test_span(off) {
-                continue;
-            }
-            push(
-                off,
-                "bare-condvar-wait",
-                "Condvar wait outside a predicate loop in a blocking-critical \
-                 module; spurious wakeups and missed notifications require \
-                 `while !pred { guard = cv.wait(guard); }`"
-                    .to_string(),
-                &mut out,
-            );
+    // Bare `Condvar::wait` (outside any loop): spurious wakeups and
+    // missed notifications make a single un-looped wait a liveness bug.
+    // Span-based test exemption, like the unwrap rule.
+    let mut waits = Vec::new();
+    find_bare_waits(&trees, false, &mut waits);
+    for off in waits {
+        if ast.in_test_span(off) {
+            continue;
         }
+        push(
+            off,
+            "bare-condvar-wait",
+            "Condvar wait outside a predicate loop; spurious wakeups and \
+             missed notifications require \
+             `while !pred { guard = cv.wait(guard); }`"
+                .to_string(),
+            &mut out,
+        );
     }
 
     if INSTANT_BANLIST.contains(&rel) {
@@ -344,6 +352,13 @@ mod tests {
         let vs = lint_source("crates/runtime/src/exec.rs", src);
         assert_eq!(rules_of(&vs), vec!["unwrap-in-round-path"], "{vs:?}");
         assert_eq!(vs[0].line, 7, "the unwrap inside mod tests is exempt");
+        let above = "pub fn f() { Some(1).unwrap(); }\n\
+                     #[cfg(test)]\n\
+                     mod tests {}\n";
+        assert_eq!(
+            rules_of(&lint_source("crates/runtime/src/exec.rs", above)),
+            vec!["unwrap-in-round-path"]
+        );
     }
 
     #[test]
@@ -359,6 +374,7 @@ mod tests {
     #[test]
     fn comments_strings_and_adjacent_idents_do_not_trigger() {
         let src = "// call .unwrap() here; Ordering::Relaxed; unsafe; thread::spawn\n\
+                   /* block comment: thread::spawn; Ordering::Relaxed */\n\
                    pub fn f() -> &'static str { \".expect(doom) Instant::now\" }\n\
                    pub fn g(v: Option<u32>) -> u32 { v.unwrap_or_else(|| 0) }\n";
         assert!(lint_source("crates/runtime/src/exec.rs", src).is_empty());
@@ -370,6 +386,8 @@ mod tests {
     fn safety_comment_walks_over_attributes() {
         let attr = "// SAFETY: exclusive.\n#[inline]\nunsafe fn g() {}\n";
         assert!(lint_source("src/a.rs", attr).is_empty());
+        let inline = "let v = unsafe { *p }; // SAFETY: p is valid\n";
+        assert!(lint_source("src/a.rs", inline).is_empty());
         let bad = "fn h() { let _ = unsafe { 1 }; }\n";
         assert_eq!(
             rules_of(&lint_source("src/a.rs", bad)),
@@ -378,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn bare_condvar_wait_is_flagged_in_blocking_critical_files() {
+    fn bare_condvar_wait_is_flagged_in_every_file() {
         let bare = "fn park(shared: &Shared) {\n\
                         let st = recover(shared.state.lock());\n\
                         let _g = recover(shared.cv.wait(st));\n\
@@ -387,8 +405,10 @@ mod tests {
             rules_of(&lint_source("crates/runtime/src/pool.rs", bare)),
             vec!["bare-condvar-wait"]
         );
-        // Not a blocking-critical file: exempt.
-        assert!(lint_source("crates/apps/src/sssp.rs", bare).is_empty());
+        assert_eq!(
+            rules_of(&lint_source("crates/apps/src/sssp.rs", bare)),
+            vec!["bare-condvar-wait"]
+        );
     }
 
     #[test]
@@ -479,5 +499,11 @@ mod tests {
             rules_of(&lint_source("crates/runtime/src/task.rs", instant)),
             vec!["instant-in-round-path"]
         );
+        // Lifetimes and char literals do not derail the lexer.
+        let lifetimes = "fn f<'a>(x: &'a str) -> &'a str { let _c = 'x'; let _e = '\\n'; x }\n\
+                         fn g() { let _ = Ordering::Relaxed; }";
+        let vs = lint_source("crates/apps/src/foo.rs", lifetimes);
+        assert_eq!(rules_of(&vs), vec!["relaxed-ordering"]);
+        assert_eq!(vs[0].line, 2);
     }
 }

@@ -523,13 +523,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         std::mem::take(&mut *crate::faults::recover(self.dead_letters.lock()))
     }
 
-    /// Worker threads still alive in the pool (`None` for inline
-    /// execution, which has no threads). Panic containment keeps this
-    /// at `workers` even under injected panics.
-    pub fn live_workers(&self) -> Option<usize> {
-        self.pool.as_ref().map(WorkerPool::live_workers)
-    }
-
     /// Worker-level job panics that escaped the per-task containment
     /// (should stay 0: operator panics are caught inside the round).
     pub fn worker_panics(&self) -> u64 {
@@ -1620,11 +1613,6 @@ pub(crate) mod tests {
         }
         assert_eq!(committed, n);
         assert_eq!(ex.fault_count(), 1);
-        assert_eq!(
-            ex.live_workers(),
-            Some(4),
-            "panic containment keeps every pool thread alive"
-        );
         assert_eq!(ex.worker_panics(), 0, "no panic escaped to the pool layer");
         let mut store = store;
         assert_eq!(store.snapshot().iter().sum::<i64>(), 0);

@@ -1265,6 +1265,7 @@ fn detach_wedged(shared: &Shared, lane: &LaneState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::{within, BOUND, SETTLE};
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
     use optpar_core::control::FixedController;
@@ -1349,20 +1350,26 @@ mod tests {
 
     #[test]
     fn clean_job_completes_and_verifies() {
-        let ((), stats) = serve(quick_cfg(), |svc| {
-            let ticket = svc.submit(JobSpec::new("ring", ring_job(64, 7))).unwrap();
-            let report = ticket.wait();
-            let out = report.result.expect("job must succeed");
-            assert!(out.verified, "speculative result matches reference");
-            assert!(report.rounds > 0);
-            assert_eq!(report.committed, 64);
-            assert_eq!(report.attempts, 1);
-            assert!(report.dead_letters.is_empty());
+        within(BOUND, "clean_job_completes_and_verifies", || {
+            let ((), stats) = serve(quick_cfg(), |svc| {
+                // Lanes parked: only the submit's wake can start the job.
+                std::thread::sleep(SETTLE);
+                let ticket = svc.submit(JobSpec::new("ring", ring_job(64, 7))).unwrap();
+                let report = ticket.wait();
+                let out = report.result.expect("job must succeed");
+                assert!(out.verified, "speculative result matches reference");
+                assert!(report.rounds > 0);
+                assert_eq!(report.committed, 64);
+                assert_eq!(report.attempts, 1);
+                assert!(report.dead_letters.is_empty());
+                // Parked again: only the shutdown's wake can end them.
+                std::thread::sleep(SETTLE);
+            });
+            assert_eq!(stats.admitted, 1);
+            assert_eq!(stats.completed, 1);
+            assert_eq!(stats.failed, 0);
+            assert_eq!(stats.worker_panics, 0);
         });
-        assert_eq!(stats.admitted, 1);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.worker_panics, 0);
     }
 
     #[test]

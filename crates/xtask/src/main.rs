@@ -1,9 +1,8 @@
 //! `cargo run -p xtask -- lint [files...]` — the lexical rules.
-//! `cargo run -p xtask -- analyze
-//! [--write-protocol|--write-footprints|--write-blocking]`
+//! `cargo run -p xtask -- analyze [--write-protocol|--write-footprints]`
 //! — lexical rules plus the deep static analyses (footprint-escape,
 //! panic-reachability, atomic-protocol contract, conflict-radius
-//! footprint contract, blocking-protocol verification).
+//! footprint contract).
 //! `cargo run -p xtask -- report <trace-file>` — summarize an
 //! observability artifact (Chrome trace JSON, metrics JSONL, or the
 //! canonical event JSONL) recorded under `--features obs`.
@@ -12,10 +11,9 @@
 //! workspace (excluding `target/`, `vendor/`, and `fixtures/`); with
 //! arguments it lints exactly those files, resolving allowlists
 //! against their workspace-relative paths. `analyze` always runs over
-//! the whole workspace; `--write-protocol` / `--write-footprints` /
-//! `--write-blocking` re-bless the matching contract file from the
-//! current code instead of diffing against it. Both exit nonzero if
-//! any violation is found.
+//! the whole workspace; `--write-protocol` / `--write-footprints`
+//! re-bless the matching contract file from the current code instead
+//! of diffing against it. Both exit nonzero if any violation is found.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -29,7 +27,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- lint [files...] \
-                 | analyze [--write-protocol|--write-footprints|--write-blocking] \
+                 | analyze [--write-protocol|--write-footprints] \
                  | report <trace-file>"
             );
             ExitCode::from(2)
@@ -122,21 +120,6 @@ fn analyze(args: &[String]) -> ExitCode {
             "xtask analyze: blessed {} ({} operator contracts)",
             path.display(),
             toml.matches("[[operator]]").count()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--write-blocking") {
-        let ws = optpar_analysis::Workspace::load(&root);
-        let toml = optpar_analysis::blocking_toml(&ws);
-        let path = root.join("BLOCKING.toml");
-        if let Err(e) = std::fs::write(&path, &toml) {
-            eprintln!("xtask: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "xtask analyze: blessed {} ({} wait-loop contracts)",
-            path.display(),
-            toml.matches("[[wait]]").count()
         );
         return ExitCode::SUCCESS;
     }

@@ -372,11 +372,8 @@ mod injected {
     use super::*;
     use optpar::runtime::{FaultCause, FaultKind, FaultPlan, Operator, TaskFault};
 
-    fn audit_faults<O: Operator>(ex: &Executor<'_, O>, plan: &FaultPlan, workers: usize) {
+    fn audit_faults<O: Operator>(ex: &Executor<'_, O>, plan: &FaultPlan) {
         assert_eq!(ex.worker_panics(), 0, "a panic escaped containment");
-        if workers > 1 {
-            assert_eq!(ex.live_workers(), Some(workers), "a worker thread died");
-        }
         assert!(
             plan.fired_count() > 0,
             "the plan never fired; test is vacuous"
@@ -414,7 +411,7 @@ mod injected {
         let mut ctl = controller();
         let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
         assert!(ws.is_empty());
-        audit_faults(&ex, &plan, workers);
+        audit_faults(&ex, &plan);
         drop(ex);
         let mut op = op;
         assert_eq!(op.distances(), reference);
@@ -467,7 +464,7 @@ mod injected {
             let mut ctl = controller();
             let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
             assert!(ws.is_empty());
-            audit_faults(&ex, &plan, 4);
+            audit_faults(&ex, &plan);
             drop(ex);
             let mut op = op;
             assert_eq!(op.msf(), reference);
@@ -488,7 +485,7 @@ mod injected {
             let mut ctl = controller();
             let _ = ex.run_pipelined(&mut ws, &mut ctl, pipe_cfg(batch), &mut rng);
             assert!(ws.is_empty());
-            audit_faults(&ex, &plan, 4);
+            audit_faults(&ex, &plan);
             drop(ex);
             check_refined(op, cfg);
         }
