@@ -1,7 +1,6 @@
 //! Seeded violation: the operator acquires a lock directly on the
-//! lock space instead of through its `TaskCtx`, defeating both the
-//! runtime's conflict detection and the radius inference. Exactly one
-//! finding.
+//! lock space instead of through its `TaskCtx`, defeating the
+//! runtime's conflict detection. Exactly one finding.
 
 use optpar_runtime::{Abort, Operator, TaskCtx};
 

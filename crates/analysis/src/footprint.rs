@@ -19,7 +19,10 @@
 //! * interprocedurally, per-function summaries record which parameters
 //!   a function mutates (directly or transitively, to a fixpoint), and
 //!   a call passing a `self`-rooted borrow into a mutated parameter is
-//!   flagged at the call site.
+//!   flagged at the call site;
+//! * separately (`footprint-ctx`), every apps-crate fn — reachable or
+//!   not — may call `lock` / `lock_raw` only on one of its own
+//!   `TaskCtx` parameters.
 //!
 //! What is *not* sound (documented in DESIGN.md §12): mutation via
 //! methods outside the known mutator list on unresolved (non-apps)
@@ -33,7 +36,7 @@ use crate::callgraph::{for_each_call, resolve_call, Call, CallKind, FnId, FnInde
 use crate::lexer::{line_of, Delim, TokKind};
 use crate::report::Violation;
 use crate::tree::Tree;
-use crate::Workspace;
+use crate::{SourceFile, Workspace};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Method names that mutate their receiver (or are fallible raw
@@ -85,8 +88,7 @@ const MUTATING_METHODS: &[&str] = &[
 /// beside a store (`fetch_min` under the element's lock, never rolled
 /// back — DESIGN.md §14.7). Like the publication arenas' `push`, this
 /// is a blessed raw-publication path: calling one on shared state is
-/// not an escape. The radius pass inventories the matching unlocked
-/// reads as `peek` sites.
+/// not an escape.
 const BOUND_PUBLISHERS: &[&str] = &["publish_bound"];
 
 /// Is this file in scope (an apps-crate source file)?
@@ -169,14 +171,15 @@ pub fn analyze(ws: &Workspace) -> Vec<Violation> {
         });
     }
 
-    // Final pass: report violations in reachable fns.
+    // Final pass: raw locks anywhere, escapes in reachable fns.
     let mut out = Vec::new();
     for &id in &fns {
+        let file = &ws.files[id.file];
+        raw_locks(file, def(ws, id), &mut out);
         if !reach.contains(&id) {
             continue;
         }
         let scan = scan_fn(ws, id, &index, &pairs, &summaries);
-        let file = &ws.files[id.file];
         for (off, detail) in scan.viols {
             out.push(Violation {
                 file: file.rel.clone(),
@@ -187,6 +190,32 @@ pub fn analyze(ws: &Workspace) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Raw lock acquisition outside the task's `TaskCtx` defeats the
+/// runtime's conflict detection.
+fn raw_locks(file: &SourceFile, d: &FnDef, out: &mut Vec<Violation>) {
+    for_each_call(d.body.as_deref().unwrap_or(&[]), &mut |c| {
+        if matches!(c.name.as_str(), "lock" | "lock_raw") {
+            let ctx_recv = c.kind == CallKind::Method
+                && c.recv_root
+                    .as_deref()
+                    .is_some_and(|r| d.params.iter().any(|p| p.is_ctx && p.name == r));
+            if !ctx_recv {
+                out.push(Violation {
+                    file: file.rel.clone(),
+                    line: line_of(&file.line_starts, c.off),
+                    rule: "footprint-ctx",
+                    detail: format!(
+                        "`{}` called outside the task's `TaskCtx` in `{}` — \
+                         speculative locks must go through the ctx",
+                        c.name,
+                        d.symbol()
+                    ),
+                });
+            }
+        }
+    });
 }
 
 fn def(ws: &Workspace, id: FnId) -> &FnDef {
@@ -669,6 +698,44 @@ mod tests {
         let ws = ws_of(&[("crates/apps/src/alias.rs", &src)]);
         let vs = analyze(&ws);
         assert_eq!(vs.len(), 1, "{vs:?}");
+    }
+
+    #[test]
+    fn raw_lock_outside_ctx_is_flagged() {
+        let op = |helper_body: &str| {
+            format!(
+                "{PRELUDE}
+                impl Operator for RawOp {{
+                    type Task = u32;
+                    fn execute(&self, &v: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {{
+                        cx.lock(&self.state, v as usize)?;
+                        self.touch(cx, v)?;
+                        Ok(vec![])
+                    }}
+                }}
+                impl RawOp {{
+                    fn touch(&self, cx: &mut TaskCtx<'_>, x: u32) -> Result<(), Abort> {{
+                        {helper_body}
+                        Ok(())
+                    }}
+                }}"
+            )
+        };
+        // Through the helper's own ctx parameter: the blessed path.
+        let ws = ws_of(&[(
+            "crates/apps/src/raw.rs",
+            &op("cx.lock(&self.state, x as usize)?;"),
+        )]);
+        assert_eq!(analyze(&ws), Vec::new());
+        // Straight on the lock space, in `execute` or in a helper.
+        let direct = op("").replace("self.touch(cx, v)?;", "self.space.lock_raw(v as usize);");
+        let in_helper = op("self.space.lock_raw(x as usize);");
+        for src in [direct, in_helper] {
+            let vs = analyze(&ws_of(&[("crates/apps/src/raw.rs", &src)]));
+            assert_eq!(vs.len(), 1, "{vs:?}");
+            assert_eq!(vs[0].rule, "footprint-ctx");
+            assert!(vs[0].detail.contains("lock_raw"), "{}", vs[0].detail);
+        }
     }
 
     #[test]

@@ -2,19 +2,18 @@
 //!
 //! A dependency-free Rust front end (lexer → token trees → AST-lite →
 //! call graph), the lexical [`lint`] rules on its tokens (with
-//! span-based test exemption), and four analyses tuned to this
+//! span-based test exemption), and three analyses tuned to this
 //! workspace's speculation contract:
 //!
 //! * **footprint-escape** ([`footprint`]) — operators must mutate
 //!   shared state only through their `TaskCtx`, checked
-//!   interprocedurally across apps-crate helpers;
+//!   interprocedurally across apps-crate helpers, and apps code must
+//!   take locks only through a `TaskCtx` parameter (`footprint-ctx`);
 //! * **panic-reachability** ([`panicpath`]) — no panic source
 //!   reachable from the round-critical runtime functions outside the
 //!   `catch_unwind` containment boundary;
 //! * **atomic-protocol** ([`protocol`]) — the atomics of
-//!   `lock.rs`/`pool.rs` must match the checked-in `PROTOCOL.toml`;
-//! * **conflict-radius** ([`radius`]) — each operator's inferred
-//!   footprint radius must match the checked-in `FOOTPRINT.toml`.
+//!   `lock.rs`/`pool.rs` must match the checked-in `PROTOCOL.toml`.
 //!
 //! Everything is best-effort syntactic analysis: no type information,
 //! no macro expansion. The analyses are tuned to this codebase's
@@ -29,7 +28,6 @@ pub mod lexer;
 pub mod lint;
 pub mod panicpath;
 pub mod protocol;
-pub mod radius;
 pub mod report;
 pub mod tree;
 
@@ -56,8 +54,6 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// `PROTOCOL.toml` text at the root, if present.
     pub protocol: Option<String>,
-    /// `FOOTPRINT.toml` text at the root, if present.
-    pub footprint: Option<String>,
 }
 
 impl Workspace {
@@ -79,7 +75,6 @@ impl Workspace {
         Workspace {
             files,
             protocol: None,
-            footprint: None,
         }
     }
 
@@ -101,7 +96,6 @@ impl Workspace {
         }
         let mut ws = Workspace::from_sources(sources);
         ws.protocol = std::fs::read_to_string(root.join("PROTOCOL.toml")).ok();
-        ws.footprint = std::fs::read_to_string(root.join("FOOTPRINT.toml")).ok();
         ws
     }
 }
@@ -145,7 +139,6 @@ pub fn analyze_workspace(ws: &Workspace) -> Vec<Violation> {
     out.extend(footprint::analyze(ws));
     out.extend(panicpath::analyze(ws));
     out.extend(protocol::analyze(ws));
-    out.extend(radius::analyze(ws));
     sort_violations(&mut out);
     out
 }
@@ -159,11 +152,6 @@ pub fn analyze_tree(root: &Path) -> Vec<Violation> {
 pub fn protocol_toml(ws: &Workspace) -> String {
     let (entries, _) = protocol::extract(ws);
     protocol::to_toml(&entries)
-}
-
-/// The blessed FOOTPRINT.toml text for a workspace's current code.
-pub fn footprint_toml(ws: &Workspace) -> String {
-    radius::to_toml(&radius::extract(ws))
 }
 
 /// Locate the workspace root: the nearest ancestor of `start` whose
@@ -219,26 +207,6 @@ mod tests {
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "atomic-protocol");
         assert!(vs[0].detail.contains("weakened"), "{}", vs[0].detail);
-    }
-
-    #[test]
-    fn radius_drift_fixture_trips_exactly_the_radius_rule() {
-        let vs = analyze_tree(&fixture("radius_drift"));
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, "footprint-radius");
-        assert!(
-            vs[0].detail.contains("DriftOp") && vs[0].detail.contains("radius 0 -> 1"),
-            "{}",
-            vs[0].detail
-        );
-    }
-
-    #[test]
-    fn unbounded_unannotated_fixture_trips_exactly_the_unbounded_rule() {
-        let vs = analyze_tree(&fixture("unbounded_unannotated"));
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, "footprint-unbounded");
-        assert!(vs[0].detail.contains("ChaseOp"), "{}", vs[0].detail);
     }
 
     #[test]

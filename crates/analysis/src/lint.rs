@@ -76,7 +76,9 @@ pub const UNWRAP_BANLIST: &[&str] = &[
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/pipelined.rs",
     // A panicking service lane would take its clients' reports down
-    // with it; every error must surface as a structured JobError.
+    // with it (its client gets `ServiceClosed`; `serve` re-raises the
+    // panic at teardown); every error must surface as a structured
+    // JobError.
     "crates/runtime/src/service.rs",
 ];
 

@@ -27,28 +27,11 @@ use crate::tree::Tree;
 use crate::Workspace;
 use std::collections::{HashMap, VecDeque};
 
-/// Round-critical runtime modules: panic roots. Mirrors the lexical
-/// rule's banlist.
-const ROUND_CRITICAL: &[&str] = &[
-    "crates/runtime/src/lock.rs",
-    "crates/runtime/src/task.rs",
-    "crates/runtime/src/store.rs",
-    "crates/runtime/src/exec.rs",
-    "crates/runtime/src/pool.rs",
-    "crates/runtime/src/faults.rs",
-    "crates/runtime/src/pipelined.rs",
-    // Service lanes hold client report channels; a reachable panic
-    // there kills the lane and drops the job's report (its client gets
-    // `ServiceClosed`; `serve` re-raises the panic at teardown).
-    // Deliberately NOT in INDEX_AUDITED: service code must stay
-    // indexing-free.
-    "crates/runtime/src/service.rs",
-];
-
 /// Files whose slice indexing has been audited (bounds always hold by
 /// construction: slot ids are validated at the TaskCtx boundary, the
 /// arena hands out indices it minted). Indexing elsewhere in the
-/// reachable set is a panic source.
+/// reachable set is a panic source — `service.rs` is deliberately
+/// absent: service code must stay indexing-free.
 const INDEX_AUDITED: &[&str] = &[
     "crates/runtime/src/lock.rs",
     "crates/runtime/src/task.rs",
@@ -73,8 +56,11 @@ fn in_scope(rel: &str) -> bool {
     rel.contains("crates/runtime/src/") || rel.contains("crates/checker/src/")
 }
 
+/// Panic roots: the lexical unwrap rule's round-critical files.
 fn is_round_critical(rel: &str) -> bool {
-    ROUND_CRITICAL.iter().any(|f| rel.ends_with(f) || rel == *f)
+    crate::lint::UNWRAP_BANLIST
+        .iter()
+        .any(|f| rel.ends_with(f) || rel == *f)
 }
 
 fn is_index_audited(rel: &str) -> bool {

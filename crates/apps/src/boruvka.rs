@@ -366,7 +366,6 @@ impl BoruvkaOp {
 impl Operator for BoruvkaOp {
     type Task = u32;
 
-    // FOOTPRINT-UNBOUNDED: parent-pointer chase follows links set by prior merges, so its length is runtime state
     fn execute(&self, &c: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {
         let ci = c as usize;
         let my_size = {

@@ -77,9 +77,7 @@ impl CcMirror {
         }
     }
 
-    /// Indices (into `edge_data`) of `v`'s incident edges: one
-    /// structural hop from `v`, whatever the table layout (the radius
-    /// analyzer knows this accessor by name).
+    /// Indices (into `edge_data`) of `v`'s incident edges.
     fn incident_edges(&self, v: NodeId) -> &[u32] {
         &self.ids[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }

@@ -187,7 +187,6 @@ impl ClusteringOp {
 impl Operator for ClusteringOp {
     type Task = u32;
 
-    // FOOTPRINT-UNBOUNDED: forwarding-pointer chase and candidate lists reach clusters determined by prior merges
     fn execute(&self, &c0: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {
         // The task may reference an absorbed cluster; resolve first.
         let c = self.resolve(cx, c0)?;

@@ -340,7 +340,6 @@ fn fan_where(boundary: &[BoundaryEdge], pick: impl Fn(&BoundaryEdge) -> bool) ->
 impl Operator for DelaunayOp {
     type Task = u32;
 
-    // FOOTPRINT-UNBOUNDED: cavity growth locks every triangle whose circumcircle contains the new point
     fn execute(&self, &t: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {
         cx.lock(&self.tris, t as usize)?;
         let tri = *cx.read(&self.tris, t as usize)?;

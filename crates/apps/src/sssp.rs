@@ -303,13 +303,6 @@ impl Operator for SsspOp {
         }
         Ok(spawn)
     }
-
-    /// Seed = the node's own distance slot: the operator's footprint is
-    /// the radius-1 ball around it (`FOOTPRINT.toml`), which the
-    /// checker cross-validates against every acquired lock.
-    fn conflict_seed(&self, t: &SsspTask) -> Option<u64> {
-        Some(self.dist.lock_of(t.node as usize) as u64)
-    }
 }
 
 #[cfg(test)]

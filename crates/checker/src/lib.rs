@@ -62,5 +62,5 @@ pub mod sink;
 pub mod trace;
 
 pub use report::{AccessSummary, Report};
-pub use sink::{AuditSink, CheckerMode, RadiusPolicy};
+pub use sink::{AuditSink, CheckerMode};
 pub use trace::{AccessKind, Outcome, TaskTrace, TraceEvent};

@@ -169,40 +169,6 @@ impl LockLedger {
     }
 }
 
-/// Static↔dynamic radius cross-check: every lock a seeded task
-/// acquired must lie within `radius` hops of its seed element.
-///
-/// `dist(seed, lock)` returns the hop distance in the conflict graph,
-/// or `None` when `lock` falls outside the mapped region (auxiliary
-/// lock regions — counters, shared pools — are not part of the
-/// element-adjacency ball and are exempt). Traces without a seed
-/// (operators that do not implement `conflict_seed`) are skipped:
-/// the check is opt-in per operator, like the contract it validates.
-pub fn audit_radius(
-    radius: u32,
-    dist: &(dyn Fn(u64, usize) -> Option<u32> + Send + Sync),
-    traces: &[TaskTrace],
-) -> Vec<Report> {
-    let mut reports = Vec::new();
-    for t in traces {
-        let Some(seed) = t.seed else { continue };
-        for lock in t.acquired() {
-            if let Some(d) = dist(seed, lock) {
-                if d > radius {
-                    reports.push(Report::RadiusExceeded {
-                        slot: t.slot,
-                        seed,
-                        lock,
-                        dist: d,
-                        radius,
-                    });
-                }
-            }
-        }
-    }
-    reports
-}
-
 /// Rules (1) and (4), plus — for a barrier round — (2) and (3).
 fn audit(traces: &[TaskTrace], round: bool) -> Vec<Report> {
     let mut reports = Vec::new();
@@ -368,7 +334,6 @@ mod tests {
             epoch,
             events,
             outcome,
-            seed: None,
         }
     }
 

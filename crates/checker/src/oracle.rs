@@ -198,7 +198,6 @@ mod tests {
             epoch: 11,
             events,
             outcome,
-            seed: None,
         }
     }
 

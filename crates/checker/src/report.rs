@@ -113,21 +113,6 @@ pub enum Report {
         /// What went wrong.
         detail: String,
     },
-    /// A task acquired a lock further from its seed element than the
-    /// operator's statically declared conflict radius allows — either
-    /// the radius inference is unsound or `FOOTPRINT.toml` drifted.
-    RadiusExceeded {
-        /// The offending slot.
-        slot: usize,
-        /// The task's seed element (global lock index).
-        seed: u64,
-        /// The lock acquired outside the declared ball.
-        lock: usize,
-        /// Observed hop distance from seed to `lock`.
-        dist: u32,
-        /// The declared static radius d̂.
-        radius: u32,
-    },
 }
 
 impl std::fmt::Display for Report {
@@ -189,18 +174,6 @@ impl std::fmt::Display for Report {
             Report::EpochInvariant { epoch, detail } => {
                 write!(f, "EPOCH INVARIANT broken at epoch {epoch}: {detail}")
             }
-            Report::RadiusExceeded {
-                slot,
-                seed,
-                lock,
-                dist,
-                radius,
-            } => write!(
-                f,
-                "RADIUS EXCEEDED by task {slot}: seed {seed} acquired lock {lock} at hop \
-                 distance {dist} > declared static radius {radius} (analyzer unsoundness \
-                 or FOOTPRINT.toml drift)"
-            ),
         }
     }
 }
@@ -263,24 +236,6 @@ mod tests {
         assert!(s.contains("task 2"), "{s}");
         assert!(s.contains("holder 5"), "{s}");
         assert!(s.contains("never acquired"), "{s}");
-    }
-
-    #[test]
-    fn radius_exceeded_display_names_all_coordinates() {
-        let r = Report::RadiusExceeded {
-            slot: 4,
-            seed: 120,
-            lock: 99,
-            dist: 3,
-            radius: 1,
-        };
-        let s = r.to_string();
-        assert!(s.starts_with("RADIUS EXCEEDED"), "{s}");
-        assert!(s.contains("task 4"), "{s}");
-        assert!(s.contains("seed 120"), "{s}");
-        assert!(s.contains("lock 99"), "{s}");
-        assert!(s.contains("distance 3"), "{s}");
-        assert!(s.contains("radius 1"), "{s}");
     }
 
     #[test]

@@ -36,28 +36,6 @@ pub enum CheckerMode {
     Collect,
 }
 
-/// The static contract the radius cross-check audits against: the
-/// operator's declared radius d̂ (from `FOOTPRINT.toml`) plus a hop
-/// metric over the conflict graph. `dist(seed, lock)` returns the hop
-/// distance from the seed element to the datum guarded by `lock`, or
-/// `None` for locks outside the mapped element region (auxiliary
-/// regions are exempt from the ball).
-pub struct RadiusPolicy {
-    /// Declared static conflict radius d̂.
-    pub radius: u32,
-    /// Hop metric: `(seed global lock index, acquired lock) -> hops`.
-    pub dist: Box<dyn Fn(u64, usize) -> Option<u32> + Send + Sync>,
-}
-
-impl std::fmt::Debug for RadiusPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RadiusPolicy")
-            .field("radius", &self.radius)
-            .field("dist", &"<fn>")
-            .finish()
-    }
-}
-
 #[derive(Debug, Default)]
 struct SinkState {
     armed: bool,
@@ -67,7 +45,6 @@ struct SinkState {
     ledger: LockLedger,
     reports: Vec<Report>,
     mode: CheckerMode,
-    radius_policy: Option<RadiusPolicy>,
 }
 
 /// Shared deposit point for traces and reports (see module docs).
@@ -100,13 +77,6 @@ impl AuditSink {
     /// The active mode.
     pub fn mode(&self) -> CheckerMode {
         recover(self.state.lock()).mode
-    }
-
-    /// Install (or clear) the static-radius cross-check policy.
-    /// When set, every drain also runs [`lockset::audit_radius`] over
-    /// the seeded traces against the declared radius.
-    pub fn set_radius_policy(&self, policy: Option<RadiusPolicy>) {
-        recover(self.state.lock()).radius_policy = policy;
     }
 
     /// Begin collecting traces for one round. `sequential` marks the
@@ -146,9 +116,6 @@ impl AuditSink {
             let mut found = lockset::audit_round(&traces);
             if st.sequential {
                 found.extend(oracle::audit_sequential_round(&traces));
-            }
-            if let Some(p) = &st.radius_policy {
-                found.extend(lockset::audit_radius(p.radius, &*p.dist, &traces));
             }
             st.reports.extend(found.iter().cloned());
             (found, st.mode)
@@ -201,9 +168,6 @@ impl AuditSink {
                 found.extend(lockset::audit_batch(g));
                 if st.sequential {
                     found.extend(oracle::audit_sequential_batch(g));
-                }
-                if let Some(p) = &st.radius_policy {
-                    found.extend(lockset::audit_radius(p.radius, &*p.dist, g));
                 }
             }
             st.reports.extend(found.iter().cloned());
@@ -301,7 +265,6 @@ mod tests {
                 epoch: 1,
                 events: vec![TraceEvent::Acquired { lock, from: None }],
                 outcome: Outcome::Committed,
-                seed: None,
             })
             .collect()
     }
@@ -363,7 +326,6 @@ mod tests {
             epoch,
             events: vec![TraceEvent::Acquired { lock, from: None }],
             outcome: Outcome::Committed,
-            seed: None,
         };
         sink.push_trace(mk(0, tag_a, 1));
         sink.push_trace(mk(2, tag_b, 9));
@@ -384,62 +346,6 @@ mod tests {
         sink.push_trace(mk(1, tag_a, 6));
         sink.drain_window(); // no-op: disarmed
         assert_eq!(sink.report_count(), 0);
-    }
-
-    #[test]
-    fn radius_policy_flags_out_of_ball_lock_and_skips_unseeded() {
-        let sink = AuditSink::new();
-        sink.set_mode(CheckerMode::Collect);
-        // Hop metric: |lock - seed| on a line graph; lock 100+ is an
-        // auxiliary region outside the ball.
-        sink.set_radius_policy(Some(RadiusPolicy {
-            radius: 1,
-            dist: Box::new(|seed, lock| {
-                if lock >= 100 {
-                    None
-                } else {
-                    Some((lock as i64 - seed as i64).unsigned_abs() as u32)
-                }
-            }),
-        }));
-        sink.arm(false);
-        let seeded = |slot, seed, locks: Vec<usize>| TaskTrace {
-            slot,
-            epoch: 1,
-            events: locks
-                .into_iter()
-                .map(|lock| TraceEvent::Acquired { lock, from: None })
-                .collect(),
-            outcome: Outcome::Committed,
-            seed: Some(seed),
-        };
-        // In ball (hops 0, 1), auxiliary (exempt), out of ball (hop 3).
-        sink.push_trace(seeded(0, 10, vec![10, 11, 105]));
-        sink.push_trace(seeded(1, 20, vec![23]));
-        // Unseeded trace with a far lock: skipped.
-        let mut unseeded = TaskTrace::new(2, 1);
-        unseeded.events.push(TraceEvent::Acquired {
-            lock: 90,
-            from: None,
-        });
-        unseeded.outcome = Outcome::Committed;
-        sink.push_trace(unseeded);
-        sink.drain_round();
-        let reports = sink.take_reports();
-        assert_eq!(reports.len(), 1, "{reports:?}");
-        assert!(
-            matches!(
-                reports[0],
-                Report::RadiusExceeded {
-                    slot: 1,
-                    seed: 20,
-                    lock: 23,
-                    dist: 3,
-                    radius: 1,
-                }
-            ),
-            "{reports:?}"
-        );
     }
 
     #[test]

@@ -91,10 +91,6 @@ pub struct TaskTrace {
     pub events: Vec<TraceEvent>,
     /// Final outcome.
     pub outcome: Outcome,
-    /// The global lock index of the task's seed element, when the
-    /// operator declares one (`Operator::conflict_seed`) — the anchor
-    /// for the static↔dynamic radius cross-check.
-    pub seed: Option<u64>,
 }
 
 impl TaskTrace {
@@ -106,7 +102,6 @@ impl TaskTrace {
             epoch,
             events: Vec::new(),
             outcome: Outcome::Aborted,
-            seed: None,
         }
     }
 

@@ -39,7 +39,6 @@
 pub mod control;
 pub mod dynamics;
 pub mod estimate;
-pub mod footprint;
 pub mod model;
 pub mod ordered;
 pub mod partition;

@@ -835,8 +835,6 @@ impl<'a, O: Operator> Executor<'a, O> {
             }
         );
         let mut cx = TaskCtx::new_in_lane(slot, self.space, lane, fault_key, scratch);
-        #[cfg(feature = "checker")]
-        cx.note_seed(self.op.conflict_seed(&entry.task));
         cx.attach_probe(probe);
         #[cfg(feature = "faults")]
         if let Some(plan) = self.fault_plan {

@@ -82,12 +82,10 @@ pub trait Operator: Sync {
     /// added to the work-set. Propagate [`Abort`] on conflict.
     fn execute(&self, task: &Self::Task, cx: &mut TaskCtx<'_>) -> Result<Vec<Self::Task>, Abort>;
 
-    /// The global lock index of `task`'s seed element, if the operator
-    /// wants the checker's static↔dynamic radius cross-check: every
-    /// lock the task acquires is then audited to lie within the
-    /// statically inferred conflict radius (`FOOTPRINT.toml`) of this
-    /// seed. Default `None` opts out — the check is only meaningful
-    /// for operators whose footprint is a ball around one element.
+    /// Never called. Benchmark-pinned: the frozen `benchmark/src/trace.rs`
+    /// forwards it through its timing wrapper; the next PR that may
+    /// edit `benchmark/` drops it (ROADMAP item 5(b)).
+    #[doc(hidden)]
     fn conflict_seed(&self, task: &Self::Task) -> Option<u64> {
         let _ = task;
         None
@@ -434,14 +432,6 @@ impl<'rt> TaskCtx<'rt> {
     /// their locks — first).
     pub fn slot(&self) -> usize {
         self.slot
-    }
-
-    /// Record the task's seed element (from [`Operator::conflict_seed`])
-    /// on the audit trace, anchoring the static↔dynamic radius
-    /// cross-check for this task.
-    #[cfg(feature = "checker")]
-    pub(crate) fn note_seed(&mut self, seed: Option<u64>) {
-        self.trace.seed = seed;
     }
 
     /// Acquire the abstract lock of `store` slot `i` without touching

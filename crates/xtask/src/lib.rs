@@ -9,7 +9,7 @@
 //!
 //! Run the lexical rules alone with `cargo run -p xtask -- lint`, and
 //! with the deep analyses (footprint-escape, panic-reachability,
-//! atomic-protocol, conflict-radius) via `cargo run -p xtask -- analyze`.
+//! atomic-protocol) via `cargo run -p xtask -- analyze`.
 
 use std::path::Path;
 

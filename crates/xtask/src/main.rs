@@ -1,8 +1,7 @@
 //! `cargo run -p xtask -- lint [files...]` — the lexical rules.
-//! `cargo run -p xtask -- analyze [--write-protocol|--write-footprints]`
-//! — lexical rules plus the deep static analyses (footprint-escape,
-//! panic-reachability, atomic-protocol contract, conflict-radius
-//! footprint contract).
+//! `cargo run -p xtask -- analyze [--write-protocol]` — lexical rules
+//! plus the deep static analyses (footprint-escape, panic-reachability,
+//! atomic-protocol contract).
 //! `cargo run -p xtask -- report <trace-file>` — summarize an
 //! observability artifact (Chrome trace JSON, metrics JSONL, or the
 //! canonical event JSONL) recorded under `--features obs`.
@@ -11,9 +10,8 @@
 //! workspace (excluding `target/`, `vendor/`, and `fixtures/`); with
 //! arguments it lints exactly those files, resolving allowlists
 //! against their workspace-relative paths. `analyze` always runs over
-//! the whole workspace; `--write-protocol` / `--write-footprints`
-//! re-bless the matching contract file from the current code instead
-//! of diffing against it. Both exit nonzero if any violation is found.
+//! the whole workspace; `--write-protocol` re-blesses `PROTOCOL.toml`
+//! from the current code instead of diffing against it. Both exit nonzero if any violation is found.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -27,7 +25,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- lint [files...] \
-                 | analyze [--write-protocol|--write-footprints] \
+                 | analyze [--write-protocol] \
                  | report <trace-file>"
             );
             ExitCode::from(2)
@@ -105,21 +103,6 @@ fn analyze(args: &[String]) -> ExitCode {
             "xtask analyze: blessed {} ({} atomic entries)",
             path.display(),
             toml.matches("[[atomic]]").count()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--write-footprints") {
-        let ws = optpar_analysis::Workspace::load(&root);
-        let toml = optpar_analysis::footprint_toml(&ws);
-        let path = root.join("FOOTPRINT.toml");
-        if let Err(e) = std::fs::write(&path, &toml) {
-            eprintln!("xtask: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "xtask analyze: blessed {} ({} operator contracts)",
-            path.display(),
-            toml.matches("[[operator]]").count()
         );
         return ExitCode::SUCCESS;
     }

@@ -113,7 +113,7 @@ fn sssp_locks_at_most_two_words_per_commit() {
 }
 
 /// An operator wrapper that forwards only what a wrapper must —
-/// `execute` and `conflict_seed` — as a timing or tracing shim does.
+/// `execute` — as a timing or tracing shim does.
 struct Forward<'a, O>(&'a O);
 
 impl<O: Operator> Operator for Forward<'_, O> {
@@ -121,10 +121,6 @@ impl<O: Operator> Operator for Forward<'_, O> {
 
     fn execute(&self, task: &O::Task, cx: &mut TaskCtx<'_>) -> Result<Vec<O::Task>, Abort> {
         self.0.execute(task, cx)
-    }
-
-    fn conflict_seed(&self, task: &O::Task) -> Option<u64> {
-        self.0.conflict_seed(task)
     }
 }
 
