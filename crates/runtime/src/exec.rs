@@ -505,23 +505,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         crate::faults::recover(self.faults.lock()).drain()
     }
 
-    /// Faults dropped by the bounded log because its undrained buffer
-    /// was full (monotone; see [`FaultLog::dropped`]).
-    pub fn dropped_faults(&self) -> usize {
-        crate::faults::recover(self.faults.lock()).dropped()
-    }
-
-    /// Replace the fault log with an empty one bounded at `cap`
-    /// undrained entries (long-running services drain rarely; the
-    /// default [`crate::faults::DEFAULT_FAULT_LOG_CAP`] applies
-    /// otherwise). Any undrained entries are returned.
-    pub fn set_fault_log_capacity(&self, cap: usize) -> Vec<TaskFault> {
-        let mut log = crate::faults::recover(self.faults.lock());
-        let old = log.drain();
-        *log = FaultLog::with_capacity(cap);
-        old
-    }
-
     /// Drain and return the dead-letter list: tasks that faulted past
     /// [`ExecutorConfig::dead_letter_budget`] and were retired from
     /// the work-set instead of re-queued.

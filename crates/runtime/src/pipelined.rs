@@ -514,6 +514,12 @@ impl<O: Operator> Executor<'_, O> {
             Some(pool) => pool.rendezvous(&worker),
             None => worker(0),
         }
+        // Every drawn task settled exactly once: the batch sizes drawn
+        // add up to the outcomes the counters booked.
+        debug_assert_eq!(completions.load(Ordering::Acquire), {
+            let total = counters.snapshot();
+            total.committed + total.aborted + total.faulted
+        });
         // Flush the final partial window.
         let mut st = recover(winstate.into_inner());
         flush(&mut st);

@@ -1,37 +1,20 @@
-//! End-to-end trace validation (`--features obs`).
-//!
-//! Every test drives a real application through the round executor
-//! with the recorder attached, folds the executor's own `RoundStats`
-//! into per-round [`RoundCheck`]s, and hands both to the trace
-//! validator: the event stream must *independently* reproduce the
-//! runtime's accounting (launched = committed + aborted + faulted,
-//! bit-equal conflict ratios, strictly monotone epoch bumps, no lock
-//! event straddling a round boundary). A passing test therefore means
-//! two separately-built witnesses of every round agree exactly.
+//! End-to-end traces (`--features obs`) beyond what the differential
+//! matrix (`tests/matrix.rs`) checks on every cell: the exporters
+//! consume a real trace, a one-worker trace is byte-deterministic, and
+//! the controller track shows continuous execution converging to ρ.
 
 #![cfg(feature = "obs")]
 
 use optpar::apps::boruvka::{BoruvkaOp, WeightedGraph};
-use optpar::apps::delaunay::{DelaunayOp, RefineConfig};
-use optpar::apps::geometry::Point;
 use optpar::apps::sssp::{SsspInput, SsspOp};
-use optpar::apps::triangulation::Mesh;
-use optpar::core::control::{Controller, HybridController, HybridParams};
+use optpar::core::control::{HybridController, HybridParams};
 use optpar::graph::gen;
-use optpar::runtime::obs::{export, validate, EventKind, EventLog, ObsConfig, RoundCheck};
+use optpar::runtime::obs::{export, EventKind, EventLog, ObsConfig};
 use optpar::runtime::{
-    Abort, Executor, ExecutorConfig, Operator, PipelinedConfig, TaskCtx, WorkSet,
+    Abort, Executor, ExecutorConfig, LockSpace, Operator, PipelinedConfig, TaskCtx, WorkSet,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn controller() -> HybridController {
-    HybridController::new(HybridParams {
-        rho: 0.25,
-        m_max: 1024,
-        ..HybridParams::default()
-    })
-}
+use rand::SeedableRng;
 
 fn config(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
@@ -40,125 +23,38 @@ fn config(workers: usize) -> ExecutorConfig {
     }
 }
 
-/// Drain `tasks` through `ex` round by round, recording a trace and
-/// collecting one [`RoundCheck`] per round from the executor's own
-/// stats; validate the trace against them and return the log.
-fn drive_validated<O: Operator>(
-    ex: &mut Executor<'_, O>,
+/// Drain `tasks` by barrier rounds under the hybrid controller with
+/// the recorder attached, and return what it recorded.
+fn record<O: Operator>(
+    op: &O,
+    space: &LockSpace,
     tasks: Vec<O::Task>,
+    workers: usize,
     seed: u64,
 ) -> EventLog {
+    let mut ex = Executor::new(op, space, config(workers));
     ex.enable_obs(ObsConfig::default());
     let mut ws = WorkSet::from_vec(tasks);
+    let mut ctl = HybridController::with_rho(0.25);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ctl = controller();
-    let mut checks = Vec::new();
-    while !ws.is_empty() {
-        let m = ctl.current_m();
-        let rs = ex.run_round(&mut ws, m, &mut rng);
-        ctl.observe(rs.pressure_ratio(), rs.launched);
-        checks.push(RoundCheck {
-            m: m as u64,
-            launched: rs.launched as u64,
-            committed: rs.committed as u64,
-            aborted: rs.aborted as u64,
-            faulted: rs.faulted as u64,
-            spawned: rs.spawned as u64,
-            conflict_ratio_bits: rs.conflict_ratio().to_bits(),
-        });
-        assert!(checks.len() < 1_000_000, "workload did not drain");
-    }
-    let log = ex.recorder().expect("recorder enabled above").snapshot();
-    match validate::validate(&log, &checks) {
-        Ok(report) => {
-            assert_eq!(report.rounds, checks.len());
-            assert!(report.events > 0);
-        }
-        Err(violations) => {
-            panic!(
-                "trace validation failed with {} violation(s):\n{}",
-                violations.len(),
-                violations.join("\n")
-            );
-        }
-    }
-    log
+    let _ = ex.run_with_controller(&mut ws, &mut ctl, 1_000_000, &mut rng);
+    assert!(ws.is_empty());
+    ex.recorder().expect("recorder enabled above").snapshot()
 }
 
-fn sssp_trace(workers: usize, seed: u64) -> EventLog {
+fn sssp_trace(seed: u64) -> EventLog {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_with_avg_degree(600, 6.0, &mut rng);
-    let input = SsspInput::random(g, 0, 100, &mut rng);
-    let reference = input.dijkstra();
-    let (space, op) = SsspOp::new(input);
-    let mut ex = Executor::new(&op, &space, config(workers));
-    let tasks = op.initial_tasks();
-    let log = drive_validated(&mut ex, tasks, seed ^ 0xA5A5);
-    drop(ex);
-    let mut op = op;
-    assert_eq!(op.distances(), reference, "result corrupted");
-    log
-}
-
-fn boruvka_trace(workers: usize, seed: u64) -> EventLog {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = gen::random_with_avg_degree(500, 6.0, &mut rng);
-    let wg = WeightedGraph::random(g, &mut rng);
-    let reference = wg.kruskal();
-    let (space, op) = BoruvkaOp::new(&wg);
-    let mut ex = Executor::new(&op, &space, config(workers));
-    let tasks = op.initial_tasks();
-    let log = drive_validated(&mut ex, tasks, seed ^ 0x5A5A);
-    drop(ex);
-    let mut op = op;
-    assert_eq!(op.msf(), reference, "result corrupted");
-    log
-}
-
-fn delaunay_trace(workers: usize, seed: u64) -> EventLog {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pts = vec![
-        Point::new(0.0, 0.0),
-        Point::new(1.0, 0.0),
-        Point::new(1.0, 1.0),
-        Point::new(0.0, 1.0),
-    ];
-    pts.extend((0..120).map(|_| Point::new(rng.random::<f64>(), rng.random::<f64>())));
-    let mesh = Mesh::delaunay(&pts);
-    let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, RefineConfig::area_only(8e-4));
-    let tasks = op.initial_tasks();
-    let mut ex = Executor::new(&op, &space, config(workers));
-    drive_validated(&mut ex, tasks, seed ^ 0x3C3C)
-}
-
-// ---------------------------------------------------------------------
-// Satellite 1: trace invariants hold on every app × worker count
-// ---------------------------------------------------------------------
-
-#[test]
-fn sssp_trace_validates_at_every_worker_count() {
-    for workers in [1, 2, 4, 8] {
-        sssp_trace(workers, 11 + workers as u64);
-    }
-}
-
-#[test]
-fn boruvka_trace_validates_at_every_worker_count() {
-    for workers in [1, 2, 4, 8] {
-        boruvka_trace(workers, 21 + workers as u64);
-    }
-}
-
-#[test]
-fn delaunay_trace_validates_at_every_worker_count() {
-    for workers in [1, 2, 4, 8] {
-        delaunay_trace(workers, 31 + workers as u64);
-    }
+    let (space, op) = SsspOp::new(SsspInput::random(g, 0, 100, &mut rng));
+    record(&op, &space, op.initial_tasks(), 1, seed)
 }
 
 #[test]
 fn exporters_consume_a_real_trace() {
-    let log = boruvka_trace(4, 77);
+    let mut rng = StdRng::seed_from_u64(77);
+    let g = gen::random_with_avg_degree(500, 6.0, &mut rng);
+    let (space, op) = BoruvkaOp::new(&WeightedGraph::random(g, &mut rng));
+    let log = record(&op, &space, op.initial_tasks(), 4, 77);
     let chrome = export::chrome_trace(&log);
     assert!(chrome.contains("\"traceEvents\""));
     assert!(!chrome.contains("NaN"), "chrome trace must stay JSON-legal");
@@ -175,14 +71,10 @@ fn exporters_consume_a_real_trace() {
     assert!(summary.contains("tasks_launched"));
 }
 
-// ---------------------------------------------------------------------
-// Satellite 2: single-worker runs are byte-deterministic
-// ---------------------------------------------------------------------
-
 #[test]
 fn single_worker_trace_is_byte_deterministic() {
-    let a = export::events_jsonl(&sssp_trace(1, 99));
-    let b = export::events_jsonl(&sssp_trace(1, 99));
+    let a = export::events_jsonl(&sssp_trace(99));
+    let b = export::events_jsonl(&sssp_trace(99));
     assert!(!a.is_empty());
     assert_eq!(
         a, b,
@@ -320,56 +212,4 @@ fn continuous_controller_converges_to_rho_band() {
         "controller never converged to ρ ± 0.1 on any seed:\n{}",
         failures.join("\n")
     );
-}
-
-// ---------------------------------------------------------------------
-// Cross-feature variants: the trace survives the checker and the
-// fault injector
-// ---------------------------------------------------------------------
-
-/// With the checker armed, audit findings would surface both as a
-/// panic (Panic mode) and as `Audit` trace events; a clean run must
-/// produce neither.
-#[cfg(feature = "checker")]
-#[test]
-fn trace_validates_with_checker_armed() {
-    for workers in [1, 4] {
-        let log = sssp_trace(workers, 51 + workers as u64);
-        let audits = log
-            .events
-            .iter()
-            .filter(|te| matches!(te.event.kind, EventKind::Audit { .. }))
-            .count();
-        assert_eq!(audits, 0, "clean run must emit no audit events");
-    }
-}
-
-/// Injected faults must show up in the stream as `TaskFault` events
-/// and still reconcile with the executor's accounting.
-#[cfg(feature = "faults")]
-#[test]
-fn trace_validates_under_fault_injection() {
-    use optpar::runtime::FaultPlan;
-    let mut rng = StdRng::seed_from_u64(43);
-    let g = gen::random_with_avg_degree(600, 6.0, &mut rng);
-    let input = SsspInput::random(g, 0, 100, &mut rng);
-    let reference = input.dijkstra();
-    let (space, op) = SsspOp::new(input);
-    let plan = FaultPlan::seeded(2002)
-        .with_panic_rate(0.05)
-        .with_spurious_abort_rate(0.05);
-    let mut ex = Executor::new(&op, &space, config(4));
-    ex.set_fault_plan(&plan);
-    let tasks = op.initial_tasks();
-    let log = drive_validated(&mut ex, tasks, 44);
-    assert!(plan.fired_count() > 0, "the plan never fired");
-    let faults = log
-        .events
-        .iter()
-        .filter(|te| matches!(te.event.kind, EventKind::TaskFault { .. }))
-        .count();
-    assert!(faults > 0, "injected faults must appear in the stream");
-    drop(ex);
-    let mut op = op;
-    assert_eq!(op.distances(), reference, "result corrupted under faults");
 }

@@ -67,9 +67,9 @@ fn config(chaos_seed: u64) -> ServiceConfig {
     }
 }
 
-/// Job builders mirror `tests/faults_e2e.rs`: build the input and the
-/// sequential reference inside the closure, drive speculatively on the
-/// lane's workers, compare.
+/// Job builders mirror the rows of `tests/matrix.rs`: build the input
+/// and the sequential reference inside the closure, drive
+/// speculatively on the lane's workers, compare.
 fn sssp_job(n: usize, seed: u64) -> JobSpec {
     JobSpec::new(format!("sssp-{seed:x}"), move |cx: &mut JobCx<'_>| {
         let mut rng = StdRng::seed_from_u64(seed);

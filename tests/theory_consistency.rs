@@ -2,6 +2,7 @@
 //! Monte-Carlo estimators, the abstract scheduler, and the runtime all
 //! have to tell one coherent story about the same graphs.
 
+use optpar::core::control::{HybridController, HybridParams};
 use optpar::core::{estimate, seating, theory};
 use optpar::graph::{gen, mis, ConflictGraph, CsrGraph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
@@ -90,4 +91,22 @@ fn static_recommendation_is_safe_on_adversarial_graph() {
             r.mean
         );
     }
+}
+
+#[test]
+fn controller_holds_target_on_large_static_workload() {
+    // Facade-level replay of the paper's main loop: steady-state r
+    // must sit near ρ on a static plant.
+    use optpar::core::sim::{run_loop, StaticGraphPlant};
+    let mut rng = StdRng::seed_from_u64(5);
+    let g = gen::random_with_avg_degree(4000, 20.0, &mut rng);
+    let mut plant = StaticGraphPlant::new(g);
+    let mut ctl = HybridController::new(HybridParams {
+        rho: 0.2,
+        m_max: 4096,
+        ..HybridParams::default()
+    });
+    let tr = run_loop(&mut plant, &mut ctl, 400, &mut rng);
+    let r = tr.steady_r(200);
+    assert!((r - 0.2).abs() < 0.06, "steady r = {r}");
 }
