@@ -7,7 +7,9 @@
 //! 1. **Draw** `m` tasks from the [`WorkSet`] — lowest rank first,
 //!    uniformly at random within a rank (so uniformly over the whole
 //!    set when tasks are unranked, the paper's model); their draw
-//!    order is the commit priority.
+//!    order is the commit priority. The rank buckets above the lowest
+//!    sit in a deque sorted by rank, so a draw that spends the lowest
+//!    bucket pops the next one off the front.
 //! 2. **Run the batch** — `run_batch`, the only caller of `speculate`:
 //!    build the `TaskCtx`, call the operator under panic containment,
 //!    commit or roll back on a lost abstract lock, and book the
@@ -23,7 +25,8 @@
 //! ([`LockSpace::advance_epoch`]), its outcomes going straight back
 //! into the caller's [`WorkSet`]; the pipelined engine
 //! ([`crate::pipelined`]) runs the same loop on lane `w + 1` per
-//! worker, behind a permit gate and over a sharded draw, and takes the
+//! worker, behind a permit gate and over a sharded draw, settles each
+//! batch's outcomes into the shards at once after it, and takes the
 //! control step once per window of completions. With `workers == 1` a
 //! round runs its batch inline in priority order, which makes it
 //! *bitwise deterministic* given the RNG seed — the differential-testing
@@ -49,7 +52,7 @@ use crate::stats::{RoundStats, RunStats};
 use crate::task::{Abort, Operator, Ranked, TaskCtx, TaskScratch};
 use optpar_core::control::Controller;
 use rand::Rng;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -94,18 +97,23 @@ impl<T> Entry<T> {
 /// [`Executor::run_round`]; a re-queued task keeps its rank, so aging
 /// is indifferent to the bucketing.
 ///
-/// The lowest bucket lives outside the map, so a single-rank work-set
-/// never touches the map on a push and at most once per draw.
+/// The lowest bucket lives outside the index, so a single-rank
+/// work-set never touches the index on a push and at most once per
+/// draw. The other buckets sit in a deque sorted by rank: a push finds
+/// its bucket by binary search (a new highest rank — the SSSP pattern,
+/// whose frontier only moves up — appends; an insertion shifts the
+/// shorter side), and a draw that spends the lowest bucket pops the
+/// next one off the front.
 #[derive(Clone, Debug)]
 pub struct WorkSet<T> {
     /// The lowest-rank bucket; empty only when the whole set is.
     low: Vec<Entry<T>>,
     /// Rank of `low` (stale while the set is empty).
     low_rank: u64,
-    /// Every other bucket, by rank: all keys above `low_rank`, no
-    /// bucket empty — a spent bucket is removed, so the next-lowest
-    /// lookup never scans dead keys.
-    higher: BTreeMap<u64, Vec<Entry<T>>>,
+    /// Every other bucket, ascending by rank: all keys above
+    /// `low_rank` and distinct, no bucket empty — a spent bucket is
+    /// removed, so the next-lowest one is always the front.
+    higher: VecDeque<(u64, Vec<Entry<T>>)>,
     /// Entries over all buckets.
     len: usize,
     next_seq: u64,
@@ -123,7 +131,7 @@ impl<T> WorkSet<T> {
         WorkSet {
             low: Vec::new(),
             low_rank: 0,
-            higher: BTreeMap::new(),
+            higher: VecDeque::new(),
             len: 0,
             next_seq: 0,
         }
@@ -203,12 +211,20 @@ impl<T: Ranked> WorkSet<T> {
             self.low_rank = rank;
             self.low.push(e);
         } else if rank > self.low_rank {
-            self.higher.entry(rank).or_default().push(e);
+            match self.higher.binary_search_by_key(&rank, |&(r, _)| r) {
+                Ok(at) => {
+                    if let Some((_, bucket)) = self.higher.get_mut(at) {
+                        bucket.push(e);
+                    }
+                }
+                Err(at) => self.higher.insert(at, (rank, vec![e])),
+            }
         } else {
-            // A new lowest rank: the old lowest bucket joins the map.
+            // A new lowest rank: the old lowest bucket, below every
+            // indexed one, joins the index at its front.
             let demoted = std::mem::replace(&mut self.low, vec![e]);
             self.higher
-                .insert(std::mem::replace(&mut self.low_rank, rank), demoted);
+                .push_front((std::mem::replace(&mut self.low_rank, rank), demoted));
         }
         self.len += 1;
     }
@@ -245,7 +261,7 @@ impl<T: Ranked> WorkSet<T> {
             }
             // The lowest bucket is spent: the next one takes its place
             // and fills what is left of the draw.
-            let Some((rank, bucket)) = self.higher.pop_first() else {
+            let Some((rank, bucket)) = self.higher.pop_front() else {
                 return batch;
             };
             self.low_rank = rank;
@@ -301,7 +317,7 @@ impl<T: Ranked> WorkSet<T> {
     pub(crate) fn take_entries(&mut self) -> Vec<Entry<T>> {
         self.len = 0;
         let mut out = std::mem::take(&mut self.low);
-        for mut bucket in std::mem::take(&mut self.higher).into_values() {
+        for (_, mut bucket) in std::mem::take(&mut self.higher) {
             out.append(&mut bucket);
         }
         out
@@ -1379,14 +1395,16 @@ pub(crate) mod tests {
     /// Ranks still pending, ascending, straight from the buckets —
     /// which also checks the bucket invariants a draw relies on.
     fn pending_ranks(ws: &WorkSet<Rk>) -> Vec<u64> {
-        assert!(ws.higher.values().all(|b| !b.is_empty()), "dead bucket");
-        assert!(ws.higher.keys().all(|&r| r > ws.low_rank));
+        assert!(ws.higher.iter().all(|(_, b)| !b.is_empty()), "dead bucket");
+        let keys: Vec<u64> = ws.higher.iter().map(|&(r, _)| r).collect();
+        assert!(keys.windows(2).all(|k| k[0] < k[1]), "unsorted: {keys:?}");
+        assert!(keys.iter().all(|&r| r > ws.low_rank));
         assert!(!ws.low.is_empty() || ws.higher.is_empty());
         let low = ws.low.iter().map(|e| (ws.low_rank, e));
         let higher = ws
             .higher
             .iter()
-            .flat_map(|(&r, b)| b.iter().map(move |e| (r, e)));
+            .flat_map(|(r, b)| b.iter().map(move |e| (*r, e)));
         let ranks: Vec<u64> = low
             .chain(higher)
             .inspect(|(r, e)| assert_eq!(*r, e.task.rank(), "entry in the wrong bucket"))
@@ -1425,6 +1443,68 @@ pub(crate) mod tests {
             );
         }
         assert!(id > 1000 && ws.len() > 100, "the walk kept buckets busy");
+    }
+
+    /// The bucket index against a naive model — every pending entry in
+    /// one list; a draw stably pulls the lowest rank's entries out and
+    /// samples them with the same in-bucket sampler. New-highest,
+    /// new-lowest and mid-rank pushes interleave with draws, and both
+    /// sides must draw the same entries in the same order.
+    #[test]
+    fn bucket_index_draws_like_a_flat_model() {
+        let mut rng = StdRng::seed_from_u64(0xDEC);
+        let (mut ws_rng, mut model_rng) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let mut ws = WorkSet::new();
+        let mut model: Vec<Entry<Rk>> = Vec::new();
+        let mut kinds = [0usize; 3];
+        for step in 0..600 {
+            for _ in 0..rng.random_range(0..6usize) {
+                let ranks = || model.iter().map(|e| e.task.0);
+                let lo = ranks().min().unwrap_or(10_000);
+                let hi = ranks().max().unwrap_or(10_000);
+                let kind = rng.random_range(0..3usize);
+                kinds[kind] += 1;
+                let rank = match kind {
+                    0 => hi + rng.random_range(1..4),
+                    1 => lo - rng.random_range(1..4),
+                    _ => rng.random_range(lo..=hi),
+                };
+                let seq = ws.next_seq;
+                ws.push(Rk(rank, seq as usize));
+                model.push(Entry {
+                    task: Rk(rank, seq as usize),
+                    retries: 0,
+                    seq,
+                });
+            }
+            let m = rng.random_range(0..5usize);
+            let got = ws.draw_entries(m, &mut ws_rng);
+            let mut want = Vec::new();
+            while want.len() < m {
+                let Some(low) = model.iter().map(|e| e.task.0).min() else {
+                    break;
+                };
+                let (mut bucket, rest): (Vec<_>, Vec<_>) =
+                    model.drain(..).partition(|e| e.task.0 == low);
+                let take = (m - want.len()).min(bucket.len());
+                draw_from(&mut bucket, take, &mut model_rng, &mut want);
+                model = rest;
+                model.append(&mut bucket);
+            }
+            let key = |b: &[Entry<Rk>]| b.iter().map(|e| (e.task, e.seq)).collect::<Vec<_>>();
+            assert_eq!(key(&got), key(&want), "step {step}");
+            let mut ranks: Vec<u64> = model.iter().map(|e| e.task.0).collect();
+            ranks.sort_unstable();
+            assert_eq!(pending_ranks(&ws), ranks, "step {step}");
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 300),
+            "every push kind ran: {kinds:?}"
+        );
+        assert!(
+            ws.higher.len() > 20,
+            "the index held many buckets at the end"
+        );
     }
 
     /// The draw within the lowest bucket is still uniform over ordered

@@ -30,12 +30,32 @@
 //!   other — rank is a work-efficiency hint, not a commit order).
 //!   Re-queues go to the worker's home shard, spawns round-robin, or
 //!   both where the run's [`Placement`] says;
+//! * **a per-batch settle**: the batch loop's sink only appends a
+//!   settled task's spawns or re-queue to a lane-local outbox, reused
+//!   across batches. After the batch the lane settles it in one go:
+//!   one `live` add for its spawns, then each shard it sends work to
+//!   locked once (round-robin shares from one cursor RMW), then one
+//!   `live` subtract for the tasks it finished. No shared word is
+//!   written per task;
 //! * **a permit gate**: the controller's `m(t)` is an *in-flight
 //!   speculation budget* — at most `m` tasks are in flight — and every
 //!   `window` completions the crossing worker takes the control step a
 //!   round takes (`Executor::control_step`: observe `r̄`, zero-commit
 //!   watchdog, next budget) on what the shared counters gained since
 //!   the last window.
+//!
+//! Termination reads one counter, `live`: tasks pending in a shard,
+//! drawn and not yet settled, or spawned by a batch that has not
+//! settled yet. A worker whose draw comes back empty stops the run iff
+//! `live` reads zero. Batched, `live` still never reads zero while work
+//! exists: a batch's drawn tasks stay counted until its settle, and the
+//! settle adds its spawns *before* it pushes them (so no other lane can
+//! draw, finish and subtract a task not yet added) and subtracts its
+//! finished tasks only *after* every spawn and re-queue is in a shard.
+//! Between the two, `live` over-counts the batch's finished tasks, which
+//! delays a stop but never makes one early. At one worker nothing reads
+//! the shards during a batch (draws happen between batches), so the
+//! next draw sees the very shard contents a per-task settle left.
 //!
 //! The batch tag is the batch's fault and audit key (the round epoch
 //! never moves here): a re-queued task re-rolls its fault draw under a
@@ -159,6 +179,53 @@ impl Counters {
 /// layouts pay off at scale.
 pub type Placement<'p, T> = &'p (dyn Fn(&T) -> usize + Sync);
 
+/// A settled task on its way back into the shards.
+enum Queued<T> {
+    /// A committed task's spawn: enters its shard as a fresh entry.
+    Spawn(T),
+    /// An aborted or faulted entry, retry count and stamp intact.
+    Requeue(Entry<T>),
+}
+
+/// What one lane's batch hands back to the shared state: the
+/// `run_batch` sink only appends here, and the lane settles it after
+/// the batch (module docs). Kept next to the lane's `TaskScratch` and
+/// reused, so a batch allocates nothing for it once warm.
+struct Outbox<T> {
+    /// Spawns and re-queues in settle order, each beside the shard
+    /// `ShardedWorkSet::settle` assigns it.
+    queued: Vec<(usize, Queued<T>)>,
+    /// Spawns among `queued`: what `live` gains.
+    spawned: usize,
+    /// Drawn tasks that left the system (committed or dead-lettered):
+    /// what `live` loses.
+    finished: usize,
+}
+
+impl<T> Outbox<T> {
+    fn new() -> Self {
+        Outbox {
+            queued: Vec::new(),
+            spawned: 0,
+            finished: 0,
+        }
+    }
+
+    /// The batch sink: book one settled task.
+    fn sink(&mut self, settled: Settled<T>) {
+        match settled {
+            Settled::Committed(spawned) => {
+                self.spawned += spawned.len();
+                let fresh = spawned.into_iter().map(|t| (0, Queued::Spawn(t)));
+                self.queued.extend(fresh);
+                self.finished += 1;
+            }
+            Settled::Requeue(entry) => self.queued.push((0, Queued::Requeue(entry))),
+            Settled::Retired => self.finished += 1,
+        }
+    }
+}
+
 /// The pending-task multiset sharded one queue per worker.
 ///
 /// Workers drain their own shard and steal from the others only when
@@ -174,6 +241,9 @@ struct ShardedWorkSet<'p, T> {
     place: Option<Placement<'p, T>>,
     /// Round-robin cursor for spawned tasks (no-placement default).
     cursor: AtomicUsize,
+    /// Shard locks `settle` has taken, for the lock-per-batch test.
+    #[cfg(test)]
+    settle_locks: AtomicUsize,
 }
 
 impl<'p, T: Ranked> ShardedWorkSet<'p, T> {
@@ -192,13 +262,9 @@ impl<'p, T: Ranked> ShardedWorkSet<'p, T> {
             shards: shards.into_iter().map(Mutex::new).collect(),
             place,
             cursor: AtomicUsize::new(0),
+            #[cfg(test)]
+            settle_locks: AtomicUsize::new(0),
         }
-    }
-
-    /// Shard `i`, wrapped modulo the shard count (`None` only for a
-    /// zero-shard set, which is never built: one shard per worker).
-    fn shard(&self, i: usize) -> Option<&Mutex<WorkSet<T>>> {
-        self.shards.get(i % self.shards.len().max(1))
     }
 
     /// Draw up to `max` entries, scanning shards from `home`. The
@@ -223,31 +289,62 @@ impl<'p, T: Ranked> ShardedWorkSet<'p, T> {
         Vec::new()
     }
 
-    /// Re-queue an aborted or faulted entry (its retry count already
-    /// bumped by `speculate`, feeding the aging prefix on redraw). With a
-    /// placement the entry returns to its *affine* shard — not the
-    /// worker that happened to steal-execute it — so retries stay
-    /// shard-local; without one it homes on the executing worker's
-    /// shard.
-    fn requeue(&self, home: usize, e: Entry<T>) {
-        let at = self.place.map_or(home, |p| p(&e.task));
-        if let Some(shard) = self.shard(at) {
-            recover(shard.lock()).push_entry(e);
+    /// Settle one batch: count its spawns into `live`, empty its
+    /// outbox into the shards taking each shard's lock at most once,
+    /// then count its finished tasks out of `live` (the order the
+    /// termination argument in the module docs needs).
+    ///
+    /// Spawns spread over all shards — by the placement when there is
+    /// one, round-robin otherwise, from one cursor RMW per batch (the
+    /// `k`-th spawn takes the cursor's `k`-th share). A re-queue (its
+    /// retry count already bumped by `speculate`, feeding the aging
+    /// prefix on redraw) returns to its *affine* shard under a
+    /// placement — not the worker that happened to steal-execute it —
+    /// so retries stay shard-local; without one it homes on the
+    /// executing worker's shard. Within a shard entries land in settle
+    /// order, so at one worker the shard receives exactly the pushes a
+    /// per-task settle made, in the same order, with the same stamps.
+    fn settle(&self, home: usize, out: &mut Outbox<T>, live: &AtomicUsize) {
+        if out.spawned > 0 {
+            live.fetch_add(out.spawned, Ordering::AcqRel);
         }
-    }
-
-    /// Distribute spawned tasks across all shards — by the placement
-    /// when there is one, round-robin otherwise.
-    fn spawn(&self, tasks: Vec<T>) {
-        for t in tasks {
-            let at = match self.place {
-                Some(p) => p(&t),
-                None => self.cursor.fetch_add(1, Ordering::AcqRel),
-            };
-            if let Some(shard) = self.shard(at) {
-                recover(shard.lock()).push(t);
+        let n = self.shards.len().max(1);
+        let mut next = match self.place {
+            None if out.spawned > 0 => self.cursor.fetch_add(out.spawned, Ordering::AcqRel),
+            _ => 0,
+        };
+        for (at, queued) in out.queued.iter_mut() {
+            *at = match (queued, self.place) {
+                (Queued::Spawn(t), Some(p)) => p(t),
+                (Queued::Requeue(e), Some(p)) => p(&e.task),
+                (Queued::Spawn(_), None) => {
+                    let share = next;
+                    next = next.wrapping_add(1);
+                    share
+                }
+                (Queued::Requeue(_), None) => home,
+            } % n;
+        }
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut mine = out.queued.extract_if(.., |(at, _)| *at == s).peekable();
+            if mine.peek().is_none() {
+                continue;
+            }
+            let mut q = recover(shard.lock());
+            #[cfg(test)]
+            self.settle_locks.fetch_add(1, Ordering::AcqRel);
+            for (_, queued) in mine {
+                match queued {
+                    Queued::Spawn(t) => q.push(t),
+                    Queued::Requeue(e) => q.push_entry(e),
+                }
             }
         }
+        if out.finished > 0 {
+            live.fetch_sub(out.finished, Ordering::AcqRel);
+        }
+        out.spawned = 0;
+        out.finished = 0;
     }
 
     /// Merge every shard's leftovers back out (end of run).
@@ -326,10 +423,9 @@ impl<O: Operator> Executor<'_, O> {
             cfg.batch
         );
 
-        // Tasks alive anywhere: pending in a shard or drawn and not
-        // yet committed. Termination tests this single counter — an
-        // empty draw alone is racy (a concurrent batch may still
-        // re-queue an abort).
+        // Tasks alive anywhere (module docs). Termination tests this
+        // single counter — an empty draw alone is racy (a concurrent
+        // batch may still re-queue an abort or push a spawn).
         let live = AtomicUsize::new(ws.len());
         let shards = ShardedWorkSet::new(ws, workers, place);
         let done = AtomicBool::new(false);
@@ -396,6 +492,7 @@ impl<O: Operator> Executor<'_, O> {
             let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
             let (probe, lane) = (self.probe_for(w), w + 1);
             let mut scratch = TaskScratch::default();
+            let mut outbox = Outbox::new();
             // Nothing to claim or draw: let someone else run.
             let idle = || {
                 let t0 = phase::maybe_start(pc);
@@ -454,26 +551,9 @@ impl<O: Operator> Executor<'_, O> {
                     batch,
                     probe,
                     &mut tally,
-                    |settled| match settled {
-                        Settled::Committed(spawned) => {
-                            if !spawned.is_empty() {
-                                live.fetch_add(spawned.len(), Ordering::AcqRel);
-                                shards.spawn(spawned);
-                            }
-                            // The committed task leaves the system
-                            // only after its spawns were counted, so
-                            // `live` never transiently reads zero
-                            // while work exists.
-                            live.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Settled::Requeue(entry) => shards.requeue(w, entry),
-                        // Dead-lettered: leaving `live` is what lets
-                        // the drain terminate.
-                        Settled::Retired => {
-                            live.fetch_sub(1, Ordering::AcqRel);
-                        }
-                    },
+                    |settled| outbox.sink(settled),
                 );
+                shards.settle(w, &mut outbox, &live);
                 counters.add(&tally);
                 phase::maybe_add(pc, Phase::Execute, t1);
                 // Retire: one lane bump expires every stamp the batch
@@ -879,7 +959,10 @@ mod tests {
     fn sharding_does_not_reset_enqueue_stamps() {
         let mut ws = WorkSet::from_vec((0..12usize).collect());
         let shards = ShardedWorkSet::new(&mut ws, 3, None);
-        shards.spawn(vec![99]); // round-robin: lands on shard 0
+        let mut out = Outbox::new();
+        out.sink(Settled::Committed(vec![99]));
+        // Round-robin from a fresh cursor: lands on shard 0.
+        shards.settle(1, &mut out, &AtomicUsize::new(1));
         let shard = recover(shards.shards[0].lock()).take_entries();
         let spawned = shard.iter().find(|e| e.task == 99).map(|e| e.seq);
         let mut seqs: Vec<u64> = shard.iter().map(|e| e.seq).collect();
@@ -887,6 +970,96 @@ mod tests {
         seqs.dedup();
         assert_eq!(seqs.len(), shard.len(), "two entries share a stamp");
         assert_eq!(seqs.last().copied(), spawned, "the spawn is the youngest");
+    }
+
+    /// Do-nothing tasks forming a complete binary tree: task `k`
+    /// spawns `2k + 1` and `2k + 2` below `n`, and counts its launches.
+    struct SpawnTree {
+        launches: Vec<AtomicUsize>,
+    }
+
+    impl Operator for SpawnTree {
+        type Task = usize;
+        fn execute(&self, &k: &usize, _: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            if let Some(c) = self.launches.get(k) {
+                c.fetch_add(1, Ordering::AcqRel);
+            }
+            let n = self.launches.len();
+            Ok((2 * k + 1..=2 * k + 2).filter(|&c| c < n).collect())
+        }
+    }
+
+    /// Batched `live` accounting terminates exactly when the tree is
+    /// spent: from one root, every worker count and batch size launches
+    /// every task once, and no stop comes early (a task left pending)
+    /// or never (the drain would hang).
+    #[test]
+    fn batched_settle_drains_a_spawn_tree_exactly_once() {
+        let n = 4095;
+        let space = LockSpace::builder().build();
+        for workers in [1, 2, 4] {
+            for batch in [1, 8, 64] {
+                let op = SpawnTree {
+                    launches: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+                };
+                let ex = Executor::new(&op, &space, exec_cfg(workers));
+                let mut ws = WorkSet::from_vec(vec![0usize]);
+                let run = ex.run_pipelined(
+                    &mut ws,
+                    &mut FixedController::new(64),
+                    PipelinedConfig {
+                        window: 32,
+                        batch,
+                        max_completions: usize::MAX,
+                    },
+                    &mut StdRng::seed_from_u64(41),
+                );
+                let at = format!("workers {workers}, batch {batch}");
+                assert!(ws.is_empty(), "{at}: work left behind");
+                let once = op.launches.iter().all(|c| c.load(Ordering::Acquire) == 1);
+                assert!(once, "{at}: a task launched other than once");
+                assert_eq!(run.total_launched(), n, "{at}");
+                assert_eq!(run.total_committed(), n, "{at}");
+            }
+        }
+    }
+
+    /// One settle per batch, one lock per shard: 64 commits that each
+    /// spawn (plus a re-queue) reach every shard they feed through a
+    /// single acquisition of its lock — round-robin and placed alike.
+    #[test]
+    fn a_batch_settle_locks_each_shard_at_most_once() {
+        let place = |t: &usize| *t % 3;
+        for placement in [None, Some(&place as Placement<'_, usize>)] {
+            let mut ws = WorkSet::new();
+            let shards = ShardedWorkSet::new(&mut ws, 4, placement);
+            let mut out = Outbox::new();
+            for i in 0..64usize {
+                out.sink(Settled::Committed(vec![2 * i, 2 * i + 1]));
+            }
+            out.sink(Settled::Requeue(Entry {
+                task: 7,
+                retries: 1,
+                seq: 0,
+            }));
+            let live = AtomicUsize::new(65);
+            shards.settle(2, &mut out, &live);
+            let lens: Vec<usize> = shards
+                .shards
+                .iter()
+                .map(|s| recover(s.lock()).len())
+                .collect();
+            assert_eq!(lens.iter().sum::<usize>(), 129);
+            assert_eq!(
+                live.load(Ordering::Acquire),
+                129,
+                "+128 spawned, -64 finished"
+            );
+            let fed = lens.iter().filter(|&&l| l > 0).count();
+            assert_eq!(fed, if placement.is_some() { 3 } else { 4 }, "{lens:?}");
+            assert_eq!(shards.settle_locks.load(Ordering::Acquire), fed);
+            assert!(out.queued.is_empty(), "the outbox is reused empty");
+        }
     }
 
     /// Commits or requests an abort by launch ordinal alone, so any
