@@ -11,7 +11,7 @@
 //!
 //! The operator is cautious: it finds its edge and locks both
 //! components and the loser's parent word while writing nothing, then
-//! seals and merges in place, with no undo snapshot. The shared state
+//! seals and merges in place. The shared state
 //! is laid out so that a merge writes little whatever the components'
 //! sizes:
 //!

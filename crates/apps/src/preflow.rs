@@ -235,10 +235,10 @@ impl Operator for PreflowOp {
         if me.excess <= 0 {
             return Ok(vec![]); // stale task
         }
-        // Lock the whole neighbourhood up front (cautious), gathering a
-        // residual snapshot.
+        // Plan: lock the neighbourhood, reading the residuals and
+        // heights, and record each push `(edge, to, delta)`.
         let nbrs = self.net.graph.neighbors_slice(u);
-        let mut spawn = Vec::new();
+        let mut pushes = Vec::new();
         let mut excess = me.excess;
         let mut lowest: Option<u32> = None;
         for (k, &v) in nbrs.iter().enumerate() {
@@ -260,36 +260,41 @@ impl Operator for PreflowOp {
             if me.height == hv + 1 {
                 // Admissible: push.
                 let delta = excess.min(residual);
-                *cx.write(&self.flow, e)? += if u < v { delta } else { -delta };
                 excess -= delta;
-                let vn = cx.write(&self.nodes, v as usize)?;
-                vn.excess += delta;
-                if v != s && v != t && vn.excess > 0 {
-                    spawn.push(v);
-                }
+                pushes.push((e, v, delta));
             } else {
                 lowest = Some(lowest.map_or(hv, |l| l.min(hv)));
             }
         }
-        {
-            let un = cx.write(&self.nodes, ui)?;
-            un.excess = excess;
-            if excess > 0 {
-                match lowest {
-                    Some(l) => {
-                        // Relabel: one above the lowest residual
-                        // neighbour (standard push-relabel step).
-                        un.height = l + 1;
-                        spawn.push(u);
-                    }
-                    None => {
-                        // No residual edge at all can only happen if
-                        // every incident edge is saturated outward,
-                        // which contradicts positive excess; but pushes
-                        // above may have consumed all residuals this
-                        // round — retry later.
-                        spawn.push(u);
-                    }
+        // Apply: every slot written is locked, so seal and write in
+        // place — the pushes in order, then `u`'s own update.
+        let mut sealed = cx.seal()?;
+        let mut spawn = Vec::new();
+        for (e, v, delta) in pushes {
+            *sealed.write(&self.flow, e) += if u < v { delta } else { -delta };
+            let vn = sealed.write(&self.nodes, v as usize);
+            vn.excess += delta;
+            if v != s && v != t && vn.excess > 0 {
+                spawn.push(v);
+            }
+        }
+        let un = sealed.write(&self.nodes, ui);
+        un.excess = excess;
+        if excess > 0 {
+            match lowest {
+                Some(l) => {
+                    // Relabel: one above the lowest residual neighbour
+                    // (standard push-relabel step).
+                    un.height = l + 1;
+                    spawn.push(u);
+                }
+                None => {
+                    // No residual edge at all can only happen if every
+                    // incident edge is saturated outward, which
+                    // contradicts positive excess; but pushes above may
+                    // have consumed all residuals this round — retry
+                    // later.
+                    spawn.push(u);
                 }
             }
         }

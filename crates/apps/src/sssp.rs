@@ -17,17 +17,18 @@
 //!
 //! A task locks what it can lower, not what it reads. Beside the
 //! store sits a per-node *bound*: an atomic lowered (`fetch_min`) at
-//! the moment a task writes a distance under the node's lock, never
-//! raised, never rolled back. Every value published there is the
-//! length of a real path, so a neighbour whose bound is already
-//! *strictly* below the candidate cannot be improved by it and is
-//! skipped without its lock, and a task whose own node's bound is
-//! strictly below its distance is stale without any lock at all. The
-//! comparison must be strict: a task that published `h`, aborted and
-//! was rolled back has to get past its own `h` on the retry to write
-//! it again (DESIGN.md §14.7 carries the argument). Everything a task
-//! does touch still goes through the context — lock word, undo log,
-//! audit trace — exactly as before.
+//! the moment a task decides, under the node's lock, to lower its
+//! distance — before the task's seal — never raised, never rolled
+//! back. Every value published there is the length of a real path, so
+//! a neighbour whose bound is already *strictly* below the candidate
+//! cannot be improved by it and is skipped without its lock, and a
+//! task whose own node's bound is strictly below its distance is stale
+//! without any lock at all. The comparison must be strict: a task that
+//! published `h`, aborted and was rolled back has to get past its own
+//! `h` on the retry to write it (DESIGN.md §14.7 carries the
+//! argument). Everything a task does touch still goes through the
+//! context. The operator is cautious: it locks every node it will
+//! lower, seals, and only then writes the new distances in place.
 //!
 //! A task's conflict neighbourhood is therefore its node plus the
 //! neighbours it may still lower — a settled hub is nobody's lock —
@@ -178,9 +179,9 @@ pub struct SsspOp {
     delta: u64,
     /// Per-node monotone upper bound on the final distance, indexed by
     /// node id and initialised like `dist`: the least value any task,
-    /// committed or not, ever wrote to the node. Outside speculation
-    /// on purpose — no lock, no undo entry — which is sound because
-    /// every value in it is a real path length (module docs).
+    /// committed or not, ever decided to write to the node. Outside
+    /// speculation on purpose — no lock, no rollback — which is sound
+    /// because every value in it is a real path length (module docs).
     bound: Vec<AtomicU64>,
 }
 
@@ -256,8 +257,9 @@ impl SsspOp {
         self.bound[v as usize].load(Ordering::Relaxed)
     }
 
-    /// Lower `v`'s bound to `d`; called holding `v`'s lock, right
-    /// after writing `dist[v] = d`.
+    /// Lower `v`'s bound to `d`; called holding `v`'s lock, when the
+    /// task decides to lower `dist[v]` to `d` — before its seal, so the
+    /// bound outlives a rollback at the seal.
     fn publish_bound(&self, v: NodeId, d: u64) {
         self.bound[v as usize].fetch_min(d, Ordering::Relaxed);
     }
@@ -294,12 +296,16 @@ impl Operator for SsspOp {
             if self.peek_bound(v) < nd {
                 continue;
             }
-            let slot = v as usize;
-            if nd < *cx.read(&self.dist, slot)? {
-                *cx.write(&self.dist, slot)? = nd;
+            if nd < *cx.read(&self.dist, v as usize)? {
                 self.publish_bound(v, nd);
                 spawn.push(self.task(v, nd));
             }
+        }
+        // Every node to lower is locked: seal, then write. Neighbour
+        // lists hold no duplicates, so each node is written once.
+        let mut sealed = cx.seal()?;
+        for s in &spawn {
+            *sealed.write(&self.dist, s.node as usize) = s.dist;
         }
         Ok(spawn)
     }
@@ -310,10 +316,9 @@ mod tests {
     use super::*;
     use optpar_core::control::HybridController;
     use optpar_graph::gen;
-    use optpar_runtime::{Executor, ExecutorConfig, WorkSet};
+    use optpar_runtime::{Executor, ExecutorConfig, FaultKind, FaultPlan, WorkSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::atomic::AtomicBool;
 
     fn run_sssp(input: &SsspInput, workers: usize, m: usize, seed: u64) -> Vec<u64> {
         let (space, op) = SsspOp::new(input.clone());
@@ -437,29 +442,12 @@ mod tests {
         }
     }
 
-    /// Runs the wrapped operator and then asks for an abort, once.
-    struct AbortFirstRun<'a> {
-        op: &'a SsspOp,
-        armed: AtomicBool,
-    }
-
-    impl Operator for AbortFirstRun<'_> {
-        type Task = SsspTask;
-
-        fn execute(&self, t: &SsspTask, cx: &mut TaskCtx<'_>) -> Result<Vec<SsspTask>, Abort> {
-            let spawn = self.op.execute(t, cx)?;
-            if self.armed.swap(false, Ordering::AcqRel) {
-                return cx.abort_requested();
-            }
-            Ok(spawn)
-        }
-    }
-
-    /// The seeded bug: the skip test must be strict. A task lowers a
-    /// neighbour, publishes the bound and is rolled back; the bound is
-    /// not. On its retry the task meets its own published value — with
-    /// `<=` it skips the neighbour, which then keeps the restored
-    /// distance for good.
+    /// The seeded bug: the skip test must be strict. A task decides to
+    /// lower a neighbour, publishes the bound and is rolled back at its
+    /// seal, here by a commit-point fault pinned on it; the bound is
+    /// not rolled back. On its retry the task meets its own published
+    /// value — with `<=` it skips the neighbour, which then keeps its
+    /// old distance for good.
     #[test]
     fn retried_task_gets_past_the_bound_it_published() {
         // 0 -5- 1
@@ -469,36 +457,37 @@ mod tests {
             source: 0,
         };
         let (space, mut op) = SsspOp::new(input);
+        let plan = FaultPlan::seeded(1).at(space.epoch(), 0, FaultKind::AtCommit);
         let mut ws = WorkSet::from_vec(op.initial_tasks());
         let mut rng = StdRng::seed_from_u64(1);
-        let round = |op: &SsspOp, ws: &mut WorkSet<SsspTask>, rng: &mut StdRng, armed| {
-            let wrapped = AbortFirstRun {
-                op,
-                armed: AtomicBool::new(armed),
-            };
+        let round = |op: &SsspOp, ws: &mut WorkSet<SsspTask>, rng: &mut StdRng| {
             let cfg = ExecutorConfig {
                 workers: 1,
                 ..ExecutorConfig::default()
             };
-            Executor::new(&wrapped, &space, cfg).run_round(ws, 1, rng)
+            let mut ex = Executor::new(op, &space, cfg);
+            ex.set_fault_plan(&plan);
+            ex.run_round(ws, 1, rng)
         };
 
-        let first = round(&op, &mut ws, &mut rng, true);
-        assert_eq!((first.launched, first.aborted), (1, 1));
+        let first = round(&op, &mut ws, &mut rng);
+        assert_eq!((first.launched, first.faulted), (1, 1));
+        assert_eq!(plan.fired_count(), 1, "the fault fired at the seal");
         assert_eq!(
             op.dist.snapshot(),
             vec![0, UNREACHED],
-            "the write was undone"
+            "nothing was written"
         );
-        assert_eq!(op.peek_bound(1), 5, "the published bound was not");
+        assert_eq!(op.peek_bound(1), 5, "the bound was published");
 
-        let retry = round(&op, &mut ws, &mut rng, false);
+        let retry = round(&op, &mut ws, &mut rng);
         assert_eq!((retry.committed, retry.spawned), (1, 1));
-        assert_eq!(op.dist.snapshot(), vec![0, 5], "lowered again on the retry");
+        assert_eq!(op.dist.snapshot(), vec![0, 5], "lowered on the retry");
 
         while !ws.is_empty() {
-            round(&op, &mut ws, &mut rng, false);
+            round(&op, &mut ws, &mut rng);
         }
+        assert_eq!(plan.fired_count(), 1);
         assert_eq!(op.distances(), vec![0, 5]);
     }
 

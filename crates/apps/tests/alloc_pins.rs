@@ -1,20 +1,17 @@
 //! Allocation pins for the speculative task path.
 //!
-//! Three properties of what a speculative write costs and two of what
+//! Three properties of what a speculative task costs and two of what
 //! a build costs, pinned with a counting global allocator (own test
 //! binary: no concurrent test pollutes the counters, and the tests
 //! below share one lock):
 //!
-//! * **A task allocates nothing per write.** The lockset and the undo
-//!   log live in a scratch the round loop owns and reuses, and an
-//!   unsealed write's snapshot of up to four words — a mesh triangle
-//!   is 28 bytes — is stored inline in its undo entry, so a round of a
+//! * **A task allocates nothing per lock.** The lockset lives in a
+//!   scratch the round loop owns and reuses, so a round of a
 //!   spawn-free operator allocates O(1) blocks whatever its `m`.
-//! * **A sealed write logs nothing.** Delaunay, Boruvka and CcMirror
-//!   are cautious: each locks what it will write, seals, and writes in
-//!   place, so a refinement allocates the three lists of its cavity
-//!   walk and its spawn, and a merge nothing beyond `absorb`'s run
-//!   merges — no undo entry, no boxed component snapshot.
+//! * **A write allocates nothing.** Every operator is cautious: it
+//!   locks what it will write, seals, and writes in place, so a
+//!   refinement allocates the three lists of its cavity walk and its
+//!   spawn, and a merge nothing beyond `absorb`'s run merges.
 //! * **A Boruvka drain allocates O(m log m) bytes.** Components
 //!   re-merge their edge runs geometrically; copying a component's
 //!   edge list per launch or per snapshot grows the total
@@ -40,9 +37,7 @@ use optpar_apps::geometry::Point;
 use optpar_apps::triangulation::{Mesh, Tri};
 use optpar_core::control::{HybridController, HybridParams};
 use optpar_graph::gen;
-use optpar_runtime::{
-    Abort, Executor, ExecutorConfig, LockSpace, Operator, SpecStore, TaskCtx, WorkSet,
-};
+use optpar_runtime::{Executor, ExecutorConfig, LockSpace, Operator, WorkSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,51 +138,6 @@ fn an_inline_round_allocates_per_round_not_per_task() {
     );
 }
 
-/// Task `i` kills the four triangles `4i..4i + 4`: four first writes
-/// of a 28-byte slot, nothing else.
-struct KillTris {
-    tris: SpecStore<Tri>,
-}
-
-impl Operator for KillTris {
-    type Task = u32;
-
-    fn execute(&self, &i: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {
-        for t in 4 * i as usize..4 * i as usize + 4 {
-            cx.write(&self.tris, t)?.alive = false;
-        }
-        Ok(vec![])
-    }
-}
-
-/// [`second_round_allocs`] of `m` [`KillTris`] tasks: `4m` first
-/// writes of a triangle.
-fn kill_tris_round_allocs(m: usize) -> usize {
-    const TASKS: usize = 2048;
-    let mut b = LockSpace::builder();
-    let region = b.region(4 * TASKS);
-    let space = b.build();
-    let op = KillTris {
-        tris: SpecStore::filled(region, 4 * TASKS, Tri::new(0, 1, 2)),
-    };
-    second_round_allocs(&op, &space, TASKS as u32, m)
-}
-
-#[test]
-fn a_first_write_of_a_triangle_allocates_nothing() {
-    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    // The counters are process-wide and the test harness prints (and
-    // allocates) on its own thread whenever another test finishes:
-    // take the quietest of three.
-    let quietest = |m| (0..3).map(|_| kill_tris_round_allocs(m)).min().unwrap_or(0);
-    let (small, large) = (quietest(64), quietest(1024));
-    assert!(
-        large.abs_diff(small) <= 8,
-        "a round of 256 first writes of a triangle made {small} allocator calls, \
-         a round of 4096 made {large}"
-    );
-}
-
 /// The `delaunay-refine` recipe: 2,000 uniform points and the unit
 /// square's corners, refined to area 2e-5 under the hybrid controller.
 fn delaunay_refine_mesh() -> (Mesh, RefineConfig) {
@@ -202,24 +152,6 @@ fn delaunay_refine_mesh() -> (Mesh, RefineConfig) {
     (Mesh::delaunay(&pts), RefineConfig::area_only(2e-5))
 }
 
-/// Forwards `execute` and adds up the undo entries each task logged
-/// (read off its context after the operator returns, before the
-/// executor commits or rolls it back).
-struct CountUndo<'o, O> {
-    op: &'o O,
-    entries: AtomicUsize,
-}
-
-impl<O: Operator> Operator for CountUndo<'_, O> {
-    type Task = O::Task;
-
-    fn execute(&self, t: &O::Task, cx: &mut TaskCtx<'_>) -> Result<Vec<O::Task>, Abort> {
-        let out = self.op.execute(t, cx);
-        self.entries.fetch_add(cx.undo_len(), Ordering::AcqRel);
-        out
-    }
-}
-
 #[test]
 fn a_delaunay_drain_allocates_per_refinement_not_per_write() {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -228,13 +160,9 @@ fn a_delaunay_drain_allocates_per_refinement_not_per_write() {
     let mut ws = WorkSet::from_vec(op.initial_tasks());
     let mut ctl = HybridController::new(HybridParams::default());
     let mut rng = StdRng::seed_from_u64(7);
-    let counted = CountUndo {
-        op: &op,
-        entries: AtomicUsize::new(0),
-    };
 
     let before = CALLS.load(Ordering::Acquire);
-    let run = Executor::new(&counted, &space, one_worker()).run_with_controller(
+    let run = Executor::new(&op, &space, one_worker()).run_with_controller(
         &mut ws,
         &mut ctl,
         usize::MAX,
@@ -242,11 +170,6 @@ fn a_delaunay_drain_allocates_per_refinement_not_per_write() {
     );
     let calls = CALLS.load(Ordering::Acquire) - before;
     assert!(ws.is_empty());
-    assert_eq!(
-        counted.entries.into_inner(),
-        0,
-        "a refinement seals before its first write: no undo entry"
-    );
     assert_eq!(bad_count(&op.into_mesh(), cfg), 0);
     // A third of the launches refine (the rest find their triangle
     // dead, or abort) and a refinement writes about fourteen
@@ -301,13 +224,9 @@ fn boruvka_drain_bytes(n: usize) -> usize {
     let (space, mut op) = BoruvkaOp::new(&wg);
     let mut ws = WorkSet::from_vec(op.initial_tasks());
     let mut ctl = HybridController::new(HybridParams::default());
-    let counted = CountUndo {
-        op: &op,
-        entries: AtomicUsize::new(0),
-    };
 
     let before = BYTES.load(Ordering::Acquire);
-    Executor::new(&counted, &space, one_worker()).run_with_controller(
+    Executor::new(&op, &space, one_worker()).run_with_controller(
         &mut ws,
         &mut ctl,
         usize::MAX,
@@ -315,11 +234,6 @@ fn boruvka_drain_bytes(n: usize) -> usize {
     );
     let bytes = BYTES.load(Ordering::Acquire) - before;
     assert!(ws.is_empty());
-    assert_eq!(
-        counted.entries.into_inner(),
-        0,
-        "a merge seals before its first write: no undo entry"
-    );
     assert_eq!(op.msf(), expected);
     bytes
 }

@@ -466,7 +466,7 @@ fn watchdog_clamp(m: usize, stalled: u32, threshold: u32) -> usize {
 }
 
 /// Re-raise an `Err` returned by a sealed task as a panic: its writes
-/// went in place with no undo log, so it cannot be rolled back.
+/// went in place, so it cannot be rolled back.
 #[cold]
 #[inline(never)]
 fn abort_past_seal(slot: usize, abort: Abort) -> ! {
@@ -770,25 +770,26 @@ impl<'a, O: Operator> Executor<'a, O> {
     ///
     /// `lane` selects the lock lane the task stamps and `fault_key` is
     /// the coordinate fault injection and fault records key on (both
-    /// as in `run_batch`). `scratch` is the calling loop's lockset/undo
-    /// buffers, lent to this task's context and returned empty.
+    /// as in `run_batch`). `scratch` is the calling loop's lockset
+    /// buffer, lent to this task's context and returned empty.
     ///
     /// The operator call is wrapped in `catch_unwind`: a panicking
     /// operator (or a fired injected panic) becomes a structured
-    /// [`TaskFault`] — its undo log is replayed and its locks released
-    /// exactly like an abort, the worker thread survives, and the
-    /// round continues. The rollback is always sound because `TaskCtx`
-    /// snapshots a slot *before* handing out the `&mut`, so the undo
-    /// log is complete at every possible unwind point. A task that
-    /// returned `Ok` but draws a commit-point fault from an attached
-    /// plan is rolled back the same way, its spawns dropped; a task
-    /// that sealed ([`TaskCtx::seal`]) drew that fault at its seal.
+    /// [`TaskFault`] — its locks are released exactly like an abort's,
+    /// the worker thread survives, and the round continues. The
+    /// rollback is always sound because every write follows the task's
+    /// seal ([`TaskCtx::seal`]; a write through the context seals
+    /// first), so a task that unwinds before it has written nothing. A
+    /// task that returned `Ok` without sealing but draws a commit-point
+    /// fault from an attached plan is rolled back the same way, its
+    /// spawns dropped; a task that sealed drew that fault at its seal.
     ///
-    /// A sealed task is the exception to containment: it wrote in place
-    /// with no undo log, so an `Err` it returns or a panic it raises
-    /// after sealing cannot be rolled back. Either is re-raised as a
-    /// panic out of this call, failing the round (and, in the job
-    /// service, the job — the lane survives).
+    /// A sealed task is the exception to containment: it wrote in
+    /// place, so an `Err` it returns or a panic it raises after sealing
+    /// — a lock that conflicts after a write included — cannot be
+    /// rolled back. Either is re-raised as a panic out of this call,
+    /// failing the round (and, in the job service, the job — the lane
+    /// survives).
     ///
     /// The outcome is counted in `stats` and decides where the task
     /// goes next: a commit's spawns enter the work-set, an abort or
@@ -1010,8 +1011,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// Toy operator: task `i` increments counter `i` and decrements its
-    /// ring neighbour `i+1` — adjacent tasks conflict.
+    /// Toy operator: task `i` locks counter `i` and its ring neighbour
+    /// `i+1` — adjacent tasks conflict — then increments the one and
+    /// decrements the other.
     pub(crate) struct RingOp<'s> {
         pub(crate) store: &'s SpecStore<i64>,
         pub(crate) n: usize,
@@ -1022,6 +1024,8 @@ pub(crate) mod tests {
 
         fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
             let j = (i + 1) % self.n;
+            cx.lock(self.store, i)?;
+            cx.lock(self.store, j)?;
             *cx.write(self.store, i)? += 1;
             *cx.write(self.store, j)? -= 1;
             Ok(vec![])
@@ -1597,6 +1601,8 @@ pub(crate) mod tests {
                 panic!("op blew up on task 13");
             }
             let j = (i + 1) % self.n;
+            cx.lock(self.store, i)?;
+            cx.lock(self.store, j)?;
             *cx.write(self.store, i)? += 1;
             *cx.write(self.store, j)? -= 1;
             Ok(vec![])
@@ -1672,10 +1678,18 @@ pub(crate) mod tests {
         Commit,
         Err,
         Panic,
+        /// Every task but the first to lock [`SHARED`] conflicts past
+        /// its seal.
+        Conflict,
     }
 
+    /// The slot every [`PastSeal::Conflict`] task locks after its write.
+    const SHARED: usize = 8;
+
     /// Task `i` locks slot `i`, seals, adds one to it in place, then
-    /// ends as `how` says.
+    /// ends as `how` says — except [`PastSeal::Conflict`], which is not
+    /// cautious: it writes slot `i` through the context (its seal), then
+    /// locks [`SHARED`].
     struct SealedThen<'s> {
         store: &'s SpecStore<i64>,
         how: PastSeal,
@@ -1685,11 +1699,16 @@ pub(crate) mod tests {
         type Task = usize;
 
         fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            if let PastSeal::Conflict = self.how {
+                *cx.write(self.store, i)? += 1;
+                cx.lock(self.store, SHARED)?;
+                return Ok(vec![]);
+            }
             cx.lock(self.store, i)?;
             let mut sealed = cx.seal()?;
             *sealed.write(self.store, i) += 1;
             match self.how {
-                PastSeal::Commit => Ok(vec![]),
+                PastSeal::Commit | PastSeal::Conflict => Ok(vec![]),
                 PastSeal::Err => Err(Abort::Requested),
                 PastSeal::Panic => panic!("sealed task blew up"),
             }
@@ -1698,22 +1717,29 @@ pub(crate) mod tests {
 
     /// A sealed task cannot roll back, so an `Err` or a panic after its
     /// seal is not contained: the inline round re-raises it (a returned
-    /// `Err` as a panic naming it, a panic with its own payload), and a
-    /// pooled round fails through the pool's rendezvous.
+    /// `Err` as a panic naming it and its slot, a panic with its own
+    /// payload), and a pooled round fails through the pool's
+    /// rendezvous. A write seals too, so a lock that conflicts after
+    /// one — an operator that is not cautious — fails the round alike.
     #[test]
     fn an_err_or_panic_after_seal_fails_the_round() {
         for workers in [1, 2] {
             for (how, says) in [
                 (PastSeal::Err, "returned Requested after sealing"),
                 (PastSeal::Panic, "sealed task blew up"),
+                (
+                    PastSeal::Conflict,
+                    "the task at slot 1 returned Conflict { lock: 8 } after sealing",
+                ),
             ] {
-                let (space, r) = ring_setup(8);
-                let store = SpecStore::filled(r, 8, 0i64);
+                let (space, r) = ring_setup(SHARED + 1);
+                let store = SpecStore::filled(r, SHARED + 1, 0i64);
                 let op = SealedThen { store: &store, how };
                 let ex = Executor::new(&op, &space, exec_cfg(workers));
-                let mut ws = WorkSet::from_vec((0..8).collect::<Vec<_>>());
+                let mut ws = WorkSet::from_vec((0..SHARED).collect::<Vec<_>>());
                 let mut rng = StdRng::seed_from_u64(5);
-                let round = catch_unwind(AssertUnwindSafe(|| ex.run_round(&mut ws, 8, &mut rng)));
+                let round =
+                    catch_unwind(AssertUnwindSafe(|| ex.run_round(&mut ws, SHARED, &mut rng)));
                 let payload = round.expect_err("the round must fail");
                 if workers == 1 {
                     let detail = crate::faults::panic_detail(payload.as_ref());

@@ -10,21 +10,19 @@
 //! * **Panic containment** — the executor wraps every
 //!   [`Operator::execute`](crate::task::Operator::execute) call in
 //!   `catch_unwind`. A panicking task is rolled back exactly like a
-//!   conflict abort (its undo snapshots were recorded *before* any
-//!   `&mut` was handed out, so the replay is always sound), its locks
-//!   are released, the worker thread survives, and a structured
-//!   [`TaskFault`] lands in the executor's [`FaultLog`] instead of
-//!   tearing down the pool. The exception is a task that has sealed
-//!   ([`TaskCtx::seal`](crate::task::TaskCtx::seal)): its writes since
-//!   went in place with no undo log, so a panic (or an `Err`) after
-//!   the seal is re-raised, not contained.
+//!   conflict abort — it has not sealed
+//!   ([`TaskCtx::seal`](crate::task::TaskCtx::seal)), so it has
+//!   written nothing and rolling back is releasing its locks — the
+//!   worker thread survives, and a structured [`TaskFault`] lands in
+//!   the executor's [`FaultLog`] instead of tearing down the pool. The
+//!   exception is a task that has sealed: its writes went in place, so
+//!   a panic (or an `Err`) after the seal is re-raised, not contained.
 //! * **Deterministic injection** — a seeded [`FaultPlan`], attached at
 //!   run time with `Executor::set_fault_plan`, decides as a pure
 //!   function of `(seed, epoch, slot)` whether a task panics or
 //!   spuriously aborts mid-flight, or rolls back at its commit point
-//!   (its seal, or else after its last write), so every recovery path
-//!   is exercised
-//!   reproducibly. Without a plan nothing is armed: one `None` check
+//!   (its seal — its first write — or else its `Ok` return), so every
+//!   recovery path is exercised reproducibly. Without a plan nothing is armed: one `None` check
 //!   per launch and per context operation.
 //! * **Retry budgets** — the [`WorkSet`](crate::exec::WorkSet) counts
 //!   aborts per task; `exec.rs` ages tasks past their budget to the
@@ -34,7 +32,7 @@
 //!
 //! What is *recoverable*: operator panics, injected faults, poisoned
 //! executor-internal mutexes. What stays *fatal*: panics in the
-//! runtime's own lock/undo machinery outside the contained region
+//! runtime's own lock machinery outside the contained region
 //! (they indicate a broken invariant, not a broken operator — a pooled
 //! worker that dies this way is re-raised on the round's thread by the
 //! pool rendezvous, so no task's outcome is ever silently missing),
@@ -249,18 +247,18 @@ pub fn silence_injected_panics() {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Panic inside the operator after a few context operations
-    /// (exercises `catch_unwind` containment and undo replay).
+    /// (exercises `catch_unwind` containment and the lock release).
     Panic,
     /// Return [`Abort::Fault`](crate::task::Abort::Fault) from a
     /// context operation (exercises the structured-abort path without
     /// unwinding).
     SpuriousAbort,
     /// Roll back a task at its commit point, the last moment it can
-    /// roll back: at [`TaskCtx::seal`](crate::task::TaskCtx::seal) if it
-    /// seals, else after `execute` returned `Ok` (exercises undo of
-    /// every undoable write an operator made, including ones no later
-    /// context operation follows). Fired by `seal` or the executor,
-    /// never armed as a countdown.
+    /// roll back: at [`TaskCtx::seal`](crate::task::TaskCtx::seal) — or
+    /// the first write, which seals — if it seals, else after `execute`
+    /// returned `Ok` (exercises the rollback of a task whose every
+    /// context operation went through). Fired by `seal` or the
+    /// executor, never armed as a countdown.
     AtCommit,
 }
 

@@ -36,13 +36,14 @@
 //!   created once per executor and parked between rounds.
 //! * [`store`] — [`store::SpecStore`], a speculation-aware shared
 //!   array: reads and writes go through a [`task::TaskCtx`], which
-//!   enforces lock ownership and records copy-on-write undo snapshots.
+//!   enforces lock ownership; writes go in place.
 //! * [`task`] — the task-side API ([`task::TaskCtx`]): a task runs
 //!   holding the locks it has acquired so far, then either commits or
 //!   rolls back (`Running → Committed / Aborted`); only the task
-//!   itself moves between those states. A cautious operator seals
-//!   ([`task::TaskCtx::seal`]) after its last lock and writes in
-//!   place through [`task::Sealed`], with no undo log.
+//!   itself moves between those states. Every operator is cautious:
+//!   it seals ([`task::TaskCtx::seal`]) after its last lock and writes
+//!   in place, through [`task::Sealed`] or through
+//!   [`task::TaskCtx::write`], whose first call seals.
 //! * [`exec`] — the [`exec::Executor`] and the one copy of the
 //!   paper's temporal step: draw `m` tasks from the [`exec::WorkSet`]
 //!   — uniformly at random (the paper's model §2) among the tasks of
@@ -75,10 +76,9 @@
 //!
 //! One **round** = one temporal step of the paper's model. Locks are
 //! held until the end of the task (commit or rollback), never across
-//! rounds. A task that fails to acquire a lock aborts, restores its
-//! writes from the undo log (it still holds every lock it wrote
-//! under, so restoration is exclusive), releases its locks, and is
-//! returned to the work-set for a later round. Commit hands back the
+//! rounds. A task that fails to acquire a lock aborts before its seal,
+//! so it has written nothing: it releases its locks and is returned to
+//! the work-set for a later round. Commit hands back the
 //! operator's newly spawned tasks, which enter the work-set
 //! (amorphous data-parallelism: work begets work).
 //!

@@ -44,14 +44,15 @@
 //!   free word. Only a holder that is mid-task is a conflict.
 //!
 //! Why a finished holder on a lane *committed*: an aborting or
-//! faulting task rolls its writes back and releases its words (a CAS
-//! from its exact mark, `release_all_tagged`) before its worker
-//! moves on, so a word still carrying a finished slot's mark was left
-//! by a commit. Taking it over is then indistinguishable from taking
-//! it after the lane bump: the undo log snapshots on first write, so
-//! rolling the new owner back restores the committed value, and the
-//! new owner's release CASes from *its* mark, so the dispossessed
-//! slot can never free or reclaim the word.
+//! faulting task releases its words (a CAS from its exact mark,
+//! `release_all_tagged`) before its worker moves on, so a word still
+//! carrying a finished slot's mark was left by a commit. Taking it
+//! over is then indistinguishable from taking it after the lane bump:
+//! a task writes only after its seal, so a new owner that rolls back
+//! wrote nothing and the committed value stands, and the new owner's
+//! release CASes from *its* mark, so the dispossessed slot can never
+//! free or reclaim the word. A sealed task's writes check its mark
+//! with [`holds`]: one load, no CAS.
 //!
 //! Locks are held until the owning task commits or rolls back — never
 //! across epochs — so there is no waiting and hence no deadlock.
@@ -543,6 +544,17 @@ pub(crate) fn acquire_tagged(
             return Ok(Acquired::TakenFrom(cur_tag, owner as usize - 1));
         }
     }
+}
+
+/// Does task `slot` hold lock `l` under `tag`, i.e. does the word carry
+/// its exact mark? One load and one compare: a sealed task's write
+/// asks only this, where [`acquire_tagged`] could only answer `Held`.
+/// The mark was stored by this very task, so the load needs no
+/// ordering beyond the word's own coherence; `Acquire` is what every
+/// other owner-word load here uses.
+#[inline]
+pub(crate) fn holds(space: &LockSpace, slot: usize, tag: u64, l: usize) -> bool {
+    space.owners()[l].load(Ordering::Acquire) == (tag << EPOCH_SHIFT) | (slot as u64 + 1)
 }
 
 /// Release every lock in `lockset` held by `slot` under lane 0's

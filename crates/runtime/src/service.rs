@@ -847,8 +847,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Ring op from the exec tests: task `i` increments `i` and
-    /// decrements `i+1`; adjacent tasks conflict.
+    /// Ring op from the exec tests: task `i` locks `i` and `i+1`, then
+    /// increments the one and decrements the other; adjacent tasks
+    /// conflict.
     struct RingOp<'s> {
         store: &'s SpecStore<i64>,
         n: usize,
@@ -858,6 +859,8 @@ mod tests {
         type Task = usize;
         fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
             let j = (i + 1) % self.n;
+            cx.lock(self.store, i)?;
+            cx.lock(self.store, j)?;
             *cx.write(self.store, i)? += 1;
             *cx.write(self.store, j)? -= 1;
             Ok(vec![])

@@ -4,8 +4,8 @@
 //! protected one-to-one by the abstract locks of a
 //! [`crate::lock::Region`]. All access goes through
 //! [`TaskCtx`](crate::task::TaskCtx), which verifies lock ownership
-//! before handing out references and snapshots old values for
-//! rollback.
+//! before handing out references. Writes go in place: a task writes
+//! only after its seal, so there is nothing to roll back.
 //!
 //! # Capacity and allocation
 //!
@@ -302,7 +302,7 @@ impl<T> SpecStore<T> {
         self.filled.store(to, Ordering::Release);
     }
 
-    /// Raw pointer to slot `i` (for `TaskCtx` and undo entries only).
+    /// Raw pointer to slot `i` (for `TaskCtx` only).
     ///
     /// # Panics
     /// Panics if `i` is beyond the live prefix.

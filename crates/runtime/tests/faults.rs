@@ -16,9 +16,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SLOTS: usize = 8;
 
-/// Adds `t + 1` to four consecutive store slots. Four context
-/// operations per task guarantee every armed fault fires: the
-/// injection countdown lets at most three operations through.
+/// Locks four consecutive store slots, then adds `t + 1` to each. The
+/// four locks guarantee every armed fault fires before the first
+/// write: the injection countdown lets at most three operations
+/// through.
 struct AddOp<'s> {
     store: &'s SpecStore<i64>,
 }
@@ -27,6 +28,9 @@ impl Operator for AddOp<'_> {
     type Task = usize;
 
     fn execute(&self, t: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+        for k in 0..4 {
+            cx.lock(self.store, (t + k) % SLOTS)?;
+        }
         for k in 0..4 {
             *cx.write(self.store, (t + k) % SLOTS)? += (*t as i64) + 1;
         }
@@ -165,8 +169,9 @@ fn targeted_fault_fires_at_exact_coordinates() {
 
 /// Reads the three slots after `t`, then writes `t + 1` into slot `t`
 /// and spawns `t + SLOTS / 2` once: a task whose last context
-/// operation is its write, with one more operation than a mid-task
-/// fault's countdown lets through. Counts the runs that reached `Ok`.
+/// operation is its write — its seal, the commit point — with one more
+/// operation than a mid-task fault's countdown lets through. Counts
+/// the runs that reached their write.
 struct WriteSpawnOp<'s> {
     store: &'s SpecStore<i64>,
     finished: AtomicUsize,
@@ -179,8 +184,8 @@ impl Operator for WriteSpawnOp<'_> {
         for k in 1..4 {
             cx.read(self.store, (t + k) % SLOTS)?;
         }
-        *cx.write(self.store, t)? += t as i64 + 1;
         self.finished.fetch_add(1, Ordering::AcqRel);
+        *cx.write(self.store, t)? += t as i64 + 1;
         Ok(if t < SLOTS / 2 {
             vec![t + SLOTS / 2]
         } else {
@@ -189,11 +194,11 @@ impl Operator for WriteSpawnOp<'_> {
     }
 }
 
-/// A commit-point fault pinned on a task that wrote and returned `Ok`
-/// rolls that task back after its last write: the slot is restored,
-/// its spawn is dropped, the retry commits (and spawns) once, and the
+/// A commit-point fault pinned on a task that reached its write rolls
+/// that task back at the write's seal: the slot is never written, no
+/// spawn is returned, the retry commits (and spawns) once, and the
 /// ledger equals the log. The fault fires at the commit point only:
-/// the pinned task's context operations all go through.
+/// the pinned task's context operations before it all go through.
 #[test]
 fn a_commit_point_fault_rolls_back_a_finished_task() {
     let h = Harness::new();
@@ -212,7 +217,7 @@ fn a_commit_point_fault_rolls_back_a_finished_task() {
     assert_eq!(
         op.finished.load(Ordering::Acquire),
         1,
-        "the fault fired after the task's last write, not mid-task"
+        "the fault fired at the task's write, not mid-task"
     );
     assert_eq!(ws.len(), 1, "the task is re-queued, its spawn dropped");
     let fired = plan.fired();
@@ -236,7 +241,7 @@ fn a_commit_point_fault_rolls_back_a_finished_task() {
     let mut want = vec![0i64; SLOTS];
     want[0] = 1;
     want[SLOTS / 2] = SLOTS as i64 / 2 + 1;
-    assert_eq!(store.snapshot(), want, "the faulted write was undone");
+    assert_eq!(store.snapshot(), want, "the faulted write never ran");
 }
 
 #[test]

@@ -23,9 +23,11 @@ impl Operator for WeightedRing<'_> {
     type Task = usize;
 
     fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-        let w = (i + 1) as i64;
+        let (w, j) = ((i + 1) as i64, (i + 1) % self.n);
+        cx.lock(self.store, i)?;
+        cx.lock(self.store, j)?;
         *cx.write(self.store, i)? += w;
-        *cx.write(self.store, (i + 1) % self.n)? -= w;
+        *cx.write(self.store, j)? -= w;
         Ok(vec![])
     }
 }

@@ -8,9 +8,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// An operator that replays a scripted list of writes and then either
-/// commits or self-aborts — used to prove rollback restores state for
-/// arbitrary write sequences.
+/// An operator that locks the slots of a scripted list of writes, then
+/// either self-aborts or applies the writes — used to prove an aborted
+/// task leaves the store untouched for arbitrary scripts.
 struct ScriptOp<'s> {
     store: &'s SpecStore<i64>,
 }
@@ -21,11 +21,14 @@ impl Operator for ScriptOp<'_> {
     type Task = Script;
 
     fn execute(&self, task: &Script, cx: &mut TaskCtx<'_>) -> Result<Vec<Script>, Abort> {
-        for &(slot, val) in &task.0 {
-            *cx.write(self.store, slot)? += val;
+        for &(slot, _) in &task.0 {
+            cx.lock(self.store, slot)?;
         }
         if task.1 {
             cx.abort_requested()?;
+        }
+        for &(slot, val) in &task.0 {
+            *cx.write(self.store, slot)? += val;
         }
         Ok(vec![])
     }
@@ -33,8 +36,8 @@ impl Operator for ScriptOp<'_> {
 
 proptest! {
     /// A self-aborting task leaves the store bit-for-bit unchanged, no
-    /// matter what it wrote (including repeated writes to one slot);
-    /// a committing task applies exactly its script.
+    /// matter what it locked (including one slot repeatedly); a
+    /// committing task applies exactly its script.
     #[test]
     fn rollback_restores_state(
         writes in prop::collection::vec((0usize..8, -100i64..100), 0..20),

@@ -13,8 +13,8 @@
 //!   (extended Turán), and the adaptive processor-allocation
 //!   controller (Algorithm 1).
 //! * [`runtime`] — a from-scratch speculative task runtime (Galois-style
-//!   abstract locks, undo logs, rollback) with the controller in the
-//!   loop.
+//!   abstract locks, cautious operators that seal before they write,
+//!   rollback by lock release) with the controller in the loop.
 //! * [`apps`] — irregular applications: Delaunay mesh refinement,
 //!   Boruvka MST, agglomerative clustering, maximal independent set,
 //!   greedy graph colouring.

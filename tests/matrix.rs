@@ -65,8 +65,9 @@ mod requested_abort {
     use rand::SeedableRng;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Eight disjoint writers; task 3 asks for an abort the first time it
-    /// runs and commits on the retry.
+    /// Eight disjoint writers; task 3 asks for an abort, after its lock
+    /// and before its write, the first time it runs and commits on the
+    /// retry.
     struct AbortOnceOp<'s> {
         store: &'s SpecStore<u32>,
         armed: AtomicBool,
@@ -76,17 +77,18 @@ mod requested_abort {
         type Task = usize;
 
         fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-            *cx.write(self.store, i)? += 1;
+            cx.lock(self.store, i)?;
             if i == 3 && self.armed.swap(false, Ordering::AcqRel) {
                 cx.abort_requested()?;
             }
+            *cx.write(self.store, i)? += 1;
             Ok(vec![])
         }
     }
 
     /// Regression: an operator-requested abort is one abort in *every*
     /// mode (round and pipelined once settled outcomes differently),
-    /// and its first write is undone.
+    /// and the aborted run leaves its slot untouched.
     #[test]
     fn requested_abort_is_excused_in_round_and_pipelined_modes() {
         for pipelined in [false, true] {
@@ -116,7 +118,7 @@ mod requested_abort {
             assert_eq!(run.total_committed(), 8);
             assert_eq!(run.total_aborted(), 1, "task 3 aborted exactly once");
             drop(ex);
-            // Task 3's first write was rolled back: every slot saw one
+            // Task 3's aborted run wrote nothing: every slot saw one
             // committed increment.
             for i in 0..8 {
                 assert_eq!(*store.get_mut(i), 1, "pipelined = {pipelined}: slot {i}");
