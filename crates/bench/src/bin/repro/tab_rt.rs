@@ -28,14 +28,20 @@ use optpar_runtime::{Executor, ExecutorConfig, Operator, RunStats, WorkSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn drive<O: Operator, C: Controller>(
+/// Drain `tasks` in barrier rounds: one worker, so a round is the
+/// paper's round and `rounds` counts rounds, not lane windows.
+fn drive<O: Operator, C: Controller + Send>(
     op: &O,
     space: &optpar_runtime::LockSpace,
     tasks: Vec<O::Task>,
     mut ctl: C,
     seed: u64,
 ) -> RunStats {
-    let ex = Executor::new(op, space, ExecutorConfig::default());
+    let cfg = ExecutorConfig {
+        workers: 1,
+        ..ExecutorConfig::default()
+    };
+    let ex = Executor::new(op, space, cfg);
     let mut ws = WorkSet::from_vec(tasks);
     let mut rng = StdRng::seed_from_u64(seed);
     ex.run_with_controller(&mut ws, &mut ctl, 5_000_000, &mut rng)
@@ -266,7 +272,7 @@ pub fn run(csv: bool) {
         assert!(max_eta < 1e-4, "α = 2 must reach the paramagnetic point");
     }
 
-    println!("TAB-RT: end-to-end runtime comparison, ρ = 25%, workers = default");
+    println!("TAB-RT: end-to-end runtime comparison, ρ = 25%, workers = 1 (rounds)");
     table.print(
         "§5 — adaptive allocation inside the real speculative runtime",
         csv,

@@ -13,8 +13,8 @@
 //!   conflict abort — it has not sealed
 //!   ([`TaskCtx::seal`](crate::task::TaskCtx::seal)), so it has
 //!   written nothing and rolling back is releasing its locks — the
-//!   worker thread survives, and a structured [`TaskFault`] lands in
-//!   the executor's [`FaultLog`] instead of tearing down the pool. The
+//!   round's thread or the lane's worker survives, and a structured
+//!   [`TaskFault`] lands in the executor's [`FaultLog`]. The
 //!   exception is a task that has sealed: its writes went in place, so
 //!   a panic (or an `Err`) after the seal is re-raised, not contained.
 //! * **Deterministic injection** — a seeded [`FaultPlan`], attached at
@@ -33,10 +33,12 @@
 //! What is *recoverable*: operator panics, injected faults, poisoned
 //! executor-internal mutexes. What stays *fatal*: panics in the
 //! runtime's own lock machinery outside the contained region
-//! (they indicate a broken invariant, not a broken operator — a pooled
-//! worker that dies this way is re-raised on the round's thread by the
-//! pool rendezvous, so no task's outcome is ever silently missing),
-//! and misconfiguration asserts (zero workers, oversized rounds).
+//! (they indicate a broken invariant, not a broken operator — a round
+//! re-raises it on its caller's thread; a lane worker that dies this
+//! way stops the drain's other lanes and is re-raised on the caller's
+//! thread by the pool rendezvous, so no task's outcome is ever
+//! silently missing), and misconfiguration asserts (zero workers,
+//! oversized rounds).
 
 use std::sync::{Mutex, PoisonError};
 

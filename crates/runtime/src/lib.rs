@@ -33,7 +33,8 @@
 //!   worker — keeps its epoch in one lane table, and retiring a batch
 //!   (the round barrier included) is a single bump of its lane.
 //! * [`pool`] — [`pool::WorkerPool`], persistent worker threads
-//!   created once per executor and parked between rounds.
+//!   created once per executor and parked between drains; lanes run
+//!   on them.
 //! * [`store`] — [`store::SpecStore`], a speculation-aware shared
 //!   array: reads and writes go through a [`task::TaskCtx`], which
 //!   enforces lock ownership; writes go in place.
@@ -54,21 +55,23 @@
 //!   bump, and take the control step (`control_step`) that reports the
 //!   realized conflict ratio to a processor-allocation
 //!   [`Controller`](optpar_core::control::Controller) and hands back
-//!   the next budget. A barrier round is that step on lock lane 0.
+//!   the next budget. A barrier round is that step on lock lane 0,
+//!   run inline on the caller's thread at every worker count.
 //! * [`faults`] — fault tolerance: operator panics are contained per
 //!   task (`catch_unwind` → structured [`faults::TaskFault`], rollback,
-//!   re-queue — the worker thread survives), and a deterministic
-//!   seeded fault-injection plan can be attached at run time. Aborted
-//!   or faulted tasks age toward the front of the drawn prefix after
-//!   [`exec::ExecutorConfig::retry_budget`] retries, so no task
-//!   starves; a round watchdog shrinks `m` toward 1 under sustained
-//!   zero-commit stalls.
-//! * [`pipelined`] — the barrier-free **epoch-pipelined** engine: the
-//!   same batch loop on a lock lane per worker, behind an in-flight
+//!   re-queue — the calling thread or lane survives), and a
+//!   deterministic seeded fault-injection plan can be attached at run
+//!   time. Aborted or faulted tasks age toward the front of the drawn
+//!   prefix after 8 retries, so no task starves; a watchdog shrinks
+//!   `m` toward 1 after 4 consecutive zero-commit rounds or windows.
+//! * [`pipelined`] — the barrier-free **epoch-pipelined** engine, the
+//!   runtime's only parallel one: the same batch loop on a lock lane
+//!   per worker, behind an in-flight
 //!   speculation budget and over a sharded work-set, taking the same
 //!   control step once per window of completions — batch release stays
 //!   O(1) without a global epoch bump and one slow task no longer
-//!   stalls the world.
+//!   stalls the world. [`exec::Executor::run_with_controller`] drains
+//!   through it whenever the executor has more than one worker.
 //!   Continuous (one-task-at-a-time) execution is this mode at
 //!   [`pipelined::PipelinedConfig::batch`]` = 1`.
 //!

@@ -29,10 +29,10 @@
 //! * **Lane 0 — retention is the commit rule.** Lane 0 never
 //!   publishes a running mark, so no holder on it is ever known to
 //!   have finished: a committed round task keeps its locks until the
-//!   barrier and later tasks of the round conflict with it. On the
-//!   inline `workers == 1` round, where tasks run in draw order, this
-//!   *is* the paper's model: a task commits iff no earlier committed
-//!   neighbour holds its data.
+//!   barrier and later tasks of the round conflict with it. Lane 0 is
+//!   always inline: a round runs its tasks on one thread in draw order
+//!   at every worker count, so this *is* the paper's model — a task
+//!   commits iff no earlier committed neighbour holds its data.
 //! * **Lanes ≥ 1 — retention is not conflict.** A pipelined lane
 //!   keeps its committed stamps until the lane bump only because that
 //!   makes the retire O(1); the holder no longer exists, so its word
@@ -52,7 +52,7 @@
 //! wrote nothing and the committed value stands, and the new owner's
 //! release CASes from *its* mark, so the dispossessed slot can never
 //! free or reclaim the word. A sealed task's writes check its mark
-//! with [`holds`]: one load, no CAS.
+//! with `holds`: one load, no CAS.
 //!
 //! Locks are held until the owning task commits or rolls back — never
 //! across epochs — so there is no waiting and hence no deadlock.

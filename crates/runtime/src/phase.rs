@@ -127,11 +127,6 @@ impl Deadline {
     pub fn expired(&self) -> bool {
         Instant::now() >= self.at
     }
-
-    /// Time left before expiry (zero once expired).
-    pub fn remaining(&self) -> std::time::Duration {
-        self.at.saturating_duration_since(Instant::now())
-    }
 }
 
 /// A monotone elapsed-time counter for job latency and watchdog
@@ -153,11 +148,6 @@ impl Stopwatch {
     /// Elapsed time since the start.
     pub fn elapsed(&self) -> std::time::Duration {
         self.start.elapsed()
-    }
-
-    /// Elapsed nanoseconds since the start (saturating).
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -241,13 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn deadline_expires_and_remaining_saturates() {
+    fn deadline_expires_and_never_overflows() {
         let d = Deadline::after(std::time::Duration::ZERO);
         assert!(d.expired());
-        assert_eq!(d.remaining(), std::time::Duration::ZERO);
         let far = Deadline::after(std::time::Duration::from_secs(3600));
         assert!(!far.expired());
-        assert!(far.remaining() > std::time::Duration::from_secs(3000));
         // An overflowing deadline degrades to "already expired", not
         // a panic.
         let huge = Deadline::after(std::time::Duration::from_secs(u64::MAX));
@@ -259,7 +247,6 @@ mod tests {
         let sw = Stopwatch::started();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(sw.elapsed() >= std::time::Duration::from_millis(2));
-        assert!(sw.elapsed_ns() >= 2_000_000);
     }
 
     #[test]

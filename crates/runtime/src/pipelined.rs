@@ -1,11 +1,11 @@
 //! Pipelined (barrier-free) execution: the batch loop on worker lanes.
 //!
-//! A barrier round parks every worker once per round so one epoch bump
-//! can retire the whole round's locks; one slow task therefore stalls
-//! the world. Here each worker runs the executor's batch loop
-//! (`Executor::run_batch` — the loop a round runs on lane 0) on a lock
-//! lane of its own, and nobody waits for anybody. What this module
-//! adds to that loop:
+//! A barrier round runs on its caller's thread, and one epoch bump
+//! retires the whole round's locks. This module is the runtime's only
+//! parallel engine: each worker of the executor's pool runs the
+//! executor's batch loop (`Executor::run_batch` — the loop a round
+//! runs on lane 0) on a lock lane of its own, and nobody waits for
+//! anybody. What this module adds to that loop:
 //!
 //! * **a lane per worker**: worker `w` draws a *batch*, runs it under
 //!   the current tag of lane `w + 1` of the [`LockSpace`], and retires
@@ -113,6 +113,19 @@ impl Default for PipelinedConfig {
             window: 128,
             batch: 16,
             max_completions: usize::MAX,
+        }
+    }
+}
+
+/// Raises the run's `done` flag if its worker unwinds: the tasks that
+/// worker held never settle, so `live` would keep every other worker
+/// waiting for them.
+struct StopOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
         }
     }
 }
@@ -275,20 +288,14 @@ impl<'p, T: Ranked> ShardedWorkSet<'p, T> {
     /// first non-empty shard supplies the whole batch via the same
     /// rank-bucketed, aged sampler round mode uses, so draw order and
     /// starvation avoidance carry over per shard.
-    fn draw<R: Rng + ?Sized>(
-        &self,
-        home: usize,
-        max: usize,
-        rng: &mut R,
-        budget: u32,
-    ) -> Vec<Entry<T>> {
+    fn draw<R: Rng + ?Sized>(&self, home: usize, max: usize, rng: &mut R) -> Vec<Entry<T>> {
         let n = self.shards.len();
         for shard in self.shards.iter().cycle().skip(home % n.max(1)).take(n) {
             let mut q = recover(shard.lock());
             if q.is_empty() {
                 continue;
             }
-            return q.sample_drain_aged(max, rng, budget);
+            return q.sample_drain_aged(max, rng);
         }
         Vec::new()
     }
@@ -483,6 +490,7 @@ impl<O: Operator> Executor<'_, O> {
         };
 
         let worker = |w: usize| {
+            let _stop = StopOnUnwind(&done);
             let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
             let (probe, lane) = (self.probe_for(w), w + 1);
             let mut scratch = TaskScratch::default();
@@ -512,7 +520,7 @@ impl<O: Operator> Executor<'_, O> {
                     continue;
                 }
                 let t0 = phase::maybe_start(pc);
-                let batch = shards.draw(w, granted, &mut wrng, self.config().retry_budget);
+                let batch = shards.draw(w, granted, &mut wrng);
                 phase::maybe_add(pc, Phase::Draw, t0);
                 let drawn = batch.len();
                 if drawn < granted {
@@ -582,7 +590,9 @@ impl<O: Operator> Executor<'_, O> {
             }
         };
         // Dispatch on the executor's persistent pool; `workers == 1`
-        // runs the claim loop inline.
+        // runs the claim loop inline. A worker that unwinds (a task
+        // that failed past its seal) stops the others, and the pool
+        // re-raises its panic here.
         match &self.pool {
             Some(pool) => pool.rendezvous(&worker),
             None => worker(0),
@@ -1071,20 +1081,16 @@ mod tests {
 
     /// One control step under both engines: a round is a window of one
     /// batch, so a scripted outcome sequence — a commit-free stretch
-    /// far past `watchdog_stall` included — hands both the same next
+    /// far past `WATCHDOG_STALL` included — hands both the same next
     /// budget step for step, and leaves the stall count it implies.
     #[test]
     fn control_step_is_the_same_for_rounds_and_windows() {
         let space = LockSpace::builder().build();
         let op = ByOrdinal {
             launches: AtomicUsize::new(0),
-            aborting: 100..420,
+            aborting: 100..700,
         };
-        let cfg = ExecutorConfig {
-            watchdog_stall: 2,
-            ..exec_cfg(1)
-        };
-        let ex = Executor::new(&op, &space, cfg);
+        let ex = Executor::new(&op, &space, exec_cfg(1));
         fn drive<C: Controller + Send>(
             ex: &Executor<'_, ByOrdinal>,
             op: &ByOrdinal,

@@ -1,13 +1,12 @@
 //! A persistent worker pool: threads are created once per
-//! [`crate::exec::Executor`] lifetime and parked between rounds.
+//! [`crate::exec::Executor`] lifetime and parked between drains.
 //!
-//! The round-synchronous executor used to spawn fresh OS threads via
-//! `std::thread::scope` every round; at small round sizes (`m ≤ 64`)
-//! thread creation dominated the round itself. [`WorkerPool`] amortizes
-//! that cost: [`WorkerPool::run`] publishes one type-erased job
-//! pointer, wakes the parked workers, and blocks until every worker
-//! has finished the job — a *rendezvous*, not a fire-and-forget
-//! submit.
+//! The pool serves lanes only: a pipelined drain
+//! ([`crate::pipelined`]) runs one lane per worker, while a barrier
+//! round runs on its caller's thread. [`WorkerPool::run`] publishes one
+//! type-erased job pointer, wakes the parked workers, and blocks until
+//! every worker has finished the job — a *rendezvous*, not a
+//! fire-and-forget submit.
 //!
 //! That is the pool's whole life: **publish → wake → rendezvous**, any
 //! number of times, then **drop**. There is no way to retire a pool
@@ -28,11 +27,11 @@
 //! ## Fault tolerance
 //!
 //! A panic inside a job is caught on the worker (so the pool survives
-//! and the round's rendezvous still completes), counted in
+//! and the drain's rendezvous still completes), counted in
 //! [`WorkerPool::job_panics`], and re-raised on the submitting thread.
 //! The executor's per-task containment means operator panics never
-//! reach this layer; a nonzero count here indicates a panic in the
-//! runtime itself.
+//! reach this layer; a nonzero count here means a sealed task failed
+//! past its seal or the runtime itself panicked.
 
 use crate::faults::recover;
 use std::convert::Infallible;
@@ -68,7 +67,7 @@ struct PoolState {
 
 struct Shared {
     state: Mutex<PoolState>,
-    /// Workers park here between rounds.
+    /// Workers park here between jobs.
     work_cv: Condvar,
     /// `run` parks here until the rendezvous completes.
     done_cv: Condvar,
@@ -193,7 +192,7 @@ impl WorkerPool {
             #[expect(
                 clippy::panic,
                 reason = "re-raise on the submitter thread a panic that escaped a job's \
-                          own containment; swallowing it would corrupt the round"
+                          own containment; swallowing it would corrupt the drain"
             )]
             {
                 panic!("worker pool job panicked");

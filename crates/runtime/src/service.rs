@@ -1,13 +1,14 @@
-//! A multi-tenant job service whose lanes own their workers.
+//! A multi-tenant job service whose lanes run their jobs' rounds.
 //!
 //! The paper's controller adapts speculation *within* one computation;
 //! this module runs many such computations at once. A [`JobService`]
 //! accepts a stream of concurrent jobs (each a closure that builds its
 //! own operator, lock space, and work-set and drives rounds through
 //! [`JobCx::drive`]) and runs up to [`ServiceConfig::lanes`] of them at
-//! once. A lane executes its job itself, on an [`Executor`] the drive
-//! owns: tenants share no thread and no lock space, so they run
-//! concurrently and never wait on each other's rounds. What they do
+//! once. A lane executes its job itself: the drive's one-worker
+//! [`Executor`] runs every round inline on the lane thread. Tenants
+//! share no thread and no lock space, so they run concurrently and
+//! never wait on each other's rounds. What they do
 //! share is the global in-flight budget: each job brings its own
 //! adaptive controller, and its per-round `m(t)` is clamped to its
 //! priority share of that budget.
@@ -35,15 +36,14 @@
 //!   is carried drive-tagged in the report so tests reconcile the
 //!   injection ledger against the fault log entry-for-entry.
 //!
-//! A job stuck inside a task holds only its own lane and workers; the
-//! other lanes keep serving, and [`serve`] returns once the task yields.
+//! A job stuck inside a task holds only its own lane; the other lanes
+//! keep serving, and [`serve`] returns once the task yields.
 //!
 //! Like all runtime code it is under the crate's clippy lints: no
 //! `unwrap`/`expect` (a panicking lane loses its client's report) and
 //! no slice indexing; and under `clippy.toml`: no raw `Instant`
 //! (deadlines and latency go through [`Deadline`]/[`Stopwatch`] in the
-//! phase module), and all OS threads are scoped or come from a drive's
-//! executor.
+//! phase module), and all OS threads are scoped.
 
 use crate::exec::{Executor, ExecutorConfig, WorkSet};
 use crate::faults::{panic_detail, recover, DeadLetter, TaskFault};
@@ -93,9 +93,11 @@ impl ChaosConfig {
 /// override fields.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads across all lanes (≥ 1); a lane drives with
-    /// `max(1, workers / lanes)`, and at 1 its rounds run inline on
-    /// the lane thread.
+    /// Benchmark-pinned shim: nothing reads this field (every drive
+    /// runs its rounds inline on its lane). It exists only because the
+    /// frozen `benchmark/src/service.rs` sets it; the next PR that may
+    /// edit `benchmark/` drops it (ROADMAP item 5(b)).
+    #[doc(hidden)]
     pub workers: usize,
     /// Concurrent job lanes (≥ 1): jobs running at once.
     pub lanes: usize,
@@ -381,11 +383,6 @@ pub struct ServiceStats {
     /// 5(b)).
     #[doc(hidden)]
     pub job_retries: u64,
-    /// Worker-level job panics summed over every drive's executor
-    /// (0 = per-task containment held everywhere). An inline lane has
-    /// no worker loop to catch one: there a runtime-level panic ends
-    /// the job with [`JobError::App`].
-    pub worker_panics: u64,
     /// The service-level obs event log, when [`ServiceConfig::obs`]
     /// was set.
     pub obs_log: Option<optpar_obs::EventLog>,
@@ -419,8 +416,6 @@ struct Shared {
     failed: AtomicU64,
     cancelled_jobs: AtomicU64,
     deadline_misses: AtomicU64,
-    /// `Executor::worker_panics` summed over finished drives.
-    worker_panics: AtomicU64,
     recorder: Option<optpar_obs::Recorder>,
 }
 
@@ -442,7 +437,6 @@ impl Shared {
             failed: AtomicU64::new(0),
             cancelled_jobs: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
             recorder,
             cfg,
         }
@@ -503,7 +497,6 @@ impl Shared {
             cancelled_jobs: self.cancelled_jobs.load(Ordering::Acquire),
             deadline_misses: self.deadline_misses.load(Ordering::Acquire),
             job_retries: 0,
-            worker_panics: self.worker_panics.load(Ordering::Acquire),
             obs_log: self.recorder.as_ref().map(|rec| rec.take_log()),
         }
     }
@@ -520,7 +513,6 @@ impl std::fmt::Debug for JobService<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobService")
             .field("lanes", &self.shared.cfg.lanes)
-            .field("workers", &self.shared.cfg.workers)
             .finish_non_exhaustive()
     }
 }
@@ -591,7 +583,7 @@ struct JobAccum {
 
 /// Execution context handed to the job closure: cancellation and
 /// deadline visibility, and [`JobCx::drive`] — the only way a job
-/// reaches its lane's workers.
+/// runs rounds.
 pub struct JobCx<'s> {
     shared: &'s Shared,
     cancel: &'s AtomicBool,
@@ -631,15 +623,13 @@ impl JobCx<'_> {
     }
 
     /// Drain `ws` through round-based speculative execution on this
-    /// lane's own workers, one controller-allocated round at a time,
-    /// until the work-set empties or a structured stop (cancellation,
-    /// deadline, dead letters) ends the drive.
+    /// lane, one controller-allocated round at a time, until the
+    /// work-set empties or a structured stop (cancellation, deadline,
+    /// dead letters) ends the drive.
     ///
-    /// The drive owns one [`Executor`] of `max(1, workers / lanes)`
-    /// workers: at 1 every round runs inline on the lane thread,
-    /// wider lanes get the executor's ordinary pool for the length of
-    /// the drive. A round's `m` is the controller's allocation
-    /// clamped to this job's priority share of
+    /// The drive owns one one-worker [`Executor`]: every round runs
+    /// inline on the lane thread. A round's `m` is the controller's
+    /// allocation clamped to this job's priority share of
     /// [`ServiceConfig::global_budget`]. Stops happen only at round
     /// boundaries, where no locks or tasks are in flight — the
     /// abort-equivalent rollback the service promises.
@@ -660,7 +650,7 @@ impl JobCx<'_> {
                 .with_spurious_abort_rate(c.spurious_rate)
         });
         let ecfg = ExecutorConfig {
-            workers: (cfg.workers / cfg.lanes).max(1),
+            workers: 1,
             dead_letter_budget: DEAD_LETTER_BUDGET,
             ..ExecutorConfig::default()
         };
@@ -668,7 +658,6 @@ impl JobCx<'_> {
         if let Some(p) = plan.as_ref() {
             ex.set_fault_plan(p);
         }
-        let _tally = PanicTally(&ex, &self.shared.worker_panics);
         let mut state = crate::exec::ControlState::new(ctl);
         let mut dead_this_drive: usize = 0;
         let result = loop {
@@ -722,18 +711,6 @@ impl JobCx<'_> {
     }
 }
 
-/// Books a drive executor's escaped worker panics into the service
-/// total when the drive ends — on drop, because the panic
-/// `WorkerPool::run` re-raises on the lane thread for one unwinds
-/// through [`JobCx::drive`].
-struct PanicTally<'x, 'a, O: Operator>(&'x Executor<'a, O>, &'x AtomicU64);
-
-impl<O: Operator> Drop for PanicTally<'_, '_, O> {
-    fn drop(&mut self) {
-        self.1.fetch_add(self.0.worker_panics(), Ordering::AcqRel);
-    }
-}
-
 /// Mix the chaos seed with the job id and drive number (splitmix-style
 /// avalanche) so every drive replays its own deterministic schedule.
 fn chaos_seed(seed: u64, job: u64, drive: u64) -> u64 {
@@ -751,7 +728,6 @@ fn chaos_seed(seed: u64, job: u64, drive: u64) -> u64 {
 /// A job stuck in a *non-terminating* task blocks teardown until the
 /// task yields: lane threads are scoped and must join.
 pub fn serve<T>(cfg: ServiceConfig, body: impl FnOnce(&JobService<'_>) -> T) -> (T, ServiceStats) {
-    assert!(cfg.workers >= 1, "service needs at least one worker");
     assert!(cfg.lanes >= 1, "service needs at least one lane");
     assert!(cfg.queue_cap >= 1, "queue capacity must be at least 1");
     let shared = Shared::new(cfg);
@@ -963,7 +939,6 @@ mod tests {
             assert_eq!(stats.admitted, 1);
             assert_eq!(stats.completed, 1);
             assert_eq!(stats.failed, 0);
-            assert_eq!(stats.worker_panics, 0);
         });
     }
 
@@ -986,7 +961,6 @@ mod tests {
             }
         });
         assert_eq!(stats.completed, 8);
-        assert_eq!(stats.worker_panics, 0);
     }
 
     #[test]
@@ -1113,7 +1087,6 @@ mod tests {
                 assert!(report.rounds > 0, "it did run before the deadline");
             });
             assert_eq!(stats.deadline_misses, 1);
-            assert_eq!(stats.worker_panics, 0, "deadline stop leaks nothing");
         });
     }
 
@@ -1131,10 +1104,9 @@ mod tests {
             }
         }
         within(BOUND, "an_err_after_seal_fails_the_job", || {
-            // One worker: the job's rounds run inline on the lane, so
-            // the failure names the sealed `Err` itself.
+            // The job's rounds run inline on the lane, so the failure
+            // names the sealed `Err` itself.
             let cfg = ServiceConfig {
-                workers: 1,
                 lanes: 1,
                 ..ServiceConfig::default()
             };
@@ -1217,7 +1189,6 @@ mod tests {
             assert_eq!(report.faults.len(), launches);
         });
         assert_eq!(stats.failed, 1);
-        assert_eq!(stats.worker_panics, 0, "panics stayed contained");
     }
 
     /// `JobAdmit` is the first event of every job in the obs log, even
@@ -1303,20 +1274,28 @@ mod tests {
         );
     }
 
-    /// Run four 64-task ring jobs under `cfg` and count the launches
-    /// that ran on an executor's pool thread and on any other thread
-    /// (the lane's): `(on, off)`.
-    fn launches_on_and_off_pool(cfg: ServiceConfig) -> (u64, u64) {
-        let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    #[test]
+    fn one_worker_lanes_run_their_rounds_inline() {
+        // `workers` is unread: whatever it says, no pool exists
+        // anywhere in the service and every launch runs on its lane's
+        // own thread.
+        let cfg = ServiceConfig {
+            workers: 4,
+            lanes: 2,
+            ..ServiceConfig::default()
+        };
+        let pooled = Arc::new(AtomicU64::new(0));
+        let launched = Arc::new(AtomicU64::new(0));
         let ((), stats) = serve(cfg, |svc| {
             let tickets: Vec<JobTicket> = (0..4u64)
                 .map(|i| {
-                    let counts = Arc::clone(&counts);
+                    let (pooled, launched) = (Arc::clone(&pooled), Arc::clone(&launched));
                     let job = hooked_ring_job(64, 70 + i, move || {
-                        let pooled = std::thread::current()
+                        let on_pool = std::thread::current()
                             .name()
                             .is_some_and(|name| name.starts_with("optpar-worker-"));
-                        counts[usize::from(pooled)].fetch_add(1, Ordering::AcqRel);
+                        pooled.fetch_add(u64::from(on_pool), Ordering::AcqRel);
+                        launched.fetch_add(1, Ordering::AcqRel);
                         Ok(())
                     });
                     svc.submit(JobSpec::new(format!("ring-{i}"), job))
@@ -1330,31 +1309,8 @@ mod tests {
             }
         });
         assert_eq!(stats.completed, 4);
-        assert_eq!(stats.worker_panics, 0);
-        let [off, on] = counts.each_ref().map(|c| c.load(Ordering::Acquire));
-        (on, off)
-    }
-
-    #[test]
-    fn wide_lanes_drive_on_their_own_worker_threads() {
-        // workers / lanes = 2: every drive owns a 2-worker executor,
-        // so every launch runs on one of its pool threads.
-        let (on_pool, off_pool) = launches_on_and_off_pool(ServiceConfig {
-            workers: 4,
-            lanes: 2,
-            ..ServiceConfig::default()
-        });
-        assert!(on_pool >= 4 * 64);
-        assert_eq!(off_pool, 0);
-    }
-
-    #[test]
-    fn one_worker_lanes_run_their_rounds_inline() {
-        // workers / lanes = 1: no pool exists anywhere in the service;
-        // every launch runs on its lane's own thread.
-        let (on_pool, off_pool) = launches_on_and_off_pool(ServiceConfig::default());
-        assert_eq!(on_pool, 0);
-        assert!(off_pool >= 4 * 64);
+        assert_eq!(pooled.load(Ordering::Acquire), 0);
+        assert!(launched.load(Ordering::Acquire) >= 4 * 64);
     }
 
     #[test]

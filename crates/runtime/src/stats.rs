@@ -68,27 +68,6 @@ impl RoundStats {
             dead_lettered: self.dead_lettered - earlier.dead_lettered,
         }
     }
-
-    /// Fold in the counts of `part`, a tally of some of this round's
-    /// tasks (`m` is not a count: untouched).
-    pub(crate) fn add(&mut self, part: &RoundStats) {
-        self.launched += part.launched;
-        self.committed += part.committed;
-        self.aborted += part.aborted;
-        self.faulted += part.faulted;
-        self.spawned += part.spawned;
-        self.lock_acquires += part.lock_acquires;
-        self.dead_lettered += part.dead_lettered;
-    }
-
-    /// Realized fault ratio `faulted / launched`.
-    pub fn fault_ratio(&self) -> f64 {
-        if self.launched == 0 {
-            0.0
-        } else {
-            self.faulted as f64 / self.launched as f64
-        }
-    }
 }
 
 /// Statistics of a whole run (a sequence of rounds).
@@ -140,17 +119,6 @@ impl RunStats {
         }
     }
 
-    /// Work efficiency (committed / launched): a faulted launch is as
-    /// wasted as an aborted one. 1.0 for a run that launched nothing.
-    pub fn efficiency(&self) -> f64 {
-        let l = self.total_launched();
-        if l == 0 {
-            1.0
-        } else {
-            self.total_committed() as f64 / l as f64
-        }
-    }
-
     /// Throughput proxy: commits per round.
     pub fn commits_per_round(&self) -> f64 {
         if self.rounds.is_empty() {
@@ -163,11 +131,6 @@ impl RunStats {
     /// The `m_t` series (for Fig. 3-style plots from runtime runs).
     pub fn m_series(&self) -> Vec<usize> {
         self.rounds.iter().map(|r| r.m).collect()
-    }
-
-    /// The per-round conflict-ratio series.
-    pub fn r_series(&self) -> Vec<f64> {
-        self.rounds.iter().map(|r| r.conflict_ratio()).collect()
     }
 }
 
@@ -208,10 +171,8 @@ mod tests {
         r.committed -= 1;
         r.faulted += 2;
         assert!((r.conflict_ratio() - 0.2).abs() < 1e-12);
-        assert!((r.fault_ratio() - 0.2).abs() < 1e-12);
         assert!((r.pressure_ratio() - 0.4).abs() < 1e-12);
         assert_eq!(RoundStats::default().pressure_ratio(), 0.0);
-        assert_eq!(RoundStats::default().fault_ratio(), 0.0);
     }
 
     #[test]
@@ -224,24 +185,8 @@ mod tests {
         assert_eq!(run.total_aborted(), 6);
         assert_eq!(run.round_count(), 2);
         assert!((run.overall_conflict_ratio() - 0.2).abs() < 1e-12);
-        assert!((run.efficiency() - 0.8).abs() < 1e-12);
         assert_eq!(run.commits_per_round(), 12.0);
         assert_eq!(run.m_series(), vec![10, 20]);
-        assert_eq!(run.r_series().len(), 2);
-    }
-
-    #[test]
-    fn efficiency_counts_faulted_launches_as_waste() {
-        // 30 launched: 5 + 1 aborted, 4 faulted, 20 committed.
-        let mut faulty = round(20, 20, 19, 0);
-        faulty.committed -= 4;
-        faulty.faulted += 4;
-        let run = RunStats {
-            rounds: vec![round(10, 10, 5, 0), faulty],
-        };
-        assert_eq!(run.total_launched(), 30);
-        assert!((run.overall_conflict_ratio() - 0.2).abs() < 1e-12);
-        assert!((run.efficiency() - 20.0 / 30.0).abs() < 1e-12);
     }
 
     #[test]
@@ -249,7 +194,6 @@ mod tests {
         let run = RunStats::default();
         assert_eq!(run.overall_conflict_ratio(), 0.0);
         assert_eq!(run.commits_per_round(), 0.0);
-        assert_eq!(run.efficiency(), 1.0);
     }
 
     /// Pin the `launched == 0` behavior of every ratio accessor: an
@@ -267,7 +211,7 @@ mod tests {
             lock_acquires: 0,
             dead_lettered: 0,
         };
-        for ratio in [r.conflict_ratio(), r.pressure_ratio(), r.fault_ratio()] {
+        for ratio in [r.conflict_ratio(), r.pressure_ratio()] {
             assert!(!ratio.is_nan(), "0/0 must not leak NaN into the controller");
             assert_eq!(ratio.to_bits(), 0.0f64.to_bits(), "exactly +0.0");
         }

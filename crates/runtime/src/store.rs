@@ -201,11 +201,6 @@ impl<T> SpecStore<T> {
         self.region
     }
 
-    /// The shard layout, if this store is sharded.
-    pub fn shard_map(&self) -> Option<&Arc<ShardMap>> {
-        self.shard.as_ref()
-    }
-
     /// Physical slot of logical index `i` (identity when unsharded).
     #[inline]
     fn phys(&self, i: usize) -> usize {

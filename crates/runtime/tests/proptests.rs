@@ -145,16 +145,16 @@ proptest! {
     /// contends on one lock, so each round commits exactly one task
     /// and aborts the rest — the worst case for a random draw order.
     /// The victim (enqueued first, so it wins FIFO ties among aged
-    /// tasks) must commit within `K + 1` rounds for retry budget `K`:
-    /// either the draw favours it early, or after `K` aborts it is
-    /// aged to the front of the prefix, where the greedy commit rule
-    /// guarantees it wins.
+    /// tasks) must commit within `K + 1` rounds for the executor's
+    /// retry budget `K` (8): either the draw favours it early, or
+    /// after `K` aborts it is aged to the front of the prefix, where
+    /// the greedy commit rule guarantees it wins.
     #[test]
     fn clique_victim_commits_within_budget_plus_one_rounds(
         attackers in 1usize..10,
-        budget in 0u32..4,
         seed in any::<u64>(),
     ) {
+        const RETRY_BUDGET: u32 = 8;
         let mut b = LockSpace::builder();
         let r = b.region(2);
         let space = b.build();
@@ -162,7 +162,6 @@ proptest! {
         let op = ScriptOp { store: &store };
         let ex = Executor::new(&op, &space, ExecutorConfig {
             workers: 1,
-            retry_budget: budget,
             ..ExecutorConfig::default()
         });
         let mut ws = WorkSet::new();
@@ -174,7 +173,7 @@ proptest! {
         }
         let m = attackers + 1; // everyone is drawn every round
         let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..budget + 1 {
+        for _ in 0..RETRY_BUDGET + 1 {
             if ws.is_empty() {
                 break; // everyone (victim included) already committed
             }
@@ -208,12 +207,10 @@ proptest! {
         let tasks: Vec<Script> = scripts.iter().cloned().map(|w| (w, false)).collect();
         let mut ws = WorkSet::from_vec(tasks);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut guard = 0;
-        while !ws.is_empty() {
-            ex.run_round(&mut ws, 4, &mut rng);
-            guard += 1;
-            prop_assert!(guard < 10_000);
-        }
+        // Two workers: the drain runs lanes.
+        let mut ctl = optpar_core::control::FixedController::new(4);
+        ex.run_with_controller(&mut ws, &mut ctl, usize::MAX, &mut rng);
+        prop_assert!(ws.is_empty());
         let mut expected = vec![0i64; 4];
         for script in &scripts {
             for &(slot, val) in script {

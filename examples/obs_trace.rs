@@ -4,8 +4,9 @@
 //! Produces, under `target/obs/`:
 //!
 //! * `trace.json` — Chrome trace-event JSON; open it in Perfetto
-//!   (<https://ui.perfetto.dev>) to see one track per worker plus a
-//!   controller track plotting `m(t)` and the conflict ratio.
+//!   (<https://ui.perfetto.dev>) to see the worker track (a round runs
+//!   on one thread) plus a controller track plotting `m(t)` and the
+//!   conflict ratio.
 //! * `events.jsonl` — the canonical byte-deterministic event stream,
 //!   which `cargo run -p xtask -- report target/obs/events.jsonl`
 //!   summarizes.
@@ -36,7 +37,7 @@ fn main() {
         &op,
         &space,
         ExecutorConfig {
-            workers: 4,
+            workers: 1,
             ..ExecutorConfig::default()
         },
     );

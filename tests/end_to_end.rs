@@ -1,8 +1,9 @@
-//! Cross-crate integration: applications drained by pooled barrier
-//! rounds at four workers under the hybrid controller — app rows of
-//! the differential matrix (`rows/mod.rs`), with its per-cell checks
-//! and feature columns. MIS's row also asserts the controller keeps
-//! the conflict ratio below one half.
+//! Cross-crate integration: applications drained by
+//! `run_with_controller` at four workers — which runs lanes — under
+//! the hybrid controller: app rows of the differential matrix
+//! (`rows/mod.rs`), with its per-cell checks and feature columns.
+//! MIS's row also asserts the controller keeps the conflict ratio
+//! below one half.
 
 #[macro_use]
 mod rows;

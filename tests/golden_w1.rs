@@ -22,7 +22,7 @@
 //! drain aborts nothing at all. The round triples did not move: on
 //! lane 0 retention to the barrier is the model's commit rule.
 //!
-//! The sssp pooled triple last moved for the operator's lockset, not
+//! The sssp round triple last moved for the operator's lockset, not
 //! for the engine: `SsspOp` skips, without locking, every neighbour
 //! whose published bound its candidate cannot lower, so fewer tasks of
 //! a barrier round share a lock word — (612, 19499, 18269), 1,230
@@ -48,7 +48,7 @@ use rand::{Rng, SeedableRng};
 /// graph + weights.
 const SEED: u64 = 0x5eed_0971;
 
-/// Per-round allocation (pooled) / in-flight budget (pipelined).
+/// Per-round allocation (rounds) / in-flight budget (pipelined).
 const M: usize = 32;
 
 /// `(rounds, launched, committed)` of one drain to completion.
@@ -119,7 +119,7 @@ fn w1_drains_are_bit_identical_per_seed() {
         let tasks = op.initial_tasks();
         drain(&space, &op, tasks, pipelined, 4)
     };
-    assert_eq!(delaunay(false), (327, 10379, 9929), "delaunay pooled");
+    assert_eq!(delaunay(false), (327, 10379, 9929), "delaunay round");
     assert_eq!(delaunay(true), (78, 9963, 9963), "delaunay pipelined");
 
     // Boruvka MST: n = 3000, average degree 8.
@@ -128,7 +128,7 @@ fn w1_drains_are_bit_identical_per_seed() {
         let (space, op) = BoruvkaOp::new(&wg);
         drain(&space, &op, op.initial_tasks(), pipelined, 3)
     };
-    assert_eq!(boruvka(false), (480, 14864, 5999), "boruvka pooled");
+    assert_eq!(boruvka(false), (480, 14864, 5999), "boruvka round");
     assert_eq!(boruvka(true), (47, 5999, 5999), "boruvka pipelined");
 
     // SSSP (delta-stepping tasks with lazy deletion, so Δ = 1000 / 8
@@ -144,6 +144,6 @@ fn w1_drains_are_bit_identical_per_seed() {
         let (space, op) = SsspOp::new(input.clone());
         drain(&space, &op, op.initial_tasks(), pipelined, 5)
     };
-    assert_eq!(sssp(false), (579, 18471, 18383), "sssp pooled");
+    assert_eq!(sssp(false), (579, 18471, 18383), "sssp round");
     assert_eq!(sssp(true), (144, 18350, 18350), "sssp pipelined");
 }

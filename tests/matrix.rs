@@ -6,9 +6,10 @@
 //! sequential survey sweep) or validity check (proper colouring,
 //! maximal independent set, maximal matching, fully refined valid
 //! mesh, one commit per CC-graph node, resolved blobs) — run through
-//! twelve engine cells: the inline round at one worker, the pooled
-//! round at 2 and 4, and pipelined lanes at 1 / 2 / 4 workers × batch
-//! 1 (continuous) / 8 / 64. Every cell asserts what the paper's
+//! twelve engine cells: `run_with_controller` at 1 / 2 / 4 workers —
+//! the round at one worker, lanes at the default pipelined config
+//! above — and pipelined lanes at 1 / 2 / 4 workers × batch 1
+//! (continuous) / 8 / 64. Every cell asserts what the paper's
 //! semantics owe whatever the engine:
 //!
 //! * the result equals the reference;
@@ -24,10 +25,11 @@
 //!   plan's ledger of fired faults equals the executor's fault log on
 //!   `(key, slot)`; over a row's faulted drains every fault kind fired.
 //!
-//! Every drain also attaches the trace recorder: a round cell's trace
-//! passes `validate::validate` against its `RoundStats`; a lane cell's
-//! trace (which the validator refuses) has as many `Task*` events of
-//! each kind as the ledger counts, with no event dropped. In both, the
+//! Every drain also attaches the trace recorder: a round cell's (the
+//! one-worker controller cell's) trace passes `validate::validate`
+//! against its `RoundStats`; a lane cell's trace (which the validator
+//! refuses) has as many `Task*` events of each kind as the ledger
+//! counts, with no event dropped. In both, the
 //! `acquires` payloads of the task outcome events sum to
 //! `Σ RoundStats::lock_acquires`.
 //!

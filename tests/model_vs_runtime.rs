@@ -2,7 +2,7 @@
 //! (`optpar-core`) and the real speculative runtime (`optpar-runtime`
 //! driving the CC-mirror operator) must tell the same statistical
 //! story, the controller must find the same operating point through
-//! either, and a one-worker round must commit exactly the model's
+//! either, and a round must commit exactly the model's
 //! greedy prefix-MIS.
 
 use optpar::apps::ccmirror::CcMirror;
@@ -97,42 +97,26 @@ fn controller_finds_same_mu_through_runtime_and_model() {
 #[test]
 fn complete_graph_commits_at_most_one_per_round() {
     // On K_50, committed tasks are pairwise non-conflicting, so a
-    // round can commit at most one task. (Zero is possible in a truly
-    // parallel round — abort cycles — but must be rare; sequentially
-    // it is impossible.)
+    // round can commit at most one task; and a round, which runs its
+    // prefix in order on one thread at every worker count, commits
+    // exactly the first.
     let mut rng = StdRng::seed_from_u64(3);
     let g = gen::complete(50);
-    let (space, op) = mirror(&g);
-    let ex = Executor::new(
-        &op,
-        &space,
-        ExecutorConfig {
-            workers: 4,
-            ..ExecutorConfig::default()
-        },
-    );
-    let mut total = 0;
-    for _ in 0..30 {
-        let mut ws = WorkSet::from_vec((0..50u32).collect::<Vec<_>>());
-        let rs = ex.run_round(&mut ws, 50, &mut rng);
-        assert!(rs.committed <= 1, "K_50 admits at most one commit");
-        total += rs.committed;
-    }
-    assert!(total >= 20, "commits should be common: {total}/30");
-
-    // Sequential arbitration commits *exactly* one every round.
-    let (space, op) = mirror(&g);
-    let ex = Executor::new(
-        &op,
-        &space,
-        ExecutorConfig {
-            workers: 1,
-            ..ExecutorConfig::default()
-        },
-    );
-    for _ in 0..10 {
-        let mut ws = WorkSet::from_vec((0..50u32).collect::<Vec<_>>());
-        assert_eq!(ex.run_round(&mut ws, 50, &mut rng).committed, 1);
+    for workers in [1, 4] {
+        let (space, op) = mirror(&g);
+        let ex = Executor::new(
+            &op,
+            &space,
+            ExecutorConfig {
+                workers,
+                ..ExecutorConfig::default()
+            },
+        );
+        for _ in 0..30 {
+            let mut ws = WorkSet::from_vec((0..50u32).collect::<Vec<_>>());
+            let rs = ex.run_round(&mut ws, 50, &mut rng);
+            assert_eq!(rs.committed, 1, "w{workers}: K_50 commits exactly one");
+        }
     }
 }
 
@@ -153,15 +137,18 @@ impl Operator for Recorded<'_> {
     }
 }
 
-/// The paper's round model exactly: at one worker the inline round
-/// runs its drawn tasks in slot order and a returned `Ok` commits, so
-/// each round's committed set is the greedy prefix-MIS of its call
+/// The paper's round model exactly: at every worker count a round runs
+/// its drawn tasks inline in slot order and a returned `Ok` commits,
+/// so each round's committed set is the greedy prefix-MIS of its call
 /// order — no more (a lock taken over from a committed earlier task,
 /// or "held" without being taken), no fewer (a conflict with a task
 /// that released).
 #[test]
 fn inline_round_commits_the_greedy_prefix_mis() {
-    for seed in [11u64, 12, 13] {
+    for (seed, workers) in [11u64, 12, 13]
+        .into_iter()
+        .flat_map(|s| [(s, 1), (s, 2), (s, 4)])
+    {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gen::random_with_avg_degree(300, 6.0, &mut rng);
         let (space, mirror) = mirror(&g);
@@ -173,7 +160,7 @@ fn inline_round_commits_the_greedy_prefix_mis() {
             &op,
             &space,
             ExecutorConfig {
-                workers: 1,
+                workers,
                 ..ExecutorConfig::default()
             },
         );
@@ -191,7 +178,7 @@ fn inline_round_commits_the_greedy_prefix_mis() {
                 assert_eq!(
                     committed,
                     greedy_prefix_mis(&g, &order),
-                    "seed {seed}, m {m}: round over {order:?}"
+                    "seed {seed}, w{workers}, m {m}: round over {order:?}"
                 );
                 assert_eq!(stats.committed, committed.len());
             }

@@ -24,17 +24,16 @@ fn config(workers: usize) -> ExecutorConfig {
     }
 }
 
-/// Drain `tasks` by barrier rounds under the hybrid controller with
-/// the recorder attached, and return what it recorded next to the
-/// run's own stats.
+/// Drain `tasks` by barrier rounds (one worker) under the hybrid
+/// controller with the recorder attached, and return what it recorded
+/// next to the run's own stats.
 fn record<O: Operator>(
     op: &O,
     space: &LockSpace,
     tasks: Vec<O::Task>,
-    workers: usize,
     seed: u64,
 ) -> (EventLog, RunStats) {
-    let mut ex = Executor::new(op, space, config(workers));
+    let mut ex = Executor::new(op, space, config(1));
     ex.enable_obs();
     let mut ws = WorkSet::from_vec(tasks);
     let mut ctl = HybridController::with_rho(0.25);
@@ -49,7 +48,7 @@ fn sssp_trace(seed: u64) -> EventLog {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_with_avg_degree(600, 6.0, &mut rng);
     let (space, op) = SsspOp::new(SsspInput::random(g, 0, 100, &mut rng));
-    record(&op, &space, op.initial_tasks(), 1, seed).0
+    record(&op, &space, op.initial_tasks(), seed).0
 }
 
 #[test]
@@ -57,7 +56,7 @@ fn exporters_consume_a_real_trace() {
     let mut rng = StdRng::seed_from_u64(77);
     let g = gen::random_with_avg_degree(500, 6.0, &mut rng);
     let (space, op) = BoruvkaOp::new(&WeightedGraph::random(g, &mut rng));
-    let (log, run) = record(&op, &space, op.initial_tasks(), 4, 77);
+    let (log, run) = record(&op, &space, op.initial_tasks(), 77);
     let chrome = export::chrome_trace(&log);
     assert!(chrome.contains("\"traceEvents\""));
     assert!(!chrome.contains("NaN"), "chrome trace must stay JSON-legal");

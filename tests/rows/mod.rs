@@ -2,8 +2,9 @@
 //! one row through a list of engine cells, asserting on every cell
 //! what `matrix.rs`'s module docs list. `matrix.rs` runs each row
 //! through every cell; `pipelined_e2e.rs` (the lane cells per worker
-//! count, eight workers included) and `end_to_end.rs` (the pooled
-//! round at four workers) run named slices of the same rows. Each
+//! count, eight workers included) and `end_to_end.rs` (the controller
+//! drain at four workers, which runs lanes) run named slices of the
+//! same rows. Each
 //! slice runs under a watchdog ([`within`]): a row that has not
 //! returned after [`ROW_BOUND`] fails and names the cell it was
 //! draining.
@@ -37,9 +38,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// An engine cell, as `(workers, batch)`: barrier rounds where `batch`
-/// is `None` (inline at one worker, pooled above), pipelined lanes
-/// otherwise.
+/// An engine cell, as `(workers, batch)`: where `batch` is `None`,
+/// `Executor::run_with_controller` — barrier rounds at one worker,
+/// lanes at the default `PipelinedConfig` above; pipelined lanes at
+/// that batch otherwise.
 pub type Cell = (usize, Option<usize>);
 
 /// Every cell of the matrix.
@@ -181,8 +183,8 @@ fn run_row<O: Operator, R>(
         let seed = seed + i as u64;
         let engine = match (batch, workers) {
             (Some(_), _) => "pipelined",
-            (None, 1) => "inline round",
-            (None, _) => "pooled round",
+            (None, 1) => "round",
+            (None, _) => "routed lanes",
         };
         for faulted in [false, true] {
             let _at = Coords::publish(format!(
@@ -275,7 +277,7 @@ fn drain<O: Operator>(
         reconcile(&ex, plan, &run);
         fired.extend(plan.fired().iter().map(|r| r.kind));
     }
-    check_trace(&ex, &run, batch.is_none());
+    check_trace(&ex, &run, batch.is_none() && workers == 1);
     run
 }
 

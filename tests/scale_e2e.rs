@@ -1,9 +1,10 @@
 //! Scale end-to-end: the sharded (partitioned) store layout must be
 //! semantically invisible.
 //!
-//! SSSP and the cc-mirror run sharded-vs-unsharded at 1 and 4 workers,
-//! in pooled (round-barrier) and pipelined (partition-affine placed)
-//! modes, and every variant must produce identical committed results
+//! SSSP and the cc-mirror run sharded-vs-unsharded: in barrier rounds
+//! (which run on one thread) and in pipelined lanes (partition-affine
+//! placed) at 1 and 4 workers, and every variant must produce
+//! identical committed results
 //! (Dijkstra distances; all-ones completion counters). By default the
 //! matrix runs at smoke size (~10³–10⁴ nodes) so `cargo test -q` stays
 //! fast; the full million-node matrix is `#[ignore]`d — run it with:
@@ -48,8 +49,8 @@ fn pipe_cfg() -> PipelinedConfig {
     }
 }
 
-/// Drain `ws` through round-barrier execution.
-fn drain_pooled<O: Operator>(ex: &Executor<'_, O>, ws: &mut WorkSet<O::Task>, m: usize, seed: u64) {
+/// Drain `ws` through barrier rounds.
+fn drain_rounds<O: Operator>(ex: &Executor<'_, O>, ws: &mut WorkSet<O::Task>, m: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rounds = 0usize;
     while !ws.is_empty() {
@@ -60,9 +61,9 @@ fn drain_pooled<O: Operator>(ex: &Executor<'_, O>, ws: &mut WorkSet<O::Task>, m:
 }
 
 /// SSSP equivalence matrix on `g`: unsharded baseline, then the
-/// sharded layout at 1 and 4 workers in the requested modes, all
-/// against sequential Dijkstra.
-fn sssp_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
+/// sharded layout in rounds (if `rounds`) and in lanes at 1 and 4
+/// workers, all against sequential Dijkstra.
+fn sssp_sharded_matrix(g: &CsrGraph, seed: u64, rounds: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let input = SsspInput::random(g.clone(), 0, 500, &mut rng);
     let reference = input.dijkstra();
@@ -72,7 +73,7 @@ fn sssp_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
         let (space, op) = SsspOp::new(input.clone());
         let ex = Executor::new(&op, &space, cfg(1));
         let mut ws = WorkSet::from_vec(op.initial_tasks());
-        drain_pooled(&ex, &mut ws, 64, seed ^ 1);
+        drain_rounds(&ex, &mut ws, 64, seed ^ 1);
         assert!(space.check_all_free().is_ok());
         let mut op = op;
         assert_eq!(op.distances(), reference, "unsharded baseline diverged");
@@ -80,16 +81,16 @@ fn sssp_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
 
     let part = bfs_partition(g, K, 1.25);
     let map = Arc::new(ShardMap::from_parts(&part.parts, K));
+    if rounds {
+        let (space, op) = SsspOp::new_sharded(input.clone(), map.clone());
+        let ex = Executor::new(&op, &space, cfg(1));
+        let mut ws = WorkSet::from_vec(op.initial_tasks());
+        drain_rounds(&ex, &mut ws, 64, seed ^ 3);
+        assert!(space.check_all_free().is_ok());
+        let mut op = op;
+        assert_eq!(op.distances(), reference, "sharded rounds");
+    }
     for workers in [1usize, 4] {
-        if pooled {
-            let (space, op) = SsspOp::new_sharded(input.clone(), map.clone());
-            let ex = Executor::new(&op, &space, cfg(workers));
-            let mut ws = WorkSet::from_vec(op.initial_tasks());
-            drain_pooled(&ex, &mut ws, 64, seed ^ (2 + workers as u64));
-            assert!(space.check_all_free().is_ok());
-            let mut op = op;
-            assert_eq!(op.distances(), reference, "sharded pooled w{workers}");
-        }
         {
             let (space, op) = SsspOp::new_sharded(input.clone(), map.clone());
             let ex = Executor::new(&op, &space, cfg(workers));
@@ -108,8 +109,9 @@ fn sssp_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
 }
 
 /// cc-mirror equivalence matrix on `g`: every node commits exactly
-/// once (counter 1) in every layout × workers × mode variant.
-fn cc_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
+/// once (counter 1) in every layout × engine variant (rounds only if
+/// `rounds`).
+fn cc_sharded_matrix(g: &CsrGraph, seed: u64, rounds: bool) {
     let n = g.node_count();
 
     // Unsharded baseline.
@@ -120,28 +122,25 @@ fn cc_sharded_matrix(g: &CsrGraph, seed: u64, pooled: bool) {
         let op = lay.finish(&space);
         let ex = Executor::new(&op, &space, cfg(1));
         let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
-        drain_pooled(&ex, &mut ws, 256, seed ^ 1);
+        drain_rounds(&ex, &mut ws, 256, seed ^ 1);
         let mut nd = op.node_data;
         assert!(nd.snapshot().iter().all(|&c| c == 1), "unsharded baseline");
     }
 
     let part = bfs_partition(g, K, 1.25);
+    if rounds {
+        let mut b = LockSpace::builder();
+        let lay = CcMirror::layout_sharded(g, &mut b, &part.parts, K);
+        let space = b.build();
+        let op = lay.finish(&space);
+        let ex = Executor::new(&op, &space, cfg(1));
+        let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
+        drain_rounds(&ex, &mut ws, 256, seed ^ 3);
+        assert!(space.check_all_free().is_ok());
+        let mut nd = op.node_data;
+        assert!(nd.snapshot().iter().all(|&c| c == 1), "sharded rounds");
+    }
     for workers in [1usize, 4] {
-        if pooled {
-            let mut b = LockSpace::builder();
-            let lay = CcMirror::layout_sharded(g, &mut b, &part.parts, K);
-            let space = b.build();
-            let op = lay.finish(&space);
-            let ex = Executor::new(&op, &space, cfg(workers));
-            let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
-            drain_pooled(&ex, &mut ws, 256, seed ^ (2 + workers as u64));
-            assert!(space.check_all_free().is_ok());
-            let mut nd = op.node_data;
-            assert!(
-                nd.snapshot().iter().all(|&c| c == 1),
-                "sharded pooled w{workers}"
-            );
-        }
         {
             let mut b = LockSpace::builder();
             let lay = CcMirror::layout_sharded(g, &mut b, &part.parts, K);
@@ -179,9 +178,9 @@ fn ccmirror_sharded_equivalence_smoke() {
     cc_sharded_matrix(&gen::road_like(20_000, 44), 202, true);
 }
 
-/// The full matrix at 2²⁰ nodes. Pipelined-only (pooled coverage comes
-/// from the smoke tests; round-barrier draws at this scale take tens
-/// of minutes on one core and prove nothing extra).
+/// The full matrix at 2²⁰ nodes. Lanes only (round coverage comes from
+/// the smoke tests; barrier rounds at this scale take tens of minutes
+/// on one core and prove nothing extra).
 ///
 /// ```text
 /// cargo test --release --test scale_e2e -- --ignored

@@ -52,9 +52,6 @@ fn controller() -> HybridController {
 
 fn config(chaos_seed: u64) -> ServiceConfig {
     ServiceConfig {
-        // Two workers per lane: every drive runs pooled rounds, so the
-        // chaos schedule fires on worker threads, not the lane thread.
-        workers: 2 * LANES,
         lanes: LANES,
         queue_cap: CLIENTS * JOBS_PER_CLIENT,
         // Panics and spurious aborts at 5% each: ~10% of launched
@@ -66,7 +63,7 @@ fn config(chaos_seed: u64) -> ServiceConfig {
 
 /// Job builders mirror the rows of `tests/matrix.rs`: build the input
 /// and the sequential reference inside the closure, drive
-/// speculatively on the lane's workers, compare.
+/// speculatively on the lane, compare.
 fn sssp_job(n: usize, seed: u64) -> JobSpec {
     JobSpec::new(format!("sssp-{seed:x}"), move |cx: &mut JobCx<'_>| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -246,9 +243,7 @@ fn chaos_burst(chaos_seed: u64) {
     // and still verified: recovery demonstrated.
     assert_clean(&probe, chaos_seed);
 
-    // Every injected panic was contained per-task: none reached a
-    // lane's worker loop.
-    assert_eq!(stats.worker_panics, 0, "a panic escaped containment");
+    // Every injected panic was contained per task: every job finished.
     assert_eq!(stats.completed, (CLIENTS * JOBS_PER_CLIENT + 1) as u64);
     assert_eq!(stats.failed, 0);
 }
