@@ -152,25 +152,26 @@ impl Run {
         &self.edges[self.next..self.end]
     }
 
-    /// The two runs' unconsumed edges as one sorted run.
+    /// The two runs' unconsumed edges as one sorted run, merged straight
+    /// into the shared slice it will live in (as the build fills its
+    /// edge array): no `Vec` to copy over.
     fn merged(a: &Run, b: &Run) -> Run {
         let (a, b) = (a.rest(), b.rest());
-        let mut out = Vec::with_capacity(a.len() + b.len());
+        let mut edges: Arc<[Edge]> = std::iter::repeat_n((0, 0, 0), a.len() + b.len()).collect();
+        let out = Arc::get_mut(&mut edges).expect("not shared yet");
         let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i].2 <= b[j].2 {
-                out.push(a[i]);
+        for slot in out {
+            *slot = if j == b.len() || (i < a.len() && a[i].2 <= b[j].2) {
                 i += 1;
+                a[i - 1]
             } else {
-                out.push(b[j]);
                 j += 1;
-            }
+                b[j - 1]
+            };
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
         Run {
-            end: out.len(),
-            edges: out.into(),
+            end: edges.len(),
+            edges,
             next: 0,
         }
     }

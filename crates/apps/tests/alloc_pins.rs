@@ -242,8 +242,10 @@ fn boruvka_drain_bytes(n: usize) -> usize {
 fn a_boruvka_drain_allocates_near_linearly_in_the_input() {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let (half, full) = (boruvka_drain_bytes(4000), boruvka_drain_bytes(8000));
-    // 23.1 MB: the edge runs' merges and the spawns. Boxing a component
-    // snapshot per merge (its run list cloned) made it 25.0 MB.
+    // 10.5 MiB at one worker: the edge runs' merges and the spawns.
+    // It was 20.3 MiB while a merge filled a `Vec` and then copied it
+    // into its `Arc` (23.1 MiB under the model rounds), and 25.0 MB
+    // while a merge boxed a component snapshot (its run list cloned).
     assert!(
         full <= 24 << 20,
         "the n = 8000 drain allocated {:.1} MB",

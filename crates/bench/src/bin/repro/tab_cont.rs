@@ -3,10 +3,10 @@
 //! round co-residency (committed tasks blocking the rest of the round)
 //! versus genuine temporal overlap.
 //!
-//! Round mode realizes the paper's `r̄(m)` exactly: its rows run at one
-//! worker, the engine `run_with_controller` picks there (a round runs
-//! inline at any worker count; more workers would route the drain to
-//! lanes). Continuous mode is
+//! Round mode realizes the paper's `r̄(m)` exactly: its rows run the
+//! model rounds by name (`Executor::run_rounds`; a round runs inline
+//! at any worker count, while `run_with_controller` would pick the
+//! solo runner at one worker and lanes at more). Continuous mode is
 //! the pipelined executor at `batch = 1`: a budget of `m` tasks in
 //! flight, each task's locks retired by its own lane bump the moment
 //! it finishes, so its conflict ratio at the same `m` is lower and the
@@ -44,8 +44,9 @@ fn build(n: usize, d: f64, seed: u64) -> (LockSpace, CcMirror) {
     (space, mirror)
 }
 
-/// Drain one fresh CC-mirror instance under `ctl`, in round mode (one
-/// worker) or (continuous) pipelined at `batch = 1` on [`WORKERS`].
+/// Drain one fresh CC-mirror instance under `ctl`, in the paper's
+/// rounds (one worker) or (continuous) pipelined at `batch = 1` on
+/// [`WORKERS`].
 fn drain<C: Controller + Send>(continuous: bool, ctl: &mut C, seed: u64) -> RunStats {
     let (space, op) = build(N, 12.0, SEED);
     let ex = Executor::new(
@@ -66,7 +67,7 @@ fn drain<C: Controller + Send>(continuous: bool, ctl: &mut C, seed: u64) -> RunS
         };
         ex.run_pipelined(&mut ws, ctl, cfg, &mut rng)
     } else {
-        ex.run_with_controller(&mut ws, ctl, 1_000_000, &mut rng)
+        ex.run_rounds(&mut ws, ctl, 1_000_000, &mut rng)
     }
 }
 

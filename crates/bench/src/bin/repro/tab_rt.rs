@@ -28,8 +28,8 @@ use optpar_runtime::{Executor, ExecutorConfig, Operator, RunStats, WorkSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Drain `tasks` in barrier rounds: one worker, so a round is the
-/// paper's round and `rounds` counts rounds, not lane windows.
+/// Drain `tasks` in the paper's rounds (`Executor::run_rounds`), so
+/// `rounds` counts rounds, not lane windows or solo steps.
 fn drive<O: Operator, C: Controller + Send>(
     op: &O,
     space: &optpar_runtime::LockSpace,
@@ -44,7 +44,7 @@ fn drive<O: Operator, C: Controller + Send>(
     let ex = Executor::new(op, space, cfg);
     let mut ws = WorkSet::from_vec(tasks);
     let mut rng = StdRng::seed_from_u64(seed);
-    ex.run_with_controller(&mut ws, &mut ctl, 5_000_000, &mut rng)
+    ex.run_rounds(&mut ws, &mut ctl, 5_000_000, &mut rng)
 }
 
 fn report(table: &mut Table, app: &str, policy: &str, run: &RunStats) {

@@ -29,13 +29,32 @@
 //! deterministic* given the RNG seed: the differential-testing anchor
 //! against the sequential model in `optpar-core`.
 //!
-//! Parallelism comes only from lanes: the pipelined engine
-//! ([`crate::pipelined`]) runs the same loop on lane `w + 1` per
-//! worker of the executor's [`WorkerPool`], behind a permit gate and
-//! over a sharded draw, settles each batch's outcomes into the shards
-//! at once after it, and takes the control step once per window of
-//! completions. [`Executor::run_with_controller`] picks the engine
-//! from the worker count: rounds at one worker, lanes at more.
+//! The same loop has two more configurations, and
+//! [`Executor::run_with_controller`] picks between them by worker
+//! count; the model round is asked for by name
+//! ([`Executor::run_round`], [`Executor::run_rounds`]).
+//!
+//! * **The solo runner, at one worker** (`Executor::run_solo`). One
+//!   task runs at a time, so nothing can conflict (Prop. 1: `r̄(1) =
+//!   0`) and the round's emulation buys nothing. A solo step draws the
+//!   `m` *newest* entries of the lowest bucket (no RNG, no shuffle), so
+//!   a commit's spawns run next step, as a sequential worklist runs
+//!   them; it runs them in `SOLO_LANE`, whose contexts stamp no lock
+//!   word (`task.rs` module docs: one drain per lock space, which
+//!   every drain claims, and every operator cautious); an aborted or
+//!   faulted entry goes back at the far end of its bucket. It still
+//!   ends at the round barrier — one epoch bump — so fault keys,
+//!   traces and [`RoundStats`] keep their shapes and the controller
+//!   reads `r ≈ 0`. The job service's `JobCx::drive` runs the same
+//!   step. The model round and the solo step share one body
+//!   (`Executor::step`); they differ in the draw, the lane and where a
+//!   rolled-back entry goes back.
+//! * **Lanes, at more than one worker**: the pipelined engine
+//!   ([`crate::pipelined`]) runs the loop on lane `w + 1` per worker of
+//!   the executor's [`WorkerPool`], behind a permit gate and over a
+//!   sharded draw, settles each batch's outcomes into the shards at
+//!   once after it, and takes the control step once per window of
+//!   completions. Parallelism comes only from lanes.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{ConflictPolicy, LockSpace};
@@ -43,7 +62,7 @@ use crate::phase::{self, Phase};
 use crate::pipelined::PipelinedConfig;
 use crate::pool::WorkerPool;
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Abort, Operator, Ranked, TaskCtx, TaskScratch};
+use crate::task::{Abort, Operator, Ranked, TaskCtx, TaskScratch, SOLO_LANE};
 use optpar_core::control::Controller;
 use optpar_obs::{EventKind, EventRing, Recorder, RoundTotals};
 use rand::Rng;
@@ -170,6 +189,14 @@ fn draw_from<T, R: Rng + ?Sized>(
     }
     // The tail holds draws in reverse draw order; restore priority
     // order (first draw = highest priority).
+    take_tail(bucket, m, out);
+}
+
+/// Move the last `m ≤ bucket.len()` entries of `bucket` onto `out`,
+/// last first: the newest entries, newest first, when nothing has
+/// shuffled the bucket.
+fn take_tail<T>(bucket: &mut Vec<Entry<T>>, m: usize, out: &mut Vec<Entry<T>>) {
+    let n = bucket.len();
     out.extend(bucket.drain(n - m..).rev());
 }
 
@@ -221,6 +248,28 @@ impl<T: Ranked> WorkSet<T> {
         self.len += 1;
     }
 
+    /// Queue an entry at the far end of its rank's bucket — the end
+    /// the solo step's draw reaches last — in O(1): push it, then
+    /// swap it with the bucket's first entry, which moves to the near
+    /// end. The solo step's re-queue path: a task that just aborted or
+    /// faulted does not run again before the rest of its bucket.
+    fn push_far(&mut self, e: Entry<T>) {
+        let rank = e.task.rank();
+        self.push_entry(e);
+        let bucket = if rank == self.low_rank {
+            Some(&mut self.low)
+        } else {
+            let at = self.higher.binary_search_by_key(&rank, |&(r, _)| r);
+            at.ok()
+                .and_then(|at| self.higher.get_mut(at))
+                .map(|(_, b)| b)
+        };
+        if let Some(b) = bucket {
+            let last = b.len() - 1;
+            b.swap(0, last);
+        }
+    }
+
     /// Add many tasks.
     pub fn extend<I: IntoIterator<Item = T>>(&mut self, it: I) {
         for t in it {
@@ -228,26 +277,34 @@ impl<T: Ranked> WorkSet<T> {
         }
     }
 
-    /// Take a settled task's consequences in: a commit's spawns enter,
-    /// an aborted or faulted entry re-queues, a retired one is gone.
-    pub(crate) fn absorb(&mut self, settled: Settled<T>) {
-        match settled {
-            Settled::Committed(spawned) => self.extend(spawned),
-            Settled::Requeue(entry) => self.push_entry(entry),
-            Settled::Retired => {}
-        }
-    }
-
     /// Core of the sampler: remove `min(m, len)` entries, lowest
     /// bucket first and uniformly at random within a bucket, in draw
     /// (= commit-priority) order.
     fn draw_entries<R: Rng + ?Sized>(&mut self, m: usize, rng: &mut R) -> Vec<Entry<T>> {
+        self.draw_by(m, |bucket, take, out| draw_from(bucket, take, rng, out))
+    }
+
+    /// The solo step's draw: remove `min(m, len)` entries, lowest
+    /// bucket first and newest first within a bucket — no RNG, no
+    /// shuffle.
+    fn take_newest(&mut self, m: usize) -> Vec<Entry<T>> {
+        self.draw_by(m, take_tail)
+    }
+
+    /// Remove `min(m, len)` entries, emptying buckets in ascending
+    /// rank: `pick(bucket, k, out)` moves `k ≤ bucket.len()` entries
+    /// of the lowest bucket onto `out`.
+    fn draw_by(
+        &mut self,
+        m: usize,
+        mut pick: impl FnMut(&mut Vec<Entry<T>>, usize, &mut Vec<Entry<T>>),
+    ) -> Vec<Entry<T>> {
         let m = m.min(self.len);
         self.len -= m;
         let mut batch = Vec::with_capacity(m);
         loop {
             let take = (m - batch.len()).min(self.low.len());
-            draw_from(&mut self.low, take, rng, &mut batch);
+            pick(&mut self.low, take, &mut batch);
             if !self.low.is_empty() {
                 return batch;
             }
@@ -472,6 +529,13 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// Pair an operator with its lock space under the given config.
     /// Spawns the persistent worker pool the lanes run on when
     /// `workers > 1`.
+    ///
+    /// One drain runs over a lock space at a time: every model round,
+    /// solo step and pipelined run claims `space` for its duration,
+    /// and one that finds it claimed — by another executor over the
+    /// same space, or another thread sharing this one — panics. (The
+    /// solo runner's tasks stamp no lock word; the claim is what keeps
+    /// any other task away from their data.)
     pub fn new(op: &'a O, space: &'a LockSpace, cfg: ExecutorConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         Executor {
@@ -553,8 +617,8 @@ impl<'a, O: Operator> Executor<'a, O> {
     }
 
     /// Round prologue on the controller track: `RoundBegin` plus one
-    /// `RetryAged` per drawn task that crossed the retry budget (they
-    /// lead the prefix by the aging rule).
+    /// `RetryAged` per drawn task that crossed the retry budget (in a
+    /// model round they lead the prefix by the aging rule).
     fn obs_round_begin(&self, m: usize, batch: &[Entry<O::Task>]) {
         if let Some(rec) = self.recorder.as_ref() {
             rec.round_begin(self.space.epoch(), m as u64);
@@ -589,14 +653,43 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// aged to the front of the drawn prefix (greedy-MIS-winning by
     /// construction), so no task starves under an adversarial
     /// conflict pattern.
+    ///
+    /// # Panics
+    /// Panics if another drain is running over the executor's lock
+    /// space ([`Executor::new`]).
     pub fn run_round<R: Rng + ?Sized>(
         &self,
         ws: &mut WorkSet<O::Task>,
         m: usize,
         rng: &mut R,
     ) -> RoundStats {
+        self.step(
+            ws,
+            m,
+            |ws, m| ws.sample_drain_aged(m, rng),
+            0,
+            WorkSet::push_entry,
+        )
+    }
+
+    /// One barrier-retired step at budget `m`, shared by the model
+    /// round and the solo runner: `draw` takes the batch out of `ws`,
+    /// the batch runs inline in draw order on lock lane `lane` with
+    /// each commit's spawns pushed and each rolled-back entry handed
+    /// to `requeue`, and the round barrier retires it — one epoch
+    /// bump, one trace segment, one [`RoundStats`]. The step holds the
+    /// lock space's drain claim throughout.
+    fn step(
+        &self,
+        ws: &mut WorkSet<O::Task>,
+        m: usize,
+        draw: impl FnOnce(&mut WorkSet<O::Task>, usize) -> Vec<Entry<O::Task>>,
+        lane: usize,
+        requeue: fn(&mut WorkSet<O::Task>, Entry<O::Task>),
+    ) -> RoundStats {
+        let _drain = self.space.claim_drain();
         let t_draw = phase::maybe_start(self.phases);
-        let batch = ws.sample_drain_aged(m, rng);
+        let batch = draw(ws, m);
         phase::maybe_add(self.phases, Phase::Draw, t_draw);
         let mut stats = RoundStats {
             m,
@@ -617,9 +710,20 @@ impl<'a, O: Operator> Executor<'a, O> {
         let t_exec = phase::maybe_start(self.phases);
         let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
         let mut scratch = TaskScratch::default();
-        self.run_batch(&mut scratch, 0, 0, epoch, batch, probe, &mut stats, |s| {
-            ws.absorb(s)
-        });
+        self.run_batch(
+            &mut scratch,
+            0,
+            lane,
+            epoch,
+            batch,
+            probe,
+            &mut stats,
+            |s| match s {
+                Settled::Committed(spawned) => ws.extend(spawned),
+                Settled::Requeue(entry) => requeue(ws, entry),
+                Settled::Retired => {}
+            },
+        );
         phase::maybe_add(self.phases, Phase::Execute, t_exec);
         self.round_barrier(&stats);
         stats
@@ -647,7 +751,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     ) {
         for (i, entry) in entries.into_iter().enumerate() {
             let slot = first_slot + i;
-            if lane != 0 {
+            if lane != 0 && lane != SOLO_LANE {
                 self.space.publish_running(lane, slot);
             }
             sink(self.speculate(scratch, slot, lane, key, entry, probe, tally));
@@ -677,11 +781,18 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// Drive the executor with a controller until the work-set drains
     /// (or `max_rounds` elapse).
     ///
-    /// At one worker this runs rounds, one `control_step` per round.
-    /// With more it drains through lanes
+    /// At one worker this runs solo steps (`Executor::run_solo`: the
+    /// newest `m` tasks, one at a time, no lock words), one
+    /// `control_step` per step. With more it drains through lanes
     /// ([`Executor::run_pipelined`] at [`PipelinedConfig::default`]),
     /// stopping after `max_rounds` windows' worth of completions; each
-    /// returned entry is then a window, not a round.
+    /// returned entry is then a window, not a round. The model round
+    /// is [`Executor::run_rounds`].
+    ///
+    /// # Panics
+    /// Panics if another drain is running over the executor's lock
+    /// space ([`Executor::new`]), and as [`Executor::run_pipelined`]
+    /// with more than one worker.
     pub fn run_with_controller<C: Controller + Send, R: Rng + ?Sized>(
         &self,
         ws: &mut WorkSet<O::Task>,
@@ -697,31 +808,63 @@ impl<'a, O: Operator> Executor<'a, O> {
             };
             return self.run_pipelined(ws, ctl, cfg, rng);
         }
+        self.control_loop(ws, ctl, max_rounds, |ws, m| self.run_solo(ws, m))
+    }
+
+    /// Drive the executor with a controller through model rounds
+    /// ([`Executor::run_round`]), one `control_step` per round, until
+    /// the work-set drains (or `max_rounds` elapse) — at any worker
+    /// count, since a round runs inline. Each round commits the greedy
+    /// prefix-MIS of its uniformly drawn prefix: this is the paper's
+    /// loop, which [`Executor::run_with_controller`] leaves at one
+    /// worker for the solo runner.
+    ///
+    /// # Panics
+    /// As [`Executor::run_round`].
+    pub fn run_rounds<C: Controller, R: Rng + ?Sized>(
+        &self,
+        ws: &mut WorkSet<O::Task>,
+        ctl: &mut C,
+        max_rounds: usize,
+        rng: &mut R,
+    ) -> RunStats {
+        self.control_loop(ws, ctl, max_rounds, |ws, m| self.run_round(ws, m, rng))
+    }
+
+    /// Run `step` at the budget the last control step handed back,
+    /// then take the control step on its outcome, until `ws` drains or
+    /// `max_rounds` steps have run.
+    fn control_loop<C: Controller>(
+        &self,
+        ws: &mut WorkSet<O::Task>,
+        ctl: &mut C,
+        max_rounds: usize,
+        mut step: impl FnMut(&mut WorkSet<O::Task>, usize) -> RoundStats,
+    ) -> RunStats {
         let mut run = RunStats::default();
         let mut state = ControlState::new(ctl);
         while run.rounds.len() < max_rounds && !ws.is_empty() {
-            run.rounds
-                .push(self.step_round(ws, ctl, &mut state, usize::MAX, rng));
+            let rs = step(ws, state.budget);
+            self.control_step(ctl, &mut state, &rs);
+            run.rounds.push(rs);
         }
         run
     }
 
-    /// One round of the control loop, shared by
-    /// [`Executor::run_with_controller`] and the job service's
-    /// `JobCx::drive`: run a round at the budget the last step handed
-    /// back (capped at `cap`), then take the control step on its
-    /// outcome.
-    pub(crate) fn step_round<C: Controller, R: Rng + ?Sized>(
-        &self,
-        ws: &mut WorkSet<O::Task>,
-        ctl: &mut C,
-        state: &mut ControlState,
-        cap: usize,
-        rng: &mut R,
-    ) -> RoundStats {
-        let rs = self.run_round(ws, state.budget.min(cap).max(1), rng);
-        self.control_step(ctl, state, &rs);
-        rs
+    /// One step of the solo runner: draw the `m` newest entries of the
+    /// lowest bucket (`WorkSet::take_newest`: no RNG, no shuffle), run
+    /// them newest first, then pass the round barrier.
+    ///
+    /// The batch runs in `SOLO_LANE`: one task at a time over a lock
+    /// space no other drain uses, so nothing can conflict and no lock
+    /// word is stamped (`task.rs` module docs). A commit's spawns are
+    /// the newest entries when the next step draws; an aborted
+    /// (requested) or faulted task goes back at the far end of its
+    /// bucket. The barrier is the round's — one epoch bump, the same
+    /// trace segment and [`RoundStats`] — so fault keys, traces and the
+    /// controller see a round with `r ≈ 0`.
+    pub(crate) fn run_solo(&self, ws: &mut WorkSet<O::Task>, m: usize) -> RoundStats {
+        self.step(ws, m, WorkSet::take_newest, SOLO_LANE, WorkSet::push_far)
     }
 
     /// The one control step, taken after every round and every
@@ -1420,6 +1563,92 @@ pub(crate) mod tests {
         assert_eq!(got, want);
     }
 
+    /// The solo draw takes the lowest bucket newest first, fills a
+    /// short draw from the next bucket, and a far-end push is what it
+    /// reaches last — the entry it displaced from the far end moving to
+    /// the near end.
+    #[test]
+    fn solo_draw_is_newest_first_and_requeues_at_the_far_end() {
+        let mut ws = WorkSet::from_vec(vec![Rk(0, 0), Rk(0, 1), Rk(1, 2), Rk(0, 3)]);
+        ws.push(Rk(1, 4));
+        let ids = |b: Vec<Entry<Rk>>| b.into_iter().map(|e| e.task.1).collect::<Vec<_>>();
+        assert_eq!(ids(ws.take_newest(2)), vec![3, 1]);
+        let batch = ws.take_newest(2);
+        assert_eq!(pending_ranks(&ws), vec![1]);
+        assert_eq!(ids(batch.clone()), vec![0, 4], "rank 0 spent, rank 1 fills");
+        ws.extend([Rk(1, 5), Rk(1, 6)]);
+        for e in batch.into_iter().rev() {
+            ws.push_far(e.retried());
+        }
+        // 4 went to rank 1's far end, swapping 2 to its near end; 0
+        // came back as a new lowest bucket.
+        assert_eq!(ids(ws.take_newest(10)), vec![0, 2, 6, 5, 4]);
+        assert!(ws.is_empty());
+    }
+
+    /// A solo step stamps no lock word, aborts nothing on a conflict
+    /// graph that makes every model round abort, and still ends at the
+    /// round barrier — one epoch bump.
+    #[test]
+    fn a_solo_step_stamps_nothing_and_commits_every_launch() {
+        let n = 64;
+        let (space, r) = ring_setup(n);
+        let store = SpecStore::filled(r, n, 0i64);
+        let op = RingOp { store: &store, n };
+        let ex = Executor::new(&op, &space, exec_cfg(1));
+        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
+        let epoch = space.epoch();
+        let rs = ex.run_solo(&mut ws, n);
+        assert_eq!((rs.launched, rs.committed, rs.aborted), (n, n, 0));
+        assert_eq!(
+            rs.lock_acquires,
+            4 * n,
+            "two locks and two writes, counted per call"
+        );
+        assert_eq!(space.epoch(), epoch + 1, "one barrier");
+        assert!(
+            (0..n).all(|l| space.owner_of(l).is_none()),
+            "nothing stamped"
+        );
+        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(
+            ex.run_round(&mut ws, n, &mut rng).aborted > 0,
+            "the model round aborts"
+        );
+        drop(ex);
+        let mut store = store;
+        assert_eq!(store.snapshot().iter().sum::<i64>(), 0);
+    }
+
+    /// Every engine claims its lock space: a drain over a space that
+    /// another drain holds panics before it takes a task — model
+    /// rounds and the solo runner at one worker, lanes at two.
+    #[test]
+    fn a_drain_over_a_claimed_space_panics() {
+        let n = 8;
+        let (space, r) = ring_setup(n);
+        let store = SpecStore::filled(r, n, 0i64);
+        let op = RingOp { store: &store, n };
+        let held = space.claim_drain();
+        for (workers, rounds) in [(1, true), (1, false), (2, false)] {
+            let ex = Executor::new(&op, &space, exec_cfg(workers));
+            let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
+            let mut ctl = FixedController::new(4);
+            let mut rng = StdRng::seed_from_u64(1);
+            let drain = catch_unwind(AssertUnwindSafe(|| {
+                if rounds {
+                    ex.run_rounds(&mut ws, &mut ctl, 10, &mut rng)
+                } else {
+                    ex.run_with_controller(&mut ws, &mut ctl, 10, &mut rng)
+                }
+            }));
+            assert!(drain.is_err(), "workers {workers}, rounds {rounds}");
+            assert_eq!(ws.len(), n, "nothing was drawn");
+        }
+        drop(held);
+    }
+
     /// `WorkSet<T>: Default` asks nothing of `T`.
     #[test]
     fn default_workset_needs_no_default_task() {
@@ -1537,15 +1766,17 @@ pub(crate) mod tests {
     }
 
     /// A sealed task cannot roll back, so an `Err` or a panic after its
-    /// seal is not contained: a round re-raises it (a returned `Err` as
-    /// a panic naming it and its slot, a panic with its own payload),
-    /// and a two-worker drain — which runs lanes — fails through the
-    /// pool's rendezvous once the lane that lost task 0 has stopped the
-    /// other, which would otherwise wait forever for that task (hence
-    /// the watchdog). A write seals too, so a lock that conflicts after
-    /// one — an operator that is not cautious — fails the round alike.
-    /// (On lanes such a lock conflicts only with a holder that is
-    /// running at that moment, so the lane half leaves that case out.)
+    /// seal is not contained: a model round and a solo step re-raise it
+    /// (a returned `Err` as a panic naming it and its slot, a panic with
+    /// its own payload), and a two-worker drain — which runs lanes —
+    /// fails through the pool's rendezvous once the lane that lost
+    /// task 0 has stopped the other, which would otherwise wait forever
+    /// for that task (hence the watchdog). A write seals too, so a lock
+    /// that conflicts after one — an operator that is not cautious —
+    /// fails the model round alike. (On lanes such a lock conflicts
+    /// only with a holder that is running at that moment, and a solo
+    /// task has no one to conflict with, so those engines leave that
+    /// case out.)
     #[test]
     fn an_err_or_panic_after_seal_fails_the_round() {
         use crate::pool::tests::{within, BOUND};
@@ -1557,8 +1788,9 @@ pub(crate) mod tests {
                 "the task at slot 1 returned Conflict { lock: 8 } after sealing",
             ),
         ] {
-            for workers in [1, 2] {
-                if workers > 1 && matches!(how, PastSeal::Conflict) {
+            // (workers, model rounds): rounds, the solo runner, lanes.
+            for (workers, rounds) in [(1, true), (1, false), (2, false)] {
+                if !rounds && matches!(how, PastSeal::Conflict) {
                     continue;
                 }
                 within(
@@ -1573,7 +1805,11 @@ pub(crate) mod tests {
                         let mut rng = StdRng::seed_from_u64(5);
                         let mut ctl = FixedController::new(SHARED);
                         let drain = catch_unwind(AssertUnwindSafe(|| {
-                            ex.run_with_controller(&mut ws, &mut ctl, 1, &mut rng)
+                            if rounds {
+                                ex.run_rounds(&mut ws, &mut ctl, 1, &mut rng)
+                            } else {
+                                ex.run_with_controller(&mut ws, &mut ctl, 1, &mut rng)
+                            }
                         }));
                         let payload = drain.expect_err("the drain must fail");
                         if workers == 1 {

@@ -56,7 +56,11 @@
 //!   realized conflict ratio to a processor-allocation
 //!   [`Controller`](optpar_core::control::Controller) and hands back
 //!   the next budget. A barrier round is that step on lock lane 0,
-//!   run inline on the caller's thread at every worker count.
+//!   run inline on the caller's thread at every worker count. At one
+//!   worker [`exec::Executor::run_with_controller`] runs the *solo*
+//!   step instead: the newest `m` tasks, one at a time, stamping no
+//!   lock word — a lone runner has nothing to conflict with — and
+//!   [`exec::Executor::run_rounds`] asks for the model rounds by name.
 //! * [`faults`] — fault tolerance: operator panics are contained per
 //!   task (`catch_unwind` → structured [`faults::TaskFault`], rollback,
 //!   re-queue — the calling thread or lane survives), and a
@@ -91,7 +95,10 @@
 //! `UnsafeCell` slots. All access is mediated by [`task::TaskCtx`],
 //! which checks abstract-lock ownership at run time before handing out
 //! references; exclusivity of a held lock is what makes the `unsafe`
-//! blocks sound. The invariants are documented on each `unsafe` impl
+//! blocks sound — or, for the solo runner's contexts, which hold no
+//! lock, that a solo step holds its lock space's drain claim (every
+//! drain claims its space, and a second drain over it panics) and runs
+//! one task at a time. The invariants are documented on each `unsafe` impl
 //! and exercised by stress tests plus differential tests against the
 //! sequential model in `optpar-core`.
 

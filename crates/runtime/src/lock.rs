@@ -62,7 +62,7 @@
     reason = "lock and lane indices are minted by the LockSpace builder and validated at the TaskCtx boundary"
 )]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Low 32 bits of a lock word: the owner mark (`slot + 1`, 0 = free).
 const OWNER_MASK: u64 = 0xFFFF_FFFF;
@@ -196,6 +196,7 @@ impl LockSpaceBuilder {
             lines,
             words: self.total,
             lanes,
+            drain: AtomicBool::new(false),
             regions: self.regions,
         }
     }
@@ -215,6 +216,8 @@ pub struct LockSpace {
     /// rest — alone writes its word: the running mark before each
     /// task (worker lanes only), one epoch bump per retired batch.
     lanes: Box<[LaneWord]>,
+    /// Set while a drain runs over the space ([`Self::claim_drain`]).
+    drain: AtomicBool,
     regions: Vec<Region>,
 }
 
@@ -377,6 +380,26 @@ impl LockSpace {
         }
     }
 
+    /// Claim the space for one drain — a model round, a solo step, or
+    /// a whole pipelined run — until the returned guard drops.
+    ///
+    /// One drain runs over a lock space at a time. Lane 0 needs it
+    /// (two rounds would share one epoch's marks, and each one's
+    /// barrier would retire the other's running tasks), and a solo
+    /// step needs it outright: its tasks stamp no lock word, so
+    /// nothing else may reach the space while it runs. The claim is
+    /// one swap per drain, not per task; its `Acquire` pairs with the
+    /// releasing store, so a drain on one thread sees every write of
+    /// the drain that released the space before it on another.
+    ///
+    /// # Panics
+    /// Panics if another drain holds the space.
+    pub(crate) fn claim_drain(&self) -> DrainClaim<'_> {
+        let busy = self.drain.swap(true, Ordering::Acquire);
+        assert!(!busy, "another drain is running over this lock space");
+        DrainClaim(self)
+    }
+
     /// The slot whose stamp lock `l` carries: `None` if free (including
     /// words whose stamping lane has moved on), else the slot that
     /// last acquired it under a still-current epoch — running, or
@@ -404,6 +427,18 @@ impl LockSpace {
             }
         }
         Ok(())
+    }
+}
+
+/// A held drain claim ([`LockSpace::claim_drain`]). Dropping it — at
+/// the end of the drain, or on the unwind of a drain that fails —
+/// frees the space for the next one.
+#[derive(Debug)]
+pub(crate) struct DrainClaim<'a>(&'a LockSpace);
+
+impl Drop for DrainClaim<'_> {
+    fn drop(&mut self) {
+        self.0.drain.store(false, Ordering::Release);
     }
 }
 
@@ -586,6 +621,27 @@ pub(crate) fn release_all_tagged(space: &LockSpace, slot: usize, tag: u64, locks
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A lock space takes one drain at a time: a second claim panics
+    /// and leaves the first standing, and dropping a claim — on an
+    /// unwind too — frees the space for the next drain.
+    #[test]
+    fn a_lock_space_takes_one_drain_at_a_time() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let space = LockSpace::builder().build();
+        let first = space.claim_drain();
+        let second = catch_unwind(AssertUnwindSafe(|| drop(space.claim_drain())));
+        assert!(second.is_err(), "a second drain must panic");
+        let still = catch_unwind(AssertUnwindSafe(|| drop(space.claim_drain())));
+        assert!(still.is_err(), "the failed claim left the first one");
+        drop(first);
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            let _claim = space.claim_drain();
+            std::panic::resume_unwind(Box::new("a drain that fails"));
+        }));
+        assert!(failed.is_err());
+        drop(space.claim_drain());
+    }
 
     #[test]
     fn regions_are_disjoint_and_ordered() {

@@ -379,7 +379,8 @@ impl<O: Operator> Executor<'_, O> {
     /// flushed window.
     ///
     /// # Panics
-    /// Panics on a zero window or batch, on more than
+    /// Panics if another drain is running over the executor's lock
+    /// space ([`Executor::new`]), on a zero window or batch, on more than
     /// [`MAX_LANES`]` - 1` workers, or if `workers * cfg.batch` — the
     /// slot range the run mints — does not fit the 32-bit owner field
     /// of a lock word (it must stay below `u32::MAX`).
@@ -434,6 +435,7 @@ impl<O: Operator> Executor<'_, O> {
             cfg.batch
         );
 
+        let _drain = space.claim_drain();
         // Tasks alive anywhere (module docs). Termination tests this
         // single counter — an empty draw alone is racy (a concurrent
         // batch may still re-queue an abort or push a spawn).

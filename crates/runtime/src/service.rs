@@ -3,14 +3,15 @@
 //! The paper's controller adapts speculation *within* one computation;
 //! this module runs many such computations at once. A [`JobService`]
 //! accepts a stream of concurrent jobs (each a closure that builds its
-//! own operator, lock space, and work-set and drives rounds through
+//! own operator, lock space, and work-set and drives it through
 //! [`JobCx::drive`]) and runs up to [`ServiceConfig::lanes`] of them at
 //! once. A lane executes its job itself: the drive's one-worker
-//! [`Executor`] runs every round inline on the lane thread. Tenants
+//! [`Executor`] runs the solo runner's steps (`exec.rs` module docs)
+//! on the lane thread. Tenants
 //! share no thread and no lock space, so they run concurrently and
 //! never wait on each other's rounds. What they do
 //! share is the global in-flight budget: each job brings its own
-//! adaptive controller, and its per-round `m(t)` is clamped to its
+//! adaptive controller, and its per-step `m(t)` is clamped to its
 //! priority share of that budget.
 //!
 //! Around that the service keeps the guards that each prevent a named
@@ -20,7 +21,7 @@
 //!   [`Rejection`] when the bounded queue is full, or when a job
 //!   arrives with a zero deadline.
 //! * **Deadlines & cancellation** — checked before a job starts and at
-//!   every *round boundary*, where the executor holds no locks, no
+//!   every *step boundary*, where the executor holds no locks, no
 //!   work-set entries are in flight, and the epoch is already bumped:
 //!   stopping there is abort-equivalent rollback for free, and leaks
 //!   nothing.
@@ -622,24 +623,31 @@ impl JobCx<'_> {
         self.deadline.is_some_and(|d| d.expired())
     }
 
-    /// Drain `ws` through round-based speculative execution on this
-    /// lane, one controller-allocated round at a time, until the
-    /// work-set empties or a structured stop (cancellation, deadline,
-    /// dead letters) ends the drive.
+    /// Drain `ws` through speculative execution on this lane, one
+    /// controller-allocated step at a time, until the work-set empties
+    /// or a structured stop (cancellation, deadline, dead letters) ends
+    /// the drive.
     ///
-    /// The drive owns one one-worker [`Executor`]: every round runs
-    /// inline on the lane thread. A round's `m` is the controller's
-    /// allocation clamped to this job's priority share of
-    /// [`ServiceConfig::global_budget`]. Stops happen only at round
+    /// The drive owns one one-worker [`Executor`] and runs the solo
+    /// runner's steps on the lane thread, as
+    /// [`Executor::run_with_controller`] does at one worker: one task
+    /// at a time, newest first, no lock words — the job's lock space
+    /// is its own, and each step claims it ([`Executor::new`]: a drain
+    /// over `space` running elsewhere at the same time panics the
+    /// job). A step's `m` is the controller's allocation clamped
+    /// to this job's priority share of
+    /// [`ServiceConfig::global_budget`]. Stops happen only at step
     /// boundaries, where no locks or tasks are in flight — the
-    /// abort-equivalent rollback the service promises.
+    /// abort-equivalent rollback the service promises. The solo step
+    /// draws no randomness, so `_rng` is unread; it stays in the
+    /// signature for the callers that pass it.
     pub fn drive<O: Operator, C: Controller, R: Rng + ?Sized>(
         &mut self,
         op: &O,
         space: &LockSpace,
         ws: &mut WorkSet<O::Task>,
         ctl: &mut C,
-        rng: &mut R,
+        _rng: &mut R,
     ) -> Result<(), JobError> {
         self.acc.drives = self.acc.drives.saturating_add(1);
         let drive = self.acc.drives;
@@ -670,10 +678,11 @@ impl JobCx<'_> {
             if self.deadline_expired() {
                 break Err(JobError::DeadlineExceeded);
             }
-            // The shared round stepper owns the watchdog clamp and the
-            // controller feedback; this job's priority share of the
-            // global budget caps the round.
-            let rs = ex.step_round(ws, ctl, &mut state, self.budget_slice(), rng);
+            // This job's priority share of the global budget caps the
+            // step; the shared control step owns the watchdog clamp and
+            // the controller feedback.
+            let rs = ex.run_solo(ws, state.budget.min(self.budget_slice()));
+            ex.control_step(ctl, &mut state, &rs);
             self.acc.rounds += 1;
             self.acc.committed += rs.committed;
             self.acc.aborted += rs.aborted;

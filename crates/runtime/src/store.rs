@@ -77,13 +77,18 @@ pub struct SpecStore<T> {
     shard: Option<Arc<ShardMap>>,
 }
 
-// SAFETY: slots are only dereferenced through `TaskCtx`, which proves
+// SAFETY: slots are only dereferenced through `TaskCtx`, and tasks
+// never hold references across lock release. A lane context proves
 // exclusive abstract-lock ownership of the slot before creating a
-// reference, and tasks never hold references across lock release;
-// slots past `filled` are written by the holder of `pad`'s lock alone
-// and reachable by nobody. `T: Send` is required because values move
-// between worker threads across rounds, and the pad value is cloned on
-// whichever thread fills.
+// reference. A solo context stamps no lock word; it runs inside a
+// solo step, which holds its lock space's drain claim
+// (`LockSpace::claim_drain`) and runs one task at a time, so no other
+// task reaches any slot guarded by that space meanwhile (both paths
+// take the store to be used only with the lock space its region was
+// declared in). Slots past `filled` are written by the holder of
+// `pad`'s lock alone and reachable by nobody. `T: Send` is required
+// because values move between worker threads across rounds, and the
+// pad value is cloned on whichever thread fills.
 unsafe impl<T: Send> Sync for SpecStore<T> {}
 // SAFETY: moving the store moves its values; `T: Send` suffices for
 // the transfer (UnsafeCell wrappers impose no thread affinity).

@@ -28,6 +28,21 @@
 //! sealed task is still running, but can only commit: an `Err`
 //! returned, or a panic raised, after the seal is not rolled back —
 //! the executor re-raises it and the run fails.
+//!
+//! A context runs in one of two modes. A *lane* context (a model
+//! round on lane 0, a pipelined worker on lane `w + 1`) stamps a lock
+//! word per acquire and checks its stamp before every sealed write. A
+//! *solo* context — the solo runner's, at one worker — stamps nothing:
+//! [`TaskCtx::lock`] is a fault tick and an acquire count, a sealed
+//! write goes straight to the slot, and a rollback has nothing to
+//! release. That rests on two invariants: only one drain runs over a
+//! [`LockSpace`] at a time — every drain (a model round, a solo step,
+//! a pipelined run) claims the space for its duration and panics if
+//! another drain holds it — so a solo task, run one at a time, has no
+//! other task to conflict with; and every operator is cautious, so a
+//! task that aborts or faults has written nothing that a lock would
+//! have guarded. A debug build still records a solo task's locks and
+//! checks every sealed write against them.
 
 use crate::lock::{self, AcquireError, Acquired, LockSpace};
 use crate::store::SpecStore;
@@ -110,14 +125,18 @@ pub trait Operator: Sync {
 }
 
 /// The buffer a running task fills — its lockset — owned by whichever
-/// loop calls `Executor::speculate` (the inline round, a pool job, a
-/// pipelined worker) and lent to one [`TaskCtx`] at a time, which
+/// loop calls `Executor::speculate` (a round, a solo step, a pipelined
+/// worker) and lent to one [`TaskCtx`] at a time, which
 /// leaves it empty: cleared, not freed, so a task allocates nothing
 /// once the buffer has grown to the loop's largest footprint.
 #[derive(Default)]
 pub(crate) struct TaskScratch {
     lockset: Vec<usize>,
 }
+
+/// The solo runner's pseudo-lane: a context built in it
+/// ([`TaskCtx::new_in_lane`]) stamps no lock word.
+pub(crate) const SOLO_LANE: usize = usize::MAX;
 
 /// Per-task speculation context (one per launched task per round).
 pub struct TaskCtx<'rt> {
@@ -128,6 +147,8 @@ pub struct TaskCtx<'rt> {
     /// worker's lane tag for pipelined tasks. Cached at construction —
     /// a task's lane epoch cannot advance while the task runs.
     tag: u64,
+    /// Built in [`SOLO_LANE`]: no lock word is read or written.
+    solo: bool,
     /// The calling loop's lockset buffer; empty between tasks.
     scratch: &'rt mut TaskScratch,
     /// Locks acquired (for stats).
@@ -168,19 +189,23 @@ impl<'rt> TaskCtx<'rt> {
     /// A context for a task running in lock lane `lane` (0 = the round
     /// epoch, `w + 1` = pipelined worker `w`): lock words are stamped
     /// with the lane's current tag. The task records its lockset in
-    /// `scratch`, which the previous context left empty.
+    /// `scratch`, which the previous context left empty. In
+    /// [`SOLO_LANE`] the context is solo: it stamps and records
+    /// nothing (module docs).
     pub(crate) fn new_in_lane(
         slot: usize,
         space: &'rt LockSpace,
         lane: usize,
         scratch: &'rt mut TaskScratch,
     ) -> Self {
-        let tag = space.lane_tag(lane);
+        let solo = lane == SOLO_LANE;
+        let tag = if solo { 0 } else { space.lane_tag(lane) };
         debug_assert!(scratch.lockset.is_empty());
         TaskCtx {
             slot,
             space,
             tag,
+            solo,
             scratch,
             acquires: 0,
             inject: None,
@@ -244,11 +269,21 @@ impl<'rt> TaskCtx<'rt> {
         self.lock_raw(store.lock_of(i))
     }
 
-    /// Acquire a raw lock index.
+    /// Acquire a raw lock index. In a solo context this only counts
+    /// the acquire (a re-entrant one included: no word says it is
+    /// held already); a debug build also records the lock, so that a
+    /// sealed write can still check it (`TaskCtx::in_place`).
     pub fn lock_raw(&mut self, l: usize) -> Result<(), Abort> {
         // Every lock/read/write/alloc funnels through here, so this is
         // where an armed injected fault ticks toward firing.
         self.tick_fault()?;
+        if self.solo {
+            if cfg!(debug_assertions) && !self.scratch.lockset.contains(&l) {
+                self.scratch.lockset.push(l);
+            }
+            self.acquires += 1;
+            return Ok(());
+        }
         match lock::acquire_tagged(self.space, self.slot, self.tag, l) {
             Ok(Acquired::Held) => Ok(()),
             Ok(_) => {
@@ -282,12 +317,16 @@ impl<'rt> TaskCtx<'rt> {
             reason = "TaskCtx is the lock-checked access layer"
         )]
         let ptr = store.slot_ptr(i);
-        // SAFETY: `lock_raw` succeeded, so this task holds the abstract
-        // lock of slot `i`, and under first-wins arbitration nobody
-        // but the holder rewrites the lock word of a task that is
-        // still running, so it is still held (a word taken over from a
-        // finished holder was handed on with its writes ordered before
-        // our reads, see `lock`); the lock grants exclusive access, and the
+        // SAFETY: in a lane context `lock_raw` succeeded, so this task
+        // holds the abstract lock of slot `i`, and under first-wins
+        // arbitration nobody but the holder rewrites the lock word of a
+        // task that is still running, so it is still held (a word taken
+        // over from a finished holder was handed on with its writes
+        // ordered before our reads, see `lock`); the lock grants
+        // exclusive access. A solo context holds no word, but it is the
+        // only task running over this lock space — its step holds the
+        // space's drain claim, and a solo step runs one task at a time
+        // — so no other access to the slot exists. Either way the
         // returned shared borrow is tied to `&mut self`, so no mutation
         // can occur through this context while it lives.
         unsafe { Ok(&*ptr) }
@@ -321,25 +360,41 @@ impl<'rt> TaskCtx<'rt> {
 
     /// `store[i]` in place, for a sealed task that holds its lock: the
     /// one write path, behind [`TaskCtx::write`] and [`Sealed::write`].
+    /// A solo context has no stamp to check; a debug build checks the
+    /// lock against the lockset it records instead.
     ///
     /// # Panics
-    /// Panics if the task does not hold the slot's lock.
+    /// Panics if the task does not hold the slot's lock (a solo
+    /// context: in a debug build only).
     #[inline]
     fn in_place<T: Send>(&mut self, store: &SpecStore<T>, i: usize) -> &mut T {
-        let l = store.lock_of(i);
-        if !lock::holds(self.space, self.slot, self.tag, l) {
-            not_held(self.slot, l);
+        if !self.solo || cfg!(debug_assertions) {
+            let l = store.lock_of(i);
+            let held = if self.solo {
+                self.scratch.lockset.contains(&l)
+            } else {
+                lock::holds(self.space, self.slot, self.tag, l)
+            };
+            if !held {
+                not_held(self.slot, l);
+            }
         }
         #[expect(
             clippy::disallowed_methods,
             reason = "TaskCtx is the lock-checked access layer"
         )]
         let ptr = store.slot_ptr(i);
-        // SAFETY: the lock word carries this task's own stamp, so the
-        // task holds slot `i`'s abstract lock, and a running task's
-        // lock is never taken away; the lock grants exclusive access,
-        // and the returned borrow is tied to `&mut self`, so no other
-        // reference through this context can coexist.
+        // SAFETY: in a lane context the lock word carries this task's
+        // own stamp, so the task holds slot `i`'s abstract lock, and a
+        // running task's lock is never taken away; the lock grants
+        // exclusive access. A solo context is the only task running
+        // over this lock space (its step holds the space's drain claim
+        // and runs one task at a time), so nothing else reaches the
+        // slot; and it is sealed, so it commits — the operator is
+        // cautious, so a task that aborts never got here. Either way
+        // the returned
+        // borrow is tied to `&mut self`, so no other reference through
+        // this context can coexist.
         unsafe { &mut *ptr }
     }
 
@@ -420,10 +475,13 @@ impl<'rt> TaskCtx<'rt> {
     /// Roll back: release the locks. The task never sealed, so it wrote
     /// nothing. The release happens before the calling worker moves on
     /// to its next task — which is what lets a pipelined lane read a
-    /// finished slot's surviving stamp as a commit.
+    /// finished slot's surviving stamp as a commit. A solo context
+    /// stamped nothing, so it has nothing to release.
     pub(crate) fn finish_abort(self) {
         debug_assert!(!self.sealed, "a sealed task cannot roll back");
-        lock::release_all_tagged(self.space, self.slot, self.tag, &self.scratch.lockset);
+        if !self.solo {
+            lock::release_all_tagged(self.space, self.slot, self.tag, &self.scratch.lockset);
+        }
     }
 }
 
@@ -451,19 +509,25 @@ impl Sealed<'_, '_> {
     }
 
     /// Allocate a fresh slot in `store` and lock it (as
-    /// [`TaskCtx::alloc`], with no fault tick).
+    /// [`TaskCtx::alloc`], with no fault tick; a solo context only
+    /// counts the acquire, and records it in a debug build).
     ///
     /// # Panics
     /// Panics if the store is full, or if the fresh slot's lock is held
     /// by another task (a broken allocator invariant).
     pub fn alloc<T: Send>(&mut self, store: &SpecStore<T>) -> usize {
         let i = store.alloc();
-        let l = store.lock_of(i);
         let cx = &mut *self.cx;
-        if lock::acquire_tagged(cx.space, cx.slot, cx.tag, l).is_err() {
+        let l = store.lock_of(i);
+        if cx.solo {
+            if cfg!(debug_assertions) {
+                cx.scratch.lockset.push(l);
+            }
+        } else if lock::acquire_tagged(cx.space, cx.slot, cx.tag, l).is_err() {
             not_held(cx.slot, l);
         }
-        // Not in the lockset: a sealed task never releases it early.
+        // Not in a lane context's lockset: a sealed task never
+        // releases it early.
         cx.acquires += 1;
         i
     }
@@ -738,6 +802,73 @@ mod tests {
         cx.finish_abort();
         assert!(space.check_all_free().is_ok());
         assert_eq!(store.snapshot(), vec![7, 7]);
+    }
+
+    /// A solo context reads no lock word and writes none: it locks,
+    /// reads and writes a slot another context holds, allocates without
+    /// stamping, counts every lock call, and rolls back with nothing to
+    /// release.
+    #[test]
+    fn a_solo_context_touches_no_lock_word() {
+        let (space, r) = setup(4);
+        let store = SpecStore::filled(r, 2, 5u32);
+        let mut held = TaskScratch::default();
+        let mut other = TaskCtx::new(3, &space, &mut held);
+        other.lock(&store, 0).unwrap();
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new_in_lane(0, &space, SOLO_LANE, &mut scratch);
+        cx.lock(&store, 0).unwrap();
+        assert_eq!(*cx.read(&store, 0).unwrap(), 5);
+        let mut sealed = cx.seal().unwrap();
+        *sealed.write(&store, 0) = 6;
+        let fresh = sealed.alloc(&store);
+        *sealed.write(&store, fresh) = 7;
+        assert_eq!(
+            cx.acquires, 3,
+            "two lock calls on slot 0 and the fresh slot"
+        );
+        assert_eq!(
+            space.owner_of(0),
+            Some(3),
+            "slot 0 still carries the other stamp"
+        );
+        assert_eq!(space.owner_of(r.lock_of(fresh)), None);
+        cx.finish_commit();
+        let mut cx = TaskCtx::new_in_lane(1, &space, SOLO_LANE, &mut scratch);
+        cx.lock(&store, 1).unwrap();
+        cx.finish_abort();
+        other.finish_abort();
+        assert!(space.check_all_free().is_ok());
+        let mut store = store;
+        assert_eq!(store.snapshot(), vec![6, 5, 7]);
+    }
+
+    /// A debug build checks a solo context's sealed writes against the
+    /// locks it took, as a lane context's are checked against its
+    /// stamps: a write to a slot it never locked panics.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_solo_write_outside_its_locks_panics_in_debug() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (space, r) = setup(4);
+        let store = SpecStore::filled(r, 2, 0u32);
+        let mut scratch = TaskScratch::default();
+        let mut cx = TaskCtx::new_in_lane(0, &space, SOLO_LANE, &mut scratch);
+        cx.lock(&store, 0).unwrap();
+        let mut sealed = cx.seal().unwrap();
+        *sealed.write(&store, 0) = 1;
+        let fresh = sealed.alloc(&store);
+        *sealed.write(&store, fresh) = 2;
+        let stray = catch_unwind(AssertUnwindSafe(|| *sealed.write(&store, 1) = 3));
+        let payload = stray.expect_err("an unlocked solo write must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("does not hold lock"), "{msg}");
+        drop(cx);
+        let mut store = store;
+        assert_eq!(store.snapshot(), vec![1, 0, 2]);
     }
 
     #[test]

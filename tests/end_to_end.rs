@@ -8,9 +8,11 @@
 #[macro_use]
 mod rows;
 
+use rows::Engine::Controller;
+
 slices! {
-    mis_under_adaptive_controller_parallel: mis([(4, None)], 1);
-    coloring_under_adaptive_controller_parallel: coloring([(4, None)], 2);
-    boruvka_matches_kruskal_under_controller: boruvka([(4, None)], 3);
-    delaunay_refines_under_controller: delaunay([(4, None)], 4);
+    mis_under_adaptive_controller_parallel: mis([(4, Controller)], 1);
+    coloring_under_adaptive_controller_parallel: coloring([(4, Controller)], 2);
+    boruvka_matches_kruskal_under_controller: boruvka([(4, Controller)], 3);
+    delaunay_refines_under_controller: delaunay([(4, Controller)], 4);
 }

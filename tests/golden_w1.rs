@@ -4,13 +4,21 @@
 //! One worker runs every round inline, so a drain is a pure function
 //! of (input, seed, allocation): the work-set draw order, the
 //! first-wins commit set and the requeue order are all deterministic.
-//! These six `(rounds, launched, committed)` triples pin that function
-//! on three full-size workloads under both engines — barrier rounds
-//! (`run_round`) and pipelined windows (`run_pipelined`; "rounds"
-//! counts window flushes). A change that moves any of them has changed
-//! what the single-worker engine *does* (draw order, arbitration,
-//! retry policy, window accounting), not merely how fast it does it,
-//! and must say so.
+//! These nine `(rounds, launched, committed)` triples pin that function
+//! on three full-size workloads under three engines — the paper's
+//! rounds (`run_round`), pipelined windows (`run_pipelined`; "rounds"
+//! counts window flushes) and the solo runner (`run_with_controller`
+//! at one worker; "rounds" counts solo steps). A change that moves any
+//! of them has changed what the single-worker engine *does* (draw
+//! order, arbitration, retry policy, window accounting), not merely how
+//! fast it does it, and must say so.
+//!
+//! The solo runner draws the newest entries of the lowest bucket and
+//! reads no RNG, so its triple is the same at every seed — asserted
+//! at two. Like a one-worker lane it aborts nothing; its commit counts
+//! differ from the lanes' only through the order tasks run in (9,877
+//! delaunay commits against the pipelined 9,963, sssp's 18,518
+//! against 18,350; boruvka commits 5,999 under every engine).
 //!
 //! The three pipelined triples last moved for arbitration: a finished
 //! holder's lock is free in a lane. A pipelined lane used to keep its
@@ -54,11 +62,22 @@ const M: usize = 32;
 /// `(rounds, launched, committed)` of one drain to completion.
 type Triple = (usize, usize, usize);
 
+/// How a golden drain runs at one worker.
+#[derive(Clone, Copy)]
+enum Engine {
+    /// The paper's rounds, `run_round` by name.
+    Rounds,
+    /// Pipelined windows (`run_pipelined`).
+    Pipelined,
+    /// The solo runner (`run_with_controller` at one worker).
+    Solo,
+}
+
 fn drain<O: Operator>(
     space: &LockSpace,
     op: &O,
     tasks: Vec<O::Task>,
-    pipelined: bool,
+    engine: Engine,
     seed: u64,
 ) -> Triple {
     let ex = Executor::new(
@@ -71,30 +90,47 @@ fn drain<O: Operator>(
     );
     let mut ws = WorkSet::from_vec(tasks);
     let mut rng = StdRng::seed_from_u64(seed);
-    let triple = if pipelined {
-        let run = ex.run_pipelined(
-            &mut ws,
-            &mut FixedController::new(M),
-            PipelinedConfig {
-                window: 128,
-                batch: 4,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-        );
-        assert_eq!(run.total_aborted(), 0, "one lane has no live holder");
-        (
-            run.round_count(),
-            run.total_launched(),
-            run.total_committed(),
-        )
-    } else {
-        let mut t = (0, 0, 0);
-        while !ws.is_empty() {
-            let rs = ex.run_round(&mut ws, M, &mut rng);
-            t = (t.0 + 1, t.1 + rs.launched, t.2 + rs.committed);
+    let triple = match engine {
+        Engine::Pipelined => {
+            let run = ex.run_pipelined(
+                &mut ws,
+                &mut FixedController::new(M),
+                PipelinedConfig {
+                    window: 128,
+                    batch: 4,
+                    max_completions: usize::MAX,
+                },
+                &mut rng,
+            );
+            assert_eq!(run.total_aborted(), 0, "one lane has no live holder");
+            (
+                run.round_count(),
+                run.total_launched(),
+                run.total_committed(),
+            )
         }
-        t
+        Engine::Solo => {
+            let mut ctl = FixedController::new(M);
+            let run = ex.run_with_controller(&mut ws, &mut ctl, usize::MAX, &mut rng);
+            assert_eq!(
+                run.total_aborted(),
+                0,
+                "a solo task has no one to conflict with"
+            );
+            (
+                run.round_count(),
+                run.total_launched(),
+                run.total_committed(),
+            )
+        }
+        Engine::Rounds => {
+            let mut t = (0, 0, 0);
+            while !ws.is_empty() {
+                let rs = ex.run_round(&mut ws, M, &mut rng);
+                t = (t.0 + 1, t.1 + rs.launched, t.2 + rs.committed);
+            }
+            t
+        }
     };
     assert!(ws.is_empty(), "drain did not finish");
     triple
@@ -102,6 +138,7 @@ fn drain<O: Operator>(
 
 #[test]
 fn w1_drains_are_bit_identical_per_seed() {
+    use Engine::{Pipelined, Rounds, Solo};
     let mut rng = StdRng::seed_from_u64(SEED);
 
     // Delaunay refinement: 250 random points in the unit square,
@@ -114,22 +151,32 @@ fn w1_drains_are_bit_identical_per_seed() {
     ];
     pts.extend((0..250).map(|_| Point::new(rng.random::<f64>(), rng.random::<f64>())));
     let mesh = Mesh::delaunay(&pts);
-    let delaunay = |pipelined| {
+    let delaunay = |engine, seed| {
         let (space, mut op) = DelaunayOp::with_auto_capacity(&mesh, RefineConfig::area_only(2e-4));
         let tasks = op.initial_tasks();
-        drain(&space, &op, tasks, pipelined, 4)
+        drain(&space, &op, tasks, engine, seed)
     };
-    assert_eq!(delaunay(false), (327, 10379, 9929), "delaunay round");
-    assert_eq!(delaunay(true), (78, 9963, 9963), "delaunay pipelined");
+    assert_eq!(delaunay(Rounds, 4), (327, 10379, 9929), "delaunay round");
+    assert_eq!(
+        delaunay(Pipelined, 4),
+        (78, 9963, 9963),
+        "delaunay pipelined"
+    );
+    let solo = delaunay(Solo, 4);
+    assert_eq!(solo, (309, 9877, 9877), "delaunay solo");
+    assert_eq!(delaunay(Solo, 5), solo, "the solo draw reads no RNG");
 
     // Boruvka MST: n = 3000, average degree 8.
     let wg = WeightedGraph::random(gen::random_with_avg_degree(3000, 8.0, &mut rng), &mut rng);
-    let boruvka = |pipelined| {
+    let boruvka = |engine, seed| {
         let (space, op) = BoruvkaOp::new(&wg);
-        drain(&space, &op, op.initial_tasks(), pipelined, 3)
+        drain(&space, &op, op.initial_tasks(), engine, seed)
     };
-    assert_eq!(boruvka(false), (480, 14864, 5999), "boruvka round");
-    assert_eq!(boruvka(true), (47, 5999, 5999), "boruvka pipelined");
+    assert_eq!(boruvka(Rounds, 3), (480, 14864, 5999), "boruvka round");
+    assert_eq!(boruvka(Pipelined, 3), (47, 5999, 5999), "boruvka pipelined");
+    let solo = boruvka(Solo, 3);
+    assert_eq!(solo, (188, 5999, 5999), "boruvka solo");
+    assert_eq!(boruvka(Solo, 4), solo, "the solo draw reads no RNG");
 
     // SSSP (delta-stepping tasks with lazy deletion, so Δ = 1000 / 8
     // = 125 here): n = 10 000, average degree 8, weights in 1..=1000,
@@ -140,10 +187,13 @@ fn w1_drains_are_bit_identical_per_seed() {
         1000,
         &mut rng,
     );
-    let sssp = |pipelined| {
+    let sssp = |engine, seed| {
         let (space, op) = SsspOp::new(input.clone());
-        drain(&space, &op, op.initial_tasks(), pipelined, 5)
+        drain(&space, &op, op.initial_tasks(), engine, seed)
     };
-    assert_eq!(sssp(false), (579, 18471, 18383), "sssp round");
-    assert_eq!(sssp(true), (144, 18350, 18350), "sssp pipelined");
+    assert_eq!(sssp(Rounds, 5), (579, 18471, 18383), "sssp round");
+    assert_eq!(sssp(Pipelined, 5), (144, 18350, 18350), "sssp pipelined");
+    let solo = sssp(Solo, 5);
+    assert_eq!(solo, (581, 18518, 18518), "sssp solo");
+    assert_eq!(sssp(Solo, 6), solo, "the solo draw reads no RNG");
 }

@@ -6,10 +6,11 @@
 //! sequential survey sweep) or validity check (proper colouring,
 //! maximal independent set, maximal matching, fully refined valid
 //! mesh, one commit per CC-graph node, resolved blobs) — run through
-//! twelve engine cells: `run_with_controller` at 1 / 2 / 4 workers —
-//! the round at one worker, lanes at the default pipelined config
-//! above — and pipelined lanes at 1 / 2 / 4 workers × batch 1
-//! (continuous) / 8 / 64. Every cell asserts what the paper's
+//! thirteen engine cells: `run_with_controller` at 1 / 2 / 4 workers —
+//! the solo runner at one worker, lanes at the default pipelined
+//! config above — pipelined lanes at 1 / 2 / 4 workers × batch 1
+//! (continuous) / 8 / 64, and the paper's model rounds
+//! (`run_rounds`) at one worker. Every cell asserts what the paper's
 //! semantics owe whatever the engine:
 //!
 //! * the result equals the reference;
@@ -18,16 +19,18 @@
 //!   a lane the ledger *defines* launched as that sum, so the count is
 //!   its only independent witness);
 //! * no lane leaks a lock, no worker dies, and a one-worker lane —
-//!   whose holders have all finished — aborts nothing;
+//!   whose holders have all finished — aborts nothing, nor does the
+//!   solo runner, which stamps no lock at all;
 //! * a second drain of the same input, under a seeded ~10% panic /
 //!   spurious-abort plan that also rolls tasks back at their commit
 //!   point (after their last write), passes all of the above, and the
 //!   plan's ledger of fired faults equals the executor's fault log on
 //!   `(key, slot)`; over a row's faulted drains every fault kind fired.
 //!
-//! Every drain also attaches the trace recorder: a round cell's (the
-//! one-worker controller cell's) trace passes `validate::validate`
-//! against its `RoundStats`; a lane cell's trace (which the validator
+//! Every drain also attaches the trace recorder: a round cell's and
+//! the solo cell's trace (a solo step ends at the round barrier)
+//! passes `validate::validate` against its `RoundStats`; a lane
+//! cell's trace (which the validator
 //! refuses) has as many `Task*` events of each kind as the ledger
 //! counts, with no event dropped. In both, the
 //! `acquires` payloads of the task outcome events sum to

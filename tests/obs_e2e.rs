@@ -1,9 +1,11 @@
 //! End-to-end traces beyond what the differential matrix
 //! (`tests/matrix.rs`) checks on every cell: the exporters and the
-//! summarizer consume a real trace, a one-worker trace is byte-deterministic, and the
-//! controller track shows continuous execution converging to ρ. The
-//! recorder is attached at run time (`Executor::enable_obs`), so these
-//! run in a plain `cargo test`.
+//! summarizer consume a real trace, a one-worker trace is
+//! byte-deterministic — the seeded model rounds' (random draws,
+//! aborts, retries) and the solo runner's — and the controller track
+//! shows continuous execution converging to ρ. The recorder is
+//! attached at run time (`Executor::enable_obs`), so these run in a
+//! plain `cargo test`.
 
 use optpar::apps::boruvka::{BoruvkaOp, WeightedGraph};
 use optpar::apps::sssp::{SsspInput, SsspOp};
@@ -16,6 +18,12 @@ use optpar::runtime::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+
+/// Serializes this file's tests: the continuous run steers on
+/// conflicts that need its eight lanes to overlap in time, and the
+/// other two tests' drains, on the same cores, would starve them.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn config(workers: usize) -> ExecutorConfig {
     ExecutorConfig {
@@ -24,7 +32,18 @@ fn config(workers: usize) -> ExecutorConfig {
     }
 }
 
-/// Drain `tasks` by barrier rounds (one worker) under the hybrid
+/// The one-worker controlled drain [`record`] runs.
+#[derive(Clone, Copy, Debug)]
+enum Engine {
+    /// The model rounds, by name (`Executor::run_rounds`): a seeded
+    /// uniform draw per round, conflicts aborted and retried.
+    Rounds,
+    /// The solo runner (`Executor::run_with_controller` at one
+    /// worker): newest first, no RNG, nothing to conflict with.
+    Solo,
+}
+
+/// Drain `tasks` at one worker by `engine` under the hybrid
 /// controller with the recorder attached, and return what it recorded
 /// next to the run's own stats.
 fn record<O: Operator>(
@@ -32,60 +51,91 @@ fn record<O: Operator>(
     space: &LockSpace,
     tasks: Vec<O::Task>,
     seed: u64,
+    engine: Engine,
 ) -> (EventLog, RunStats) {
     let mut ex = Executor::new(op, space, config(1));
     ex.enable_obs();
     let mut ws = WorkSet::from_vec(tasks);
     let mut ctl = HybridController::with_rho(0.25);
     let mut rng = StdRng::seed_from_u64(seed);
-    let run = ex.run_with_controller(&mut ws, &mut ctl, 1_000_000, &mut rng);
+    let run = match engine {
+        Engine::Rounds => ex.run_rounds(&mut ws, &mut ctl, 1_000_000, &mut rng),
+        Engine::Solo => ex.run_with_controller(&mut ws, &mut ctl, 1_000_000, &mut rng),
+    };
     assert!(ws.is_empty());
     let log = ex.recorder().expect("recorder enabled above").snapshot();
     (log, run)
 }
 
-fn sssp_trace(seed: u64) -> EventLog {
+fn sssp_trace(seed: u64, engine: Engine) -> EventLog {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_with_avg_degree(600, 6.0, &mut rng);
     let (space, op) = SsspOp::new(SsspInput::random(g, 0, 100, &mut rng));
-    record(&op, &space, op.initial_tasks(), seed).0
+    record(&op, &space, op.initial_tasks(), seed, engine).0
+}
+
+/// Does `log` hold a `TaskAbort` event?
+fn has_abort(log: &EventLog) -> bool {
+    log.events
+        .iter()
+        .any(|e| matches!(e.event.kind, EventKind::TaskAbort { .. }))
 }
 
 #[test]
 fn exporters_consume_a_real_trace() {
-    let mut rng = StdRng::seed_from_u64(77);
-    let g = gen::random_with_avg_degree(500, 6.0, &mut rng);
-    let (space, op) = BoruvkaOp::new(&WeightedGraph::random(g, &mut rng));
-    let (log, run) = record(&op, &space, op.initial_tasks(), 77);
-    let chrome = export::chrome_trace(&log);
-    assert!(chrome.contains("\"traceEvents\""));
-    assert!(!chrome.contains("NaN"), "chrome trace must stay JSON-legal");
-    // The digest of the canonical dump books what the run booked.
-    let summary = report::summarize(&export::events_jsonl(&log)).expect("event summary");
-    let totals = summary
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("totals: "))
-        .expect("a totals line");
-    let want = format!(
-        "launched {}, committed {}, aborted {}, faulted {}",
-        run.total_launched(),
-        run.total_committed(),
-        run.total_aborted(),
-        run.total_faulted()
-    );
-    assert!(run.total_launched() > 0);
-    assert!(totals.starts_with(&format!("{want} (")), "{summary}");
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for engine in [Engine::Rounds, Engine::Solo] {
+        let mut rng = StdRng::seed_from_u64(77);
+        let g = gen::random_with_avg_degree(500, 6.0, &mut rng);
+        let (space, op) = BoruvkaOp::new(&WeightedGraph::random(g, &mut rng));
+        let (log, run) = record(&op, &space, op.initial_tasks(), 77, engine);
+        let chrome = export::chrome_trace(&log);
+        assert!(chrome.contains("\"traceEvents\""));
+        assert!(!chrome.contains("NaN"), "chrome trace must stay JSON-legal");
+        // The digest of the canonical dump books what the run booked.
+        let summary = report::summarize(&export::events_jsonl(&log)).expect("event summary");
+        let totals = summary
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("totals: "))
+            .expect("a totals line");
+        let want = format!(
+            "launched {}, committed {}, aborted {}, faulted {}",
+            run.total_launched(),
+            run.total_committed(),
+            run.total_aborted(),
+            run.total_faulted()
+        );
+        assert!(run.total_launched() > 0);
+        assert!(
+            totals.starts_with(&format!("{want} (")),
+            "{engine:?}: {summary}"
+        );
+        // The model rounds' trace carries conflict aborts for the
+        // exporters to book; the solo runner's carries none.
+        match engine {
+            Engine::Rounds => assert!(run.total_aborted() > 0 && has_abort(&log)),
+            Engine::Solo => assert!(run.total_aborted() == 0 && !has_abort(&log)),
+        }
+    }
 }
 
 #[test]
 fn single_worker_trace_is_byte_deterministic() {
-    let a = export::events_jsonl(&sssp_trace(99));
-    let b = export::events_jsonl(&sssp_trace(99));
-    assert!(!a.is_empty());
-    assert_eq!(
-        a, b,
-        "two sequential runs from one seed must serialize identically"
-    );
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for engine in [Engine::Rounds, Engine::Solo] {
+        let (la, lb) = (sssp_trace(99, engine), sssp_trace(99, engine));
+        let (a, b) = (export::events_jsonl(&la), export::events_jsonl(&lb));
+        assert!(!a.is_empty());
+        assert_eq!(
+            a, b,
+            "{engine:?}: two sequential runs from one seed must serialize identically"
+        );
+        if let Engine::Rounds = engine {
+            // Not vacuous: the seeded draws made rounds that abort and
+            // retry, and those events replay byte for byte.
+            assert!(has_abort(&la), "the model rounds must abort something");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -206,6 +256,7 @@ fn convergence_attempt(rho: f64, seed: u64) -> Result<(), String> {
 /// breaks the steering loop fails all of them.
 #[test]
 fn continuous_controller_converges_to_rho_band() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const RHO: f64 = 0.25;
     let mut failures = Vec::new();
     for seed in [8u64, 7, 11, 6] {

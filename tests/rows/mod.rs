@@ -38,31 +38,48 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// An engine cell, as `(workers, batch)`: where `batch` is `None`,
-/// `Executor::run_with_controller` — barrier rounds at one worker,
-/// lanes at the default `PipelinedConfig` above; pipelined lanes at
-/// that batch otherwise.
-pub type Cell = (usize, Option<usize>);
+/// How a cell drains its work-set.
+#[derive(Clone, Copy, Debug)]
+pub enum Engine {
+    /// `Executor::run_with_controller`: the solo runner at one worker,
+    /// lanes at the default `PipelinedConfig` above.
+    Controller,
+    /// `Executor::run_rounds`: the paper's model rounds.
+    Rounds,
+    /// `Executor::run_pipelined`: lanes at this batch.
+    Lanes(usize),
+}
 
-/// Every cell of the matrix.
-pub const CELLS: [Cell; 12] = [
-    (1, None),
-    (2, None),
-    (4, None),
-    (1, Some(1)),
-    (1, Some(8)),
-    (1, Some(64)),
-    (2, Some(1)),
-    (2, Some(8)),
-    (2, Some(64)),
-    (4, Some(1)),
-    (4, Some(8)),
-    (4, Some(64)),
+use Engine::{Controller, Lanes, Rounds};
+
+/// An engine cell, as `(workers, engine)`.
+pub type Cell = (usize, Engine);
+
+/// Every cell of the matrix. A cell drains at `seed + index`, so the
+/// model-round cell, added last, moved no other cell's seed.
+pub const CELLS: [Cell; 13] = [
+    (1, Controller),
+    (2, Controller),
+    (4, Controller),
+    (1, Lanes(1)),
+    (1, Lanes(8)),
+    (1, Lanes(64)),
+    (2, Lanes(1)),
+    (2, Lanes(8)),
+    (2, Lanes(64)),
+    (4, Lanes(1)),
+    (4, Lanes(8)),
+    (4, Lanes(64)),
+    (1, Rounds),
 ];
 
 /// The lane cells at `workers`: batch 1 (continuous), 8 and 64.
 pub const fn lanes(workers: usize) -> [Cell; 3] {
-    [(workers, Some(1)), (workers, Some(8)), (workers, Some(64))]
+    [
+        (workers, Lanes(1)),
+        (workers, Lanes(8)),
+        (workers, Lanes(64)),
+    ]
 }
 
 /// One `#[test]` per `name: row(cells, seed);` entry, run under the
@@ -179,16 +196,17 @@ fn run_row<O: Operator, R>(
     static SILENCE: std::sync::Once = std::sync::Once::new();
     SILENCE.call_once(optpar::runtime::silence_injected_panics);
     let mut fired = HashSet::new();
-    for (i, &(workers, batch)) in cells.iter().enumerate() {
+    for (i, &(workers, engine)) in cells.iter().enumerate() {
         let seed = seed + i as u64;
-        let engine = match (batch, workers) {
-            (Some(_), _) => "pipelined",
-            (None, 1) => "round",
-            (None, _) => "routed lanes",
+        let (name, batch) = match (engine, workers) {
+            (Lanes(batch), _) => ("pipelined", Some(batch)),
+            (Rounds, _) => ("round", None),
+            (Controller, 1) => ("solo", None),
+            (Controller, _) => ("routed lanes", None),
         };
         for faulted in [false, true] {
             let _at = Coords::publish(format!(
-                "{app}, {engine}, workers {workers}, batch {batch:?}, seed {seed}, faults {faulted}"
+                "{app}, {name}, workers {workers}, batch {batch:?}, seed {seed}, faults {faulted}"
             ));
             let mut rng = StdRng::seed_from_u64(seed);
             let Row {
@@ -198,7 +216,7 @@ fn run_row<O: Operator, R>(
                 reference,
             } = build(&mut rng);
             let run = drain(
-                &space, &op, tasks, workers, batch, faulted, &mut rng, &mut fired,
+                &space, &op, tasks, workers, engine, faulted, &mut rng, &mut fired,
             );
             check(op, reference, &run);
         }
@@ -224,7 +242,7 @@ fn drain<O: Operator>(
     op: &O,
     tasks: Vec<O::Task>,
     workers: usize,
-    batch: Option<usize>,
+    engine: Engine,
     faulted: bool,
     rng: &mut StdRng,
     fired: &mut HashSet<FaultKind>,
@@ -249,9 +267,10 @@ fn drain<O: Operator>(
         m_max: 1024,
         ..HybridParams::default()
     });
-    let run = match batch {
-        None => ex.run_with_controller(&mut ws, &mut ctl, 1_000_000, rng),
-        Some(batch) => {
+    let run = match engine {
+        Controller => ex.run_with_controller(&mut ws, &mut ctl, 1_000_000, rng),
+        Rounds => ex.run_rounds(&mut ws, &mut ctl, 1_000_000, rng),
+        Lanes(batch) => {
             let cfg = PipelinedConfig {
                 window: 64,
                 batch,
@@ -270,14 +289,19 @@ fn drain<O: Operator>(
     );
     assert!(space.check_all_free().is_ok(), "a lock leaked");
     assert_eq!(ex.worker_panics(), 0, "a panic escaped containment");
-    if workers == 1 && batch.is_some() {
-        assert_eq!(run.total_aborted(), 0, "one lane has no running holder");
+    // At one worker only the model round keeps a finished holder's
+    // lock: one lane, or the solo runner, has no running holder to
+    // lose to.
+    if workers == 1 && !matches!(engine, Rounds) {
+        assert_eq!(run.total_aborted(), 0, "one runner has no running holder");
     }
     if let Some(plan) = &plan {
         reconcile(&ex, plan, &run);
         fired.extend(plan.fired().iter().map(|r| r.kind));
     }
-    check_trace(&ex, &run, batch.is_none() && workers == 1);
+    // A solo step ends at the round barrier, so it traces as a round.
+    let rounds = matches!(engine, Rounds) || (workers == 1 && matches!(engine, Controller));
+    check_trace(&ex, &run, rounds);
     run
 }
 
