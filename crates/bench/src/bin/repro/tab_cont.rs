@@ -8,7 +8,7 @@
 //! at any worker count, while `run_with_controller` would pick the
 //! solo runner at one worker and lanes at more). Continuous mode is
 //! the pipelined executor at `batch = 1`: a budget of `m` tasks in
-//! flight, each task's locks retired by its own lane bump the moment
+//! flight, each task's locks released by the task itself the moment
 //! it finishes, so its conflict ratio at the same `m` is lower and the
 //! adaptive controller consequently sustains a *larger* allocation for
 //! the same target ρ — free parallelism the round model leaves on the

@@ -59,7 +59,8 @@ pub enum EventKind {
     TaskLaunch {
         /// Batch slot (round mode) or strided worker slot (pipelined mode).
         slot: u32,
-        /// Lock-space epoch at launch.
+        /// The task's key: its round's epoch, or its pipelined batch's
+        /// key (`BatchRetire::tag`).
         epoch: u64,
     },
     /// A task committed.
@@ -125,12 +126,13 @@ pub enum EventKind {
         /// In-flight budget in force after the flush.
         target: u64,
     },
-    /// A pipelined worker retired a batch: one lane-epoch bump
-    /// released every lock word the batch had stamped, in O(1).
+    /// A pipelined worker retired a batch: its tasks had released
+    /// their locks, and its permits go back to the budget.
     BatchRetire {
         /// Worker (= lane - 1) that retired the batch.
         worker: u32,
-        /// Lane tag the batch ran under.
+        /// The batch's key: the lock-space epoch step it took, which
+        /// its tasks' fault draws and `TaskLaunch` events carry.
         tag: u64,
         /// Tasks the batch completed (committed + re-queued).
         tasks: u32,

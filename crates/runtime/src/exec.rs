@@ -14,15 +14,17 @@
 //!    build the `TaskCtx`, call the operator under panic containment,
 //!    commit or roll back on a lost abstract lock, and book the
 //!    outcome (spawns in, `retries + 1` re-queue, or dead-letter).
-//! 3. **Retire** the batch with one lane bump: its committed tasks'
-//!    locks expire instead of being walked and released.
+//! 3. **Release** the batch's locks: a lane task releases its own as
+//!    it finishes; a model round's committed tasks keep theirs until
+//!    the round barrier releases them.
 //! 4. **Control** — `control_step` feeds `(launched, aborted)` to the
 //!    processor-allocation controller, applies the zero-commit
 //!    watchdog, and hands back the next budget.
 //!
 //! A barrier round ([`Executor::run_round`]) is one batch of `m` on
 //! lock lane 0, run inline on the calling thread in priority order and
-//! retired by the round barrier ([`LockSpace::advance_epoch`]), its
+//! closed by the round barrier, which releases its committed tasks'
+//! locks and bumps the epoch ([`LockSpace::advance_epoch`]), its
 //! outcomes going straight back into the caller's [`WorkSet`]. That
 //! makes a round the paper's round at every worker count — it commits
 //! the greedy prefix-MIS of its drawn prefix — and *bitwise
@@ -39,7 +41,7 @@
 //!   0`) and the round's emulation buys nothing. A solo step draws the
 //!   `m` *newest* entries of the lowest bucket (no RNG, no shuffle), so
 //!   a commit's spawns run next step, as a sequential worklist runs
-//!   them; it runs them in `SOLO_LANE`, whose contexts stamp no lock
+//!   them; it runs them in `SOLO_LANE`, whose contexts touch no lock
 //!   word (`task.rs` module docs: one drain per lock space, which
 //!   every drain claims, and every operator cautious); an aborted or
 //!   faulted entry goes back at the far end of its bucket. It still
@@ -470,9 +472,8 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
 /// Where `Executor::speculate` sends a finished task: the caller owns
 /// the queues (one [`WorkSet`] in round mode, per-worker shards in
 /// pipelined mode), `speculate` owns the decision. A committed task's
-/// locks are not carried here: they stay stamped in the lock space
-/// until the round's epoch bump (or the batch's lane bump) expires
-/// them wholesale.
+/// locks are not carried here: a lane task has released them, and a
+/// model round's are in its scratch until the barrier.
 pub(crate) enum Settled<T> {
     /// Committed: these spawned tasks enter the work-set.
     Committed(Vec<T>),
@@ -534,7 +535,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// solo step and pipelined run claims `space` for its duration,
     /// and one that finds it claimed — by another executor over the
     /// same space, or another thread sharing this one — panics. (The
-    /// solo runner's tasks stamp no lock word; the claim is what keeps
+    /// solo runner's tasks touch no lock word; the claim is what keeps
     /// any other task away from their data.)
     pub fn new(op: &'a O, space: &'a LockSpace, cfg: ExecutorConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
@@ -672,12 +673,13 @@ impl<'a, O: Operator> Executor<'a, O> {
         )
     }
 
-    /// One barrier-retired step at budget `m`, shared by the model
+    /// One barrier-closed step at budget `m`, shared by the model
     /// round and the solo runner: `draw` takes the batch out of `ws`,
     /// the batch runs inline in draw order on lock lane `lane` with
     /// each commit's spawns pushed and each rolled-back entry handed
-    /// to `requeue`, and the round barrier retires it — one epoch
-    /// bump, one trace segment, one [`RoundStats`]. The step holds the
+    /// to `requeue`, and the round barrier closes it — the committed
+    /// locks released, one epoch bump, one trace segment, one
+    /// [`RoundStats`]. The step holds the
     /// lock space's drain claim throughout.
     fn step(
         &self,
@@ -725,18 +727,16 @@ impl<'a, O: Operator> Executor<'a, O> {
             },
         );
         phase::maybe_add(self.phases, Phase::Execute, t_exec);
-        self.round_barrier(&stats);
+        self.round_barrier(&mut scratch, &stats);
         stats
     }
 
     /// Run one drawn batch to completion on lock lane `lane`, in
     /// order — the only caller of `speculate`, under every engine.
-    /// Entry `i` runs as slot `first_slot + i` (worker lanes publish
-    /// it as running first: slots rise through the batch, so every
-    /// earlier one has then finished and its stamps are free to take
-    /// over); its outcome is booked in `tally` and handed to `sink`,
-    /// which owns the queues. `key` is the batch's fault coordinate:
-    /// the round epoch on lane 0, the batch tag on a worker lane.
+    /// Entry `i` runs as slot `first_slot + i`; its outcome is booked
+    /// in `tally` and handed to `sink`, which owns the queues. `key`
+    /// is the batch's fault coordinate: the round's epoch, or the key
+    /// a lane batch took ([`LockSpace::advance_epoch`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_batch(
         &self,
@@ -751,30 +751,27 @@ impl<'a, O: Operator> Executor<'a, O> {
     ) {
         for (i, entry) in entries.into_iter().enumerate() {
             let slot = first_slot + i;
-            if lane != 0 && lane != SOLO_LANE {
-                self.space.publish_running(lane, slot);
-            }
             sink(self.speculate(scratch, slot, lane, key, entry, probe, tally));
         }
     }
 
     /// The round barrier, after every task of the round has settled:
-    /// trace the finished round, then one epoch bump — committed tasks'
-    /// locks expire without being traversed.
-    fn round_barrier(&self, stats: &RoundStats) {
+    /// trace the finished round, release the locks its committed
+    /// tasks kept, and bump the epoch.
+    fn round_barrier(&self, scratch: &mut TaskScratch, stats: &RoundStats) {
         let t_commit = phase::maybe_start(self.phases);
         // Round barrier from the trace's point of view: drain every
         // worker ring, stamp the round totals, then record the epoch
         // bump the barrier performs.
-        let pre_epoch = self.space.epoch();
         self.obs_round_end(stats);
-        self.space.advance_epoch();
+        scratch.release_retained(self.space);
+        let closed = self.space.advance_epoch();
         if let Some(rec) = self.recorder.as_ref() {
-            rec.epoch_bump(pre_epoch, self.space.epoch());
+            rec.epoch_bump(closed, closed + 1);
         }
         debug_assert!(self.space.check_all_free().is_ok());
-        // Commit covers the barrier's bookkeeping (ring drain, epoch
-        // bump).
+        // Commit covers the barrier's bookkeeping (ring drain, release,
+        // epoch bump).
         phase::maybe_add(self.phases, Phase::Commit, t_commit);
     }
 
@@ -857,7 +854,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     ///
     /// The batch runs in `SOLO_LANE`: one task at a time over a lock
     /// space no other drain uses, so nothing can conflict and no lock
-    /// word is stamped (`task.rs` module docs). A commit's spawns are
+    /// word is touched (`task.rs` module docs). A commit's spawns are
     /// the newest entries when the next step draws; an aborted
     /// (requested) or faulted task goes back at the far end of its
     /// bucket. The barrier is the round's — one epoch bump, the same
@@ -905,7 +902,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// book its outcome — the single place the runtime calls
     /// [`Operator::execute`].
     ///
-    /// `lane` selects the lock lane the task stamps and `fault_key` is
+    /// `lane` selects the task's lock mode and `fault_key` is
     /// the coordinate fault injection and fault records key on (both
     /// as in `run_batch`). `scratch` is the calling loop's lockset
     /// buffer, lent to this task's context and returned empty.
@@ -946,7 +943,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         if let Some(ring) = probe {
             ring.record(EventKind::TaskLaunch {
                 slot: slot as u32,
-                epoch: self.space.epoch(),
+                epoch: fault_key,
             });
         }
         let mut cx = TaskCtx::new_in_lane(slot, self.space, lane, scratch);
@@ -972,8 +969,8 @@ impl<'a, O: Operator> Executor<'a, O> {
                 )
             }
             Ok(Ok(spawned)) => {
-                // The committed lockset stays stamped in the lock
-                // space; the epoch (or lane) bump will expire it.
+                // A lane task releases its lockset here; a model
+                // round's keeps it until the barrier.
                 cx.finish_commit();
                 if let Some(ring) = probe {
                     ring.record(EventKind::TaskCommit {
@@ -1586,9 +1583,10 @@ pub(crate) mod tests {
         assert!(ws.is_empty());
     }
 
-    /// A solo step stamps no lock word, aborts nothing on a conflict
+    /// A solo step marks no lock word, aborts nothing on a conflict
     /// graph that makes every model round abort, and still ends at the
-    /// round barrier — one epoch bump.
+    /// round barrier — one epoch bump. It counts acquires as a model
+    /// round counts them: every successful lock call.
     #[test]
     fn a_solo_step_stamps_nothing_and_commits_every_launch() {
         let n = 64;
@@ -1608,8 +1606,14 @@ pub(crate) mod tests {
         assert_eq!(space.epoch(), epoch + 1, "one barrier");
         assert!(
             (0..n).all(|l| space.owner_of(l).is_none()),
-            "nothing stamped"
+            "nothing marked"
         );
+        // The even tasks lock disjoint pairs: a model round commits all
+        // of them, and counts the same four acquires per task.
+        let mut ws = WorkSet::from_vec((0..n).step_by(2).collect::<Vec<_>>());
+        let rs = ex.run_round(&mut ws, n, &mut StdRng::seed_from_u64(3));
+        assert_eq!((rs.committed, rs.aborted), (n / 2, 0));
+        assert_eq!(rs.lock_acquires, 4 * rs.committed, "the solo count");
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(3);
         assert!(

@@ -25,13 +25,13 @@
 //! (Galois-style) parallelization runtime. No such runtime exists in
 //! the Rust ecosystem, so this crate builds one:
 //!
-//! * [`lock`] — **abstract locks**: one epoch-stamped atomic owner
-//!   word per shared datum. A task must hold the lock on every datum
-//!   it touches; a task that requests an already-held lock aborts
-//!   itself (first-wins, the runtime's one arbitration rule). Every
-//!   lock *lane* — lane 0 for barrier rounds, one per pipelined
-//!   worker — keeps its epoch in one lane table, and retiring a batch
-//!   (the round barrier included) is a single bump of its lane.
+//! * [`lock`] — **abstract locks**: one atomic owner word per shared
+//!   datum, holding `slot + 1` of its holder (0 = free). A task must
+//!   hold the lock on every datum it touches; a task that requests an
+//!   already-held lock aborts itself (first-wins, the runtime's one
+//!   arbitration rule). A pipelined lane's task releases what it took
+//!   when it finishes; only a model round's committed tasks keep their
+//!   locks, until the round barrier releases them.
 //! * [`pool`] — [`pool::WorkerPool`], persistent worker threads
 //!   created once per executor and parked between drains; lanes run
 //!   on them.
@@ -51,8 +51,8 @@
 //!   the lowest [`task::Ranked::rank`], which is all of them unless
 //!   the task type says otherwise — run them as one batch (`run_batch`:
 //!   `speculate` each under panic containment and book its outcome,
-//!   losers rolled back and re-queued), retire the batch with one lane
-//!   bump, and take the control step (`control_step`) that reports the
+//!   losers rolled back and re-queued), release the batch's locks,
+//!   and take the control step (`control_step`) that reports the
 //!   realized conflict ratio to a processor-allocation
 //!   [`Controller`](optpar_core::control::Controller) and hands back
 //!   the next budget. A barrier round is that step on lock lane 0,
@@ -72,9 +72,8 @@
 //!   runtime's only parallel one: the same batch loop on a lock lane
 //!   per worker, behind an in-flight
 //!   speculation budget and over a sharded work-set, taking the same
-//!   control step once per window of completions — batch release stays
-//!   O(1) without a global epoch bump and one slow task no longer
-//!   stalls the world. [`exec::Executor::run_with_controller`] drains
+//!   control step once per window of completions — no barrier, so one
+//!   slow task no longer stalls the world. [`exec::Executor::run_with_controller`] drains
 //!   through it whenever the executor has more than one worker.
 //!   Continuous (one-task-at-a-time) execution is this mode at
 //!   [`pipelined::PipelinedConfig::batch`]` = 1`.

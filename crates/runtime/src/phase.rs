@@ -40,7 +40,7 @@ pub enum Phase {
     Draw,
     /// Worker-side task execution (speculation, rollback, re-queue).
     Execute,
-    /// Commit machinery: merge, epoch/lane bumps, window flushes.
+    /// Commit machinery: merge, round barriers, window flushes.
     Commit,
     /// Dead time: barrier rendezvous (round mode) or budget-starved /
     /// empty-draw yielding (pipelined mode).

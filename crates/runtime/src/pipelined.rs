@@ -1,28 +1,21 @@
 //! Pipelined (barrier-free) execution: the batch loop on worker lanes.
 //!
-//! A barrier round runs on its caller's thread, and one epoch bump
-//! retires the whole round's locks. This module is the runtime's only
-//! parallel engine: each worker of the executor's pool runs the
-//! executor's batch loop (`Executor::run_batch` — the loop a round
-//! runs on lane 0) on a lock lane of its own, and nobody waits for
-//! anybody. What this module adds to that loop:
+//! A barrier round runs on its caller's thread, and its barrier
+//! releases the locks its committed tasks kept. This module is the
+//! runtime's only parallel engine: each worker of the executor's pool
+//! runs the executor's batch loop (`Executor::run_batch` — the loop a
+//! round runs on lane 0) on a lock lane of its own, and nobody waits
+//! for anybody. What this module adds to that loop:
 //!
-//! * **a lane per worker**: worker `w` draws a *batch*, runs it under
-//!   the current tag of lane `w + 1` of the [`LockSpace`], and retires
-//!   it with one [`LockSpace::advance_lane`] bump — the round barrier,
-//!   per worker. Slots are recycled batch positions (`w * batch + i`):
-//!   they name a lock's holder and carry no priority meaning;
-//! * **retention is not conflict**: the stamps a lane's committed
-//!   tasks leave behind until that bump are bookkeeping, not locks.
-//!   The batch loop publishes the slot it is about to run
-//!   ([`LockSpace::publish_running`]; slots rise through a batch), and
-//!   a requester that finds a live stamp of a slot that has finished —
-//!   any other slot of its own lane, or a slot behind another lane's
-//!   published one — takes the word over. A task aborts only against
-//!   a holder that is *running*, which at one worker is never. An
-//!   aborted task releases its words before its worker publishes the
-//!   next slot, so a finished slot's surviving stamp always means a
-//!   commit;
+//! * **a lane per worker**: worker `w` draws a *batch* and runs it on
+//!   lane `w + 1`. Slots are recycled batch positions
+//!   (`w * batch + i`): they name a lock's holder and carry no
+//!   priority meaning;
+//! * **a lane task releases what it took**: every task frees its lock
+//!   words when it finishes, commit or abort, before its worker runs
+//!   the next one ([`crate::lock`]). A held word's owner is therefore
+//!   always running, so a task aborts only against a holder that is
+//!   mid-task — which at one worker is never;
 //! * **a sharded work-set**: a worker drains its own shard and steals
 //!   from the others only when it runs dry. Each shard is a
 //!   [`WorkSet`], so rank order and aged-retry prefix semantics hold
@@ -57,10 +50,11 @@
 //! the shards during a batch (draws happen between batches), so the
 //! next draw sees the very shard contents a per-task settle left.
 //!
-//! The batch tag is the batch's fault key (the round epoch never moves
-//! here): a re-queued task re-rolls its fault draw under a fresh tag on
-//! every retry, so a deterministic per-coordinate plan cannot livelock
-//! the drain.
+//! Each batch takes its fault key with one step of the lock space's
+//! epoch counter ([`LockSpace::advance_epoch`]), so keys stay unique
+//! over the space's life: a re-queued task re-rolls its fault draw
+//! under a fresh key on every retry, and a deterministic
+//! per-coordinate plan cannot livelock the drain.
 //!
 //! Abort backoff is one `yield_now` after a batch that lost a lock.
 //! An abort names a holder that is mid-task, so on a machine with a
@@ -74,13 +68,10 @@
 //! (`obs_e2e::continuous_controller_converges_to_rho_band`, 8 workers
 //! on 2 cores, fails 4 runs in 5 without the yield and with a spin).
 //!
-//! [`LockSpace`]: crate::lock::LockSpace
-//! [`LockSpace::advance_lane`]: crate::lock::LockSpace::advance_lane
-//! [`LockSpace::publish_running`]: crate::lock::LockSpace::publish_running
+//! [`LockSpace::advance_epoch`]: crate::lock::LockSpace::advance_epoch
 
 use crate::exec::{ControlState, Entry, Executor, Settled, WorkSet};
 use crate::faults::recover;
-use crate::lock::MAX_LANES;
 use crate::phase::{self, Phase};
 use crate::stats::{RoundStats, RunStats};
 use crate::task::{Operator, Ranked, TaskScratch};
@@ -98,9 +89,8 @@ pub struct PipelinedConfig {
     /// tasks the crossing worker flushes the sliding window and the
     /// controller adjusts the in-flight budget.
     pub window: usize,
-    /// Maximum tasks a worker draws, executes, and retires as one
-    /// batch (one lane bump frees the whole batch's locks). Also the
-    /// per-worker slot stride.
+    /// Maximum tasks a worker draws and executes as one batch (one
+    /// fault key, one settle). Also the per-worker slot stride.
     pub batch: usize,
     /// Stop after this many completions even if work remains
     /// (`usize::MAX` = run to quiescence).
@@ -372,18 +362,17 @@ impl<O: Operator> Executor<'_, O> {
     /// Run in pipelined mode until the work-set drains (or
     /// `cfg.max_completions` tasks have finished).
     ///
-    /// Workers draw, execute, and retire task batches continuously
-    /// against their private lock lanes; `ctl` adjusts the in-flight
+    /// Workers draw, execute, and settle task batches continuously,
+    /// each on its own lock lane; `ctl` adjusts the in-flight
     /// budget every `cfg.window` completions from the sliding
     /// abort-ratio window. Returns one [`RoundStats`] entry per
     /// flushed window.
     ///
     /// # Panics
     /// Panics if another drain is running over the executor's lock
-    /// space ([`Executor::new`]), on a zero window or batch, on more than
-    /// [`MAX_LANES`]` - 1` workers, or if `workers * cfg.batch` — the
-    /// slot range the run mints — does not fit the 32-bit owner field
-    /// of a lock word (it must stay below `u32::MAX`).
+    /// space ([`Executor::new`]), on a zero window or batch, or if
+    /// `workers * cfg.batch` — the slot range the run mints — does not
+    /// fit a 32-bit lock word (it must stay below `u32::MAX`).
     pub fn run_pipelined<C: Controller + Send, R: Rng + ?Sized>(
         &self,
         ws: &mut WorkSet<O::Task>,
@@ -416,17 +405,12 @@ impl<O: Operator> Executor<'_, O> {
         assert!(cfg.window >= 1, "window must be positive");
         assert!(cfg.batch >= 1, "batch must be positive");
         let workers = self.config().workers;
-        assert!(
-            workers < MAX_LANES,
-            "pipelined mode supports at most {} workers (one lock lane each)",
-            MAX_LANES - 1
-        );
         let (space, pc) = (self.space, self.phases);
         // Strided slot pool: worker w owns slots
         // [w * batch, (w + 1) * batch), so slot indices are globally
-        // unique while batches overlap. They must fit the 32-bit owner
-        // field of a lock word (as a round's `launched < u32::MAX`): a
-        // larger slot would bleed into the word's tag bits.
+        // unique while batches overlap. `slot + 1` is a lock word's
+        // mark, so they must fit a `u32` (as a round's
+        // `launched < u32::MAX`).
         assert!(
             workers
                 .checked_mul(cfg.batch)
@@ -540,18 +524,16 @@ impl<O: Operator> Executor<'_, O> {
                     idle();
                     continue;
                 }
-                // This batch's lane tag: locks taken below are
-                // stamped with it, die wholesale at the retire bump,
-                // and key the fault draw (a retried task re-rolls
-                // under a fresh tag).
-                let tag = space.lane_tag(lane);
+                // This batch's fault key (a retried task re-rolls
+                // under a fresh one).
+                let key = space.advance_epoch();
                 let mut tally = RoundStats::default();
                 let t1 = phase::maybe_start(pc);
                 self.run_batch(
                     &mut scratch,
                     w * cfg.batch,
                     lane,
-                    tag,
+                    key,
                     batch,
                     probe,
                     &mut tally,
@@ -560,14 +542,13 @@ impl<O: Operator> Executor<'_, O> {
                 shards.settle(w, &mut outbox, &live);
                 counters.add(&tally);
                 phase::maybe_add(pc, Phase::Execute, t1);
-                // Retire: one lane bump expires every stamp the batch
-                // left; no other worker waits for it.
+                // Retire: the batch's tasks released their own locks;
+                // give back its permits and count its completions.
                 let t2 = phase::maybe_start(pc);
-                space.advance_lane(lane);
                 if let Some(ring) = probe {
                     ring.record(EventKind::BatchRetire {
                         worker: w as u32,
-                        tag,
+                        tag: key,
                         tasks: drawn as u32,
                     });
                 }
@@ -685,8 +666,8 @@ mod tests {
         assert!(run.round_count() >= 1);
     }
 
-    /// A slot range past the lock word's 32-bit owner field must be
-    /// refused up front, not silently packed into the tag bits.
+    /// A slot range past the 32-bit lock word must be refused up
+    /// front, not silently wrapped onto another slot's mark.
     #[test]
     #[should_panic(expected = "overflow the 32-bit lock owner field")]
     fn pipelined_rejects_slot_range_past_owner_field() {
@@ -1247,40 +1228,6 @@ mod tests {
         assert_eq!(letters[0].retries, k_budget);
         assert!(letters[0].detail.contains("poison task 5"));
         assert!(space.check_all_free().is_ok());
-    }
-
-    #[test]
-    fn lane_epoch_wraparound_mid_run() {
-        // Park lane 1's 24-bit epoch just short of its wrap, then run
-        // enough batches that the tag wraps (and sweeps) mid-run.
-        let n = 64;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        for _ in 0..((1usize << 24) - 3) {
-            space.advance_lane(1);
-        }
-        let store = SpecStore::filled(r, n, 0i64);
-        let op = RingOp { store: &store, n };
-        let ex = Executor::new(&op, &space, exec_cfg(1));
-        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-        let mut ctl = FixedController::new(4);
-        let mut rng = StdRng::seed_from_u64(9);
-        let run = ex.run_pipelined(
-            &mut ws,
-            &mut ctl,
-            PipelinedConfig {
-                window: 8,
-                batch: 4,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-        );
-        assert!(ws.is_empty());
-        assert_eq!(run.total_committed(), n);
-        assert!(space.check_all_free().is_ok(), "wrap left a stale lock");
-        let mut store = store;
-        assert_eq!(store.snapshot().iter().sum::<i64>(), 0);
     }
 
     #[test]

@@ -29,13 +29,16 @@
 //! returned, or a panic raised, after the seal is not rolled back —
 //! the executor re-raises it and the run fails.
 //!
-//! A context runs in one of two modes. A *lane* context (a model
-//! round on lane 0, a pipelined worker on lane `w + 1`) stamps a lock
-//! word per acquire and checks its stamp before every sealed write. A
-//! *solo* context — the solo runner's, at one worker — stamps nothing:
-//! [`TaskCtx::lock`] is a fault tick and an acquire count, a sealed
-//! write goes straight to the slot, and a rollback has nothing to
-//! release. That rests on two invariants: only one drain runs over a
+//! A context runs in one of three modes. A *round* context (a model
+//! round, lane 0) and a *lane* context (a pipelined worker, lane
+//! `w + 1`) write their mark into a lock word per acquire and check it
+//! before every sealed write; a lane task releases its words when it
+//! finishes, commit or abort, while a round's committed task keeps
+//! them until the round barrier ([`crate::lock`]). A *solo* context —
+//! the solo runner's, at one worker — marks nothing: [`TaskCtx::lock`]
+//! is a fault tick and an acquire count, a sealed write goes straight
+//! to the slot, and a rollback has nothing to release. That rests on
+//! two invariants: only one drain runs over a
 //! [`LockSpace`] at a time — every drain (a model round, a solo step,
 //! a pipelined run) claims the space for its duration and panics if
 //! another drain holds it — so a solo task, run one at a time, has no
@@ -128,30 +131,42 @@ pub trait Operator: Sync {
 /// loop calls `Executor::speculate` (a round, a solo step, a pipelined
 /// worker) and lent to one [`TaskCtx`] at a time, which
 /// leaves it empty: cleared, not freed, so a task allocates nothing
-/// once the buffer has grown to the loop's largest footprint.
+/// once the buffer has grown to the loop's largest footprint. A model
+/// round's committed tasks move their locksets into `retained`, which
+/// its barrier releases ([`TaskScratch::release_retained`]).
 #[derive(Default)]
 pub(crate) struct TaskScratch {
     lockset: Vec<usize>,
+    retained: Vec<usize>,
+}
+
+impl TaskScratch {
+    /// The round barrier's release: free every word the round's
+    /// committed tasks kept.
+    pub(crate) fn release_retained(&mut self, space: &LockSpace) {
+        lock::release_all(space, &self.retained);
+        self.retained.clear();
+    }
 }
 
 /// The solo runner's pseudo-lane: a context built in it
-/// ([`TaskCtx::new_in_lane`]) stamps no lock word.
+/// ([`TaskCtx::new_in_lane`]) touches no lock word.
 pub(crate) const SOLO_LANE: usize = usize::MAX;
 
 /// Per-task speculation context (one per launched task per round).
 pub struct TaskCtx<'rt> {
     slot: usize,
     space: &'rt LockSpace,
-    /// The lane tag stamped onto every lock word this task acquires:
-    /// lane 0's current epoch for round tasks, the owning
-    /// worker's lane tag for pipelined tasks. Cached at construction —
-    /// a task's lane epoch cannot advance while the task runs.
-    tag: u64,
+    /// Built in lane 0, a model round: a commit keeps its words until
+    /// the round barrier.
+    round: bool,
     /// Built in [`SOLO_LANE`]: no lock word is read or written.
     solo: bool,
     /// The calling loop's lockset buffer; empty between tasks.
     scratch: &'rt mut TaskScratch,
-    /// Locks acquired (for stats).
+    /// Successful lock calls, in every mode: each `lock`, `read`,
+    /// `write` and `alloc` that got its lock counts once, a re-entrant
+    /// one included (a solo context cannot tell re-entry apart).
     pub acquires: usize,
     /// An injected fault waiting to fire (armed by the executor from
     /// its [`FaultPlan`](crate::faults::FaultPlan), ticked down on
@@ -186,11 +201,11 @@ impl<'rt> TaskCtx<'rt> {
         Self::new_in_lane(slot, space, 0, scratch)
     }
 
-    /// A context for a task running in lock lane `lane` (0 = the round
-    /// epoch, `w + 1` = pipelined worker `w`): lock words are stamped
-    /// with the lane's current tag. The task records its lockset in
+    /// A context for a task running in lock lane `lane` (0 = a model
+    /// round, `w + 1` = pipelined worker `w`): lock words carry the
+    /// task's mark, `slot + 1`. The task records its lockset in
     /// `scratch`, which the previous context left empty. In
-    /// [`SOLO_LANE`] the context is solo: it stamps and records
+    /// [`SOLO_LANE`] the context is solo: it marks and records
     /// nothing (module docs).
     pub(crate) fn new_in_lane(
         slot: usize,
@@ -198,14 +213,12 @@ impl<'rt> TaskCtx<'rt> {
         lane: usize,
         scratch: &'rt mut TaskScratch,
     ) -> Self {
-        let solo = lane == SOLO_LANE;
-        let tag = if solo { 0 } else { space.lane_tag(lane) };
         debug_assert!(scratch.lockset.is_empty());
         TaskCtx {
             slot,
             space,
-            tag,
-            solo,
+            round: lane == 0,
+            solo: lane == SOLO_LANE,
             scratch,
             acquires: 0,
             inject: None,
@@ -269,10 +282,10 @@ impl<'rt> TaskCtx<'rt> {
         self.lock_raw(store.lock_of(i))
     }
 
-    /// Acquire a raw lock index. In a solo context this only counts
-    /// the acquire (a re-entrant one included: no word says it is
-    /// held already); a debug build also records the lock, so that a
-    /// sealed write can still check it (`TaskCtx::in_place`).
+    /// Acquire a raw lock index; a success counts as one acquire,
+    /// re-entrant or not. In a solo context this only counts the
+    /// acquire; a debug build also records the lock, so that a sealed
+    /// write can still check it (`TaskCtx::in_place`).
     pub fn lock_raw(&mut self, l: usize) -> Result<(), Abort> {
         // Every lock/read/write/alloc funnels through here, so this is
         // where an armed injected fault ticks toward firing.
@@ -284,10 +297,11 @@ impl<'rt> TaskCtx<'rt> {
             self.acquires += 1;
             return Ok(());
         }
-        match lock::acquire_tagged(self.space, self.slot, self.tag, l) {
-            Ok(Acquired::Held) => Ok(()),
-            Ok(_) => {
-                self.scratch.lockset.push(l);
+        match lock::acquire(self.space, self.slot, l) {
+            Ok(how) => {
+                if how == Acquired::Fresh {
+                    self.scratch.lockset.push(l);
+                }
                 self.acquires += 1;
                 Ok(())
             }
@@ -317,16 +331,15 @@ impl<'rt> TaskCtx<'rt> {
             reason = "TaskCtx is the lock-checked access layer"
         )]
         let ptr = store.slot_ptr(i);
-        // SAFETY: in a lane context `lock_raw` succeeded, so this task
-        // holds the abstract lock of slot `i`, and under first-wins
-        // arbitration nobody but the holder rewrites the lock word of a
-        // task that is still running, so it is still held (a word taken
-        // over from a finished holder was handed on with its writes
-        // ordered before our reads, see `lock`); the lock grants
-        // exclusive access. A solo context holds no word, but it is the
-        // only task running over this lock space — its step holds the
-        // space's drain claim, and a solo step runs one task at a time
-        // — so no other access to the slot exists. Either way the
+        // SAFETY: in a round or lane context `lock_raw` succeeded, so
+        // this task holds the abstract lock of slot `i`, and nobody but
+        // its holder writes a held lock word, so it is still held (the
+        // previous holder's release ordered its writes before our
+        // reads, see `lock`); the lock grants exclusive access. A solo
+        // context holds no word, but it is the only task running over
+        // this lock space — its step holds the space's drain claim, and
+        // a solo step runs one task at a time — so no other access to
+        // the slot exists. Either way the
         // returned shared borrow is tied to `&mut self`, so no mutation
         // can occur through this context while it lives.
         unsafe { Ok(&*ptr) }
@@ -360,7 +373,7 @@ impl<'rt> TaskCtx<'rt> {
 
     /// `store[i]` in place, for a sealed task that holds its lock: the
     /// one write path, behind [`TaskCtx::write`] and [`Sealed::write`].
-    /// A solo context has no stamp to check; a debug build checks the
+    /// A solo context has no mark to check; a debug build checks the
     /// lock against the lockset it records instead.
     ///
     /// # Panics
@@ -373,7 +386,7 @@ impl<'rt> TaskCtx<'rt> {
             let held = if self.solo {
                 self.scratch.lockset.contains(&l)
             } else {
-                lock::holds(self.space, self.slot, self.tag, l)
+                lock::holds(self.space, self.slot, l)
             };
             if !held {
                 not_held(self.slot, l);
@@ -384,10 +397,10 @@ impl<'rt> TaskCtx<'rt> {
             reason = "TaskCtx is the lock-checked access layer"
         )]
         let ptr = store.slot_ptr(i);
-        // SAFETY: in a lane context the lock word carries this task's
-        // own stamp, so the task holds slot `i`'s abstract lock, and a
-        // running task's lock is never taken away; the lock grants
-        // exclusive access. A solo context is the only task running
+        // SAFETY: in a round or lane context the lock word carries
+        // this task's own mark, so the task holds slot `i`'s abstract
+        // lock, and a running task's lock is never taken away; the
+        // lock grants exclusive access. A solo context is the only task running
         // over this lock space (its step holds the space's drain claim
         // and runs one task at a time), so nothing else reaches the
         // slot; and it is sealed, so it commits — the operator is
@@ -455,32 +468,30 @@ impl<'rt> TaskCtx<'rt> {
         Ok(())
     }
 
-    /// Commit: the lockset stays stamped in the lock space — nobody
-    /// walks it to release it. The round-based executor expires the
-    /// stamps wholesale with its end-of-round epoch bump
-    /// ([`LockSpace::advance_epoch`]), the pipelined one with its
-    /// per-batch lane bump.
-    ///
-    /// What the surviving stamps mean until then is the lane's rule
-    /// (see [`crate::lock`]). **On lane 0 committed tasks keep their
-    /// locks until the round barrier**, so that later tasks of the
-    /// round conflict with them, exactly as in the paper's model (a
-    /// node aborts iff a neighbour *committed* in the same round). On
-    /// a pipelined lane they keep nothing: the task is finished, and a
-    /// later task that wants one of its words takes it over.
-    /// Infallible: a task that reached the end of its operator holds
-    /// every lock it acquired.
-    pub(crate) fn finish_commit(self) {}
+    /// Commit. A lane task releases its lockset here, before its
+    /// worker runs the next task: a finished holder's words are zero.
+    /// **A model round's committed task keeps its locks until the
+    /// round barrier** — its lockset moves to the scratch's retained
+    /// list, which the barrier releases — so that later tasks of the
+    /// round conflict with it, exactly as in the paper's model (a node
+    /// aborts iff a neighbour *committed* in the same round). A solo
+    /// context marked nothing. Infallible: a task that reached the end
+    /// of its operator holds every lock it acquired.
+    pub(crate) fn finish_commit(self) {
+        let scratch = &mut *self.scratch;
+        if self.round {
+            scratch.retained.extend_from_slice(&scratch.lockset);
+        } else if !self.solo {
+            lock::release_all(self.space, &scratch.lockset);
+        }
+    }
 
-    /// Roll back: release the locks. The task never sealed, so it wrote
-    /// nothing. The release happens before the calling worker moves on
-    /// to its next task — which is what lets a pipelined lane read a
-    /// finished slot's surviving stamp as a commit. A solo context
-    /// stamped nothing, so it has nothing to release.
+    /// Roll back: release the locks, in every mode but solo (which
+    /// marked nothing). The task never sealed, so it wrote nothing.
     pub(crate) fn finish_abort(self) {
         debug_assert!(!self.sealed, "a sealed task cannot roll back");
         if !self.solo {
-            lock::release_all_tagged(self.space, self.slot, self.tag, &self.scratch.lockset);
+            lock::release_all(self.space, &self.scratch.lockset);
         }
     }
 }
@@ -519,15 +530,14 @@ impl Sealed<'_, '_> {
         let i = store.alloc();
         let cx = &mut *self.cx;
         let l = store.lock_of(i);
-        if cx.solo {
-            if cfg!(debug_assertions) {
-                cx.scratch.lockset.push(l);
-            }
-        } else if lock::acquire_tagged(cx.space, cx.slot, cx.tag, l).is_err() {
+        if !cx.solo && lock::acquire(cx.space, cx.slot, l).is_err() {
             not_held(cx.slot, l);
         }
-        // Not in a lane context's lockset: a sealed task never
-        // releases it early.
+        // Released with the rest of the lockset when the task (or, in
+        // a model round, its round) finishes.
+        if !cx.solo || cfg!(debug_assertions) {
+            cx.scratch.lockset.push(l);
+        }
         cx.acquires += 1;
         i
     }
@@ -556,10 +566,10 @@ mod tests {
     use super::*;
     use crate::lock::LockSpace;
 
-    /// Commit and pass the round barrier, as the executor does at the
-    /// end of each round: the epoch bump expires the committed locks.
-    fn commit_release(cx: TaskCtx<'_>, space: &LockSpace) {
-        cx.finish_commit();
+    /// Pass the round barrier, as a model round does after its last
+    /// task: release what its committed tasks kept, bump the epoch.
+    fn barrier(scratch: &mut TaskScratch, space: &LockSpace) {
+        scratch.release_retained(space);
         space.advance_epoch();
     }
 
@@ -577,7 +587,8 @@ mod tests {
         let mut cx = TaskCtx::new(0, &space, &mut scratch);
         *cx.write(&store, 2).unwrap() = 99;
         assert!(cx.sealed, "the first write is the seal");
-        commit_release(cx, &space);
+        cx.finish_commit();
+        barrier(&mut scratch, &space);
         assert!(space.check_all_free().is_ok());
         let mut store = store;
         assert_eq!(*store.get_mut(2), 99);
@@ -596,13 +607,15 @@ mod tests {
         assert_eq!(err, Abort::Conflict { lock: 0 });
         assert!(!cx1.sealed, "a write that loses its lock does not seal");
         cx1.finish_abort();
-        commit_release(cx0, &space);
+        cx0.finish_commit();
+        barrier(&mut scratch0, &space);
         assert!(space.check_all_free().is_ok());
     }
 
-    /// Taking a word over from a committed holder and rolling back
-    /// leaves the *committed* value — an aborting task wrote nothing —
-    /// and leaves the word free, not back with the dispossessed slot.
+    /// A lane commit leaves its words free with no epoch step, so the
+    /// next task takes them from zero; that task's rollback leaves the
+    /// *committed* value — an aborting task wrote nothing — and the
+    /// words free again.
     #[test]
     fn takeover_then_rollback_restores_the_committed_value() {
         let (space, r) = setup(2);
@@ -611,25 +624,49 @@ mod tests {
         let mut cx0 = TaskCtx::new_in_lane(0, &space, 1, &mut scratch);
         *cx0.write(&store, 0).unwrap() = 11;
         cx0.finish_commit();
-        assert_eq!(space.owner_of(0), Some(0), "the stamp outlives the task");
-        // Same lane, same batch: slot 1 takes the word over.
+        assert!(space.check_all_free().is_ok(), "the commit released");
+        assert_eq!(space.epoch(), 0, "with no bump");
+        // The next task of the lane takes the word and rolls back.
         let mut cx1 = TaskCtx::new_in_lane(1, &space, 1, &mut scratch);
         assert_eq!(*cx1.read(&store, 0).unwrap(), 11);
         cx1.lock(&store, 1).unwrap();
         assert_eq!(cx1.acquires, 2);
         assert_eq!(space.owner_of(0), Some(1));
         cx1.finish_abort();
-        assert_eq!(space.owner_of(0), None, "released, not handed back");
         assert!(space.check_all_free().is_ok());
         // Another lane finds the committed value behind a free word.
-        space.publish_running(2, 8);
         let mut cx2 = TaskCtx::new_in_lane(8, &space, 2, &mut scratch);
         assert_eq!(*cx2.read(&store, 0).unwrap(), 11);
         cx2.finish_commit();
-        space.advance_lane(1);
-        space.advance_lane(2);
+        assert!(space.check_all_free().is_ok());
         let mut store = store;
         assert_eq!(store.snapshot(), vec![11, 20]);
+    }
+
+    /// A model round retains: its committed task's word conflicts with
+    /// a later slot of the same round, and the barrier frees it.
+    #[test]
+    fn a_round_commit_holds_its_words_to_the_barrier() {
+        let (space, r) = setup(2);
+        let store = SpecStore::filled(r, 2, 0u32);
+        let mut scratch = TaskScratch::default();
+        let mut cx0 = TaskCtx::new(0, &space, &mut scratch);
+        cx0.lock(&store, 1).unwrap();
+        *cx0.write(&store, 0).unwrap() = 1;
+        cx0.finish_commit();
+        assert_eq!(space.owner_of(0), Some(0), "kept past the commit");
+        assert_eq!(space.owner_of(1), Some(0));
+        let mut cx1 = TaskCtx::new(1, &space, &mut scratch);
+        assert_eq!(cx1.read(&store, 0).err(), Some(Abort::Conflict { lock: 0 }));
+        cx1.finish_abort();
+        assert_eq!(space.owner_of(0), Some(0), "the loser freed nothing");
+        barrier(&mut scratch, &space);
+        assert!(space.check_all_free().is_ok());
+        assert_eq!(space.epoch(), 1);
+        let mut cx1 = TaskCtx::new(1, &space, &mut scratch);
+        assert_eq!(*cx1.read(&store, 0).unwrap(), 1);
+        cx1.finish_abort();
+        assert!(space.check_all_free().is_ok());
     }
 
     #[test]
@@ -640,7 +677,8 @@ mod tests {
         let mut cx = TaskCtx::new(0, &space, &mut scratch);
         let v = *cx.read(&store, 0).unwrap();
         *cx.write(&store, 0).unwrap() = v + 1;
-        commit_release(cx, &space);
+        cx.finish_commit();
+        barrier(&mut scratch, &space);
         let mut store = store;
         assert_eq!(*store.get_mut(0), 42);
     }
@@ -655,7 +693,8 @@ mod tests {
         assert_eq!(i, 1);
         assert_eq!(space.owner_of(r.lock_of(1)), Some(0));
         *cx.write(&store, i).unwrap() = 5;
-        commit_release(cx, &space);
+        cx.finish_commit();
+        barrier(&mut scratch, &space);
         assert!(space.check_all_free().is_ok());
     }
 
@@ -691,7 +730,8 @@ mod tests {
         *sealed.write(&store, fresh) = vec![4];
         assert_eq!(cx.acquires, 3, "two locks and the fresh slot's");
         assert!(cx.seal().is_ok(), "sealing twice is sealing once");
-        commit_release(cx, &space);
+        cx.finish_commit();
+        barrier(&mut scratch, &space);
         assert!(space.check_all_free().is_ok());
         let mut store = store;
         assert_eq!(
@@ -701,7 +741,7 @@ mod tests {
     }
 
     /// Past `seal` a write is not checked by acquiring: it must find the
-    /// task's own stamp, or the operator was not cautious.
+    /// task's own mark, or the operator was not cautious.
     #[test]
     #[should_panic(expected = "sealed task at slot 0 does not hold lock 1")]
     fn a_sealed_write_to_an_unheld_slot_panics() {
@@ -759,7 +799,8 @@ mod tests {
                 *cx.write(&store, k % 2).unwrap() += 1;
             }
             assert_eq!(plan.fired_count(), 0, "{kind:?} fired after seal");
-            commit_release(cx, &space);
+            cx.finish_commit();
+            barrier(&mut scratch, &space);
             assert_eq!(store.snapshot(), vec![8, 8, 9]);
         }
 
@@ -806,7 +847,7 @@ mod tests {
 
     /// A solo context reads no lock word and writes none: it locks,
     /// reads and writes a slot another context holds, allocates without
-    /// stamping, counts every lock call, and rolls back with nothing to
+    /// marking, counts every lock call, and rolls back with nothing to
     /// release.
     #[test]
     fn a_solo_context_touches_no_lock_word() {
@@ -830,7 +871,7 @@ mod tests {
         assert_eq!(
             space.owner_of(0),
             Some(3),
-            "slot 0 still carries the other stamp"
+            "slot 0 still carries the other mark"
         );
         assert_eq!(space.owner_of(r.lock_of(fresh)), None);
         cx.finish_commit();
@@ -845,7 +886,7 @@ mod tests {
 
     /// A debug build checks a solo context's sealed writes against the
     /// locks it took, as a lane context's are checked against its
-    /// stamps: a write to a slot it never locked panics.
+    /// marks: a write to a slot it never locked panics.
     #[cfg(debug_assertions)]
     #[test]
     fn a_solo_write_outside_its_locks_panics_in_debug() {
@@ -871,16 +912,26 @@ mod tests {
         assert_eq!(store.snapshot(), vec![1, 0, 2]);
     }
 
+    /// A re-entrant lock takes the word once and releases it once, and
+    /// counts as an acquire like every successful lock call — in a
+    /// solo context too, which cannot tell re-entry apart.
     #[test]
     fn reentrant_locks_release_once() {
         let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 0u8);
         let mut scratch = TaskScratch::default();
+        let mut solo = TaskCtx::new_in_lane(0, &space, SOLO_LANE, &mut scratch);
+        solo.lock(&store, 0).unwrap();
+        solo.lock(&store, 0).unwrap();
+        assert_eq!(solo.acquires, 2);
+        solo.finish_commit();
         let mut cx = TaskCtx::new(0, &space, &mut scratch);
         cx.lock(&store, 0).unwrap();
         cx.lock(&store, 0).unwrap();
-        assert_eq!(cx.acquires, 1);
-        commit_release(cx, &space);
+        assert_eq!(cx.acquires, 2, "the same count as the solo context's");
+        assert_eq!(cx.scratch.lockset.len(), 1, "one lockset entry");
+        cx.finish_commit();
+        barrier(&mut scratch, &space);
         assert!(space.check_all_free().is_ok());
     }
 }

@@ -1,19 +1,19 @@
-//! Stress test for the pipelined lanes' takeover rule: a finished
-//! holder's lock is free, a running holder's is not.
+//! Stress test for mutual exclusion on pipelined lanes: a lock word
+//! has one owner at a time, and a lane task's words are free once it
+//! finishes.
 //!
 //! Four lanes hammer eight words. A task locks two of them, raises a
 //! busy flag on each, lingers across a yield — so that even on one CPU
-//! the other lanes run while it is mid-task, its lane's earlier slots
-//! finished and their stamps still live — bumps each word's counter
+//! the other lanes run while it is mid-task — bumps each word's counter
 //! with a plain load and store, lowers the flags and commits. Mutual
-//! exclusion of *live* owners is then two observable facts: no task
-//! ever finds a flag raised, and no counter loses a bump.
+//! exclusion of owners is then two observable facts: no task ever
+//! finds a flag raised, and no counter loses a bump; a word a finished
+//! task failed to release would show as a lane leak at the end.
 //!
 //! The test has teeth against the one line that matters. With
-//! `LockSpace::holder`'s "behind the published slot" test
-//! (`owner < word & OWNER_MASK`) mutated to `true` — every live
-//! cross-lane word is taken over — seed 0 fails with 1,401 overlaps
-//! (1,421 under `--release`).
+//! `lock::acquire` mutated to CAS over whatever word it loaded instead
+//! of only from `0` — taking a word another task still holds — it
+//! fails 5 runs in 5 (EXPERIMENTS.md §Checker mutants).
 
 use optpar_core::control::FixedController;
 use optpar_runtime::{
@@ -128,7 +128,7 @@ fn hammer(seed: u64) -> usize {
 }
 
 #[test]
-fn live_owners_exclude_each_other_under_takeover() {
+fn live_owners_exclude_each_other() {
     let aborted: usize = (0..6).map(hammer).sum();
     assert!(
         aborted > 0,

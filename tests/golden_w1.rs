@@ -25,10 +25,11 @@
 //! committed tasks' locks until the lane bump and report them as
 //! conflicts, so a batch-of-4 drain aborted 25 / 363 / 130 launches
 //! against predecessors that no longer existed — (79, 9990, 9965),
-//! (50, 6362, 5999), (145, 18456, 18326). Now a later task takes such
-//! a word over, `launched == committed`, and a one-worker pipelined
-//! drain aborts nothing at all. The round triples did not move: on
-//! lane 0 retention to the barrier is the model's commit rule.
+//! (50, 6362, 5999), (145, 18456, 18326). Now a lane task releases its
+//! words when it finishes, `launched == committed`, and a one-worker
+//! pipelined drain aborts nothing at all. The round triples did not
+//! move: a model round's retention to the barrier is the model's
+//! commit rule.
 //!
 //! The sssp round triple last moved for the operator's lockset, not
 //! for the engine: `SsspOp` skips, without locking, every neighbour

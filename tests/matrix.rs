@@ -20,7 +20,7 @@
 //!   its only independent witness);
 //! * no lane leaks a lock, no worker dies, and a one-worker lane —
 //!   whose holders have all finished — aborts nothing, nor does the
-//!   solo runner, which stamps no lock at all;
+//!   solo runner, which marks no lock word at all;
 //! * a second drain of the same input, under a seeded ~10% panic /
 //!   spurious-abort plan that also rolls tasks back at their commit
 //!   point (after their last write), passes all of the above, and the

@@ -140,8 +140,8 @@ impl Operator for Recorded<'_> {
 /// The paper's round model exactly: at every worker count a round runs
 /// its drawn tasks inline in slot order and a returned `Ok` commits,
 /// so each round's committed set is the greedy prefix-MIS of its call
-/// order — no more (a lock taken over from a committed earlier task,
-/// or "held" without being taken), no fewer (a conflict with a task
+/// order — no more (a lock a committed earlier task let go before the
+/// barrier, or "held" without being taken), no fewer (a conflict with a task
 /// that released).
 #[test]
 fn inline_round_commits_the_greedy_prefix_mis() {

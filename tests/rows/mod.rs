@@ -305,12 +305,23 @@ fn drain<O: Operator>(
     run
 }
 
-/// The faulted drain: something fired, only injected faults were
+/// The faulted drain: something fired, every fired fault was
+/// contained, the log kept them all, only injected faults were
 /// contained, and the plan's ledger equals the executor's fault log
 /// and the run's faulted count.
 fn reconcile<O: Operator>(ex: &Executor<'_, O>, plan: &FaultPlan, run: &RunStats) {
     assert!(plan.fired_count() > 0, "the plan never fired");
+    let contained = ex.fault_count();
+    assert_eq!(contained, plan.fired_count(), "faults contained vs fired");
     let log = ex.take_faults();
+    assert_eq!(
+        log.len(),
+        contained,
+        "the fault log kept {} of {contained} faults: it holds at most 4,096 \
+         undrained entries (`FAULT_LOG_CAP` in crates/runtime/src/faults.rs), so \
+         this drain faults too often to reconcile entry by entry",
+        log.len()
+    );
     assert!(
         log.iter().all(|f| f.cause == FaultCause::Injected),
         "only injected faults expected, got {log:?}"
