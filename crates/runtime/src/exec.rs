@@ -450,6 +450,12 @@ pub struct Executor<'a, O: Operator> {
     /// Tasks retired past [`ExecutorConfig::dead_letter_budget`],
     /// awaiting [`Executor::take_dead_letters`].
     dead_letters: Mutex<Vec<crate::faults::DeadLetter>>,
+    /// The lockset buffers of the model round and the solo step, kept
+    /// from one step to the next so that a round allocates nothing for
+    /// them once they have grown to its footprint (a round's committed
+    /// locksets are retained to its barrier). A step takes it out and
+    /// puts it back after its barrier; one that unwinds drops it.
+    step_scratch: Mutex<TaskScratch>,
     /// Deterministic fault-injection plan; `None` arms nothing.
     fault_plan: Option<&'a crate::faults::FaultPlan>,
     /// Optional per-phase time accounting (draw / execute / commit /
@@ -546,6 +552,7 @@ impl<'a, O: Operator> Executor<'a, O> {
             pool: (cfg.workers > 1).then(|| WorkerPool::new(cfg.workers)),
             faults: Mutex::new(FaultLog::default()),
             dead_letters: Mutex::new(Vec::new()),
+            step_scratch: Mutex::new(TaskScratch::default()),
             fault_plan: None,
             phases: None,
             recorder: None,
@@ -711,7 +718,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         // Outcomes go straight back into `ws`, in slot order.
         let t_exec = phase::maybe_start(self.phases);
         let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
-        let mut scratch = TaskScratch::default();
+        let mut scratch = std::mem::take(&mut *crate::faults::recover(self.step_scratch.lock()));
         self.run_batch(
             &mut scratch,
             0,
@@ -728,6 +735,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         );
         phase::maybe_add(self.phases, Phase::Execute, t_exec);
         self.round_barrier(&mut scratch, &stats);
+        *crate::faults::recover(self.step_scratch.lock()) = scratch;
         stats
     }
 
