@@ -712,7 +712,7 @@ impl<'a, O: Operator> Executor<'a, O> {
             self.obs_round_end(&stats);
             return stats;
         }
-        // Slot indices must fit the 32-bit owner field of a lock word.
+        // Slot indices must fit the 32-bit slot field of traces.
         assert!(batch.len() < u32::MAX as usize, "round too large");
 
         // Outcomes go straight back into `ws`, in slot order.

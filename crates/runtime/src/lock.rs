@@ -43,22 +43,14 @@
     reason = "lock indices are minted by the LockSpace builder and validated at the TaskCtx boundary"
 )]
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Owner words per 64-byte cache line. Sharded stores round their
 /// shard bases to multiples of this (in lock words) and declare their
 /// regions with [`LockSpaceBuilder::region_aligned`], so the owner
-/// words of two shards never share a cache line.
-pub const LINE_WORDS: usize = 16;
-
-/// One cache line of owner words. The backing array is allocated as
-/// lines, not words, so the first word of the space — and hence every
-/// line-multiple boundary inside an aligned region — sits on a real
-/// 64-byte boundary: intra-shard acquire/release traffic cannot
-/// false-share with a neighbouring shard's words.
-#[derive(Debug)]
-#[repr(C, align(64))]
-struct OwnerLine([AtomicU32; LINE_WORDS]);
+/// words of two shards never share a cache line. A word is 64 bits
+/// although a mark needs 32: DESIGN.md §7 item 2 says why.
+pub const LINE_WORDS: usize = 8;
 
 /// The epoch counter, alone on its cache line: every lane batch takes
 /// its key from it, and every acquire reads the fields beside it.
@@ -135,10 +127,10 @@ impl LockSpaceBuilder {
 
     /// Reserve `len` lock words whose base index is rounded up to a
     /// cache-line boundary ([`LINE_WORDS`] words). Because the owner
-    /// array itself is allocated in 64-byte lines, every line-multiple
+    /// array itself starts on a 64-byte boundary, every line-multiple
     /// offset inside the returned region sits on a true cache-line
     /// boundary — which is what lets a sharded store guarantee that no
-    /// two shards' lock words share a line. The (≤ 15) skipped words
+    /// two shards' lock words share a line. The (≤ 7) skipped words
     /// belong to no region and are never acquired.
     pub fn region_aligned(&mut self, len: usize) -> Region {
         self.total = self.total.next_multiple_of(LINE_WORDS);
@@ -146,12 +138,22 @@ impl LockSpaceBuilder {
     }
 
     /// Freeze into an immutable lock space.
+    ///
+    /// The words are allocated zeroed — free — and never written here,
+    /// so the allocator may hand over fresh pages untouched: a page of
+    /// words that no task locks is never faulted in (the solo runner
+    /// locks none). `LINE_WORDS - 1` spare words let the live ones
+    /// start on a 64-byte boundary.
     pub fn build(self) -> LockSpace {
-        let lines = (0..self.total.div_ceil(LINE_WORDS))
-            .map(|_| OwnerLine(Default::default()))
-            .collect();
+        let buf = Box::<[AtomicU64]>::new_zeroed_slice(self.total + LINE_WORDS - 1);
+        // SAFETY: an all-zero `AtomicU64` is `AtomicU64::new(0)`.
+        let buf = unsafe { buf.assume_init() };
+        // Words to the next line boundary: `buf` is 8-byte aligned, so
+        // this is at most `LINE_WORDS - 1`.
+        let first = (buf.as_ptr() as usize).wrapping_neg() % 64 / size_of::<AtomicU64>();
         LockSpace {
-            lines,
+            buf,
+            first,
             words: self.total,
             epoch: Epoch::default(),
             drain: AtomicBool::new(false),
@@ -163,11 +165,13 @@ impl LockSpaceBuilder {
 /// The global table of abstract-lock owner words.
 #[derive(Debug)]
 pub struct LockSpace {
-    /// Owner words, allocated as 64-byte cache lines (see
-    /// [`OwnerLine`]); the flat word view is [`Self::owners`].
-    lines: Box<[OwnerLine]>,
-    /// Number of live lock words (the tail of the last line is
-    /// padding: always zero, never part of any region).
+    /// Owner words, allocated zeroed with `LINE_WORDS - 1` spare; the
+    /// live ones are [`Self::owners`].
+    buf: Box<[AtomicU64]>,
+    /// Index in `buf` of the first live word, the first on a 64-byte
+    /// boundary.
+    first: usize,
+    /// Number of live lock words.
     words: usize,
     /// Rounds closed plus lane batches keyed ([`Self::advance_epoch`]).
     epoch: Epoch,
@@ -199,13 +203,11 @@ impl LockSpace {
 
     /// The raw owner words (used by [`crate::task::TaskCtx`]).
     #[inline]
-    pub(crate) fn owners(&self) -> &[AtomicU32] {
-        // SAFETY: `OwnerLine` is `repr(C, align(64))` around exactly
-        // `LINE_WORDS` `AtomicU32`s — 64 bytes with no padding — so
-        // the boxed lines form one contiguous array of
-        // `lines.len() · LINE_WORDS ≥ words` words; the first `words`
-        // of them are the live lock words.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<AtomicU32>(), self.words) }
+    pub(crate) fn owners(&self) -> &[AtomicU64] {
+        // SAFETY: `build` sized `buf` as `words + LINE_WORDS - 1` and
+        // chose `first ≤ LINE_WORDS - 1`, so `first + words` is in
+        // bounds.
+        unsafe { self.buf.get_unchecked(self.first..self.first + self.words) }
     }
 
     /// The current epoch: a monotonic counter that a model round's
@@ -303,8 +305,8 @@ pub(crate) enum Acquired {
 
 /// The mark task `slot` writes into the words it holds.
 #[inline]
-fn mark(slot: usize) -> u32 {
-    slot as u32 + 1
+fn mark(slot: usize) -> u64 {
+    slot as u64 + 1
 }
 
 /// Attempt to acquire lock `l` for task `slot`: a load, then a CAS
@@ -312,9 +314,6 @@ fn mark(slot: usize) -> u32 {
 /// `Held`; any other mark is `Err(Conflict)` — first wins. A lost CAS
 /// is a conflict too: the word is no longer `0`, and only its new
 /// owner can clear it.
-///
-/// `slot + 1` must fit a `u32`; both executors assert that on the slot
-/// range they mint before any task runs.
 ///
 /// `#[inline]`: this is every lock operation of every model round and
 /// lane batch. Outlined from `TaskCtx::lock_raw` (a call, the result
@@ -414,9 +413,9 @@ mod tests {
         let r2 = b.region_aligned(5);
         let space = b.build();
         assert_eq!(r0.base(), 0);
-        assert_eq!(r1.base(), 16);
-        assert_eq!(r2.base(), 48);
-        assert_eq!(space.len(), 53);
+        assert_eq!(r1.base(), 8);
+        assert_eq!(r2.base(), 32);
+        assert_eq!(space.len(), 37);
         // The word array itself starts on a 64-byte boundary, so every
         // line-multiple base is absolutely 64-byte aligned.
         let addr = space.owners().as_ptr() as usize;
@@ -431,8 +430,6 @@ mod tests {
         assert_eq!(space.owner_of(5), None);
     }
 
-    /// Each lane word has a cache line to itself — its worker stores
-    /// to it before every task — and all of them cost a space 16 KB.
     #[test]
     fn basic_acquire_release() {
         let mut b = LockSpace::builder();

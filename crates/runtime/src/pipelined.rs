@@ -372,7 +372,8 @@ impl<O: Operator> Executor<'_, O> {
     /// Panics if another drain is running over the executor's lock
     /// space ([`Executor::new`]), on a zero window or batch, or if
     /// `workers * cfg.batch` — the slot range the run mints — does not
-    /// fit a 32-bit lock word (it must stay below `u32::MAX`).
+    /// fit the 32-bit slot field of traces and fault records (it must
+    /// stay below `u32::MAX`).
     pub fn run_pipelined<C: Controller + Send, R: Rng + ?Sized>(
         &self,
         ws: &mut WorkSet<O::Task>,
@@ -408,14 +409,14 @@ impl<O: Operator> Executor<'_, O> {
         let (space, pc) = (self.space, self.phases);
         // Strided slot pool: worker w owns slots
         // [w * batch, (w + 1) * batch), so slot indices are globally
-        // unique while batches overlap. `slot + 1` is a lock word's
-        // mark, so they must fit a `u32` (as a round's
+        // unique while batches overlap. Traces and fault records carry
+        // a slot as a `u32`, so they must fit one (as a round's
         // `launched < u32::MAX`).
         assert!(
             workers
                 .checked_mul(cfg.batch)
                 .is_some_and(|slots| slots < u32::MAX as usize),
-            "workers * batch = {workers} * {} slots overflow the 32-bit lock owner field",
+            "workers * batch = {workers} * {} slots overflow the 32-bit slot field",
             cfg.batch
         );
 
@@ -666,10 +667,10 @@ mod tests {
         assert!(run.round_count() >= 1);
     }
 
-    /// A slot range past the 32-bit lock word must be refused up
-    /// front, not silently wrapped onto another slot's mark.
+    /// A slot range past the 32-bit slot field must be refused up
+    /// front, not silently truncated in traces and fault records.
     #[test]
-    #[should_panic(expected = "overflow the 32-bit lock owner field")]
+    #[should_panic(expected = "overflow the 32-bit slot field")]
     fn pipelined_rejects_slot_range_past_owner_field() {
         let mut b = LockSpace::builder();
         let r = b.region(1);
