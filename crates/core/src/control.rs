@@ -454,11 +454,6 @@ impl HybridController {
     pub fn adjustments(&self) -> usize {
         self.adjustments
     }
-
-    /// The live parameter set.
-    pub fn params(&self) -> &HybridParams {
-        &self.p
-    }
 }
 
 impl Controller for HybridController {

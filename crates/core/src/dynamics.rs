@@ -51,11 +51,6 @@ impl PhasedPlant {
         }
     }
 
-    /// Index of the active phase.
-    pub fn current_phase(&self) -> usize {
-        self.current
-    }
-
     /// Label of the active phase.
     pub fn current_label(&self) -> &'static str {
         self.phases[self.current].label

@@ -188,13 +188,6 @@ impl RoundScheduler {
         &self.graph
     }
 
-    /// Mutably borrow the CC graph (for externally scripted dynamics);
-    /// invalidates the internal sampling pool.
-    pub fn graph_mut(&mut self) -> &mut AdjGraph {
-        self.pool_dirty = true;
-        &mut self.graph
-    }
-
     /// Average degree of the current CC graph.
     pub fn average_degree(&self) -> f64 {
         self.graph.average_degree()

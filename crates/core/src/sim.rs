@@ -181,13 +181,6 @@ impl DrainingPlant<NoMorph> {
     }
 }
 
-impl<M: Morph> DrainingPlant<M> {
-    /// A draining plant with the given morph policy.
-    pub fn with_morph(sched: RoundScheduler, morph: M) -> Self {
-        DrainingPlant { sched, morph }
-    }
-}
-
 impl<M: Morph> Plant for DrainingPlant<M> {
     fn round<R: Rng + ?Sized>(&mut self, m: usize, rng: &mut R) -> (usize, usize) {
         let out = self.sched.run_round_morph(m, &mut self.morph, rng);

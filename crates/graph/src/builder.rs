@@ -47,11 +47,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edge records added so far (before dedup).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Record the undirected edge `{u, v}`.
     ///
     /// # Panics

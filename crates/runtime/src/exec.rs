@@ -21,8 +21,8 @@
 //!    processor-allocation controller, applies the zero-commit
 //!    watchdog, and hands back the next budget.
 //!
-//! A barrier round ([`Executor::run_round`]) is one batch of `m` on
-//! lock lane 0, run inline on the calling thread in priority order and
+//! A barrier round ([`Executor::run_round`]) is one batch of `m` in
+//! round mode, run inline on the calling thread in priority order and
 //! closed by the round barrier, which releases its committed tasks'
 //! locks and bumps the epoch ([`LockSpace::advance_epoch`]), its
 //! outcomes going straight back into the caller's [`WorkSet`]. That
@@ -41,7 +41,7 @@
 //!   0`) and the round's emulation buys nothing. A solo step draws the
 //!   `m` *newest* entries of the lowest bucket (no RNG, no shuffle), so
 //!   a commit's spawns run next step, as a sequential worklist runs
-//!   them; it runs them in `SOLO_LANE`, whose contexts touch no lock
+//!   them; it runs them in solo mode, whose contexts touch no lock
 //!   word (`task.rs` module docs: one drain per lock space, which
 //!   every drain claims, and every operator cautious); an aborted or
 //!   faulted entry goes back at the far end of its bucket. It still
@@ -49,12 +49,12 @@
 //!   traces and [`RoundStats`] keep their shapes and the controller
 //!   reads `r ≈ 0`. The job service's `JobCx::drive` runs the same
 //!   step. The model round and the solo step share one body
-//!   (`Executor::step`); they differ in the draw, the lane and where a
+//!   (`Executor::step`); they differ in the draw, the mode and where a
 //!   rolled-back entry goes back.
 //! * **Lanes, at more than one worker**: the pipelined engine
-//!   ([`crate::pipelined`]) runs the loop on lane `w + 1` per worker of
-//!   the executor's [`WorkerPool`], behind a permit gate and over a
-//!   sharded draw, settles each batch's outcomes into the shards at
+//!   ([`crate::pipelined`]) runs the loop in lane mode on every worker
+//!   of the executor's [`WorkerPool`], behind an in-flight budget and
+//!   over a sharded draw, settles each batch's outcomes into the shards at
 //!   once after it, and takes the control step once per window of
 //!   completions. Parallelism comes only from lanes.
 
@@ -64,7 +64,7 @@ use crate::phase::{self, Phase};
 use crate::pipelined::PipelinedConfig;
 use crate::pool::WorkerPool;
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Abort, Operator, Ranked, TaskCtx, TaskScratch, SOLO_LANE};
+use crate::task::{Abort, Mode, Operator, Ranked, TaskCtx, TaskScratch};
 use optpar_core::control::Controller;
 use optpar_obs::{EventKind, EventRing, Recorder, RoundTotals};
 use rand::Rng;
@@ -653,7 +653,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     }
 
     /// Run one round launching up to `m` tasks from `ws`: one batch
-    /// on lock lane 0, run inline on the calling thread in priority
+    /// in round mode, run inline on the calling thread in priority
     /// order and retired by the round barrier — whatever the worker
     /// count, so the round commits the greedy prefix-MIS of its draw.
     ///
@@ -675,14 +675,14 @@ impl<'a, O: Operator> Executor<'a, O> {
             ws,
             m,
             |ws, m| ws.sample_drain_aged(m, rng),
-            0,
+            Mode::Round,
             WorkSet::push_entry,
         )
     }
 
     /// One barrier-closed step at budget `m`, shared by the model
     /// round and the solo runner: `draw` takes the batch out of `ws`,
-    /// the batch runs inline in draw order on lock lane `lane` with
+    /// the batch runs inline in draw order in `mode` with
     /// each commit's spawns pushed and each rolled-back entry handed
     /// to `requeue`, and the round barrier closes it — the committed
     /// locks released, one epoch bump, one trace segment, one
@@ -693,7 +693,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         ws: &mut WorkSet<O::Task>,
         m: usize,
         draw: impl FnOnce(&mut WorkSet<O::Task>, usize) -> Vec<Entry<O::Task>>,
-        lane: usize,
+        mode: Mode,
         requeue: fn(&mut WorkSet<O::Task>, Entry<O::Task>),
     ) -> RoundStats {
         let _drain = self.space.claim_drain();
@@ -722,7 +722,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         self.run_batch(
             &mut scratch,
             0,
-            lane,
+            mode,
             epoch,
             batch,
             probe,
@@ -739,7 +739,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         stats
     }
 
-    /// Run one drawn batch to completion on lock lane `lane`, in
+    /// Run one drawn batch to completion in `mode`, in
     /// order — the only caller of `speculate`, under every engine.
     /// Entry `i` runs as slot `first_slot + i`; its outcome is booked
     /// in `tally` and handed to `sink`, which owns the queues. `key`
@@ -750,7 +750,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         &self,
         scratch: &mut TaskScratch,
         first_slot: usize,
-        lane: usize,
+        mode: Mode,
         key: u64,
         entries: Vec<Entry<O::Task>>,
         probe: Option<&EventRing>,
@@ -759,7 +759,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     ) {
         for (i, entry) in entries.into_iter().enumerate() {
             let slot = first_slot + i;
-            sink(self.speculate(scratch, slot, lane, key, entry, probe, tally));
+            sink(self.speculate(scratch, slot, mode, key, entry, probe, tally));
         }
     }
 
@@ -860,7 +860,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// lowest bucket (`WorkSet::take_newest`: no RNG, no shuffle), run
     /// them newest first, then pass the round barrier.
     ///
-    /// The batch runs in `SOLO_LANE`: one task at a time over a lock
+    /// The batch runs in solo mode: one task at a time over a lock
     /// space no other drain uses, so nothing can conflict and no lock
     /// word is touched (`task.rs` module docs). A commit's spawns are
     /// the newest entries when the next step draws; an aborted
@@ -869,7 +869,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// trace segment and [`RoundStats`] — so fault keys, traces and the
     /// controller see a round with `r ≈ 0`.
     pub(crate) fn run_solo(&self, ws: &mut WorkSet<O::Task>, m: usize) -> RoundStats {
-        self.step(ws, m, WorkSet::take_newest, SOLO_LANE, WorkSet::push_far)
+        self.step(ws, m, WorkSet::take_newest, Mode::Solo, WorkSet::push_far)
     }
 
     /// The one control step, taken after every round and every
@@ -910,7 +910,7 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// book its outcome — the single place the runtime calls
     /// [`Operator::execute`].
     ///
-    /// `lane` selects the task's lock mode and `fault_key` is
+    /// `mode` selects the task's lock mode and `fault_key` is
     /// the coordinate fault injection and fault records key on (both
     /// as in `run_batch`). `scratch` is the calling loop's lockset
     /// buffer, lent to this task's context and returned empty.
@@ -942,7 +942,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         &self,
         scratch: &mut TaskScratch,
         slot: usize,
-        lane: usize,
+        mode: Mode,
         fault_key: u64,
         entry: Entry<O::Task>,
         probe: Option<&EventRing>,
@@ -954,7 +954,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 epoch: fault_key,
             });
         }
-        let mut cx = TaskCtx::new_in_lane(slot, self.space, lane, scratch);
+        let mut cx = TaskCtx::with_mode(slot, self.space, mode, scratch);
         cx.attach_probe(probe);
         if let Some(plan) = self.fault_plan {
             cx.arm_fault(plan, fault_key);
@@ -1097,7 +1097,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn ring_setup(n: usize) -> (LockSpace, crate::lock::Region) {
+    pub(crate) fn ring_setup(n: usize) -> (LockSpace, crate::lock::Region) {
         let mut b = LockSpace::builder();
         let r = b.region(n);
         (b.build(), r)
@@ -1788,7 +1788,8 @@ pub(crate) mod tests {
     /// fails the model round alike. (On lanes such a lock conflicts
     /// only with a holder that is running at that moment, and a solo
     /// task has no one to conflict with, so those engines leave that
-    /// case out.)
+    /// case out.) Every failed drain leaves every lock word free: its
+    /// drain claim clears them as it unwinds.
     #[test]
     fn an_err_or_panic_after_seal_fails_the_round() {
         use crate::pool::tests::{within, BOUND};
@@ -1831,6 +1832,11 @@ pub(crate) mod tests {
                             assert!(ex.worker_panics() > 0, "{how:?}: the pool saw the panic");
                         }
                         assert_eq!(ex.fault_count(), 0, "{how:?}: nothing was contained");
+                        assert_eq!(
+                            space.check_all_free(),
+                            Ok(()),
+                            "{how:?} w{workers} rounds {rounds}: the failed drain freed its words"
+                        );
                     },
                 );
             }

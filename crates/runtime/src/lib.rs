@@ -55,7 +55,7 @@
 //!   and take the control step (`control_step`) that reports the
 //!   realized conflict ratio to a processor-allocation
 //!   [`Controller`](optpar_core::control::Controller) and hands back
-//!   the next budget. A barrier round is that step on lock lane 0,
+//!   the next budget. A barrier round is that step in round mode,
 //!   run inline on the caller's thread at every worker count. At one
 //!   worker [`exec::Executor::run_with_controller`] runs the *solo*
 //!   step instead: the newest `m` tasks, one at a time, stamping no
@@ -69,8 +69,8 @@
 //!   prefix after 8 retries, so no task starves; a watchdog shrinks
 //!   `m` toward 1 after 4 consecutive zero-commit rounds or windows.
 //! * [`pipelined`] — the barrier-free **epoch-pipelined** engine, the
-//!   runtime's only parallel one: the same batch loop on a lock lane
-//!   per worker, behind an in-flight
+//!   runtime's only parallel one: the same batch loop as a lane per
+//!   worker, behind an in-flight
 //!   speculation budget and over a sharded work-set, taking the same
 //!   control step once per window of completions — no barrier, so one
 //!   slow task no longer stalls the world. [`exec::Executor::run_with_controller`] drains

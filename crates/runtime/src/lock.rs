@@ -277,7 +277,16 @@ impl LockSpace {
 pub(crate) struct DrainClaim<'a>(&'a LockSpace);
 
 impl Drop for DrainClaim<'_> {
+    /// A drain that unwinds (a task that failed past its seal) never
+    /// reaches its running tasks' releases or its round barrier, so
+    /// the claim frees every word instead: the claim proves that every
+    /// held word belongs to this drain.
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            for word in self.0.owners() {
+                word.store(0, Ordering::Release);
+            }
+        }
         self.0.drain.store(false, Ordering::Release);
     }
 }
@@ -485,19 +494,19 @@ mod tests {
     /// free once it finishes — commit or abort — with no epoch step.
     #[test]
     fn cross_lane_conflict_and_expiry() {
-        use crate::task::{TaskCtx, TaskScratch};
+        use crate::task::{Mode, TaskCtx, TaskScratch};
         let mut b = LockSpace::builder();
         let r = b.region(2);
         let space = b.build();
         let store = crate::store::SpecStore::filled(r, 2, 0u32);
         let (mut s1, mut s2) = (TaskScratch::default(), TaskScratch::default());
-        // Lane 1's slot 0 is mid-task, holding both words.
-        let mut holder = TaskCtx::new_in_lane(0, &space, 1, &mut s1);
+        // One lane's slot 0 is mid-task, holding both words.
+        let mut holder = TaskCtx::with_mode(0, &space, Mode::Lane, &mut s1);
         holder.lock(&store, 0).unwrap();
         holder.lock(&store, 1).unwrap();
-        // Lane 2's slot 16 loses to it, and its abort frees nothing of
-        // the holder's.
-        let mut loser = TaskCtx::new_in_lane(16, &space, 2, &mut s2);
+        // Another lane's slot 16 loses to it, and its abort frees
+        // nothing of the holder's.
+        let mut loser = TaskCtx::with_mode(16, &space, Mode::Lane, &mut s2);
         assert!(loser.lock(&store, 0).is_err());
         loser.finish_abort();
         assert_eq!(space.owner_of(0), Some(0));
@@ -507,8 +516,8 @@ mod tests {
         holder.finish_commit();
         assert!(space.check_all_free().is_ok());
         assert_eq!(space.epoch(), 0, "no bump freed them");
-        // Lane 2 takes both from zero.
-        let mut next = TaskCtx::new_in_lane(16, &space, 2, &mut s2);
+        // That lane takes both from zero.
+        let mut next = TaskCtx::with_mode(16, &space, Mode::Lane, &mut s2);
         assert_eq!(*next.read(&store, 1).unwrap(), 7);
         next.lock(&store, 0).unwrap();
         assert_eq!(space.owner_of(0), Some(16));

@@ -4,11 +4,11 @@
 //! releases the locks its committed tasks kept. This module is the
 //! runtime's only parallel engine: each worker of the executor's pool
 //! runs the executor's batch loop (`Executor::run_batch` — the loop a
-//! round runs on lane 0) on a lock lane of its own, and nobody waits
-//! for anybody. What this module adds to that loop:
+//! round runs) as a lane of its own, and nobody waits for anybody.
+//! What this module adds to that loop:
 //!
-//! * **a lane per worker**: worker `w` draws a *batch* and runs it on
-//!   lane `w + 1`. Slots are recycled batch positions
+//! * **a lane per worker**: worker `w` draws a *batch* and runs it in
+//!   lane mode. Slots are recycled batch positions
 //!   (`w * batch + i`): they name a lock's holder and carry no
 //!   priority meaning;
 //! * **a lane task releases what it took**: every task frees its lock
@@ -30,12 +30,16 @@
 //!   locked once (round-robin shares from one cursor RMW), then one
 //!   `live` subtract for the tasks it finished. No shared word is
 //!   written per task;
-//! * **a permit gate**: the controller's `m(t)` is an *in-flight
-//!   speculation budget* — at most `m` tasks are in flight — and every
-//!   `window` completions the crossing worker takes the control step a
-//!   round takes (`Executor::control_step`: observe `r̄`, zero-commit
-//!   watchdog, next budget) on what the shared counters gained since
-//!   the last window.
+//! * **one set of books, behind one lock taken to claim and to
+//!   retire**: the controller's `m(t)` is an *in-flight speculation
+//!   budget* — at most `m` tasks are in flight. A worker claims up to
+//!   `batch` permits against it, gives back those its draw could not
+//!   fill, and retires a batch by giving back its permits, adding its
+//!   tally to the open window and counting its completions. Every
+//!   `window` completions the crossing worker, still under the lock,
+//!   takes the control step a round takes (`Executor::control_step`:
+//!   observe `r̄`, zero-commit watchdog, next budget) on that window.
+//!   A batch's counts therefore land whole in one window.
 //!
 //! Termination reads one counter, `live`: tasks pending in a shard,
 //! drawn and not yet settled, or spawned by a batch that has not
@@ -74,7 +78,7 @@ use crate::exec::{ControlState, Entry, Executor, Settled, WorkSet};
 use crate::faults::recover;
 use crate::phase::{self, Phase};
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Operator, Ranked, TaskScratch};
+use crate::task::{Mode, Operator, Ranked, TaskScratch};
 use optpar_core::control::Controller;
 use optpar_obs::EventKind;
 use rand::rngs::StdRng;
@@ -120,61 +124,70 @@ impl Drop for StopOnUnwind<'_> {
     }
 }
 
-/// The run's outcome counters, shared between workers: the counts of
-/// a [`RoundStats`] as running totals every retired batch adds to.
-#[derive(Default)]
-struct Counters {
-    committed: AtomicUsize,
-    aborted: AtomicUsize,
-    faulted: AtomicUsize,
-    dead_lettered: AtomicUsize,
-    spawned: AtomicUsize,
-    lock_acquires: AtomicUsize,
+/// The run's books, behind one lock (module docs): the controller and
+/// its state, whose budget caps the permits in flight, the
+/// completions, and the open window. Every worker takes the lock to
+/// claim permits and to retire a batch.
+struct Books<'c, C> {
+    ctl: &'c mut C,
+    state: ControlState,
+    /// Permits claimed and not yet given back.
+    inflight: usize,
+    /// Tasks retired so far.
+    completions: usize,
+    /// The tallies of the batches retired since the last flush.
+    window: RoundStats,
+    /// The flushed windows, in order.
+    rounds: Vec<RoundStats>,
 }
 
-impl Counters {
-    /// Fold one retired batch's tally in: its spawns, lock acquires
-    /// and dead letters first, its outcomes last (see `snapshot`).
-    fn add(&self, batch: &RoundStats) {
-        self.spawned.fetch_add(batch.spawned, Ordering::AcqRel);
-        self.lock_acquires
-            .fetch_add(batch.lock_acquires, Ordering::AcqRel);
-        self.dead_lettered
-            .fetch_add(batch.dead_lettered, Ordering::AcqRel);
-        self.committed.fetch_add(batch.committed, Ordering::AcqRel);
-        self.aborted.fetch_add(batch.aborted, Ordering::AcqRel);
-        self.faulted.fetch_add(batch.faulted, Ordering::AcqRel);
+impl<C: Controller> Books<'_, C> {
+    /// Claim up to `batch` permits against the budget (0 when it is
+    /// spent).
+    fn claim(&mut self, batch: usize) -> usize {
+        let granted = batch.min(self.state.budget.saturating_sub(self.inflight));
+        self.inflight += granted;
+        granted
     }
 
-    /// The run's totals so far (`m` left 0: a budget is not a count).
-    ///
-    /// A flush snapshots while other workers `add`, so the snapshot is
-    /// not one instant. It reads the outcomes first and the rest after,
-    /// the reverse of `add`: once it sees any of a batch's outcomes it
-    /// sees all of that batch's other counts. A window can then hold
-    /// counts of a batch whose outcomes it missed, but never miss the
-    /// counts of a batch it launched. The final window is therefore
-    /// never one with counts but no launches, which `flush` would drop,
-    /// and the windows add up to the run's totals.
-    fn snapshot(&self) -> RoundStats {
-        let get = |c: &AtomicUsize| c.load(Ordering::Acquire);
-        let (committed, aborted, faulted) =
-            (get(&self.committed), get(&self.aborted), get(&self.faulted));
-        let (spawned, lock_acquires, dead_lettered) = (
-            get(&self.spawned),
-            get(&self.lock_acquires),
-            get(&self.dead_lettered),
-        );
-        RoundStats {
-            m: 0,
-            launched: committed + aborted + faulted,
-            committed,
-            aborted,
-            faulted,
-            spawned,
-            lock_acquires,
-            dead_lettered,
+    /// Retire a batch of `tally.launched` tasks: its permits come back,
+    /// its tally joins the open window and its tasks the completions,
+    /// and a batch that crosses a multiple of `window_len` completions
+    /// flushes the window. Returns the completions so far.
+    fn retire<O: Operator>(
+        &mut self,
+        ex: &Executor<'_, O>,
+        tally: &RoundStats,
+        window_len: usize,
+    ) -> usize {
+        let before = self.completions;
+        self.inflight -= tally.launched;
+        self.completions += tally.launched;
+        self.window.add(tally);
+        if before / window_len != self.completions / window_len {
+            self.flush(ex);
         }
+        self.completions
+    }
+
+    /// Close the open window: take the control step a round takes on
+    /// it and keep it. A window that launched nothing is dropped.
+    fn flush<O: Operator>(&mut self, ex: &Executor<'_, O>) {
+        let rs = RoundStats {
+            m: self.state.budget,
+            ..std::mem::take(&mut self.window)
+        };
+        if rs.launched == 0 {
+            return;
+        }
+        if let Some(rec) = ex.recorder() {
+            rec.drain_workers();
+        }
+        let next = ex.control_step(self.ctl, &mut self.state, &rs);
+        if let Some(rec) = ex.recorder() {
+            rec.window_advance(self.completions as u64, self.inflight as u64, next as u64);
+        }
+        self.rounds.push(rs);
     }
 }
 
@@ -363,7 +376,7 @@ impl<O: Operator> Executor<'_, O> {
     /// `cfg.max_completions` tasks have finished).
     ///
     /// Workers draw, execute, and settle task batches continuously,
-    /// each on its own lock lane; `ctl` adjusts the in-flight
+    /// each as a lane of its own; `ctl` adjusts the in-flight
     /// budget every `cfg.window` completions from the sliding
     /// abort-ratio window. Returns one [`RoundStats`] entry per
     /// flushed window.
@@ -427,59 +440,20 @@ impl<O: Operator> Executor<'_, O> {
         let live = AtomicUsize::new(ws.len());
         let shards = ShardedWorkSet::new(ws, workers, place);
         let done = AtomicBool::new(false);
-        let inflight = AtomicUsize::new(0);
-        let counters = Counters::default();
-        let completions = AtomicUsize::new(0);
         let base_seed: u64 = rng.random();
-
-        // Window flushing is done by whichever worker crosses the
-        // boundary, so the controller sits behind a mutex together
-        // with the window bookkeeping.
-        struct WindowState<'c, C: Controller> {
-            ctl: &'c mut C,
-            state: ControlState,
-            /// The counters as the last flushed window left them.
-            last: RoundStats,
-            rounds: Vec<RoundStats>,
-        }
-        let state = ControlState::new(ctl);
-        let target = AtomicUsize::new(state.budget);
-        let winstate = Mutex::new(WindowState {
+        let books = Mutex::new(Books {
+            state: ControlState::new(ctl),
             ctl,
-            state,
-            last: RoundStats::default(),
+            inflight: 0,
+            completions: 0,
+            window: RoundStats::default(),
             rounds: Vec::new(),
         });
-        let flush = |st: &mut WindowState<'_, C>| {
-            let now = counters.snapshot();
-            let rs = RoundStats {
-                m: st.state.budget,
-                ..now.since(&st.last)
-            };
-            if rs.launched == 0 {
-                return;
-            }
-            st.last = now;
-            if let Some(rec) = self.recorder() {
-                rec.drain_workers();
-            }
-            // The control step a round takes.
-            let next = self.control_step(st.ctl, &mut st.state, &rs);
-            target.store(next, Ordering::Release);
-            if let Some(rec) = self.recorder() {
-                rec.window_advance(
-                    completions.load(Ordering::Acquire) as u64,
-                    inflight.load(Ordering::Acquire) as u64,
-                    next as u64,
-                );
-            }
-            st.rounds.push(rs);
-        };
 
         let worker = |w: usize| {
             let _stop = StopOnUnwind(&done);
             let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
-            let (probe, lane) = (self.probe_for(w), w + 1);
+            let probe = self.probe_for(w);
             let mut scratch = TaskScratch::default();
             let mut outbox = Outbox::new();
             // Nothing to claim or draw: let someone else run.
@@ -489,20 +463,8 @@ impl<O: Operator> Executor<'_, O> {
                 phase::maybe_add(pc, Phase::Wait, t0);
             };
             while !done.load(Ordering::Acquire) {
-                // Claim up to `batch` in-flight permits against the
-                // budget in one RMW (the closure re-reads the target
-                // on every retry, so a shrinking budget is honored).
-                let mut granted = 0usize;
-                let claimed = inflight.fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                    let t = target.load(Ordering::Acquire);
-                    if cur >= t {
-                        None
-                    } else {
-                        granted = cfg.batch.min(t - cur);
-                        Some(cur + granted)
-                    }
-                });
-                if claimed.is_err() {
+                let granted = recover(books.lock()).claim(cfg.batch);
+                if granted == 0 {
                     idle();
                     continue;
                 }
@@ -511,8 +473,8 @@ impl<O: Operator> Executor<'_, O> {
                 phase::maybe_add(pc, Phase::Draw, t0);
                 let drawn = batch.len();
                 if drawn < granted {
-                    // Return the permits the draw could not fill.
-                    inflight.fetch_sub(granted - drawn, Ordering::AcqRel);
+                    // Give back the permits the draw could not fill.
+                    recover(books.lock()).inflight -= granted - drawn;
                 }
                 if drawn == 0 {
                     // Nothing pending: quiescent iff no task is alive
@@ -528,12 +490,15 @@ impl<O: Operator> Executor<'_, O> {
                 // This batch's fault key (a retried task re-rolls
                 // under a fresh one).
                 let key = space.advance_epoch();
-                let mut tally = RoundStats::default();
+                let mut tally = RoundStats {
+                    launched: drawn,
+                    ..RoundStats::default()
+                };
                 let t1 = phase::maybe_start(pc);
                 self.run_batch(
                     &mut scratch,
                     w * cfg.batch,
-                    lane,
+                    Mode::Lane,
                     key,
                     batch,
                     probe,
@@ -541,10 +506,9 @@ impl<O: Operator> Executor<'_, O> {
                     |settled| outbox.sink(settled),
                 );
                 shards.settle(w, &mut outbox, &live);
-                counters.add(&tally);
                 phase::maybe_add(pc, Phase::Execute, t1);
                 // Retire: the batch's tasks released their own locks;
-                // give back its permits and count its completions.
+                // give back its permits and book it.
                 let t2 = phase::maybe_start(pc);
                 if let Some(ring) = probe {
                     ring.record(EventKind::BatchRetire {
@@ -553,14 +517,7 @@ impl<O: Operator> Executor<'_, O> {
                         tasks: drawn as u32,
                     });
                 }
-                inflight.fetch_sub(drawn, Ordering::AcqRel);
-                let fin = completions.fetch_add(drawn, Ordering::AcqRel) + drawn;
-                // The worker whose batch crosses a window boundary
-                // flushes the window to the controller.
-                if (fin - drawn) / cfg.window != fin / cfg.window {
-                    let mut st = recover(winstate.lock());
-                    flush(&mut st);
-                }
+                let fin = recover(books.lock()).retire(self, &tally, cfg.window);
                 phase::maybe_add(pc, Phase::Commit, t2);
                 if fin >= cfg.max_completions {
                     done.store(true, Ordering::Release);
@@ -581,59 +538,52 @@ impl<O: Operator> Executor<'_, O> {
             Some(pool) => pool.rendezvous(&worker),
             None => worker(0),
         }
-        // Every drawn task settled exactly once: the batch sizes drawn
-        // add up to the outcomes the counters booked.
-        debug_assert_eq!(completions.load(Ordering::Acquire), {
-            let total = counters.snapshot();
-            total.committed + total.aborted + total.faulted
-        });
         // Flush the final partial window.
-        let mut st = recover(winstate.into_inner());
-        flush(&mut st);
+        let mut books = recover(books.into_inner());
+        books.flush(self);
         // `flush` only drains on a non-empty window; sweep up whatever
         // the last partial window left in the rings.
         if let Some(rec) = self.recorder() {
             rec.drain_workers();
         }
-        let run = RunStats { rounds: st.rounds };
         debug_assert!(space.check_all_free().is_ok());
         ws.absorb_entries(shards.drain_all());
-        run
+        RunStats {
+            rounds: books.rounds,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::tests::{exec_cfg, PanicOnceOp, RingOp};
+    use crate::exec::tests::{exec_cfg, ring_setup, PanicOnceOp, RingOp};
     use crate::exec::ExecutorConfig;
     use crate::lock::LockSpace;
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
     use optpar_core::control::{FixedController, HybridController};
 
+    /// A run to quiescence in windows of `window` and batches of `batch`.
+    fn drain_cfg(window: usize, batch: usize) -> PipelinedConfig {
+        PipelinedConfig {
+            window,
+            batch,
+            max_completions: usize::MAX,
+        }
+    }
+
     #[test]
     fn pipelined_drains_and_serializes() {
         let n = 256;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(4));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut ctl = FixedController::new(8);
         let mut rng = StdRng::seed_from_u64(1);
-        let run = ex.run_pipelined(
-            &mut ws,
-            &mut ctl,
-            PipelinedConfig {
-                window: 32,
-                batch: 4,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-        );
+        let run = ex.run_pipelined(&mut ws, &mut ctl, drain_cfg(32, 4), &mut rng);
         assert!(ws.is_empty());
         assert_eq!(run.total_committed(), n);
         assert!(space.check_all_free().is_ok(), "lock leak detected");
@@ -644,9 +594,7 @@ mod tests {
     #[test]
     fn pipelined_with_adaptive_controller() {
         let n = 512;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(3));
@@ -672,9 +620,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflow the 32-bit slot field")]
     fn pipelined_rejects_slot_range_past_owner_field() {
-        let mut b = LockSpace::builder();
-        let r = b.region(1);
-        let space = b.build();
+        let (space, r) = ring_setup(1);
         let store = SpecStore::filled(r, 1, 0i64);
         let op = RingOp {
             store: &store,
@@ -694,9 +640,7 @@ mod tests {
     #[test]
     fn pipelined_single_worker_is_conflict_free_at_budget_one() {
         let n = 64;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(1));
@@ -722,9 +666,7 @@ mod tests {
     #[test]
     fn budget_one_admits_one_task_at_a_time() {
         let n = 64;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(4));
@@ -763,9 +705,7 @@ mod tests {
     #[test]
     fn spawned_tasks_enter_the_shards_and_commit() {
         let n = 10;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = SpawnChain { store: &store };
         let ex = Executor::new(&op, &space, exec_cfg(4));
@@ -787,15 +727,39 @@ mod tests {
         assert!(store.snapshot().iter().all(|&v| v == 1));
     }
 
+    /// Conflict-free tasks of one shape: each locks `L` words of its
+    /// own (task ids are minted fresh, so no two tasks share a word)
+    /// and spawns `S` fresh tasks.
+    struct Uniform {
+        next: AtomicUsize,
+    }
+
+    impl Uniform {
+        const L: usize = 3;
+        const S: usize = 2;
+    }
+
+    impl Operator for Uniform {
+        type Task = usize;
+        fn execute(&self, &k: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            for l in k * Self::L..(k + 1) * Self::L {
+                cx.lock_raw(l)?;
+            }
+            let first = self.next.fetch_add(Self::S, Ordering::AcqRel);
+            Ok((first..first + Self::S).collect())
+        }
+    }
+
     /// Window stats carry the same `spawned` / `lock_acquires` totals
     /// round mode reports: a conflict-free chain of `n` one-lock tasks
-    /// spawns `n - 1` successors and takes `n` locks.
+    /// spawns `n - 1` successors and takes `n` locks. And each window
+    /// is exact: with four lanes retiring batches of 3 into windows of
+    /// 7, every window holds whole batches — a task's locks, spawns and
+    /// outcome land in the window that launched it.
     #[test]
     fn pipelined_windows_report_spawned_and_lock_acquires() {
         let n = 10;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = SpawnChain { store: &store };
         let ex = Executor::new(&op, &space, exec_cfg(1));
@@ -813,6 +777,34 @@ mod tests {
         let total = |f: fn(&RoundStats) -> usize| run.rounds.iter().map(f).sum::<usize>();
         assert_eq!(total(|r| r.spawned), n - 1);
         assert_eq!(total(|r| r.lock_acquires), n);
+
+        // At most 300 + 4 * 3 completions mint 16 + 2 * 312 < 1024 ids.
+        let (seeds, ids) = (16, 1024);
+        let mut b = LockSpace::builder();
+        let _ = b.region(Uniform::L * ids);
+        let space = b.build();
+        let op = Uniform {
+            next: AtomicUsize::new(seeds),
+        };
+        let ex = Executor::new(&op, &space, exec_cfg(4));
+        let mut ws = WorkSet::from_vec((0..seeds).collect());
+        let run = ex.run_pipelined(
+            &mut ws,
+            &mut FixedController::new(12),
+            PipelinedConfig {
+                window: 7,
+                batch: 3,
+                max_completions: 300,
+            },
+            &mut StdRng::seed_from_u64(9),
+        );
+        assert_eq!(run.total_faulted(), 0);
+        assert!(run.round_count() >= 300 / 7, "{}", run.round_count());
+        for w in &run.rounds {
+            assert_eq!(w.lock_acquires, Uniform::L * w.launched, "{w:?}");
+            assert_eq!(w.spawned, Uniform::S * w.committed, "{w:?}");
+            assert_eq!(w.launched, w.committed + w.aborted + w.faulted, "{w:?}");
+        }
     }
 
     /// Conflict-free operator with one "wedged" task that spins until
@@ -851,9 +843,7 @@ mod tests {
     fn wedged_task_does_not_stall_other_workers() {
         let n = 128;
         let batch = 16;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = WedgedOp {
             store: &store,
@@ -867,16 +857,7 @@ mod tests {
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut ctl = FixedController::new(64);
         let mut rng = StdRng::seed_from_u64(7);
-        let run = ex.run_pipelined(
-            &mut ws,
-            &mut ctl,
-            PipelinedConfig {
-                window: 32,
-                batch,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-        );
+        let run = ex.run_pipelined(&mut ws, &mut ctl, drain_cfg(32, batch), &mut rng);
         assert!(ws.is_empty());
         assert_eq!(run.total_committed(), n);
         assert_eq!(run.total_aborted(), 0, "tasks are disjoint");
@@ -987,11 +968,7 @@ mod tests {
                 let run = ex.run_pipelined(
                     &mut ws,
                     &mut FixedController::new(64),
-                    PipelinedConfig {
-                        window: 32,
-                        batch,
-                        max_completions: usize::MAX,
-                    },
+                    drain_cfg(32, batch),
                     &mut StdRng::seed_from_u64(41),
                 );
                 let at = format!("workers {workers}, batch {batch}");
@@ -1084,11 +1061,7 @@ mod tests {
             op.launches.store(0, Ordering::Release);
             let mut ws = WorkSet::from_vec((0..1500usize).collect());
             let mut rng = StdRng::seed_from_u64(11);
-            let every_batch = PipelinedConfig {
-                window: 1,
-                batch: 1 << 20,
-                max_completions: usize::MAX,
-            };
+            let every_batch = drain_cfg(1, 1 << 20);
             let run = if lanes {
                 ex.run_pipelined(&mut ws, &mut ctl, every_batch, &mut rng)
             } else {
@@ -1127,9 +1100,7 @@ mod tests {
     fn placed_run_drains_and_respects_affinity() {
         let n = 256;
         let workers = 4;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(workers));
@@ -1140,17 +1111,8 @@ mod tests {
         // only possible conflicts are at the w block seams.
         let block = n / workers;
         let place = move |t: &usize| *t / block;
-        let run = ex.run_pipelined_placed(
-            &mut ws,
-            &mut ctl,
-            PipelinedConfig {
-                window: 32,
-                batch: 4,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-            Some(&place),
-        );
+        let run =
+            ex.run_pipelined_placed(&mut ws, &mut ctl, drain_cfg(32, 4), &mut rng, Some(&place));
         assert!(ws.is_empty());
         assert_eq!(run.total_committed(), n);
         assert!(space.check_all_free().is_ok());
@@ -1183,9 +1145,7 @@ mod tests {
     fn pipelined_dead_letter_bounds_poison_launches() {
         let n = 64;
         let k_budget = 3u32;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = PoisonOne {
             store: &store,
@@ -1205,17 +1165,8 @@ mod tests {
         let mut ctl = FixedController::new(8);
         let mut rng = StdRng::seed_from_u64(31);
         let place = move |t: &usize| *t % 2;
-        let run = ex.run_pipelined_placed(
-            &mut ws,
-            &mut ctl,
-            PipelinedConfig {
-                window: 16,
-                batch: 4,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-            Some(&place),
-        );
+        let run =
+            ex.run_pipelined_placed(&mut ws, &mut ctl, drain_cfg(16, 4), &mut rng, Some(&place));
         assert!(ws.is_empty(), "the poison task must not linger");
         assert_eq!(run.total_committed(), n - 1);
         assert_eq!(
@@ -1234,9 +1185,7 @@ mod tests {
     #[test]
     fn phase_clock_accumulates_pipelined_phases() {
         let n = 256;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let clock = crate::phase::PhaseClock::new();
@@ -1245,16 +1194,7 @@ mod tests {
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut ctl = FixedController::new(8);
         let mut rng = StdRng::seed_from_u64(23);
-        let run = ex.run_pipelined(
-            &mut ws,
-            &mut ctl,
-            PipelinedConfig {
-                window: 32,
-                batch: 4,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-        );
+        let run = ex.run_pipelined(&mut ws, &mut ctl, drain_cfg(32, 4), &mut rng);
         assert_eq!(run.total_committed(), n);
         let bd = clock.snapshot();
         assert!(bd.draw_ns > 0, "draw was timed");
@@ -1268,9 +1208,7 @@ mod tests {
     #[test]
     fn pipelined_contains_operator_panics() {
         let n = 64;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
+        let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = PanicOnceOp {
             store: &store,
@@ -1281,16 +1219,7 @@ mod tests {
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut ctl = FixedController::new(8);
         let mut rng = StdRng::seed_from_u64(17);
-        let run = ex.run_pipelined(
-            &mut ws,
-            &mut ctl,
-            PipelinedConfig {
-                window: 16,
-                batch: 4,
-                max_completions: usize::MAX,
-            },
-            &mut rng,
-        );
+        let run = ex.run_pipelined(&mut ws, &mut ctl, drain_cfg(16, 4), &mut rng);
         assert!(ws.is_empty());
         assert_eq!(
             run.total_committed(),
@@ -1314,8 +1243,7 @@ mod tests {
 #[cfg(test)]
 mod stress_tests {
     use super::*;
-    use crate::exec::tests::exec_cfg;
-    use crate::lock::LockSpace;
+    use crate::exec::tests::{exec_cfg, ring_setup};
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
     use optpar_core::control::FixedController;
@@ -1334,9 +1262,7 @@ mod stress_tests {
 
     #[test]
     fn hotspot_contention_no_leaks() {
-        let mut b = LockSpace::builder();
-        let r = b.region(1);
-        let space = b.build();
+        let (space, r) = ring_setup(1);
         let store = SpecStore::filled(r, 1, 0i64);
         let op = HotSpot { store: &store };
         let ex = Executor::new(&op, &space, exec_cfg(4));

@@ -54,19 +54,27 @@ impl RoundStats {
         }
     }
 
-    /// The counts accrued since `earlier`, an older snapshot of the
-    /// same running totals (`m` is not a count: left 0).
-    pub(crate) fn since(&self, earlier: &RoundStats) -> RoundStats {
-        RoundStats {
-            m: 0,
-            launched: self.launched - earlier.launched,
-            committed: self.committed - earlier.committed,
-            aborted: self.aborted - earlier.aborted,
-            faulted: self.faulted - earlier.faulted,
-            spawned: self.spawned - earlier.spawned,
-            lock_acquires: self.lock_acquires - earlier.lock_acquires,
-            dead_lettered: self.dead_lettered - earlier.dead_lettered,
-        }
+    /// Add `more`'s counts to these (`m` is not a count: kept). The
+    /// destructuring names every field, so a new count cannot be left
+    /// out.
+    pub(crate) fn add(&mut self, more: &RoundStats) {
+        let RoundStats {
+            m: _,
+            launched,
+            committed,
+            aborted,
+            faulted,
+            spawned,
+            lock_acquires,
+            dead_lettered,
+        } = *more;
+        self.launched += launched;
+        self.committed += committed;
+        self.aborted += aborted;
+        self.faulted += faulted;
+        self.spawned += spawned;
+        self.lock_acquires += lock_acquires;
+        self.dead_lettered += dead_lettered;
     }
 }
 

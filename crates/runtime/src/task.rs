@@ -29,12 +29,12 @@
 //! returned, or a panic raised, after the seal is not rolled back —
 //! the executor re-raises it and the run fails.
 //!
-//! A context runs in one of three modes. A *round* context (a model
-//! round, lane 0) and a *lane* context (a pipelined worker, lane
-//! `w + 1`) write their mark into a lock word per acquire and check it
-//! before every sealed write; a lane task releases its words when it
-//! finishes, commit or abort, while a round's committed task keeps
-//! them until the round barrier ([`crate::lock`]). A *solo* context —
+//! A context runs in one of three modes (`Mode`). A *round* context
+//! (a model round) and a *lane* context (a pipelined worker) write
+//! their mark into a lock word per acquire and check it before every
+//! sealed write; a lane task releases its words when it finishes,
+//! commit or abort, while a round's committed task keeps them until
+//! the round barrier ([`crate::lock`]). A *solo* context —
 //! the solo runner's, at one worker — marks nothing: [`TaskCtx::lock`]
 //! is a fault tick and an acquire count, a sealed write goes straight
 //! to the slot, and a rollback has nothing to release. That rests on
@@ -149,19 +149,24 @@ impl TaskScratch {
     }
 }
 
-/// The solo runner's pseudo-lane: a context built in it
-/// ([`TaskCtx::new_in_lane`]) touches no lock word.
-pub(crate) const SOLO_LANE: usize = usize::MAX;
+/// How a context treats lock words (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// A model round's task: it marks its words, and a commit keeps
+    /// them until the round barrier.
+    Round,
+    /// A pipelined worker's task: it marks its words and releases them
+    /// when it finishes, commit or abort.
+    Lane,
+    /// A solo runner's task: no lock word is read or written.
+    Solo,
+}
 
 /// Per-task speculation context (one per launched task per round).
 pub struct TaskCtx<'rt> {
     slot: usize,
     space: &'rt LockSpace,
-    /// Built in lane 0, a model round: a commit keeps its words until
-    /// the round barrier.
-    round: bool,
-    /// Built in [`SOLO_LANE`]: no lock word is read or written.
-    solo: bool,
+    mode: Mode,
     /// The calling loop's lockset buffer; empty between tasks.
     scratch: &'rt mut TaskScratch,
     /// Successful lock calls, in every mode: each `lock`, `read`,
@@ -194,31 +199,28 @@ impl std::fmt::Debug for TaskCtx<'_> {
 }
 
 impl<'rt> TaskCtx<'rt> {
-    /// A lane-0 (round-mode) context, for unit tests; the executor
-    /// builds every context through [`TaskCtx::new_in_lane`].
+    /// A round-mode context, for unit tests; the executor builds every
+    /// context through [`TaskCtx::with_mode`].
     #[cfg(test)]
     pub(crate) fn new(slot: usize, space: &'rt LockSpace, scratch: &'rt mut TaskScratch) -> Self {
-        Self::new_in_lane(slot, space, 0, scratch)
+        Self::with_mode(slot, space, Mode::Round, scratch)
     }
 
-    /// A context for a task running in lock lane `lane` (0 = a model
-    /// round, `w + 1` = pipelined worker `w`): lock words carry the
-    /// task's mark, `slot + 1`. The task records its lockset in
-    /// `scratch`, which the previous context left empty. In
-    /// [`SOLO_LANE`] the context is solo: it marks and records
-    /// nothing (module docs).
-    pub(crate) fn new_in_lane(
+    /// A context for a task in `mode`: in a round or a lane, lock words
+    /// carry the task's mark, `slot + 1`, and the task records its
+    /// lockset in `scratch`, which the previous context left empty; a
+    /// solo context marks and records nothing (module docs).
+    pub(crate) fn with_mode(
         slot: usize,
         space: &'rt LockSpace,
-        lane: usize,
+        mode: Mode,
         scratch: &'rt mut TaskScratch,
     ) -> Self {
         debug_assert!(scratch.lockset.is_empty());
         TaskCtx {
             slot,
             space,
-            round: lane == 0,
-            solo: lane == SOLO_LANE,
+            mode,
             scratch,
             acquires: 0,
             inject: None,
@@ -229,7 +231,7 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     /// Attach this worker's event ring. Kept separate from
-    /// [`TaskCtx::new_in_lane`] so the many direct test constructions
+    /// [`TaskCtx::with_mode`] so the many direct test constructions
     /// need no probe plumbing.
     pub(crate) fn attach_probe(&mut self, probe: Option<&'rt EventRing>) {
         self.probe = probe;
@@ -290,7 +292,7 @@ impl<'rt> TaskCtx<'rt> {
         // Every lock/read/write/alloc funnels through here, so this is
         // where an armed injected fault ticks toward firing.
         self.tick_fault()?;
-        if self.solo {
+        if self.mode == Mode::Solo {
             if cfg!(debug_assertions) && !self.scratch.lockset.contains(&l) {
                 self.scratch.lockset.push(l);
             }
@@ -381,9 +383,10 @@ impl<'rt> TaskCtx<'rt> {
     /// context: in a debug build only).
     #[inline]
     fn in_place<T: Send>(&mut self, store: &SpecStore<T>, i: usize) -> &mut T {
-        if !self.solo || cfg!(debug_assertions) {
+        let solo = self.mode == Mode::Solo;
+        if !solo || cfg!(debug_assertions) {
             let l = store.lock_of(i);
-            let held = if self.solo {
+            let held = if solo {
                 self.scratch.lockset.contains(&l)
             } else {
                 lock::holds(self.space, self.slot, l)
@@ -479,10 +482,10 @@ impl<'rt> TaskCtx<'rt> {
     /// of its operator holds every lock it acquired.
     pub(crate) fn finish_commit(self) {
         let scratch = &mut *self.scratch;
-        if self.round {
-            scratch.retained.extend_from_slice(&scratch.lockset);
-        } else if !self.solo {
-            lock::release_all(self.space, &scratch.lockset);
+        match self.mode {
+            Mode::Round => scratch.retained.extend_from_slice(&scratch.lockset),
+            Mode::Lane => lock::release_all(self.space, &scratch.lockset),
+            Mode::Solo => {}
         }
     }
 
@@ -490,7 +493,7 @@ impl<'rt> TaskCtx<'rt> {
     /// marked nothing). The task never sealed, so it wrote nothing.
     pub(crate) fn finish_abort(self) {
         debug_assert!(!self.sealed, "a sealed task cannot roll back");
-        if !self.solo {
+        if self.mode != Mode::Solo {
             lock::release_all(self.space, &self.scratch.lockset);
         }
     }
@@ -530,12 +533,13 @@ impl Sealed<'_, '_> {
         let i = store.alloc();
         let cx = &mut *self.cx;
         let l = store.lock_of(i);
-        if !cx.solo && lock::acquire(cx.space, cx.slot, l).is_err() {
+        let solo = cx.mode == Mode::Solo;
+        if !solo && lock::acquire(cx.space, cx.slot, l).is_err() {
             not_held(cx.slot, l);
         }
         // Released with the rest of the lockset when the task (or, in
         // a model round, its round) finishes.
-        if !cx.solo || cfg!(debug_assertions) {
+        if !solo || cfg!(debug_assertions) {
             cx.scratch.lockset.push(l);
         }
         cx.acquires += 1;
@@ -621,13 +625,13 @@ mod tests {
         let (space, r) = setup(2);
         let store = SpecStore::from_vec(r, vec![10u32, 20], 0);
         let mut scratch = TaskScratch::default();
-        let mut cx0 = TaskCtx::new_in_lane(0, &space, 1, &mut scratch);
+        let mut cx0 = TaskCtx::with_mode(0, &space, Mode::Lane, &mut scratch);
         *cx0.write(&store, 0).unwrap() = 11;
         cx0.finish_commit();
         assert!(space.check_all_free().is_ok(), "the commit released");
         assert_eq!(space.epoch(), 0, "with no bump");
         // The next task of the lane takes the word and rolls back.
-        let mut cx1 = TaskCtx::new_in_lane(1, &space, 1, &mut scratch);
+        let mut cx1 = TaskCtx::with_mode(1, &space, Mode::Lane, &mut scratch);
         assert_eq!(*cx1.read(&store, 0).unwrap(), 11);
         cx1.lock(&store, 1).unwrap();
         assert_eq!(cx1.acquires, 2);
@@ -635,7 +639,7 @@ mod tests {
         cx1.finish_abort();
         assert!(space.check_all_free().is_ok());
         // Another lane finds the committed value behind a free word.
-        let mut cx2 = TaskCtx::new_in_lane(8, &space, 2, &mut scratch);
+        let mut cx2 = TaskCtx::with_mode(8, &space, Mode::Lane, &mut scratch);
         assert_eq!(*cx2.read(&store, 0).unwrap(), 11);
         cx2.finish_commit();
         assert!(space.check_all_free().is_ok());
@@ -857,7 +861,7 @@ mod tests {
         let mut other = TaskCtx::new(3, &space, &mut held);
         other.lock(&store, 0).unwrap();
         let mut scratch = TaskScratch::default();
-        let mut cx = TaskCtx::new_in_lane(0, &space, SOLO_LANE, &mut scratch);
+        let mut cx = TaskCtx::with_mode(0, &space, Mode::Solo, &mut scratch);
         cx.lock(&store, 0).unwrap();
         assert_eq!(*cx.read(&store, 0).unwrap(), 5);
         let mut sealed = cx.seal().unwrap();
@@ -875,7 +879,7 @@ mod tests {
         );
         assert_eq!(space.owner_of(r.lock_of(fresh)), None);
         cx.finish_commit();
-        let mut cx = TaskCtx::new_in_lane(1, &space, SOLO_LANE, &mut scratch);
+        let mut cx = TaskCtx::with_mode(1, &space, Mode::Solo, &mut scratch);
         cx.lock(&store, 1).unwrap();
         cx.finish_abort();
         other.finish_abort();
@@ -894,7 +898,7 @@ mod tests {
         let (space, r) = setup(4);
         let store = SpecStore::filled(r, 2, 0u32);
         let mut scratch = TaskScratch::default();
-        let mut cx = TaskCtx::new_in_lane(0, &space, SOLO_LANE, &mut scratch);
+        let mut cx = TaskCtx::with_mode(0, &space, Mode::Solo, &mut scratch);
         cx.lock(&store, 0).unwrap();
         let mut sealed = cx.seal().unwrap();
         *sealed.write(&store, 0) = 1;
@@ -920,7 +924,7 @@ mod tests {
         let (space, r) = setup(1);
         let store = SpecStore::filled(r, 1, 0u8);
         let mut scratch = TaskScratch::default();
-        let mut solo = TaskCtx::new_in_lane(0, &space, SOLO_LANE, &mut scratch);
+        let mut solo = TaskCtx::with_mode(0, &space, Mode::Solo, &mut scratch);
         solo.lock(&store, 0).unwrap();
         solo.lock(&store, 0).unwrap();
         assert_eq!(solo.acquires, 2);
