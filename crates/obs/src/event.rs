@@ -1,8 +1,8 @@
-//! The typed event vocabulary shared by the rings, the recorder, the
-//! exporters, and the validator.
+//! The typed event vocabulary shared by the worker buffers, the
+//! recorder, the exporters, and the validator.
 //!
-//! Events are fixed-size `Copy` values so the ring buffer can store
-//! them inline without allocation. Floating-point payloads travel as
+//! Events are fixed-size `Copy` values, stored inline in a worker's
+//! buffer. Floating-point payloads travel as
 //! IEEE-754 bit patterns (`f64::to_bits`) so the event stream stays
 //! byte-comparable and `NaN` round-trips exactly.
 
@@ -193,9 +193,8 @@ impl EventKind {
 /// An event stamped with its track-local logical tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
-    /// Track-local logical timestamp: strictly monotone per ring,
-    /// bumped even for events the ring had to drop, so gaps are
-    /// visible.
+    /// Track-local logical timestamp, stamped by the recorder:
+    /// strictly monotone and gap-free per track.
     pub tick: u64,
     /// What happened.
     pub kind: EventKind,
@@ -212,9 +211,3 @@ pub struct TracedEvent {
     /// The stamped event.
     pub event: Event,
 }
-
-/// Inert fill value for ring slots that have never been written.
-pub(crate) const PLACEHOLDER: Event = Event {
-    tick: 0,
-    kind: EventKind::EpochBump { old: 0, new: 0 },
-};

@@ -358,7 +358,6 @@ mod tests {
                     },
                 ),
             ],
-            dropped: 0,
         }
     }
 

@@ -1,14 +1,14 @@
 //! Round-structured observability for the speculative runtime.
 //!
 //! The design follows the shape of the executor itself (DESIGN.md §13):
-//! each worker owns a single-producer single-consumer ring buffer
-//! ([`EventRing`]) into which the hot path records fixed-size typed
-//! [`Event`]s with plain atomic loads/stores — no locks, no
-//! allocation, no syscalls. At the round barrier, where the executor
-//! already serializes to merge results and bump the epoch, the
-//! [`Recorder`] drains every ring into one ordered [`EventLog`] and
-//! stamps the controller-track events (round begin/end, `m(t)`,
-//! `r̄(t)`, epoch bumps).
+//! each recording loop — a step, a lane — owns an event buffer
+//! ([`EventRing`]) into which the hot path records typed
+//! [`EventKind`]s: a push onto a growable buffer, no lock, no atomic,
+//! no syscall. The owner hands the buffer to the [`Recorder`] only
+//! where the executor already serializes — the step barrier, and a
+//! lane's batch retire under the books lock — and the recorder
+//! appends it to one ordered [`EventLog`] next to the controller-track
+//! events (round begin/end, `m(t)`, `r̄(t)`, epoch bumps).
 //!
 //! Everything downstream is offline: [`export::chrome_trace`] emits
 //! a Perfetto-loadable trace with one track per worker plus a
@@ -19,13 +19,13 @@
 //! `RoundStats` — a second, independent witness of what each round
 //! actually did.
 //!
-//! Timestamps are *logical ticks*: each ring carries its own monotone
-//! counter, and the controller track has one of its own. Ticks keep
+//! Timestamps are *logical ticks*: the recorder keeps one monotone
+//! counter per track and stamps events as it appends them. Ticks keep
 //! the event stream byte-deterministic at `workers == 1`; the crate
 //! reads no clock.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod event;
 mod recorder;

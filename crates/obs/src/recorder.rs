@@ -1,53 +1,47 @@
-//! The [`Recorder`]: per-worker rings plus the controller track and
-//! the drained, ordered [`EventLog`].
+//! The [`Recorder`]: the controller track and the ordered
+//! [`EventLog`] that worker buffers are appended to.
 //!
-//! The recorder owns one [`EventRing`] per worker and a mutex-guarded
-//! aggregate log. Workers only ever touch their own ring
-//! ([`Recorder::ring`]) — the hot path never sees the mutex. All
-//! mutex-taking methods run at points that are already serialized in
-//! the runtime: the round barrier (round mode) or the window flusher
-//! (pipelined mode). Like every lock the runtime can
-//! reach, the log mutex recovers from poisoning — the log is a plain
-//! append buffer, valid at every intermediate state.
+//! The recorder owns no worker buffer. Each recording loop owns its
+//! [`EventRing`] and hands it over with [`Recorder::append`] at a point
+//! the runtime already serializes: the step barrier, just before the
+//! round's `RoundEnd`, and a lane's batch retire, under the books lock
+//! that also orders the window flush's controller events. So each
+//! round's worker events sit inside its own segment, and a lane's
+//! batch lands whole, ahead of any window its retire closes.
 //!
-//! Every drain appends straight to the log. At the round barrier
-//! [`Recorder::round_end`] drains every ring, in worker order, just
-//! before the round's `RoundEnd`, then rewinds it; the window flush
-//! and the final sweep ([`Recorder::drain_workers`]) append the same
-//! way without rewinding. So each round's worker events sit inside
-//! its own segment, and each track stays in tick order.
+//! The recorder stamps every track's ticks as it appends, from one
+//! counter per track, so a track stays in tick order however many
+//! buffers it has had — a lane buffer made fresh for each run, a step
+//! buffer dropped when its step unwound. The log sits behind a mutex
+//! that, like every lock the runtime can reach, recovers from
+//! poisoning: it is a plain append buffer, valid at every intermediate
+//! state.
 //!
 //! The recorder reads no clock: events carry only logical ticks.
 
 use crate::event::{Event, EventKind, RoundTotals, TracedEvent, CTL_TRACK};
 use crate::ring::EventRing;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Per-worker ring capacity in events. Must hold one full round of
-/// one worker's events between drains; it comfortably fits
-/// `m_max = 1024` tasks' worth on a single ring.
-const RING_CAPACITY: usize = 1 << 15;
 
 /// The drained, ordered event stream.
 #[derive(Clone, Debug, Default)]
 pub struct EventLog {
-    /// Events in drain order: within one track, tick order; across
-    /// tracks, interleaved at drain boundaries.
+    /// Events in append order: within one track, tick order; across
+    /// tracks, interleaved at hand-over boundaries.
     pub events: Vec<TracedEvent>,
-    /// Total events dropped by full rings (validator requires 0).
-    pub dropped: u64,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     log: EventLog,
-    ctl_tick: u64,
+    /// Each track's next tick, the controller track's included.
+    ticks: BTreeMap<u32, u64>,
 }
 
-/// Per-worker rings + controller track + aggregate log (module docs).
-#[derive(Debug)]
+/// The controller track plus the aggregate log (module docs).
+#[derive(Debug, Default)]
 pub struct Recorder {
-    rings: Box<[EventRing]>,
     inner: Mutex<Inner>,
 }
 
@@ -61,50 +55,28 @@ fn recover<'a, T>(
 }
 
 impl Recorder {
-    /// A recorder with one ring per worker. With `workers == 0` it
-    /// records the controller track only (the job service's trace).
-    pub fn new(workers: usize) -> Self {
-        Self::with_ring_capacity(workers, RING_CAPACITY)
+    /// An empty recorder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// [`Recorder::new`] with rings of `capacity` events.
-    fn with_ring_capacity(workers: usize, capacity: usize) -> Self {
-        Recorder {
-            rings: (0..workers)
-                .map(|_| EventRing::with_capacity(capacity))
-                .collect(),
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// Worker `w`'s ring, if `w` is in range. The returned reference
-    /// is the worker-side probe: `record` on it is lock-free.
-    pub fn ring(&self, w: usize) -> Option<&EventRing> {
-        self.rings.get(w)
-    }
-
-    /// Number of worker rings.
-    pub fn workers(&self) -> usize {
-        self.rings.len()
+    /// Move every event `ring` holds to the end of the log on worker
+    /// track `track`, stamped with that track's next ticks.
+    pub fn append(&self, track: u32, ring: &EventRing) {
+        let mut inner = recover(self.inner.lock());
+        let Inner { log, ticks } = &mut *inner;
+        let tick = ticks.entry(track).or_default();
+        *tick = ring.stamp_into(track, *tick, &mut log.events);
     }
 
     fn ctl_emit(inner: &mut Inner, kind: EventKind) {
-        let tick = inner.ctl_tick;
-        inner.ctl_tick = inner.ctl_tick.wrapping_add(1);
+        let next = inner.ticks.entry(CTL_TRACK).or_default();
+        let tick = *next;
+        *next += 1;
         inner.log.events.push(TracedEvent {
             track: CTL_TRACK,
             event: Event { tick, kind },
         });
-    }
-
-    /// Append every ring's published events to the log, in worker
-    /// order (no rewind — safe while producers run), and refresh the
-    /// cumulative drop count.
-    fn drain_rings(&self, inner: &mut Inner) {
-        for (w, ring) in self.rings.iter().enumerate() {
-            ring.drain_into(w as u32, &mut inner.log.events);
-        }
-        inner.log.dropped = self.dropped();
     }
 
     /// Round prologue: emit `RoundBegin` on the controller track.
@@ -119,19 +91,10 @@ impl Recorder {
         Self::ctl_emit(&mut inner, EventKind::RetryAged { slot, retries });
     }
 
-    /// Round barrier: drain every worker ring into the log, rewind
-    /// it, then emit `RoundEnd`. Must be called with every worker
-    /// parked at the barrier — the rewind requires it.
+    /// Round barrier: emit `RoundEnd`. The step appends its buffer
+    /// first ([`Recorder::append`]).
     pub fn round_end(&self, epoch: u64, m: u64, totals: RoundTotals) {
         let mut inner = recover(self.inner.lock());
-        self.drain_rings(&mut inner);
-        for ring in self.rings.iter() {
-            // SAFETY: the caller guarantees all producers are parked
-            // (round barrier) and the drain above emptied the ring;
-            // the barrier's own synchronization orders the rewind
-            // between this round's records and the next round's.
-            unsafe { ring.rewind() };
-        }
         Self::ctl_emit(&mut inner, EventKind::RoundEnd { epoch, m, totals });
     }
 
@@ -168,7 +131,7 @@ impl Recorder {
     }
 
     /// The job service admitted a job (controller track; the service
-    /// has no worker rings of its own).
+    /// records no worker track).
     pub fn job_admit(&self, job: u64, priority: u64) {
         let mut inner = recover(self.inner.lock());
         Self::ctl_emit(&mut inner, EventKind::JobAdmit { job, priority });
@@ -193,32 +156,15 @@ impl Recorder {
         Self::ctl_emit(&mut inner, EventKind::JobCancel { job });
     }
 
-    /// Drain every worker ring into the log without emitting any
-    /// controller event — the barrier-free modes' window flush, and
-    /// the final sweep after a run.
-    pub fn drain_workers(&self) {
-        let mut inner = recover(self.inner.lock());
-        self.drain_rings(&mut inner);
-    }
-
-    /// Drain and clone the accumulated log, leaving it in place.
+    /// Clone the accumulated log, leaving it in place.
     pub fn snapshot(&self) -> EventLog {
-        let mut inner = recover(self.inner.lock());
-        self.drain_rings(&mut inner);
-        inner.log.clone()
+        recover(self.inner.lock()).log.clone()
     }
 
-    /// Drain and take the accumulated log, resetting the recorder's
-    /// buffer (ring ticks and drop counts are not reset).
+    /// Take the accumulated log, emptying the recorder's (track ticks
+    /// are not reset).
     pub fn take_log(&self) -> EventLog {
-        let mut inner = recover(self.inner.lock());
-        self.drain_rings(&mut inner);
-        std::mem::take(&mut inner.log)
-    }
-
-    /// Total events dropped by full rings so far.
-    pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(|r| r.dropped()).sum()
+        std::mem::take(&mut recover(self.inner.lock()).log)
     }
 }
 
@@ -226,18 +172,23 @@ impl Recorder {
 mod tests {
     use super::*;
 
+    fn launch(slot: u32, epoch: u64) -> EventKind {
+        EventKind::TaskLaunch { slot, epoch }
+    }
+
     #[test]
     fn round_cycle_orders_ctl_and_worker_events() {
-        let rec = Recorder::with_ring_capacity(2, 64);
+        let rec = Recorder::new();
         rec.round_begin(7, 4);
         for w in 0..2u32 {
-            let ring = rec.ring(w as usize).expect("ring");
-            ring.record(EventKind::TaskLaunch { slot: w, epoch: 7 });
+            let ring = EventRing::default();
+            ring.record(launch(w, 7));
             ring.record(EventKind::TaskCommit {
                 slot: w,
                 acquires: 1,
                 spawned: 0,
             });
+            rec.append(w, &ring);
         }
         rec.round_end(
             7,
@@ -250,7 +201,6 @@ mod tests {
         );
         rec.epoch_bump(7, 8);
         let log = rec.snapshot();
-        assert_eq!(log.dropped, 0);
         let kinds: Vec<&str> = log.events.iter().map(|e| e.event.kind.label()).collect();
         assert_eq!(
             kinds,
@@ -264,7 +214,7 @@ mod tests {
                 "epoch_bump",
             ]
         );
-        // Worker events carry their ring's track id.
+        // Worker events carry the track they were appended on.
         assert_eq!(log.events[1].track, 0);
         assert_eq!(log.events[3].track, 1);
         assert_eq!(log.events[0].track, CTL_TRACK);
@@ -272,22 +222,20 @@ mod tests {
 
     #[test]
     fn take_log_returns_each_round_in_its_segment_and_resets() {
-        // Two rounds on one ring: each round's worker events land
+        // Two rounds from one buffer: each round's worker events land
         // between its own RoundBegin and RoundEnd, ahead of the epoch
-        // bump, and take_log empties the buffer.
-        let rec = Recorder::with_ring_capacity(1, 1 << 10);
+        // bump, and take_log empties the log.
+        let rec = Recorder::new();
+        let ring = EventRing::default();
         for round in 0..2u64 {
             rec.round_begin(round, 1);
-            let ring = rec.ring(0).expect("ring");
-            ring.record(EventKind::TaskLaunch {
-                slot: 0,
-                epoch: round,
-            });
+            ring.record(launch(0, round));
             ring.record(EventKind::TaskCommit {
                 slot: 0,
                 acquires: 0,
                 spawned: 0,
             });
+            rec.append(0, &ring);
             rec.round_end(
                 round,
                 1,
@@ -316,83 +264,53 @@ mod tests {
                 "epoch_bump",
             ]
         );
-        // take_log resets the buffer.
+        // take_log resets the log.
         assert!(rec.snapshot().events.is_empty());
     }
 
     #[test]
-    fn round_end_drains_and_rewinds_every_ring() {
-        // Full-size rings, so each round fills a tiny fraction of
-        // them: the barrier must drain whatever the occupancy.
-        let rec = Recorder::new(2);
-        for round in 0..3u64 {
-            rec.round_begin(round, 2);
-            for w in 0..2u32 {
-                let ring = rec.ring(w as usize).expect("ring");
-                ring.record(EventKind::TaskLaunch {
-                    slot: w,
-                    epoch: round,
-                });
-                ring.record(EventKind::TaskAbort {
-                    slot: w,
-                    acquires: 1,
-                });
-            }
-            rec.round_end(
-                round,
-                2,
-                RoundTotals {
-                    launched: 2,
-                    aborted: 2,
-                    ..RoundTotals::default()
-                },
-            );
-            for w in 0..2 {
-                assert!(
-                    rec.ring(w).expect("ring").is_empty(),
-                    "round {round}: ring {w} left undrained at the barrier"
-                );
-            }
-            let log = rec.snapshot();
-            let begin = log
-                .events
+    fn appends_of_different_buffers_on_one_track_keep_ticks_increasing() {
+        // A lane's buffer is made fresh for each run and a step's is
+        // dropped when the step unwinds: a track's next buffer starts
+        // from nothing, and its ticks must still run on.
+        let rec = Recorder::new();
+        let first = EventRing::default();
+        first.record(launch(0, 0));
+        first.record(launch(1, 0));
+        rec.append(0, &first);
+        let second = EventRing::default();
+        second.record(launch(2, 1));
+        rec.append(0, &second);
+        // An append that brings nothing takes no tick.
+        rec.append(0, &EventRing::default());
+        first.record(launch(3, 2));
+        rec.append(0, &first);
+        // Another track counts from its own zero.
+        second.record(launch(4, 2));
+        rec.append(1, &second);
+        let log = rec.take_log();
+        let on = |track: u32| -> Vec<(u64, EventKind)> {
+            log.events
                 .iter()
-                .rposition(|e| matches!(e.event.kind, EventKind::RoundBegin { .. }))
-                .expect("round_begin");
-            let segment: Vec<(u32, &str)> = log.events[begin..]
-                .iter()
-                .map(|e| (e.track, e.event.kind.label()))
-                .collect();
-            assert_eq!(
-                segment,
-                [
-                    (CTL_TRACK, "round_begin"),
-                    (0, "task_launch"),
-                    (0, "task_abort"),
-                    (1, "task_launch"),
-                    (1, "task_abort"),
-                    (CTL_TRACK, "round_end"),
-                ],
-                "round {round}"
-            );
-            rec.epoch_bump(round, round + 1);
-        }
-        // Ticks run on across the rewinds.
-        let ticks: Vec<u64> = rec
-            .take_log()
-            .events
-            .iter()
-            .filter(|e| e.track == 0)
-            .map(|e| e.event.tick)
-            .collect();
-        assert_eq!(ticks, [0, 1, 2, 3, 4, 5]);
+                .filter(|e| e.track == track)
+                .map(|e| (e.event.tick, e.event.kind))
+                .collect()
+        };
+        assert_eq!(
+            on(0),
+            [
+                (0, launch(0, 0)),
+                (1, launch(1, 0)),
+                (2, launch(2, 1)),
+                (3, launch(3, 2))
+            ]
+        );
+        assert_eq!(on(1), [(0, launch(4, 2))]);
     }
 
     #[test]
     fn a_recorder_without_workers_keeps_the_controller_track() {
-        let rec = Recorder::new(0);
-        assert!(rec.ring(0).is_none());
-        assert_eq!(rec.workers(), 0);
+        let rec = Recorder::new();
         rec.job_admit(3, 2);
         let log = rec.take_log();
         assert_eq!(log.events.len(), 1);
@@ -408,7 +326,7 @@ mod tests {
 
     #[test]
     fn window_advance_lands_on_the_controller_track() {
-        let rec = Recorder::new(1);
+        let rec = Recorder::new();
         rec.window_advance(128, 6, 8);
         let log = rec.snapshot();
         assert_eq!(log.events[0].track, CTL_TRACK);
@@ -424,7 +342,7 @@ mod tests {
 
     #[test]
     fn controller_event_round_trips_float_bits() {
-        let rec = Recorder::new(1);
+        let rec = Recorder::new();
         rec.controller(8, 0.25, Some(0.3));
         rec.controller(8, 0.0, None);
         let log = rec.snapshot();
@@ -446,13 +364,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn out_of_range_ring_is_none() {
-        let rec = Recorder::new(2);
-        assert!(rec.ring(1).is_some());
-        assert!(rec.ring(2).is_none());
-        assert_eq!(rec.workers(), 2);
     }
 }

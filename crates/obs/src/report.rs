@@ -118,7 +118,6 @@ mod tests {
                     },
                 ),
             ],
-            dropped: 0,
         }
     }
 

@@ -461,8 +461,9 @@ pub struct Executor<'a, O: Operator> {
     /// Optional per-phase time accounting (draw / execute / commit /
     /// wait), stamped at round or batch granularity — never per task.
     pub(crate) phases: Option<&'a crate::phase::PhaseClock>,
-    /// Attached observability recorder; `None` records nothing.
-    /// Per-worker event rings, drained at the round barrier.
+    /// Attached observability recorder; `None` records nothing. Each
+    /// step and each lane records into its own scratch's buffer and
+    /// hands it over at its barrier or batch retire.
     recorder: Option<Recorder>,
 }
 
@@ -603,12 +604,12 @@ impl<'a, O: Operator> Executor<'a, O> {
         self.phases = Some(clock);
     }
 
-    /// Attach an observability recorder sized for this executor's
-    /// worker count, like [`Executor::set_fault_plan`] attaches a
-    /// plan. Subsequent rounds record events into per-worker rings and
-    /// drain them at the barrier.
+    /// Attach an observability recorder, like
+    /// [`Executor::set_fault_plan`] attaches a plan. Subsequent steps
+    /// and lanes record events into buffers of their own and append
+    /// them to it at the round barrier and at each batch retire.
     pub fn enable_obs(&mut self) {
-        self.recorder = Some(Recorder::new(self.cfg.workers));
+        self.recorder = Some(Recorder::new());
     }
 
     /// The attached recorder, if any (snapshot/take its [`EventLog`]
@@ -619,9 +620,22 @@ impl<'a, O: Operator> Executor<'a, O> {
         self.recorder.as_ref()
     }
 
-    /// Worker `w`'s event ring, if a recorder is attached.
-    pub(crate) fn probe_for(&self, w: usize) -> Option<&EventRing> {
-        self.recorder.as_ref().and_then(|r| r.ring(w))
+    /// Give `scratch` an event buffer if a recorder is attached and it
+    /// has none yet: a fresh scratch has none, and the step's keeps its
+    /// buffer from one step to the next.
+    pub(crate) fn trace_into(&self, scratch: &mut TaskScratch) {
+        if self.recorder.is_some() {
+            scratch.trace.get_or_insert_with(EventRing::default);
+        }
+    }
+
+    /// Append `scratch`'s events to the recorder on worker track
+    /// `track`. The caller serializes this with the controller-track
+    /// events that must follow them (module docs of `optpar_obs`).
+    pub(crate) fn hand_over(&self, track: usize, scratch: &TaskScratch) {
+        if let (Some(rec), Some(ring)) = (&self.recorder, &scratch.trace) {
+            rec.append(track as u32, ring);
+        }
     }
 
     /// Round prologue on the controller track: `RoundBegin` plus one
@@ -639,6 +653,8 @@ impl<'a, O: Operator> Executor<'a, O> {
     }
 
     /// Round epilogue on the controller track: the round's totals.
+    /// The step appends its buffer first, so the round's task events
+    /// sit inside its segment.
     fn obs_round_end(&self, stats: &RoundStats) {
         if let Some(rec) = self.recorder.as_ref() {
             let totals = RoundTotals {
@@ -717,15 +733,15 @@ impl<'a, O: Operator> Executor<'a, O> {
 
         // Outcomes go straight back into `ws`, in slot order.
         let t_exec = phase::maybe_start(self.phases);
-        let (epoch, probe) = (self.space.epoch(), self.probe_for(0));
+        let epoch = self.space.epoch();
         let mut scratch = std::mem::take(&mut *crate::faults::recover(self.step_scratch.lock()));
+        self.trace_into(&mut scratch);
         self.run_batch(
             &mut scratch,
             0,
             mode,
             epoch,
             batch,
-            probe,
             &mut stats,
             |s| match s {
                 Settled::Committed(spawned) => ws.extend(spawned),
@@ -753,13 +769,12 @@ impl<'a, O: Operator> Executor<'a, O> {
         mode: Mode,
         key: u64,
         entries: Vec<Entry<O::Task>>,
-        probe: Option<&EventRing>,
         tally: &mut RoundStats,
         mut sink: impl FnMut(Settled<O::Task>),
     ) {
         for (i, entry) in entries.into_iter().enumerate() {
             let slot = first_slot + i;
-            sink(self.speculate(scratch, slot, mode, key, entry, probe, tally));
+            sink(self.speculate(scratch, slot, mode, key, entry, tally));
         }
     }
 
@@ -768,9 +783,10 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// tasks kept, and bump the epoch.
     fn round_barrier(&self, scratch: &mut TaskScratch, stats: &RoundStats) {
         let t_commit = phase::maybe_start(self.phases);
-        // Round barrier from the trace's point of view: drain every
-        // worker ring, stamp the round totals, then record the epoch
+        // Round barrier from the trace's point of view: append the
+        // step's events, stamp the round totals, then record the epoch
         // bump the barrier performs.
+        self.hand_over(0, scratch);
         self.obs_round_end(stats);
         scratch.release_retained(self.space);
         let closed = self.space.advance_epoch();
@@ -778,8 +794,8 @@ impl<'a, O: Operator> Executor<'a, O> {
             rec.epoch_bump(closed, closed + 1);
         }
         debug_assert!(self.space.check_all_free().is_ok());
-        // Commit covers the barrier's bookkeeping (ring drain, release,
-        // epoch bump).
+        // Commit covers the barrier's bookkeeping (trace hand-over,
+        // release, epoch bump).
         phase::maybe_add(self.phases, Phase::Commit, t_commit);
     }
 
@@ -937,7 +953,6 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// goes next: a commit's spawns enter the work-set, an abort or
     /// an under-budget fault re-queues one step closer to the aging
     /// threshold.
-    #[allow(clippy::too_many_arguments)]
     fn speculate(
         &self,
         scratch: &mut TaskScratch,
@@ -945,17 +960,13 @@ impl<'a, O: Operator> Executor<'a, O> {
         mode: Mode,
         fault_key: u64,
         entry: Entry<O::Task>,
-        probe: Option<&EventRing>,
         stats: &mut RoundStats,
     ) -> Settled<O::Task> {
-        if let Some(ring) = probe {
-            ring.record(EventKind::TaskLaunch {
-                slot: slot as u32,
-                epoch: fault_key,
-            });
-        }
+        scratch.record(EventKind::TaskLaunch {
+            slot: slot as u32,
+            epoch: fault_key,
+        });
         let mut cx = TaskCtx::with_mode(slot, self.space, mode, scratch);
-        cx.attach_probe(probe);
         if let Some(plan) = self.fault_plan {
             cx.arm_fault(plan, fault_key);
         }
@@ -979,14 +990,12 @@ impl<'a, O: Operator> Executor<'a, O> {
             Ok(Ok(spawned)) => {
                 // A lane task releases its lockset here; a model
                 // round's keeps it until the barrier.
+                cx.record(EventKind::TaskCommit {
+                    slot: slot as u32,
+                    acquires: acquires as u32,
+                    spawned: spawned.len() as u32,
+                });
                 cx.finish_commit();
-                if let Some(ring) = probe {
-                    ring.record(EventKind::TaskCommit {
-                        slot: slot as u32,
-                        acquires: acquires as u32,
-                        spawned: spawned.len() as u32,
-                    });
-                }
                 stats.committed += 1;
                 stats.spawned += spawned.len();
                 return Settled::Committed(spawned);
@@ -994,13 +1003,11 @@ impl<'a, O: Operator> Executor<'a, O> {
             Ok(Err(abort)) if cx.sealed => abort_past_seal(slot, abort),
             Ok(Err(Abort::Fault)) => (FaultCause::Injected, "injected abort".to_string()),
             Ok(Err(_)) => {
+                cx.record(EventKind::TaskAbort {
+                    slot: slot as u32,
+                    acquires: acquires as u32,
+                });
                 cx.finish_abort();
-                if let Some(ring) = probe {
-                    ring.record(EventKind::TaskAbort {
-                        slot: slot as u32,
-                        acquires: acquires as u32,
-                    });
-                }
                 stats.aborted += 1;
                 return Settled::Requeue(entry.retried());
             }
@@ -1014,14 +1021,12 @@ impl<'a, O: Operator> Executor<'a, O> {
         // — unless it faulted at `retries ≥ K`, when it is retired to
         // the dead-letter list instead, so an always-faulting task
         // launches at most `K + 1` times in every mode.
+        cx.record(EventKind::TaskFault {
+            slot: slot as u32,
+            acquires: acquires as u32,
+            cause: cause.code(),
+        });
         cx.finish_abort();
-        if let Some(ring) = probe {
-            ring.record(EventKind::TaskFault {
-                slot: slot as u32,
-                acquires: acquires as u32,
-                cause: cause.code(),
-            });
-        }
         stats.faulted += 1;
         let settled = if entry.retries >= self.cfg.dead_letter_budget {
             stats.dead_lettered += 1;

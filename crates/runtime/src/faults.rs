@@ -140,11 +140,10 @@ const FAULT_LOG_CAP: usize = 4096;
 /// Accumulated faults of an executor. Entries can be drained for
 /// inspection ([`FaultLog::drain`]); the total count is monotone.
 ///
-/// The undrained buffer is bounded (like the obs layer's `EventRing`):
-/// once 4,096 entries sit undrained, further pushes drop the
-/// *incoming* fault and bump [`FaultLog::dropped`] instead of growing —
-/// [`FaultLog::total`] still counts every push, so the loss is
-/// visible, never silent.
+/// The undrained buffer is bounded: once 4,096 entries sit undrained,
+/// further pushes drop the *incoming* fault and bump
+/// [`FaultLog::dropped`] instead of growing — [`FaultLog::total`]
+/// still counts every push, so the loss is visible, never silent.
 #[derive(Debug, Default)]
 pub struct FaultLog {
     entries: Vec<TaskFault>,

@@ -39,7 +39,9 @@
 //!   `window` completions the crossing worker, still under the lock,
 //!   takes the control step a round takes (`Executor::control_step`:
 //!   observe `r̄`, zero-commit watchdog, next budget) on that window.
-//!   A batch's counts therefore land whole in one window.
+//!   A batch's counts therefore land whole in one window, and so do
+//!   its trace events: with a recorder attached, the lane appends its
+//!   own event buffer under the same lock, just before the retire.
 //!
 //! Termination reads one counter, `live`: tasks pending in a shard,
 //! drawn and not yet settled, or spawned by a batch that has not
@@ -179,9 +181,6 @@ impl<C: Controller> Books<'_, C> {
         };
         if rs.launched == 0 {
             return;
-        }
-        if let Some(rec) = ex.recorder() {
-            rec.drain_workers();
         }
         let next = ex.control_step(self.ctl, &mut self.state, &rs);
         if let Some(rec) = ex.recorder() {
@@ -453,8 +452,8 @@ impl<O: Operator> Executor<'_, O> {
         let worker = |w: usize| {
             let _stop = StopOnUnwind(&done);
             let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
-            let probe = self.probe_for(w);
             let mut scratch = TaskScratch::default();
+            self.trace_into(&mut scratch);
             let mut outbox = Outbox::new();
             // Nothing to claim or draw: let someone else run.
             let idle = || {
@@ -501,23 +500,26 @@ impl<O: Operator> Executor<'_, O> {
                     Mode::Lane,
                     key,
                     batch,
-                    probe,
                     &mut tally,
                     |settled| outbox.sink(settled),
                 );
                 shards.settle(w, &mut outbox, &live);
                 phase::maybe_add(pc, Phase::Execute, t1);
                 // Retire: the batch's tasks released their own locks;
-                // give back its permits and book it.
+                // give back its permits and book it. The batch's events
+                // go to the recorder under the books lock, ahead of any
+                // window the retire closes.
                 let t2 = phase::maybe_start(pc);
-                if let Some(ring) = probe {
-                    ring.record(EventKind::BatchRetire {
-                        worker: w as u32,
-                        tag: key,
-                        tasks: drawn as u32,
-                    });
-                }
-                let fin = recover(books.lock()).retire(self, &tally, cfg.window);
+                scratch.record(EventKind::BatchRetire {
+                    worker: w as u32,
+                    tag: key,
+                    tasks: drawn as u32,
+                });
+                let fin = {
+                    let mut books = recover(books.lock());
+                    self.hand_over(w, &scratch);
+                    books.retire(self, &tally, cfg.window)
+                };
                 phase::maybe_add(pc, Phase::Commit, t2);
                 if fin >= cfg.max_completions {
                     done.store(true, Ordering::Release);
@@ -541,11 +543,6 @@ impl<O: Operator> Executor<'_, O> {
         // Flush the final partial window.
         let mut books = recover(books.into_inner());
         books.flush(self);
-        // `flush` only drains on a non-empty window; sweep up whatever
-        // the last partial window left in the rings.
-        if let Some(rec) = self.recorder() {
-            rec.drain_workers();
-        }
         debug_assert!(space.check_all_free().is_ok());
         ws.absorb_entries(shards.drain_all());
         RunStats {
@@ -805,6 +802,60 @@ mod tests {
             assert_eq!(w.spawned, Uniform::S * w.committed, "{w:?}");
             assert_eq!(w.launched, w.committed + w.aborted + w.faulted, "{w:?}");
         }
+    }
+
+    /// A lane hands its batch's events to the recorder under the books
+    /// lock, just before the retire that may close a window: so at
+    /// every `WindowAdvance` the log holds exactly the task outcomes of
+    /// the batches retired so far — none of a batch still running on
+    /// another lane — and each track's batch lands whole, its launches
+    /// and outcomes ahead of its `BatchRetire`.
+    #[test]
+    fn every_window_advance_follows_exactly_the_batches_it_counts() {
+        let (seeds, ids) = (16, 1024);
+        let mut b = LockSpace::builder();
+        let _ = b.region(Uniform::L * ids);
+        let space = b.build();
+        let op = Uniform {
+            next: AtomicUsize::new(seeds),
+        };
+        let mut ex = Executor::new(&op, &space, exec_cfg(4));
+        ex.enable_obs();
+        let mut ws = WorkSet::from_vec((0..seeds).collect());
+        let run = ex.run_pipelined(
+            &mut ws,
+            &mut FixedController::new(12),
+            PipelinedConfig {
+                window: 7,
+                batch: 3,
+                max_completions: 300,
+            },
+            &mut StdRng::seed_from_u64(9),
+        );
+        let log = ex.recorder().map(|r| r.take_log()).unwrap_or_default();
+        let (mut outcomes, mut windows) = (0u64, 0);
+        let mut open = std::collections::BTreeMap::<u32, u64>::new();
+        for te in &log.events {
+            match te.event.kind {
+                EventKind::TaskLaunch { .. } => *open.entry(te.track).or_default() += 1,
+                EventKind::TaskCommit { .. }
+                | EventKind::TaskAbort { .. }
+                | EventKind::TaskFault { .. } => outcomes += 1,
+                EventKind::BatchRetire { worker, tasks, .. } => {
+                    assert_eq!(worker, te.track);
+                    let launched = open.insert(te.track, 0);
+                    assert_eq!(launched, Some(u64::from(tasks)), "{te:?}");
+                }
+                EventKind::WindowAdvance { completions, .. } => {
+                    assert_eq!(completions, outcomes, "window {windows}");
+                    assert!(open.values().all(|&n| n == 0), "window {windows}");
+                    windows += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(windows, run.round_count());
+        assert_eq!(outcomes, run.total_launched() as u64);
     }
 
     /// Conflict-free operator with one "wedged" task that spins until

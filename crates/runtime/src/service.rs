@@ -423,8 +423,8 @@ struct Shared {
 impl Shared {
     fn new(cfg: ServiceConfig) -> Self {
         // Job events go on the controller track; no service thread
-        // records into a worker ring, so the recorder has none.
-        let recorder = cfg.obs.then(|| optpar_obs::Recorder::new(0));
+        // hands the recorder a worker buffer.
+        let recorder = cfg.obs.then(optpar_obs::Recorder::new);
         Shared {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),

@@ -127,20 +127,33 @@ pub trait Operator: Sync {
     }
 }
 
-/// The buffer a running task fills — its lockset — owned by whichever
-/// loop calls `Executor::speculate` (a round, a solo step, a pipelined
-/// worker) and lent to one [`TaskCtx`] at a time, which
-/// leaves it empty: cleared, not freed, so a task allocates nothing
+/// The buffers a running task fills — its lockset and, when a
+/// recorder is attached, its trace events — owned by whichever loop
+/// calls `Executor::speculate` (a round, a solo step, a pipelined
+/// worker) and lent to one [`TaskCtx`] at a time, which leaves the
+/// lockset empty: cleared, not freed, so a task allocates nothing
 /// once the buffer has grown to the loop's largest footprint. A model
 /// round's committed tasks move their locksets into `retained`, which
-/// its barrier releases ([`TaskScratch::release_retained`]).
+/// its barrier releases ([`TaskScratch::release_retained`]). The loop
+/// hands `trace` to the recorder where it already serializes: at the
+/// step barrier, and at a lane's batch retire.
 #[derive(Default)]
 pub(crate) struct TaskScratch {
     lockset: Vec<usize>,
     retained: Vec<usize>,
+    /// The loop's event buffer; `None` records nothing.
+    pub(crate) trace: Option<EventRing>,
 }
 
 impl TaskScratch {
+    /// Record `kind` into the loop's event buffer, if it has one.
+    #[inline]
+    pub(crate) fn record(&self, kind: EventKind) {
+        if let Some(ring) = &self.trace {
+            ring.record(kind);
+        }
+    }
+
     /// The round barrier's release: free every word the round's
     /// committed tasks kept.
     pub(crate) fn release_retained(&mut self, space: &LockSpace) {
@@ -177,9 +190,6 @@ pub struct TaskCtx<'rt> {
     /// its [`FaultPlan`](crate::faults::FaultPlan), ticked down on
     /// every context operation up to the seal, which disarms it).
     inject: Option<crate::faults::ArmedFault<'rt>>,
-    /// This worker's event ring, if a recorder is attached: lost
-    /// lock contentions are recorded through it.
-    probe: Option<&'rt EventRing>,
     /// The attached fault plan and this task's key in it: where
     /// [`TaskCtx::seal`] draws the commit-point fault.
     commit_fault: Option<(&'rt crate::faults::FaultPlan, u64)>,
@@ -224,17 +234,17 @@ impl<'rt> TaskCtx<'rt> {
             scratch,
             acquires: 0,
             inject: None,
-            probe: None,
             commit_fault: None,
             sealed: false,
         }
     }
 
-    /// Attach this worker's event ring. Kept separate from
-    /// [`TaskCtx::with_mode`] so the many direct test constructions
-    /// need no probe plumbing.
-    pub(crate) fn attach_probe(&mut self, probe: Option<&'rt EventRing>) {
-        self.probe = probe;
+    /// Record `kind` into the calling loop's event buffer, if it has
+    /// one. Inlined, so that with no buffer the event is never built:
+    /// `speculate` is generic and compiled in the operator's crate.
+    #[inline]
+    pub(crate) fn record(&self, kind: EventKind) {
+        self.scratch.record(kind);
     }
 
     /// Arm this context with the fault (if any) the plan draws for its
@@ -288,6 +298,7 @@ impl<'rt> TaskCtx<'rt> {
     /// re-entrant or not. In a solo context this only counts the
     /// acquire; a debug build also records the lock, so that a sealed
     /// write can still check it (`TaskCtx::in_place`).
+    #[inline]
     pub fn lock_raw(&mut self, l: usize) -> Result<(), Abort> {
         // Every lock/read/write/alloc funnels through here, so this is
         // where an armed injected fault ticks toward firing.
@@ -307,17 +318,21 @@ impl<'rt> TaskCtx<'rt> {
                 self.acquires += 1;
                 Ok(())
             }
-            Err(AcquireError::Conflict { lock, holder }) => {
-                if let Some(ring) = self.probe {
-                    ring.record(EventKind::LockContend {
-                        lock: lock as u64,
-                        slot: self.slot as u32,
-                        holder: holder as u32,
-                    });
-                }
-                Err(Abort::Conflict { lock })
-            }
+            Err(AcquireError::Conflict { lock, holder }) => Err(self.contended(lock, holder)),
         }
+    }
+
+    /// `lock_raw`'s conflict exit, kept out of line so that `lock_raw`
+    /// is small enough to inline into the operators that call it.
+    #[cold]
+    #[inline(never)]
+    fn contended(&self, lock: usize, holder: usize) -> Abort {
+        self.record(EventKind::LockContend {
+            lock: lock as u64,
+            slot: self.slot as u32,
+            holder: holder as u32,
+        });
+        Abort::Conflict { lock }
     }
 
     /// Read `store[i]`, acquiring its lock if necessary.

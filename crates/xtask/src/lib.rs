@@ -3,7 +3,7 @@
 //!
 //! A dependency-free Rust front end (lexer → token trees → the
 //! function items of a file) feeds one pass, `protocol`: the atomics
-//! of `lock.rs`, the obs event ring `ring.rs` and `sssp.rs` must match
+//! of `lock.rs` and `sssp.rs` must match
 //! the checked-in `PROTOCOL.toml`, and no other file may name
 //! `Relaxed`. The rules that match resolved paths (thread spawns,
 //! clock reads, raw slot access, Condvar waits, undocumented `unsafe`,

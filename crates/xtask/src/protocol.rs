@@ -1,7 +1,6 @@
 //! Atomic-protocol contract: every atomic operation in the
-//! memory-ordering-critical modules (`lock.rs`, the observability
-//! layer's SPSC event ring `ring.rs`, and the SSSP operator's monotone
-//! bound in `sssp.rs`) is extracted — file, enclosing symbol,
+//! memory-ordering-critical modules (`lock.rs` and the SSSP
+//! operator's monotone bound in `sssp.rs`) is extracted — file, enclosing symbol,
 //! operation, `Ordering` arguments — and diffed against the checked-in
 //! `PROTOCOL.toml` at the workspace root. No other file may contain
 //! the identifier `Relaxed`, test code included.
@@ -22,11 +21,7 @@ use crate::{Violation, Workspace};
 use std::collections::BTreeMap;
 
 /// Files under contract, and the only ones that may name `Relaxed`.
-const PROTOCOL_FILES: &[&str] = &[
-    "crates/runtime/src/lock.rs",
-    "crates/obs/src/ring.rs",
-    "crates/apps/src/sssp.rs",
-];
+const PROTOCOL_FILES: &[&str] = &["crates/runtime/src/lock.rs", "crates/apps/src/sssp.rs"];
 
 /// Atomic operations tracked by the contract.
 const ATOMIC_OPS: &[&str] = &[
@@ -161,7 +156,7 @@ pub fn extract(ws: &Workspace) -> (Vec<Entry>, BTreeMap<GroupKey, usize>) {
 /// Serialize entries as PROTOCOL.toml text.
 pub fn to_toml(entries: &[Entry]) -> String {
     let mut s = String::from(
-        "# Atomic-protocol contract: every atomic op in lock.rs / ring.rs / sssp.rs.\n\
+        "# Atomic-protocol contract: every atomic op in lock.rs / sssp.rs.\n\
          # Regenerate with `cargo run -p xtask -- analyze --write-protocol`\n\
          # ONLY after re-arguing the ordering change in the PR description.\n",
     );
@@ -552,7 +547,7 @@ mod tests {
 
     #[test]
     fn relaxed_in_the_contract_files_is_clean() {
-        for rel in ["crates/runtime/src/lock.rs", "crates/obs/src/ring.rs"] {
+        for rel in ["crates/runtime/src/lock.rs", "crates/apps/src/sssp.rs"] {
             assert_eq!(check_one(rel, QUALIFIED), Vec::new(), "{rel}");
             assert_eq!(check_one(rel, GLOB), Vec::new(), "{rel}");
         }

@@ -88,10 +88,8 @@ fn main() {
     fs::write(dir.join("events.jsonl"), export::events_jsonl(&log)).expect("write events.jsonl");
 
     println!(
-        "wrote target/obs/{{trace.json, events.jsonl}} \
-         ({} events, {} dropped)",
-        log.events.len(),
-        log.dropped
+        "wrote target/obs/{{trace.json, events.jsonl}} ({} events)",
+        log.events.len()
     );
     println!("summarize with: cargo run -p xtask -- report target/obs/events.jsonl");
 }

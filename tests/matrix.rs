@@ -32,7 +32,7 @@
 //! passes `validate::validate` against its `RoundStats`; a lane
 //! cell's trace (which the validator
 //! refuses) has as many `Task*` events of each kind as the ledger
-//! counts, with no event dropped. In both, the
+//! counts. In both, the
 //! `acquires` payloads of the task outcome events sum to
 //! `Σ RoundStats::lock_acquires`.
 //!
