@@ -52,17 +52,17 @@
 //!   (`Executor::step`); they differ in the draw, the mode and where a
 //!   rolled-back entry goes back.
 //! * **Lanes, at more than one worker**: the pipelined engine
-//!   ([`crate::pipelined`]) runs the loop in lane mode on every worker
-//!   of the executor's [`WorkerPool`], behind an in-flight budget and
-//!   over a sharded draw, settles each batch's outcomes into the shards at
-//!   once after it, and takes the control step once per window of
-//!   completions. Parallelism comes only from lanes.
+//!   ([`crate::pipelined`]) runs the loop in lane mode on one thread
+//!   per worker, spawned for the drain ([`crate::pool::WorkerPool`]),
+//!   behind an in-flight budget and over a sharded draw, settles each
+//!   batch's outcomes into the shards at once after it, and takes the
+//!   control step once per window of completions. Parallelism comes
+//!   only from lanes.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{ConflictPolicy, LockSpace};
 use crate::phase::{self, Phase};
 use crate::pipelined::PipelinedConfig;
-use crate::pool::WorkerPool;
 use crate::stats::{RoundStats, RunStats};
 use crate::task::{Abort, Mode, Operator, Ranked, TaskCtx, TaskScratch};
 use optpar_core::control::Controller;
@@ -405,7 +405,7 @@ pub struct ExecutorConfig {
     /// Benchmark-pinned shim: nothing reads this field (first-wins is
     /// the only arbitration rule). It exists only because the frozen
     /// `benchmark/src/drain.rs` sets it; the next PR that may edit
-    /// `benchmark/` drops it (ROADMAP item 4(b)).
+    /// `benchmark/` drops it (ROADMAP item 5(b)).
     #[doc(hidden)]
     pub policy: ConflictPolicy,
     /// Dead-letter budget `K`: a task that *faults* (not merely
@@ -442,8 +442,6 @@ pub struct Executor<'a, O: Operator> {
     op: &'a O,
     pub(crate) space: &'a LockSpace,
     cfg: ExecutorConfig,
-    /// Persistent parked threads for lanes; `None` when `workers == 1`.
-    pub(crate) pool: Option<WorkerPool>,
     /// Structured record of every contained fault (operator panics,
     /// injected faults).
     faults: Mutex<FaultLog>,
@@ -471,7 +469,6 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("workers", &self.cfg.workers)
-            .field("pool", &self.pool.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -535,8 +532,8 @@ fn abort_past_seal(slot: usize, abort: Abort) -> ! {
 
 impl<'a, O: Operator> Executor<'a, O> {
     /// Pair an operator with its lock space under the given config.
-    /// Spawns the persistent worker pool the lanes run on when
-    /// `workers > 1`.
+    /// Spawns no thread: a drain at `workers > 1` spawns its lanes for
+    /// its own duration.
     ///
     /// One drain runs over a lock space at a time: every model round,
     /// solo step and pipelined run claims `space` for its duration,
@@ -550,7 +547,6 @@ impl<'a, O: Operator> Executor<'a, O> {
             op,
             space,
             cfg,
-            pool: (cfg.workers > 1).then(|| WorkerPool::new(cfg.workers)),
             faults: Mutex::new(FaultLog::default()),
             dead_letters: Mutex::new(Vec::new()),
             step_scratch: Mutex::new(TaskScratch::default()),
@@ -587,13 +583,6 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// the work-set instead of re-queued.
     pub fn take_dead_letters(&self) -> Vec<crate::faults::DeadLetter> {
         std::mem::take(&mut *crate::faults::recover(self.dead_letters.lock()))
-    }
-
-    /// Worker-level job panics that escaped the per-task containment
-    /// of a lane drain (should stay 0: operator panics are caught per
-    /// task).
-    pub fn worker_panics(&self) -> u64 {
-        self.pool.as_ref().map_or(0, WorkerPool::job_panics)
     }
 
     /// Attach a phase clock: subsequent runs charge their draw /
@@ -1786,9 +1775,9 @@ pub(crate) mod tests {
     /// seal is not contained: a model round and a solo step re-raise it
     /// (a returned `Err` as a panic naming it and its slot, a panic with
     /// its own payload), and a two-worker drain — which runs lanes —
-    /// fails through the pool's rendezvous once the lane that lost
-    /// task 0 has stopped the other, which would otherwise wait forever
-    /// for that task (hence the watchdog). A write seals too, so a lock
+    /// re-raises the same payload once the lane that lost task 0 has
+    /// stopped the other, which would otherwise wait forever for that
+    /// task (hence the watchdog). A write seals too, so a lock
     /// that conflicts after one — an operator that is not cautious —
     /// fails the model round alike. (On lanes such a lock conflicts
     /// only with a holder that is running at that moment, and a solo
@@ -1797,7 +1786,7 @@ pub(crate) mod tests {
     /// drain claim clears them as it unwinds.
     #[test]
     fn an_err_or_panic_after_seal_fails_the_round() {
-        use crate::pool::tests::{within, BOUND};
+        use crate::watchdog::{within, BOUND};
         for (how, says) in [
             (PastSeal::Err, "returned Requested after sealing"),
             (PastSeal::Panic, "sealed task blew up"),
@@ -1830,12 +1819,8 @@ pub(crate) mod tests {
                             }
                         }));
                         let payload = drain.expect_err("the drain must fail");
-                        if workers == 1 {
-                            let detail = crate::faults::panic_detail(payload.as_ref());
-                            assert!(detail.contains(says), "{how:?}: {detail}");
-                        } else {
-                            assert!(ex.worker_panics() > 0, "{how:?}: the pool saw the panic");
-                        }
+                        let detail = crate::faults::panic_detail(payload.as_ref());
+                        assert!(detail.contains(says), "{how:?} w{workers}: {detail}");
                         assert_eq!(ex.fault_count(), 0, "{how:?}: nothing was contained");
                         assert_eq!(
                             space.check_all_free(),

@@ -34,11 +34,11 @@
 //! executor-internal mutexes. What stays *fatal*: panics in the
 //! runtime's own lock machinery outside the contained region
 //! (they indicate a broken invariant, not a broken operator — a round
-//! re-raises it on its caller's thread; a lane worker that dies this
-//! way stops the drain's other lanes and is re-raised on the caller's
-//! thread by the pool rendezvous, so no task's outcome is ever
-//! silently missing), and misconfiguration asserts (zero workers,
-//! oversized rounds).
+//! re-raises it on its caller's thread; a lane that dies this way
+//! stops the drain's other lanes, and its own panic is re-raised on
+//! the caller's thread once they have returned, so no task's outcome
+//! is ever silently missing), and misconfiguration asserts (zero
+//! workers, oversized rounds).
 
 use std::sync::{Mutex, PoisonError};
 

@@ -2,7 +2,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 // No panic source in non-test runtime code: a panic outside an
-// operator's `catch_unwind` kills a pool worker or a service lane.
+// operator's `catch_unwind` fails a whole drain or kills a service lane.
 // Files whose indexing is bounds-safe by construction opt out of
 // `indexing_slicing` at their top; a deliberate panic is an
 // `#[expect(clippy::panic)]` with its reason.
@@ -32,9 +32,9 @@
 //!   arbitration rule). A pipelined lane's task releases what it took
 //!   when it finishes; only a model round's committed tasks keep their
 //!   locks, until the round barrier releases them.
-//! * [`pool`] — [`pool::WorkerPool`], persistent worker threads
-//!   created once per executor and parked between drains; lanes run
-//!   on them.
+//! * [`pool`] — [`pool::WorkerPool`], the lane fan-out: a drain calls
+//!   its lane once per worker, on threads it spawns scoped for the
+//!   drain and joins before it returns.
 //! * [`store`] — [`store::SpecStore`], a speculation-aware shared
 //!   array: reads and writes go through a [`task::TaskCtx`], which
 //!   enforces lock ownership; writes go in place.
@@ -113,6 +113,8 @@ pub mod shard;
 pub mod stats;
 pub mod store;
 pub mod task;
+#[cfg(test)]
+mod watchdog;
 
 /// The observability layer (`optpar-obs`), re-exported so downstream
 /// tests and tools can drain logs, fold metrics, export traces, and

@@ -62,7 +62,7 @@ struct Epoch(AtomicU64);
 /// one collision rule and nothing reads this type. It exists only
 /// because `benchmark/src/drain.rs` — frozen by `BENCHMARK.json`'s
 /// `paths` for ordinary PRs — names it in an `ExecutorConfig` literal;
-/// the next PR that may edit `benchmark/` drops it (ROADMAP item 4(b)).
+/// the next PR that may edit `benchmark/` drops it (ROADMAP item 5(b)).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ConflictPolicy {

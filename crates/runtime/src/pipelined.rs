@@ -2,7 +2,7 @@
 //!
 //! A barrier round runs on its caller's thread, and its barrier
 //! releases the locks its committed tasks kept. This module is the
-//! runtime's only parallel engine: each worker of the executor's pool
+//! runtime's only parallel engine: each of the drain's worker threads
 //! runs the executor's batch loop (`Executor::run_batch` — the loop a
 //! round runs) as a lane of its own, and nobody waits for anybody.
 //! What this module adds to that loop:
@@ -79,6 +79,7 @@
 use crate::exec::{ControlState, Entry, Executor, Settled, WorkSet};
 use crate::faults::recover;
 use crate::phase::{self, Phase};
+use crate::pool::WorkerPool;
 use crate::stats::{RoundStats, RunStats};
 use crate::task::{Mode, Operator, Ranked, TaskScratch};
 use optpar_core::control::Controller;
@@ -532,14 +533,11 @@ impl<O: Operator> Executor<'_, O> {
                 }
             }
         };
-        // Dispatch on the executor's persistent pool; `workers == 1`
-        // runs the claim loop inline. A worker that unwinds (a task
-        // that failed past its seal) stops the others, and the pool
-        // re-raises its panic here.
-        match &self.pool {
-            Some(pool) => pool.rendezvous(&worker),
-            None => worker(0),
-        }
+        // One fan-out per drain: lane 0 on this thread, the others
+        // spawned for the drain (none at one worker). A lane that
+        // unwinds (a task that failed past its seal) stops the others,
+        // and its own panic is re-raised here once all have returned.
+        let Ok(()) = WorkerPool::new(workers).run(&worker);
         // Flush the final partial window.
         let mut books = recover(books.into_inner());
         books.flush(self);
@@ -1281,7 +1279,6 @@ mod tests {
         assert_eq!(ex.fault_count(), 1);
         let faults = ex.take_faults();
         assert!(faults[0].detail.contains("op blew up on task 13"));
-        assert_eq!(ex.worker_panics(), 0, "the panic never reached the pool");
         assert!(
             space.check_all_free().is_ok(),
             "faulted locks were released"

@@ -825,9 +825,9 @@ fn execute_job(shared: &Shared, q: QueuedJob) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::tests::{within, BOUND, SETTLE};
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
+    use crate::watchdog::{within, BOUND, SETTLE};
     use optpar_core::control::FixedController;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1285,9 +1285,9 @@ mod tests {
 
     #[test]
     fn one_worker_lanes_run_their_rounds_inline() {
-        // `workers` is unread: whatever it says, no pool exists
-        // anywhere in the service and every launch runs on its lane's
-        // own thread.
+        // `workers` is unread: whatever it says, a drive spawns no
+        // lane threads (`optpar-worker-{w}`) and every launch runs on
+        // its service lane's own thread.
         let cfg = ServiceConfig {
             workers: 4,
             lanes: 2,

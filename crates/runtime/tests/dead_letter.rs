@@ -68,9 +68,8 @@ proptest! {
             prop_assert_eq!(dl.retries, budget, "retired exactly at the budget");
             prop_assert_eq!(&dl.cause, &FaultCause::OperatorPanic);
         }
-        // The contained panics are all accounted in the fault log and
-        // no worker-level state was corrupted.
+        // The contained panics are all accounted in the fault log; one
+        // that escaped would have failed the drain itself.
         prop_assert_eq!(ex.take_faults().len(), n * per_task);
-        prop_assert_eq!(ex.worker_panics(), 0);
     }
 }

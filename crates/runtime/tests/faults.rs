@@ -95,7 +95,6 @@ fn drain_with_plan(
         assert!(guard < 10_000, "work-set did not drain under injection");
     }
     assert_eq!(committed, n);
-    assert_eq!(ex.worker_panics(), 0);
     ex.take_faults()
 }
 

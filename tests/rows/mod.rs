@@ -288,7 +288,6 @@ fn drain<O: Operator>(
         run.total_committed() + run.total_aborted() + run.total_faulted()
     );
     assert!(space.check_all_free().is_ok(), "a lock leaked");
-    assert_eq!(ex.worker_panics(), 0, "a panic escaped containment");
     // At one worker only the model round keeps a finished holder's
     // lock: one lane, or the solo runner, has no running holder to
     // lose to.
