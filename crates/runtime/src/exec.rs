@@ -57,7 +57,11 @@
 //!   behind an in-flight budget and over a sharded draw, settles each
 //!   batch's outcomes into the shards at once after it, and takes the
 //!   control step once per window of completions. Parallelism comes
-//!   only from lanes.
+//!   only from lanes. Asked for by name at one worker
+//!   ([`Executor::run_pipelined`]), the engine runs a lone lane,
+//!   which has nothing to conflict with: it runs its batches in solo
+//!   mode and draws the oldest entries of its lowest bucket
+//!   (`WorkSet::take_oldest`), with no RNG.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{ConflictPolicy, LockSpace};
@@ -119,16 +123,21 @@ impl<T> Entry<T> {
 /// whose frontier only moves up — appends; an insertion shifts the
 /// shorter side), and a draw that spends the lowest bucket pops the
 /// next one off the front.
+///
+/// A bucket is a ring buffer in enqueue order, so a one-worker lane's
+/// oldest-first draw (`WorkSet::take_oldest`) takes from its front in
+/// O(m) without shifting the rest. The uniform and the newest-first
+/// draws work on the back of it, viewed as a `Vec` (`as_vec`).
 #[derive(Clone, Debug)]
 pub struct WorkSet<T> {
     /// The lowest-rank bucket; empty only when the whole set is.
-    low: Vec<Entry<T>>,
+    low: VecDeque<Entry<T>>,
     /// Rank of `low` (stale while the set is empty).
     low_rank: u64,
     /// Every other bucket, ascending by rank: all keys above
     /// `low_rank` and distinct, no bucket empty — a spent bucket is
     /// removed, so the next-lowest one is always the front.
-    higher: VecDeque<(u64, Vec<Entry<T>>)>,
+    higher: VecDeque<(u64, VecDeque<Entry<T>>)>,
     /// Entries over all buckets.
     len: usize,
     next_seq: u64,
@@ -144,7 +153,7 @@ impl<T> WorkSet<T> {
     /// An empty work-set.
     pub fn new() -> Self {
         WorkSet {
-            low: Vec::new(),
+            low: VecDeque::new(),
             low_rank: 0,
             higher: VecDeque::new(),
             len: 0,
@@ -202,6 +211,27 @@ fn take_tail<T>(bucket: &mut Vec<Entry<T>>, m: usize, out: &mut Vec<Entry<T>>) {
     out.extend(bucket.drain(n - m..).rev());
 }
 
+/// Move the first `m ≤ bucket.len()` entries of `bucket` onto `out`,
+/// first first: the oldest entries, oldest first, when nothing has
+/// shuffled the bucket. The ring buffer's head moves past them; the
+/// rest of the bucket is not shifted.
+fn take_head<T>(bucket: &mut VecDeque<Entry<T>>, m: usize, out: &mut Vec<Entry<T>>) {
+    out.extend(bucket.drain(..m));
+}
+
+/// Run `f` on `bucket` as a `Vec`. Both conversions are O(1) while the
+/// ring buffer starts at the start of its allocation, which it does
+/// unless an oldest-first draw moved its head. The uniform and the
+/// newest-first draws run on the `Vec`: its swaps and tail drain
+/// compile tighter than the ring buffer's (`VecDeque::swap` made the
+/// uniform draw about a quarter slower).
+fn as_vec<T, R>(bucket: &mut VecDeque<T>, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+    let mut v = Vec::from(std::mem::take(bucket));
+    let r = f(&mut v);
+    *bucket = VecDeque::from(v);
+    r
+}
+
 impl<T: Ranked> WorkSet<T> {
     /// Wrap an existing task list.
     pub fn from_vec(tasks: Vec<T>) -> Self {
@@ -230,20 +260,20 @@ impl<T: Ranked> WorkSet<T> {
         let rank = e.task.rank();
         if self.len == 0 || rank == self.low_rank {
             self.low_rank = rank;
-            self.low.push(e);
+            self.low.push_back(e);
         } else if rank > self.low_rank {
             match self.higher.binary_search_by_key(&rank, |&(r, _)| r) {
                 Ok(at) => {
                     if let Some((_, bucket)) = self.higher.get_mut(at) {
-                        bucket.push(e);
+                        bucket.push_back(e);
                     }
                 }
-                Err(at) => self.higher.insert(at, (rank, vec![e])),
+                Err(at) => self.higher.insert(at, (rank, VecDeque::from([e]))),
             }
         } else {
             // A new lowest rank: the old lowest bucket, below every
             // indexed one, joins the index at its front.
-            let demoted = std::mem::replace(&mut self.low, vec![e]);
+            let demoted = std::mem::replace(&mut self.low, VecDeque::from([e]));
             self.higher
                 .push_front((std::mem::replace(&mut self.low_rank, rank), demoted));
         }
@@ -283,14 +313,26 @@ impl<T: Ranked> WorkSet<T> {
     /// bucket first and uniformly at random within a bucket, in draw
     /// (= commit-priority) order.
     fn draw_entries<R: Rng + ?Sized>(&mut self, m: usize, rng: &mut R) -> Vec<Entry<T>> {
-        self.draw_by(m, |bucket, take, out| draw_from(bucket, take, rng, out))
+        self.draw_by(m, |bucket, take, out| {
+            as_vec(bucket, |b| draw_from(b, take, rng, out));
+        })
     }
 
     /// The solo step's draw: remove `min(m, len)` entries, lowest
     /// bucket first and newest first within a bucket — no RNG, no
     /// shuffle.
     fn take_newest(&mut self, m: usize) -> Vec<Entry<T>> {
-        self.draw_by(m, take_tail)
+        self.draw_by(m, |bucket, take, out| {
+            as_vec(bucket, |b| take_tail(b, take, out))
+        })
+    }
+
+    /// A one-worker lane's draw: remove `min(m, len)` entries, lowest
+    /// bucket first and oldest first within a bucket — no RNG, no
+    /// shuffle, O(m). An entry re-queued with `push_entry` joins the
+    /// back of its bucket, so it runs after the rest of it.
+    pub(crate) fn take_oldest(&mut self, m: usize) -> Vec<Entry<T>> {
+        self.draw_by(m, take_head)
     }
 
     /// Remove `min(m, len)` entries, emptying buckets in ascending
@@ -299,7 +341,7 @@ impl<T: Ranked> WorkSet<T> {
     fn draw_by(
         &mut self,
         m: usize,
-        mut pick: impl FnMut(&mut Vec<Entry<T>>, usize, &mut Vec<Entry<T>>),
+        mut pick: impl FnMut(&mut VecDeque<Entry<T>>, usize, &mut Vec<Entry<T>>),
     ) -> Vec<Entry<T>> {
         let m = m.min(self.len);
         self.len -= m;
@@ -366,9 +408,9 @@ impl<T: Ranked> WorkSet<T> {
     /// (the pipelined executor shards them across per-worker queues).
     pub(crate) fn take_entries(&mut self) -> Vec<Entry<T>> {
         self.len = 0;
-        let mut out = std::mem::take(&mut self.low);
-        for (_, mut bucket) in std::mem::take(&mut self.higher) {
-            out.append(&mut bucket);
+        let mut out = Vec::from(std::mem::take(&mut self.low));
+        for (_, bucket) in std::mem::take(&mut self.higher) {
+            out.extend(bucket);
         }
         out
     }
@@ -539,8 +581,9 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// solo step and pipelined run claims `space` for its duration,
     /// and one that finds it claimed — by another executor over the
     /// same space, or another thread sharing this one — panics. (The
-    /// solo runner's tasks touch no lock word; the claim is what keeps
-    /// any other task away from their data.)
+    /// tasks of the solo runner and of a lone pipelined lane touch no
+    /// lock word; the claim is what keeps any other task away from
+    /// their data.)
     pub fn new(op: &'a O, space: &'a LockSpace, cfg: ExecutorConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         Executor {
@@ -1583,6 +1626,40 @@ pub(crate) mod tests {
         // came back as a new lowest bucket.
         assert_eq!(ids(ws.take_newest(10)), vec![0, 2, 6, 5, 4]);
         assert!(ws.is_empty());
+    }
+
+    /// A one-worker lane's draw takes the lowest bucket oldest first,
+    /// fills a short draw from the next bucket, and reaches an entry
+    /// re-queued at its rank after the rest of that bucket.
+    #[test]
+    fn lane_draw_is_oldest_first_and_requeues_behind_its_bucket() {
+        let mut ws = WorkSet::from_vec(vec![Rk(0, 0), Rk(0, 1), Rk(1, 2), Rk(0, 3)]);
+        ws.push(Rk(1, 4));
+        let ids = |b: Vec<Entry<Rk>>| b.into_iter().map(|e| e.task.1).collect::<Vec<_>>();
+        assert_eq!(ids(ws.take_oldest(2)), vec![0, 1]);
+        let batch = ws.take_oldest(2);
+        assert_eq!(pending_ranks(&ws), vec![1]);
+        assert_eq!(ids(batch.clone()), vec![3, 2], "rank 0 spent, rank 1 fills");
+        ws.extend([Rk(1, 5), Rk(1, 6)]);
+        for e in batch {
+            ws.push_entry(e.retried());
+        }
+        // 3 came back as a new lowest bucket; 2 queued behind 4, 5, 6.
+        assert_eq!(ids(ws.take_oldest(10)), vec![3, 4, 5, 6, 2]);
+        assert!(ws.is_empty());
+    }
+
+    /// The oldest-first draw is O(k): it moves the bucket's head past
+    /// the `k` entries it takes, and every entry it leaves stays at its
+    /// address — nothing behind them is shifted down.
+    #[test]
+    fn lane_draw_leaves_the_rest_of_the_bucket_in_place() {
+        let mut ws = WorkSet::from_vec((0..64).map(|i| Rk(0, i)).collect());
+        let at = |ws: &WorkSet<Rk>, i: usize| ws.low.get(i).map(|e| e as *const Entry<Rk>);
+        let (rest, cap) = (at(&ws, 5), ws.low.capacity());
+        assert_eq!(ws.take_oldest(5).len(), 5);
+        assert_eq!(at(&ws, 0), rest, "the remainder was shifted");
+        assert_eq!((ws.low.len(), ws.low.capacity()), (59, cap));
     }
 
     /// A solo step marks no lock word, aborts nothing on a conflict

@@ -10,7 +10,11 @@
 //! * **a lane per worker**: worker `w` draws a *batch* and runs it in
 //!   lane mode. Slots are recycled batch positions
 //!   (`w * batch + i`): they name a lock's holder and carry no
-//!   priority meaning;
+//!   priority meaning. A lone lane (`workers == 1`) runs its batches
+//!   in solo mode instead, as the solo runner does: one thread under
+//!   the drain's claim on the lock space, and cautious operators, so
+//!   no task has another to conflict with and no lock word is stamped
+//!   ([`crate::task`] module docs);
 //! * **a lane task releases what it took**: every task frees its lock
 //!   words when it finishes, commit or abort, before its worker runs
 //!   the next one ([`crate::lock`]). A held word's owner is therefore
@@ -18,9 +22,14 @@
 //!   mid-task — which at one worker is never;
 //! * **a sharded work-set**: a worker drains its own shard and steals
 //!   from the others only when it runs dry. Each shard is a
-//!   [`WorkSet`], so rank order and aged-retry prefix semantics hold
-//!   per draw as in a round (shards are not ordered against each
-//!   other — rank is a work-efficiency hint, not a commit order).
+//!   [`WorkSet`], so rank order holds per draw as in a round (shards
+//!   are not ordered against each other — rank is a work-efficiency
+//!   hint, not a commit order). At w > 1 a lane draws its batch
+//!   uniformly at random from the lowest bucket, with the round's
+//!   aged-retry prefix, from an RNG of its own seeded from the run's.
+//!   A lone lane reads no RNG: it takes the batch's oldest entries of
+//!   the lowest bucket in enqueue order, in O(batch), and an aborted
+//!   or faulted entry goes back behind the rest of its bucket.
 //!   Re-queues go to the worker's home shard, spawns round-robin, or
 //!   both where the run's [`Placement`] says;
 //! * **a per-batch settle**: the batch loop's sink only appends a
@@ -288,17 +297,22 @@ impl<'p, T: Ranked> ShardedWorkSet<'p, T> {
     }
 
     /// Draw up to `max` entries, scanning shards from `home`. The
-    /// first non-empty shard supplies the whole batch via the same
-    /// rank-bucketed, aged sampler round mode uses, so draw order and
-    /// starvation avoidance carry over per shard.
-    fn draw<R: Rng + ?Sized>(&self, home: usize, max: usize, rng: &mut R) -> Vec<Entry<T>> {
+    /// first non-empty shard supplies the whole batch. With an `rng`
+    /// it draws through the same rank-bucketed, aged sampler round
+    /// mode uses, so draw order and starvation avoidance carry over
+    /// per shard; without one — the lone lane — it takes the oldest
+    /// entries of the lowest bucket (`WorkSet::take_oldest`).
+    fn draw<R: Rng + ?Sized>(&self, home: usize, max: usize, rng: Option<&mut R>) -> Vec<Entry<T>> {
         let n = self.shards.len();
         for shard in self.shards.iter().cycle().skip(home % n.max(1)).take(n) {
             let mut q = recover(shard.lock());
             if q.is_empty() {
                 continue;
             }
-            return q.sample_drain_aged(max, rng);
+            return match rng {
+                Some(rng) => q.sample_drain_aged(max, rng),
+                None => q.take_oldest(max),
+            };
         }
         Vec::new()
     }
@@ -381,6 +395,13 @@ impl<O: Operator> Executor<'_, O> {
     /// abort-ratio window. Returns one [`RoundStats`] entry per
     /// flushed window.
     ///
+    /// `rng` is read only by lanes at w > 1, which seed their uniform
+    /// draws from it. A lone lane draws oldest-first and leaves `rng`
+    /// untouched, so its drain is the same at every seed (module
+    /// docs). The parameter is benchmark-pinned at one worker: the
+    /// frozen `benchmark/src/drain.rs` passes one at every worker
+    /// count (ROADMAP item 5(b)).
+    ///
     /// # Panics
     /// Panics if another drain is running over the executor's lock
     /// space ([`Executor::new`]), on a zero window or batch, or if
@@ -440,7 +461,12 @@ impl<O: Operator> Executor<'_, O> {
         let live = AtomicUsize::new(ws.len());
         let shards = ShardedWorkSet::new(ws, workers, place);
         let done = AtomicBool::new(false);
-        let base_seed: u64 = rng.random();
+        // A lone lane has no other lane to conflict with: it runs its
+        // tasks in solo mode and draws oldest-first, reading no RNG
+        // (module docs). Lanes at w > 1 seed one RNG each from `rng`.
+        let lone = workers == 1;
+        let mode = if lone { Mode::Solo } else { Mode::Lane };
+        let base_seed: Option<u64> = (!lone).then(|| rng.random());
         let books = Mutex::new(Books {
             state: ControlState::new(ctl),
             ctl,
@@ -452,7 +478,7 @@ impl<O: Operator> Executor<'_, O> {
 
         let worker = |w: usize| {
             let _stop = StopOnUnwind(&done);
-            let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
+            let mut wrng = base_seed.map(|s| StdRng::seed_from_u64(s ^ (w as u64) << 32));
             let mut scratch = TaskScratch::default();
             self.trace_into(&mut scratch);
             let mut outbox = Outbox::new();
@@ -469,7 +495,7 @@ impl<O: Operator> Executor<'_, O> {
                     continue;
                 }
                 let t0 = phase::maybe_start(pc);
-                let batch = shards.draw(w, granted, &mut wrng);
+                let batch = shards.draw(w, granted, wrng.as_mut());
                 phase::maybe_add(pc, Phase::Draw, t0);
                 let drawn = batch.len();
                 if drawn < granted {
@@ -498,7 +524,7 @@ impl<O: Operator> Executor<'_, O> {
                 self.run_batch(
                     &mut scratch,
                     w * cfg.batch,
-                    Mode::Lane,
+                    mode,
                     key,
                     batch,
                     &mut tally,
@@ -1139,6 +1165,99 @@ mod tests {
         assert_eq!(longest as usize, commit_free, "one unbroken stall");
         assert!(commit_free > 100 && ledger.iter().any(|r| r.m == 1));
         assert_eq!(ledger.last().map(|r| r.m), Some(64), "and it lifted");
+    }
+
+    /// What an `OwnerProbe` task saw: `(owner_of(i), owner_of(i + 1),
+    /// slot)`.
+    type Seen = (Option<usize>, Option<usize>, usize);
+
+    /// `RingOp` that, once it holds both its words, records who owns
+    /// them as its slot sees it.
+    struct OwnerProbe<'s> {
+        ring: RingOp<'s>,
+        space: &'s LockSpace,
+        seen: Mutex<Vec<Seen>>,
+    }
+
+    impl Operator for OwnerProbe<'_> {
+        type Task = usize;
+        fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            let (store, j) = (self.ring.store, (i + 1) % self.ring.n);
+            cx.lock(store, i)?;
+            cx.lock(store, j)?;
+            let owner = |k| self.space.owner_of(store.lock_of(k));
+            recover(self.seen.lock()).push((owner(i), owner(j), cx.slot()));
+            self.ring.execute(&i, cx)
+        }
+    }
+
+    /// Drain a ring of `n` through `OwnerProbe` on `workers` lanes and
+    /// return what its tasks saw.
+    fn probe_owners(workers: usize, n: usize) -> Vec<Seen> {
+        let (space, r) = ring_setup(n);
+        let store = SpecStore::filled(r, n, 0i64);
+        let op = OwnerProbe {
+            ring: RingOp { store: &store, n },
+            space: &space,
+            seen: Mutex::new(Vec::new()),
+        };
+        let ex = Executor::new(&op, &space, exec_cfg(workers));
+        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
+        let run = ex.run_pipelined(
+            &mut ws,
+            &mut FixedController::new(8),
+            drain_cfg(16, 4),
+            &mut StdRng::seed_from_u64(43),
+        );
+        assert_eq!(run.total_committed(), n);
+        assert!(space.check_all_free().is_ok());
+        drop(ex);
+        let seen = recover(op.seen.into_inner());
+        assert!(seen.len() >= n, "every commit probed once at least");
+        seen
+    }
+
+    /// A lone lane runs its tasks in solo mode: a task that holds its
+    /// locks finds their words unowned, because it never stamped them.
+    #[test]
+    fn a_lone_lane_task_stamps_no_lock_word() {
+        for (a, b, slot) in probe_owners(1, 64) {
+            assert_eq!((a, b), (None, None), "slot {slot}");
+        }
+    }
+
+    /// Lanes at w > 1 keep their lock words: a task that holds its
+    /// locks finds both words owned by its own slot.
+    #[test]
+    fn a_lane_task_at_two_workers_owns_its_lock_words() {
+        for (a, b, slot) in probe_owners(2, 64) {
+            assert_eq!((a, b), (Some(slot), Some(slot)));
+        }
+    }
+
+    /// The lone lane counts acquires as the solo runner does — every
+    /// successful lock call, though it stamps no word: `RingOp` books
+    /// two locks and two writes per task, 4·n in all under both.
+    #[test]
+    fn a_lone_lane_books_the_solo_runners_lock_acquires() {
+        let n = 64;
+        let (space, r) = ring_setup(n);
+        let store = SpecStore::filled(r, n, 0i64);
+        let op = RingOp { store: &store, n };
+        let ex = Executor::new(&op, &space, exec_cfg(1));
+        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
+        let solo = ex.run_solo(&mut ws, n);
+        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
+        let run = ex.run_pipelined(
+            &mut ws,
+            &mut FixedController::new(8),
+            drain_cfg(16, 4),
+            &mut StdRng::seed_from_u64(44),
+        );
+        assert_eq!((solo.committed, run.total_committed()), (n, n));
+        let lane: usize = run.rounds.iter().map(|w| w.lock_acquires).sum();
+        assert_eq!((solo.lock_acquires, lane), (4 * n, 4 * n));
+        assert!((0..n).all(|l| space.owner_of(l).is_none()));
     }
 
     /// Partition-affine placement: every task pinned to one worker

@@ -35,14 +35,15 @@
 //! sealed write; a lane task releases its words when it finishes,
 //! commit or abort, while a round's committed task keeps them until
 //! the round barrier ([`crate::lock`]). A *solo* context —
-//! the solo runner's, at one worker — marks nothing: [`TaskCtx::lock`]
+//! the solo runner's, or a lone pipelined lane's, both at one worker —
+//! marks nothing: [`TaskCtx::lock`]
 //! is a fault tick and an acquire count, a sealed write goes straight
 //! to the slot, and a rollback has nothing to release. That rests on
 //! two invariants: only one drain runs over a
 //! [`LockSpace`] at a time — every drain (a model round, a solo step,
 //! a pipelined run) claims the space for its duration and panics if
-//! another drain holds it — so a solo task, run one at a time, has no
-//! other task to conflict with; and every operator is cautious, so a
+//! another drain holds it — so a solo task, run one at a time on the
+//! drain's one thread, has no other task to conflict with; and every operator is cautious, so a
 //! task that aborts or faults has written nothing that a lock would
 //! have guarded. A debug build still records a solo task's locks and
 //! checks every sealed write against them.
@@ -171,7 +172,8 @@ pub(crate) enum Mode {
     /// A pipelined worker's task: it marks its words and releases them
     /// when it finishes, commit or abort.
     Lane,
-    /// A solo runner's task: no lock word is read or written.
+    /// A task of the solo runner, or of a lone pipelined lane (one
+    /// worker): no lock word is read or written.
     Solo,
 }
 
