@@ -211,14 +211,6 @@ fn take_tail<T>(bucket: &mut Vec<Entry<T>>, m: usize, out: &mut Vec<Entry<T>>) {
     out.extend(bucket.drain(n - m..).rev());
 }
 
-/// Move the first `m ≤ bucket.len()` entries of `bucket` onto `out`,
-/// first first: the oldest entries, oldest first, when nothing has
-/// shuffled the bucket. The ring buffer's head moves past them; the
-/// rest of the bucket is not shifted.
-fn take_head<T>(bucket: &mut VecDeque<Entry<T>>, m: usize, out: &mut Vec<Entry<T>>) {
-    out.extend(bucket.drain(..m));
-}
-
 /// Run `f` on `bucket` as a `Vec`. Both conversions are O(1) while the
 /// ring buffer starts at the start of its allocation, which it does
 /// unless an oldest-first draw moved its head. The uniform and the
@@ -329,10 +321,12 @@ impl<T: Ranked> WorkSet<T> {
 
     /// A one-worker lane's draw: remove `min(m, len)` entries, lowest
     /// bucket first and oldest first within a bucket — no RNG, no
-    /// shuffle, O(m). An entry re-queued with `push_entry` joins the
-    /// back of its bucket, so it runs after the rest of it.
+    /// shuffle. O(m): the ring buffer's head moves past the entries
+    /// taken and the rest of the bucket is not shifted. An entry
+    /// re-queued with `push_entry` joins the back of its bucket, so it
+    /// runs after the rest of it.
     pub(crate) fn take_oldest(&mut self, m: usize) -> Vec<Entry<T>> {
-        self.draw_by(m, take_head)
+        self.draw_by(m, |bucket, take, out| out.extend(bucket.drain(..take)))
     }
 
     /// Remove `min(m, len)` entries, emptying buckets in ascending
